@@ -17,8 +17,9 @@ from pathlib import Path
 
 from .corpus import default_corpus_dir, load_corpus, run_harness
 from .errors import CondfixError
-from .minilang import parse_program
+from .minilang import DEFAULT_STEP_BUDGET, parse_program
 from .pipeline import RepairConfig, render_patch_diff, repair
+from .synth import MAX_LEVEL
 from .testkit import parse_suite
 
 EXIT_PATCHED = 0
@@ -31,8 +32,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metric", default="ochiai")
     parser.add_argument("--timeout", type=float, default=300.0, help="global timeout in seconds")
     parser.add_argument("--level-timeout", type=float, default=60.0, help="per-level solver timeout")
-    parser.add_argument("--max-level", type=int, default=4)
-    parser.add_argument("--step-budget", type=int, default=1_000_000)
+    parser.add_argument("--max-level", type=int, default=MAX_LEVEL)
+    parser.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET)
     parser.add_argument(
         "--solver-cmd", default=None,
         help="external SMT-LIB2 solver command; omit to use the built-in backend",

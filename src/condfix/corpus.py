@@ -30,7 +30,7 @@ from .minilang import (
     parse_value_literal, render_expr,
 )
 from .pipeline import RepairConfig, RepairReport, repair, validate
-from .testkit import TestCase, parse_suite, run_suite, values_match
+from .testkit import SuiteResult, TestCase, parse_suite, run_suite, values_match
 
 FIXABLE = "fixable"
 LIMITATION = "limitation"
@@ -80,9 +80,11 @@ class BugBundle:
     def suite(self) -> List[TestCase]:
         return parse_suite(self.suite_text)
 
-    def self_check(self, step_budget: int = DEFAULT_STEP_BUDGET) -> None:
+    def self_check(self, step_budget: int = DEFAULT_STEP_BUDGET
+                   ) -> Tuple[Program, List[TestCase], SuiteResult]:
         """The buggy program must fail at least one test and the human
-        patch must make the whole suite pass."""
+        patch must make the whole suite pass. Returns the parsed program,
+        the suite and the suite's result on the buggy program."""
         program = self.program()
         suite = self.suite()
         baseline = run_suite(program, suite, step_budget=step_budget)
@@ -90,6 +92,7 @@ class BugBundle:
             raise BundleError(f"bundle {self.id}: no failing test on the buggy program")
         if not validate(program, self.human.to_patch(), suite, step_budget):
             raise BundleError(f"bundle {self.id}: human patch does not validate")
+        return program, suite, baseline
 
 
 # --- bundle files -----------------------------------------------------------
@@ -361,13 +364,8 @@ def run_harness(bundles: Sequence[BugBundle], config: Optional[RepairConfig] = N
 
 
 def _run_bundle(bundle: BugBundle, config: RepairConfig) -> BundleRow:
-    bundle.self_check(config.step_budget)
-    program = bundle.program()
-    suite = bundle.suite()
-
-    report = repair(program, suite, config)
-
-    baseline = run_suite(program, suite, step_budget=config.step_budget)
+    program, suite, baseline = bundle.self_check(config.step_budget)
+    report = repair(program, suite, config, baseline)
     spectrum = build_spectrum(baseline, program.locations())
     wasted = {
         metric: wasted_effort(spectrum, metric, bundle.human.location)

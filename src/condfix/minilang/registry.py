@@ -25,9 +25,6 @@ class StateQueryRegistry:
     def register(self, class_name: str, method: QueryMethod) -> None:
         self.classes.setdefault(class_name, {})[method.name] = method
 
-    def has_class(self, class_name: str) -> bool:
-        return class_name in self.classes
-
     def methods_for(self, class_name: str):
         return dict(sorted(self.classes.get(class_name, {}).items()))
 

@@ -33,9 +33,9 @@ from .minilang import (
     DEFAULT_STEP_BUDGET, Patch, PatchKind, Program, StatementKind,
     apply_patch, render_program,
 )
-from .synth import decode, encode, solve, to_minilang
+from .synth import DEFAULT_NODE_BUDGET, MAX_LEVEL, MIN_LEVEL, decode, encode, solve, to_minilang
 from .synth.internal import SAT, TIMEOUT, UNSAT
-from .testkit import TestCase, run_suite
+from .testkit import SuiteResult, TestCase, run_suite
 from .trace import CONDITION, PRECONDITION, collect, deduplicate
 
 NO_ANGELIC_VALUE = "no-angelic-value"
@@ -59,15 +59,17 @@ class RepairConfig:
     level_timeout: float = 60.0
     global_timeout: float = 300.0
     step_budget: int = DEFAULT_STEP_BUDGET
-    max_level: int = 4
+    max_level: int = MAX_LEVEL
     solver_cmd: Optional[str] = None  # None selects the internal backend
-    solver_nodes: int = 2_000_000
+    solver_nodes: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         if self.mode not in ("condition", "precondition", "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.level_timeout <= 0 or self.global_timeout <= 0:
             raise ValueError("timeouts must be positive")
+        if not MIN_LEVEL <= self.max_level <= MAX_LEVEL:
+            raise ValueError(f"max_level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {self.max_level}")
 
 
 @dataclass
@@ -140,11 +142,15 @@ def validate(program: Program, patch: Patch, suite: Sequence[TestCase],
     return run_suite(patched, suite, step_budget=step_budget).all_pass()
 
 
-def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairConfig] = None) -> RepairReport:
+def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairConfig] = None,
+           baseline: Optional[SuiteResult] = None) -> RepairReport:
+    """``baseline``, if given, must be ``run_suite(program, suite,
+    step_budget=config.step_budget)``; the repair then skips that run."""
     config = config or RepairConfig()
     started = time.monotonic()
 
-    baseline = run_suite(program, suite, step_budget=config.step_budget)
+    if baseline is None:
+        baseline = run_suite(program, suite, step_budget=config.step_budget)
     if not baseline.failing:
         raise NoFailingTestError("repair requires at least one failing test")
     failing = sorted(baseline.failing)

@@ -6,13 +6,19 @@ to the same numeric type, and the logical operators work on bools.
 Greater-than forms are not separate components; they are reachable by
 swapping operands of ``<`` and ``<=``. Division is excluded.
 
+``OPERATORS`` is the one table of operator semantics. It follows MiniLang,
+so int ``+ - *`` wrap to signed 64 bits, and every backend reads it.
+
 The difficulty ladder has four rungs: comparisons only, plus logical
 operators, plus arithmetic, and finally two instances of everything.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+from ..minilang.values import wrap_int
 
 BOOL, INT, REAL = "bool", "int", "real"
 
@@ -21,6 +27,27 @@ LOGICAL_TAGS = ("&&", "||", "!")
 ARITHMETIC_TAGS = ("+", "-", "*")
 
 MIN_LEVEL, MAX_LEVEL = 1, 4
+
+
+class Operator(NamedTuple):
+    stem: str  # variable-name stem of its components
+    smt: str  # SMT-LIB2 function symbol
+    fn: Callable  # Python semantics over unwrapped operands
+    wraps: bool  # int results wrap to signed 64 bits, as in MiniLang
+
+
+OPERATORS = {
+    "<": Operator("lt", "<", operator.lt, False),
+    "<=": Operator("le", "<=", operator.le, False),
+    "==": Operator("eq", "=", operator.eq, False),
+    "!=": Operator("ne", "distinct", operator.ne, False),
+    "&&": Operator("and", "and", operator.and_, False),
+    "||": Operator("or", "or", operator.or_, False),
+    "!": Operator("not", "not", operator.not_, False),
+    "+": Operator("add", "+", operator.add, True),
+    "-": Operator("sub", "-", operator.sub, True),
+    "*": Operator("mul", "*", operator.mul, True),
+}
 
 
 @dataclass(frozen=True)
@@ -36,40 +63,23 @@ class Component:
         return len(self.in_types)
 
     @property
+    def op(self) -> Operator:
+        return OPERATORS[self.tag]
+
+    @property
+    def wraps(self) -> bool:
+        """Results wrap to signed 64 bits (int arithmetic only)."""
+        return self.out_type == INT and self.op.wraps
+
+    @property
     def uid(self) -> str:
         """Unique variable-name stem, e.g. ``le_int_0``."""
-        tag_names = {
-            "<": "lt", "<=": "le", "==": "eq", "!=": "ne",
-            "&&": "and", "||": "or", "!": "not",
-            "+": "add", "-": "sub", "*": "mul",
-        }
-        stem = self.label or tag_names.get(self.tag, self.tag)
+        stem = self.label or self.op.stem
         return f"{stem}_{'_'.join(self.in_types)}_{self.instance}"
 
     def evaluate(self, args: Sequence):
-        a = args[0]
-        if self.tag == "!":
-            return not a
-        b = args[1]
-        if self.tag == "<":
-            return a < b
-        if self.tag == "<=":
-            return a <= b
-        if self.tag == "==":
-            return a == b
-        if self.tag == "!=":
-            return a != b
-        if self.tag == "&&":
-            return a and b
-        if self.tag == "||":
-            return a or b
-        if self.tag == "+":
-            return a + b
-        if self.tag == "-":
-            return a - b
-        if self.tag == "*":
-            return a * b
-        raise ValueError(f"unknown component tag {self.tag!r}")
+        value = self.op.fn(*args)
+        return wrap_int(value) if self.wraps else value
 
 
 def _comparison_set(numeric_types: Iterable[str], instance: int) -> List[Component]:

@@ -15,20 +15,14 @@ reports a timeout, never a wrong unsat.
 """
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from .components import BOOL, Component
+from ..minilang.values import INT_MAX, INT_MIN, wrap_int
+from .components import BOOL
 from .problem import SynthesisProblem
-
-_BINARY_OPS = {
-    "<": operator.lt, "<=": operator.le, "==": operator.eq, "!=": operator.ne,
-    "&&": operator.and_, "||": operator.or_,
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-}
-_UNARY_OPS = {"!": operator.not_}
 
 SAT, UNSAT, TIMEOUT = "sat", "unsat", "timeout"
 
@@ -152,7 +146,8 @@ class _SearchState:
         self.col_vectors = col_vectors
         self.expected = expected
         self.budget = budget
-        self.num_rows = len(expected)
+        # Resolved once per solve so the per-node path stays in C.
+        self.semantics = [(c.op.fn, c.wraps) for c in components]
         self.cone: List[int] = []
         self.wirings: List[Tuple[Ref, ...]] = []
         self.vectors: List[Tuple] = []
@@ -174,19 +169,12 @@ class _SearchState:
         kind, index = ref
         return self.col_vectors[index] if kind == "col" else self.vectors[index]
 
-    def member_vector(self, comp: Component, wiring: Tuple[Ref, ...]) -> Tuple:
-        if comp.arity == 1:
-            fn = _UNARY_OPS.get(comp.tag)
-            a = self.ref_vector(wiring[0])
-            if fn is None:
-                return tuple(comp.evaluate((x,)) for x in a)
-            return tuple(map(fn, a))
-        fn = _BINARY_OPS.get(comp.tag)
-        a = self.ref_vector(wiring[0])
-        b = self.ref_vector(wiring[1])
-        if fn is None:
-            return tuple(comp.evaluate(pair) for pair in zip(a, b))
-        return tuple(map(fn, a, b))
+    def member_vector(self, ci: int, wiring: Tuple[Ref, ...]) -> Tuple:
+        fn, wraps = self.semantics[ci]
+        vector = tuple(map(fn, *map(self.ref_vector, wiring)))
+        if wraps and (max(vector, default=0) > INT_MAX or min(vector, default=0) < INT_MIN):
+            vector = tuple(map(wrap_int, vector))
+        return vector
 
     def referenced_all(self) -> bool:
         used = set()
@@ -228,12 +216,10 @@ class _SearchState:
                 continue
             comp = self.components[ci]
             ref_options = [self.candidate_refs(t) for t in comp.in_types]
-            if any(not opts for opts in ref_options):
-                continue
-            for wiring in _product(ref_options):
+            for wiring in product(*ref_options):
                 if self.budget.tick():
                     return None
-                vector = self.member_vector(comp, wiring)
+                vector = self.member_vector(ci, wiring)
                 if last:
                     if vector != self.expected:
                         continue
@@ -267,16 +253,6 @@ class _SearchState:
                     if self.budget.exhausted:
                         return None
         return None
-
-
-def _product(options: List[List[Ref]]):
-    if not options:
-        yield ()
-        return
-    head, tail = options[0], options[1:]
-    for choice in head:
-        for rest in _product(tail):
-            yield (choice,) + rest
 
 
 def _complete_model(

@@ -171,10 +171,6 @@ def encode(matrix: TraceMatrix, level: int) -> SynthesisProblem:
     Fails fast on a matrix flagged Conflicting: identical inputs with
     different expected outcomes admit no expression at any level.
     """
-    if matrix.conflicting:
-        raise UnsatisfiableMatrixError(
-            f"matrix at location {matrix.location} has conflicting rows"
-        )
     if not matrix.columns:
         raise ValueError("matrix must have at least one column")
     components = components_for_level(level, [c.type for c in matrix.columns])

@@ -5,6 +5,8 @@ and assertions follow the canonical element order of the problem. The
 wiring constraints quantify nothing; per-row value variables are expanded
 eagerly, so any SMT-LIB2-conforming solver can be used via a subprocess
 (`sat`/`unsat`/`unknown` on the first line, then the `get-value` form).
+Int arithmetic wraps to signed 64 bits, as in MiniLang, so a model means
+the same here as in the built-in backend and the interpreter.
 """
 from __future__ import annotations
 
@@ -16,17 +18,15 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import SolverBackendError
 from ..minilang import format_real
+from ..minilang.values import INT_BITS, INT_MIN
 from .components import BOOL, INT, REAL, Component
-from .internal import SAT, TIMEOUT, UNSAT, SolveResult, solve_internal
+from .internal import DEFAULT_NODE_BUDGET, SAT, TIMEOUT, UNSAT, SolveResult, solve_internal
 from .problem import SynthesisProblem
 
 _SORTS = {BOOL: "Bool", INT: "Int", REAL: "Real"}
 
-_OP_SMT = {
-    "<": "<", "<=": "<=", "==": "=", "!=": "distinct",
-    "&&": "and", "||": "or", "!": "not",
-    "+": "+", "-": "-", "*": "*",
-}
+# Two's-complement wrap of an Int term into the signed 64-bit range.
+_WRAP_INT = f"(- (mod (+ {{}} {-INT_MIN}) {1 << INT_BITS}) {-INT_MIN})"
 
 
 def _smt_literal(value, type_: str) -> str:
@@ -125,8 +125,8 @@ def _row_constraints(problem, r: int, inputs, expected) -> List[str]:
 
 
 def _apply_smt(comp: Component, args: Sequence[str]) -> str:
-    op = _OP_SMT[comp.tag]
-    return f"({op} {' '.join(args)})"
+    term = f"({comp.op.smt} {' '.join(args)})"
+    return _WRAP_INT.format(term) if comp.wraps else term
 
 
 def parse_solver_output(output: str, lvars: Sequence[str]) -> SolveResult:
@@ -215,7 +215,7 @@ def solve(
     problem: SynthesisProblem,
     backend: Optional[str] = None,
     timeout_s: Optional[float] = 60.0,
-    max_nodes: int = 2_000_000,
+    max_nodes: int = DEFAULT_NODE_BUDGET,
 ) -> SolveResult:
     """Solve via the internal backend (backend=None) or an external solver
     command. A Sat model is structurally re-checked before it is returned."""

@@ -235,8 +235,14 @@ def matrix_from_text(text: str) -> TraceMatrix:
     columns = []
     for cell in lines[1].split("\t"):
         name, type_, col_kind = cell.split("|")
-        spec = ColumnSpec(name, type_, col_kind)
-        columns.append(spec)
+        # Rebuild each recipe from the name _candidate_columns gave the column.
+        var, _, call = name.removesuffix(" == null").partition(".")
+        columns.append(ColumnSpec(
+            name, type_, col_kind,
+            var=None if col_kind == "const" else var,
+            const=int(name) if col_kind == "const" else None,
+            method=call.removesuffix("()") if col_kind == "query" else None,
+        ))
     rows = []
     for line in lines[2:]:
         cells = line.split("\t")
@@ -245,3 +251,4 @@ def matrix_from_text(text: str) -> TraceMatrix:
         expected = cells[-1] == "true"
         rows.append(TraceRow(test, m, inputs, expected))
     return TraceMatrix(int(loc_text), kind, columns, rows)
+

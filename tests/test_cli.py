@@ -58,6 +58,16 @@ class TestRepairCommand:
         code = main(["repair", "--program", str(program), "--suite", str(suite)])
         assert code == EXIT_USAGE
 
+    def test_usage_error_on_max_level_outside_ladder(self, tmp_path, capsys):
+        program, suite = write_gcd_inputs(tmp_path)
+        for level in ("0", "5"):
+            code = main([
+                "repair", "--program", str(program), "--suite", str(suite),
+                "--max-level", level,
+            ])
+            assert code == EXIT_USAGE
+        assert "max_level" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_bench_writes_deterministic_csv(self, tmp_path, capsys):

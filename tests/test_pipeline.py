@@ -7,6 +7,7 @@ from condfix.pipeline import (
     CONFLICTING_TRACE, NO_ANGELIC_VALUE, RepairConfig, render_patch_diff,
     repair, validate,
 )
+from condfix.synth import MAX_LEVEL, MIN_LEVEL
 from condfix.testkit import parse_suite
 
 
@@ -66,6 +67,17 @@ class TestRepair:
                     controls = ExecutionControls(skip_set=frozenset({tup["loc"]}))
                 result = execute(gcd_program, test.function, list(test.args), controls)
                 assert verdict_holds(result, test)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("level", [MIN_LEVEL - 1, MAX_LEVEL + 1])
+    def test_max_level_outside_ladder_is_rejected(self, level):
+        with pytest.raises(ValueError, match="max_level"):
+            RepairConfig(max_level=level)
+
+    @pytest.mark.parametrize("level", [MIN_LEVEL, MAX_LEVEL])
+    def test_max_level_at_ladder_ends_is_accepted(self, level):
+        assert RepairConfig(max_level=level).max_level == level
 
 
 class TestNoPatchReasons:

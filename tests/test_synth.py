@@ -10,10 +10,12 @@ import pytest
 from condfix.errors import (
     InternalConsistencyError, SolverBackendError, UnsatisfiableMatrixError,
 )
+from condfix.minilang import execute, parse_program
+from condfix.minilang.values import INT_MAX, INT_MIN
 from condfix.synth import (
-    Component, decode, emit_smtlib, encode, encode_with_components,
-    enumerate_oracle, evaluate, solve, solve_external, to_source,
-    tree_to_source,
+    ARITHMETIC_TAGS, COMPARISON_TAGS, LOGICAL_TAGS, Component, decode,
+    emit_smtlib, encode, encode_with_components, enumerate_oracle, evaluate,
+    solve, solve_external, to_source, tree_to_source,
 )
 from condfix.synth.internal import SAT, TIMEOUT, UNSAT, solve_internal
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow
@@ -46,6 +48,57 @@ def running_example_problem():
     f1 = Component("!", ("bool",), "bool", label="f1")
     f2 = Component("==", ("int", "int"), "bool", label="f2")
     return encode_with_components(matrix(cols, rows), [f1, f2])
+
+
+INT_OPERANDS = (INT_MIN, INT_MIN + 1, -1, 0, 1, 2**32, INT_MAX - 1, INT_MAX)
+REAL_OPERANDS = (-1.5, -0.0, 0.0, 0.1, 2.5, 1e300)
+BOOL_OPERANDS = (False, True)
+
+
+def operator_cases():
+    """(tag, operand type, result type) for every typed component form."""
+    for t in ("int", "real"):
+        for tag in COMPARISON_TAGS:
+            yield tag, t, "bool"
+        for tag in ARITHMETIC_TAGS:
+            yield tag, t, t
+    for tag in LOGICAL_TAGS + ("==", "!="):
+        yield tag, "bool", "bool"
+
+
+class TestOperatorSemantics:
+    @pytest.mark.parametrize("tag,in_type,out_type", list(operator_cases()))
+    def test_component_matches_minilang(self, tag, in_type, out_type):
+        operands = {"int": INT_OPERANDS, "real": REAL_OPERANDS, "bool": BOOL_OPERANDS}[in_type]
+        if tag == "!":
+            comp = Component(tag, (in_type,), out_type)
+            source = f"fn f(a: {in_type}) -> {out_type} {{ return !a; }}"
+            cases = [(a,) for a in operands]
+        else:
+            comp = Component(tag, (in_type, in_type), out_type)
+            source = (
+                f"fn f(a: {in_type}, b: {in_type}) -> {out_type} "
+                f"{{ return a {tag} b; }}"
+            )
+            cases = [(a, b) for a in operands for b in operands]
+        program = parse_program(source)
+        for args in cases:
+            result = execute(program, "f", list(args))
+            assert result.ok, (args, result.error)
+            assert comp.evaluate(args) == result.value, args
+
+    def test_overflowing_product_is_not_zero(self):
+        # 2**32 * 2**32 wraps to 0 in MiniLang, so "u * v == 0" cannot
+        # tell the overflow row from a zero operand.
+        cols = [int_col("u"), int_col("v"), ColumnSpec("0", "int", "const", const=0)]
+        rows = [(0, 6, 0, True), (6, 0, 0, True), (3, 5, 0, False),
+                (2**32, 2**32, 0, False)]
+        components = [
+            Component("*", ("int", "int"), "int"),
+            Component("==", ("int", "int"), "bool"),
+        ]
+        problem = encode_with_components(matrix(cols, rows), components)
+        assert solve(problem, None, 10.0).status == UNSAT
 
 
 class TestEncoding:
@@ -222,6 +275,21 @@ class TestEmission:
         assert "(check-sat)" in script
         assert "(get-value" in script
         assert "0.5" in script and "(- 1.5)" in script
+
+    def test_int_arithmetic_wraps_and_real_does_not(self):
+        m = matrix(
+            [int_col("a"), ColumnSpec("r", "real", "var", var="r")],
+            [(1, 0.5, True), (2, -1.5, False)],
+        )
+        script = emit_smtlib(encode(m, 3))
+        for stem, op in (("add", "+"), ("sub", "-"), ("mul", "*")):
+            int_args = f"v_l_arg_{stem}_int_int_0_0_0 v_l_arg_{stem}_int_int_0_1_0"
+            assert (
+                f"(assert (= v_l_out_{stem}_int_int_0_0 (- (mod (+ ({op} {int_args}) "
+                "9223372036854775808) 18446744073709551616) 9223372036854775808)))"
+            ) in script
+            real_args = f"v_l_arg_{stem}_real_real_0_0_0 v_l_arg_{stem}_real_real_0_1_0"
+            assert f"(assert (= v_l_out_{stem}_real_real_0_0 ({op} {real_args})))" in script
 
 
 def write_stub_solver(path: Path, body: str) -> str:

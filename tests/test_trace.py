@@ -217,6 +217,13 @@ class TestSerialization:
         again = matrix_from_text(text)
         assert again.location == matrix.location
         assert again.kind == matrix.kind
-        assert again.column_names() == matrix.column_names()
+        assert again.columns == matrix.columns
         assert [(r.test, r.inputs, r.expected) for r in again.rows] == \
             [(r.test, r.inputs, r.expected) for r in matrix.rows]
+
+    def test_round_trip_keeps_object_column_recipes(self):
+        program = parse_program(INDEXOF)
+        suite = parse_suite('found: indexOf(Str("abab"), Str("z"), 2) -> -1\n')
+        matrix = collect(program, suite, 2, CONDITION, {})
+        assert {c.kind for c in matrix.columns} == {"var", "const", "nullcheck", "query"}
+        assert matrix_from_text(matrix_to_text(matrix)).columns == matrix.columns
