@@ -460,6 +460,7 @@ def seed_condition_bugs(
         for mutant_expr in _condition_mutants(original):
             mutated = program.clone()
             mutated.statement_at(loc).cond = mutant_expr
+            mutated.reindex()
             mutated_suite = run_suite(mutated, suite)
             if not mutated_suite.failing or not mutated_suite.passing:
                 continue

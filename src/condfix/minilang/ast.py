@@ -1,14 +1,16 @@
 """AST for MiniLang programs.
 
 Statements carry stable integer locations, assigned in source order during
-parsing. A Program is immutable after parsing; patching clones it.
+parsing. A Program is immutable after parsing; patching clones it. Code that
+does edit a program in place must end with ``reindex()``, which rebuilds the
+location index and drops the interpreter's compiled closures.
 """
 from __future__ import annotations
 
 import copy
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .values import Value
 
@@ -170,11 +172,17 @@ class Program:
     registry: object  # StateQueryRegistry
     _index: Dict[int, Stmt] = field(default_factory=dict, repr=False)
     _owner: Dict[int, str] = field(default_factory=dict, repr=False)
+    # Function name -> closure, built by the interpreter on first execution.
+    compiled: Optional[Dict[str, Callable]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def reindex(self) -> None:
-        """Rebuild the location index; call after structural edits."""
+        """Rebuild the location index and drop the compiled closures; call
+        after any in-place edit."""
         self._index = {}
         self._owner = {}
+        self.compiled = None
 
         def walk(stmts, fn_name):
             for s in stmts:

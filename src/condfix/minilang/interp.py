@@ -1,24 +1,41 @@
-"""Instrumentable tree-walking interpreter.
+"""Instrumentable interpreter that lowers MiniLang to Python closures.
+
+Each function body is lowered once per Program into nested closures
+(Feeley & Lapalme, "Using closures for code generation", 1987), cached on
+the Program and dropped by ``Program.reindex()``. The closures hold no
+per-run state: each receives the run's context (controls, step counter,
+call depth, collected hits, condition values and snapshots) and the
+current call frame, so runs of one program never share state.
 
 Supports three execution controls: forcing condition outcomes, skipping
 plain statements, and probe-based state capture. Runtime failures (null
-dereference, division by zero, thrown errors, exhausted step budget) are
-reported inside the ExecutionResult, never raised to the caller.
+dereference, division by zero, thrown errors, exhausted step budget or
+call depth) are reported inside the ExecutionResult, never raised to the
+caller.
+
+Step accounting: one step per statement entry and per expression node
+(a method call is two, its receiver being a variable reference), plus one
+per finished loop-body run; a skipped statement takes none. The run times
+out on step ``budget + 1``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..errors import ControlError
 from .ast import (
-    AssignStmt, Binary, BoolLit, CallExpr, CallStmt, Expr, IfStmt, IntLit,
-    LetStmt, MethodCall, NullLit, Program, RealLit, ReturnStmt, StatementKind,
-    Stmt, ThrowStmt, Unary, VarRef, WhileStmt,
+    AssignStmt, Binary, BoolLit, CallExpr, CallStmt, Expr, FunctionDef, IfStmt,
+    IntLit, LetStmt, MethodCall, NullLit, Program, RealLit, ReturnStmt,
+    StatementKind, Stmt, ThrowStmt, Unary, VarRef, WhileStmt,
 )
-from .values import NULL, Null, Obj, Value, matches_declared, wrap_int
+from .values import INT_MAX, INT_MIN, NULL, Null, Obj, Value, matches_declared, wrap_int
 
 DEFAULT_STEP_BUDGET = 1_000_000
+# Most MiniLang calls active at once. A deeper call ends the run like an
+# exhausted step budget, well before Python's own recursion limit.
+MAX_CALL_DEPTH = 100
 
 # Builtin runtime error names; user throws share the same namespace.
 NULL_DEREFERENCE = "NullDereference"
@@ -83,11 +100,6 @@ class ExecutionResult:
         return self.error is None
 
 
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
 class _Throw(Exception):
     def __init__(self, name):
         self.name = name
@@ -97,142 +109,252 @@ class _Timeout(Exception):
     pass
 
 
-class _Env:
-    """Block-structured environment chained to an enclosing scope."""
+class _Run:
+    """The state of one execution, passed to every compiled closure."""
 
-    __slots__ = ("bindings", "parent")
+    __slots__ = ("overrides", "skip", "probes", "budget", "steps", "depth",
+                 "hits", "cond_values", "snapshots")
 
-    def __init__(self, parent=None):
-        self.bindings: Dict[str, Value] = {}
-        self.parent = parent
-
-    def declare(self, name, value):
-        self.bindings[name] = value
-
-    def lookup(self, name):
-        env = self
-        while env is not None:
-            if name in env.bindings:
-                return env.bindings[name]
-            env = env.parent
-        raise _Throw(UNBOUND_VARIABLE)
-
-    def assign(self, name, value):
-        env = self
-        while env is not None:
-            if name in env.bindings:
-                env.bindings[name] = value
-                return
-            env = env.parent
-        raise _Throw(UNBOUND_VARIABLE)
-
-    def flatten(self) -> Dict[str, Value]:
-        chain = []
-        env = self
-        while env is not None:
-            chain.append(env.bindings)
-            env = env.parent
-        merged: Dict[str, Value] = {}
-        for bindings in reversed(chain):
-            merged.update(bindings)
-        return merged
-
-
-class _Interpreter:
-    def __init__(self, program: Program, controls: ExecutionControls, budget: int):
-        self.program = program
-        self.controls = controls
+    def __init__(self, controls: ExecutionControls, budget: int):
+        self.overrides = controls.condition_overrides
+        self.skip = controls.skip_set
+        self.probes = controls.probes
         self.budget = budget
-        self.result = ExecutionResult()
+        self.steps = 0
+        self.depth = 0
+        self.hits: Dict[int, int] = {}
+        self.cond_values: Dict[int, List[bool]] = {}
+        self.snapshots: Dict[int, List[ProbeSnapshot]] = {}
 
-    def step(self):
-        self.result.steps += 1
-        if self.result.steps > self.budget:
-            raise _Timeout()
 
-    def run(self, fn_name: str, args: Sequence[Value]) -> ExecutionResult:
-        try:
-            self.result.value = self.call_function(fn_name, list(args))
-        except _Throw as t:
-            self.result.error = t.name
-        except _Timeout:
-            self.result.error = TIMEOUT
-            self.result.timed_out = True
-        return self.result
+# A compiled expression maps (run, frame) to a value. A compiled statement
+# or block maps (run, frame) to None, or to the value of a ``return`` it
+# ran. A frame is one dict per call: the resolver rejects a declaration of
+# a name already visible, so each block removes its own declarations when
+# it completes and no chain of scopes is needed.
+Compiled = Callable[[_Run, Dict[str, Value]], Optional[Value]]
 
-    def call_function(self, fn_name: str, args: List[Value]) -> Value:
-        fn = self.program.functions[fn_name]
-        if len(args) != len(fn.params):
-            raise ValueError(
-                f"{fn_name}() takes {len(fn.params)} arguments, got {len(args)}"
-            )
-        env = _Env()
-        for param, arg in zip(fn.params, args):
-            if not matches_declared(arg, param.type):
-                raise _Throw(TYPE_MISMATCH)
-            env.declare(param.name, arg)
-        try:
-            self.exec_block(fn.body, env)
-        except _Return as r:
-            return r.value
-        raise _Throw(MISSING_RETURN)
 
-    def exec_block(self, stmts: List[Stmt], env: _Env) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt, env)
+def _empty_block(run: _Run, frame: Dict[str, Value]) -> None:
+    return None
 
-    def exec_stmt(self, stmt: Stmt, env: _Env) -> None:
-        loc = stmt.loc
-        if loc in self.controls.skip_set:
-            return
-        self.step()
-        if isinstance(stmt, IfStmt):
-            self.record_hit(loc, env)
-            cond = self.condition_value(stmt.cond, loc, env)
-            self.result.cond_values.setdefault(loc, []).append(cond)
-            branch = stmt.then_body if cond else stmt.else_body
-            self.exec_block(branch, _Env(env))
-        elif isinstance(stmt, WhileStmt):
-            while True:
-                self.record_hit(loc, env)
-                cond = self.condition_value(stmt.cond, loc, env)
-                self.result.cond_values.setdefault(loc, []).append(cond)
-                if not cond:
-                    break
-                self.exec_block(stmt.body, _Env(env))
-                self.step()
-        else:
-            self.record_hit(loc, env)
-            if isinstance(stmt, LetStmt):
-                env.declare(stmt.name, self.eval_expr(stmt.value, env))
-            elif isinstance(stmt, AssignStmt):
-                env.assign(stmt.name, self.eval_expr(stmt.value, env))
-            elif isinstance(stmt, ReturnStmt):
-                raise _Return(self.eval_expr(stmt.value, env))
-            elif isinstance(stmt, ThrowStmt):
-                raise _Throw(stmt.error)
-            elif isinstance(stmt, CallStmt):
-                self.eval_expr(stmt.call, env)
+
+def _equal(left: Value, right: Value) -> bool:
+    if isinstance(left, Null) or isinstance(right, Null):
+        return left is right
+    if isinstance(left, Obj) or isinstance(right, Obj):
+        return left == right
+    left_is_bool = isinstance(left, bool)
+    if left_is_bool != isinstance(right, bool):
+        raise _Throw(TYPE_MISMATCH)
+    if not left_is_bool and (
+        not isinstance(left, (int, float)) or not isinstance(right, (int, float))
+        or isinstance(left, float) != isinstance(right, float)
+    ):
+        raise _Throw(TYPE_MISMATCH)
+    return left == right
+
+
+def _divide(left, right):
+    if type(left) is int:
+        if right == 0:
+            raise _Throw(DIVISION_BY_ZERO)
+        q = abs(left) // abs(right)
+        return wrap_int(q if (left >= 0) == (right >= 0) else -q)
+    if right == 0.0:
+        raise _Throw(DIVISION_BY_ZERO)
+    return left / right
+
+
+def _modulo(left, right):
+    if type(left) is not int:
+        raise _Throw(TYPE_MISMATCH)
+    if right == 0:
+        raise _Throw(DIVISION_BY_ZERO)
+    r = abs(left) % abs(right)
+    return wrap_int(r if left >= 0 else -r)
+
+
+def _not(value):
+    if type(value) is not bool:
+        raise _Throw(TYPE_MISMATCH)
+    return not value
+
+
+def _negative(value):
+    if type(value) is int:
+        return wrap_int(-value)
+    if type(value) is float:
+        return -value
+    raise _Throw(TYPE_MISMATCH)
+
+
+_UNARY = {"!": _not, "-": _negative}
+# Both operands int or both real; an int result out of range wraps to
+# signed 64 bits (comparisons give bools, always in range).
+_NUMERIC = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _divide, "%": _modulo,
+}
+
+
+class _Lowering:
+    """Lowers the functions of one program to ``invoke(run, args)`` closures."""
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.functions: Dict[str, Callable] = {}
+
+    def lower(self) -> Dict[str, Callable]:
+        for fn in self.program.functions.values():
+            self.functions[fn.name] = self.function(fn)
+        return self.functions
+
+    def function(self, fn: FunctionDef) -> Callable:
+        name, arity = fn.name, len(fn.params)
+        params = [(p.name, p.type) for p in fn.params]
+        body = self.block(fn.body, scoped=False)
+
+        def invoke(run: _Run, args: List[Value]) -> Value:
+            if len(args) != arity:
+                raise ValueError(f"{name}() takes {arity} arguments, got {len(args)}")
+            if run.depth >= MAX_CALL_DEPTH:
+                raise _Timeout()
+            frame: Dict[str, Value] = {}
+            for (param, declared), arg in zip(params, args):
+                if not matches_declared(arg, declared):
+                    raise _Throw(TYPE_MISMATCH)
+                frame[param] = arg
+            run.depth += 1
+            value = body(run, frame)
+            run.depth -= 1
+            if value is None:
+                raise _Throw(MISSING_RETURN)
+            return value
+
+        return invoke
+
+    # -- statements --
+
+    def block(self, stmts: List[Stmt], scoped: bool = True) -> Compiled:
+        """Enter each statement: one step and, except for a loop, which
+        records each of its condition checks, one hit. Skipped statements
+        cost nothing."""
+        entries = tuple((s.loc, not isinstance(s, WhileStmt), self.stmt(s)) for s in stmts)
+        declared = tuple(s.name for s in stmts if isinstance(s, LetStmt)) if scoped else ()
+        if not entries:
+            return _empty_block
+        capture = self.capture
+
+        def block(run, frame):
+            for loc, hit, stmt in entries:
+                if loc in run.skip:
+                    continue
+                run.steps += 1
+                if run.steps > run.budget:
+                    raise _Timeout()
+                if hit:
+                    run.hits[loc] = run.hits.get(loc, 0) + 1
+                    if loc in run.probes:
+                        capture(run, loc, frame)
+                value = stmt(run, frame)
+                if value is not None:
+                    return value
+            for name in declared:
+                frame.pop(name, None)
+            return None
+
+        return block
+
+    def stmt(self, stmt: Stmt) -> Compiled:
+        if isinstance(stmt, (IfStmt, WhileStmt)):
+            return self.branching(stmt)
+        if isinstance(stmt, LetStmt):
+            name, value = stmt.name, self.expr(stmt.value)
+
+            def let(run, frame):
+                frame[name] = value(run, frame)
+
+            return let
+        if isinstance(stmt, AssignStmt):
+            name, value = stmt.name, self.expr(stmt.value)
+
+            def assign(run, frame):
+                result = value(run, frame)
+                if name not in frame:
+                    raise _Throw(UNBOUND_VARIABLE)
+                frame[name] = result
+
+            return assign
+        if isinstance(stmt, ReturnStmt):
+            return self.expr(stmt.value)
+        if isinstance(stmt, ThrowStmt):
+            error = stmt.error
+
+            def throw(run, frame):
+                raise _Throw(error)
+
+            return throw
+        if isinstance(stmt, CallStmt):
+            call = self.expr(stmt.call)
+
+            def call_stmt(run, frame):
+                call(run, frame)
+
+            return call_stmt
+        raise TypeError(f"not a statement node: {stmt!r}")
+
+    def branching(self, stmt) -> Compiled:
+        loc, cond = stmt.loc, self.expr(stmt.cond)
+
+        def condition(run, frame) -> bool:
+            # A forced condition replaces evaluation of the original expression.
+            if loc in run.overrides:
+                value = run.overrides[loc]
             else:
-                raise TypeError(f"not a statement node: {stmt!r}")
+                value = cond(run, frame)
+                if type(value) is not bool:
+                    raise _Throw(TYPE_MISMATCH)
+            values = run.cond_values.get(loc)
+            if values is None:
+                run.cond_values[loc] = [value]
+            else:
+                values.append(value)
+            return value
 
-    def condition_value(self, cond: Expr, loc: int, env: _Env) -> bool:
-        # A forced condition replaces evaluation of the original expression.
-        if loc in self.controls.condition_overrides:
-            return self.controls.condition_overrides[loc]
-        value = self.eval_expr(cond, env)
-        if not isinstance(value, bool):
-            raise _Throw(TYPE_MISMATCH)
-        return value
+        if isinstance(stmt, IfStmt):
+            then_body, else_body = self.block(stmt.then_body), self.block(stmt.else_body)
 
-    def record_hit(self, loc: int, env: _Env) -> None:
-        self.result.hits[loc] = self.result.hits.get(loc, 0) + 1
-        if loc in self.controls.probes:
-            self.result.snapshots.setdefault(loc, []).append(self.snapshot(env))
+            def if_stmt(run, frame):
+                if condition(run, frame):
+                    return then_body(run, frame)
+                return else_body(run, frame)
 
-    def snapshot(self, env: _Env) -> ProbeSnapshot:
+            return if_stmt
+
+        body, capture = self.block(stmt.body), self.capture
+
+        def while_stmt(run, frame):
+            while True:
+                run.hits[loc] = run.hits.get(loc, 0) + 1
+                if loc in run.probes:
+                    capture(run, loc, frame)
+                if not condition(run, frame):
+                    return None
+                value = body(run, frame)
+                if value is not None:
+                    return value
+                run.steps += 1
+                if run.steps > run.budget:
+                    raise _Timeout()
+
+        return while_stmt
+
+    def capture(self, run: _Run, loc: int, frame: Dict[str, Value]) -> None:
+        """Append a snapshot of the state at a probed location."""
         values = {c.name: c.value for c in self.program.consts.values()}
-        values.update(env.flatten())
+        values.update(frame)
         null_flags: Dict[str, bool] = {}
         queries: Dict[str, Value] = {}
         for name, value in values.items():
@@ -242,130 +364,162 @@ class _Interpreter:
                 null_flags[name] = False
                 for method in self.program.registry.methods_for(value.cls).values():
                     queries[f"{name}.{method.name}()"] = method.fn(value.payload)
-        return ProbeSnapshot(values, null_flags, queries)
+        run.snapshots.setdefault(loc, []).append(ProbeSnapshot(values, null_flags, queries))
 
-    # -- expression evaluation --
+    # -- expressions --
 
-    def eval_expr(self, expr: Expr, env: _Env) -> Value:
-        self.step()
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, RealLit):
-            return expr.value
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, NullLit):
-            return NULL
+    def expr(self, expr: Expr) -> Compiled:
+        if isinstance(expr, (IntLit, RealLit, BoolLit, NullLit)):
+            return self.constant(NULL if isinstance(expr, NullLit) else expr.value)
         if isinstance(expr, VarRef):
-            if expr.name in self.program.consts:
-                return self.program.consts[expr.name].value
-            return env.lookup(expr.name)
+            return self.variable(expr.name)
         if isinstance(expr, Unary):
-            return self.eval_unary(expr, env)
+            return self.unary(expr)
         if isinstance(expr, Binary):
-            return self.eval_binary(expr, env)
+            return self.binary(expr)
         if isinstance(expr, MethodCall):
-            receiver = self.eval_expr(VarRef(expr.receiver), env)
-            if isinstance(receiver, Null):
-                raise _Throw(NULL_DEREFERENCE)
-            if not isinstance(receiver, Obj):
-                raise _Throw(TYPE_MISMATCH)
-            method = self.program.registry.lookup(receiver.cls, expr.method)
-            return method.fn(receiver.payload)
+            return self.method_call(expr)
         if isinstance(expr, CallExpr):
-            args = [self.eval_expr(a, env) for a in expr.args]
-            return self.call_function(expr.func, args)
+            return self.call(expr)
         raise TypeError(f"not an expression node: {expr!r}")
 
-    def eval_unary(self, expr: Unary, env: _Env) -> Value:
-        value = self.eval_expr(expr.operand, env)
-        if expr.op == "!":
-            if not isinstance(value, bool):
-                raise _Throw(TYPE_MISMATCH)
-            return not value
-        if expr.op == "-":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise _Throw(TYPE_MISMATCH)
-            return wrap_int(-value) if isinstance(value, int) else -value
-        raise TypeError(f"unknown unary operator {expr.op!r}")
-
-    def eval_binary(self, expr: Binary, env: _Env) -> Value:
-        op = expr.op
-        if op in ("&&", "||"):
-            left = self.eval_expr(expr.left, env)
-            if not isinstance(left, bool):
-                raise _Throw(TYPE_MISMATCH)
-            if op == "&&" and not left:
-                return False
-            if op == "||" and left:
-                return True
-            right = self.eval_expr(expr.right, env)
-            if not isinstance(right, bool):
-                raise _Throw(TYPE_MISMATCH)
-            return right
-
-        left = self.eval_expr(expr.left, env)
-        right = self.eval_expr(expr.right, env)
-        if op in ("==", "!="):
-            return self.equality(left, right, op == "==")
-
-        left_int = isinstance(left, int) and not isinstance(left, bool)
-        right_int = isinstance(right, int) and not isinstance(right, bool)
-        both_int = left_int and right_int
-        both_real = isinstance(left, float) and isinstance(right, float)
-        if not (both_int or both_real):
-            raise _Throw(TYPE_MISMATCH)
-
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return wrap_int(left + right) if both_int else left + right
-        if op == "-":
-            return wrap_int(left - right) if both_int else left - right
-        if op == "*":
-            return wrap_int(left * right) if both_int else left * right
-        if op == "/":
-            if both_int:
-                if right == 0:
-                    raise _Throw(DIVISION_BY_ZERO)
-                q = abs(left) // abs(right)
-                return wrap_int(q if (left >= 0) == (right >= 0) else -q)
-            if right == 0.0:
-                raise _Throw(DIVISION_BY_ZERO)
-            return left / right
-        if op == "%":
-            if not both_int:
-                raise _Throw(TYPE_MISMATCH)
-            if right == 0:
-                raise _Throw(DIVISION_BY_ZERO)
-            r = abs(left) % abs(right)
-            return wrap_int(r if left >= 0 else -r)
-        raise TypeError(f"unknown binary operator {op!r}")
-
     @staticmethod
-    def equality(left: Value, right: Value, positive: bool) -> bool:
-        if isinstance(left, Null) or isinstance(right, Null) or \
-                isinstance(left, Obj) or isinstance(right, Obj):
-            eq = left is right if (isinstance(left, Null) or isinstance(right, Null)) \
-                else left == right
-        else:
-            left_is_bool = isinstance(left, bool)
-            right_is_bool = isinstance(right, bool)
-            if left_is_bool != right_is_bool:
-                raise _Throw(TYPE_MISMATCH)
-            if not left_is_bool:
-                left_num = isinstance(left, (int, float))
-                right_num = isinstance(right, (int, float))
-                if not (left_num and right_num) or (isinstance(left, float) != isinstance(right, float)):
+    def constant(value: Value) -> Compiled:
+        def constant(run, frame):
+            run.steps += 1
+            if run.steps > run.budget:
+                raise _Timeout()
+            return value
+
+        return constant
+
+    def variable(self, name: str) -> Compiled:
+        if name in self.program.consts:
+            return self.constant(self.program.consts[name].value)
+
+        def variable(run, frame):
+            run.steps += 1
+            if run.steps > run.budget:
+                raise _Timeout()
+            try:
+                return frame[name]
+            except KeyError:
+                raise _Throw(UNBOUND_VARIABLE) from None
+
+        return variable
+
+    def unary(self, expr: Unary) -> Compiled:
+        operand = self.expr(expr.operand)
+        if expr.op not in _UNARY:
+            raise TypeError(f"unknown unary operator {expr.op!r}")
+        apply = _UNARY[expr.op]
+
+        def unary(run, frame):
+            run.steps += 1
+            if run.steps > run.budget:
+                raise _Timeout()
+            return apply(operand(run, frame))
+
+        return unary
+
+    def binary(self, expr: Binary) -> Compiled:
+        op = expr.op
+        left, right = self.expr(expr.left), self.expr(expr.right)
+        if op in ("&&", "||"):
+            # The left operand decides alone when it equals this value.
+            decisive = op == "||"
+
+            def logical(run, frame):
+                run.steps += 1
+                if run.steps > run.budget:
+                    raise _Timeout()
+                value = left(run, frame)
+                if type(value) is not bool:
                     raise _Throw(TYPE_MISMATCH)
-            eq = left == right
-        return eq if positive else not eq
+                if value is decisive:
+                    return value
+                value = right(run, frame)
+                if type(value) is not bool:
+                    raise _Throw(TYPE_MISMATCH)
+                return value
+
+            return logical
+
+        if op in ("==", "!="):
+            positive = op == "=="
+
+            def equality(run, frame):
+                run.steps += 1
+                if run.steps > run.budget:
+                    raise _Timeout()
+                a = left(run, frame)
+                b = right(run, frame)
+                if type(a) is int and type(b) is int:
+                    return (a == b) is positive
+                return _equal(a, b) is positive
+
+            return equality
+
+        if op not in _NUMERIC:
+            raise TypeError(f"unknown binary operator {op!r}")
+        apply = _NUMERIC[op]
+
+        def numeric(run, frame):
+            run.steps += 1
+            if run.steps > run.budget:
+                raise _Timeout()
+            a = left(run, frame)
+            b = right(run, frame)
+            kind = type(a)
+            if kind is not type(b) or (kind is not int and kind is not float):
+                raise _Throw(TYPE_MISMATCH)
+            value = apply(a, b)
+            if kind is int and not INT_MIN <= value <= INT_MAX:
+                return wrap_int(value)
+            return value
+
+        return numeric
+
+    def method_call(self, expr: MethodCall) -> Compiled:
+        receiver, method = self.variable(expr.receiver), expr.method
+        registry = self.program.registry
+
+        def method_call(run, frame):
+            run.steps += 1
+            if run.steps > run.budget:
+                raise _Timeout()
+            value = receiver(run, frame)
+            if isinstance(value, Null):
+                raise _Throw(NULL_DEREFERENCE)
+            if not isinstance(value, Obj):
+                raise _Throw(TYPE_MISMATCH)
+            return registry.lookup(value.cls, method).fn(value.payload)
+
+        return method_call
+
+    def call(self, expr: CallExpr) -> Compiled:
+        functions, name = self.functions, expr.func
+        args = tuple(self.expr(a) for a in expr.args)
+
+        def call(run, frame):
+            run.steps += 1
+            if run.steps > run.budget:
+                raise _Timeout()
+            values = []
+            for arg in args:
+                values.append(arg(run, frame))
+            return functions[name](run, values)
+
+        return call
+
+
+def _lowered(program: Program) -> Dict[str, Callable]:
+    """The program's functions as closures, lowered on first use. Runs that
+    race here each lower the program; either result serves every run."""
+    compiled = program.compiled
+    if compiled is None:
+        compiled = program.compiled = _Lowering(program).lower()
+    return compiled
 
 
 def execute(
@@ -377,11 +531,27 @@ def execute(
 ) -> ExecutionResult:
     """Run one function call under the given controls.
 
-    Runtime errors and budget exhaustion are captured in the result; hits,
-    snapshots, and condition values collected before a failure are kept.
+    Runtime errors and budget exhaustion (steps or call depth) are captured
+    in the result; hits, snapshots, and condition values collected before a
+    failure are kept.
     """
     controls = controls or NO_CONTROLS
     controls.validate(program)
     if function not in program.functions:
         raise ValueError(f"undefined function {function!r}")
-    return _Interpreter(program, controls, step_budget).run(function, args)
+    invoke = _lowered(program)[function]
+    run = _Run(controls, step_budget)
+    result = ExecutionResult(
+        hits=run.hits, snapshots=run.snapshots, cond_values=run.cond_values
+    )
+    try:
+        result.value = invoke(run, list(args))
+    except _Throw as t:
+        result.error = t.name
+    except (_Timeout, RecursionError):
+        # Python's stack can run out before MAX_CALL_DEPTH when recursive
+        # calls sit deep inside nested blocks; that exhausts the run too.
+        result.error = TIMEOUT
+        result.timed_out = True
+    result.steps = run.steps
+    return result

@@ -1,0 +1,93 @@
+"""Golden digest of every interpreter run in one harness pass.
+
+For each packaged and built-in seeded bundle, one ``run_harness`` pass is
+recorded at the ``execute`` name of every module that calls it: the number
+of executions, their total steps, and a sha256 over a canonical rendering
+of each result (value, error, timed_out, hits, cond_values, steps and
+snapshots). Any change to interpreter semantics or step accounting shows
+up here as a changed digest.
+
+Regenerate ``tests/data/exec_digest.json`` (only when a semantic change is
+intended) with:
+
+    PYTHONPATH=src python tests/test_exec_digest.py --write
+"""
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from condfix import angelic, corpus, testkit, trace
+from condfix.corpus import (
+    builtin_seeded_bundles, default_corpus_dir, load_corpus, run_harness,
+)
+from condfix.minilang import format_value
+
+DIGEST_PATH = Path(__file__).parent / "data" / "exec_digest.json"
+CALLERS = (angelic, corpus, testkit, trace)
+
+
+def _snapshot(snap) -> dict:
+    return {
+        "values": {k: format_value(v) for k, v in snap.values.items()},
+        "null_flags": snap.null_flags,
+        "queries": {k: format_value(v) for k, v in snap.queries.items()},
+    }
+
+
+def canonical(result) -> str:
+    """One JSON line per result; dict keys sorted, values in literal syntax."""
+    return json.dumps({
+        "value": None if result.value is None else format_value(result.value),
+        "error": result.error,
+        "timed_out": result.timed_out,
+        "hits": result.hits,
+        "cond_values": result.cond_values,
+        "steps": result.steps,
+        "snapshots": {
+            loc: [_snapshot(s) for s in snaps] for loc, snaps in result.snapshots.items()
+        },
+    }, sort_keys=True)
+
+
+def compute_digest() -> dict:
+    bundles = load_corpus(default_corpus_dir()) + builtin_seeded_bundles()
+    original = corpus.execute
+    digest = {}
+    for bundle in bundles:
+        runs = []
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            runs.append(result)
+            return result
+
+        for module in CALLERS:
+            module.execute = recording
+        try:
+            run_harness([bundle])
+        finally:
+            for module in CALLERS:
+                module.execute = original
+        sha = hashlib.sha256()
+        for result in runs:
+            sha.update(canonical(result).encode())
+            sha.update(b"\n")
+        digest[bundle.id] = {
+            "executions": len(runs),
+            "steps": sum(r.steps for r in runs),
+            "sha256": sha.hexdigest(),
+        }
+    return digest
+
+
+def test_harness_executions_match_the_golden_digest():
+    expected = json.loads(DIGEST_PATH.read_text())
+    assert len(expected) == 18
+    assert compute_digest() == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_exec_digest.py --write")
+    DIGEST_PATH.write_text(json.dumps(compute_digest(), indent=2, sort_keys=True) + "\n")

@@ -1,4 +1,7 @@
 """Parser, interpreter, controls, and patching."""
+import sys
+import threading
+
 import pytest
 
 from condfix.errors import (
@@ -9,6 +12,8 @@ from condfix.minilang import (
     ExecutionControls, Obj, Patch, PatchKind, StatementKind,
     apply_patch, execute, parse_expression, parse_program, render_program,
 )
+from condfix.minilang.interp import MAX_CALL_DEPTH
+from conftest import GCD_BUGGY
 
 BIG = 1 << 32  # BIG * BIG wraps to 0 in 64-bit arithmetic
 
@@ -136,6 +141,151 @@ class TestControls:
         controls = ExecutionControls(probes=frozenset({2}))
         result = execute(probe_program, "peek", [4, Obj("Str", "")], controls)
         assert result.snapshots[2][0].values["doubled"] == 8
+
+
+STEPS_FIXTURE = """\
+const K: int = 5;
+
+fn f(x: int, y: int, b: bool, s: Str) -> int {
+  BODY
+}
+
+fn g(n: int) -> int {
+  return n;
+}
+"""
+
+
+def run_body(body, controls=None, step_budget=1000):
+    """Execute ``body`` as the body of f(3, 4, true, "ab")."""
+    program = parse_program(STEPS_FIXTURE.replace("BODY", body))
+    return execute(program, "f", [3, 4, True, Obj("Str", "ab")], controls, step_budget)
+
+
+class TestStepAccounting:
+    """One step per statement entry and per expression node; ``return e``
+    costs one step plus the nodes of ``e``."""
+
+    @pytest.mark.parametrize("expr, steps", [
+        ("7", 2), ("2.5", 2), ("true", 2), ("null", 2),
+        ("x", 2), ("K", 2),
+        ("-x", 3), ("!b", 3),
+        ("false && b", 3), ("true && b", 4), ("true || b", 3), ("false || b", 4),
+        ("x + y", 4), ("x < y", 4), ("x == y", 4), ("(x + y) * (x - 1)", 8),
+        ("s.length()", 3),  # the call and its receiver variable
+        ("g(x)", 5),  # call, argument, and g's return of its parameter
+    ])
+    def test_return_of_expression(self, expr, steps):
+        result = run_body(f"return {expr};")
+        assert result.error is None
+        assert result.steps == steps
+
+    def test_if_statement(self):
+        # if, its condition, then the return in the taken branch
+        assert run_body("if (b) { return 1; } return 2;").steps == 4
+        assert run_body("if (!b) { return 1; } return 2;").steps == 5
+
+    @pytest.mark.parametrize("iterations, steps", [(0, 8), (1, 16), (3, 32)])
+    def test_while_loop(self, iterations, steps):
+        # let (2) + entry (1) + 3 per condition check + 4 per body run
+        # + 1 per finished body run + return (2)
+        result = run_body(
+            f"let i: int = 0; while (i < {iterations}) {{ i = i + 1; }} return i;"
+        )
+        assert result.value == iterations
+        assert result.steps == steps
+
+    def test_skipped_statement_takes_no_step(self):
+        body = "let z: int = 1; z = z + 10; return z;"
+        assert run_body(body).steps == 8
+        skipped = run_body(body, ExecutionControls(skip_set=frozenset({2})))
+        assert (skipped.value, skipped.steps) == (1, 4)
+
+    def test_forced_condition_is_not_evaluated(self):
+        forced = run_body("if (x < y) { return 1; } return 2;",
+                          ExecutionControls(condition_overrides={1: False}))
+        assert (forced.value, forced.steps) == (2, 3)
+
+    def test_type_mismatch_fires_after_both_operands(self):
+        # return, outer +, inner +, x, b: the right operand never runs
+        result = run_body("return (x + b) + (y * 1000);")
+        assert (result.error, result.steps) == ("TypeMismatch", 5)
+
+    @pytest.mark.parametrize("budget", [1, 7, 100])
+    def test_timeout_fires_on_the_step_after_the_budget(self, budget):
+        result = run_body("while (true) { x = x + 1; } return x;", step_budget=budget)
+        assert result.timed_out and result.error == "TimeoutDuringExecution"
+        assert result.steps == budget + 1
+
+
+FACT = """\
+fn fact(n: int) -> int {
+  if (n < 0) {
+    return 1;
+  }
+  return n * fact(n - 1);
+}
+"""
+
+
+class TestCallDepth:
+    def test_unbounded_recursion_times_out(self):
+        controls = ExecutionControls(condition_overrides={1: False})
+        result = execute(parse_program(FACT), "fact", [3], controls)
+        assert result.timed_out and result.error == "TimeoutDuringExecution"
+        assert result.hits[1] == MAX_CALL_DEPTH
+
+    def test_recursion_within_the_limit_runs(self):
+        program = parse_program(FACT)
+        assert execute(program, "fact", [MAX_CALL_DEPTH - 2]).error is None
+
+    def test_recursion_in_nested_blocks_times_out(self):
+        # Deep block nesting per call can use up Python's stack before the
+        # call-depth limit; the run still ends as an exhausted budget.
+        nested = "if (n > -1000) { " * 40 + "return 1 + down(n - 1);" + " }" * 40
+        program = parse_program(f"fn down(n: int) -> int {{ {nested} return 0; }}")
+        result = execute(program, "down", [5])
+        assert result.timed_out and result.error == "TimeoutDuringExecution"
+
+
+class TestCompiledCache:
+    def test_reindex_after_in_place_edit_takes_effect(self, gcd_program):
+        assert execute(gcd_program, "gcd", [BIG, BIG]).value == 2 * BIG
+        gcd_program.statement_at(1).cond = parse_expression("u == 0 || v == 0")
+        gcd_program.reindex()
+        assert execute(gcd_program, "gcd", [BIG, BIG]).value == BIG
+
+    def test_clone_starts_uncompiled(self, gcd_program):
+        execute(gcd_program, "gcd", [1, 2])
+        assert gcd_program.compiled is not None
+        assert gcd_program.clone().compiled is None
+
+    def test_concurrent_runs_share_the_compiled_program(self):
+        # Threads start on an uncompiled program, so they race to lower it
+        # and then share its closures; every run must match a lone run.
+        points = [(u, v) for u in range(-4, 5) for v in (0, 6, BIG)]
+        lone = parse_program(GCD_BUGGY)
+        expected = [(r.value, r.steps, r.hits) for r in
+                    (execute(lone, "gcd", list(p)) for p in points)]
+        shared = parse_program(GCD_BUGGY)
+        results = {}
+
+        def worker(n):
+            results[n] = [(r.value, r.steps, r.hits) for r in
+                          (execute(shared, "gcd", list(p)) for p in points * 5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(results[n] == expected * 5 for n in range(8))
 
 
 class TestPatching:

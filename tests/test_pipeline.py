@@ -4,8 +4,8 @@ import pytest
 from condfix.errors import NoFailingTestError
 from condfix.minilang import Patch, PatchKind, parse_expression, parse_program
 from condfix.pipeline import (
-    CONFLICTING_TRACE, NO_ANGELIC_VALUE, RepairConfig, render_patch_diff,
-    repair, validate,
+    CONFLICTING_TRACE, EXECUTION_TIMEOUT, NO_ANGELIC_VALUE, RepairConfig,
+    render_patch_diff, repair, validate,
 )
 from condfix.synth import MAX_LEVEL, MIN_LEVEL
 from condfix.testkit import parse_suite
@@ -126,6 +126,24 @@ class TestNoPatchReasons:
         report = repair(program, suite, RepairConfig())
         assert not report.patched
         assert report.reason == CONFLICTING_TRACE
+
+    def test_unbounded_recursion_is_an_execution_timeout(self):
+        # The base case is wrong; forcing it to false recurses without bound,
+        # which the call-depth limit turns into an exhausted run.
+        program = parse_program(
+            "fn fact(n: int) -> int {\n"
+            "  if (n < 0) {\n"
+            "    return 1;\n"
+            "  }\n"
+            "  return n * fact(n - 1);\n"
+            "}\n"
+        )
+        suite = parse_suite("".join(
+            f"t{n}: fact({n}) -> {value}\n" for n, value in enumerate((1, 1, 2, 6, 24))
+        ))
+        report = repair(program, suite, RepairConfig())
+        assert not report.patched
+        assert report.reason == EXECUTION_TIMEOUT
 
 
 class TestValidate:
