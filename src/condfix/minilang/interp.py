@@ -33,9 +33,15 @@ from .ast import (
 from .values import INT_MAX, INT_MIN, NULL, Null, Obj, Value, matches_declared, wrap_int
 
 DEFAULT_STEP_BUDGET = 1_000_000
-# Most MiniLang calls active at once. A deeper call ends the run like an
-# exhausted step budget, well before Python's own recursion limit.
+# Call depth is counted in the Python frames active MiniLang calls may use:
+# each call reserves its body's static closure-nesting depth, and at least
+# CALL_FRAMES. A call that would pass MAX_CALL_DEPTH * CALL_FRAMES ends the
+# run like an exhausted step budget, well before Python's own recursion
+# limit, so where a run stops depends on the program alone and not on the
+# caller's stack. A function nesting at most CALL_FRAMES deep gets
+# MAX_CALL_DEPTH active calls; a deeper one gets proportionally fewer.
 MAX_CALL_DEPTH = 100
+CALL_FRAMES = 6
 
 # Builtin runtime error names; user throws share the same namespace.
 NULL_DEREFERENCE = "NullDereference"
@@ -215,20 +221,22 @@ class _Lowering:
         name, arity = fn.name, len(fn.params)
         params = [(p.name, p.type) for p in fn.params]
         body = self.block(fn.body, scoped=False)
+        frames = max(1 + _block_nesting(fn.body), CALL_FRAMES)
+        limit = MAX_CALL_DEPTH * CALL_FRAMES - frames
 
         def invoke(run: _Run, args: List[Value]) -> Value:
             if len(args) != arity:
                 raise ValueError(f"{name}() takes {arity} arguments, got {len(args)}")
-            if run.depth >= MAX_CALL_DEPTH:
+            if run.depth > limit:
                 raise _Timeout()
             frame: Dict[str, Value] = {}
             for (param, declared), arg in zip(params, args):
                 if not matches_declared(arg, declared):
                     raise _Throw(TYPE_MISMATCH)
                 frame[param] = arg
-            run.depth += 1
+            run.depth += frames
             value = body(run, frame)
-            run.depth -= 1
+            run.depth -= frames
             if value is None:
                 raise _Throw(MISSING_RETURN)
             return value
@@ -513,6 +521,44 @@ class _Lowering:
         return call
 
 
+# The static closure-nesting depth of lowered code: the most Python frames
+# its closures stack up, not counting the callees of a call or the leaf
+# helpers (operators, snapshots, registry methods). It follows the shapes
+# _Lowering builds: a block, a statement and an expression node are one
+# closure each, a return is its expression, and an if or while condition
+# adds one closure around its expression.
+
+def _block_nesting(stmts: List[Stmt]) -> int:
+    return 1 + max(map(_stmt_nesting, stmts)) if stmts else 0
+
+
+def _stmt_nesting(stmt: Stmt) -> int:
+    if isinstance(stmt, IfStmt):
+        return 1 + max(1 + _expr_nesting(stmt.cond),
+                       _block_nesting(stmt.then_body), _block_nesting(stmt.else_body))
+    if isinstance(stmt, WhileStmt):
+        return 1 + max(1 + _expr_nesting(stmt.cond), _block_nesting(stmt.body))
+    if isinstance(stmt, ReturnStmt):
+        return _expr_nesting(stmt.value)
+    if isinstance(stmt, (LetStmt, AssignStmt)):
+        return 1 + _expr_nesting(stmt.value)
+    if isinstance(stmt, CallStmt):
+        return 1 + _expr_nesting(stmt.call)
+    return 1
+
+
+def _expr_nesting(expr: Expr) -> int:
+    if isinstance(expr, Unary):
+        return 1 + _expr_nesting(expr.operand)
+    if isinstance(expr, Binary):
+        return 1 + max(_expr_nesting(expr.left), _expr_nesting(expr.right))
+    if isinstance(expr, MethodCall):
+        return 2
+    if isinstance(expr, CallExpr):
+        return 1 + max(map(_expr_nesting, expr.args), default=0)
+    return 1
+
+
 def _lowered(program: Program) -> Dict[str, Callable]:
     """The program's functions as closures, lowered on first use. Runs that
     race here each lower the program; either result serves every run."""
@@ -549,8 +595,8 @@ def execute(
     except _Throw as t:
         result.error = t.name
     except (_Timeout, RecursionError):
-        # Python's stack can run out before MAX_CALL_DEPTH when recursive
-        # calls sit deep inside nested blocks; that exhausts the run too.
+        # The call-depth budget keeps MiniLang calls within Python's stack
+        # unless the caller itself runs deep in it; that exhausts the run too.
         result.error = TIMEOUT
         result.timed_out = True
     result.steps = run.steps

@@ -77,6 +77,7 @@ class LevelTrial:
     level: int
     status: str  # sat | unsat | timeout | invalid-patch
     seconds: float
+    nodes: int = 0  # built-in solver search nodes; 0 for an external solver
 
 
 @dataclass
@@ -96,7 +97,8 @@ class LocationTrial:
             "status": self.status,
             "angelic_tuples": self.angelic_tuples,
             "levels": [
-                {"level": l.level, "status": l.status, "seconds": round(l.seconds, 3)}
+                {"level": l.level, "status": l.status, "seconds": round(l.seconds, 3),
+                 "nodes": l.nodes}
                 for l in self.levels
             ],
         }
@@ -236,25 +238,27 @@ def _angelic_phase(program, suite, failing, loc, kind, config) -> AngelicOutcome
 def _synthesis_ladder(program, suite, matrix, kind, trial, config, started) -> Optional[Patch]:
     saw_timeout = False
     for level in range(1, config.max_level + 1):
-        if time.monotonic() - started > config.global_timeout:
+        level_started = time.monotonic()
+        remaining = config.global_timeout - (level_started - started)
+        if remaining <= 0:
             trial.status = SYNTHESIS_TIMEOUT if saw_timeout else EXHAUSTED
             return None
-        level_started = time.monotonic()
         problem = encode(matrix, level)
-        result = solve(problem, config.solver_cmd, config.level_timeout, config.solver_nodes)
+        result = solve(problem, config.solver_cmd, min(config.level_timeout, remaining),
+                       config.solver_nodes)
         elapsed = time.monotonic() - level_started
         if result.status == UNSAT:
-            trial.levels.append(LevelTrial(level, UNSAT, elapsed))
+            trial.levels.append(LevelTrial(level, UNSAT, elapsed, result.nodes))
             continue
         if result.status == TIMEOUT:
-            trial.levels.append(LevelTrial(level, TIMEOUT, elapsed))
+            trial.levels.append(LevelTrial(level, TIMEOUT, elapsed, result.nodes))
             saw_timeout = True
             continue
         expression = decode(problem, result.model)
         if not problem.satisfies_rows(result.model):
             # An external backend may answer sat with a junk model; treat it
             # like an unanswered rung rather than trusting it.
-            trial.levels.append(LevelTrial(level, "invalid-patch", elapsed))
+            trial.levels.append(LevelTrial(level, "invalid-patch", elapsed, result.nodes))
             saw_timeout = True
             continue
         patch_kind = (
@@ -263,10 +267,10 @@ def _synthesis_ladder(program, suite, matrix, kind, trial, config, started) -> O
         )
         patch = Patch(patch_kind, matrix.location, to_minilang(expression))
         if validate(program, patch, suite, config.step_budget):
-            trial.levels.append(LevelTrial(level, SAT, elapsed))
+            trial.levels.append(LevelTrial(level, SAT, elapsed, result.nodes))
             trial.status = "patched"
             return patch
-        trial.levels.append(LevelTrial(level, "invalid-patch", elapsed))
+        trial.levels.append(LevelTrial(level, "invalid-patch", elapsed, result.nodes))
     if saw_timeout:
         trial.status = SYNTHESIS_TIMEOUT
     else:

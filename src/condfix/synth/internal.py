@@ -12,16 +12,32 @@ valid wirings (their values cannot reach the result).
 Exhausting the cone space proves unsatisfiability. The search honors both
 a wall-clock limit and a deterministic node budget; crossing either
 reports a timeout, never a wrong unsat.
+
+One node is one candidate for the next cone position: a component not yet
+in the cone with one wiring of its inputs. Candidates are visited in a
+fixed order (components in problem order; wirings in ``itertools.product``
+order over columns first, then earlier members), so under the node
+budget alone the node count, the status and the model of a solve are
+deterministic. Every candidate costs one node however cheaply it is
+dismissed.
+
+Within one solve each distinct ``(type, value vector)`` gets a small int
+id, and each component memoizes its applications on the ids of its
+inputs, so a repeated application is one dict lookup and a duplicate
+check is one list index. On the last cone position a root wiring that
+leaves some member unconsumed cannot complete the cone; such wirings are
+counted without computing their vectors.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
 from ..minilang.values import INT_MAX, INT_MIN, wrap_int
-from .components import BOOL
+from .components import BOOL, REAL
 from .problem import SynthesisProblem
 
 SAT, UNSAT, TIMEOUT = "sat", "unsat", "timeout"
@@ -33,6 +49,7 @@ DEFAULT_NODE_BUDGET = 2_000_000
 class SolveResult:
     status: str  # sat | unsat | timeout
     model: Optional[Dict[str, int]] = None
+    nodes: int = 0  # search nodes of the built-in backend; 0 for an external solver
 
     @property
     def is_sat(self) -> bool:
@@ -46,15 +63,22 @@ class _Budget:
         self.nodes = 0
         self.exhausted = False
 
-    def tick(self) -> bool:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            self.exhausted = True
-            return True
-        if self.deadline is not None and self.nodes % 4096 == 0:
-            if time.monotonic() > self.deadline:
+    def advance(self, count: int = 1) -> bool:
+        """Count ``count`` nodes at once. True when the node budget or the
+        wall clock ran out on one of them, as if each was counted alone:
+        the clock is read when the count passes a multiple of 4096."""
+        start, end = self.nodes, self.nodes + count
+        if self.deadline is not None:
+            boundary = (start // 4096 + 1) * 4096
+            if boundary <= min(end, self.max_nodes) and time.monotonic() > self.deadline:
+                self.nodes = boundary
                 self.exhausted = True
                 return True
+        if end > self.max_nodes:
+            self.nodes = self.max_nodes + 1
+            self.exhausted = True
+            return True
+        self.nodes = end
         return False
 
 
@@ -92,36 +116,18 @@ def solve_internal(
     if found is not None:
         order, wirings = found
         model = _complete_model(problem, order, wirings)
-        return SolveResult(SAT, model)
+        return SolveResult(SAT, model, budget.nodes)
     if budget.exhausted:
-        return SolveResult(TIMEOUT)
-    return SolveResult(UNSAT)
+        return SolveResult(TIMEOUT, nodes=budget.nodes)
+    return SolveResult(UNSAT, nodes=budget.nodes)
 
 
 def _search_cones(problem: SynthesisProblem, budget: _Budget):
-    components = problem.components
-    rows = problem.rows
-
-    bool_roots = [i for i, c in enumerate(components) if c.out_type == BOOL]
+    bool_roots = [i for i, c in enumerate(problem.components) if c.out_type == BOOL]
     if not bool_roots:
         return None
-
-    col_refs_by_type: Dict[str, List[Ref]] = {}
-    col_vectors: List[Tuple] = []
-    for i, col in enumerate(problem.columns):
-        col_refs_by_type.setdefault(col.type, []).append(("col", i))
-        col_vectors.append(tuple(inputs[i] for inputs, _ in rows))
-    expected = tuple(exp for _, exp in rows)
-
-    state = _SearchState(
-        components=components,
-        bool_roots=bool_roots,
-        col_refs_by_type=col_refs_by_type,
-        col_vectors=col_vectors,
-        expected=expected,
-        budget=budget,
-    )
-    for k in range(1, len(components) + 1):
+    state = _SearchState(problem, bool_roots, budget)
+    for k in range(1, len(problem.components) + 1):
         hit = state.extend(k)
         if hit is not None or budget.exhausted:
             return hit
@@ -129,129 +135,218 @@ def _search_cones(problem: SynthesisProblem, budget: _Budget):
 
 
 class _SearchState:
-    """DFS over cones with incremental per-row value vectors.
+    """DFS over cones with interned per-row value vectors.
 
-    Every cone member carries the tuple of values it produces across all
-    rows. A candidate member whose vector duplicates a same-typed column
-    or an earlier member is pruned: any solution through the duplicate
-    also exists through the original with a strictly smaller cone, which
-    an earlier iteration already enumerated.
+    Every cone member carries the id of the tuple of values it produces
+    across all rows. A candidate member whose vector duplicates a
+    same-typed column or an earlier member is pruned: any solution through
+    the duplicate also exists through the original with a strictly smaller
+    cone, which an earlier iteration already enumerated.
+
+    The refs a port may take (columns first, then cone members in cone
+    order), the count of consumers of each member, and the counts behind
+    the consumability test are updated on push and pop, not rebuilt.
     """
 
-    def __init__(self, components, bool_roots, col_refs_by_type, col_vectors,
-                 expected, budget):
+    def __init__(self, problem: SynthesisProblem, bool_roots: List[int], budget: _Budget):
+        components = problem.components
         self.components = components
-        self.bool_roots = bool_roots
-        self.col_refs_by_type = col_refs_by_type
-        self.col_vectors = col_vectors
-        self.expected = expected
         self.budget = budget
         # Resolved once per solve so the per-node path stays in C.
-        self.semantics = [(c.op.fn, c.wraps) for c in components]
+        self.semantics = [(c.op.fn, c.wraps, c.out_type == REAL) for c in components]
+        self.memos: List[Dict[Tuple[int, ...], int]] = [{} for _ in components]
+        # The candidate roots of the last cone position, in component order.
+        self.roots = [(ci, components[ci].in_types, self.memos[ci]) for ci in bool_roots]
+        # Per component: output type, distinct input types, arity.
+        self.shapes = [(c.out_type, tuple(set(c.in_types)), c.arity) for c in components]
+        types = {c.type for c in problem.columns} | {c.out_type for c in components}
+        self.ids: Dict[str, Dict[Tuple, int]] = {t: {} for t in types}
+        self.vectors: List[Tuple] = []  # by id
+        self.seen: List[bool] = []  # by id: a column or a cone member has it
+        self.refs: Dict[str, List[Ref]] = {t: [] for t in types}
+        self.ref_ids: Dict[str, List[int]] = {t: [] for t in types}
+        for i, col in enumerate(problem.columns):
+            vid = self.intern(col.type, tuple(inputs[i] for inputs, _ in problem.rows))
+            self.seen[vid] = True
+            self.refs[col.type].append(("col", i))
+            self.ref_ids[col.type].append(vid)
+        self.expected = self.intern(BOOL, tuple(exp for _, exp in problem.rows))
+
         self.cone: List[int] = []
         self.wirings: List[Tuple[Ref, ...]] = []
-        self.vectors: List[Tuple] = []
-        self.seen_by_type: Dict[str, set] = {
-            type_: {col_vectors[i] for _, i in refs}
-            for type_, refs in col_refs_by_type.items()
-        }
+        self.in_cone = [False] * len(components)
+        self.consumers: List[int] = []  # by cone position
+        self.unconsumed = dict.fromkeys(types, 0)  # cone members no wiring uses, by type
+        # Components outside the cone: how many take each type, how many
+        # have each arity (largest first).
+        self.takers = dict.fromkeys(types, 0)
+        self.by_arity: Dict[int, int] = {}
+        for _, in_types, arity in sorted(self.shapes, key=lambda shape: -shape[2]):
+            for t in in_types:
+                self.takers[t] += 1
+            self.by_arity[arity] = self.by_arity.get(arity, 0) + 1
 
-    def candidate_refs(self, in_type: str) -> List[Ref]:
-        refs = list(self.col_refs_by_type.get(in_type, ()))
-        refs += [
-            ("comp", pos)
-            for pos, ci in enumerate(self.cone)
-            if self.components[ci].out_type == in_type
-        ]
-        return refs
+    def intern(self, type_: str, vector: Tuple) -> int:
+        ids = self.ids[type_]
+        vid = ids.get(vector)
+        if vid is None:
+            vid = ids[vector] = self.fresh(vector)
+        return vid
 
-    def ref_vector(self, ref: Ref) -> Tuple:
-        kind, index = ref
-        return self.col_vectors[index] if kind == "col" else self.vectors[index]
+    def fresh(self, vector: Tuple) -> int:
+        self.vectors.append(vector)
+        self.seen.append(False)
+        return len(self.vectors) - 1
 
-    def member_vector(self, ci: int, wiring: Tuple[Ref, ...]) -> Tuple:
-        fn, wraps = self.semantics[ci]
-        vector = tuple(map(fn, *map(self.ref_vector, wiring)))
+    def apply(self, ci: int, key: Tuple[int, ...]) -> int:
+        """Id of component ``ci``'s vector over the input ids ``key``,
+        computed and memoized on a memo miss."""
+        fn, wraps, real = self.semantics[ci]
+        vectors = self.vectors
+        vector = tuple(map(fn, *[vectors[i] for i in key]))
         if wraps and (max(vector, default=0) > INT_MAX or min(vector, default=0) < INT_MIN):
             vector = tuple(map(wrap_int, vector))
-        return vector
+        if real and any(v != v for v in vector):
+            # A NaN equals no other value, so each application yields a
+            # vector no other one matches: a fresh id, never memoized.
+            return self.fresh(vector)
+        vid = self.memos[ci][key] = self.intern(self.shapes[ci][0], vector)
+        return vid
 
-    def referenced_all(self) -> bool:
-        used = set()
-        for wiring in self.wirings:
-            for kind, index in wiring:
-                if kind == "comp":
-                    used.add(index)
-        return used >= set(range(len(self.cone) - 1))
+    def push(self, ci: int, wiring: Tuple[Ref, ...], vid: int) -> None:
+        out, in_types, arity = self.shapes[ci]
+        cone, consumers, unconsumed = self.cone, self.consumers, self.unconsumed
+        for kind, index in wiring:
+            if kind == "comp":
+                if not consumers[index]:
+                    unconsumed[self.shapes[cone[index]][0]] -= 1
+                consumers[index] += 1
+        self.refs[out].append(("comp", len(cone)))
+        self.ref_ids[out].append(vid)
+        cone.append(ci)
+        self.wirings.append(wiring)
+        consumers.append(0)
+        unconsumed[out] += 1
+        self.in_cone[ci] = True
+        for t in in_types:
+            self.takers[t] -= 1
+        self.by_arity[arity] -= 1
+
+    def pop(self) -> None:
+        cone, consumers, unconsumed = self.cone, self.consumers, self.unconsumed
+        ci = cone.pop()
+        out, in_types, arity = self.shapes[ci]
+        self.refs[out].pop()
+        self.ref_ids[out].pop()
+        consumers.pop()
+        unconsumed[out] -= 1
+        self.in_cone[ci] = False
+        for t in in_types:
+            self.takers[t] += 1
+        self.by_arity[arity] += 1
+        for kind, index in self.wirings.pop():
+            if kind == "comp":
+                consumers[index] -= 1
+                if not consumers[index]:
+                    unconsumed[self.shapes[cone[index]][0]] += 1
 
     def consumable(self, k: int) -> bool:
-        """Every unreferenced cone member still needs a future consumer:
+        """Every unconsumed cone member still needs a future consumer:
         prune when some member's type has no remaining component able to
-        take it, or when unreferenced members outnumber the argument slots
+        take it, or when unconsumed members outnumber the argument slots
         the remaining picks can offer."""
+        pending = 0
+        for t, count in self.unconsumed.items():
+            if count:
+                if not self.takers[t]:
+                    return False
+                pending += count
         remaining = k - len(self.cone)
-        referenced = {
-            index for w in self.wirings for kind, index in w if kind == "comp"
-        }
-        unref_types = [
-            self.components[self.cone[pos]].out_type
-            for pos in range(len(self.cone))
-            if pos not in referenced
-        ]
-        if not unref_types:
-            return True
-        unused = [c for i, c in enumerate(self.components) if i not in self.cone]
-        for t in set(unref_types):
-            if not any(t in c.in_types for c in unused):
-                return False
-        capacity = sum(sorted((c.arity for c in unused), reverse=True)[:remaining])
-        return len(unref_types) <= capacity
+        capacity = 0
+        for arity, count in self.by_arity.items():
+            if capacity >= pending or not remaining:
+                break
+            take = min(remaining, count)
+            capacity += take * arity
+            remaining -= take
+        return pending <= capacity
+
+    def candidates(self, in_types: Tuple[str, ...]) -> List[Tuple[Tuple[Ref, ...], Tuple[int, ...]]]:
+        """Every wiring of ports typed ``in_types``, in product order, with
+        the ids of the vectors it feeds the ports."""
+        refs = product(*[self.refs[t] for t in in_types])
+        keys = product(*[self.ref_ids[t] for t in in_types])
+        return list(zip(refs, keys))
 
     def extend(self, k: int):
-        pos = len(self.cone)
-        last = pos == k - 1
-        pool = self.bool_roots if last else range(len(self.components))
-        for ci in pool:
-            if ci in self.cone:
+        if len(self.cone) == k - 1:
+            return self.close()
+        budget, seen = self.budget, self.seen
+        by_types: Dict[Tuple[str, ...], list] = {}
+        for ci, comp in enumerate(self.components):
+            if self.in_cone[ci]:
                 continue
-            comp = self.components[ci]
-            ref_options = [self.candidate_refs(t) for t in comp.in_types]
-            for wiring in product(*ref_options):
-                if self.budget.tick():
+            candidates = by_types.get(comp.in_types)
+            if candidates is None:
+                candidates = by_types[comp.in_types] = self.candidates(comp.in_types)
+            memo = self.memos[ci]
+            for wiring, key in candidates:
+                if budget.advance():
                     return None
-                vector = self.member_vector(ci, wiring)
-                if last:
-                    if vector != self.expected:
-                        continue
-                else:
-                    seen = self.seen_by_type.setdefault(comp.out_type, set())
-                    if vector in seen:
-                        continue
-                self.cone.append(ci)
-                self.wirings.append(wiring)
-                self.vectors.append(vector)
-                if last:
-                    if self.referenced_all():
-                        return list(self.cone), list(self.wirings)
-                    self.cone.pop()
-                    self.wirings.pop()
-                    self.vectors.pop()
-                else:
-                    if not self.consumable(k):
-                        self.cone.pop()
-                        self.wirings.pop()
-                        self.vectors.pop()
-                        continue
-                    self.seen_by_type[comp.out_type].add(vector)
-                    hit = self.extend(k)
-                    if hit is not None:
-                        return hit
-                    self.cone.pop()
-                    self.wirings.pop()
-                    self.vectors.pop()
-                    self.seen_by_type[comp.out_type].discard(vector)
-                    if self.budget.exhausted:
+                vid = memo.get(key)
+                if vid is None:
+                    vid = self.apply(ci, key)
+                if seen[vid]:
+                    continue
+                self.push(ci, wiring, vid)
+                if not self.consumable(k):
+                    self.pop()
+                    continue
+                seen[vid] = True
+                hit = self.extend(k)
+                if hit is not None:
+                    return hit
+                seen[vid] = False
+                self.pop()
+                if budget.exhausted:
+                    return None
+        return None
+
+    def close(self):
+        """Try each bool root on the last cone position. Every root wiring is
+        one node, but only a wiring that consumes every member nothing else
+        consumes can complete the cone, so only those get a vector; all the
+        nodes are counted at once, up to the first hit."""
+        unconsumed = {("comp", pos) for pos, n in enumerate(self.consumers) if not n}
+        unconsumed_types = {t for t, n in self.unconsumed.items() if n}
+        expected = self.expected
+        by_types: Dict[Tuple[str, ...], tuple] = {}
+        tried = 0
+        for ci, in_types, memo in self.roots:
+            if self.in_cone[ci]:
+                continue
+            entry = by_types.get(in_types)
+            if entry is None:
+                count = prod(len(self.refs[t]) for t in in_types)
+                closing = []
+                if len(unconsumed) <= len(in_types) and unconsumed_types.issubset(in_types):
+                    closing = [
+                        (index, wiring, key)
+                        for index, (wiring, key) in enumerate(self.candidates(in_types))
+                        if unconsumed.issubset(wiring)
+                    ]
+                entry = by_types[in_types] = (count, closing)
+            count, closing = entry
+            for index, wiring, key in closing:
+                vid = memo.get(key)
+                if vid is None:
+                    vid = self.apply(ci, key)
+                if vid == expected:
+                    if self.budget.advance(tried + index + 1):
                         return None
+                    return self.cone + [ci], self.wirings + [wiring]
+            tried += count
+        self.budget.advance(tried)
         return None
 
 

@@ -33,6 +33,22 @@ coprime: gcd(3, 5) -> 1
 overflow: gcd(4294967296, 4294967296) -> 4294967296
 """
 
+# Parity: the condition needs x % 2, which no component offers, so no rung
+# of the ladder can repair it.
+EVEN_BUGGY = """\
+fn even(x: int) -> bool {
+  if (x < 0) {
+    return true;
+  }
+  return false;
+}
+"""
+
+EVEN_SUITE = "".join(
+    f"t{i}: even({x}) -> {'true' if x % 2 == 0 else 'false'}\n"
+    for i, x in enumerate(range(-5, 6))
+)
+
 PROBE_FIXTURE = """\
 fn peek(n: int, s: Str) -> int {
   let doubled: int = n + n;
@@ -54,3 +70,13 @@ def gcd_suite():
 @pytest.fixture
 def probe_program():
     return parse_program(PROBE_FIXTURE)
+
+
+@pytest.fixture
+def even_program():
+    return parse_program(EVEN_BUGGY)
+
+
+@pytest.fixture
+def even_suite():
+    return parse_suite(EVEN_SUITE)

@@ -228,6 +228,13 @@ fn fact(n: int) -> int {
 """
 
 
+NESTED_DOWN = (
+    "fn down(n: int) -> int { "
+    + "if (n > -1000) { " * 40 + "return 1 + down(n - 1);" + " }" * 40
+    + " return 0; }"
+)
+
+
 class TestCallDepth:
     def test_unbounded_recursion_times_out(self):
         controls = ExecutionControls(condition_overrides={1: False})
@@ -242,10 +249,24 @@ class TestCallDepth:
     def test_recursion_in_nested_blocks_times_out(self):
         # Deep block nesting per call can use up Python's stack before the
         # call-depth limit; the run still ends as an exhausted budget.
-        nested = "if (n > -1000) { " * 40 + "return 1 + down(n - 1);" + " }" * 40
-        program = parse_program(f"fn down(n: int) -> int {{ {nested} return 0; }}")
+        program = parse_program(NESTED_DOWN)
         result = execute(program, "down", [5])
         assert result.timed_out and result.error == "TimeoutDuringExecution"
+
+    def test_nested_recursion_stops_at_the_same_point_at_any_stack_depth(self):
+        # Each call reserves its body's closure-nesting depth, so the run
+        # ends on the call-depth budget, never on Python's recursion limit.
+        program = parse_program(NESTED_DOWN)
+
+        def run_below(extra_frames):
+            if extra_frames:
+                return run_below(extra_frames - 1)
+            result = execute(program, "down", [5])
+            return result.error, result.steps, result.hits
+
+        shallow = run_below(0)
+        assert shallow[0] == "TimeoutDuringExecution"
+        assert run_below(200) == shallow
 
 
 class TestCompiledCache:

@@ -1,4 +1,6 @@
 """End-to-end repair orchestration."""
+import time
+
 import pytest
 
 from condfix.errors import NoFailingTestError
@@ -36,6 +38,24 @@ class TestRepair:
         assert body["patch"]["location"] == report.patch.location
         assert isinstance(body["trials"], list)
         assert body["trials"]  # at least the patched location appears
+
+    def test_report_counts_solver_nodes_per_rung(self, gcd_program, gcd_suite):
+        report = repair(gcd_program, gcd_suite, RepairConfig(max_level=2))
+        levels = [level for trial in report.to_dict()["trials"] for level in trial["levels"]]
+        assert levels and all(level["nodes"] > 0 for level in levels)
+
+    def test_global_timeout_bounds_every_rung(self, even_program, even_suite):
+        # Parity is out of reach of every rung, and level 2 alone takes
+        # longer than the global timeout when given the per-rung timeout.
+        config = RepairConfig(global_timeout=1.0)
+        started = time.monotonic()
+        report = repair(even_program, even_suite, config)
+        elapsed = time.monotonic() - started
+        assert not report.patched
+        assert elapsed < config.global_timeout + 0.5
+        timed_out = report.trials[0].levels[-1]
+        assert timed_out.status == "timeout"
+        assert timed_out.nodes < config.solver_nodes
 
     def test_determinism_modulo_wall_time(self, gcd_program, gcd_suite):
         def scrub(d):

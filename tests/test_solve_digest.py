@@ -1,0 +1,108 @@
+"""Golden digest of built-in solver runs over seeded random matrices.
+
+Seeded random trace matrices (widths 1 to 6, 2 to 20 rows, int, bool and
+real columns, including values that make int arithmetic wrap and real
+arithmetic reach inf and nan) climb the synthesis ladder at a 10k-node
+cap until the first sat, as the pipeline does; a few more solves run at a
+100k-node cap. Each solve records its status, its node count and a sha256
+of its sorted model. Any change to the search order, its pruning or the
+node accounting shows up here as a changed entry.
+
+Regenerate ``tests/data/solve_digest.json`` (only when a change of search
+behaviour is intended) with:
+
+    PYTHONPATH=src python tests/test_solve_digest.py --write
+"""
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+from condfix.minilang.values import INT_MAX, INT_MIN
+from condfix.synth import MAX_LEVEL, MIN_LEVEL, SAT, encode, solve_internal
+from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
+
+DIGEST_PATH = Path(__file__).parent / "data" / "solve_digest.json"
+SEED = 20261018
+LADDER_CAP, DEEP_CAP = 10_000, 100_000
+INT_VALUES = list(range(-8, 9)) + [INT_MIN, INT_MAX, 2**32]
+REAL_VALUES = [-2.5, -0.5, -0.0, 0.0, 0.5, 1.5, 3.25, 1e300]
+
+
+def _random_matrix(rng: random.Random, width: int, height: int) -> TraceMatrix:
+    columns = [
+        ColumnSpec(f"c{i}", rng.choices(["int", "bool", "real"], [6, 3, 1])[0], "var", var=f"c{i}")
+        for i in range(width)
+    ]
+    rows = []
+    for r in range(height):
+        inputs = []
+        for col in columns:
+            if col.type == "int":
+                inputs.append(rng.choice(INT_VALUES))
+            elif col.type == "real":
+                inputs.append(rng.choice(REAL_VALUES))
+            else:
+                inputs.append(rng.random() < 0.5)
+        rows.append(TraceRow(f"t{r}", 0, tuple(inputs), rng.random() < 0.5))
+    return TraceMatrix(1, "condition", columns, rows)
+
+
+def matrices():
+    """Three non-conflicting matrices per (width, row band)."""
+    rng = random.Random(SEED)
+    bands = ((2, 4), (5, 8), (9, 13), (14, 20))
+    out = []
+    for width in range(1, 7):
+        for band in bands:
+            for _ in range(3):
+                while True:
+                    m = deduplicate(_random_matrix(rng, width, rng.randint(*band)))
+                    if not m.conflicting:
+                        break
+                out.append(m)
+    return out
+
+
+def _entry(index: int, level: int, cap: int, result) -> dict:
+    model = None if result.model is None else sorted(result.model.items())
+    return {
+        "matrix": index,
+        "level": level,
+        "max_nodes": cap,
+        "status": result.status,
+        "nodes": result.nodes,
+        "model_sha256": hashlib.sha256(json.dumps(model).encode()).hexdigest(),
+    }
+
+
+def compute_digest() -> list:
+    solves = []
+    pool = matrices()
+    for index, m in enumerate(pool):
+        for level in range(MIN_LEVEL, MAX_LEVEL + 1):
+            result = solve_internal(encode(m, level), None, LADDER_CAP)
+            solves.append(_entry(index, level, LADDER_CAP, result))
+            if result.status == SAT:
+                break
+    for index in range(0, len(pool), 6):
+        for level in (2, 3):
+            result = solve_internal(encode(pool[index], level), None, DEEP_CAP)
+            solves.append(_entry(index, level, DEEP_CAP, result))
+    return solves
+
+
+def test_solves_match_the_golden_digest():
+    expected = json.loads(DIGEST_PATH.read_text())
+    actual = compute_digest()
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got == want
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_solve_digest.py --write")
+    lines = ",\n".join("  " + json.dumps(e, sort_keys=True) for e in compute_digest())
+    DIGEST_PATH.write_text("[\n" + lines + "\n]\n")

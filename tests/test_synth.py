@@ -17,7 +17,7 @@ from condfix.synth import (
     emit_smtlib, encode, encode_with_components, enumerate_oracle, evaluate,
     solve, solve_external, to_source, tree_to_source,
 )
-from condfix.synth.internal import SAT, TIMEOUT, UNSAT, solve_internal
+from condfix.synth.internal import TIMEOUT, UNSAT, solve_internal
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow
 
 DATA = Path(__file__).parent / "data"
@@ -167,15 +167,26 @@ class TestInternalSolve:
         second = solve(problem, None, 10.0)
         assert first.model == second.model
 
-    def test_node_budget_reports_timeout(self):
+    @staticmethod
+    def undecided_problem():
+        """Six random int columns at level 2: 100k nodes do not decide it."""
         cols = [int_col(f"c{i}") for i in range(6)]
         rows = [
             tuple(random.Random(i).randint(-5, 5) for _ in range(6)) + (i % 2 == 0,)
             for i in range(12)
         ]
-        problem = encode(matrix(cols, rows), 2)
-        result = solve_internal(problem, timeout_s=None, max_nodes=50)
-        assert result.status in (TIMEOUT, SAT)  # tiny budget cannot prove unsat
+        return encode(matrix(cols, rows), 2)
+
+    def test_node_budget_reports_timeout(self):
+        result = solve_internal(self.undecided_problem(), timeout_s=None, max_nodes=50)
+        # a tiny budget cannot prove unsat; the node that crosses it counts
+        assert result.status == TIMEOUT
+        assert result.nodes == 51
+
+    def test_wall_clock_is_read_every_4096_nodes(self):
+        result = solve_internal(self.undecided_problem(), timeout_s=1e-9, max_nodes=100_000)
+        assert result.status == TIMEOUT
+        assert result.nodes == 4096
 
     def test_structural_validity_of_models(self):
         m = matrix(
@@ -315,6 +326,7 @@ class TestExternalBackend:
         result = solve_external(problem, f"python3 {stub}", 10.0)
         assert result.is_sat
         assert result.model == {"l_in1": 1, "l_result": 1}
+        assert result.nodes == 0  # only the built-in backend counts nodes
 
     def test_parses_unsat(self, tmp_path):
         problem = self.make_problem()
