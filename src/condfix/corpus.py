@@ -20,14 +20,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BundleError
 from .faultloc import METRICS, build_spectrum, wasted_effort
 from .minilang import (
     DEFAULT_STEP_BUDGET, Binary, IfStmt, IntLit, Patch, PatchKind, Program,
-    Value, apply_patch, execute, parse_expression, parse_program,
-    parse_value_literal, render_expr,
+    Value, apply_patch, execute, format_value, parse_expression, parse_program,
+    parse_value_literal, render_expr, render_program,
 )
 from .pipeline import RepairConfig, RepairReport, repair, validate
 from .testkit import SuiteResult, TestCase, parse_suite, run_suite, values_match
@@ -51,10 +51,6 @@ class GridSpec:
     """Per-parameter value lists; the grid is their cartesian product."""
 
     axes: Dict[str, List[Value]]
-
-    def points(self) -> Iterable[Tuple[Value, ...]]:
-        names = list(self.axes)
-        return itertools.product(*(self.axes[n] for n in names))
 
     def size(self) -> int:
         total = 1
@@ -122,7 +118,12 @@ def _parse_grid(spec: str) -> GridSpec:
         values_text = values_text.strip()
         if ".." in values_text and not values_text.startswith(("Str", "null")):
             lo_text, _, hi_text = values_text.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
+            try:
+                lo, hi = int(lo_text), int(hi_text)
+            except ValueError:
+                raise BundleError(f"malformed grid range {part!r}") from None
+            if lo > hi:
+                raise BundleError(f"empty grid range {part!r}: lo must not exceed hi")
             axes[name] = list(range(lo, hi + 1))
         else:
             axes[name] = [parse_value_literal(v.strip()) for v in values_text.split("|")]
@@ -132,8 +133,6 @@ def _parse_grid(spec: str) -> GridSpec:
 
 
 def _render_grid(grid: GridSpec) -> str:
-    from .minilang import format_value
-
     parts = []
     for name, values in grid.axes.items():
         ints = [v for v in values if isinstance(v, int) and not isinstance(v, bool)]
@@ -234,6 +233,9 @@ def check_equivalence(
         raise BundleError(
             f"grid axes {sorted(grid.axes)} do not match parameters {sorted(names)}"
         )
+    empty = sorted(n for n in names if not grid.axes[n])
+    if empty:
+        raise BundleError(f"grid axes {empty} are empty")
     ordered_axes = [grid.axes[n] for n in names]
     for point in itertools.product(*ordered_axes):
         ra = execute(program_a, entry, list(point), step_budget=step_budget)
@@ -447,7 +449,7 @@ def seed_condition_bugs(
     config = config or RepairConfig()
     program = parse_program(program_text)
     suite = parse_suite(suite_text)
-    if run_suite(program, suite).failing:
+    if run_suite(program, suite, step_budget=config.step_budget).failing:
         raise BundleError(f"seed program {seed_id} must pass its suite")
 
     bundles: List[BugBundle] = []
@@ -461,33 +463,23 @@ def seed_condition_bugs(
             mutated = program.clone()
             mutated.statement_at(loc).cond = mutant_expr
             mutated.reindex()
-            mutated_suite = run_suite(mutated, suite)
-            if not mutated_suite.failing or not mutated_suite.passing:
+            baseline = run_suite(mutated, suite, step_budget=config.step_budget)
+            if not baseline.failing or not baseline.passing:
                 continue
             counter += 1
-            bundle = BugBundle(
-                id=f"{seed_id}-m{counter:02d}",
-                program_text=_render(mutated),
-                suite_text=suite_text,
-                human=HumanPatch(
-                    PatchKind.CONDITION_UPDATE, loc, render_expr(original)
-                ),
-                entry=entry,
-                expected=FIXABLE,
-            )
-            try:
-                bundle.self_check()
-            except BundleError:
+            human = HumanPatch(PatchKind.CONDITION_UPDATE, loc, render_expr(original))
+            if not validate(mutated, human.to_patch(), suite, config.step_budget):
                 continue
-            if repair(bundle.program(), suite, config).patched:
-                bundles.append(bundle)
+            if repair(mutated, suite, config, baseline).patched:
+                bundles.append(BugBundle(
+                    id=f"{seed_id}-m{counter:02d}",
+                    program_text=render_program(mutated),
+                    suite_text=suite_text,
+                    human=human,
+                    entry=entry,
+                    expected=FIXABLE,
+                ))
     return bundles
-
-
-def _render(program: Program) -> str:
-    from .minilang import render_program
-
-    return render_program(program)
 
 
 _SEED_CLAMP = """\

@@ -14,13 +14,9 @@ from .ast import (
     Program, RealLit, ReturnStmt, Stmt, ThrowStmt, Unary, VarRef, WhileStmt,
 )
 from .lexer import Token, tokenize
+from .printer import PRECEDENCE
 from .registry import StateQueryRegistry, default_registry
 from .values import NULL, Obj, Value, wrap_int
-
-_REL_OPS = ("<", "<=", ">", ">=")
-_EQ_OPS = ("==", "!=")
-_ADD_OPS = ("+", "-")
-_MUL_OPS = ("*", "/", "%")
 
 
 class _Parser:
@@ -186,50 +182,18 @@ class _Parser:
             self.error("expected '=' or '(' after identifier")
         self.error("expected a statement")
 
-    # -- expressions (C-like precedence, short-circuit left to right) --
+    # -- expressions (precedence climbing over printer.PRECEDENCE; every
+    #    binary operator is left-associative) --
 
-    def parse_expression(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.accept("op", "||"):
-            left = Binary("||", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_equality()
-        while self.accept("op", "&&"):
-            left = Binary("&&", left, self.parse_equality())
-        return left
-
-    def parse_equality(self) -> Expr:
-        left = self.parse_relational()
-        while self.peek().kind == "op" and self.peek().text in _EQ_OPS:
-            op = self.advance().text
-            left = Binary(op, left, self.parse_relational())
-        return left
-
-    def parse_relational(self) -> Expr:
-        left = self.parse_additive()
-        while self.peek().kind == "op" and self.peek().text in _REL_OPS:
-            op = self.advance().text
-            left = Binary(op, left, self.parse_additive())
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.peek().kind == "op" and self.peek().text in _ADD_OPS:
-            op = self.advance().text
-            left = Binary(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_expression(self, min_precedence: int = 1) -> Expr:
         left = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in _MUL_OPS:
-            op = self.advance().text
-            left = Binary(op, left, self.parse_unary())
-        return left
+        while True:
+            tok = self.peek()
+            precedence = PRECEDENCE.get(tok.text, 0) if tok.kind == "op" else 0
+            if precedence < min_precedence:
+                return left
+            self.advance()
+            left = Binary(tok.text, left, self.parse_expression(precedence + 1))
 
     def parse_unary(self) -> Expr:
         if self.accept("op", "!"):

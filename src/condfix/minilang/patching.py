@@ -20,6 +20,11 @@ class PatchKind(enum.Enum):
     CONDITION_UPDATE = "condition-update"
     PRECONDITION_ADDITION = "precondition-addition"
 
+    @property
+    def statement_kind(self) -> StatementKind:
+        """The kind of statement a patch of this kind applies to."""
+        return StatementKind.IF if self is PatchKind.CONDITION_UPDATE else StatementKind.PLAIN
+
 
 @dataclass(frozen=True)
 class Patch:
@@ -43,13 +48,10 @@ def apply_patch(program: Program, patch: Patch) -> Program:
     not visible at the patched location.
     """
     kind = program.kind_of(patch.location)
-    if patch.kind == PatchKind.CONDITION_UPDATE and kind != StatementKind.IF:
+    if kind != patch.kind.statement_kind:
         raise KindMismatchError(
-            f"condition update requires an if statement at {patch.location}, found {kind.value}"
-        )
-    if patch.kind == PatchKind.PRECONDITION_ADDITION and kind != StatementKind.PLAIN:
-        raise KindMismatchError(
-            f"precondition addition requires a plain statement at {patch.location}, found {kind.value}"
+            f"{patch.kind.value} requires statement kind {patch.kind.statement_kind.value}"
+            f" at {patch.location}, found {kind.value}"
         )
 
     scope = program.scope_at(patch.location)

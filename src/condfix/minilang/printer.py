@@ -3,7 +3,8 @@
 Operator precedence (loosest to tightest): ``||`` < ``&&`` < equality
 < relational < additive < multiplicative < unary. All binary operators
 are left-associative; a right operand at equal precedence is
-parenthesized.
+parenthesized. ``PRECEDENCE`` is the one binary-precedence table: the
+parser climbs the same levels.
 """
 from __future__ import annotations
 

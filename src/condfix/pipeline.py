@@ -25,18 +25,15 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .angelic import (
-    BUDGET_EXHAUSTED, AngelicOutcome, angelic_condition, angelic_precondition,
+    BUDGET_EXHAUSTED, CONDITION, REPAIR_KINDS, angelic_condition, angelic_precondition,
 )
 from .errors import NoFailingTestError
 from .faultloc import build_spectrum, rank
-from .minilang import (
-    DEFAULT_STEP_BUDGET, Patch, PatchKind, Program, StatementKind,
-    apply_patch, render_program,
-)
+from .minilang import DEFAULT_STEP_BUDGET, Patch, Program, apply_patch, render_program
 from .synth import DEFAULT_NODE_BUDGET, MAX_LEVEL, MIN_LEVEL, decode, encode, solve, to_minilang
 from .synth.internal import SAT, TIMEOUT, UNSAT
 from .testkit import SuiteResult, TestCase, run_suite
-from .trace import CONDITION, PRECONDITION, collect, deduplicate
+from .trace import collect, deduplicate
 
 NO_ANGELIC_VALUE = "no-angelic-value"
 EXECUTION_TIMEOUT = "execution-timeout"
@@ -64,7 +61,7 @@ class RepairConfig:
     solver_nodes: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        if self.mode not in ("condition", "precondition", "both"):
+        if self.mode not in (*REPAIR_KINDS, "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.level_timeout <= 0 or self.global_timeout <= 0:
             raise ValueError("timeouts must be positive")
@@ -170,7 +167,8 @@ def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairC
         trial = LocationTrial(loc=loc, rank=position, kind=kind, status="")
         trials.append(trial)
 
-        outcome = _angelic_phase(program, suite, failing, loc, kind, config)
+        search = angelic_condition if kind == CONDITION else angelic_precondition
+        outcome = search(program, suite, failing, loc, config.step_budget)
         if not outcome.found:
             trial.status = (
                 EXECUTION_TIMEOUT if outcome.reason == BUDGET_EXHAUSTED else NO_ANGELIC_VALUE
@@ -221,18 +219,10 @@ def _no_patch(forced_reason: Optional[str], trials: List[LocationTrial], started
 
 
 def _repair_kind(program: Program, loc: int, mode: str) -> Optional[str]:
-    kind = program.kind_of(loc)
-    if kind == StatementKind.IF and mode in ("condition", "both"):
-        return CONDITION
-    if kind == StatementKind.PLAIN and mode in ("precondition", "both"):
-        return PRECONDITION
+    for kind, (patch_kind, _decisions) in REPAIR_KINDS.items():
+        if mode in (kind, "both") and program.kind_of(loc) == patch_kind.statement_kind:
+            return kind
     return None
-
-
-def _angelic_phase(program, suite, failing, loc, kind, config) -> AngelicOutcome:
-    if kind == CONDITION:
-        return angelic_condition(program, suite, failing, loc, config.step_budget)
-    return angelic_precondition(program, suite, failing, loc, config.step_budget)
 
 
 def _synthesis_ladder(program, suite, matrix, kind, trial, config, started) -> Optional[Patch]:
@@ -261,11 +251,7 @@ def _synthesis_ladder(program, suite, matrix, kind, trial, config, started) -> O
             trial.levels.append(LevelTrial(level, "invalid-patch", elapsed, result.nodes))
             saw_timeout = True
             continue
-        patch_kind = (
-            PatchKind.CONDITION_UPDATE if kind == CONDITION
-            else PatchKind.PRECONDITION_ADDITION
-        )
-        patch = Patch(patch_kind, matrix.location, to_minilang(expression))
+        patch = Patch(REPAIR_KINDS[kind][0], matrix.location, to_minilang(expression))
         if validate(program, patch, suite, config.step_budget):
             trial.levels.append(LevelTrial(level, SAT, elapsed, result.nodes))
             trial.status = "patched"

@@ -21,15 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .angelic import AngelicTuple
+# The repair-kind constants live in angelic; trace re-exports them.
+from .angelic import CONDITION, PRECONDITION, AngelicTuple, check_candidate  # noqa: F401
 from .minilang import (
-    DEFAULT_STEP_BUDGET, ExecutionControls, Program, StatementKind, Value,
-    execute, format_value, parse_value_literal,
+    DEFAULT_STEP_BUDGET, ExecutionControls, Program, Value, execute,
+    format_value, parse_value_literal,
 )
-from .testkit import TestCase
-
-CONDITION = "condition"
-PRECONDITION = "precondition"
+from .testkit import TestCase, verdict_holds
 
 STANDARD_CONSTANTS = (0, -1, 1)
 
@@ -85,11 +83,7 @@ def collect(
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> TraceMatrix:
     """Build the input/outcome matrix for one candidate location."""
-    if kind not in (CONDITION, PRECONDITION):
-        raise ValueError(f"unknown repair kind {kind!r}")
-    expected_kind = StatementKind.IF if kind == CONDITION else StatementKind.PLAIN
-    if program.kind_of(loc) != expected_kind:
-        raise ValueError(f"location {loc} is not a {kind} candidate")
+    check_candidate(program, loc, kind)
 
     columns = _candidate_columns(program, loc)
     probe = ExecutionControls(probes=frozenset({loc}))
@@ -97,16 +91,15 @@ def collect(
     raw_rows: List[Tuple[str, int, dict, dict, bool]] = []
     for test in suite:
         tuple_for_test = angelic.get(test.id)
-        if tuple_for_test is None:
-            controls = probe
-        elif kind == CONDITION:
+        if tuple_for_test is not None and kind == CONDITION:
             controls = ExecutionControls(
                 condition_overrides={loc: tuple_for_test.val},
                 probes=frozenset({loc}),
             )
         else:
-            # The skip decision is per test; the first-hit state is identical
-            # with and without the skip, so probe the unmodified run.
+            # A skip decision is per test; the first-hit state is identical
+            # with and without the skip, so a precondition probes the
+            # unmodified run.
             controls = probe
         result = execute(program, test.function, list(test.args), controls, step_budget)
         snapshots = result.snapshots.get(loc, [])
@@ -116,7 +109,7 @@ def collect(
                     f"failing test {test.id!r} has an angelic tuple but never hits {loc}"
                 )
             continue
-        if tuple_for_test is None and not _passed_here(test, result):
+        if tuple_for_test is None and not verdict_holds(result, test):
             # A failing test without an angelic tuple contributes nothing.
             raise ValueError(
                 f"failing test {test.id!r} reached {loc} without an angelic tuple"
@@ -146,12 +139,6 @@ def collect(
         inputs = tuple(_column_value(col, values, derived) for col in kept)
         rows.append(TraceRow(test_id, m, inputs, expected))
     return TraceMatrix(location=loc, kind=kind, columns=kept, rows=rows)
-
-
-def _passed_here(test, result) -> bool:
-    from .testkit import verdict_holds
-
-    return verdict_holds(result, test)
 
 
 def _derived(snapshot) -> Dict[str, Value]:

@@ -1,10 +1,13 @@
 """Angelic fix localization for conditions and preconditions."""
+import pytest
+
 from condfix.angelic import (
     BUDGET_EXHAUSTED, NO_VALUE_WORKS, angelic_condition, angelic_precondition,
     search_space_size,
 )
 from condfix.minilang import ExecutionControls, execute, parse_program
 from condfix.testkit import parse_suite, run_suite, verdict_holds
+from condfix.trace import collect
 
 
 class TestConditionAngelic:
@@ -156,3 +159,16 @@ class TestSearchSpace:
 
     def test_empty_coverage(self, gcd_program):
         assert search_space_size(gcd_program, "condition", set()) == 0
+
+    def test_unknown_kind_rejected(self, gcd_program):
+        with pytest.raises(ValueError, match="unknown repair kind"):
+            search_space_size(gcd_program, "loop", {1})
+        with pytest.raises(ValueError, match="unknown repair kind"):
+            collect(gcd_program, [], 1, "loop", {})
+
+    def test_wrong_statement_kind_rejected(self, gcd_program, gcd_suite):
+        failing = run_suite(gcd_program, gcd_suite).failing
+        with pytest.raises(ValueError, match="not a precondition candidate"):
+            angelic_precondition(gcd_program, gcd_suite, failing, 1)
+        with pytest.raises(ValueError, match="not a condition candidate"):
+            angelic_condition(gcd_program, gcd_suite, failing, 3)

@@ -2,9 +2,11 @@
 import pytest
 
 from condfix.corpus import (
-    BugBundle, GridSpec, HumanPatch, builtin_seeded_bundles, check_equivalence,
-    default_corpus_dir, load_bundle, load_corpus, run_harness, write_bundle,
+    BugBundle, GridSpec, HumanPatch, _parse_grid, builtin_seed_sources,
+    builtin_seeded_bundles, check_equivalence, default_corpus_dir, load_bundle,
+    load_corpus, run_harness, seed_condition_bugs, write_bundle,
 )
+from condfix.pipeline import RepairConfig
 from condfix.errors import BundleError
 from condfix.minilang import PatchKind, apply_patch, parse_program
 from conftest import GCD_BUGGY
@@ -50,6 +52,30 @@ class TestBundleFiles:
         )
         with pytest.raises(BundleError, match="no failing test"):
             bundle.self_check()
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("spec", ["u = 5..1", "u = 1..", "u = ..3", "u = a..b"])
+    def test_bad_range_is_a_bundle_error(self, spec):
+        with pytest.raises(BundleError, match="grid range"):
+            _parse_grid(spec)
+
+    def test_single_point_range(self):
+        assert _parse_grid("u = 3..3; v = -1..0").axes == {"u": [3], "v": [-1, 0]}
+
+    def test_reversed_range_in_meta_fails_the_load(self, tmp_path):
+        bundle = load_bundle(default_corpus_dir() / "cm5")
+        write_bundle(bundle, tmp_path / "copy")
+        meta = tmp_path / "copy" / "meta.txt"
+        meta.write_text(meta.read_text().replace("-12..12", "12..-12", 1))
+        with pytest.raises(BundleError, match="empty grid range"):
+            load_bundle(tmp_path / "copy")
+
+    def test_equivalence_refuses_an_empty_axis(self):
+        program = parse_program(GCD_FIXED)
+        grid = GridSpec({"u": [], "v": [1, 2]})
+        with pytest.raises(BundleError, match="empty"):
+            check_equivalence(program, parse_program(GCD_FIXED), "gcd", grid)
 
 
 class TestEquivalence:
@@ -164,7 +190,12 @@ class TestSeeding:
         assert report.all_expected()
 
     def test_seed_programs_must_pass_their_suites(self):
-        from condfix.corpus import seed_condition_bugs
-
         with pytest.raises(BundleError, match="must pass"):
             seed_condition_bugs("bad", GCD_BUGGY, "o: gcd(4294967296, 4294967296) -> 4294967296\n", "gcd")
+
+    def test_seeding_runs_under_the_configured_step_budget(self):
+        # countDown(9, 0) takes more than 50 steps, so under that budget the
+        # seed program itself no longer passes its suite.
+        steps = next(s for s in builtin_seed_sources() if s[0] == "steps")
+        with pytest.raises(BundleError, match="must pass"):
+            seed_condition_bugs(*steps, RepairConfig(step_budget=50))

@@ -9,8 +9,9 @@ from condfix.errors import (
     ResolutionError,
 )
 from condfix.minilang import (
-    ExecutionControls, Obj, Patch, PatchKind, StatementKind,
-    apply_patch, execute, parse_expression, parse_program, render_program,
+    Binary, ExecutionControls, Obj, Patch, PatchKind, StatementKind, Unary,
+    VarRef, apply_patch, execute, parse_expression, parse_program,
+    render_expr, render_program,
 )
 from condfix.minilang.interp import MAX_CALL_DEPTH
 from conftest import GCD_BUGGY
@@ -57,6 +58,47 @@ class TestParsing:
         text = render_program(gcd_program)
         again = parse_program(text)
         assert render_program(again) == text
+
+
+# Binary operators loosest to tightest, written out independently of
+# printer.PRECEDENCE so that the round-trip tests pin the order itself.
+LEVELS = [("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="), ("+", "-"), ("*", "/", "%")]
+LEVEL_OF = {op: level for level, ops in enumerate(LEVELS) for op in ops}
+A, B, C = VarRef("a"), VarRef("b"), VarRef("c")
+
+
+class TestPrecedenceRoundTrip:
+    """parse_expression(render_expr(e)) == e with minimal parentheses: a
+    tighter operand needs none, a looser one does, and an equal-level right
+    operand does because every binary operator is left-associative."""
+
+    @pytest.mark.parametrize("outer", list(LEVEL_OF))
+    def test_every_pair_in_both_groupings(self, outer):
+        for inner in LEVEL_OF:
+            left_nested = Binary(outer, Binary(inner, A, B), C)
+            left = f"a {inner} b"
+            if LEVEL_OF[inner] < LEVEL_OF[outer]:
+                left = f"({left})"
+            right_nested = Binary(outer, A, Binary(inner, B, C))
+            right = f"b {inner} c"
+            if LEVEL_OF[inner] <= LEVEL_OF[outer]:
+                right = f"({right})"
+            for expr, text in ((left_nested, f"{left} {outer} c"),
+                               (right_nested, f"a {outer} {right}")):
+                assert render_expr(expr) == text
+                assert parse_expression(text) == expr
+
+    @pytest.mark.parametrize("op", list(LEVEL_OF))
+    def test_unary_operands(self, op):
+        for unary in ("!", "-"):
+            cases = [
+                (Binary(op, Unary(unary, A), Unary(unary, B)), f"{unary}a {op} {unary}b"),
+                (Unary(unary, Binary(op, A, B)), f"{unary}(a {op} b)"),
+                (Unary(unary, Unary(unary, A)), f"{unary}{unary}a"),
+            ]
+            for expr, text in cases:
+                assert render_expr(expr) == text
+                assert parse_expression(text) == expr
 
 
 class TestExecution:
