@@ -1,11 +1,12 @@
 """Angelic fix localization.
 
-For a candidate if statement, each failing test is re-run twice, once with
-the condition forced to true and once forced to false; for a candidate
-plain statement, each failing test is re-run once with the statement
-skipped. A location qualifies when every failing test passes under some
-forced decision. The forced value is constant for the whole test
-execution; per-evaluation value sequences are deliberately out of scope.
+For a candidate if statement, each failing test is re-run with the
+condition forced to true and, if that fails, forced to false; for a
+candidate plain statement, once with the statement skipped. A location
+qualifies when every failing test passes under some forced decision; the
+search stops at the first failing test (in sorted order) that none passes.
+The forced value is constant for the whole test execution; per-evaluation
+value sequences are deliberately out of scope.
 
 ``REPAIR_KINDS`` is the one table of what each repair kind decides: the
 patch kind it produces (and through it the statement kind it targets) and
@@ -70,9 +71,13 @@ def _index_tests(suite: Sequence[TestCase], failing: Iterable[str]) -> List[Test
     return [by_id[t] for t in sorted(failing)]
 
 
-def _run_trial(program, test, controls, step_budget):
+def _run_trial(program, test, loc, decision, step_budget) -> Trial:
+    if decision is SKIP:
+        controls = ExecutionControls(skip_set=frozenset({loc}))
+    else:
+        controls = ExecutionControls(condition_overrides={loc: decision})
     result = execute(program, test.function, list(test.args), controls, step_budget)
-    return verdict_holds(result, test), result.timed_out
+    return Trial(loc, test.id, decision, verdict_holds(result, test), result.timed_out)
 
 
 def angelic_condition(
@@ -83,7 +88,7 @@ def angelic_condition(
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> AngelicOutcome:
     """Search for per-test forced condition values that pass every failing
-    test. When both forced values pass a test, true is recorded."""
+    test. True is tried first, so it is recorded when both would pass."""
     return _angelic_search(program, suite, failing, loc, CONDITION, step_budget)
 
 
@@ -109,8 +114,9 @@ def check_candidate(program: Program, loc: int, kind: str) -> None:
 
 
 def _angelic_search(program, suite, failing, loc, kind, step_budget) -> AngelicOutcome:
-    """Try every decision of ``kind`` on every failing test, in order; the
-    first decision that passes a test becomes its angelic value."""
+    """Try the decisions of ``kind`` in order on each failing test; the first
+    that passes is the test's angelic value. The first test none passes ends
+    the search, and its own runs alone decide whether the budget ran out."""
     check_candidate(program, loc, kind)
     tests = _index_tests(suite, failing)
     if not tests:
@@ -119,28 +125,18 @@ def _angelic_search(program, suite, failing, loc, kind, step_budget) -> AngelicO
     decisions = REPAIR_KINDS[kind][1]
     trials: List[Trial] = []
     tuples: Dict[str, AngelicTuple] = {}
-    any_timeout = False
-    all_covered = True
     for test in tests:
-        covered = False
         for decision in decisions:
-            if decision is SKIP:
-                controls = ExecutionControls(skip_set=frozenset({loc}))
-            else:
-                controls = ExecutionControls(condition_overrides={loc: decision})
-            passed, timed_out = _run_trial(program, test, controls, step_budget)
-            trials.append(Trial(loc, test.id, decision, passed, timed_out))
-            any_timeout = any_timeout or timed_out
-            if passed and not covered:
-                covered = True
+            trials.append(_run_trial(program, test, loc, decision, step_budget))
+            if trials[-1].passed:
                 # A skipped statement is a precondition that evaluated false.
                 tuples[test.id] = AngelicTuple(loc, decision is True, test.id)
-        all_covered = all_covered and covered
-
-    if all_covered:
-        return AngelicOutcome(tuples=tuples, trials=trials)
-    reason = BUDGET_EXHAUSTED if any_timeout else NO_VALUE_WORKS
-    return AngelicOutcome(tuples=None, reason=reason, trials=trials)
+                break
+        else:
+            timed_out = any(t.timed_out for t in trials[-len(decisions):])
+            reason = BUDGET_EXHAUSTED if timed_out else NO_VALUE_WORKS
+            return AngelicOutcome(tuples=None, reason=reason, trials=trials)
+    return AngelicOutcome(tuples=tuples, trials=trials)
 
 
 def search_space_size(program: Program, kind: str, covered: Iterable[int]) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BundleError
+from .errors import BundleError, CondfixError
 from .faultloc import METRICS, build_spectrum, wasted_effort
 from .minilang import (
     DEFAULT_STEP_BUDGET, Binary, IfStmt, IntLit, Patch, PatchKind, Program,
@@ -125,6 +125,8 @@ def _parse_grid(spec: str) -> GridSpec:
             if lo > hi:
                 raise BundleError(f"empty grid range {part!r}: lo must not exceed hi")
             axes[name] = list(range(lo, hi + 1))
+        elif not values_text:
+            raise BundleError(f"empty grid axis {name!r}")
         else:
             axes[name] = [parse_value_literal(v.strip()) for v in values_text.split("|")]
     if not axes:
@@ -135,12 +137,24 @@ def _parse_grid(spec: str) -> GridSpec:
 def _render_grid(grid: GridSpec) -> str:
     parts = []
     for name, values in grid.axes.items():
+        if not values:
+            raise BundleError(f"empty grid axis {name!r}")
         ints = [v for v in values if isinstance(v, int) and not isinstance(v, bool)]
         if len(ints) == len(values) and values == list(range(values[0], values[-1] + 1)):
             parts.append(f"{name} = {values[0]}..{values[-1]}")
         else:
             parts.append(f"{name} = " + " | ".join(format_value(v) for v in values))
     return "; ".join(parts)
+
+
+def _field(directory: Path, kv: Dict[str, str], key: str, convert=str):
+    """``convert(kv[key])``; a missing or bad field is a BundleError."""
+    if key not in kv:
+        raise BundleError(f"bundle {directory.name}: missing field {key!r}")
+    try:
+        return convert(kv[key])
+    except (ValueError, CondfixError) as exc:
+        raise BundleError(f"bundle {directory.name}: bad {key} {kv[key]!r}: {exc}") from None
 
 
 def load_bundle(directory: Path) -> BugBundle:
@@ -150,13 +164,13 @@ def load_bundle(directory: Path) -> BugBundle:
     patch_kv = _parse_kv((directory / "human_patch.txt").read_text(), "human_patch")
     meta = _parse_kv((directory / "meta.txt").read_text(), "meta")
 
-    try:
-        kind = PatchKind(patch_kv["kind"])
-        human = HumanPatch(kind, int(patch_kv["location"]), patch_kv["expr"])
-        expected = meta["expected"]
-        entry = meta["entry"]
-    except KeyError as exc:
-        raise BundleError(f"bundle {directory.name}: missing field {exc}") from exc
+    human = HumanPatch(
+        _field(directory, patch_kv, "kind", PatchKind),
+        _field(directory, patch_kv, "location", int),
+        _field(directory, patch_kv, "expr"),
+    )
+    expected = _field(directory, meta, "expected")
+    entry = _field(directory, meta, "entry")
 
     reason = None
     if expected.startswith(LIMITATION):
@@ -165,7 +179,7 @@ def load_bundle(directory: Path) -> BugBundle:
     elif expected != FIXABLE:
         raise BundleError(f"bundle {directory.name}: unknown expected tag {expected!r}")
 
-    grid = _parse_grid(meta["grid"]) if "grid" in meta else None
+    grid = _field(directory, meta, "grid", _parse_grid) if "grid" in meta else None
     return BugBundle(
         id=meta.get("id", directory.name),
         program_text=program_text,
@@ -179,6 +193,12 @@ def load_bundle(directory: Path) -> BugBundle:
 
 
 def write_bundle(bundle: BugBundle, directory: Path) -> None:
+    expected = bundle.expected
+    if bundle.expected == LIMITATION and bundle.limitation_reason:
+        expected = f"{LIMITATION} {bundle.limitation_reason}"
+    meta_lines = [f"id: {bundle.id}", f"expected: {expected}", f"entry: {bundle.entry}"]
+    if bundle.grid is not None:
+        meta_lines.append(f"grid: {_render_grid(bundle.grid)}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "program.ml").write_text(bundle.program_text)
@@ -188,12 +208,6 @@ def write_bundle(bundle: BugBundle, directory: Path) -> None:
         f"location: {bundle.human.location}\n"
         f"expr: {bundle.human.expression_text}\n"
     )
-    expected = bundle.expected
-    if bundle.expected == LIMITATION and bundle.limitation_reason:
-        expected = f"{LIMITATION} {bundle.limitation_reason}"
-    meta_lines = [f"id: {bundle.id}", f"expected: {expected}", f"entry: {bundle.entry}"]
-    if bundle.grid is not None:
-        meta_lines.append(f"grid: {_render_grid(bundle.grid)}")
     (directory / "meta.txt").write_text("\n".join(meta_lines) + "\n")
 
 

@@ -10,7 +10,8 @@ survives whole-suite validation. The first validated patch wins.
 When nothing validates, the report carries one reason:
 
   no-angelic-value    nothing got past angelic localization
-  execution-timeout   a forced run exhausted the step budget
+  execution-timeout   a forced run of the first failing test that no
+                      decision passes exhausted the step budget
   conflicting-trace   some trace matrix demanded two outcomes for one input
   synthesis-timeout   some solver call timed out or a rung went unanswered
   exhausted           the ranking or the global time budget ran out
@@ -31,7 +32,7 @@ from .errors import NoFailingTestError
 from .faultloc import build_spectrum, rank
 from .minilang import DEFAULT_STEP_BUDGET, Patch, Program, apply_patch, render_program
 from .synth import DEFAULT_NODE_BUDGET, MAX_LEVEL, MIN_LEVEL, decode, encode, solve, to_minilang
-from .synth.internal import SAT, TIMEOUT, UNSAT
+from .synth.internal import SAT, TIMEOUT
 from .testkit import SuiteResult, TestCase, run_suite
 from .trace import collect, deduplicate
 
@@ -188,17 +189,14 @@ def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairC
 
         patch = _synthesis_ladder(program, suite, matrix, kind, trial, config, started)
         if patch is not None:
-            wall = time.monotonic() - started
             return RepairReport(
                 outcome="patched",
                 patch=patch,
                 level=trial.levels[-1].level,
                 location_rank=position,
-                wall_time=wall,
+                wall_time=time.monotonic() - started,
                 trials=trials,
             )
-        if not trial.status:
-            trial.status = SYNTHESIS_TIMEOUT
 
     return _no_patch(None, trials, started)
 
@@ -231,36 +229,28 @@ def _synthesis_ladder(program, suite, matrix, kind, trial, config, started) -> O
         level_started = time.monotonic()
         remaining = config.global_timeout - (level_started - started)
         if remaining <= 0:
-            trial.status = SYNTHESIS_TIMEOUT if saw_timeout else EXHAUSTED
-            return None
+            break
         problem = encode(matrix, level)
         result = solve(problem, config.solver_cmd, min(config.level_timeout, remaining),
                        config.solver_nodes)
         elapsed = time.monotonic() - level_started
-        if result.status == UNSAT:
-            trial.levels.append(LevelTrial(level, UNSAT, elapsed, result.nodes))
-            continue
-        if result.status == TIMEOUT:
-            trial.levels.append(LevelTrial(level, TIMEOUT, elapsed, result.nodes))
-            saw_timeout = True
-            continue
-        expression = decode(problem, result.model)
-        if not problem.satisfies_rows(result.model):
-            # An external backend may answer sat with a junk model; treat it
-            # like an unanswered rung rather than trusting it.
-            trial.levels.append(LevelTrial(level, "invalid-patch", elapsed, result.nodes))
-            saw_timeout = True
-            continue
-        patch = Patch(REPAIR_KINDS[kind][0], matrix.location, to_minilang(expression))
-        if validate(program, patch, suite, config.step_budget):
-            trial.levels.append(LevelTrial(level, SAT, elapsed, result.nodes))
+        status, patch = result.status, None
+        if status == SAT:
+            expression = decode(problem, result.model)
+            if not problem.satisfies_rows(result.model):
+                # An external backend may answer sat with a junk model; treat
+                # it like an unanswered rung rather than trusting it.
+                status, saw_timeout = "invalid-patch", True
+            else:
+                patch = Patch(REPAIR_KINDS[kind][0], matrix.location, to_minilang(expression))
+                if not validate(program, patch, suite, config.step_budget):
+                    status, patch = "invalid-patch", None
+        trial.levels.append(LevelTrial(level, status, elapsed, result.nodes))
+        if patch is not None:
             trial.status = "patched"
             return patch
-        trial.levels.append(LevelTrial(level, "invalid-patch", elapsed, result.nodes))
-    if saw_timeout:
-        trial.status = SYNTHESIS_TIMEOUT
-    else:
-        trial.status = EXHAUSTED
+        saw_timeout = saw_timeout or status == TIMEOUT
+    trial.status = SYNTHESIS_TIMEOUT if saw_timeout else EXHAUSTED
     return None
 
 

@@ -9,6 +9,15 @@ from condfix.minilang import ExecutionControls, execute, parse_program
 from condfix.testkit import parse_suite, run_suite, verdict_holds
 from condfix.trace import collect
 
+ONE_OR_TWO = """\
+fn f(x: int) -> int {
+  if (x > 0) {
+    return 1;
+  }
+  return 2;
+}
+"""
+
 
 class TestConditionAngelic:
     def test_forcing_repairs_failing_test(self, gcd_program, gcd_suite):
@@ -73,6 +82,57 @@ class TestConditionAngelic:
         failing = run_suite(gcd_program, gcd_suite).failing
         outcome = angelic_condition(gcd_program, gcd_suite, failing, 1)
         assert len(outcome.trials) == 2 * len(failing)
+
+    def test_first_passing_decision_ends_the_test(self):
+        program = parse_program(ONE_OR_TWO)
+        suite = parse_suite("neg: f(-5) -> 1\n")
+        outcome = angelic_condition(program, suite, {"neg"}, 1)
+        assert [(t.test, t.forced, t.passed) for t in outcome.trials] == [("neg", True, True)]
+
+    def test_first_uncovered_test_ends_the_search(self):
+        program = parse_program(ONE_OR_TWO)
+        # a_want3 sorts first and no forced value passes it; b_want2 would
+        # pass with false but is never run
+        suite = parse_suite("b_want2: f(5) -> 2\na_want3: f(5) -> 3\n")
+        outcome = angelic_condition(program, suite, {"a_want3", "b_want2"}, 1)
+        assert outcome.reason == NO_VALUE_WORKS
+        assert [(t.test, t.forced) for t in outcome.trials] == [
+            ("a_want3", True), ("a_want3", False),
+        ]
+
+    @pytest.mark.parametrize("source, loc, covered, uncovered", [
+        # forcing true returns x; forcing false spins without progress
+        ("fn f(x: int) -> int {\n"
+         "  while (x != 0) {\n"
+         "    if (x < 0) {\n"
+         "      return x;\n"
+         "    }\n"
+         "  }\n"
+         "  return 7;\n"
+         "}\n", 2, "a: f(5) -> 5", "b: f(0) -> 3"),
+        # forcing true spins without progress; forcing false returns x
+        ("fn f(x: int) -> int {\n"
+         "  let i: int = 0;\n"
+         "  while (i < x) {\n"
+         "    if (x > 0) {\n"
+         "      i = i - 1;\n"
+         "    }\n"
+         "    i = i + 1;\n"
+         "  }\n"
+         "  return x;\n"
+         "}\n", 3, "a: f(5) -> 5", "b: f(0) -> 3"),
+    ], ids=["false-run-times-out", "true-run-times-out"])
+    def test_timeout_of_a_covered_test_is_not_the_reason(self, source, loc, covered, uncovered):
+        # test a is covered, maybe after a timed-out run; test b fails under
+        # both forced values without running out of budget
+        program = parse_program(source)
+        suite = parse_suite(f"{covered}\n{uncovered}\n")
+        assert run_suite(program, suite, step_budget=2000).failing == {"a", "b"}
+        outcome = angelic_condition(program, suite, {"a", "b"}, loc, step_budget=2000)
+        assert not outcome.found
+        assert outcome.reason == NO_VALUE_WORKS
+        assert [t.test for t in outcome.trials][-2:] == ["b", "b"]
+        assert not any(t.timed_out for t in outcome.trials if t.test == "b")
 
     def test_soundness_of_recorded_tuples(self, gcd_program, gcd_suite):
         failing = run_suite(gcd_program, gcd_suite).failing

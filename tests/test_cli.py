@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 from condfix.cli import EXIT_NO_PATCH, EXIT_PATCHED, EXIT_USAGE, main
-from condfix.corpus import default_corpus_dir
+from condfix.corpus import default_corpus_dir, load_bundle, write_bundle
 
 
 def write_gcd_inputs(tmp_path: Path):
@@ -85,3 +85,14 @@ class TestBenchCommand:
     def test_bench_missing_corpus(self, tmp_path, capsys):
         code = main(["bench", "--corpus", str(tmp_path), "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_USAGE
+
+    def test_bench_reports_a_bad_bundle_without_a_traceback(self, tmp_path, capsys):
+        bundle_dir = tmp_path / "corpus" / "cm5"
+        write_bundle(load_bundle(default_corpus_dir() / "cm5"), bundle_dir)
+        patch_file = bundle_dir / "human_patch.txt"
+        patch_file.write_text(patch_file.read_text().replace("location: 1", "location: one"))
+        code = main([
+            "bench", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "error: bundle cm5: bad location 'one'" in capsys.readouterr().err

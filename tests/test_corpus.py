@@ -41,6 +41,29 @@ class TestBundleFiles:
             assert bundle.grid is not None
             assert bundle.grid.size() >= 500
 
+    @pytest.mark.parametrize("file, old, new, match", [
+        ("human_patch.txt", "location: 1", "location: one", "location 'one'"),
+        ("human_patch.txt", "location: 1", "location: 1.5", "location '1.5'"),
+        ("human_patch.txt", "kind: condition-update", "kind: loop-update", "kind 'loop-update'"),
+        ("meta.txt", "u = -12..12;", "u = ;", "grid .*empty grid axis 'u'"),
+    ], ids=["word-location", "real-location", "unknown-kind", "empty-grid-axis"])
+    def test_bad_field_is_a_bundle_error_naming_bundle_and_field(
+        self, tmp_path, file, old, new, match
+    ):
+        write_bundle(load_bundle(default_corpus_dir() / "cm5"), tmp_path / "copy")
+        path = tmp_path / "copy" / file
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(BundleError, match=f"bundle copy: bad {match}"):
+            load_bundle(tmp_path / "copy")
+
+    def test_write_refuses_an_empty_grid_axis(self, tmp_path):
+        bundle = load_bundle(default_corpus_dir() / "cm5")
+        bundle.grid = GridSpec({"u": [], "v": [1]})
+        with pytest.raises(BundleError, match="empty grid axis 'u'"):
+            write_bundle(bundle, tmp_path / "copy")
+        assert not (tmp_path / "copy").exists()
+
     def test_self_check_catches_passing_bug(self, tmp_path):
         bundle = BugBundle(
             id="bogus",

@@ -1,16 +1,20 @@
 """Golden digest of every interpreter run in one harness pass.
 
 For each packaged and built-in seeded bundle, one ``run_harness`` pass is
-recorded at the ``execute`` name of every module that calls it: the number
-of executions, their total steps, and a sha256 over a canonical rendering
-of each result (value, error, timed_out, hits, cond_values, steps and
-snapshots). Any change to interpreter semantics or step accounting shows
-up here as a changed digest.
+recorded at the ``execute`` name of every module that calls it. Per bundle
+and per calling module the digest keeps the number of executions, their
+total steps, and a sha256 over a canonical rendering of each result
+(value, error, timed_out, hits, cond_values, steps and snapshots), in call
+order. Any change to interpreter semantics or step accounting shows up
+here as a changed digest; a change that only adds or drops runs of one
+caller moves only that caller's entries.
 
 Regenerate ``tests/data/exec_digest.json`` (only when a semantic change is
 intended) with:
 
     PYTHONPATH=src python tests/test_exec_digest.py --write
+
+which also prints each bundle's old -> new executions and steps per caller.
 """
 import hashlib
 import json
@@ -24,7 +28,7 @@ from condfix.corpus import (
 from condfix.minilang import format_value
 
 DIGEST_PATH = Path(__file__).parent / "data" / "exec_digest.json"
-CALLERS = (angelic, corpus, testkit, trace)
+CALLERS = {m.__name__.rpartition(".")[2]: m for m in (angelic, corpus, testkit, trace)}
 
 
 def _snapshot(snap) -> dict:
@@ -50,34 +54,40 @@ def canonical(result) -> str:
     }, sort_keys=True)
 
 
+def _recorder(original, runs):
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        runs.append(result)
+        return result
+    return recording
+
+
+def _summary(runs) -> dict:
+    sha = hashlib.sha256()
+    for result in runs:
+        sha.update(canonical(result).encode())
+        sha.update(b"\n")
+    return {
+        "executions": len(runs),
+        "steps": sum(r.steps for r in runs),
+        "sha256": sha.hexdigest(),
+    }
+
+
 def compute_digest() -> dict:
     bundles = load_corpus(default_corpus_dir()) + builtin_seeded_bundles()
     original = corpus.execute
     digest = {}
     for bundle in bundles:
-        runs = []
-
-        def recording(*args, **kwargs):
-            result = original(*args, **kwargs)
-            runs.append(result)
-            return result
-
-        for module in CALLERS:
-            module.execute = recording
+        runs = {name: [] for name in CALLERS}
+        for name, module in CALLERS.items():
+            module.execute = _recorder(original, runs[name])
         try:
             run_harness([bundle])
         finally:
-            for module in CALLERS:
+            for module in CALLERS.values():
                 module.execute = original
-        sha = hashlib.sha256()
-        for result in runs:
-            sha.update(canonical(result).encode())
-            sha.update(b"\n")
-        digest[bundle.id] = {
-            "executions": len(runs),
-            "steps": sum(r.steps for r in runs),
-            "sha256": sha.hexdigest(),
-        }
+        digest[bundle.id] = {caller: _summary(r) for caller, r in runs.items()}
     return digest
 
 
@@ -87,7 +97,24 @@ def test_harness_executions_match_the_golden_digest():
     assert compute_digest() == expected
 
 
+def _counts(entry) -> str:
+    if entry is None:
+        return "-"
+    return f"{entry['executions']} runs/{entry['steps']} steps"
+
+
+def _write() -> None:
+    old = json.loads(DIGEST_PATH.read_text()) if DIGEST_PATH.exists() else {}
+    new = compute_digest()
+    for bundle_id, callers in new.items():
+        for caller, entry in callers.items():
+            before = old.get(bundle_id, {}).get(caller)
+            mark = "" if before == entry else "  *"
+            print(f"{bundle_id:<12} {caller:<8} {_counts(before)} -> {_counts(entry)}{mark}")
+    DIGEST_PATH.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_exec_digest.py --write")
-    DIGEST_PATH.write_text(json.dumps(compute_digest(), indent=2, sort_keys=True) + "\n")
+    _write()
