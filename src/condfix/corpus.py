@@ -157,6 +157,12 @@ def _field(directory: Path, kv: Dict[str, str], key: str, convert=str):
         raise BundleError(f"bundle {directory.name}: bad {key} {kv[key]!r}: {exc}") from None
 
 
+def _expression_text(text: str) -> str:
+    """The text itself, once it parses as an expression."""
+    parse_expression(text)
+    return text
+
+
 def load_bundle(directory: Path) -> BugBundle:
     directory = Path(directory)
     program_text = (directory / "program.ml").read_text()
@@ -167,7 +173,7 @@ def load_bundle(directory: Path) -> BugBundle:
     human = HumanPatch(
         _field(directory, patch_kv, "kind", PatchKind),
         _field(directory, patch_kv, "location", int),
-        _field(directory, patch_kv, "expr"),
+        _field(directory, patch_kv, "expr", _expression_text),
     )
     expected = _field(directory, meta, "expected")
     entry = _field(directory, meta, "entry")

@@ -96,3 +96,15 @@ class TestBenchCommand:
         ])
         assert code == EXIT_USAGE
         assert "error: bundle cm5: bad location 'one'" in capsys.readouterr().err
+
+    def test_bench_reports_a_malformed_human_patch_expression(self, tmp_path, capsys):
+        bundle_dir = tmp_path / "corpus" / "cm5"
+        write_bundle(load_bundle(default_corpus_dir() / "cm5"), bundle_dir)
+        patch_file = bundle_dir / "human_patch.txt"
+        patch_file.write_text(patch_file.read_text().replace(
+            "expr: u == 0 || v == 0", "expr: u == || v"))
+        code = main([
+            "bench", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "r.csv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "error: bundle cm5: bad expr 'u == || v'" in capsys.readouterr().err

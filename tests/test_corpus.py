@@ -8,7 +8,7 @@ from condfix.corpus import (
 )
 from condfix.pipeline import RepairConfig
 from condfix.errors import BundleError
-from condfix.minilang import PatchKind, apply_patch, parse_program
+from condfix.minilang import Patch, PatchKind, apply_patch, parse_expression, parse_program
 from conftest import GCD_BUGGY
 
 GCD_FIXED = GCD_BUGGY.replace("u * v == 0", "u == 0 || v == 0")
@@ -46,7 +46,8 @@ class TestBundleFiles:
         ("human_patch.txt", "location: 1", "location: 1.5", "location '1.5'"),
         ("human_patch.txt", "kind: condition-update", "kind: loop-update", "kind 'loop-update'"),
         ("meta.txt", "u = -12..12;", "u = ;", "grid .*empty grid axis 'u'"),
-    ], ids=["word-location", "real-location", "unknown-kind", "empty-grid-axis"])
+        ("human_patch.txt", "expr: u == 0 || v == 0", "expr: u == || v", "expr 'u == \\|\\| v'"),
+    ], ids=["word-location", "real-location", "unknown-kind", "empty-grid-axis", "malformed-expr"])
     def test_bad_field_is_a_bundle_error_naming_bundle_and_field(
         self, tmp_path, file, old, new, match
     ):
@@ -156,6 +157,71 @@ class TestEquivalence:
         grid = GridSpec({"x": [1]})
         assert not check_equivalence(finite, looping, "f", grid, step_budget=500)
         assert check_equivalence(looping, looping, "f", grid, step_budget=500)
+
+
+def patched_children(source, location, *expressions, kind=PatchKind.CONDITION_UPDATE):
+    """One-patch children of one parsed base, one per expression."""
+    base = parse_program(source)
+    return [apply_patch(base, Patch(kind, location, parse_expression(e))) for e in expressions]
+
+
+SIGN_GUARD = """\
+fn f(x: int) -> int {
+  if (x < 0) {
+    throw Negative;
+  }
+  return 10 / x;
+}
+"""
+
+COUNTDOWN = """\
+fn down(n: int) -> int {
+  if (n <= 0) {
+    return 0;
+  }
+  return down(n - 1);
+}
+"""
+
+
+class TestEquivalenceOfPatchedChildren:
+    """Verdicts on points where both sides do not return one matching value."""
+
+    def test_both_sides_returning_nan_disagree(self):
+        a, b = patched_children(
+            "fn f(x: real) -> real {\n  if (x < 0.0) {\n    return 0.0 - x;\n  }\n"
+            "  return x;\n}\n",
+            1, "x < 1.0", "x < 2.0",
+        )
+        # Every comparison with NaN is false, so both sides return x; NaN
+        # never matches itself.
+        assert not check_equivalence(a, b, "f", GridSpec({"x": [float("nan")]}))
+        assert check_equivalence(a, b, "f", GridSpec({"x": [3.0, 7.5]}))
+
+    def test_both_sides_raising_the_same_error_agree(self):
+        a, b = patched_children(SIGN_GUARD, 1, "x < -1", "x < -2")
+        # -5 throws Negative on both sides, 0 divides by zero on both.
+        assert check_equivalence(a, b, "f", GridSpec({"x": [-5, 0, 4]}))
+
+    def test_sides_raising_different_errors_disagree(self):
+        a, b = patched_children(SIGN_GUARD, 1, "x <= 0", "x < 0")
+        # At 0 one side throws Negative, the other divides by zero.
+        assert not check_equivalence(a, b, "f", GridSpec({"x": [0]}))
+
+    def test_one_side_at_the_call_depth_limit_disagrees(self):
+        a, b = patched_children(COUNTDOWN, 1, "n <= 0", "n <= 100")
+        # Both return 0 when they return: 151 active calls pass the depth
+        # limit, 51 do not.
+        assert not check_equivalence(a, b, "down", GridSpec({"n": [150]}))
+        assert check_equivalence(a, b, "down", GridSpec({"n": [50, 90]}))
+
+    def test_both_sides_exhausting_a_small_budget_agree(self):
+        a, b = patched_children(
+            "fn f(x: int) -> int {\n  if (x > 1000) {\n    x = 0;\n  }\n"
+            "  while (x > 0) {\n    x = x + 1;\n  }\n  return x;\n}\n",
+            1, "x > 2000", "x > 3000",
+        )
+        assert check_equivalence(a, b, "f", GridSpec({"x": [1, 2]}), step_budget=500)
 
 
 class TestHarness:

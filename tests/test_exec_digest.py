@@ -14,7 +14,9 @@ intended) with:
 
     PYTHONPATH=src python tests/test_exec_digest.py --write
 
-which also prints each bundle's old -> new executions and steps per caller.
+which also prints each bundle's old -> new executions and steps per caller,
+starring the entries that moved. A failing test lists the moved entries in
+the same form.
 """
 import hashlib
 import json
@@ -94,7 +96,8 @@ def compute_digest() -> dict:
 def test_harness_executions_match_the_golden_digest():
     expected = json.loads(DIGEST_PATH.read_text())
     assert len(expected) == 18
-    assert compute_digest() == expected
+    moved = [line for line, changed in _comparison(expected, compute_digest()) if changed]
+    assert not moved, "moved digest entries (old -> new):\n" + "\n".join(moved)
 
 
 def _counts(entry) -> str:
@@ -103,14 +106,28 @@ def _counts(entry) -> str:
     return f"{entry['executions']} runs/{entry['steps']} steps"
 
 
+def _comparison(old: dict, new: dict):
+    """(line, changed) per (bundle, caller) of either digest, in the new
+    digest's order; each line shows old -> new runs and steps, starred
+    when the entry moved."""
+    keys = [(b, c) for b, callers in new.items() for c in callers]
+    keys += [(b, c) for b, callers in old.items() for c in callers if (b, c) not in keys]
+    for bundle_id, caller in keys:
+        before = old.get(bundle_id, {}).get(caller)
+        after = new.get(bundle_id, {}).get(caller)
+        changed = before != after
+        mark = ""
+        if changed:
+            same_counts = _counts(before) == _counts(after)
+            mark = "  * (sha256 only)" if same_counts else "  *"
+        yield f"{bundle_id:<12} {caller:<8} {_counts(before)} -> {_counts(after)}{mark}", changed
+
+
 def _write() -> None:
     old = json.loads(DIGEST_PATH.read_text()) if DIGEST_PATH.exists() else {}
     new = compute_digest()
-    for bundle_id, callers in new.items():
-        for caller, entry in callers.items():
-            before = old.get(bundle_id, {}).get(caller)
-            mark = "" if before == entry else "  *"
-            print(f"{bundle_id:<12} {caller:<8} {_counts(before)} -> {_counts(entry)}{mark}")
+    for line, _ in _comparison(old, new):
+        print(line)
     DIGEST_PATH.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
 
 
