@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import BundleError, CondfixError
 from .faultloc import METRICS, build_spectrum, wasted_effort
 from .minilang import (
-    DEFAULT_STEP_BUDGET, Binary, IfStmt, IntLit, Patch, PatchKind, Program,
-    Value, apply_patch, execute, format_value, parse_expression, parse_program,
-    parse_value_literal, render_expr, render_program,
+    DEFAULT_STEP_BUDGET, Binary, ExecutionResult, IfStmt, IntLit, Patch, PatchKind,
+    Program, Value, apply_patch, execute, format_value, parse_expression,
+    parse_program, parse_value_literal, render_expr, render_program, shadow_merge,
 )
 from .pipeline import RepairConfig, RepairReport, repair, validate
 from .testkit import SuiteResult, TestCase, parse_suite, run_suite, values_match
@@ -244,6 +244,11 @@ def check_equivalence(
 
     A point where only one side exhausts its step budget counts as a
     disagreement; both sides exhausting counts as agreement.
+
+    When both programs are one-patch children of one base, each point first
+    runs their ``shadow_merge`` once: a returned value that matches itself
+    means both sides return it. Any other outcome, and every point of
+    programs without a shared base, runs both sides.
     """
     fn = program_a.functions.get(entry)
     if fn is None or entry not in program_b.functions:
@@ -256,23 +261,29 @@ def check_equivalence(
     empty = sorted(n for n in names if not grid.axes[n])
     if empty:
         raise BundleError(f"grid axes {empty} are empty")
-    ordered_axes = [grid.axes[n] for n in names]
-    for point in itertools.product(*ordered_axes):
-        ra = execute(program_a, entry, list(point), step_budget=step_budget)
-        rb = execute(program_b, entry, list(point), step_budget=step_budget)
-        if ra.timed_out or rb.timed_out:
-            if ra.timed_out and rb.timed_out:
+    merged = shadow_merge(program_a, program_b)
+    for point in itertools.product(*(grid.axes[n] for n in names)):
+        args = list(point)
+        if merged is not None:
+            shadow = execute(merged, entry, args, step_budget=step_budget)
+            if shadow.error is None and values_match(shadow.value, shadow.value):
                 continue
-            return False
-        if (ra.error is None) != (rb.error is None):
-            return False
-        if ra.error is not None:
-            if ra.error != rb.error:
-                return False
-            continue
-        if not values_match(ra.value, rb.value):
+        if not _same_outcome(
+            execute(program_a, entry, args, step_budget=step_budget),
+            execute(program_b, entry, args, step_budget=step_budget),
+        ):
             return False
     return True
+
+
+def _same_outcome(ra: ExecutionResult, rb: ExecutionResult) -> bool:
+    """Both exhausted a budget, raised the same error, or returned matching
+    values."""
+    if ra.timed_out or rb.timed_out:
+        return ra.timed_out and rb.timed_out
+    if ra.error is not None or rb.error is not None:
+        return ra.error == rb.error
+    return values_match(ra.value, rb.value)
 
 
 # --- harness ----------------------------------------------------------------

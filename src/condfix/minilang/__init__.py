@@ -14,7 +14,7 @@ from .parser import (
     parse_call, parse_expression, parse_program, parse_value_literal,
     resolve_expr,
 )
-from .patching import Patch, PatchKind, apply_patch
+from .patching import Patch, PatchKind, apply_patch, shadow_merge
 from .printer import render_expr, render_program
 from .registry import QueryMethod, StateQueryRegistry, default_registry
 from .values import (
@@ -31,7 +31,7 @@ __all__ = [
     "NO_CONTROLS", "ProbeSnapshot", "TIMEOUT", "execute",
     "parse_call", "parse_expression", "parse_program", "parse_value_literal",
     "resolve_expr",
-    "Patch", "PatchKind", "apply_patch",
+    "Patch", "PatchKind", "apply_patch", "shadow_merge",
     "render_expr", "render_program",
     "QueryMethod", "StateQueryRegistry", "default_registry",
     "INT_MAX", "INT_MIN", "NULL", "Null", "Obj", "Value", "format_real",

@@ -3,7 +3,8 @@
 Statements carry stable integer locations, assigned in source order during
 parsing. A Program is immutable after parsing; patching clones it. Code that
 does edit a program in place must end with ``reindex()``, which rebuilds the
-location index and drops the interpreter's compiled closures.
+location index and drops the interpreter's compiled closures and the record
+of the patch that made the program.
 """
 from __future__ import annotations
 
@@ -176,13 +177,18 @@ class Program:
     compiled: Optional[Dict[str, Callable]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # (base program, patch) for a program made by ``apply_patch``.
+    origin: Optional[Tuple["Program", object]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def reindex(self) -> None:
-        """Rebuild the location index and drop the compiled closures; call
-        after any in-place edit."""
+        """Rebuild the location index and drop the compiled closures and the
+        origin; call after any in-place edit."""
         self._index = {}
         self._owner = {}
         self.compiled = None
+        self.origin = None
 
         def walk(stmts, fn_name):
             for s in stmts:

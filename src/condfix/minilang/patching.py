@@ -3,17 +3,26 @@
 Applying a patch produces a new program; every location other than the
 patched one is preserved, which keeps diff-style reporting stable. A
 statement wrapped by a new precondition keeps executing under the guard
-and is re-addressed at a fresh location past the current maximum.
+and is re-addressed at a fresh location past the current maximum. The new
+program records its base and the patch as ``origin``, which lets
+``shadow_merge`` run two one-patch children of one base as one program.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from ..errors import KindMismatchError, PatchScopeError, ResolutionError
-from .ast import Expr, IfStmt, Program, StatementKind
+from .ast import (
+    Binary, BoolLit, Expr, IfStmt, Program, StatementKind, Stmt, ThrowStmt, WhileStmt,
+)
 from .parser import resolve_expr
 from .printer import render_expr
+
+# Thrown by a shadow_merge check; no MiniLang source can name it.
+DECISIONS_DIFFER = "$DecisionsDiffer"
 
 
 class PatchKind(enum.Enum):
@@ -66,22 +75,86 @@ def apply_patch(program: Program, patch: Patch) -> Program:
         stmt.cond = patch.expression
     else:
         fresh = patched.max_location() + 1
-        _wrap_statement(patched, patch.location, patch.expression, fresh)
+
+        def wrap(stmt: Stmt) -> List[Stmt]:
+            stmt.loc = fresh
+            return [IfStmt(cond=patch.expression, then_body=[stmt], loc=patch.location)]
+
+        _replace_statement(patched, patch.location, wrap)
     patched.reindex()
+    patched.origin = (program, patch)
     return patched
 
 
-def _wrap_statement(program: Program, loc: int, guard: Expr, fresh_loc: int) -> None:
-    def rewrite(stmts) -> bool:
+def shadow_merge(program_a: Program, program_b: Program) -> Optional[Program]:
+    """One program that runs like ``program_a`` and throws DECISIONS_DIFFER
+    wherever ``program_b`` would decide differently; None unless both are
+    one-patch children of the same base object.
+
+    A side's decision at a patched location is its patch expression if it
+    patched there, else the base condition of an if and ``true`` for a
+    plain statement. Just before each location either side patched, the
+    merged program checks ``if (<a's decision> != <b's decision>)``. A
+    statement only ``program_b`` guards is also wrapped in ``if (true)``,
+    so that its declarations go out of scope and its closures nest as in
+    ``program_b``.
+
+    Expressions are pure, and each check runs in the state of the decision
+    after it, so while no check throws both sides take the merged run's
+    path. Every statement and expression either side evaluates, the merged
+    run evaluates too, at a closure nesting at least as deep: its steps and
+    per-call frame reservation are at least each side's. A merged run that
+    returns a value therefore shows that both sides return it within the
+    same step budget and call depth.
+    """
+    if program_a.origin is None or program_b.origin is None:
+        return None
+    base, patch_a = program_a.origin
+    base_b, patch_b = program_b.origin
+    if base is not base_b:
+        return None
+
+    def decision(patch: Patch, loc: int) -> Expr:
+        if patch.location == loc:
+            return patch.expression
+        stmt = base.statement_at(loc)
+        return stmt.cond if isinstance(stmt, IfStmt) else BoolLit(True)
+
+    merged = program_a.clone()
+    fresh = itertools.count(merged.max_location() + 1)
+    for loc in sorted({patch_a.location, patch_b.location}):
+        check = IfStmt(
+            cond=Binary("!=", decision(patch_a, loc), decision(patch_b, loc)),
+            then_body=[ThrowStmt(DECISIONS_DIFFER, loc=next(fresh))],
+            loc=next(fresh),
+        )
+        mirror = (patch_b.kind is PatchKind.PRECONDITION_ADDITION
+                  and patch_b.location == loc != patch_a.location)
+
+        def insert(stmt: Stmt) -> List[Stmt]:
+            if mirror:
+                stmt = IfStmt(cond=BoolLit(True), then_body=[stmt], loc=next(fresh))
+            return [check, stmt]
+
+        _replace_statement(merged, loc, insert)
+    merged.reindex()
+    return merged
+
+
+def _replace_statement(
+    program: Program, loc: int, replace: Callable[[Stmt], List[Stmt]]
+) -> None:
+    """Splice ``replace(stmt)`` into its block in place of the statement at
+    ``loc``."""
+    def rewrite(stmts: List[Stmt]) -> bool:
         for i, s in enumerate(stmts):
             if s.loc == loc:
-                s.loc = fresh_loc
-                stmts[i] = IfStmt(cond=guard, then_body=[s], else_body=[], loc=loc)
+                stmts[i:i + 1] = replace(s)
                 return True
             if isinstance(s, IfStmt):
                 if rewrite(s.then_body) or rewrite(s.else_body):
                     return True
-            elif hasattr(s, "body"):
+            elif isinstance(s, WhileStmt):
                 if rewrite(s.body):
                     return True
         return False

@@ -23,6 +23,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from condfix import angelic, corpus, testkit, trace
 from condfix.corpus import (
     builtin_seeded_bundles, default_corpus_dir, load_corpus, run_harness,
@@ -97,7 +99,8 @@ def test_harness_executions_match_the_golden_digest():
     expected = json.loads(DIGEST_PATH.read_text())
     assert len(expected) == 18
     moved = [line for line, changed in _comparison(expected, compute_digest()) if changed]
-    assert not moved, "moved digest entries (old -> new):\n" + "\n".join(moved)
+    if moved:
+        pytest.fail("moved digest entries (old -> new):\n" + "\n".join(moved), pytrace=False)
 
 
 def _counts(entry) -> str:
