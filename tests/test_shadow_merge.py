@@ -11,8 +11,8 @@ import pytest
 
 from condfix.corpus import GridSpec, _FLIPS, check_equivalence, default_corpus_dir, load_bundle
 from condfix.minilang import (
-    Binary, Patch, PatchKind, Unary, apply_patch, execute, parse_expression,
-    parse_program, shadow_merge,
+    DEFAULT_STEP_BUDGET, Binary, Patch, PatchKind, Unary, apply_patch, execute,
+    parse_expression, parse_program, shadow_merge,
 )
 from condfix.minilang.patching import DECISIONS_DIFFER
 from condfix.pipeline import repair
@@ -25,7 +25,7 @@ CONDITION = PatchKind.CONDITION_UPDATE
 PRECONDITION = PatchKind.PRECONDITION_ADDITION
 
 
-def verdict(a, b, entry, grid, step_budget=1_000_000) -> bool:
+def verdict(a, b, entry, grid, step_budget=DEFAULT_STEP_BUDGET) -> bool:
     """The verdict of both paths, which must agree."""
     merged = check_equivalence(a, b, entry, grid, step_budget)
     assert merged == check_equivalence(a.clone(), b.clone(), entry, grid, step_budget)
