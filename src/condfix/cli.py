@@ -6,7 +6,8 @@
 ``repair`` prints a unified diff for a found patch plus a JSON report
 (optionally written to a file) and exits 0 when patched, 1 when not,
 2 on usage or input errors. ``bench`` runs the harness over a bundle
-directory and writes the CSV reports.
+directory and writes the CSV reports; a bundle that does not load gets a
+``bundle-error`` row, the others still run, and the exit code is 2.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import default_corpus_dir, load_corpus, run_harness
-from .errors import CondfixError
+from .corpus import bundle_dirs, bundle_error_row, default_corpus_dir, load_bundle, run_harness
+from .errors import BundleError, CondfixError
 from .minilang import DEFAULT_STEP_BUDGET, parse_program
 from .pipeline import RepairConfig, render_patch_diff, repair
 from .synth import MAX_LEVEL
@@ -73,11 +74,20 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     corpus_dir = Path(args.corpus) if args.corpus else default_corpus_dir()
-    bundles = load_corpus(corpus_dir)
-    if not bundles:
+    directories = bundle_dirs(corpus_dir)
+    if not directories:
         print(f"no bundles found under {corpus_dir}", file=sys.stderr)
         return EXIT_USAGE
+    # A bundle that does not load gets an error row; the others still run.
+    bundles, unloadable = [], []
+    for directory in directories:
+        try:
+            bundles.append(load_bundle(directory))
+        except BundleError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            unloadable.append(bundle_error_row(directory.name, exc))
     report = run_harness(bundles, _config_from(args))
+    report.rows += unloadable
     out = Path(args.out)
     out.write_text(report.to_csv())
     effort_path = out.with_name(out.stem + "_effort" + out.suffix)
@@ -86,6 +96,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         marker = "ok" if row.expected_match else "UNEXPECTED"
         print(f"{row.id}: {row.outcome} ({row.reason or row.expression}) [{marker}]")
     print(f"wrote {out} and {effort_path}")
+    if unloadable:
+        return EXIT_USAGE
     return EXIT_PATCHED if report.all_expected() else EXIT_NO_PATCH
 
 

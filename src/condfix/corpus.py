@@ -217,13 +217,16 @@ def write_bundle(bundle: BugBundle, directory: Path) -> None:
     (directory / "meta.txt").write_text("\n".join(meta_lines) + "\n")
 
 
+def bundle_dirs(root: Path) -> List[Path]:
+    """The bundle directories under ``root``, in name order."""
+    return [
+        child for child in sorted(Path(root).iterdir())
+        if child.is_dir() and (child / "program.ml").exists()
+    ]
+
+
 def load_corpus(root: Path) -> List[BugBundle]:
-    root = Path(root)
-    bundles = []
-    for child in sorted(root.iterdir()):
-        if child.is_dir() and (child / "program.ml").exists():
-            bundles.append(load_bundle(child))
-    return bundles
+    return [load_bundle(child) for child in bundle_dirs(root)]
 
 
 def default_corpus_dir() -> Path:
@@ -297,7 +300,7 @@ class BundleRow:
     reason: Optional[str]
     level: Optional[int]
     patched_location: Optional[int]
-    human_location: int
+    human_location: Optional[int]
     same_location: Optional[bool]
     expression: Optional[str]
     grid_equivalent: Optional[bool]
@@ -312,7 +315,7 @@ class BundleRow:
             self.id, self.expected, self.outcome, self.reason or "",
             "" if self.level is None else str(self.level),
             "" if self.patched_location is None else str(self.patched_location),
-            str(self.human_location),
+            "" if self.human_location is None else str(self.human_location),
             "" if self.same_location is None else str(self.same_location).lower(),
             self.expression or "",
             "" if self.grid_equivalent is None else str(self.grid_equivalent).lower(),
@@ -384,16 +387,27 @@ def run_harness(bundles: Sequence[BugBundle], config: Optional[RepairConfig] = N
         try:
             rows.append(_run_bundle(bundle, config))
         except BundleError as exc:
-            rows.append(
-                BundleRow(
-                    id=bundle.id, expected=bundle.expected, outcome="bundle-error",
-                    reason=str(exc), level=None, patched_location=None,
-                    human_location=bundle.human.location, same_location=None,
-                    expression=None, grid_equivalent=None, expected_match=False,
-                    human_kind=bundle.human.kind.value,
-                )
-            )
+            rows.append(bundle_error_row(
+                bundle.id, exc, bundle.expected, bundle.human.location, bundle.human.kind.value,
+            ))
     return HarnessReport(rows)
+
+
+def bundle_error_row(
+    bundle_id: str,
+    error: BundleError,
+    expected: str = "",
+    human_location: Optional[int] = None,
+    human_kind: str = "",
+) -> BundleRow:
+    """The row of a bundle that failed its self-check, or (with the
+    defaults) of a bundle directory that did not load."""
+    return BundleRow(
+        id=bundle_id, expected=expected, outcome="bundle-error", reason=str(error),
+        level=None, patched_location=None, human_location=human_location,
+        same_location=None, expression=None, grid_equivalent=None,
+        expected_match=False, human_kind=human_kind,
+    )
 
 
 def _run_bundle(bundle: BugBundle, config: RepairConfig) -> BundleRow:
@@ -491,9 +505,7 @@ def seed_condition_bugs(
             continue
         original = stmt.cond
         for mutant_expr in _condition_mutants(original):
-            mutated = program.clone()
-            mutated.statement_at(loc).cond = mutant_expr
-            mutated.reindex()
+            mutated = apply_patch(program, Patch(PatchKind.CONDITION_UPDATE, loc, mutant_expr))
             baseline = run_suite(mutated, suite, step_budget=config.step_budget)
             if not baseline.failing or not baseline.passing:
                 continue

@@ -1,8 +1,10 @@
 """AST for MiniLang programs.
 
 Statements carry stable integer locations, assigned in source order during
-parsing. A Program is immutable after parsing; patching clones it. Code that
-does edit a program in place must end with ``reindex()``, which rebuilds the
+parsing. No code edits a statement once a program is parsed, and programs
+made by patching share statements with their base (see ``patching``). An
+in-place edit is therefore only for a program that shares nothing, a fresh
+parse or a ``clone()``, and must end with ``reindex()``, which rebuilds the
 location index and drops the interpreter's compiled closures and the record
 of the patch that made the program.
 """
@@ -225,6 +227,8 @@ class Program:
         return max(self._index) if self._index else 0
 
     def clone(self) -> "Program":
+        """A fully independent deep copy that shares no statement with this
+        program; only tests call it."""
         cloned = Program(
             consts=copy.deepcopy(self.consts),
             functions=copy.deepcopy(self.functions),

@@ -1,17 +1,24 @@
 """Patches: condition updates and precondition additions.
 
-Applying a patch produces a new program; every location other than the
-patched one is preserved, which keeps diff-style reporting stable. A
-statement wrapped by a new precondition keeps executing under the guard
+Applying a patch produces a new program and leaves its input as it was;
+every location other than the patched one is preserved, which keeps
+diff-style reporting stable. The new program copies only the statements
+that enclose the patched location, and their function; every other
+statement, every expression and ``consts`` are shared with the input
+(path copying, after Driscoll, Sarnak, Sleator & Tarjan, "Making data
+structures persistent", JCSS 1989). This is sound because no code edits a
+statement once a program is parsed.
+
+A statement wrapped by a new precondition keeps executing under the guard
 and is re-addressed at a fresh location past the current maximum. The new
 program records its base and the patch as ``origin``, which lets
 ``shadow_merge`` run two one-patch children of one base as one program.
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..errors import KindMismatchError, PatchScopeError, ResolutionError
@@ -35,7 +42,7 @@ class PatchKind(enum.Enum):
         return StatementKind.IF if self is PatchKind.CONDITION_UPDATE else StatementKind.PLAIN
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Patch:
     kind: PatchKind
     location: int
@@ -69,19 +76,17 @@ def apply_patch(program: Program, patch: Patch) -> Program:
     except ResolutionError as exc:
         raise PatchScopeError(str(exc)) from exc
 
-    patched = program.clone()
     if patch.kind == PatchKind.CONDITION_UPDATE:
-        stmt = patched.statement_at(patch.location)
-        stmt.cond = patch.expression
+        def edit(stmt: Stmt) -> List[Stmt]:
+            return [dataclasses.replace(stmt, cond=patch.expression)]
     else:
-        fresh = patched.max_location() + 1
+        fresh = program.max_location() + 1
 
-        def wrap(stmt: Stmt) -> List[Stmt]:
-            stmt.loc = fresh
-            return [IfStmt(cond=patch.expression, then_body=[stmt], loc=patch.location)]
+        def edit(stmt: Stmt) -> List[Stmt]:
+            moved = dataclasses.replace(stmt, loc=fresh)
+            return [IfStmt(cond=patch.expression, then_body=[moved], loc=patch.location)]
 
-        _replace_statement(patched, patch.location, wrap)
-    patched.reindex()
+    patched = _replace_statement(program, patch.location, edit)
     patched.origin = (program, patch)
     return patched
 
@@ -120,8 +125,8 @@ def shadow_merge(program_a: Program, program_b: Program) -> Optional[Program]:
         stmt = base.statement_at(loc)
         return stmt.cond if isinstance(stmt, IfStmt) else BoolLit(True)
 
-    merged = program_a.clone()
-    fresh = itertools.count(merged.max_location() + 1)
+    merged = program_a
+    fresh = itertools.count(program_a.max_location() + 1)
     for loc in sorted({patch_a.location, patch_b.location}):
         check = IfStmt(
             cond=Binary("!=", decision(patch_a, loc), decision(patch_b, loc)),
@@ -136,30 +141,37 @@ def shadow_merge(program_a: Program, program_b: Program) -> Optional[Program]:
                 stmt = IfStmt(cond=BoolLit(True), then_body=[stmt], loc=next(fresh))
             return [check, stmt]
 
-        _replace_statement(merged, loc, insert)
-    merged.reindex()
+        merged = _replace_statement(merged, loc, insert)
     return merged
 
 
 def _replace_statement(
     program: Program, loc: int, replace: Callable[[Stmt], List[Stmt]]
-) -> None:
-    """Splice ``replace(stmt)`` into its block in place of the statement at
-    ``loc``."""
-    def rewrite(stmts: List[Stmt]) -> bool:
+) -> Program:
+    """A new program with ``replace(stmt)`` in place of the statement at
+    ``loc`` in its block.
+
+    Only the statements that enclose ``loc`` and its function are copied
+    (path copying); every other statement, every expression and ``consts``
+    are shared with ``program``, which is left as it was.
+    """
+    def rewrite(stmts: List[Stmt]) -> Optional[List[Stmt]]:
         for i, s in enumerate(stmts):
             if s.loc == loc:
-                stmts[i:i + 1] = replace(s)
-                return True
-            if isinstance(s, IfStmt):
-                if rewrite(s.then_body) or rewrite(s.else_body):
-                    return True
-            elif isinstance(s, WhileStmt):
-                if rewrite(s.body):
-                    return True
-        return False
+                return stmts[:i] + replace(s) + stmts[i + 1:]
+            for name in _BLOCKS.get(type(s), ()):
+                block = rewrite(getattr(s, name))
+                if block is not None:
+                    return stmts[:i] + [dataclasses.replace(s, **{name: block})] + stmts[i + 1:]
+        return None
 
-    for fn in program.functions.values():
-        if rewrite(fn.body):
-            return
-    raise KeyError(f"unknown location {loc}")
+    fn = program.functions[program.function_of(loc)]
+    functions = dict(program.functions)
+    functions[fn.name] = dataclasses.replace(fn, body=rewrite(fn.body))
+    result = Program(consts=program.consts, functions=functions, registry=program.registry)
+    result.reindex()
+    return result
+
+
+# The statement blocks of each statement type that has any.
+_BLOCKS = {IfStmt: ("then_body", "else_body"), WhileStmt: ("body",)}

@@ -1,4 +1,5 @@
 """CLI surface: repair and bench subcommands, exit codes, artifacts."""
+import csv
 import json
 from pathlib import Path
 
@@ -108,3 +109,22 @@ class TestBenchCommand:
         ])
         assert code == EXIT_USAGE
         assert "error: bundle cm5: bad expr 'u == || v'" in capsys.readouterr().err
+
+    def test_bench_runs_the_bundles_that_load_beside_one_that_does_not(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        for name in ("cm1", "cm5"):
+            write_bundle(load_bundle(default_corpus_dir() / name), corpus / name)
+        patch_file = corpus / "cm5" / "human_patch.txt"
+        patch_file.write_text(patch_file.read_text().replace("location: 1", "location: one"))
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--corpus", str(corpus), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "error: bundle cm5: bad location 'one'" in capsys.readouterr().err
+        cm1, cm5 = csv.DictReader(out.read_text().splitlines())
+        assert cm1["id"] == "cm1" and cm1["outcome"] == "patched"
+        assert cm1["human_location"] == "3"
+        assert cm5["id"] == "cm5" and cm5["outcome"] == "bundle-error"
+        assert cm5["human_location"] == "" and cm5["expected_match"] == "false"
+        assert cm5["reason"].startswith("bundle cm5: bad location 'one'")
+        effort = (tmp_path / "r_effort.csv").read_text()
+        assert effort.splitlines()[0] == "metric,condition-update_average,condition-update_median"
