@@ -151,9 +151,9 @@ def _replace_statement(
     """A new program with ``replace(stmt)`` in place of the statement at
     ``loc`` in its block.
 
-    Only the statements that enclose ``loc`` and its function are copied
-    (path copying); every other statement, every expression and ``consts``
-    are shared with ``program``, which is left as it was.
+    Only the function that holds ``loc`` and the statements that enclose
+    it are copied (path copying); every other statement, every expression
+    and ``consts`` are shared with ``program``, which is left as it was.
     """
     def rewrite(stmts: List[Stmt]) -> Optional[List[Stmt]]:
         for i, s in enumerate(stmts):

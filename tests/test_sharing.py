@@ -9,6 +9,7 @@ its patched children and their merge, interleaved over two threads, equal
 lone runs of programs built from fresh parses.
 """
 import dataclasses
+import sys
 import threading
 
 import pytest
@@ -158,10 +159,16 @@ def interleaved_runs(programs, entry, args):
     order = list(range(len(programs)))
     threads = [threading.Thread(target=work, args=(0, order)),
                threading.Thread(target=work, args=(1, order[::-1]))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-run
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert outcomes[0] == outcomes[1]
     return outcomes[0]
 
