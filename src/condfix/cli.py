@@ -78,7 +78,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not directories:
         print(f"no bundles found under {corpus_dir}", file=sys.stderr)
         return EXIT_USAGE
-    # A bundle that does not load gets an error row; the others still run.
     bundles, unloadable = [], []
     for directory in directories:
         try:
