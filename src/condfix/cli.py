@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .corpus import bundle_dirs, bundle_error_row, default_corpus_dir, load_bundle, run_harness
 from .errors import BundleError, CondfixError
-from .minilang import DEFAULT_STEP_BUDGET, parse_program
+from .faultloc import METRICS
+from .minilang import parse_program
 from .pipeline import RepairConfig, render_patch_diff, repair
-from .synth import MAX_LEVEL
 from .testkit import parse_suite
 
 EXIT_PATCHED = 0
@@ -29,14 +29,22 @@ EXIT_USAGE = 2
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", default="both", choices=["condition", "precondition", "both"])
-    parser.add_argument("--metric", default="ochiai")
-    parser.add_argument("--timeout", type=float, default=300.0, help="global timeout in seconds")
-    parser.add_argument("--level-timeout", type=float, default=60.0, help="per-level solver timeout")
-    parser.add_argument("--max-level", type=int, default=MAX_LEVEL)
-    parser.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET)
+    defaults = RepairConfig()
     parser.add_argument(
-        "--solver-cmd", default=None,
+        "--mode", default=defaults.mode, choices=["condition", "precondition", "both"],
+    )
+    parser.add_argument("--metric", default=defaults.metric, choices=sorted(METRICS))
+    parser.add_argument(
+        "--timeout", type=float, default=defaults.global_timeout, help="global timeout in seconds",
+    )
+    parser.add_argument(
+        "--level-timeout", type=float, default=defaults.level_timeout,
+        help="per-level solver timeout",
+    )
+    parser.add_argument("--max-level", type=int, default=defaults.max_level)
+    parser.add_argument("--step-budget", type=int, default=defaults.step_budget)
+    parser.add_argument(
+        "--solver-cmd", default=defaults.solver_cmd,
         help="external SMT-LIB2 solver command; omit to use the built-in backend",
     )
 

@@ -163,12 +163,21 @@ def _expression_text(text: str) -> str:
     return text
 
 
+def _read(directory: Path, name: str) -> str:
+    """The text of one bundle file; a file that cannot be read is a
+    BundleError."""
+    try:
+        return (directory / name).read_text()
+    except OSError as exc:
+        raise BundleError(f"bundle {directory.name}: cannot read {name}: {exc.strerror}") from None
+
+
 def load_bundle(directory: Path) -> BugBundle:
     directory = Path(directory)
-    program_text = (directory / "program.ml").read_text()
-    suite_text = (directory / "suite.txt").read_text()
-    patch_kv = _parse_kv((directory / "human_patch.txt").read_text(), "human_patch")
-    meta = _parse_kv((directory / "meta.txt").read_text(), "meta")
+    program_text = _read(directory, "program.ml")
+    suite_text = _read(directory, "suite.txt")
+    patch_kv = _parse_kv(_read(directory, "human_patch.txt"), "human_patch")
+    meta = _parse_kv(_read(directory, "meta.txt"), "meta")
 
     human = HumanPatch(
         _field(directory, patch_kv, "kind", PatchKind),

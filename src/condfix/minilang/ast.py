@@ -1,16 +1,15 @@
 """AST for MiniLang programs.
 
 Statements carry stable integer locations, assigned in source order during
-parsing. No code edits a statement once a program is parsed, and programs
-made by patching share statements with their base (see ``patching``). An
-in-place edit is therefore only for a program that shares nothing, a fresh
-parse or a ``clone()``, and must end with ``reindex()``, which rebuilds the
-location index and drops the interpreter's compiled closures and the record
-of the patch that made the program.
+parsing. Every node is a frozen dataclass and every block a tuple, so no
+node changes once built: programs made by patching share statements with
+their base (see ``patching``), and a program's lowered closures (see
+``interp``) stay valid for as long as the program lives. A ``Program``
+indexes its statements, the function of each and the scope at each in one
+walk when it is built.
 """
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -82,7 +81,10 @@ class Stmt:
     loc: int
 
 
-@dataclass
+Block = Tuple[Stmt, ...]
+
+
+@dataclass(frozen=True)
 class LetStmt(Stmt):
     name: str
     type: str
@@ -90,68 +92,72 @@ class LetStmt(Stmt):
     loc: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignStmt(Stmt):
     name: str
     value: Expr
     loc: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class IfStmt(Stmt):
     cond: Expr
-    then_body: List[Stmt] = field(default_factory=list)
-    else_body: List[Stmt] = field(default_factory=list)
+    then_body: Block = ()
+    else_body: Block = ()
     loc: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class WhileStmt(Stmt):
     cond: Expr
-    body: List[Stmt] = field(default_factory=list)
+    body: Block = ()
     loc: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReturnStmt(Stmt):
     value: Expr
     loc: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThrowStmt(Stmt):
     error: str
     loc: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallStmt(Stmt):
     call: CallExpr
     loc: int = 0
 
 
+# The blocks of each statement type that has any.
+BLOCKS = {IfStmt: ("then_body", "else_body"), WhileStmt: ("body",)}
+
+
 # --- declarations ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Param:
     name: str
     type: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstDef:
     name: str
     type: str
     value: Value
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionDef:
     name: str
-    params: List[Param]
+    params: Tuple[Param, ...]
     return_type: str
-    body: List[Stmt]
+    body: Block
 
 
 class StatementKind(enum.Enum):
@@ -173,8 +179,6 @@ class Program:
     consts: Dict[str, ConstDef]
     functions: Dict[str, FunctionDef]
     registry: object  # StateQueryRegistry
-    _index: Dict[int, Stmt] = field(default_factory=dict, repr=False)
-    _owner: Dict[int, str] = field(default_factory=dict, repr=False)
     # Function name -> closure, built by the interpreter on first execution.
     compiled: Optional[Dict[str, Callable]] = field(
         default=None, init=False, repr=False, compare=False
@@ -184,28 +188,29 @@ class Program:
         default=None, init=False, repr=False, compare=False
     )
 
-    def reindex(self) -> None:
-        """Rebuild the location index and drop the compiled closures and the
-        origin; call after any in-place edit."""
-        self._index = {}
-        self._owner = {}
-        self.compiled = None
-        self.origin = None
+    def __post_init__(self) -> None:
+        # Location -> statement, its function's name, and the names visible
+        # at it mapped to declared types: the function's parameters plus the
+        # locals declared earlier in the enclosing block chain. Global
+        # constants are tracked separately in ``consts``.
+        self._index: Dict[int, Stmt] = {}
+        self._owner: Dict[int, str] = {}
+        self._scope: Dict[int, Dict[str, str]] = {}
 
-        def walk(stmts, fn_name):
+        def walk(stmts: Block, fn_name: str, scope: Dict[str, str]) -> None:
             for s in stmts:
                 if s.loc in self._index:
                     raise ValueError(f"duplicate location {s.loc}")
                 self._index[s.loc] = s
                 self._owner[s.loc] = fn_name
-                if isinstance(s, IfStmt):
-                    walk(s.then_body, fn_name)
-                    walk(s.else_body, fn_name)
-                elif isinstance(s, WhileStmt):
-                    walk(s.body, fn_name)
+                self._scope[s.loc] = scope
+                for name in BLOCKS.get(type(s), ()):
+                    walk(getattr(s, name), fn_name, scope)
+                if isinstance(s, LetStmt):
+                    scope = {**scope, s.name: s.type}
 
         for fn in self.functions.values():
-            walk(fn.body, fn.name)
+            walk(fn.body, fn.name, {p.name: p.type for p in fn.params})
 
     def locations(self) -> List[int]:
         return sorted(self._index)
@@ -226,47 +231,9 @@ class Program:
     def max_location(self) -> int:
         return max(self._index) if self._index else 0
 
-    def clone(self) -> "Program":
-        """A fully independent deep copy that shares no statement with this
-        program; only tests call it."""
-        cloned = Program(
-            consts=copy.deepcopy(self.consts),
-            functions=copy.deepcopy(self.functions),
-            registry=self.registry,
-        )
-        cloned.reindex()
-        return cloned
-
     def scope_at(self, loc: int) -> Dict[str, str]:
-        """Names visible at a statement, mapped to declared types.
-
-        Visibility: function parameters, plus locals declared earlier in the
-        enclosing block chain. Global constants are tracked separately in
-        ``consts``.
-        """
-        fn = self.functions[self.function_of(loc)]
-        scope: Dict[str, str] = {p.name: p.type for p in fn.params}
-
-        def search(stmts, outer) -> Optional[Dict[str, str]]:
-            seen = dict(outer)
-            for s in stmts:
-                if s.loc == loc:
-                    return seen
-                if isinstance(s, IfStmt):
-                    hit = search(s.then_body, seen)
-                    if hit is None:
-                        hit = search(s.else_body, seen)
-                    if hit is not None:
-                        return hit
-                elif isinstance(s, WhileStmt):
-                    hit = search(s.body, seen)
-                    if hit is not None:
-                        return hit
-                elif isinstance(s, LetStmt):
-                    seen[s.name] = s.type
-            return None
-
-        found = search(fn.body, scope)
-        if found is None:
-            raise KeyError(f"location {loc} not found in function {fn.name}")
-        return found
+        """A new dict of the names visible at a statement, mapped to their
+        declared types."""
+        if loc not in self._scope:
+            raise KeyError(f"unknown location {loc}")
+        return dict(self._scope[loc])

@@ -1,11 +1,12 @@
 """Instrumentable interpreter that lowers MiniLang to Python closures.
 
 Each function body is lowered once per Program into nested closures
-(Feeley & Lapalme, "Using closures for code generation", 1987), cached on
-the Program and dropped by ``Program.reindex()``. The closures hold no
-per-run state: each receives the run's context (controls, step counter,
-call depth, collected hits, condition values and snapshots) and the
-current call frame, so runs of one program never share state.
+(Feeley & Lapalme, "Using closures for code generation", 1987) and cached
+on the Program; its statements are frozen (see ``ast``), so the closures
+never go stale. The closures hold no per-run state: each receives the
+run's context (controls, step counter, call depth, collected hits,
+condition values and snapshots) and the current call frame, so runs of
+one program never share state.
 
 Supports three execution controls: forcing condition outcomes, skipping
 plain statements, and probe-based state capture. Runtime failures (null
@@ -245,7 +246,7 @@ class _Lowering:
 
     # -- statements --
 
-    def block(self, stmts: List[Stmt], scoped: bool = True) -> Compiled:
+    def block(self, stmts: Sequence[Stmt], scoped: bool = True) -> Compiled:
         """Enter each statement: one step and, except for a loop, which
         records each of its condition checks, one hit. Skipped statements
         cost nothing."""
@@ -528,7 +529,7 @@ class _Lowering:
 # closure each, a return is its expression, and an if or while condition
 # adds one closure around its expression.
 
-def _block_nesting(stmts: List[Stmt]) -> int:
+def _block_nesting(stmts: Sequence[Stmt]) -> int:
     return 1 + max(map(_stmt_nesting, stmts)) if stmts else 0
 
 

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import MiniLangSyntaxError, ResolutionError
 from .ast import (
-    AssignStmt, Binary, BoolLit, CallExpr, CallStmt, ConstDef, Expr,
+    AssignStmt, Binary, Block, BoolLit, CallExpr, CallStmt, ConstDef, Expr,
     FunctionDef, IfStmt, IntLit, LetStmt, MethodCall, NullLit, Param,
     Program, RealLit, ReturnStmt, Stmt, ThrowStmt, Unary, VarRef, WhileStmt,
 )
@@ -104,7 +104,7 @@ class _Parser:
         self.expect("op", "->")
         ret = self.parse_type()
         body = self.parse_block()
-        return FunctionDef(name, params, ret, body)
+        return FunctionDef(name, tuple(params), ret, body)
 
     def parse_type(self) -> str:
         tok = self.peek()
@@ -114,12 +114,12 @@ class _Parser:
             return self.advance().text
         self.error("expected a type (bool, int, real, or a class name)")
 
-    def parse_block(self) -> List[Stmt]:
+    def parse_block(self) -> Block:
         self.expect("op", "{")
         stmts: List[Stmt] = []
         while not self.accept("op", "}"):
             stmts.append(self.parse_statement())
-        return stmts
+        return tuple(stmts)
 
     def parse_statement(self) -> Stmt:
         tok = self.peek()
@@ -141,10 +141,10 @@ class _Parser:
                 cond = self.parse_expression()
                 self.expect("op", ")")
                 then_body = self.parse_block()
-                else_body: List[Stmt] = []
+                else_body: Block = ()
                 if self.accept("keyword", "else"):
                     if self.peek().kind == "keyword" and self.peek().text == "if":
-                        else_body = [self.parse_statement()]
+                        else_body = (self.parse_statement(),)
                     else:
                         else_body = self.parse_block()
                 return IfStmt(cond, then_body, else_body, loc)
@@ -297,7 +297,6 @@ def parse_program(text: str, registry: Optional[StateQueryRegistry] = None) -> P
     parser = _Parser(tokenize(text))
     consts, functions = parser.parse_program()
     program = Program(consts=consts, functions=functions, registry=registry)
-    program.reindex()
     _resolve(program)
     return program
 
@@ -381,39 +380,27 @@ def resolve_expr(expr: Expr, scope: Dict[str, str], program: Program) -> None:
 
 
 def _resolve(program: Program) -> None:
+    """Check each function's parameters, then each of its statements
+    against the scope recorded at it, in location order: source order, so
+    the first error in the text is the one raised."""
+    locations: Dict[str, List[int]] = {}
+    for loc in program.locations():
+        locations.setdefault(program.function_of(loc), []).append(loc)
     for fn in program.functions.values():
         seen = set()
         for p in fn.params:
             if p.name in seen:
                 raise ResolutionError(f"duplicate parameter {p.name!r} in {fn.name!r}")
             seen.add(p.name)
-
-        def walk_block(stmts, scope: Dict[str, str]) -> None:
-            local = dict(scope)
-            for s in stmts:
-                if isinstance(s, LetStmt):
-                    resolve_expr(s.value, local, program)
-                    if s.name in local:
-                        raise ResolutionError(
-                            f"duplicate declaration of {s.name!r} in {fn.name!r}"
-                        )
-                    local[s.name] = s.type
-                elif isinstance(s, AssignStmt):
-                    resolve_expr(s.value, local, program)
-                    if s.name not in local:
-                        raise ResolutionError(
-                            f"assignment to undeclared variable {s.name!r}"
-                        )
-                elif isinstance(s, IfStmt):
-                    resolve_expr(s.cond, local, program)
-                    walk_block(s.then_body, local)
-                    walk_block(s.else_body, local)
-                elif isinstance(s, WhileStmt):
-                    resolve_expr(s.cond, local, program)
-                    walk_block(s.body, local)
-                elif isinstance(s, ReturnStmt):
-                    resolve_expr(s.value, local, program)
-                elif isinstance(s, CallStmt):
-                    resolve_expr(s.call, local, program)
-
-        walk_block(fn.body, {p.name: p.type for p in fn.params})
+        for loc in locations.get(fn.name, ()):
+            s, scope = program.statement_at(loc), program.scope_at(loc)
+            if isinstance(s, (IfStmt, WhileStmt)):
+                resolve_expr(s.cond, scope, program)
+            elif isinstance(s, CallStmt):
+                resolve_expr(s.call, scope, program)
+            elif not isinstance(s, ThrowStmt):
+                resolve_expr(s.value, scope, program)
+            if isinstance(s, LetStmt) and s.name in scope:
+                raise ResolutionError(f"duplicate declaration of {s.name!r} in {fn.name!r}")
+            if isinstance(s, AssignStmt) and s.name not in scope:
+                raise ResolutionError(f"assignment to undeclared variable {s.name!r}")

@@ -6,8 +6,9 @@ diff-style reporting stable. The new program copies only the statements
 that enclose the patched location, and their function; every other
 statement, every expression and ``consts`` are shared with the input
 (path copying, after Driscoll, Sarnak, Sleator & Tarjan, "Making data
-structures persistent", JCSS 1989). This is sound because no code edits a
-statement once a program is parsed.
+structures persistent", JCSS 1989). This is sound because statements are
+frozen and blocks are tuples (see ``ast``): nothing a program shares can
+change under it.
 
 A statement wrapped by a new precondition keeps executing under the guard
 and is re-addressed at a fresh location past the current maximum. The new
@@ -19,11 +20,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..errors import KindMismatchError, PatchScopeError, ResolutionError
 from .ast import (
-    Binary, BoolLit, Expr, IfStmt, Program, StatementKind, Stmt, ThrowStmt, WhileStmt,
+    BLOCKS, Binary, Block, BoolLit, Expr, IfStmt, Program, StatementKind, Stmt, ThrowStmt,
 )
 from .parser import resolve_expr
 from .printer import render_expr
@@ -77,14 +78,14 @@ def apply_patch(program: Program, patch: Patch) -> Program:
         raise PatchScopeError(str(exc)) from exc
 
     if patch.kind == PatchKind.CONDITION_UPDATE:
-        def edit(stmt: Stmt) -> List[Stmt]:
-            return [dataclasses.replace(stmt, cond=patch.expression)]
+        def edit(stmt: Stmt) -> Block:
+            return (dataclasses.replace(stmt, cond=patch.expression),)
     else:
         fresh = program.max_location() + 1
 
-        def edit(stmt: Stmt) -> List[Stmt]:
+        def edit(stmt: Stmt) -> Block:
             moved = dataclasses.replace(stmt, loc=fresh)
-            return [IfStmt(cond=patch.expression, then_body=[moved], loc=patch.location)]
+            return (IfStmt(cond=patch.expression, then_body=(moved,), loc=patch.location),)
 
     patched = _replace_statement(program, patch.location, edit)
     patched.origin = (program, patch)
@@ -130,23 +131,23 @@ def shadow_merge(program_a: Program, program_b: Program) -> Optional[Program]:
     for loc in sorted({patch_a.location, patch_b.location}):
         check = IfStmt(
             cond=Binary("!=", decision(patch_a, loc), decision(patch_b, loc)),
-            then_body=[ThrowStmt(DECISIONS_DIFFER, loc=next(fresh))],
+            then_body=(ThrowStmt(DECISIONS_DIFFER, loc=next(fresh)),),
             loc=next(fresh),
         )
         mirror = (patch_b.kind is PatchKind.PRECONDITION_ADDITION
                   and patch_b.location == loc != patch_a.location)
 
-        def insert(stmt: Stmt) -> List[Stmt]:
+        def insert(stmt: Stmt) -> Block:
             if mirror:
-                stmt = IfStmt(cond=BoolLit(True), then_body=[stmt], loc=next(fresh))
-            return [check, stmt]
+                stmt = IfStmt(cond=BoolLit(True), then_body=(stmt,), loc=next(fresh))
+            return (check, stmt)
 
         merged = _replace_statement(merged, loc, insert)
     return merged
 
 
 def _replace_statement(
-    program: Program, loc: int, replace: Callable[[Stmt], List[Stmt]]
+    program: Program, loc: int, replace: Callable[[Stmt], Block]
 ) -> Program:
     """A new program with ``replace(stmt)`` in place of the statement at
     ``loc`` in its block.
@@ -155,23 +156,17 @@ def _replace_statement(
     it are copied (path copying); every other statement, every expression
     and ``consts`` are shared with ``program``, which is left as it was.
     """
-    def rewrite(stmts: List[Stmt]) -> Optional[List[Stmt]]:
+    def rewrite(stmts: Block) -> Optional[Block]:
         for i, s in enumerate(stmts):
             if s.loc == loc:
                 return stmts[:i] + replace(s) + stmts[i + 1:]
-            for name in _BLOCKS.get(type(s), ()):
+            for name in BLOCKS.get(type(s), ()):
                 block = rewrite(getattr(s, name))
                 if block is not None:
-                    return stmts[:i] + [dataclasses.replace(s, **{name: block})] + stmts[i + 1:]
+                    return stmts[:i] + (dataclasses.replace(s, **{name: block}),) + stmts[i + 1:]
         return None
 
     fn = program.functions[program.function_of(loc)]
     functions = dict(program.functions)
     functions[fn.name] = dataclasses.replace(fn, body=rewrite(fn.body))
-    result = Program(consts=program.consts, functions=functions, registry=program.registry)
-    result.reindex()
-    return result
-
-
-# The statement blocks of each statement type that has any.
-_BLOCKS = {IfStmt: ("then_body", "else_body"), WhileStmt: ("body",)}
+    return Program(consts=program.consts, functions=functions, registry=program.registry)

@@ -8,7 +8,7 @@ parser climbs the same levels.
 """
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from .ast import (
     AssignStmt, Binary, BoolLit, CallExpr, CallStmt, Expr, FunctionDef,
@@ -86,7 +86,7 @@ def _render_function(fn: FunctionDef) -> List[str]:
     return lines
 
 
-def _render_block(stmts: List[Stmt], depth: int) -> List[str]:
+def _render_block(stmts: Sequence[Stmt], depth: int) -> List[str]:
     pad = "  " * depth
     lines: List[str] = []
     for s in stmts:

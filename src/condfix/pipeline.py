@@ -29,7 +29,7 @@ from .angelic import (
     BUDGET_EXHAUSTED, CONDITION, REPAIR_KINDS, angelic_condition, angelic_precondition,
 )
 from .errors import NoFailingTestError
-from .faultloc import build_spectrum, rank
+from .faultloc import METRICS, build_spectrum, rank
 from .minilang import DEFAULT_STEP_BUDGET, Patch, Program, apply_patch, render_program
 from .synth import DEFAULT_NODE_BUDGET, MAX_LEVEL, MIN_LEVEL, decode, encode, solve, to_minilang
 from .synth.internal import SAT, TIMEOUT
@@ -64,6 +64,8 @@ class RepairConfig:
     def __post_init__(self):
         if self.mode not in (*REPAIR_KINDS, "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.metric not in METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}; choose from {sorted(METRICS)}")
         if self.level_timeout <= 0 or self.global_timeout <= 0:
             raise ValueError("timeouts must be positive")
         if not MIN_LEVEL <= self.max_level <= MAX_LEVEL:

@@ -3,6 +3,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from condfix.cli import EXIT_NO_PATCH, EXIT_PATCHED, EXIT_USAGE, main
 from condfix.corpus import default_corpus_dir, load_bundle, write_bundle
 
@@ -69,6 +71,13 @@ class TestRepairCommand:
             assert code == EXIT_USAGE
         assert "max_level" in capsys.readouterr().err
 
+    def test_usage_error_on_unknown_metric(self, tmp_path, capsys):
+        program, suite = write_gcd_inputs(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["repair", "--program", str(program), "--suite", str(suite), "--metric", "nope"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_bench_writes_deterministic_csv(self, tmp_path, capsys):
@@ -128,3 +137,21 @@ class TestBenchCommand:
         assert cm5["reason"].startswith("bundle cm5: bad location 'one'")
         effort = (tmp_path / "r_effort.csv").read_text()
         assert effort.splitlines()[0] == "metric,condition-update_average,condition-update_median"
+
+    @pytest.mark.parametrize("missing", ["suite.txt", "human_patch.txt", "meta.txt"])
+    def test_bench_runs_the_bundles_that_load_beside_one_missing_a_file(
+        self, tmp_path, capsys, missing
+    ):
+        corpus = tmp_path / "corpus"
+        for name in ("cm1", "cm5"):
+            write_bundle(load_bundle(default_corpus_dir() / name), corpus / name)
+        (corpus / "cm5" / missing).unlink()
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--corpus", str(corpus), "--out", str(out)])
+        assert code == EXIT_USAGE
+        error = f"bundle cm5: cannot read {missing}: No such file or directory"
+        assert f"error: {error}" in capsys.readouterr().err
+        cm1, cm5 = csv.DictReader(out.read_text().splitlines())
+        assert cm1["id"] == "cm1" and cm1["outcome"] == "patched"
+        assert cm5["id"] == "cm5" and cm5["outcome"] == "bundle-error"
+        assert cm5["reason"] == error

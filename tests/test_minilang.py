@@ -1,4 +1,5 @@
 """Parser, interpreter, controls, and patching."""
+import dataclasses
 import sys
 import threading
 
@@ -13,6 +14,7 @@ from condfix.minilang import (
     VarRef, apply_patch, execute, parse_expression, parse_program,
     render_expr, render_program,
 )
+from condfix.minilang.ast import BLOCKS
 from condfix.minilang.interp import MAX_CALL_DEPTH
 from conftest import GCD_BUGGY
 
@@ -312,16 +314,21 @@ class TestCallDepth:
 
 
 class TestCompiledCache:
-    def test_reindex_after_in_place_edit_takes_effect(self, gcd_program):
-        assert execute(gcd_program, "gcd", [BIG, BIG]).value == 2 * BIG
-        gcd_program.statement_at(1).cond = parse_expression("u == 0 || v == 0")
-        gcd_program.reindex()
-        assert execute(gcd_program, "gcd", [BIG, BIG]).value == BIG
-
-    def test_clone_starts_uncompiled(self, gcd_program):
-        execute(gcd_program, "gcd", [1, 2])
-        assert gcd_program.compiled is not None
-        assert gcd_program.clone().compiled is None
+    def test_nodes_are_frozen_and_blocks_are_tuples(self, gcd_program):
+        # A program's closures are lowered once and its statements are
+        # shared with patched children, so no node can be edited in place.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gcd_program.statement_at(1).cond = parse_expression("u == 0 || v == 0")
+        for fn in gcd_program.functions.values():
+            assert isinstance(fn.params, tuple) and isinstance(fn.body, tuple)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                fn.params[0].name = "w"
+        for loc in gcd_program.locations():
+            stmt = gcd_program.statement_at(loc)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                stmt.loc = 0
+            for name in BLOCKS.get(type(stmt), ()):
+                assert isinstance(getattr(stmt, name), tuple)
 
     def test_concurrent_runs_share_the_compiled_program(self):
         # Threads start on an uncompiled program, so they race to lower it

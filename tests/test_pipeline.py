@@ -99,6 +99,10 @@ class TestConfig:
     def test_max_level_at_ladder_ends_is_accepted(self, level):
         assert RepairConfig(max_level=level).max_level == level
 
+    def test_unknown_metric_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric 'nope'"):
+            RepairConfig(metric="nope")
+
 
 class TestNoPatchReasons:
     def test_multiple_executions_block_angelic(self):

@@ -2,17 +2,17 @@
 
 ``check_equivalence`` runs ``shadow_merge`` of two one-patch children of
 one base once per grid point and runs both sides only where that run does
-not return a self-matching value. A clone carries no origin, so
-``check_equivalence(a.clone(), b.clone())`` takes the two-run path on every
-point: each differential case here asserts that both paths give the same
-verdict.
+not return a self-matching value. A program rebuilt from a child's parts
+carries no origin, so ``check_equivalence`` of two rebuilt children takes
+the two-run path on every point: each differential case here asserts that
+both paths give the same verdict.
 """
 import pytest
 
 from condfix.corpus import GridSpec, _FLIPS, check_equivalence, default_corpus_dir, load_bundle
 from condfix.minilang import (
-    DEFAULT_STEP_BUDGET, Binary, Patch, PatchKind, Unary, apply_patch, execute,
-    parse_expression, parse_program, shadow_merge,
+    DEFAULT_STEP_BUDGET, Binary, Patch, PatchKind, Program, Unary, apply_patch, execute,
+    parse_expression, parse_program, render_program, shadow_merge,
 )
 from condfix.minilang.patching import DECISIONS_DIFFER
 from condfix.pipeline import repair
@@ -28,8 +28,13 @@ PRECONDITION = PatchKind.PRECONDITION_ADDITION
 def verdict(a, b, entry, grid, step_budget=DEFAULT_STEP_BUDGET) -> bool:
     """The verdict of both paths, which must agree."""
     merged = check_equivalence(a, b, entry, grid, step_budget)
-    assert merged == check_equivalence(a.clone(), b.clone(), entry, grid, step_budget)
+    assert merged == check_equivalence(rebuilt(a), rebuilt(b), entry, grid, step_budget)
     return merged
+
+
+def rebuilt(program):
+    """The same program without the record of the patch that made it."""
+    return Program(program.consts, program.functions, program.registry)
 
 
 def child(base, kind, location, text):
@@ -69,11 +74,12 @@ class TestOrigin:
         assert patched.origin[0] is base and patched.origin[1] == patch
         assert base.origin is None
 
-    def test_clone_and_reindex_drop_the_origin(self):
+    def test_a_program_rebuilt_from_a_childs_parts_has_no_origin(self):
         patched = child(parse_program(SIGN_GUARD), CONDITION, 1, "x < -1")
-        assert patched.clone().origin is None
-        patched.reindex()
-        assert patched.origin is None
+        again = rebuilt(patched)
+        assert again.origin is None
+        assert render_program(again) == render_program(patched)
+        assert shadow_merge(again, patched) is None
 
     def test_no_merge_without_one_shared_base(self):
         first = child(parse_program(SIGN_GUARD), CONDITION, 1, "x < -1")

@@ -91,7 +91,7 @@ def snapshot(program):
     """The text, the objects and a shallow copy of every statement's fields
     (blocks as the identities of their statements)."""
     def shallow(value):
-        return tuple(map(id, value)) if isinstance(value, list) else value
+        return tuple(map(id, value)) if isinstance(value, tuple) else value
 
     return (
         render_program(program),
