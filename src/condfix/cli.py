@@ -30,17 +30,13 @@ EXIT_USAGE = 2
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     defaults = RepairConfig()
-    parser.add_argument(
-        "--mode", default=defaults.mode, choices=["condition", "precondition", "both"],
-    )
+    parser.add_argument("--mode", default=defaults.mode,
+                        choices=["condition", "precondition", "both"])
     parser.add_argument("--metric", default=defaults.metric, choices=sorted(METRICS))
-    parser.add_argument(
-        "--timeout", type=float, default=defaults.global_timeout, help="global timeout in seconds",
-    )
-    parser.add_argument(
-        "--level-timeout", type=float, default=defaults.level_timeout,
-        help="per-level solver timeout",
-    )
+    parser.add_argument("--timeout", type=float, default=defaults.global_timeout,
+                        help="global timeout in seconds")
+    parser.add_argument("--level-timeout", type=float, default=defaults.level_timeout,
+                        help="per-level solver timeout")
     parser.add_argument("--max-level", type=int, default=defaults.max_level)
     parser.add_argument("--step-budget", type=int, default=defaults.step_budget)
     parser.add_argument(
