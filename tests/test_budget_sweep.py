@@ -1,0 +1,84 @@
+"""Golden digest of every suite run cut short at every step budget.
+
+For each packaged and built-in seeded bundle, every suite test is run at
+each step budget from 0 to the steps its full run takes, so each run
+times out once on every step it would take, in the middle of an
+expression as well as between statements. The sweep is made once on the
+program as written ("plain") and once with each ``if`` location forced
+true and then false ("forced"). Per bundle and per sweep the digest keeps
+the number of runs, how many timed out, and a sha256 over the canonical
+rendering of each result (see ``test_exec_digest.canonical``), in run
+order. Any change to where a budget cuts a run shows here.
+
+Regenerate ``tests/data/budget_sweep.json`` (only when a change to step
+accounting is intended) with:
+
+    PYTHONPATH=src python tests/test_budget_sweep.py --write
+"""
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus
+from condfix.minilang import ExecutionControls, IfStmt, execute
+from test_exec_digest import canonical
+
+DIGEST_PATH = Path(__file__).parent / "data" / "budget_sweep.json"
+
+
+def _sweep(program, test, controls) -> list:
+    """The test's results at every budget its full run can be cut at."""
+    full = execute(program, test.function, test.args, controls)
+    if full.timed_out:
+        raise AssertionError(f"{test.id} exhausts the default budget; nothing to sweep")
+    return [execute(program, test.function, test.args, controls, step_budget=budget)
+            for budget in range(full.steps + 1)]
+
+
+def _summary(runs) -> dict:
+    sha = hashlib.sha256()
+    for result in runs:
+        sha.update(canonical(result).encode())
+        sha.update(b"\n")
+    return {
+        "runs": len(runs),
+        "timeouts": sum(r.timed_out for r in runs),
+        "sha256": sha.hexdigest(),
+    }
+
+
+def compute_digest() -> dict:
+    digest = {}
+    for bundle in load_corpus(default_corpus_dir()) + builtin_seeded_bundles():
+        program, suite = bundle.program(), bundle.suite()
+        ifs = [loc for loc in program.locations()
+               if isinstance(program.statement_at(loc), IfStmt)]
+        forcings = [ExecutionControls({loc: value}) for loc in ifs for value in (True, False)]
+        plain, forced = [], []
+        for test in suite:
+            plain += _sweep(program, test, None)
+            for controls in forcings:
+                forced += _sweep(program, test, controls)
+        digest[bundle.id] = {"plain": _summary(plain), "forced": _summary(forced)}
+    return digest
+
+
+def test_budget_sweep_matches_the_golden_digest():
+    expected = json.loads(DIGEST_PATH.read_text())
+    assert len(expected) == 18
+    actual = compute_digest()
+    moved = [f"{bundle_id} {sweep}: {expected.get(bundle_id, {}).get(sweep)} -> {entry}"
+             for bundle_id, sweeps in actual.items() for sweep, entry in sweeps.items()
+             if expected.get(bundle_id, {}).get(sweep) != entry]
+    if moved:
+        pytest.fail("moved sweep entries (old -> new):\n" + "\n".join(moved), pytrace=False)
+    assert actual.keys() == expected.keys()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_budget_sweep.py --write")
+    DIGEST_PATH.write_text(json.dumps(compute_digest(), indent=2, sort_keys=True) + "\n")
