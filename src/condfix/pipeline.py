@@ -70,6 +70,9 @@ class RepairConfig:
             raise ValueError("timeouts must be positive")
         if not MIN_LEVEL <= self.max_level <= MAX_LEVEL:
             raise ValueError(f"max_level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {self.max_level}")
+        if self.step_budget < 1 or self.solver_nodes < 1:
+            raise ValueError(f"step_budget and solver_nodes must be at least 1, got "
+                             f"{self.step_budget} and {self.solver_nodes}")
 
 
 @dataclass

@@ -71,6 +71,16 @@ class TestRepairCommand:
             assert code == EXIT_USAGE
         assert "max_level" in capsys.readouterr().err
 
+    def test_usage_error_on_step_budget_below_one(self, tmp_path, capsys):
+        program, suite = write_gcd_inputs(tmp_path)
+        for budget in ("0", "-5"):
+            code = main([
+                "repair", "--program", str(program), "--suite", str(suite),
+                "--step-budget", budget,
+            ])
+            assert code == EXIT_USAGE
+        assert "step_budget and solver_nodes must be at least 1" in capsys.readouterr().err
+
     def test_usage_error_on_unknown_metric(self, tmp_path, capsys):
         program, suite = write_gcd_inputs(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -10,12 +10,12 @@ from condfix.errors import (
     ResolutionError,
 )
 from condfix.minilang import (
-    Binary, ExecutionControls, Obj, Patch, PatchKind, StatementKind, Unary,
-    VarRef, apply_patch, execute, parse_expression, parse_program,
-    render_expr, render_program,
+    INT_MAX, INT_MIN, NULL, Binary, ExecutionControls, Obj, Patch, PatchKind,
+    Program, StatementKind, Unary, VarRef, apply_patch, execute,
+    parse_expression, parse_program, render_expr, render_program,
 )
 from condfix.minilang.ast import BLOCKS
-from condfix.minilang.interp import MAX_CALL_DEPTH
+from condfix.minilang.interp import MAX_CALL_DEPTH, _Lowering
 from conftest import GCD_BUGGY
 
 BIG = 1 << 32  # BIG * BIG wraps to 0 in 64-bit arithmetic
@@ -260,6 +260,96 @@ class TestStepAccounting:
         result = run_body("while (true) { x = x + 1; } return x;", step_budget=budget)
         assert result.timed_out and result.error == "TimeoutDuringExecution"
         assert result.steps == budget + 1
+
+
+FUSED_FIXTURE = """\
+const K: int = 5;
+const H: real = 0.5;
+
+fn f(x: int, y: int, r: real, b: bool, s: Str) -> int {
+  return EXPR;
+}
+"""
+TIMEOUT = "TimeoutDuringExecution"
+NAN = float("nan")
+
+
+def run_return(expr, x=3, y=4, r=1.5, step_budget=1000, unbound=()):
+    """Execute ``return expr;`` as the body of f(x, y, r, true, null). The
+    parameters named in ``unbound`` are dropped from f and its call, so
+    reading them fails at run time as the resolver would not let it."""
+    program = parse_program(FUSED_FIXTURE.replace("EXPR", expr))
+    fn = program.functions["f"]
+    kept = [(p, a) for p, a in zip(fn.params, [x, y, r, True, NULL]) if p.name not in unbound]
+    fn = dataclasses.replace(fn, params=tuple(p for p, _ in kept))
+    program = Program(program.consts, {"f": fn}, program.registry)
+    result = execute(program, "f", [a for _, a in kept], step_budget=step_budget)
+    return result.value, result.error, result.timed_out, result.steps
+
+
+class TestFusedOperands:
+    """A binary node over a variable and a variable or constant runs as
+    one closure; every outcome must match the unfused step accounting:
+    step 1 is the return, steps 2-4 the node and its two operands."""
+
+    @pytest.mark.parametrize("expr, fused", [
+        ("x < y", True), ("x + 1", True), ("x - K", True), ("r * H", True),
+        ("r >= 0.5", True), ("x == y", True), ("x != 0", True), ("s == x", True),
+        ("x / y", False), ("x % 2", False), ("1 + x", False), ("K < x", False),
+        ("x < -1", False), ("b == true", False), ("x < y + 1", False),
+    ])
+    def test_which_nodes_fuse(self, expr, fused):
+        program = parse_program(FUSED_FIXTURE.replace("EXPR", expr))
+        closure = _Lowering(program).expr(program.functions["f"].body[0].value)
+        assert closure.__name__.startswith("fused") == fused
+
+    @pytest.mark.parametrize("expr, value", [
+        ("x < y", True), ("x + 1", 4), ("x - K", -2), ("r * H", 0.75),
+        ("r <= r", True), ("x != y", True), ("x == 3", True),
+    ])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4])
+    def test_budget_ending_on_each_step_of_the_node(self, expr, value, budget):
+        expected = (value, None, False, 4) if budget == 4 else (None, TIMEOUT, True, budget + 1)
+        assert run_return(expr, step_budget=budget) == expected
+
+    @pytest.mark.parametrize("expr, unbound, budget, expected", [
+        ("x < y", {"x"}, 1000, (None, "UnboundVariable", False, 3)),
+        ("x < y", {"y"}, 1000, (None, "UnboundVariable", False, 4)),
+        ("x + 1", {"x"}, 1000, (None, "UnboundVariable", False, 3)),
+        ("x < y", {"x"}, 2, (None, TIMEOUT, True, 3)),
+        ("x < y", {"y"}, 3, (None, TIMEOUT, True, 4)),
+    ])
+    def test_unbound_operand(self, expr, unbound, budget, expected):
+        assert run_return(expr, step_budget=budget, unbound=unbound) == expected
+
+    @pytest.mark.parametrize("expr", [
+        "x < r", "r + x", "x == r", "x < H", "r < K", "b < 1", "true < 1", "s < x",
+    ])
+    def test_mismatched_operands(self, expr):
+        assert run_return(expr) == (None, "TypeMismatch", False, 4)
+
+    @pytest.mark.parametrize("expr, x, y, value", [
+        ("x + 1", INT_MAX, 0, INT_MIN),
+        ("x + y", INT_MAX, 1, INT_MIN),
+        ("x - y", INT_MIN, 1, INT_MAX),
+        ("x * y", INT_MAX, 2, -2),
+    ])
+    def test_int_results_wrap(self, expr, x, y, value):
+        assert run_return(expr, x=x, y=y) == (value, None, False, 4)
+
+    @pytest.mark.parametrize("expr, y, r", [
+        ("x / y", 0, 1.5), ("x % y", 0, 1.5), ("x / 0", 4, 1.5), ("x % 0", 4, 1.5),
+        ("r / r", 4, 0.0),
+    ])
+    def test_division_by_zero(self, expr, y, r):
+        assert run_return(expr, y=y, r=r) == (None, "DivisionByZero", False, 4)
+
+    @pytest.mark.parametrize("expr, r, value", [
+        ("null == x", 1.5, False), ("s == x", 1.5, False), ("s != s", 1.5, False),
+        ("r != r", NAN, True), ("r == r", NAN, False), ("r < r", NAN, False),
+    ])
+    def test_null_and_nan_operands(self, expr, r, value):
+        assert run_return(expr, r=r) == (value, None, False, 4)
 
 
 FACT = """\

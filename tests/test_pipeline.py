@@ -103,6 +103,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown metric 'nope'"):
             RepairConfig(metric="nope")
 
+    @pytest.mark.parametrize("field", ["step_budget", "solver_nodes"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_budget_below_one_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match="at least 1"):
+            RepairConfig(**{field: value})
+
+    def test_budgets_of_one_are_accepted(self):
+        config = RepairConfig(step_budget=1, solver_nodes=1)
+        assert (config.step_budget, config.solver_nodes) == (1, 1)
+
 
 class TestNoPatchReasons:
     def test_multiple_executions_block_angelic(self):
