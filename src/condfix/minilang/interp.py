@@ -222,9 +222,9 @@ _NUMERIC = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": _divide, "%": _modulo,
 }
-# The operators a fused binary node applies itself to two ints or two
-# reals: on those, each gives what the node's own closure gives, an int
-# result in range; ``/`` and ``%`` are never fused.
+# The operators a fused binary node applies itself, to two ints or two
+# reals only. There each agrees with the node's own closure, except that an
+# int result out of range is left to that closure to wrap.
 _FUSED = {op: _NUMERIC[op] for op in ("<", "<=", ">", ">=", "+", "-", "*")}
 _FUSED.update({"==": operator.eq, "!=": operator.ne})
 
@@ -513,11 +513,11 @@ class _Lowering:
         return self.fused(expr, numeric)
 
     def fused(self, expr: Binary, general: Compiled) -> Compiled:
-        """One closure for a binary node whose left operand is a variable
-        and whose right one is a variable or an int or real constant (see
-        "Operand fusion" in the module docstring); ``general`` is the
-        node's own closure, which it runs whenever it cannot finish the
-        node itself."""
+        """The closure for a binary node: a fused one when its left operand
+        is a variable and its right one a variable or an int or real
+        constant (see "Operand fusion" in the module docstring), else
+        ``general``, the node's own closure, which a fused one also runs
+        whenever it cannot finish the node itself."""
         left, right = expr.left, expr.right
         if expr.op not in _FUSED or not self.local(left):
             return general
