@@ -2,7 +2,9 @@
 
 For a candidate if statement, each failing test is re-run with the
 condition forced to true and, if that fails, forced to false; for a
-candidate plain statement, once with the statement skipped. A location
+candidate plain statement, once with the statement skipped. Each decision
+is a program edit (``patching.decide``), made once per location and shared
+by every failing test. A location
 qualifies when every failing test passes under some forced decision; the
 search stops at the first failing test (in sorted order) that none passes.
 The forced value is constant for the whole test execution; per-evaluation
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from .minilang import DEFAULT_STEP_BUDGET, ExecutionControls, PatchKind, Program, execute
+from .minilang import DEFAULT_STEP_BUDGET, SKIP, PatchKind, Program, decide, execute
 from .testkit import TestCase, verdict_holds
 
 NO_VALUE_WORKS = "no-value-works"
@@ -25,8 +27,6 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 
 CONDITION = "condition"
 PRECONDITION = "precondition"
-
-SKIP = None  # the decision that skips the statement instead of forcing it
 
 # Repair kind -> (the patch kind it produces, the decisions tried in order on
 # each failing test). A decision forces the condition to a value or skips.
@@ -69,15 +69,6 @@ def _index_tests(suite: Sequence[TestCase], failing: Iterable[str]) -> List[Test
     if missing:
         raise KeyError(f"unknown failing test ids: {missing}")
     return [by_id[t] for t in sorted(failing)]
-
-
-def _run_trial(program, test, loc, decision, step_budget) -> Trial:
-    if decision is SKIP:
-        controls = ExecutionControls(skip_set=frozenset({loc}))
-    else:
-        controls = ExecutionControls(condition_overrides={loc: decision})
-    result = execute(program, test.function, list(test.args), controls, step_budget)
-    return Trial(loc, test.id, decision, verdict_holds(result, test), result.timed_out)
 
 
 def angelic_condition(
@@ -123,12 +114,16 @@ def _angelic_search(program, suite, failing, loc, kind, step_budget) -> AngelicO
         raise ValueError("at least one failing test is required")
 
     decisions = REPAIR_KINDS[kind][1]
+    decided = {decision: decide(program, loc, decision) for decision in decisions}
     trials: List[Trial] = []
     tuples: Dict[str, AngelicTuple] = {}
     for test in tests:
         for decision in decisions:
-            trials.append(_run_trial(program, test, loc, decision, step_budget))
-            if trials[-1].passed:
+            result = execute(decided[decision], test.function, list(test.args),
+                             step_budget=step_budget)
+            passed = verdict_holds(result, test)
+            trials.append(Trial(loc, test.id, decision, passed, result.timed_out))
+            if passed:
                 # A skipped statement is a precondition that evaluated false.
                 tuples[test.id] = AngelicTuple(loc, decision is True, test.id)
                 break
@@ -137,13 +132,3 @@ def _angelic_search(program, suite, failing, loc, kind, step_budget) -> AngelicO
             reason = BUDGET_EXHAUSTED if timed_out else NO_VALUE_WORKS
             return AngelicOutcome(tuples=None, reason=reason, trials=trials)
     return AngelicOutcome(tuples=tuples, trials=trials)
-
-
-def search_space_size(program: Program, kind: str, covered: Iterable[int]) -> int:
-    """Size of the single-value angelic search space for one failing test:
-    the number of decisions of ``kind`` per covered statement it repairs."""
-    if kind not in REPAIR_KINDS:
-        raise ValueError(f"unknown repair kind {kind!r}")
-    patch_kind, decisions = REPAIR_KINDS[kind]
-    targets = [l for l in set(covered) if program.kind_of(l) == patch_kind.statement_kind]
-    return len(decisions) * len(targets)

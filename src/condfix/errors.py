@@ -16,10 +16,6 @@ class ResolutionError(CondfixError):
     """An identifier, method, or call does not resolve."""
 
 
-class ControlError(CondfixError):
-    """Execution controls reference an invalid or incompatible location."""
-
-
 class KindMismatchError(CondfixError):
     """Patch kind is incompatible with the statement kind at its location."""
 

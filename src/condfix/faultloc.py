@@ -138,15 +138,3 @@ def wasted_effort_from_scores(scores: Dict[int, float], buggy: int) -> int:
 
 def wasted_effort(spectrum: Spectrum, metric: str, buggy: int) -> int:
     return wasted_effort_from_scores(all_scores(spectrum, metric), buggy)
-
-
-def scores_csv(spectrum: Spectrum) -> str:
-    """Per-statement scores for every metric, one row per location."""
-    names = sorted(METRICS)
-    lines = ["location,failed,passed," + ",".join(names)]
-    for loc in spectrum.locations():
-        ef, ep = spectrum.counts(loc)
-        row = [str(loc), str(ef), str(ep)]
-        row += [f"{suspiciousness(m, spectrum, loc):.6f}" for m in names]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

@@ -1,20 +1,19 @@
 """MiniLang: AST, text format, and instrumentable interpreter."""
 
 from .ast import (
-    AssignStmt, Binary, BoolLit, CallExpr, CallStmt, ConstDef, Expr,
+    AssignStmt, Binary, BoolLit, CallExpr, CallStmt, ConstDef, Expr, Forced,
     FunctionDef, IfStmt, IntLit, LetStmt, MethodCall, NullLit, Param,
     Program, RealLit, ReturnStmt, StatementKind, Stmt, ThrowStmt, Unary,
     VarRef, WhileStmt,
 )
 from .interp import (
-    DEFAULT_STEP_BUDGET, ExecutionControls, ExecutionResult, NO_CONTROLS,
-    ProbeSnapshot, TIMEOUT, execute,
+    DEFAULT_STEP_BUDGET, ExecutionResult, ProbeSnapshot, TIMEOUT, execute,
 )
 from .parser import (
     parse_call, parse_expression, parse_program, parse_value_literal,
     resolve_expr,
 )
-from .patching import Patch, PatchKind, apply_patch, shadow_merge
+from .patching import SKIP, Patch, PatchKind, apply_patch, decide, shadow_merge
 from .printer import render_expr, render_program
 from .registry import QueryMethod, StateQueryRegistry, default_registry
 from .values import (
@@ -24,14 +23,13 @@ from .values import (
 
 __all__ = [
     "AssignStmt", "Binary", "BoolLit", "CallExpr", "CallStmt", "ConstDef",
-    "Expr", "FunctionDef", "IfStmt", "IntLit", "LetStmt", "MethodCall",
+    "Expr", "Forced", "FunctionDef", "IfStmt", "IntLit", "LetStmt", "MethodCall",
     "NullLit", "Param", "Program", "RealLit", "ReturnStmt", "StatementKind",
     "Stmt", "ThrowStmt", "Unary", "VarRef", "WhileStmt",
-    "DEFAULT_STEP_BUDGET", "ExecutionControls", "ExecutionResult",
-    "NO_CONTROLS", "ProbeSnapshot", "TIMEOUT", "execute",
+    "DEFAULT_STEP_BUDGET", "ExecutionResult", "ProbeSnapshot", "TIMEOUT", "execute",
     "parse_call", "parse_expression", "parse_program", "parse_value_literal",
     "resolve_expr",
-    "Patch", "PatchKind", "apply_patch", "shadow_merge",
+    "SKIP", "Patch", "PatchKind", "apply_patch", "decide", "shadow_merge",
     "render_expr", "render_program",
     "QueryMethod", "StateQueryRegistry", "default_registry",
     "INT_MAX", "INT_MIN", "NULL", "Null", "Obj", "Value", "format_real",

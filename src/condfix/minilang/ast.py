@@ -3,10 +3,10 @@
 Statements carry stable integer locations, assigned in source order during
 parsing. Every node is a frozen dataclass and every block a tuple, so no
 node changes once built: programs made by patching share statements with
-their base (see ``patching``), and a program's lowered closures (see
-``interp``) stay valid for as long as the program lives. A ``Program``
-indexes its statements, the function of each and the scope at each in one
-walk when it is built.
+their base (see ``patching``), and so do the closures the interpreter
+lowered them to (see ``interp``), which stay valid for as long as the
+node lives. A ``Program`` indexes its statements, the function of each and
+the scope at each in one walk when it is built.
 """
 from __future__ import annotations
 
@@ -63,6 +63,11 @@ class Binary(Expr):
 
 
 @dataclass(frozen=True)
+class Forced(Expr):
+    value: bool  # a condition forced by ``patching.decide``; it takes no step
+
+
+@dataclass(frozen=True)
 class MethodCall(Expr):
     receiver: str  # variable name of a class-typed binding
     method: str
@@ -72,6 +77,21 @@ class MethodCall(Expr):
 class CallExpr(Expr):
     func: str
     args: Tuple[Expr, ...]
+
+
+def nesting(expr: Expr) -> int:
+    """The levels ``expr`` nests: one per node, and two for a method call
+    and its receiver. It is also the most Python frames the expression's
+    lowered closures stack up (see ``interp``)."""
+    if isinstance(expr, Unary):
+        return 1 + nesting(expr.operand)
+    if isinstance(expr, Binary):
+        return 1 + max(nesting(expr.left), nesting(expr.right))
+    if isinstance(expr, MethodCall):
+        return 2
+    if isinstance(expr, CallExpr):
+        return 1 + max(map(nesting, expr.args), default=0)
+    return 1
 
 
 # --- statements -----------------------------------------------------------
@@ -179,6 +199,9 @@ class Program:
     consts: Dict[str, ConstDef]
     functions: Dict[str, FunctionDef]
     registry: object  # StateQueryRegistry
+    # id(node) -> (node, lowered form) per statement and function lowered;
+    # shared with every program path-copied from this one (see ``interp``).
+    closures: Dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
     # Function name -> closure, built by the interpreter on first execution.
     compiled: Optional[Dict[str, Callable]] = field(
         default=None, init=False, repr=False, compare=False
@@ -196,21 +219,21 @@ class Program:
         self._index: Dict[int, Stmt] = {}
         self._owner: Dict[int, str] = {}
         self._scope: Dict[int, Dict[str, str]] = {}
-
-        def walk(stmts: Block, fn_name: str, scope: Dict[str, str]) -> None:
-            for s in stmts:
-                if s.loc in self._index:
-                    raise ValueError(f"duplicate location {s.loc}")
-                self._index[s.loc] = s
-                self._owner[s.loc] = fn_name
-                self._scope[s.loc] = scope
-                for name in BLOCKS.get(type(s), ()):
-                    walk(getattr(s, name), fn_name, scope)
-                if isinstance(s, LetStmt):
-                    scope = {**scope, s.name: s.type}
-
         for fn in self.functions.values():
-            walk(fn.body, fn.name, {p.name: p.type for p in fn.params})
+            self._walk(fn.body, fn.name, {p.name: p.type for p in fn.params})
+
+    def _walk(self, stmts: Block, fn_name: str, scope: Dict[str, str]) -> None:
+        # A method: a recursive nested function would make a reference cycle.
+        for s in stmts:
+            if s.loc in self._index:
+                raise ValueError(f"duplicate location {s.loc}")
+            self._index[s.loc] = s
+            self._owner[s.loc] = fn_name
+            self._scope[s.loc] = scope
+            for name in BLOCKS.get(type(s), ()):
+                self._walk(getattr(s, name), fn_name, scope)
+            if isinstance(s, LetStmt):
+                scope = {**scope, s.name: s.type}
 
     def locations(self) -> List[int]:
         return sorted(self._index)

@@ -1,23 +1,34 @@
-"""Instrumentable interpreter that lowers MiniLang to Python closures.
+"""Interpreter that lowers MiniLang to Python closures (Feeley & Lapalme,
+"Using closures for code generation", 1987).
 
-Each function body is lowered once per Program into nested closures
-(Feeley & Lapalme, "Using closures for code generation", 1987) and cached
-on the Program; its statements are frozen (see ``ast``), so the closures
-never go stale. The closures hold no per-run state: each receives the
-run's context (controls, step counter, call depth, collected hits,
-condition values and snapshots) and the current call frame, so runs of
-one program never share state.
-
-Supports three execution controls: forcing condition outcomes, skipping
-plain statements, and probe-based state capture. Runtime failures (null
+A closure holds no per-run state: it receives the run's context and the
+current call frame, so runs never share state. Runtime failures (null
 dereference, division by zero, thrown errors, exhausted step budget or
-call depth) are reported inside the ExecutionResult, never raised to the
-caller.
+call depth) are reported in the ExecutionResult, never raised.
 
-Step accounting: one step per statement entry and per expression node
-(a method call is two, its receiver being a variable reference), plus one
-per finished loop-body run; a skipped statement takes none. The run times
-out on step ``budget + 1``.
+Instrumentation is one optional probe: every run records hits and
+condition values, and a probed run also snapshots the state at each hit
+of its location. Angelic decisions are program edits (``patching.decide``):
+a forced condition is a ``Forced`` node, a skipped statement is absent.
+
+Shared closures: each statement's and function's closure is cached by
+node identity in ``Program.closures``, a table that a program shares with
+every program path-copied from it, along with consts and registry, the
+only program parts a closure reads. An edit so lowers only the statements
+on its path and its function. Calls find their callee in
+``run.functions`` and snapshots close over consts and registry, so no
+closure refers to a program.
+
+Steps: one per statement entry and per expression node (a method call is
+two, its receiver being a variable reference; a ``Forced`` condition is
+none), plus one per finished loop-body run. The run times out on step
+``budget + 1``.
+
+Call depth: each call reserves its body's static closure-nesting depth,
+cached with its closures, so an edited program reserves what its own
+closures need. In the packaged corpus, skipping ``cm2`` location 12 lowers
+a reservation from 10 to 8 frames and skipping ``pm2`` location 4 from 8
+to 6; no corpus run reaches the call-depth limit.
 
 Operand fusion: a binary node ``<``, ``<=``, ``>``, ``>=``, ``+``,
 ``-``, ``*``, ``==`` or ``!=`` whose left operand is a variable (not a
@@ -31,23 +42,21 @@ budget that ends inside the node, an unbound name, mixed or non-numeric
 types) it runs the node's general closure from the unchanged step count.
 Leaf reads are pure, so that fallback is exact: steps, hits, condition
 values, errors and timeouts are those of the unfused node. ``/`` and
-``%`` are never fused. ``_block_nesting`` and ``_expr_nesting`` count a
-fused node like the unfused one, since the call-depth reservation is a
-property of the program, not of its lowering; a fallback adds at most
-one Python frame, at the top of the stack, because fused operands never
-call.
+``%`` are never fused. The nesting depth counts a fused node like the
+unfused one, since the call-depth reservation is a property of the
+program, not of its lowering; a fallback adds at most one Python frame,
+at the top of the stack, because fused operands never call.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ControlError
 from .ast import (
-    AssignStmt, Binary, BoolLit, CallExpr, CallStmt, Expr, FunctionDef, IfStmt,
-    IntLit, LetStmt, MethodCall, NullLit, Program, RealLit, ReturnStmt,
-    StatementKind, Stmt, ThrowStmt, Unary, VarRef, WhileStmt,
+    AssignStmt, Binary, BoolLit, CallExpr, CallStmt, Expr, Forced, FunctionDef,
+    IfStmt, IntLit, LetStmt, MethodCall, NullLit, Program, RealLit, ReturnStmt,
+    Stmt, ThrowStmt, Unary, VarRef, WhileStmt, nesting,
 )
 from .values import INT_MAX, INT_MIN, NULL, Null, Obj, Value, matches_declared, wrap_int
 
@@ -69,34 +78,6 @@ MISSING_RETURN = "MissingReturn"
 UNBOUND_VARIABLE = "UnboundVariable"
 TYPE_MISMATCH = "TypeMismatch"
 TIMEOUT = "TimeoutDuringExecution"
-
-
-@dataclass(frozen=True)
-class ExecutionControls:
-    """Per-execution instrumentation.
-
-    condition_overrides forces the outcome of an if (or while) condition to
-    a constant for the whole execution; skip_set suppresses plain statements
-    entirely (no hit, no side effect); probes capture a state snapshot on
-    every hit of a location.
-    """
-
-    condition_overrides: Mapping[int, bool] = field(default_factory=dict)
-    skip_set: frozenset = frozenset()
-    probes: frozenset = frozenset()
-
-    def validate(self, program: Program) -> None:
-        for loc in self.condition_overrides:
-            if program.kind_of(loc) == StatementKind.PLAIN:
-                raise ControlError(f"cannot override condition of plain statement {loc}")
-        for loc in self.skip_set:
-            if program.kind_of(loc) != StatementKind.PLAIN:
-                raise ControlError(f"can only skip plain statements, not {loc}")
-        for loc in self.probes:
-            program.statement_at(loc)
-
-
-NO_CONTROLS = ExecutionControls()
 
 
 @dataclass
@@ -137,13 +118,12 @@ class _Timeout(Exception):
 class _Run:
     """The state of one execution, passed to every compiled closure."""
 
-    __slots__ = ("overrides", "skip", "probes", "budget", "steps", "depth",
+    __slots__ = ("functions", "probe", "budget", "steps", "depth",
                  "hits", "cond_values", "snapshots")
 
-    def __init__(self, controls: ExecutionControls, budget: int):
-        self.overrides = controls.condition_overrides
-        self.skip = controls.skip_set
-        self.probes = controls.probes
+    def __init__(self, functions: Dict[str, Callable], probe: Optional[int], budget: int):
+        self.functions = functions
+        self.probe = probe
         self.budget = budget
         self.steps = 0
         self.depth = 0
@@ -230,22 +210,24 @@ _FUSED.update({"==": operator.eq, "!=": operator.ne})
 
 
 class _Lowering:
-    """Lowers the functions of one program to ``invoke(run, args)`` closures."""
+    """Lowers the statements and functions of programs sharing one table."""
 
     def __init__(self, program: Program):
-        self.program = program
-        self.functions: Dict[str, Callable] = {}
+        self.consts, self.registry, self.table = program.consts, program.registry, program.closures
+        self.capture = _capturer(program.consts, program.registry)
 
-    def lower(self) -> Dict[str, Callable]:
-        for fn in self.program.functions.values():
-            self.functions[fn.name] = self.function(fn)
-        return self.functions
+    def cached(self, node, lower: Callable):
+        """``lower(node)``, made once per node of the table's programs."""
+        entry = self.table.get(id(node))
+        if entry is None:
+            entry = self.table[id(node)] = (node, lower(node))
+        return entry[1]
 
     def function(self, fn: FunctionDef) -> Callable:
         name, arity = fn.name, len(fn.params)
         params = [(p.name, p.type) for p in fn.params]
-        body = self.block(fn.body, scoped=False)
-        frames = max(1 + _block_nesting(fn.body), CALL_FRAMES)
+        body, depth = self.block(fn.body, scoped=False)
+        frames = max(1 + depth, CALL_FRAMES)
         limit = MAX_CALL_DEPTH * CALL_FRAMES - frames
 
         def invoke(run: _Run, args: List[Value]) -> Value:
@@ -269,26 +251,28 @@ class _Lowering:
 
     # -- statements --
 
-    def block(self, stmts: Sequence[Stmt], scoped: bool = True) -> Compiled:
-        """Enter each statement: one step and, except for a loop, which
-        records each of its condition checks, one hit. Skipped statements
-        cost nothing."""
-        entries = tuple((s.loc, not isinstance(s, WhileStmt), self.stmt(s)) for s in stmts)
+    def block(self, stmts: Sequence[Stmt], scoped: bool = True) -> Tuple[Compiled, int]:
+        """The block's closure and its closure-nesting depth. Entering each
+        statement takes one step and, except for a loop, which records each
+        of its condition checks, records one hit."""
+        entries, deepest = [], 0
+        for s in stmts:
+            stmt, depth = self.cached(s, self.stmt)
+            entries.append((s.loc, not isinstance(s, WhileStmt), stmt))
+            deepest = max(deepest, 1 + depth)
         declared = tuple(s.name for s in stmts if isinstance(s, LetStmt)) if scoped else ()
         if not entries:
-            return _empty_block
-        capture = self.capture
+            return _empty_block, 0
+        entries, capture = tuple(entries), self.capture
 
         def block(run, frame):
             for loc, hit, stmt in entries:
-                if loc in run.skip:
-                    continue
                 run.steps += 1
                 if run.steps > run.budget:
                     raise _Timeout()
                 if hit:
                     run.hits[loc] = run.hits.get(loc, 0) + 1
-                    if loc in run.probes:
+                    if loc == run.probe:
                         capture(run, loc, frame)
                 value = stmt(run, frame)
                 if value is not None:
@@ -297,9 +281,16 @@ class _Lowering:
                 frame.pop(name, None)
             return None
 
-        return block
+        return block, deepest
 
-    def stmt(self, stmt: Stmt) -> Compiled:
+    def stmt(self, stmt: Stmt) -> Tuple[Compiled, int]:
+        """The statement's closure and its closure-nesting depth: the most
+        Python frames its closures stack up, not counting the callees of a
+        call or the leaf helpers (operators, snapshots, registry methods).
+        A block, a statement and an expression node are one closure each,
+        a return is its expression, and an if or while condition adds one
+        closure around its expression. A fused binary node counts as the
+        unfused node it falls back to."""
         if isinstance(stmt, (IfStmt, WhileStmt)):
             return self.branching(stmt)
         if isinstance(stmt, LetStmt):
@@ -308,7 +299,7 @@ class _Lowering:
             def let(run, frame):
                 frame[name] = value(run, frame)
 
-            return let
+            return let, 1 + nesting(stmt.value)
         if isinstance(stmt, AssignStmt):
             name, value = stmt.name, self.expr(stmt.value)
 
@@ -318,36 +309,33 @@ class _Lowering:
                     raise _Throw(UNBOUND_VARIABLE)
                 frame[name] = result
 
-            return assign
+            return assign, 1 + nesting(stmt.value)
         if isinstance(stmt, ReturnStmt):
-            return self.expr(stmt.value)
+            return self.expr(stmt.value), nesting(stmt.value)
         if isinstance(stmt, ThrowStmt):
             error = stmt.error
 
             def throw(run, frame):
                 raise _Throw(error)
 
-            return throw
+            return throw, 1
         if isinstance(stmt, CallStmt):
             call = self.expr(stmt.call)
 
             def call_stmt(run, frame):
                 call(run, frame)
 
-            return call_stmt
+            return call_stmt, 1 + nesting(stmt.call)
         raise TypeError(f"not a statement node: {stmt!r}")
 
-    def branching(self, stmt) -> Compiled:
+    def branching(self, stmt) -> Tuple[Compiled, int]:
         loc, cond = stmt.loc, self.expr(stmt.cond)
+        cond_depth = 1 + nesting(stmt.cond)
 
         def condition(run, frame) -> bool:
-            # A forced condition replaces evaluation of the original expression.
-            if loc in run.overrides:
-                value = run.overrides[loc]
-            else:
-                value = cond(run, frame)
-                if type(value) is not bool:
-                    raise _Throw(TYPE_MISMATCH)
+            value = cond(run, frame)
+            if type(value) is not bool:
+                raise _Throw(TYPE_MISMATCH)
             values = run.cond_values.get(loc)
             if values is None:
                 run.cond_values[loc] = [value]
@@ -356,21 +344,22 @@ class _Lowering:
             return value
 
         if isinstance(stmt, IfStmt):
-            then_body, else_body = self.block(stmt.then_body), self.block(stmt.else_body)
+            then_body, then_depth = self.block(stmt.then_body)
+            else_body, else_depth = self.block(stmt.else_body)
 
             def if_stmt(run, frame):
                 if condition(run, frame):
                     return then_body(run, frame)
                 return else_body(run, frame)
 
-            return if_stmt
+            return if_stmt, 1 + max(cond_depth, then_depth, else_depth)
 
-        body, capture = self.block(stmt.body), self.capture
+        (body, body_depth), capture = self.block(stmt.body), self.capture
 
         def while_stmt(run, frame):
             while True:
                 run.hits[loc] = run.hits.get(loc, 0) + 1
-                if loc in run.probes:
+                if loc == run.probe:
                     capture(run, loc, frame)
                 if not condition(run, frame):
                     return None
@@ -381,26 +370,18 @@ class _Lowering:
                 if run.steps > run.budget:
                     raise _Timeout()
 
-        return while_stmt
-
-    def capture(self, run: _Run, loc: int, frame: Dict[str, Value]) -> None:
-        """Append a snapshot of the state at a probed location."""
-        values = {c.name: c.value for c in self.program.consts.values()}
-        values.update(frame)
-        null_flags: Dict[str, bool] = {}
-        queries: Dict[str, Value] = {}
-        for name, value in values.items():
-            if isinstance(value, Null):
-                null_flags[name] = True
-            elif isinstance(value, Obj):
-                null_flags[name] = False
-                for method in self.program.registry.methods_for(value.cls).values():
-                    queries[f"{name}.{method.name}()"] = method.fn(value.payload)
-        run.snapshots.setdefault(loc, []).append(ProbeSnapshot(values, null_flags, queries))
+        return while_stmt, 1 + max(cond_depth, body_depth)
 
     # -- expressions --
 
     def expr(self, expr: Expr) -> Compiled:
+        if isinstance(expr, Forced):
+            value = expr.value
+
+            def forced(run, frame):
+                return value
+
+            return forced
         if isinstance(expr, (IntLit, RealLit, BoolLit, NullLit)):
             return self.constant(NULL if isinstance(expr, NullLit) else expr.value)
         if isinstance(expr, VarRef):
@@ -426,8 +407,8 @@ class _Lowering:
         return constant
 
     def variable(self, name: str) -> Compiled:
-        if name in self.program.consts:
-            return self.constant(self.program.consts[name].value)
+        if name in self.consts:
+            return self.constant(self.consts[name].value)
 
         def variable(run, frame):
             run.steps += 1
@@ -547,7 +528,7 @@ class _Lowering:
         if isinstance(right, (IntLit, RealLit)):
             b = right.value
         elif isinstance(right, VarRef):
-            b = self.program.consts[right.name].value
+            b = self.consts[right.name].value
         else:
             return general
         kind = type(b)
@@ -572,11 +553,10 @@ class _Lowering:
 
     def local(self, expr: Expr) -> bool:
         """Whether ``expr`` reads a variable of the frame."""
-        return isinstance(expr, VarRef) and expr.name not in self.program.consts
+        return isinstance(expr, VarRef) and expr.name not in self.consts
 
     def method_call(self, expr: MethodCall) -> Compiled:
-        receiver, method = self.variable(expr.receiver), expr.method
-        registry = self.program.registry
+        receiver, method, registry = self.variable(expr.receiver), expr.method, self.registry
 
         def method_call(run, frame):
             run.steps += 1
@@ -592,8 +572,7 @@ class _Lowering:
         return method_call
 
     def call(self, expr: CallExpr) -> Compiled:
-        functions, name = self.functions, expr.func
-        args = tuple(self.expr(a) for a in expr.args)
+        name, args = expr.func, tuple(self.expr(a) for a in expr.args)
 
         def call(run, frame):
             run.steps += 1
@@ -602,48 +581,29 @@ class _Lowering:
             values = []
             for arg in args:
                 values.append(arg(run, frame))
-            return functions[name](run, values)
+            return run.functions[name](run, values)
 
         return call
 
 
-# The static closure-nesting depth of lowered code: the most Python frames
-# its closures stack up, not counting the callees of a call or the leaf
-# helpers (operators, snapshots, registry methods). It follows the shapes
-# _Lowering builds: a block, a statement and an expression node are one
-# closure each, a return is its expression, and an if or while condition
-# adds one closure around its expression. A fused binary node counts as the
-# unfused node it falls back to.
+def _capturer(consts, registry) -> Callable:
+    """The snapshot taker of the programs with these consts and registry."""
+    def capture(run: _Run, loc: int, frame: Dict[str, Value]) -> None:
+        """Append a snapshot of the state at a probed location."""
+        values = {c.name: c.value for c in consts.values()}
+        values.update(frame)
+        null_flags: Dict[str, bool] = {}
+        queries: Dict[str, Value] = {}
+        for name, value in values.items():
+            if isinstance(value, Null):
+                null_flags[name] = True
+            elif isinstance(value, Obj):
+                null_flags[name] = False
+                for method in registry.methods_for(value.cls).values():
+                    queries[f"{name}.{method.name}()"] = method.fn(value.payload)
+        run.snapshots.setdefault(loc, []).append(ProbeSnapshot(values, null_flags, queries))
 
-def _block_nesting(stmts: Sequence[Stmt]) -> int:
-    return 1 + max(map(_stmt_nesting, stmts)) if stmts else 0
-
-
-def _stmt_nesting(stmt: Stmt) -> int:
-    if isinstance(stmt, IfStmt):
-        return 1 + max(1 + _expr_nesting(stmt.cond),
-                       _block_nesting(stmt.then_body), _block_nesting(stmt.else_body))
-    if isinstance(stmt, WhileStmt):
-        return 1 + max(1 + _expr_nesting(stmt.cond), _block_nesting(stmt.body))
-    if isinstance(stmt, ReturnStmt):
-        return _expr_nesting(stmt.value)
-    if isinstance(stmt, (LetStmt, AssignStmt)):
-        return 1 + _expr_nesting(stmt.value)
-    if isinstance(stmt, CallStmt):
-        return 1 + _expr_nesting(stmt.call)
-    return 1
-
-
-def _expr_nesting(expr: Expr) -> int:
-    if isinstance(expr, Unary):
-        return 1 + _expr_nesting(expr.operand)
-    if isinstance(expr, Binary):
-        return 1 + max(_expr_nesting(expr.left), _expr_nesting(expr.right))
-    if isinstance(expr, MethodCall):
-        return 2
-    if isinstance(expr, CallExpr):
-        return 1 + max(map(_expr_nesting, expr.args), default=0)
-    return 1
+    return capture
 
 
 def _lowered(program: Program) -> Dict[str, Callable]:
@@ -651,7 +611,11 @@ def _lowered(program: Program) -> Dict[str, Callable]:
     race here each lower the program; either result serves every run."""
     compiled = program.compiled
     if compiled is None:
-        compiled = program.compiled = _Lowering(program).lower()
+        lowering = _Lowering(program)
+        compiled = program.compiled = {
+            name: lowering.cached(fn, lowering.function)
+            for name, fn in program.functions.items()
+        }
     return compiled
 
 
@@ -659,26 +623,27 @@ def execute(
     program: Program,
     function: str,
     args: Sequence[Value],
-    controls: Optional[ExecutionControls] = None,
+    probe: Optional[int] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> ExecutionResult:
-    """Run one function call under the given controls.
+    """Run one function call, capturing snapshots at the ``probe`` location
+    if one is given.
 
     Runtime errors and budget exhaustion (steps or call depth) are captured
     in the result; hits, snapshots, and condition values collected before a
     failure are kept.
     """
-    controls = controls or NO_CONTROLS
-    controls.validate(program)
+    if probe is not None:
+        program.statement_at(probe)
     if function not in program.functions:
         raise ValueError(f"undefined function {function!r}")
-    invoke = _lowered(program)[function]
-    run = _Run(controls, step_budget)
+    functions = _lowered(program)
+    run = _Run(functions, probe, step_budget)
     result = ExecutionResult(
         hits=run.hits, snapshots=run.snapshots, cond_values=run.cond_values
     )
     try:
-        result.value = invoke(run, list(args))
+        result.value = functions[function](run, list(args))
     except _Throw as t:
         result.error = t.name
     except (_Timeout, RecursionError):

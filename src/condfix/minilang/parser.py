@@ -2,21 +2,31 @@
 
 Statement locations are positive integers assigned in source order while
 parsing, dense per program and stable across executions.
+
+Input nested deeper than ``MAX_NESTING`` levels is a MiniLangSyntaxError
+naming its line: a function body's statements are at level 1, and each
+block, expression, operand, argument, parenthesis, negated literal or
+method-call receiver is one level below what encloses it. At
+``MAX_NESTING + 2`` levels (a precondition adds one, ``shadow_merge`` two)
+every recursive walk over a program fits in Python's default recursion
+limit.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import MiniLangSyntaxError, ResolutionError
 from .ast import (
     AssignStmt, Binary, Block, BoolLit, CallExpr, CallStmt, ConstDef, Expr,
     FunctionDef, IfStmt, IntLit, LetStmt, MethodCall, NullLit, Param,
-    Program, RealLit, ReturnStmt, Stmt, ThrowStmt, Unary, VarRef, WhileStmt,
+    Program, RealLit, ReturnStmt, Stmt, ThrowStmt, Unary, VarRef, WhileStmt, nesting,
 )
 from .lexer import Token, tokenize
 from .printer import PRECEDENCE
 from .registry import StateQueryRegistry, default_registry
 from .values import NULL, Obj, Value, wrap_int
+
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -24,6 +34,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.next_loc = 1
+        self.depth = 0  # the nesting level being parsed
 
     # -- token helpers --
 
@@ -51,6 +62,15 @@ class _Parser:
         if tok.kind == kind and (text is None or tok.text == text):
             return self.advance()
         return None
+
+    def nested(self, parse: Callable, *args):
+        """``parse(*args)``, one nesting level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
+        node = parse(*args)
+        self.depth -= 1
+        return node
 
     def fresh_loc(self) -> int:
         loc = self.next_loc
@@ -118,7 +138,7 @@ class _Parser:
         self.expect("op", "{")
         stmts: List[Stmt] = []
         while not self.accept("op", "}"):
-            stmts.append(self.parse_statement())
+            stmts.append(self.nested(self.parse_statement))
         return tuple(stmts)
 
     def parse_statement(self) -> Stmt:
@@ -131,20 +151,20 @@ class _Parser:
                 self.expect("op", ":")
                 type_name = self.parse_type()
                 self.expect("op", "=")
-                value = self.parse_expression()
+                value = self.nested(self.parse_expression)
                 self.expect("op", ";")
                 return LetStmt(name, type_name, value, loc)
             if tok.text == "if":
                 loc = self.fresh_loc()
                 self.advance()
                 self.expect("op", "(")
-                cond = self.parse_expression()
+                cond = self.nested(self.parse_expression)
                 self.expect("op", ")")
                 then_body = self.parse_block()
                 else_body: Block = ()
                 if self.accept("keyword", "else"):
                     if self.peek().kind == "keyword" and self.peek().text == "if":
-                        else_body = (self.parse_statement(),)
+                        else_body = (self.nested(self.parse_statement),)
                     else:
                         else_body = self.parse_block()
                 return IfStmt(cond, then_body, else_body, loc)
@@ -152,14 +172,14 @@ class _Parser:
                 loc = self.fresh_loc()
                 self.advance()
                 self.expect("op", "(")
-                cond = self.parse_expression()
+                cond = self.nested(self.parse_expression)
                 self.expect("op", ")")
                 body = self.parse_block()
                 return WhileStmt(cond, body, loc)
             if tok.text == "return":
                 loc = self.fresh_loc()
                 self.advance()
-                value = self.parse_expression()
+                value = self.nested(self.parse_expression)
                 self.expect("op", ";")
                 return ReturnStmt(value, loc)
             if tok.text == "throw":
@@ -172,11 +192,11 @@ class _Parser:
             loc = self.fresh_loc()
             name = self.advance().text
             if self.accept("op", "="):
-                value = self.parse_expression()
+                value = self.nested(self.parse_expression)
                 self.expect("op", ";")
                 return AssignStmt(name, value, loc)
             if self.peek().kind == "op" and self.peek().text == "(":
-                call = self.parse_call_tail(name)
+                call = self.nested(self.parse_call_tail, name)
                 self.expect("op", ";")
                 return CallStmt(call, loc)
             self.error("expected '=' or '(' after identifier")
@@ -193,13 +213,16 @@ class _Parser:
             if precedence < min_precedence:
                 return left
             self.advance()
-            left = Binary(tok.text, left, self.parse_expression(precedence + 1))
+            left = Binary(tok.text, left, self.nested(self.parse_expression, precedence + 1))
+            # A chain sinks its left operand a level without recursing.
+            if nesting(left) > MAX_NESTING + 1 - self.depth:
+                self.error(f"nesting deeper than {MAX_NESTING} levels")
 
     def parse_unary(self) -> Expr:
         if self.accept("op", "!"):
-            return Unary("!", self.parse_unary())
+            return Unary("!", self.nested(self.parse_unary))
         if self.accept("op", "-"):
-            return Unary("-", self.parse_unary())
+            return Unary("-", self.nested(self.parse_unary))
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
@@ -212,6 +235,8 @@ class _Parser:
             self.expect("op", "(")
             self.expect("op", ")")
             expr = MethodCall(expr.name, method)
+            if self.depth >= MAX_NESTING:
+                self.error(f"nesting deeper than {MAX_NESTING} levels")
         return expr
 
     def parse_primary(self) -> Expr:
@@ -234,7 +259,7 @@ class _Parser:
                 return self.parse_call_tail(name)
             return VarRef(name)
         if self.accept("op", "("):
-            expr = self.parse_expression()
+            expr = self.nested(self.parse_expression)
             self.expect("op", ")")
             return expr
         self.error(f"expected an expression, found {tok.text or tok.kind!r}")
@@ -244,7 +269,7 @@ class _Parser:
         args: List[Expr] = []
         if not self.accept("op", ")"):
             while True:
-                args.append(self.parse_expression())
+                args.append(self.nested(self.parse_expression))
                 if self.accept("op", ")"):
                     break
                 self.expect("op", ",")
@@ -262,7 +287,7 @@ class _Parser:
             return float(tok.text)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            inner = self.parse_literal_value()
+            inner = self.nested(self.parse_literal_value)
             if isinstance(inner, bool) or not isinstance(inner, (int, float)):
                 self.error("'-' applies to numeric literals only")
             return wrap_int(-inner) if isinstance(inner, int) else -inner
@@ -304,7 +329,7 @@ def parse_program(text: str, registry: Optional[StateQueryRegistry] = None) -> P
 def parse_expression(text: str) -> Expr:
     """Parse a standalone expression (patch text, human patches)."""
     parser = _Parser(tokenize(text))
-    expr = parser.parse_expression()
+    expr = parser.nested(parser.parse_expression)
     if parser.peek().kind != "eof":
         parser.error("trailing input after expression")
     return expr
@@ -341,42 +366,38 @@ def parse_value_literal(text: str) -> Value:
 def resolve_expr(expr: Expr, scope: Dict[str, str], program: Program) -> None:
     """Check that every name in ``expr`` resolves in ``scope`` plus globals,
     and that method calls target registered state queries."""
+    # Recursion by name, not by a nested function, makes no reference cycle.
     consts = program.consts
-    registry = program.registry
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, VarRef):
-            if e.name not in scope and e.name not in consts:
-                raise ResolutionError(f"unresolved identifier {e.name!r}")
-        elif isinstance(e, MethodCall):
-            if e.receiver in scope:
-                recv_type = scope[e.receiver]
-            elif e.receiver in consts:
-                recv_type = consts[e.receiver].type
-            else:
-                raise ResolutionError(f"unresolved identifier {e.receiver!r}")
-            if recv_type in ("bool", "int", "real"):
-                raise ResolutionError(
-                    f"method call on non-class variable {e.receiver!r}"
-                )
-            registry.lookup(recv_type, e.method)
-        elif isinstance(e, Unary):
-            walk(e.operand)
-        elif isinstance(e, Binary):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, CallExpr):
-            if e.func not in program.functions:
-                raise ResolutionError(f"call to undefined function {e.func!r}")
-            fn = program.functions[e.func]
-            if len(fn.params) != len(e.args):
-                raise ResolutionError(
-                    f"{e.func!r} expects {len(fn.params)} arguments, got {len(e.args)}"
-                )
-            for a in e.args:
-                walk(a)
-
-    walk(expr)
+    if isinstance(expr, VarRef):
+        if expr.name not in scope and expr.name not in consts:
+            raise ResolutionError(f"unresolved identifier {expr.name!r}")
+    elif isinstance(expr, MethodCall):
+        if expr.receiver in scope:
+            recv_type = scope[expr.receiver]
+        elif expr.receiver in consts:
+            recv_type = consts[expr.receiver].type
+        else:
+            raise ResolutionError(f"unresolved identifier {expr.receiver!r}")
+        if recv_type in ("bool", "int", "real"):
+            raise ResolutionError(
+                f"method call on non-class variable {expr.receiver!r}"
+            )
+        program.registry.lookup(recv_type, expr.method)
+    elif isinstance(expr, Unary):
+        resolve_expr(expr.operand, scope, program)
+    elif isinstance(expr, Binary):
+        resolve_expr(expr.left, scope, program)
+        resolve_expr(expr.right, scope, program)
+    elif isinstance(expr, CallExpr):
+        if expr.func not in program.functions:
+            raise ResolutionError(f"call to undefined function {expr.func!r}")
+        fn = program.functions[expr.func]
+        if len(fn.params) != len(expr.args):
+            raise ResolutionError(
+                f"{expr.func!r} expects {len(fn.params)} arguments, got {len(expr.args)}"
+            )
+        for a in expr.args:
+            resolve_expr(a, scope, program)
 
 
 def _resolve(program: Program) -> None:

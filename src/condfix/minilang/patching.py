@@ -1,4 +1,5 @@
-"""Patches: condition updates and precondition additions.
+"""Program edits: patches (condition updates and precondition additions)
+and angelic decisions.
 
 Applying a patch produces a new program and leaves its input as it was;
 every location other than the patched one is preserved, which keeps
@@ -8,12 +9,19 @@ statement, every expression and ``consts`` are shared with the input
 (path copying, after Driscoll, Sarnak, Sleator & Tarjan, "Making data
 structures persistent", JCSS 1989). This is sound because statements are
 frozen and blocks are tuples (see ``ast``): nothing a program shares can
-change under it.
+change under it. The new program also shares its input's table of lowered
+closures, so it lowers only the statements on the copied path (see
+``interp``).
 
 A statement wrapped by a new precondition keeps executing under the guard
 and is re-addressed at a fresh location past the current maximum. The new
 program records its base and the patch as ``origin``, which lets
 ``shadow_merge`` run two one-patch children of one base as one program.
+
+``decide`` makes the edit an angelic trial runs. It replaces an ``if``
+condition with a zero-step ``Forced`` node, whose value is still recorded
+as the condition's, or for ``SKIP`` drops a plain statement from its block.
+A decided program records no ``origin``.
 """
 from __future__ import annotations
 
@@ -24,13 +32,16 @@ from typing import Callable, Optional
 
 from ..errors import KindMismatchError, PatchScopeError, ResolutionError
 from .ast import (
-    BLOCKS, Binary, Block, BoolLit, Expr, IfStmt, Program, StatementKind, Stmt, ThrowStmt,
+    BLOCKS, Binary, Block, BoolLit, Expr, Forced, IfStmt, Program, StatementKind, Stmt,
+    ThrowStmt,
 )
 from .parser import resolve_expr
 from .printer import render_expr
 
 # Thrown by a shadow_merge check; no MiniLang source can name it.
 DECISIONS_DIFFER = "$DecisionsDiffer"
+
+SKIP = None  # the decision that drops a statement instead of forcing it
 
 
 class PatchKind(enum.Enum):
@@ -64,13 +75,7 @@ def apply_patch(program: Program, patch: Patch) -> Program:
     kind, and PatchScopeError if the expression references names that are
     not visible at the patched location.
     """
-    kind = program.kind_of(patch.location)
-    if kind != patch.kind.statement_kind:
-        raise KindMismatchError(
-            f"{patch.kind.value} requires statement kind {patch.kind.statement_kind.value}"
-            f" at {patch.location}, found {kind.value}"
-        )
-
+    _require(program, patch.location, patch.kind.statement_kind, patch.kind.value)
     scope = program.scope_at(patch.location)
     try:
         resolve_expr(patch.expression, scope, program)
@@ -90,6 +95,19 @@ def apply_patch(program: Program, patch: Patch) -> Program:
     patched = _replace_statement(program, patch.location, edit)
     patched.origin = (program, patch)
     return patched
+
+
+def decide(program: Program, loc: int, decision: Optional[bool]) -> Program:
+    """A new program with the condition of the ``if`` at ``loc`` forced to
+    ``decision``, or for ``SKIP`` the plain statement at ``loc`` dropped.
+    Raises KindMismatchError on any other statement kind."""
+    if decision is SKIP:
+        _require(program, loc, StatementKind.PLAIN, "a skip")
+        return _replace_statement(program, loc, lambda stmt: ())
+    _require(program, loc, StatementKind.IF, "a forced condition")
+    return _replace_statement(
+        program, loc, lambda stmt: (dataclasses.replace(stmt, cond=Forced(decision)),)
+    )
 
 
 def shadow_merge(program_a: Program, program_b: Program) -> Optional[Program]:
@@ -146,6 +164,14 @@ def shadow_merge(program_a: Program, program_b: Program) -> Optional[Program]:
     return merged
 
 
+def _require(program: Program, loc: int, kind: StatementKind, edit: str) -> None:
+    found = program.kind_of(loc)
+    if found != kind:
+        raise KindMismatchError(
+            f"{edit} requires statement kind {kind.value} at {loc}, found {found.value}"
+        )
+
+
 def _replace_statement(
     program: Program, loc: int, replace: Callable[[Stmt], Block]
 ) -> Program:
@@ -153,8 +179,9 @@ def _replace_statement(
     ``loc`` in its block.
 
     Only the function that holds ``loc`` and the statements that enclose
-    it are copied (path copying); every other statement, every expression
-    and ``consts`` are shared with ``program``, which is left as it was.
+    it are copied (path copying); every other statement, every expression,
+    ``consts`` and the closure table are shared with ``program``, which is
+    left as it was.
     """
     def rewrite(stmts: Block) -> Optional[Block]:
         for i, s in enumerate(stmts):
@@ -169,4 +196,5 @@ def _replace_statement(
     fn = program.functions[program.function_of(loc)]
     functions = dict(program.functions)
     functions[fn.name] = dataclasses.replace(fn, body=rewrite(fn.body))
-    return Program(consts=program.consts, functions=functions, registry=program.registry)
+    return Program(consts=program.consts, functions=functions, registry=program.registry,
+                   closures=program.closures)

@@ -11,8 +11,8 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from .errors import SuiteFormatError
 from .minilang import (
-    DEFAULT_STEP_BUDGET, ExecutionControls, ExecutionResult, Null, Program,
-    Value, execute, format_value, parse_call, parse_value_literal,
+    DEFAULT_STEP_BUDGET, ExecutionResult, Null, Program, Value, execute,
+    format_value, parse_call, parse_value_literal,
 )
 
 REAL_TOLERANCE = 1e-9
@@ -99,10 +99,9 @@ def verdict_holds(result: ExecutionResult, test: TestCase) -> bool:
 def run_suite(
     program: Program,
     suite: Sequence[TestCase],
-    controls: Optional[ExecutionControls] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> SuiteResult:
-    """Run every test against the program, optionally under controls."""
+    """Run every test against the program."""
     if not suite:
         raise ValueError("suite must contain at least one test case")
     ids = [t.id for t in suite]
@@ -112,7 +111,7 @@ def run_suite(
     coverage: Dict[str, Dict[int, int]] = {}
     executions: Dict[str, ExecutionResult] = {}
     for test in suite:
-        result = execute(program, test.function, list(test.args), controls, step_budget)
+        result = execute(program, test.function, list(test.args), step_budget=step_budget)
         verdicts[test.id] = verdict_holds(result, test)
         coverage[test.id] = dict(result.hits)
         executions[test.id] = result

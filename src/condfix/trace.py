@@ -8,7 +8,8 @@ condition or precondition at that point.
 
 Expected outcomes: for a condition repair, passing tests contribute the
 actually evaluated condition value per hit and failing tests contribute
-their angelic value (collected under the forced execution); for a
+their angelic value (collected from the program with the condition
+forced to it, ``patching.decide``); for a
 precondition repair, passing tests contribute true and failing tests
 false, one row per test taken at the first hit.
 
@@ -24,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 # The repair-kind constants live in angelic; trace re-exports them.
 from .angelic import CONDITION, PRECONDITION, AngelicTuple, check_candidate  # noqa: F401
 from .minilang import (
-    DEFAULT_STEP_BUDGET, ExecutionControls, Program, Value, execute,
-    format_value, parse_value_literal,
+    DEFAULT_STEP_BUDGET, Program, Value, decide, execute, format_value,
+    parse_value_literal,
 )
 from .testkit import TestCase, verdict_holds
 
@@ -86,22 +87,16 @@ def collect(
     check_candidate(program, loc, kind)
 
     columns = _candidate_columns(program, loc)
-    probe = ExecutionControls(probes=frozenset({loc}))
+    # A skip decision is per test; the first-hit state is identical with and
+    # without the skip, so a precondition probes the unmodified run.
+    values = {t.val for t in angelic.values()} if kind == CONDITION else ()
+    forced = {value: decide(program, loc, value) for value in values}
 
     raw_rows: List[Tuple[str, int, dict, dict, bool]] = []
     for test in suite:
         tuple_for_test = angelic.get(test.id)
-        if tuple_for_test is not None and kind == CONDITION:
-            controls = ExecutionControls(
-                condition_overrides={loc: tuple_for_test.val},
-                probes=frozenset({loc}),
-            )
-        else:
-            # A skip decision is per test; the first-hit state is identical
-            # with and without the skip, so a precondition probes the
-            # unmodified run.
-            controls = probe
-        result = execute(program, test.function, list(test.args), controls, step_budget)
+        run = program if tuple_for_test is None else forced.get(tuple_for_test.val, program)
+        result = execute(run, test.function, list(test.args), loc, step_budget)
         snapshots = result.snapshots.get(loc, [])
         if not snapshots:
             if tuple_for_test is not None:

@@ -14,7 +14,7 @@ from condfix.corpus import (
 from condfix.faultloc import (
     METRICS, Spectrum, all_scores, suspiciousness, wasted_effort_from_scores,
 )
-from condfix.minilang import ExecutionControls, execute
+from condfix.minilang import SKIP, decide, execute
 from condfix.pipeline import RepairConfig
 from condfix.synth import (
     Component, decode, encode, encode_with_components, enumerate_oracle,
@@ -245,13 +245,9 @@ def test_criterion_09_angelic_soundness_across_corpus():
         for trial in row.report.trials:
             for tup in trial.angelic_tuples:
                 test = tests[tup["test"]]
-                if trial.kind == "condition":
-                    controls = ExecutionControls(
-                        condition_overrides={tup["loc"]: tup["val"]}
-                    )
-                else:
-                    controls = ExecutionControls(skip_set=frozenset({tup["loc"]}))
-                result = execute(program, test.function, list(test.args), controls)
+                decision = tup["val"] if trial.kind == "condition" else SKIP
+                result = execute(decide(program, tup["loc"], decision), test.function,
+                                 list(test.args))
                 assert verdict_holds(result, test), (row.id, tup)
                 replayed += 1
     assert replayed >= 10

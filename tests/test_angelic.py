@@ -3,9 +3,9 @@ import pytest
 
 from condfix.angelic import (
     BUDGET_EXHAUSTED, NO_VALUE_WORKS, angelic_condition, angelic_precondition,
-    search_space_size,
+    check_candidate,
 )
-from condfix.minilang import ExecutionControls, execute, parse_program
+from condfix.minilang import decide, execute, parse_program
 from condfix.testkit import parse_suite, run_suite, verdict_holds
 from condfix.trace import collect
 
@@ -139,9 +139,9 @@ class TestConditionAngelic:
         outcome = angelic_condition(gcd_program, gcd_suite, failing, 1)
         by_id = {t.id: t for t in gcd_suite}
         for tup in outcome.tuples.values():
-            controls = ExecutionControls(condition_overrides={tup.loc: tup.val})
             test = by_id[tup.test]
-            result = execute(gcd_program, test.function, list(test.args), controls)
+            result = execute(decide(gcd_program, tup.loc, tup.val), test.function,
+                             list(test.args))
             assert verdict_holds(result, test)
 
 
@@ -209,20 +209,11 @@ class TestPreconditionAngelic:
 
 
 class TestSearchSpace:
-    def test_condition_space_doubles(self, gcd_program):
-        covered = {1, 3, 4, 10}  # one if (1), one if (10), two plain
-        assert search_space_size(gcd_program, "condition", covered) == 4
-
-    def test_precondition_space_counts_plain(self, gcd_program):
-        covered = {1, 3, 4, 10}
-        assert search_space_size(gcd_program, "precondition", covered) == 2
-
-    def test_empty_coverage(self, gcd_program):
-        assert search_space_size(gcd_program, "condition", set()) == 0
+    """Which repair kinds and statements the angelic search accepts."""
 
     def test_unknown_kind_rejected(self, gcd_program):
         with pytest.raises(ValueError, match="unknown repair kind"):
-            search_space_size(gcd_program, "loop", {1})
+            check_candidate(gcd_program, 1, "loop")
         with pytest.raises(ValueError, match="unknown repair kind"):
             collect(gcd_program, [], 1, "loop", {})
 

@@ -5,7 +5,8 @@ each step budget from 0 to the steps its full run takes, so each run
 times out once on every step it would take, in the middle of an
 expression as well as between statements. The sweep is made once on the
 program as written ("plain") and once with each ``if`` location forced
-true and then false ("forced"). Per bundle and per sweep the digest keeps
+true and then false ("forced", each forcing a program edit made with
+``decide``). Per bundle and per sweep the digest keeps
 the number of runs, how many timed out, and a sha256 over the canonical
 rendering of each result (see ``test_exec_digest.canonical``), in run
 order. Any change to where a budget cuts a run shows here.
@@ -23,18 +24,18 @@ from pathlib import Path
 import pytest
 
 from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus
-from condfix.minilang import ExecutionControls, IfStmt, execute
+from condfix.minilang import IfStmt, decide, execute
 from test_exec_digest import canonical
 
 DIGEST_PATH = Path(__file__).parent / "data" / "budget_sweep.json"
 
 
-def _sweep(program, test, controls) -> list:
+def _sweep(program, test) -> list:
     """The test's results at every budget its full run can be cut at."""
-    full = execute(program, test.function, test.args, controls)
+    full = execute(program, test.function, test.args)
     if full.timed_out:
         raise AssertionError(f"{test.id} exhausts the default budget; nothing to sweep")
-    return [execute(program, test.function, test.args, controls, step_budget=budget)
+    return [execute(program, test.function, test.args, step_budget=budget)
             for budget in range(full.steps + 1)]
 
 
@@ -56,12 +57,12 @@ def compute_digest() -> dict:
         program, suite = bundle.program(), bundle.suite()
         ifs = [loc for loc in program.locations()
                if isinstance(program.statement_at(loc), IfStmt)]
-        forcings = [ExecutionControls({loc: value}) for loc in ifs for value in (True, False)]
+        forcings = [decide(program, loc, value) for loc in ifs for value in (True, False)]
         plain, forced = [], []
         for test in suite:
-            plain += _sweep(program, test, None)
-            for controls in forcings:
-                forced += _sweep(program, test, controls)
+            plain += _sweep(program, test)
+            for decided in forcings:
+                forced += _sweep(decided, test)
         digest[bundle.id] = {"plain": _summary(plain), "forced": _summary(forced)}
     return digest
 

@@ -7,6 +7,7 @@ import pytest
 
 from condfix.cli import EXIT_NO_PATCH, EXIT_PATCHED, EXIT_USAGE, main
 from condfix.corpus import default_corpus_dir, load_bundle, write_bundle
+from condfix.minilang.parser import MAX_NESTING
 
 
 def write_gcd_inputs(tmp_path: Path):
@@ -60,6 +61,23 @@ class TestRepairCommand:
         suite.write_text("a: broken() -> 1\n")
         code = main(["repair", "--program", str(program), "--suite", str(suite)])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING, MAX_NESTING + 1])
+    def test_nesting_at_and_past_the_limit(self, tmp_path, capsys, levels):
+        from test_minilang import deep_ifs
+
+        program = tmp_path / "program.ml"
+        program.write_text(deep_ifs(levels))
+        suite = tmp_path / "suite.txt"
+        suite.write_text("up: f(1) -> 2\nzero: f(0) -> 1\n")
+        code = main(["repair", "--program", str(program), "--suite", str(suite)])
+        err = capsys.readouterr().err
+        if levels == MAX_NESTING:
+            assert code in (EXIT_PATCHED, EXIT_NO_PATCH)
+        else:
+            assert code == EXIT_USAGE
+            assert f"nesting deeper than {MAX_NESTING} levels (line {MAX_NESTING}," in err
+        assert "Traceback" not in err
 
     def test_usage_error_on_max_level_outside_ladder(self, tmp_path, capsys):
         program, suite = write_gcd_inputs(tmp_path)

@@ -5,8 +5,8 @@ import pytest
 
 from condfix.errors import NoFailingTestError
 from condfix.faultloc import (
-    METRICS, Spectrum, all_scores, build_spectrum, rank, scores_csv,
-    suspiciousness, wasted_effort, wasted_effort_from_scores,
+    METRICS, Spectrum, all_scores, build_spectrum, rank, suspiciousness,
+    wasted_effort, wasted_effort_from_scores,
 )
 from condfix.testkit import SuiteResult
 
@@ -161,12 +161,3 @@ class TestWastedEffort:
                 assert wasted_effort_from_scores(scores, buggy) == \
                     wasted_effort_from_scores(transformed, buggy)
 
-
-class TestExport:
-    def test_csv_shape(self):
-        s = make_spectrum({1: 1, 2: 0}, {1: 0, 2: 2}, 1, 2)
-        text = scores_csv(s)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("location,failed,passed,")
-        assert len(lines) == 3
-        assert lines[1].startswith("1,1,0,")

@@ -1,21 +1,23 @@
-"""Parser, interpreter, controls, and patching."""
+"""Parser, interpreter, decisions, probes, and patching."""
 import dataclasses
+import gc
 import sys
 import threading
+import weakref
 
 import pytest
 
 from condfix.errors import (
-    ControlError, KindMismatchError, MiniLangSyntaxError, PatchScopeError,
-    ResolutionError,
+    KindMismatchError, MiniLangSyntaxError, PatchScopeError, ResolutionError,
 )
 from condfix.minilang import (
-    INT_MAX, INT_MIN, NULL, Binary, ExecutionControls, Obj, Patch, PatchKind,
-    Program, StatementKind, Unary, VarRef, apply_patch, execute,
-    parse_expression, parse_program, render_expr, render_program,
+    INT_MAX, INT_MIN, NULL, SKIP, Binary, Obj, Patch, PatchKind, Program,
+    StatementKind, Unary, VarRef, apply_patch, decide, execute,
+    parse_expression, parse_program, render_expr, render_program, shadow_merge,
 )
 from condfix.minilang.ast import BLOCKS
 from condfix.minilang.interp import MAX_CALL_DEPTH, _Lowering
+from condfix.minilang.parser import MAX_NESTING
 from conftest import GCD_BUGGY
 
 BIG = 1 << 32  # BIG * BIG wraps to 0 in 64-bit arithmetic
@@ -148,33 +150,36 @@ class TestExecution:
 
 
 class TestControls:
+    """Decisions are program edits (``decide``); the probe is the one
+    per-run control."""
+
     def test_override_forces_every_evaluation(self, gcd_program):
-        controls = ExecutionControls(condition_overrides={1: True})
-        result = execute(gcd_program, "gcd", [3, 5], controls)
+        result = execute(decide(gcd_program, 1, True), "gcd", [3, 5])
         # forced true on a nonzero pair takes the early-return branch
         assert result.value == 8
         assert result.cond_values[1] == [True]
 
     def test_override_repairs_the_overflow_case(self, gcd_program):
-        controls = ExecutionControls(condition_overrides={1: False})
-        assert execute(gcd_program, "gcd", [BIG, BIG], controls).value == BIG
+        assert execute(decide(gcd_program, 1, False), "gcd", [BIG, BIG]).value == BIG
 
     def test_skip_removes_hit_and_effect(self):
         program = parse_program(
             "fn f() -> int { let x: int = 1; x = x + 10; return x; }"
         )
-        controls = ExecutionControls(skip_set=frozenset({2}))
-        result = execute(program, "f", [], controls)
+        result = execute(decide(program, 2, SKIP), "f", [])
         assert result.value == 1
         assert 2 not in result.hits
 
     def test_skip_only_applies_to_plain_statements(self, gcd_program):
-        with pytest.raises(ControlError):
-            execute(gcd_program, "gcd", [1, 2], ExecutionControls(skip_set=frozenset({1})))
+        with pytest.raises(KindMismatchError):
+            decide(gcd_program, 1, SKIP)
+        with pytest.raises(KindMismatchError):
+            decide(gcd_program, 3, True)
+        with pytest.raises(KindMismatchError):
+            decide(gcd_program, 5, False)  # a loop condition is never forced
 
     def test_probe_snapshot_contents(self, probe_program):
-        controls = ExecutionControls(probes=frozenset({1}))
-        result = execute(probe_program, "peek", [3, Obj("Str", "abc")], controls)
+        result = execute(probe_program, "peek", [3, Obj("Str", "abc")], probe=1)
         snapshot = result.snapshots[1][0]
         assert snapshot.values["n"] == 3
         assert snapshot.null_flags["s"] is False
@@ -182,8 +187,7 @@ class TestControls:
         assert snapshot.queries["s.isEmpty()"] is False
 
     def test_probe_capture_precedes_the_statement(self, probe_program):
-        controls = ExecutionControls(probes=frozenset({2}))
-        result = execute(probe_program, "peek", [4, Obj("Str", "")], controls)
+        result = execute(probe_program, "peek", [4, Obj("Str", "")], probe=2)
         assert result.snapshots[2][0].values["doubled"] == 8
 
 
@@ -200,10 +204,13 @@ fn g(n: int) -> int {
 """
 
 
-def run_body(body, controls=None, step_budget=1000):
-    """Execute ``body`` as the body of f(3, 4, true, "ab")."""
+def run_body(body, decision=None, step_budget=1000):
+    """Execute ``body`` as the body of f(3, 4, true, "ab"), with the
+    ``(location, decision)`` pair ``decision`` applied if given."""
     program = parse_program(STEPS_FIXTURE.replace("BODY", body))
-    return execute(program, "f", [3, 4, True, Obj("Str", "ab")], controls, step_budget)
+    if decision is not None:
+        program = decide(program, *decision)
+    return execute(program, "f", [3, 4, True, Obj("Str", "ab")], step_budget=step_budget)
 
 
 class TestStepAccounting:
@@ -242,12 +249,11 @@ class TestStepAccounting:
     def test_skipped_statement_takes_no_step(self):
         body = "let z: int = 1; z = z + 10; return z;"
         assert run_body(body).steps == 8
-        skipped = run_body(body, ExecutionControls(skip_set=frozenset({2})))
+        skipped = run_body(body, (2, SKIP))
         assert (skipped.value, skipped.steps) == (1, 4)
 
     def test_forced_condition_is_not_evaluated(self):
-        forced = run_body("if (x < y) { return 1; } return 2;",
-                          ExecutionControls(condition_overrides={1: False}))
+        forced = run_body("if (x < y) { return 1; } return 2;", (1, False))
         assert (forced.value, forced.steps) == (2, 3)
 
     def test_type_mismatch_fires_after_both_operands(self):
@@ -371,8 +377,7 @@ NESTED_DOWN = (
 
 class TestCallDepth:
     def test_unbounded_recursion_times_out(self):
-        controls = ExecutionControls(condition_overrides={1: False})
-        result = execute(parse_program(FACT), "fact", [3], controls)
+        result = execute(decide(parse_program(FACT), 1, False), "fact", [3])
         assert result.timed_out and result.error == "TimeoutDuringExecution"
         assert result.hits[1] == MAX_CALL_DEPTH
 
@@ -446,6 +451,129 @@ class TestCompiledCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert all(results[n] == expected * 5 for n in range(8))
+
+
+class TestLifetime:
+    """A program, its children and its closures form no reference cycle,
+    so the last reference to a program frees it even without the cyclic
+    garbage collector."""
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_gc(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    @staticmethod
+    def assert_freed(make):
+        ref = weakref.ref(make())
+        assert ref() is None
+
+    def test_a_parsed_program(self):
+        self.assert_freed(lambda: parse_program(GCD_BUGGY))
+
+    def test_a_program_that_ran_under_a_probe(self):
+        def ran():
+            program = parse_program(GCD_BUGGY)
+            execute(program, "gcd", [3, 5], probe=1)
+            return program
+
+        self.assert_freed(ran)
+
+    def test_edited_programs(self, gcd_program):
+        update = Patch(PatchKind.CONDITION_UPDATE, 1, parse_expression("u == 0 || v == 0"))
+        guard = Patch(PatchKind.PRECONDITION_ADDITION, 3, parse_expression("u != 0"))
+        execute(gcd_program, "gcd", [3, 5])
+
+        def ran(program):
+            execute(program, "gcd", [3, 5])
+            return program
+
+        self.assert_freed(lambda: ran(apply_patch(gcd_program, update)))
+        self.assert_freed(lambda: ran(decide(gcd_program, 1, True)))
+        self.assert_freed(lambda: ran(decide(gcd_program, 3, SKIP)))
+        children = apply_patch(gcd_program, update), apply_patch(gcd_program, guard)
+        self.assert_freed(lambda: ran(shadow_merge(*children)))
+
+
+def deep_ifs(levels):
+    """A program whose deepest nodes sit at ``levels``: ``levels - 3``
+    nested ifs around ``x = x + 1;`` (the operands of ``+`` are the
+    deepest) and ``return x;``."""
+    ifs = levels - 3
+    return ("fn f(x: int) -> int {\n" + "  if (x > 0) {\n" * ifs
+            + "  x = x + 1;\n  return x;\n" + "  }\n" * ifs + "  return 0;\n}\n")
+
+
+def deep_parentheses(levels):
+    """``return`` of ``x`` in ``levels - 2`` pairs of parentheses."""
+    pairs = levels - 2
+    return "fn f(x: int) -> int {\n  return " + "(" * pairs + "x" + ")" * pairs + ";\n}\n"
+
+
+def long_chain(levels):
+    """``return`` of a left-nested sum whose first operand sits at ``levels``."""
+    return "fn f(x: int) -> int {\n  return x" + " + x" * (levels - 2) + ";\n}\n"
+
+
+class TestNesting:
+    """The parser rejects input nested deeper than MAX_NESTING; everything
+    at the limit, and up to two levels past it after patching, runs."""
+
+    @pytest.mark.parametrize("build, value", [
+        (deep_ifs, 2), (deep_parentheses, 1), (long_chain, MAX_NESTING - 1),
+    ], ids=["ifs", "parentheses", "chain"])
+    def test_the_limit_runs_and_patches(self, build, value):
+        program = parse_program(build(MAX_NESTING))
+        assert execute(program, "f", [1]).value == value
+        again = parse_program(render_program(program))
+        assert again.functions == program.functions
+        # Guard the deepest plain statement once, then guard it again where
+        # it moved: it and its expression sit one, then two levels deeper.
+        loc = min(l for l in program.locations() if program.kind_of(l) == StatementKind.PLAIN)
+
+        def guard(base, at, text):
+            return apply_patch(base, Patch(PatchKind.PRECONDITION_ADDITION, at,
+                                           parse_expression(text)))
+
+        once = guard(program, loc, "x > 0")
+        twice = guard(once, once.max_location(), "x > -1")
+        merged = shadow_merge(once, guard(program, loc, "x > -1"))
+        for edited in (once, twice, merged, decide(program, loc, SKIP)):
+            # A RecursionError inside a run would end it as a timeout.
+            assert not execute(edited, "f", [1]).timed_out
+            render_program(edited)
+
+    @pytest.mark.parametrize("build, line", [
+        (deep_ifs, MAX_NESTING), (deep_parentheses, 2), (long_chain, 2),
+    ], ids=["ifs", "parentheses", "chain"])
+    def test_one_level_past_the_limit_is_a_syntax_error(self, build, line):
+        with pytest.raises(MiniLangSyntaxError, match=f"nesting deeper than {MAX_NESTING}") as err:
+            parse_program(build(MAX_NESTING + 1))
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text", [
+        "(" * 500 + "x" + ")" * 500, "!" * 500 + "b", "x" + " + x" * 500,
+    ], ids=["parentheses", "negations", "chain"])
+    def test_far_past_the_limit_is_a_syntax_error(self, text):
+        with pytest.raises(MiniLangSyntaxError, match="nesting deeper"):
+            parse_expression(text)
+
+    def test_a_method_call_receiver_is_one_level_deeper(self):
+        def program(pairs):
+            return ("fn f(s: Str) -> int {\n  return " + "(" * pairs + "s.length()"
+                    + ")" * pairs + ";\n}\n")
+
+        at_limit = parse_program(program(MAX_NESTING - 3))
+        assert execute(at_limit, "f", [Obj("Str", "ab")]).value == 2
+        with pytest.raises(MiniLangSyntaxError, match="nesting deeper"):
+            parse_program(program(MAX_NESTING - 2))
+
+    def test_a_deep_constant_is_a_syntax_error(self):
+        with pytest.raises(MiniLangSyntaxError, match="nesting deeper"):
+            parse_program("const K: int = " + "-" * 500 + "1;")
 
 
 class TestPatching:

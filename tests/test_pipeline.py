@@ -71,7 +71,7 @@ class TestRepair:
         assert scrub(a) == scrub(b)
 
     def test_angelic_tuples_logged_are_sound(self, gcd_program, gcd_suite):
-        from condfix.minilang import ExecutionControls, execute
+        from condfix.minilang import SKIP, decide, execute
         from condfix.testkit import verdict_holds
 
         report = repair(gcd_program, gcd_suite, RepairConfig())
@@ -79,13 +79,9 @@ class TestRepair:
         for trial in report.trials:
             for tup in trial.angelic_tuples:
                 test = by_id[tup["test"]]
-                if trial.kind == "condition":
-                    controls = ExecutionControls(
-                        condition_overrides={tup["loc"]: tup["val"]}
-                    )
-                else:
-                    controls = ExecutionControls(skip_set=frozenset({tup["loc"]}))
-                result = execute(gcd_program, test.function, list(test.args), controls)
+                decision = tup["val"] if trial.kind == "condition" else SKIP
+                result = execute(decide(gcd_program, tup["loc"], decision), test.function,
+                                 list(test.args))
                 assert verdict_holds(result, test)
 
 

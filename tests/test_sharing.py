@@ -1,12 +1,13 @@
-"""Patched programs share every statement off the edit's path with their base.
+"""Edited programs share every statement off the edit's path with their base.
 
-``apply_patch``, ``shadow_merge`` and mutation seeding copy only the
-statements that enclose the edited location (and the edited statement
-itself); every other statement, every expression and ``consts`` stay shared
-with the input. Each case here checks that the input is left as it was,
-which statements are shared and which are new, and that runs of the base,
-its patched children and their merge, interleaved over two threads, equal
-lone runs of programs built from fresh parses.
+``apply_patch``, ``decide``, ``shadow_merge`` and mutation seeding copy
+only the statements that enclose the edited location (and the edited
+statement itself); every other statement, every expression, ``consts``
+and the table of lowered closures stay shared with the input. Each case
+here checks that the input is left as it was, which statements are shared
+and which are new, which closures an edit lowers, and that runs of the
+base, its edited children and their merge, interleaved over two threads,
+equal lone runs of programs built from fresh parses.
 """
 import dataclasses
 import sys
@@ -17,8 +18,8 @@ import pytest
 from condfix import corpus
 from condfix.corpus import builtin_seed_sources, seed_condition_bugs
 from condfix.minilang import (
-    IfStmt, Patch, PatchKind, WhileStmt, apply_patch, execute, parse_expression,
-    parse_program, render_program, shadow_merge,
+    SKIP, IfStmt, Patch, PatchKind, WhileStmt, apply_patch, decide, execute,
+    parse_expression, parse_program, render_program, shadow_merge,
 )
 
 CONDITION = PatchKind.CONDITION_UPDATE
@@ -217,6 +218,77 @@ class TestApplyPatch:
             return [base, apply_patch(base, patch_of(spec))]
 
         assert_runs_match_fresh_parses(build(), build, "f", ARGS)
+
+
+# (location, decision) per decision.
+DECISIONS = [(4, True), (9, False), (12, True), (5, SKIP), (6, SKIP)]
+DECISION_IDS = ["nested-if", "outer-if", "other-function", "nested-skip", "skipped-let"]
+
+
+class TestDecide:
+    @pytest.mark.parametrize("loc, decision", DECISIONS, ids=DECISION_IDS)
+    def test_copies_only_the_path_and_leaves_the_base(self, loc, decision):
+        base = parse_program(BASE)
+        before = snapshot(base)
+        decided = decide(base, loc, decision)
+        assert_unchanged(before, base)
+        assert decided.origin is None
+        if decision is SKIP:
+            assert set(decided.locations()) == set(base.locations()) - {loc}
+            new = enclosing(base, loc)
+            for other in decided.locations():
+                shared = decided.statement_at(other) is base.statement_at(other)
+                assert shared is (other not in new), other
+        else:
+            assert_path_copied(base, decided, [loc])
+            assert decided.statement_at(loc).cond.value is decision
+            assert decided.statement_at(loc).then_body is base.statement_at(loc).then_body
+
+    @pytest.mark.parametrize("loc, decision", DECISIONS, ids=DECISION_IDS)
+    def test_runs_match_fresh_parses(self, loc, decision):
+        def build():
+            base = parse_program(BASE)
+            return [base, decide(base, loc, decision)]
+
+        assert_runs_match_fresh_parses(build(), build, "f", ARGS)
+
+
+def new_closures(program, before):
+    """The nodes ``program``'s run lowered that are not keys of ``before``."""
+    return {key for key in program.closures if key not in before}
+
+
+class TestClosureSharing:
+    """A child lowers closures only for what it does not share with its
+    base: the statements on the edited path and the edited function."""
+
+    @pytest.mark.parametrize("edit", [
+        *(lambda base, d=d: decide(base, *d) for d in DECISIONS),
+        *(lambda base, s=s: apply_patch(base, patch_of(s))
+          for s in (NESTED_CONDITION, OUTER_CONDITION, OTHER_FUNCTION, NESTED_PRECONDITION)),
+        lambda base: shadow_merge(*(apply_patch(base, patch_of(s))
+                                    for s in (NESTED_CONDITION, GUARDED_LET))),
+    ], ids=[f"decide-{i}" for i in DECISION_IDS]
+       + ["patch-nested-condition", "patch-outer-condition", "patch-other-function",
+          "patch-nested-precondition", "merge"])
+    def test_a_child_lowers_only_its_edited_path(self, edit):
+        base = parse_program(BASE)
+        execute(base, "f", ARGS[0])
+        before = set(base.closures)
+        assert len(before) == len(base.locations()) + len(base.functions)
+        child = edit(base)
+        assert child.closures is base.closures
+        execute(child, "f", ARGS[0])
+        shared = {id(base.statement_at(loc)) for loc in base.locations()}
+        shared |= {id(fn) for fn in base.functions.values()}
+        unshared = {id(child.statement_at(loc)) for loc in child.locations()}
+        unshared |= {id(fn) for fn in child.functions.values()}
+        assert new_closures(child, before) == unshared - shared
+        # Running it again, or running the base, lowers nothing more.
+        lowered = set(child.closures)
+        execute(child, "f", ARGS[1])
+        execute(base, "f", ARGS[1])
+        assert set(child.closures) == lowered
 
 
 class TestShadowMerge:
