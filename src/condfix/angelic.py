@@ -77,10 +77,11 @@ def angelic_condition(
     failing: Iterable[str],
     loc: int,
     step_budget: int = DEFAULT_STEP_BUDGET,
+    deadline: Optional[float] = None,
 ) -> AngelicOutcome:
     """Search for per-test forced condition values that pass every failing
     test. True is tried first, so it is recorded when both would pass."""
-    return _angelic_search(program, suite, failing, loc, CONDITION, step_budget)
+    return _angelic_search(program, suite, failing, loc, CONDITION, step_budget, deadline)
 
 
 def angelic_precondition(
@@ -89,10 +90,11 @@ def angelic_precondition(
     failing: Iterable[str],
     loc: int,
     step_budget: int = DEFAULT_STEP_BUDGET,
+    deadline: Optional[float] = None,
 ) -> AngelicOutcome:
     """Skip the statement during each failing test; found iff all pass.
     Every recorded tuple carries the value false (statement skipped)."""
-    return _angelic_search(program, suite, failing, loc, PRECONDITION, step_budget)
+    return _angelic_search(program, suite, failing, loc, PRECONDITION, step_budget, deadline)
 
 
 def check_candidate(program: Program, loc: int, kind: str) -> None:
@@ -104,10 +106,11 @@ def check_candidate(program: Program, loc: int, kind: str) -> None:
         raise ValueError(f"location {loc} is not a {kind} candidate")
 
 
-def _angelic_search(program, suite, failing, loc, kind, step_budget) -> AngelicOutcome:
+def _angelic_search(program, suite, failing, loc, kind, step_budget, deadline) -> AngelicOutcome:
     """Try the decisions of ``kind`` in order on each failing test; the first
     that passes is the test's angelic value. The first test none passes ends
-    the search, and its own runs alone decide whether the budget ran out."""
+    the search, and its own runs alone decide whether the budget ran out. A
+    run that reads the clock past ``deadline`` raises DeadlineExceeded."""
     check_candidate(program, loc, kind)
     tests = _index_tests(suite, failing)
     if not tests:
@@ -120,7 +123,7 @@ def _angelic_search(program, suite, failing, loc, kind, step_budget) -> AngelicO
     for test in tests:
         for decision in decisions:
             result = execute(decided[decision], test.function, list(test.args),
-                             step_budget=step_budget)
+                             step_budget=step_budget, deadline=deadline)
             passed = verdict_holds(result, test)
             trials.append(Trial(loc, test.id, decision, passed, result.timed_out))
             if passed:

@@ -46,3 +46,7 @@ class InternalConsistencyError(CondfixError):
 
 class BundleError(CondfixError):
     """A corpus bundle is malformed or fails its self-check."""
+
+
+class DeadlineExceeded(CondfixError):
+    """A run or a search read the clock past its deadline."""

@@ -4,7 +4,8 @@
 A closure holds no per-run state: it receives the run's context and the
 current call frame, so runs never share state. Runtime failures (null
 dereference, division by zero, thrown errors, exhausted step budget or
-call depth) are reported in the ExecutionResult, never raised.
+call depth) are reported in the ExecutionResult, never raised. The one
+exception ``execute`` raises for a run is ``DeadlineExceeded``.
 
 Instrumentation is one optional probe: every run records hits and
 condition values, and a probed run also snapshots the state at each hit
@@ -24,6 +25,15 @@ two, its receiver being a variable reference; a ``Forced`` condition is
 none), plus one per finished loop-body run. The run times out on step
 ``budget + 1``.
 
+Deadline: a run counts its steps through a ``budget.Budget``, so each
+step is one increment and one compare against the run's ``limit``. With
+no deadline the limit is the step budget. With one, the run reads the
+clock each time its step count reaches a multiple of 4,096 (within the
+budget), and a read past the deadline raises ``DeadlineExceeded``: a cut
+run returns no result, so no caller can mistake it for an answer. A run
+of fewer steps never reads the clock. A deadline that does not pass
+changes no step, value, error or timeout.
+
 Call depth: each call reserves its body's static closure-nesting depth,
 cached with its closures, so an edited program reserves what its own
 closures need. In the packaged corpus, skipping ``cm2`` location 12 lowers
@@ -36,16 +46,17 @@ program constant) and whose right operand is a variable or an int or
 real literal or program constant lowers to one closure that reads both
 operands straight from the frame (a superoperator; Proebsting, POPL
 1995). It charges the node's three steps at once, and only when they fit
-in the budget, both names are bound, the operands are two ints or two
-reals, and an int result needs no wrapping. In every other case (a
-budget that ends inside the node, an unbound name, mixed or non-numeric
-types) it runs the node's general closure from the unchanged step count.
-Leaf reads are pure, so that fallback is exact: steps, hits, condition
-values, errors and timeouts are those of the unfused node. ``/`` and
-``%`` are never fused. The nesting depth counts a fused node like the
-unfused one, since the call-depth reservation is a property of the
-program, not of its lowering; a fallback adds at most one Python frame,
-at the top of the stack, because fused operands never call.
+under the run's limit, both names are bound, the operands are two ints
+or two reals, and an int result needs no wrapping. In every other case (a
+budget or clock read that falls inside the node, an unbound name, mixed
+or non-numeric types) it runs the node's general closure from the
+unchanged step count. Leaf reads are pure, so that fallback is exact:
+steps, hits, condition values, errors and timeouts are those of the
+unfused node. ``/`` and ``%`` are never fused. The nesting depth counts a
+fused node like the unfused one, since the call-depth reservation is a
+property of the program, not of its lowering; a fallback adds at most
+one Python frame, at the top of the stack, because fused operands never
+call.
 """
 from __future__ import annotations
 
@@ -53,6 +64,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..budget import Budget, Exhausted
 from .ast import (
     AssignStmt, Binary, BoolLit, CallExpr, CallStmt, Expr, Forced, FunctionDef,
     IfStmt, IntLit, LetStmt, MethodCall, NullLit, Program, RealLit, ReturnStmt,
@@ -111,21 +123,17 @@ class _Throw(Exception):
         self.name = name
 
 
-class _Timeout(Exception):
-    pass
+class _Run(Budget):
+    """The state of one execution, passed to every compiled closure. Its
+    count is the run's steps."""
 
+    __slots__ = ("functions", "probe", "depth", "hits", "cond_values", "snapshots")
 
-class _Run:
-    """The state of one execution, passed to every compiled closure."""
-
-    __slots__ = ("functions", "probe", "budget", "steps", "depth",
-                 "hits", "cond_values", "snapshots")
-
-    def __init__(self, functions: Dict[str, Callable], probe: Optional[int], budget: int):
+    def __init__(self, functions: Dict[str, Callable], probe: Optional[int], budget: int,
+                 deadline: Optional[float]):
+        super().__init__(budget, deadline)
         self.functions = functions
         self.probe = probe
-        self.budget = budget
-        self.steps = 0
         self.depth = 0
         self.hits: Dict[int, int] = {}
         self.cond_values: Dict[int, List[bool]] = {}
@@ -234,7 +242,7 @@ class _Lowering:
             if len(args) != arity:
                 raise ValueError(f"{name}() takes {arity} arguments, got {len(args)}")
             if run.depth > limit:
-                raise _Timeout()
+                raise Exhausted()
             frame: Dict[str, Value] = {}
             for (param, declared), arg in zip(params, args):
                 if not matches_declared(arg, declared):
@@ -267,9 +275,9 @@ class _Lowering:
 
         def block(run, frame):
             for loc, hit, stmt in entries:
-                run.steps += 1
-                if run.steps > run.budget:
-                    raise _Timeout()
+                run.count += 1
+                if run.count > run.limit:
+                    run.check()
                 if hit:
                     run.hits[loc] = run.hits.get(loc, 0) + 1
                     if loc == run.probe:
@@ -366,9 +374,9 @@ class _Lowering:
                 value = body(run, frame)
                 if value is not None:
                     return value
-                run.steps += 1
-                if run.steps > run.budget:
-                    raise _Timeout()
+                run.count += 1
+                if run.count > run.limit:
+                    run.check()
 
         return while_stmt, 1 + max(cond_depth, body_depth)
 
@@ -399,9 +407,9 @@ class _Lowering:
     @staticmethod
     def constant(value: Value) -> Compiled:
         def constant(run, frame):
-            run.steps += 1
-            if run.steps > run.budget:
-                raise _Timeout()
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
             return value
 
         return constant
@@ -411,9 +419,9 @@ class _Lowering:
             return self.constant(self.consts[name].value)
 
         def variable(run, frame):
-            run.steps += 1
-            if run.steps > run.budget:
-                raise _Timeout()
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
             try:
                 return frame[name]
             except KeyError:
@@ -428,9 +436,9 @@ class _Lowering:
         apply = _UNARY[expr.op]
 
         def unary(run, frame):
-            run.steps += 1
-            if run.steps > run.budget:
-                raise _Timeout()
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
             return apply(operand(run, frame))
 
         return unary
@@ -443,9 +451,9 @@ class _Lowering:
             decisive = op == "||"
 
             def logical(run, frame):
-                run.steps += 1
-                if run.steps > run.budget:
-                    raise _Timeout()
+                run.count += 1
+                if run.count > run.limit:
+                    run.check()
                 value = left(run, frame)
                 if type(value) is not bool:
                     raise _Throw(TYPE_MISMATCH)
@@ -462,9 +470,9 @@ class _Lowering:
             positive = op == "=="
 
             def equality(run, frame):
-                run.steps += 1
-                if run.steps > run.budget:
-                    raise _Timeout()
+                run.count += 1
+                if run.count > run.limit:
+                    run.check()
                 a = left(run, frame)
                 b = right(run, frame)
                 if type(a) is int and type(b) is int:
@@ -478,9 +486,9 @@ class _Lowering:
         apply = _NUMERIC[op]
 
         def numeric(run, frame):
-            run.steps += 1
-            if run.steps > run.budget:
-                raise _Timeout()
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
             a = left(run, frame)
             b = right(run, frame)
             kind = type(a)
@@ -508,8 +516,8 @@ class _Lowering:
             other = right.name
 
             def fused_variables(run, frame):
-                steps = run.steps + 3
-                if steps <= run.budget:
+                steps = run.count + 3
+                if steps <= run.limit:
                     try:
                         a = frame[name]
                         b = frame[other]
@@ -519,7 +527,7 @@ class _Lowering:
                     if kind is type(b) and (kind is int or kind is float):
                         value = apply(a, b)
                         if INT_MIN <= value <= INT_MAX or kind is float:
-                            run.steps = steps
+                            run.count = steps
                             return value
                 return general(run, frame)
 
@@ -536,8 +544,8 @@ class _Lowering:
             return general
 
         def fused_constant(run, frame):
-            steps = run.steps + 3
-            if steps <= run.budget:
+            steps = run.count + 3
+            if steps <= run.limit:
                 try:
                     a = frame[name]
                 except KeyError:
@@ -545,7 +553,7 @@ class _Lowering:
                 if type(a) is kind:
                     value = apply(a, b)
                     if INT_MIN <= value <= INT_MAX or kind is float:
-                        run.steps = steps
+                        run.count = steps
                         return value
             return general(run, frame)
 
@@ -559,9 +567,9 @@ class _Lowering:
         receiver, method, registry = self.variable(expr.receiver), expr.method, self.registry
 
         def method_call(run, frame):
-            run.steps += 1
-            if run.steps > run.budget:
-                raise _Timeout()
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
             value = receiver(run, frame)
             if isinstance(value, Null):
                 raise _Throw(NULL_DEREFERENCE)
@@ -575,9 +583,9 @@ class _Lowering:
         name, args = expr.func, tuple(self.expr(a) for a in expr.args)
 
         def call(run, frame):
-            run.steps += 1
-            if run.steps > run.budget:
-                raise _Timeout()
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
             values = []
             for arg in args:
                 values.append(arg(run, frame))
@@ -625,20 +633,22 @@ def execute(
     args: Sequence[Value],
     probe: Optional[int] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
+    deadline: Optional[float] = None,
 ) -> ExecutionResult:
     """Run one function call, capturing snapshots at the ``probe`` location
     if one is given.
 
     Runtime errors and budget exhaustion (steps or call depth) are captured
     in the result; hits, snapshots, and condition values collected before a
-    failure are kept.
+    failure are kept. A run that reads the clock past ``deadline`` raises
+    DeadlineExceeded instead of returning a result.
     """
     if probe is not None:
         program.statement_at(probe)
     if function not in program.functions:
         raise ValueError(f"undefined function {function!r}")
     functions = _lowered(program)
-    run = _Run(functions, probe, step_budget)
+    run = _Run(functions, probe, step_budget, deadline)
     result = ExecutionResult(
         hits=run.hits, snapshots=run.snapshots, cond_values=run.cond_values
     )
@@ -646,10 +656,10 @@ def execute(
         result.value = functions[function](run, list(args))
     except _Throw as t:
         result.error = t.name
-    except (_Timeout, RecursionError):
+    except (Exhausted, RecursionError):
         # The call-depth budget keeps MiniLang calls within Python's stack
         # unless the caller itself runs deep in it; that exhausts the run too.
         result.error = TIMEOUT
         result.timed_out = True
-    result.steps = run.steps
+    result.steps = run.count
     return result

@@ -183,18 +183,23 @@ def _replace_statement(
     ``consts`` and the closure table are shared with ``program``, which is
     left as it was.
     """
-    def rewrite(stmts: Block) -> Optional[Block]:
-        for i, s in enumerate(stmts):
-            if s.loc == loc:
-                return stmts[:i] + replace(s) + stmts[i + 1:]
-            for name in BLOCKS.get(type(s), ()):
-                block = rewrite(getattr(s, name))
-                if block is not None:
-                    return stmts[:i] + (dataclasses.replace(s, **{name: block}),) + stmts[i + 1:]
-        return None
-
     fn = program.functions[program.function_of(loc)]
     functions = dict(program.functions)
-    functions[fn.name] = dataclasses.replace(fn, body=rewrite(fn.body))
+    functions[fn.name] = dataclasses.replace(fn, body=_rewrite(fn.body, loc, replace))
     return Program(consts=program.consts, functions=functions, registry=program.registry,
                    closures=program.closures)
+
+
+def _rewrite(stmts: Block, loc: int, replace: Callable[[Stmt], Block]) -> Optional[Block]:
+    """``stmts`` with ``replace(stmt)`` in place of the statement at ``loc``,
+    copying each enclosing statement; None if ``loc`` is not in ``stmts``.
+    A module-level function, not a closure, so that no reference cycle
+    keeps an edit alive past its last use."""
+    for i, s in enumerate(stmts):
+        if s.loc == loc:
+            return stmts[:i] + replace(s) + stmts[i + 1:]
+        for name in BLOCKS.get(type(s), ()):
+            block = _rewrite(getattr(s, name), loc, replace)
+            if block is not None:
+                return stmts[:i] + (dataclasses.replace(s, **{name: block}),) + stmts[i + 1:]
+    return None

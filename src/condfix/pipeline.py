@@ -14,9 +14,15 @@ When nothing validates, the report carries one reason:
                       decision passes exhausted the step budget
   conflicting-trace   some trace matrix demanded two outcomes for one input
   synthesis-timeout   some solver call timed out or a rung went unanswered
-  exhausted           the ranking or the global time budget ran out
+  exhausted           the ranking ran out, or the global deadline passed
+                      in any phase
 
 with later phases taking precedence, since they carry more information.
+The global deadline outranks them all: ``repair`` gives the one deadline
+``started + global_timeout`` to every run it makes and caps each rung at
+what is left of it. The first run or rung that finds it passed raises
+DeadlineExceeded, which ends the search; the current trial then reads
+``exhausted``.
 """
 from __future__ import annotations
 
@@ -28,7 +34,8 @@ from typing import List, Optional, Sequence
 from .angelic import (
     BUDGET_EXHAUSTED, CONDITION, REPAIR_KINDS, angelic_condition, angelic_precondition,
 )
-from .errors import NoFailingTestError
+from .budget import Budget
+from .errors import DeadlineExceeded, NoFailingTestError
 from .faultloc import METRICS, build_spectrum, rank
 from .minilang import DEFAULT_STEP_BUDGET, Patch, Program, apply_patch, render_program
 from .synth import DEFAULT_NODE_BUDGET, MAX_LEVEL, MIN_LEVEL, decode, encode, solve, to_minilang
@@ -141,10 +148,12 @@ class RepairReport:
 
 
 def validate(program: Program, patch: Patch, suite: Sequence[TestCase],
-             step_budget: int = DEFAULT_STEP_BUDGET) -> bool:
-    """Whole-suite re-execution on the patched program; true iff nothing fails."""
+             step_budget: int = DEFAULT_STEP_BUDGET, deadline: Optional[float] = None) -> bool:
+    """Whole-suite re-execution on the patched program; true iff nothing
+    fails. A run that reads the clock past ``deadline`` raises
+    DeadlineExceeded."""
     patched = apply_patch(program, patch)
-    return run_suite(patched, suite, step_budget=step_budget).all_pass()
+    return run_suite(patched, suite, step_budget, deadline).all_pass()
 
 
 def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairConfig] = None,
@@ -153,56 +162,58 @@ def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairC
     step_budget=config.step_budget)``; the repair then skips that run."""
     config = config or RepairConfig()
     started = time.monotonic()
-
-    if baseline is None:
-        baseline = run_suite(program, suite, step_budget=config.step_budget)
-    if not baseline.failing:
-        raise NoFailingTestError("repair requires at least one failing test")
-    failing = sorted(baseline.failing)
-
-    spectrum = build_spectrum(baseline, program.locations())
-    ranking = rank(spectrum, config.metric)
-
+    deadline = started + config.global_timeout
     trials: List[LocationTrial] = []
-    for position, (loc, _score) in enumerate(ranking.entries, start=1):
-        if time.monotonic() - started > config.global_timeout:
-            return _no_patch(EXHAUSTED, trials, started)
-        kind = _repair_kind(program, loc, config.mode)
-        if kind is None:
-            continue
-        trial = LocationTrial(loc=loc, rank=position, kind=kind, status="")
-        trials.append(trial)
+    try:
+        if baseline is None:
+            baseline = run_suite(program, suite, config.step_budget, deadline)
+        if not baseline.failing:
+            raise NoFailingTestError("repair requires at least one failing test")
+        failing = sorted(baseline.failing)
 
-        search = angelic_condition if kind == CONDITION else angelic_precondition
-        outcome = search(program, suite, failing, loc, config.step_budget)
-        if not outcome.found:
-            trial.status = (
-                EXECUTION_TIMEOUT if outcome.reason == BUDGET_EXHAUSTED else NO_ANGELIC_VALUE
+        spectrum = build_spectrum(baseline, program.locations())
+        ranking = rank(spectrum, config.metric)
+
+        for position, (loc, _score) in enumerate(ranking.entries, start=1):
+            kind = _repair_kind(program, loc, config.mode)
+            if kind is None:
+                continue
+            trial = LocationTrial(loc=loc, rank=position, kind=kind, status="")
+            trials.append(trial)
+
+            search = angelic_condition if kind == CONDITION else angelic_precondition
+            outcome = search(program, suite, failing, loc, config.step_budget, deadline)
+            if not outcome.found:
+                trial.status = (
+                    EXECUTION_TIMEOUT if outcome.reason == BUDGET_EXHAUSTED else NO_ANGELIC_VALUE
+                )
+                continue
+            trial.angelic_tuples = [
+                {"loc": t.loc, "val": t.val, "test": t.test}
+                for t in outcome.tuples.values()
+            ]
+
+            matrix = deduplicate(
+                collect(program, suite, loc, kind, outcome.tuples, config.step_budget, deadline)
             )
-            continue
-        trial.angelic_tuples = [
-            {"loc": t.loc, "val": t.val, "test": t.test}
-            for t in outcome.tuples.values()
-        ]
+            if matrix.conflicting:
+                trial.status = CONFLICTING_TRACE
+                continue
 
-        matrix = deduplicate(
-            collect(program, suite, loc, kind, outcome.tuples, config.step_budget)
-        )
-        if matrix.conflicting:
-            trial.status = CONFLICTING_TRACE
-            continue
-
-        patch = _synthesis_ladder(program, suite, matrix, kind, trial, config, started)
-        if patch is not None:
-            return RepairReport(
-                outcome="patched",
-                patch=patch,
-                level=trial.levels[-1].level,
-                location_rank=position,
-                wall_time=time.monotonic() - started,
-                trials=trials,
-            )
-
+            patch = _synthesis_ladder(program, suite, matrix, kind, trial, config, deadline)
+            if patch is not None:
+                return RepairReport(
+                    outcome="patched",
+                    patch=patch,
+                    level=trial.levels[-1].level,
+                    location_rank=position,
+                    wall_time=time.monotonic() - started,
+                    trials=trials,
+                )
+    except DeadlineExceeded:
+        if trials:
+            trials[-1].status = EXHAUSTED
+        return _no_patch(EXHAUSTED, trials, started)
     return _no_patch(None, trials, started)
 
 
@@ -228,16 +239,13 @@ def _repair_kind(program: Program, loc: int, mode: str) -> Optional[str]:
     return None
 
 
-def _synthesis_ladder(program, suite, matrix, kind, trial, config, started) -> Optional[Patch]:
+def _synthesis_ladder(program, suite, matrix, kind, trial, config, deadline) -> Optional[Patch]:
     saw_timeout = False
     for level in range(1, config.max_level + 1):
+        timeout = min(config.level_timeout, Budget.seconds_left(deadline))
         level_started = time.monotonic()
-        remaining = config.global_timeout - (level_started - started)
-        if remaining <= 0:
-            break
         problem = encode(matrix, level)
-        result = solve(problem, config.solver_cmd, min(config.level_timeout, remaining),
-                       config.solver_nodes)
+        result = solve(problem, config.solver_cmd, timeout, config.solver_nodes)
         elapsed = time.monotonic() - level_started
         status, patch = result.status, None
         if status == SAT:
@@ -248,13 +256,15 @@ def _synthesis_ladder(program, suite, matrix, kind, trial, config, started) -> O
                 status, saw_timeout = "invalid-patch", True
             else:
                 patch = Patch(REPAIR_KINDS[kind][0], matrix.location, to_minilang(expression))
-                if not validate(program, patch, suite, config.step_budget):
+                if not validate(program, patch, suite, config.step_budget, deadline):
                     status, patch = "invalid-patch", None
         trial.levels.append(LevelTrial(level, status, elapsed, result.nodes))
         if patch is not None:
             trial.status = "patched"
             return patch
-        saw_timeout = saw_timeout or status == TIMEOUT
+        if status == TIMEOUT:
+            saw_timeout = True
+            Budget.seconds_left(deadline)  # a rung the deadline stopped ends the search
     trial.status = SYNTHESIS_TIMEOUT if saw_timeout else EXHAUSTED
     return None
 

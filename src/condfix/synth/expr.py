@@ -90,15 +90,19 @@ def decode(problem: SynthesisProblem, model: Dict[str, int]) -> PatchExpression:
     }
     for i, e in enumerate(problem.output_elements):
         producer_at[model[e.name]] = ("comp", e.component_index)
+    return _traverse(problem, model, producer_at, model["l_result"])
 
-    def traverse(slot: int) -> PatchExpression:
-        role, index = producer_at[slot]
-        if role == "col":
-            return Leaf(problem.columns[index])
-        comp = problem.components[index]
-        args = tuple(
-            traverse(model[f"l_arg_{comp.uid}_{k}"]) for k in range(comp.arity)
-        )
-        return App(comp, args)
 
-    return traverse(model["l_result"])
+def _traverse(problem: SynthesisProblem, model: Dict[str, int],
+              producer_at: Dict[int, Tuple[str, int]], slot: int) -> PatchExpression:
+    """The expression produced at ``slot``. A module-level function, not a
+    closure, so that no reference cycle keeps the problem alive."""
+    role, index = producer_at[slot]
+    if role == "col":
+        return Leaf(problem.columns[index])
+    comp = problem.components[index]
+    args = tuple(
+        _traverse(problem, model, producer_at, model[f"l_arg_{comp.uid}_{k}"])
+        for k in range(comp.arity)
+    )
+    return App(comp, args)

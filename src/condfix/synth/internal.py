@@ -11,7 +11,10 @@ valid wirings (their values cannot reach the result).
 
 Exhausting the cone space proves unsatisfiability. The search honors both
 a wall-clock limit and a deterministic node budget; crossing either
-reports a timeout, never a wrong unsat.
+reports a timeout, never a wrong unsat. Nodes are counted through a
+``budget.Budget``, which reads the clock each time the count reaches a
+multiple of 4,096; a timeout of zero is a deadline already passed, so it
+stops the search at node 4,096.
 
 One node is one candidate for the next cone position: a component not yet
 in the cone with one wiring of its inputs. Candidates are visited in a
@@ -36,6 +39,8 @@ from itertools import product
 from math import prod
 from typing import Dict, List, Optional, Tuple
 
+from ..budget import Budget, Exhausted
+from ..errors import DeadlineExceeded
 from ..minilang.values import INT_MAX, INT_MIN, wrap_int
 from .components import BOOL, REAL
 from .problem import SynthesisProblem
@@ -54,32 +59,6 @@ class SolveResult:
     @property
     def is_sat(self) -> bool:
         return self.status == SAT
-
-
-class _Budget:
-    def __init__(self, timeout_s: Optional[float], max_nodes: int):
-        self.deadline = time.monotonic() + timeout_s if timeout_s else None
-        self.max_nodes = max_nodes
-        self.nodes = 0
-        self.exhausted = False
-
-    def advance(self, count: int = 1) -> bool:
-        """Count ``count`` nodes at once. True when the node budget or the
-        wall clock ran out on one of them, as if each was counted alone:
-        the clock is read when the count passes a multiple of 4096."""
-        start, end = self.nodes, self.nodes + count
-        if self.deadline is not None:
-            boundary = (start // 4096 + 1) * 4096
-            if boundary <= min(end, self.max_nodes) and time.monotonic() > self.deadline:
-                self.nodes = boundary
-                self.exhausted = True
-                return True
-        if end > self.max_nodes:
-            self.nodes = self.max_nodes + 1
-            self.exhausted = True
-            return True
-        self.nodes = end
-        return False
 
 
 # A wiring reference: ("col", column_index) or ("comp", cone_position).
@@ -111,25 +90,26 @@ def solve_internal(
         if any(t not in producible for t in c.in_types):
             return SolveResult(UNSAT)
 
-    budget = _Budget(timeout_s, max_nodes)
-    found = _search_cones(problem, budget)
+    budget = Budget(max_nodes, None if timeout_s is None else time.monotonic() + timeout_s)
+    try:
+        found = _search_cones(problem, budget)
+    except (Exhausted, DeadlineExceeded):
+        return SolveResult(TIMEOUT, nodes=budget.count)
     if found is not None:
         order, wirings = found
         model = _complete_model(problem, order, wirings)
-        return SolveResult(SAT, model, budget.nodes)
-    if budget.exhausted:
-        return SolveResult(TIMEOUT, nodes=budget.nodes)
-    return SolveResult(UNSAT, nodes=budget.nodes)
+        return SolveResult(SAT, model, budget.count)
+    return SolveResult(UNSAT, nodes=budget.count)
 
 
-def _search_cones(problem: SynthesisProblem, budget: _Budget):
+def _search_cones(problem: SynthesisProblem, budget: Budget):
     bool_roots = [i for i, c in enumerate(problem.components) if c.out_type == BOOL]
     if not bool_roots:
         return None
     state = _SearchState(problem, bool_roots, budget)
     for k in range(1, len(problem.components) + 1):
         hit = state.extend(k)
-        if hit is not None or budget.exhausted:
+        if hit is not None:
             return hit
     return None
 
@@ -148,7 +128,7 @@ class _SearchState:
     the consumability test are updated on push and pop, not rebuilt.
     """
 
-    def __init__(self, problem: SynthesisProblem, bool_roots: List[int], budget: _Budget):
+    def __init__(self, problem: SynthesisProblem, bool_roots: List[int], budget: Budget):
         components = problem.components
         self.components = components
         self.budget = budget
@@ -291,8 +271,7 @@ class _SearchState:
                 candidates = by_types[comp.in_types] = self.candidates(comp.in_types)
             memo = self.memos[ci]
             for wiring, key in candidates:
-                if budget.advance():
-                    return None
+                budget.advance()
                 vid = memo.get(key)
                 if vid is None:
                     vid = self.apply(ci, key)
@@ -308,8 +287,6 @@ class _SearchState:
                     return hit
                 seen[vid] = False
                 self.pop()
-                if budget.exhausted:
-                    return None
         return None
 
     def close(self):
@@ -342,8 +319,7 @@ class _SearchState:
                 if vid is None:
                     vid = self.apply(ci, key)
                 if vid == expected:
-                    if self.budget.advance(tried + index + 1):
-                        return None
+                    self.budget.advance(tried + index + 1)
                     return self.cone + [ci], self.wirings + [wiring]
             tried += count
         self.budget.advance(tried)

@@ -100,8 +100,10 @@ def run_suite(
     program: Program,
     suite: Sequence[TestCase],
     step_budget: int = DEFAULT_STEP_BUDGET,
+    deadline: Optional[float] = None,
 ) -> SuiteResult:
-    """Run every test against the program."""
+    """Run every test against the program; DeadlineExceeded ends the suite
+    at the first run that reads the clock past ``deadline``."""
     if not suite:
         raise ValueError("suite must contain at least one test case")
     ids = [t.id for t in suite]
@@ -111,7 +113,8 @@ def run_suite(
     coverage: Dict[str, Dict[int, int]] = {}
     executions: Dict[str, ExecutionResult] = {}
     for test in suite:
-        result = execute(program, test.function, list(test.args), step_budget=step_budget)
+        result = execute(program, test.function, list(test.args), step_budget=step_budget,
+                         deadline=deadline)
         verdicts[test.id] = verdict_holds(result, test)
         coverage[test.id] = dict(result.hits)
         executions[test.id] = result

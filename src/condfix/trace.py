@@ -82,8 +82,10 @@ def collect(
     kind: str,
     angelic: Dict[str, AngelicTuple],
     step_budget: int = DEFAULT_STEP_BUDGET,
+    deadline: Optional[float] = None,
 ) -> TraceMatrix:
-    """Build the input/outcome matrix for one candidate location."""
+    """Build the input/outcome matrix for one candidate location. A run that
+    reads the clock past ``deadline`` raises DeadlineExceeded."""
     check_candidate(program, loc, kind)
 
     columns = _candidate_columns(program, loc)
@@ -96,7 +98,7 @@ def collect(
     for test in suite:
         tuple_for_test = angelic.get(test.id)
         run = program if tuple_for_test is None else forced.get(tuple_for_test.val, program)
-        result = execute(run, test.function, list(test.args), loc, step_budget)
+        result = execute(run, test.function, list(test.args), loc, step_budget, deadline)
         snapshots = result.snapshots.get(loc, [])
         if not snapshots:
             if tuple_for_test is not None:

@@ -49,6 +49,26 @@ EVEN_SUITE = "".join(
     for i, x in enumerate(range(-5, 6))
 )
 
+# h(n) should return n. When k reaches 3 (while s < 4) the body undoes its
+# increment once, so h returns n + 1 for n > 3. Forcing the condition true
+# loops until the step budget, so each forced run takes a million steps.
+H_BUGGY = """\
+fn h(n: int) -> int {
+  let k: int = 0;
+  let s: int = 0;
+  while (k < n) {
+    if (k == 3 && s < 4) {
+      k = k - 1;
+    }
+    k = k + 1;
+    s = s + 1;
+  }
+  return s;
+}
+"""
+
+H_SUITE = "".join(f"t{n}: h({n}) -> {n}\n" for n in range(40))
+
 PROBE_FIXTURE = """\
 fn peek(n: int, s: Str) -> int {
   let doubled: int = n + n;
@@ -80,3 +100,13 @@ def even_program():
 @pytest.fixture
 def even_suite():
     return parse_suite(EVEN_SUITE)
+
+
+@pytest.fixture
+def h_program():
+    return parse_program(H_BUGGY)
+
+
+@pytest.fixture
+def h_suite():
+    return parse_suite(H_SUITE)

@@ -9,7 +9,9 @@ true and then false ("forced", each forcing a program edit made with
 ``decide``). Per bundle and per sweep the digest keeps
 the number of runs, how many timed out, and a sha256 over the canonical
 rendering of each result (see ``test_exec_digest.canonical``), in run
-order. Any change to where a budget cuts a run shows here.
+order. Any change to where a budget cuts a run shows here. The sweep
+runs once without a deadline and once with one that does not pass: its
+clock reads must change no run.
 
 Regenerate ``tests/data/budget_sweep.json`` (only when a change to step
 accounting is intended) with:
@@ -19,6 +21,7 @@ accounting is intended) with:
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -30,12 +33,12 @@ from test_exec_digest import canonical
 DIGEST_PATH = Path(__file__).parent / "data" / "budget_sweep.json"
 
 
-def _sweep(program, test) -> list:
+def _sweep(program, test, deadline) -> list:
     """The test's results at every budget its full run can be cut at."""
     full = execute(program, test.function, test.args)
     if full.timed_out:
         raise AssertionError(f"{test.id} exhausts the default budget; nothing to sweep")
-    return [execute(program, test.function, test.args, step_budget=budget)
+    return [execute(program, test.function, test.args, step_budget=budget, deadline=deadline)
             for budget in range(full.steps + 1)]
 
 
@@ -51,7 +54,7 @@ def _summary(runs) -> dict:
     }
 
 
-def compute_digest() -> dict:
+def compute_digest(deadline=None) -> dict:
     digest = {}
     for bundle in load_corpus(default_corpus_dir()) + builtin_seeded_bundles():
         program, suite = bundle.program(), bundle.suite()
@@ -60,17 +63,18 @@ def compute_digest() -> dict:
         forcings = [decide(program, loc, value) for loc in ifs for value in (True, False)]
         plain, forced = [], []
         for test in suite:
-            plain += _sweep(program, test)
+            plain += _sweep(program, test, deadline)
             for decided in forcings:
-                forced += _sweep(decided, test)
+                forced += _sweep(decided, test, deadline)
         digest[bundle.id] = {"plain": _summary(plain), "forced": _summary(forced)}
     return digest
 
 
-def test_budget_sweep_matches_the_golden_digest():
+@pytest.mark.parametrize("seconds", [None, 3600.0], ids=["no-deadline", "distant-deadline"])
+def test_budget_sweep_matches_the_golden_digest(seconds):
     expected = json.loads(DIGEST_PATH.read_text())
     assert len(expected) == 18
-    actual = compute_digest()
+    actual = compute_digest(None if seconds is None else time.monotonic() + seconds)
     moved = [f"{bundle_id} {sweep}: {expected.get(bundle_id, {}).get(sweep)} -> {entry}"
              for bundle_id, sweeps in actual.items() for sweep, entry in sweeps.items()
              if expected.get(bundle_id, {}).get(sweep) != entry]

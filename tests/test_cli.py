@@ -79,6 +79,22 @@ class TestRepairCommand:
             assert f"nesting deeper than {MAX_NESTING} levels (line {MAX_NESTING}," in err
         assert "Traceback" not in err
 
+    def test_global_timeout_ends_a_long_repair(self, tmp_path, capsys):
+        from conftest import H_BUGGY, H_SUITE
+
+        program = tmp_path / "program.ml"
+        program.write_text(H_BUGGY)
+        suite = tmp_path / "suite.txt"
+        suite.write_text(H_SUITE)
+        code = main([
+            "repair", "--program", str(program), "--suite", str(suite),
+            "--timeout", "1", "--mode", "condition",
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_PATCH
+        assert captured.out.startswith("no patch found: exhausted\n")
+        assert "Traceback" not in captured.out + captured.err
+
     def test_usage_error_on_max_level_outside_ladder(self, tmp_path, capsys):
         program, suite = write_gcd_inputs(tmp_path)
         for level in ("0", "5"):

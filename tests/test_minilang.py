@@ -3,12 +3,15 @@ import dataclasses
 import gc
 import sys
 import threading
+import time
 import weakref
 
 import pytest
 
+from condfix.corpus import default_corpus_dir, load_corpus, run_harness
 from condfix.errors import (
-    KindMismatchError, MiniLangSyntaxError, PatchScopeError, ResolutionError,
+    DeadlineExceeded, KindMismatchError, MiniLangSyntaxError, PatchScopeError,
+    ResolutionError,
 )
 from condfix.minilang import (
     INT_MAX, INT_MIN, NULL, SKIP, Binary, Obj, Patch, PatchKind, Program,
@@ -375,6 +378,35 @@ NESTED_DOWN = (
 )
 
 
+class TestDeadline:
+    """A run reads the clock each time its step count reaches a multiple
+    of 4096; the loop's ``i < n`` and ``i = i + 1`` are fused nodes, so
+    some reads fall inside one and make it fall back."""
+
+    COUNT = parse_program(
+        "fn f(n: int) -> int { let i: int = 0; while (i < n) { i = i + 1; } return i; }"
+    )
+
+    def test_a_passed_deadline_raises_at_the_first_clock_read(self):
+        passed = time.monotonic() - 1.0
+        # a run cut before step 4096 never reads the clock
+        result = execute(self.COUNT, "f", [10_000], step_budget=4095, deadline=passed)
+        assert result.timed_out and result.steps == 4096
+        with pytest.raises(DeadlineExceeded):
+            execute(self.COUNT, "f", [10_000], step_budget=4096, deadline=passed)
+
+    @pytest.mark.parametrize("budget", [*range(4093, 4101), *range(8189, 8197), 1_000_000])
+    def test_a_distant_deadline_changes_no_run(self, budget):
+        def outcome(result):
+            return (result.value, result.error, result.timed_out, result.steps,
+                    result.hits, result.cond_values)
+
+        distant = time.monotonic() + 3600.0
+        plain = execute(self.COUNT, "f", [10_000], step_budget=budget)
+        timed = execute(self.COUNT, "f", [10_000], step_budget=budget, deadline=distant)
+        assert outcome(timed) == outcome(plain)
+
+
 class TestCallDepth:
     def test_unbounded_recursion_times_out(self):
         result = execute(decide(parse_program(FACT), 1, False), "fact", [3])
@@ -496,6 +528,14 @@ class TestLifetime:
         self.assert_freed(lambda: ran(decide(gcd_program, 3, SKIP)))
         children = apply_patch(gcd_program, update), apply_patch(gcd_program, guard)
         self.assert_freed(lambda: ran(shadow_merge(*children)))
+
+    def test_a_harness_pass_leaves_no_cyclic_garbage(self):
+        # Edits, synthesis problems and decoded expressions included.
+        bundles = load_corpus(default_corpus_dir())
+        run_harness(bundles)  # warm-up: lazy imports and caches
+        gc.collect()
+        run_harness(bundles)
+        assert gc.collect() == 0
 
 
 def deep_ifs(levels):

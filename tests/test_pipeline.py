@@ -6,7 +6,7 @@ import pytest
 from condfix.errors import NoFailingTestError
 from condfix.minilang import Patch, PatchKind, parse_expression, parse_program
 from condfix.pipeline import (
-    CONFLICTING_TRACE, EXECUTION_TIMEOUT, NO_ANGELIC_VALUE, RepairConfig,
+    CONFLICTING_TRACE, EXECUTION_TIMEOUT, EXHAUSTED, NO_ANGELIC_VALUE, RepairConfig,
     render_patch_diff, repair, validate,
 )
 from condfix.synth import MAX_LEVEL, MIN_LEVEL
@@ -56,6 +56,16 @@ class TestRepair:
         timed_out = report.trials[0].levels[-1]
         assert timed_out.status == "timeout"
         assert timed_out.nodes < config.solver_nodes
+
+    def test_global_timeout_stops_every_phase(self, h_program, h_suite):
+        # Without the deadline the angelic phase alone runs for seconds.
+        config = RepairConfig(global_timeout=1.0, mode="condition")
+        started = time.monotonic()
+        report = repair(h_program, h_suite, config)
+        elapsed = time.monotonic() - started
+        assert (report.outcome, report.reason) == ("no-patch", EXHAUSTED)
+        assert report.trials[-1].status == EXHAUSTED
+        assert elapsed < config.global_timeout + 0.5
 
     def test_determinism_modulo_wall_time(self, gcd_program, gcd_suite):
         def scrub(d):

@@ -183,8 +183,10 @@ class TestInternalSolve:
         assert result.status == TIMEOUT
         assert result.nodes == 51
 
-    def test_wall_clock_is_read_every_4096_nodes(self):
-        result = solve_internal(self.undecided_problem(), timeout_s=1e-9, max_nodes=100_000)
+    @pytest.mark.parametrize("timeout_s", [1e-9, 0])
+    def test_wall_clock_is_read_every_4096_nodes(self, timeout_s):
+        # a zero timeout is a deadline already passed, not "no clock"
+        result = solve_internal(self.undecided_problem(), timeout_s=timeout_s, max_nodes=100_000)
         assert result.status == TIMEOUT
         assert result.nodes == 4096
 
