@@ -260,7 +260,8 @@ def check_equivalence(
     When both programs are one-patch children of one base, each point first
     runs their ``shadow_merge`` once: a returned value that matches itself
     means both sides return it. Any other outcome, and every point of
-    programs without a shared base, runs both sides.
+    programs without a shared base, runs both sides. Every run is lean:
+    only outcomes are compared.
     """
     fn = program_a.functions.get(entry)
     if fn is None or entry not in program_b.functions:
@@ -277,12 +278,12 @@ def check_equivalence(
     for point in itertools.product(*(grid.axes[n] for n in names)):
         args = list(point)
         if merged is not None:
-            shadow = execute(merged, entry, args, step_budget=step_budget)
+            shadow = execute(merged, entry, args, step_budget=step_budget, record=False)
             if shadow.error is None and values_match(shadow.value, shadow.value):
                 continue
         if not _same_outcome(
-            execute(program_a, entry, args, step_budget=step_budget),
-            execute(program_b, entry, args, step_budget=step_budget),
+            execute(program_a, entry, args, step_budget=step_budget, record=False),
+            execute(program_b, entry, args, step_budget=step_budget, record=False),
         ):
             return False
     return True
@@ -503,7 +504,7 @@ def seed_condition_bugs(
     config = config or RepairConfig()
     program = parse_program(program_text)
     suite = parse_suite(suite_text)
-    if run_suite(program, suite, step_budget=config.step_budget).failing:
+    if run_suite(program, suite, step_budget=config.step_budget, record=False).failing:
         raise BundleError(f"seed program {seed_id} must pass its suite")
 
     bundles: List[BugBundle] = []

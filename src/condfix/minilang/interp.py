@@ -7,16 +7,28 @@ dereference, division by zero, thrown errors, exhausted step budget or
 call depth) are reported in the ExecutionResult, never raised. The one
 exception ``execute`` raises for a run is ``DeadlineExceeded``.
 
-Instrumentation is one optional probe: every run records hits and
-condition values, and a probed run also snapshots the state at each hit
-of its location. Angelic decisions are program edits (``patching.decide``):
-a forced condition is a ``Forced`` node, a skipped statement is absent.
+Instrumentation: a recording run (``record=True``, the default) counts
+a hit per statement entry and per loop-condition check and keeps every
+condition value, and a probed one also snapshots the state at each hit of
+its location. Only two phases read any of it: the baseline suite run,
+whose hits are the spectrum's coverage, and trace collection, whose runs
+are probed. Every other run (angelic trials, validation, grid equivalence
+and the corpus seeding checks) reads only its outcome and steps, so it
+runs lean (``record=False``): the same closures minus the bookkeeping,
+with empty hits, condition values and snapshots, and the same value,
+error, timeout and steps. A probe needs a recording run. Angelic
+decisions are program edits (``patching.decide``): a forced condition is
+a ``Forced`` node, a skipped statement is absent.
 
-Shared closures: each statement's and function's closure is cached by
-node identity in ``Program.closures``, a table that a program shares with
-every program path-copied from it, along with consts and registry, the
-only program parts a closure reads. An edit so lowers only the statements
-on its path and its function. Calls find their callee in
+Shared closures: each statement's and function's closure is cached in
+``Program.closures``, a table that a program shares with every program
+path-copied from it, along with consts and registry, the only program
+parts a closure reads. An edit so lowers only the statements on its path
+and its function. A closure that holds a block (a function, an ``if`` or
+a ``while``) differs between the recording and the lean lowering and is
+keyed by node identity and mode; every other statement's closure, and
+the expression closure of each ``if`` or ``while`` condition, is keyed by
+node identity alone and serves both. Calls find their callee in
 ``run.functions`` and snapshots close over consts and registry, so no
 closure refers to a program.
 
@@ -217,18 +229,27 @@ _FUSED = {op: _NUMERIC[op] for op in ("<", "<=", ">", ">=", "+", "-", "*")}
 _FUSED.update({"==": operator.eq, "!=": operator.ne})
 
 
-class _Lowering:
-    """Lowers the statements and functions of programs sharing one table."""
+# The nodes whose closures hold a block, and so differ between the
+# recording and the lean lowering.
+_MODAL = (FunctionDef, IfStmt, WhileStmt)
 
-    def __init__(self, program: Program):
+
+class _Lowering:
+    """Lowers the statements and functions of programs sharing one table,
+    recording or lean (see "Instrumentation" in the module docstring)."""
+
+    def __init__(self, program: Program, record: bool = True):
         self.consts, self.registry, self.table = program.consts, program.registry, program.closures
-        self.capture = _capturer(program.consts, program.registry)
+        self.record = record
+        self.capture = _capturer(program.consts, program.registry) if record else None
 
     def cached(self, node, lower: Callable):
-        """``lower(node)``, made once per node of the table's programs."""
-        entry = self.table.get(id(node))
+        """``lower(node)``, made once per node of the table's programs, and
+        once per mode for a node that holds a block."""
+        key = (id(node), self.record) if isinstance(node, _MODAL) else id(node)
+        entry = self.table.get(key)
         if entry is None:
-            entry = self.table[id(node)] = (node, lower(node))
+            entry = self.table[key] = (node, lower(node))
         return entry[1]
 
     def function(self, fn: FunctionDef) -> Callable:
@@ -261,8 +282,8 @@ class _Lowering:
 
     def block(self, stmts: Sequence[Stmt], scoped: bool = True) -> Tuple[Compiled, int]:
         """The block's closure and its closure-nesting depth. Entering each
-        statement takes one step and, except for a loop, which records each
-        of its condition checks, records one hit."""
+        statement takes one step and, in a recording run and except for a
+        loop, which records each of its condition checks, records one hit."""
         entries, deepest = [], 0
         for s in stmts:
             stmt, depth = self.cached(s, self.stmt)
@@ -271,6 +292,8 @@ class _Lowering:
         declared = tuple(s.name for s in stmts if isinstance(s, LetStmt)) if scoped else ()
         if not entries:
             return _empty_block, 0
+        if not self.record:
+            return _lean_block(tuple(stmt for _, _, stmt in entries), declared), deepest
         entries, capture = tuple(entries), self.capture
 
         def block(run, frame):
@@ -337,8 +360,10 @@ class _Lowering:
         raise TypeError(f"not a statement node: {stmt!r}")
 
     def branching(self, stmt) -> Tuple[Compiled, int]:
-        loc, cond = stmt.loc, self.expr(stmt.cond)
+        loc, cond = stmt.loc, self.cached(stmt.cond, self.expr)
         cond_depth = 1 + nesting(stmt.cond)
+        if not self.record:
+            return self.lean_branching(stmt, cond, cond_depth)
 
         def condition(run, frame) -> bool:
             value = cond(run, frame)
@@ -371,6 +396,43 @@ class _Lowering:
                     capture(run, loc, frame)
                 if not condition(run, frame):
                     return None
+                value = body(run, frame)
+                if value is not None:
+                    return value
+                run.count += 1
+                if run.count > run.limit:
+                    run.check()
+
+        return while_stmt, 1 + max(cond_depth, body_depth)
+
+    def lean_branching(self, stmt, cond: Compiled, cond_depth: int) -> Tuple[Compiled, int]:
+        """``branching`` without the bookkeeping: the condition is only
+        type-checked, in line. The depth is the recording closure's, so a
+        lean run reserves the frames a recording one does and exhausts the
+        call depth at the same call."""
+        if isinstance(stmt, IfStmt):
+            then_body, then_depth = self.block(stmt.then_body)
+            else_body, else_depth = self.block(stmt.else_body)
+
+            def if_stmt(run, frame):
+                value = cond(run, frame)
+                if value is True:
+                    return then_body(run, frame)
+                if value is False:
+                    return else_body(run, frame)
+                raise _Throw(TYPE_MISMATCH)
+
+            return if_stmt, 1 + max(cond_depth, then_depth, else_depth)
+
+        body, body_depth = self.block(stmt.body)
+
+        def while_stmt(run, frame):
+            while True:
+                value = cond(run, frame)
+                if value is not True:
+                    if value is False:
+                        return None
+                    raise _Throw(TYPE_MISMATCH)
                 value = body(run, frame)
                 if value is not None:
                     return value
@@ -594,6 +656,23 @@ class _Lowering:
         return call
 
 
+def _lean_block(stmts: Tuple[Compiled, ...], declared: Tuple[str, ...]) -> Compiled:
+    """A block of a lean run: each statement entry only takes its step."""
+    def block(run, frame):
+        for stmt in stmts:
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
+            value = stmt(run, frame)
+            if value is not None:
+                return value
+        for name in declared:
+            frame.pop(name, None)
+        return None
+
+    return block
+
+
 def _capturer(consts, registry) -> Callable:
     """The snapshot taker of the programs with these consts and registry."""
     def capture(run: _Run, loc: int, frame: Dict[str, Value]) -> None:
@@ -614,13 +693,14 @@ def _capturer(consts, registry) -> Callable:
     return capture
 
 
-def _lowered(program: Program) -> Dict[str, Callable]:
-    """The program's functions as closures, lowered on first use. Runs that
-    race here each lower the program; either result serves every run."""
-    compiled = program.compiled
+def _lowered(program: Program, record: bool) -> Dict[str, Callable]:
+    """The program's functions as recording or lean closures, lowered on
+    the first run in that mode. Runs that race here each lower the program;
+    either result serves every run."""
+    compiled = program.compiled.get(record)
     if compiled is None:
-        lowering = _Lowering(program)
-        compiled = program.compiled = {
+        lowering = _Lowering(program, record)
+        compiled = program.compiled[record] = {
             name: lowering.cached(fn, lowering.function)
             for name, fn in program.functions.items()
         }
@@ -634,9 +714,13 @@ def execute(
     probe: Optional[int] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
     deadline: Optional[float] = None,
+    record: bool = True,
 ) -> ExecutionResult:
-    """Run one function call, capturing snapshots at the ``probe`` location
-    if one is given.
+    """Run one function call. A recording run (``record``) keeps hits and
+    condition values, and snapshots at the ``probe`` location if one is
+    given; a lean run (``record=False``) keeps none of them, for callers
+    that read only the value, error, timeout and steps, which are the same
+    either way. A probe with ``record=False`` is a ValueError.
 
     Runtime errors and budget exhaustion (steps or call depth) are captured
     in the result; hits, snapshots, and condition values collected before a
@@ -644,10 +728,12 @@ def execute(
     DeadlineExceeded instead of returning a result.
     """
     if probe is not None:
+        if not record:
+            raise ValueError("a probe needs a recording run")
         program.statement_at(probe)
     if function not in program.functions:
         raise ValueError(f"undefined function {function!r}")
-    functions = _lowered(program)
+    functions = _lowered(program, record)
     run = _Run(functions, probe, step_budget, deadline)
     result = ExecutionResult(
         hits=run.hits, snapshots=run.snapshots, cond_values=run.cond_values

@@ -19,9 +19,9 @@ program records its base and the patch as ``origin``, which lets
 ``shadow_merge`` run two one-patch children of one base as one program.
 
 ``decide`` makes the edit an angelic trial runs. It replaces an ``if``
-condition with a zero-step ``Forced`` node, whose value is still recorded
-as the condition's, or for ``SKIP`` drops a plain statement from its block.
-A decided program records no ``origin``.
+condition with a zero-step ``Forced`` node, whose value a recording run
+still records as the condition's, or for ``SKIP`` drops a plain statement
+from its block. A decided program records no ``origin``.
 """
 from __future__ import annotations
 

@@ -19,8 +19,9 @@ When nothing validates, the report carries one reason:
 
 with later phases taking precedence, since they carry more information.
 The global deadline outranks them all: ``repair`` gives the one deadline
-``started + global_timeout`` to every run it makes and caps each rung at
-what is left of it. The first run or rung that finds it passed raises
+``started + global_timeout`` to every run it makes, caps each rung at
+what is left of it and reads the clock once as each ranked location
+starts. The first location, run or rung that finds it passed raises
 DeadlineExceeded, which ends the search; the current trial then reads
 ``exhausted``.
 """
@@ -149,17 +150,18 @@ class RepairReport:
 
 def validate(program: Program, patch: Patch, suite: Sequence[TestCase],
              step_budget: int = DEFAULT_STEP_BUDGET, deadline: Optional[float] = None) -> bool:
-    """Whole-suite re-execution on the patched program; true iff nothing
-    fails. A run that reads the clock past ``deadline`` raises
+    """Whole-suite re-execution on the patched program, in lean runs; true
+    iff nothing fails. A run that reads the clock past ``deadline`` raises
     DeadlineExceeded."""
     patched = apply_patch(program, patch)
-    return run_suite(patched, suite, step_budget, deadline).all_pass()
+    return run_suite(patched, suite, step_budget, deadline, record=False).all_pass()
 
 
 def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairConfig] = None,
            baseline: Optional[SuiteResult] = None) -> RepairReport:
     """``baseline``, if given, must be ``run_suite(program, suite,
-    step_budget=config.step_budget)``; the repair then skips that run."""
+    step_budget=config.step_budget)``, a recording run whose coverage is
+    the spectrum's; the repair then skips that run."""
     config = config or RepairConfig()
     started = time.monotonic()
     deadline = started + config.global_timeout
@@ -180,6 +182,9 @@ def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairC
                 continue
             trial = LocationTrial(loc=loc, rank=position, kind=kind, status="")
             trials.append(trial)
+            # Runs shorter than 4,096 steps never read the clock, so a
+            # ranking of short runs reads it here, once per location.
+            Budget.seconds_left(deadline)
 
             search = angelic_condition if kind == CONDITION else angelic_precondition
             outcome = search(program, suite, failing, loc, config.step_budget, deadline)

@@ -101,9 +101,11 @@ def run_suite(
     suite: Sequence[TestCase],
     step_budget: int = DEFAULT_STEP_BUDGET,
     deadline: Optional[float] = None,
+    record: bool = True,
 ) -> SuiteResult:
     """Run every test against the program; DeadlineExceeded ends the suite
-    at the first run that reads the clock past ``deadline``."""
+    at the first run that reads the clock past ``deadline``. With
+    ``record=False`` the runs are lean and every coverage map is empty."""
     if not suite:
         raise ValueError("suite must contain at least one test case")
     ids = [t.id for t in suite]
@@ -114,7 +116,7 @@ def run_suite(
     executions: Dict[str, ExecutionResult] = {}
     for test in suite:
         result = execute(program, test.function, list(test.args), step_budget=step_budget,
-                         deadline=deadline)
+                         deadline=deadline, record=record)
         verdicts[test.id] = verdict_holds(result, test)
         coverage[test.id] = dict(result.hits)
         executions[test.id] = result

@@ -1,0 +1,103 @@
+"""Lean runs (``record=False``) end exactly as recording runs do.
+
+A lean run drops the hit, condition-value and snapshot bookkeeping, so it
+must give the same value, error, timeout and steps as a recording run of
+the same call. Checked on every ``execute`` call of one harness pass over
+the packaged and built-in seeded bundles, each rerun in both modes; on
+the suite runs of the budget sweep's programs (as written and with each
+``if`` forced) cut at a spread of step budgets; and on recursions that end
+on the call-depth limit.
+"""
+import inspect
+
+import pytest
+
+from condfix import angelic, corpus, testkit, trace
+from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus, run_harness
+from condfix.minilang import IfStmt, decide, execute, parse_program
+from condfix.minilang.interp import MAX_CALL_DEPTH
+from test_minilang import FACT, NESTED_DOWN
+
+CALLERS = (angelic, corpus, testkit, trace)
+SIGNATURE = inspect.signature(execute)
+
+
+def outcome(result):
+    return result.value, result.error, result.timed_out, result.steps
+
+
+def in_both_modes(*args, **kwargs):
+    """Outcomes of the call run recording and run lean (without its probe)."""
+    call = SIGNATURE.bind(*args, **kwargs).arguments
+    recording = execute(**{**call, "record": True})
+    lean = execute(**{**call, "probe": None, "record": False})
+    return outcome(recording), outcome(lean)
+
+
+@pytest.fixture(scope="module")
+def bundles():
+    return load_corpus(default_corpus_dir()) + builtin_seeded_bundles()
+
+
+def test_every_run_of_a_harness_pass(bundles):
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = execute(*args, **kwargs)
+        calls.append((args, kwargs, outcome(result)))
+        return result
+
+    for module in CALLERS:
+        module.execute = recording
+    try:
+        run_harness(bundles)
+    finally:
+        for module in CALLERS:
+            module.execute = execute
+    modes = {SIGNATURE.bind(*args, **kwargs).arguments.get("record", True)
+             for args, kwargs, _ in calls}
+    assert modes == {True, False}
+    for args, kwargs, original in calls:
+        assert in_both_modes(*args, **kwargs) == (original, original), (args[1:], kwargs)
+
+
+def spread(steps):
+    """Budgets that cut a run of ``steps`` steps near its start, across it
+    and at its end, plus one that lets it finish."""
+    return sorted({0, 1, 2, 3, *range(0, steps, max(1, steps // 12)), steps - 1, steps + 1})
+
+
+def test_budget_sweep_programs_at_a_spread_of_budgets(bundles):
+    for bundle in bundles:
+        program, suite = bundle.program(), bundle.suite()
+        ifs = [loc for loc in program.locations()
+               if isinstance(program.statement_at(loc), IfStmt)]
+        programs = [program] + [decide(program, loc, value) for loc in ifs for value in (True, False)]
+        for test in suite:
+            for run in programs:
+                full = execute(run, test.function, list(test.args))
+                for budget in spread(full.steps):
+                    recording, lean = in_both_modes(run, test.function, list(test.args),
+                                                    step_budget=budget)
+                    assert lean == recording, (bundle.id, test.id, budget)
+
+
+@pytest.mark.parametrize("program, function, args", [
+    (decide(parse_program(FACT), 1, False), "fact", [3]),
+    (parse_program(FACT), "fact", [MAX_CALL_DEPTH - 2]),
+    (parse_program(NESTED_DOWN), "down", [5]),
+], ids=["unbounded", "within-the-limit", "nested-blocks"])
+def test_recursion_ends_at_the_same_call(program, function, args):
+    recording, lean = in_both_modes(program, function, args)
+    assert lean == recording
+
+
+@pytest.mark.parametrize("statement", [
+    "if (x) { return 1; }", "while (x) { return 1; }", "if (x >= 0) { while (x) { x = x - 1; } }",
+], ids=["if", "while", "nested-while"])
+@pytest.mark.parametrize("x", [0, 3])
+def test_a_condition_that_is_not_a_bool_is_a_type_mismatch(statement, x):
+    program = parse_program(f"fn f(x: int) -> int {{ {statement} return 0; }}")
+    recording, lean = in_both_modes(program, "f", [x])
+    assert lean == recording
+    assert recording[1] == "TypeMismatch"

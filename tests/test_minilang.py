@@ -193,6 +193,17 @@ class TestControls:
         result = execute(probe_program, "peek", [4, Obj("Str", "")], probe=2)
         assert result.snapshots[2][0].values["doubled"] == 8
 
+    def test_a_probe_needs_a_recording_run(self, probe_program):
+        with pytest.raises(ValueError):
+            execute(probe_program, "peek", [4, Obj("Str", "")], probe=2, record=False)
+
+    def test_a_lean_run_records_nothing(self, gcd_program):
+        recording = execute(gcd_program, "gcd", [6, 4])
+        lean = execute(gcd_program, "gcd", [6, 4], record=False)
+        assert recording.hits and recording.cond_values
+        assert (lean.hits, lean.cond_values, lean.snapshots) == ({}, {}, {})
+        assert (lean.value, lean.steps) == (recording.value, recording.steps)
+
 
 STEPS_FIXTURE = """\
 const K: int = 5;
@@ -395,6 +406,15 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded):
             execute(self.COUNT, "f", [10_000], step_budget=4096, deadline=passed)
 
+    def test_a_lean_run_reads_the_clock_at_the_same_step(self):
+        passed = time.monotonic() - 1.0
+        result = execute(self.COUNT, "f", [10_000], step_budget=4095, deadline=passed,
+                         record=False)
+        assert result.timed_out and result.steps == 4096
+        with pytest.raises(DeadlineExceeded):
+            execute(self.COUNT, "f", [10_000], step_budget=4096, deadline=passed,
+                    record=False)
+
     @pytest.mark.parametrize("budget", [*range(4093, 4101), *range(8189, 8197), 1_000_000])
     def test_a_distant_deadline_changes_no_run(self, budget):
         def outcome(result):
@@ -459,17 +479,20 @@ class TestCompiledCache:
 
     def test_concurrent_runs_share_the_compiled_program(self):
         # Threads start on an uncompiled program, so they race to lower it
-        # and then share its closures; every run must match a lone run.
+        # in both modes and then share its closures; every run must match a
+        # lone run in its mode.
         points = [(u, v) for u in range(-4, 5) for v in (0, 6, BIG)]
         lone = parse_program(GCD_BUGGY)
-        expected = [(r.value, r.steps, r.hits) for r in
-                    (execute(lone, "gcd", list(p)) for p in points)]
+        expected = {record: [(r.value, r.steps, r.hits) for r in
+                             (execute(lone, "gcd", list(p), record=record) for p in points)]
+                    for record in (True, False)}
         shared = parse_program(GCD_BUGGY)
         results = {}
 
         def worker(n):
             results[n] = [(r.value, r.steps, r.hits) for r in
-                          (execute(shared, "gcd", list(p)) for p in points * 5)]
+                          (execute(shared, "gcd", list(p), record=n % 2 == 0)
+                           for p in points * 5)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -482,7 +505,7 @@ class TestCompiledCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert all(results[n] == expected * 5 for n in range(8))
+        assert all(results[n] == expected[n % 2 == 0] * 5 for n in range(8))
 
 
 class TestLifetime:

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from condfix.corpus import default_corpus_dir, load_corpus
 from condfix.errors import NoFailingTestError
 from condfix.minilang import Patch, PatchKind, parse_expression, parse_program
 from condfix.pipeline import (
@@ -66,6 +67,19 @@ class TestRepair:
         assert (report.outcome, report.reason) == ("no-patch", EXHAUSTED)
         assert report.trials[-1].status == EXHAUSTED
         assert elapsed < config.global_timeout + 0.5
+
+    @pytest.mark.parametrize("bundle_id", ["pl3", "pm1"])
+    def test_a_passed_deadline_stops_a_ranking_of_short_runs(self, bundle_id):
+        # No run of these repairs reaches 4,096 steps, so no run reads the
+        # clock; each ranked location does as it starts.
+        bundle = next(b for b in load_corpus(default_corpus_dir()) if b.id == bundle_id)
+        program, suite = bundle.program(), bundle.suite()
+        full = repair(program, suite, RepairConfig())
+        assert full.reason in (CONFLICTING_TRACE, NO_ANGELIC_VALUE)
+        report = repair(program, suite, RepairConfig(global_timeout=1e-4))
+        assert (report.outcome, report.reason) == ("no-patch", EXHAUSTED)
+        assert report.trials[-1].status == EXHAUSTED
+        assert len(report.trials) < len(full.trials)
 
     def test_determinism_modulo_wall_time(self, gcd_program, gcd_suite):
         def scrub(d):

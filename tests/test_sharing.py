@@ -18,7 +18,7 @@ import pytest
 from condfix import corpus
 from condfix.corpus import builtin_seed_sources, seed_condition_bugs
 from condfix.minilang import (
-    SKIP, IfStmt, Patch, PatchKind, WhileStmt, apply_patch, decide, execute,
+    SKIP, FunctionDef, IfStmt, Patch, PatchKind, WhileStmt, apply_patch, decide, execute,
     parse_expression, parse_program, render_program, shadow_merge,
 )
 
@@ -254,13 +254,30 @@ class TestDecide:
 
 
 def new_closures(program, before):
-    """The nodes ``program``'s run lowered that are not keys of ``before``."""
+    """The keys ``program``'s runs added to the closure table that are not
+    in ``before``."""
     return {key for key in program.closures if key not in before}
+
+
+def lowered_nodes(program):
+    """Id -> node of every node with a closure in the table: statements,
+    functions and the conditions of ifs and whiles."""
+    stmts = [program.statement_at(loc) for loc in program.locations()]
+    conds = [s.cond for s in stmts if isinstance(s, (IfStmt, WhileStmt))]
+    return {id(node): node for node in [*stmts, *program.functions.values(), *conds]}
+
+
+def table_keys(nodes, record):
+    """The table keys of ``nodes`` lowered in one mode: a node that holds a
+    block has one closure per mode, every other node one for both."""
+    return {(id(node), record) if isinstance(node, (FunctionDef, IfStmt, WhileStmt))
+            else id(node) for node in nodes}
 
 
 class TestClosureSharing:
     """A child lowers closures only for what it does not share with its
-    base: the statements on the edited path and the edited function."""
+    base: the statements on the edited path and the edited function, in
+    each mode it runs in."""
 
     @pytest.mark.parametrize("edit", [
         *(lambda base, d=d: decide(base, *d) for d in DECISIONS),
@@ -272,22 +289,40 @@ class TestClosureSharing:
        + ["patch-nested-condition", "patch-outer-condition", "patch-other-function",
           "patch-nested-precondition", "merge"])
     def test_a_child_lowers_only_its_edited_path(self, edit):
+        for record in (True, False):
+            self.check_a_child_run_first(edit, record)
+
+    @staticmethod
+    def check_a_child_run_first(edit, record):
+        """The base has run in both modes; its child runs first recording
+        or lean (``record``), then in the other mode."""
         base = parse_program(BASE)
+        branches = [loc for loc in base.locations()
+                    if isinstance(base.statement_at(loc), (IfStmt, WhileStmt))]
         execute(base, "f", ARGS[0])
+        assert len(base.closures) == (len(base.locations()) + len(branches)
+                                      + len(base.functions))
+        execute(base, "f", ARGS[0], record=False)
         before = set(base.closures)
-        assert len(before) == len(base.locations()) + len(base.functions)
+        assert len(before) == (len(base.locations()) + 2 * len(branches)
+                               + 2 * len(base.functions))
+        base_nodes = lowered_nodes(base)
+        assert before == (table_keys(base_nodes.values(), True)
+                          | table_keys(base_nodes.values(), False))
         child = edit(base)
         assert child.closures is base.closures
-        execute(child, "f", ARGS[0])
-        shared = {id(base.statement_at(loc)) for loc in base.locations()}
-        shared |= {id(fn) for fn in base.functions.values()}
-        unshared = {id(child.statement_at(loc)) for loc in child.locations()}
-        unshared |= {id(fn) for fn in child.functions.values()}
-        assert new_closures(child, before) == unshared - shared
-        # Running it again, or running the base, lowers nothing more.
+        unshared = [node for key, node in lowered_nodes(child).items() if key not in base_nodes]
+        execute(child, "f", ARGS[0], record=record)
+        assert new_closures(child, before) == table_keys(unshared, record)
+        # The other mode lowers only the block-holding nodes of that path.
         lowered = set(child.closures)
-        execute(child, "f", ARGS[1])
-        execute(base, "f", ARGS[1])
+        execute(child, "f", ARGS[0], record=not record)
+        assert new_closures(child, lowered) == table_keys(unshared, not record) - lowered
+        # Running it again, or running the base, in either mode lowers nothing more.
+        lowered = set(child.closures)
+        for mode in (True, False):
+            execute(child, "f", ARGS[1], record=mode)
+            execute(base, "f", ARGS[1], record=mode)
         assert set(child.closures) == lowered
 
 
