@@ -78,11 +78,17 @@ class BugBundle:
 
     def self_check(self, step_budget: int = DEFAULT_STEP_BUDGET
                    ) -> Tuple[Program, List[TestCase], SuiteResult]:
-        """The buggy program must fail at least one test and the human
-        patch must make the whole suite pass. Returns the parsed program,
-        the suite and the suite's result on the buggy program."""
+        """Every test must call a function of the program with its number
+        of parameters, the buggy program must fail at least one test and
+        the human patch must make the whole suite pass. Returns the parsed
+        program, the suite and the suite's result on the buggy program."""
         program = self.program()
         suite = self.suite()
+        for test in suite:
+            fn = program.functions.get(test.function)
+            if fn is None or len(fn.params) != len(test.args):
+                raise BundleError(f"bundle {self.id}: test {test.id!r} calls {test.function}() "
+                                  f"with {len(test.args)} arguments, which no function takes")
         baseline = run_suite(program, suite, step_budget=step_budget)
         if not baseline.failing:
             raise BundleError(f"bundle {self.id}: no failing test on the buggy program")

@@ -13,7 +13,7 @@ from .parser import (
     parse_call, parse_expression, parse_program, parse_value_literal,
     resolve_expr,
 )
-from .patching import SKIP, Patch, PatchKind, apply_patch, decide, shadow_merge
+from .patching import SKIP, Patch, PatchKind, apply_patch, decide, probe, shadow_merge
 from .printer import render_expr, render_program
 from .registry import QueryMethod, StateQueryRegistry, default_registry
 from .values import (
@@ -29,7 +29,7 @@ __all__ = [
     "DEFAULT_STEP_BUDGET", "ExecutionResult", "ProbeSnapshot", "TIMEOUT", "execute",
     "parse_call", "parse_expression", "parse_program", "parse_value_literal",
     "resolve_expr",
-    "SKIP", "Patch", "PatchKind", "apply_patch", "decide", "shadow_merge",
+    "SKIP", "Patch", "PatchKind", "apply_patch", "decide", "probe", "shadow_merge",
     "render_expr", "render_program",
     "QueryMethod", "StateQueryRegistry", "default_registry",
     "INT_MAX", "INT_MIN", "NULL", "Null", "Obj", "Value", "format_real",

@@ -97,8 +97,13 @@ def nesting(expr: Expr) -> int:
 # --- statements -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Stmt:
-    loc: int
+    """A statement; each kind adds its fields and ``loc``, its location.
+    ``probe`` marks the statement whose state a run snapshots (see
+    ``patching.probe``); it takes no part in comparison or repr."""
+
+    probe: bool = field(default=False, kw_only=True, compare=False, repr=False)
 
 
 Block = Tuple[Stmt, ...]

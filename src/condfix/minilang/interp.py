@@ -7,18 +7,17 @@ dereference, division by zero, thrown errors, exhausted step budget or
 call depth) are reported in the ExecutionResult, never raised. The one
 exception ``execute`` raises for a run is ``DeadlineExceeded``.
 
-Instrumentation: a recording run (``record=True``, the default) counts
-a hit per statement entry and per loop-condition check and keeps every
-condition value, and a probed one also snapshots the state at each hit of
-its location. Only two phases read any of it: the baseline suite run,
-whose hits are the spectrum's coverage, and trace collection, whose runs
-are probed. Every other run (angelic trials, validation, grid equivalence
-and the corpus seeding checks) reads only its outcome and steps, so it
-runs lean (``record=False``): the same closures minus the bookkeeping,
-with empty hits, condition values and snapshots, and the same value,
-error, timeout and steps. A probe needs a recording run. Angelic
-decisions are program edits (``patching.decide``): a forced condition is
-a ``Forced`` node, a skipped statement is absent.
+Instrumentation: a recording run (``record=True``, the default) counts a
+hit per statement entry, and a lean one (``record=False``) does not; both
+give the same value, error, timeout and steps. Only the baseline suite
+run reads hits, as the spectrum's coverage, so every other run (angelic
+trials, trace collection, validation, grid equivalence and the corpus
+seeding checks) is lean. The probe is a program edit (``patching.probe``):
+a probed ``if`` snapshots the state as its condition starts and stores
+the value the condition gives in the snapshot, and any other probed
+statement snapshots the state before it runs, in either mode. Angelic
+decisions are program edits too (``patching.decide``): a forced condition
+is a ``Forced`` node, a skipped statement is absent.
 
 Shared closures: each statement's and function's closure is cached in
 ``Program.closures``, a table that a program shares with every program
@@ -28,9 +27,10 @@ and its function. A closure that holds a block (a function, an ``if`` or
 a ``while``) differs between the recording and the lean lowering and is
 keyed by node identity and mode; every other statement's closure, and
 the expression closure of each ``if`` or ``while`` condition, is keyed by
-node identity alone and serves both. Calls find their callee in
-``run.functions`` and snapshots close over consts and registry, so no
-closure refers to a program.
+node identity alone and serves both. A probed statement is a node of its
+own, so its closure never serves the unprobed one. Calls find their
+callee in ``run.functions`` and snapshots close over consts and registry,
+so no closure refers to a program.
 
 Steps: one per statement entry and per expression node (a method call is
 two, its receiver being a variable reference; a ``Forced`` condition is
@@ -63,8 +63,8 @@ or two reals, and an int result needs no wrapping. In every other case (a
 budget or clock read that falls inside the node, an unbound name, mixed
 or non-numeric types) it runs the node's general closure from the
 unchanged step count. Leaf reads are pure, so that fallback is exact:
-steps, hits, condition values, errors and timeouts are those of the
-unfused node. ``/`` and ``%`` are never fused. The nesting depth counts a
+steps, hits, snapshots, errors and timeouts are those of the unfused
+node. ``/`` and ``%`` are never fused. The nesting depth counts a
 fused node like the unfused one, since the call-depth reservation is a
 property of the program, not of its lowering; a fallback adds at most
 one Python frame, at the top of the stack, because fused operands never
@@ -106,13 +106,15 @@ TIMEOUT = "TimeoutDuringExecution"
 
 @dataclass
 class ProbeSnapshot:
-    """State at one hit of a probed location: raw in-scope values, nullness
+    """State at one hit of a probed statement: raw in-scope values, nullness
     of class-typed bindings, and state-query results for non-null objects
-    (keyed ``name.method()``)."""
+    (keyed ``name.method()``). At a probed ``if``, ``condition`` is the
+    value its condition gave, or None if the condition ended the run."""
 
     values: Dict[str, Value]
     null_flags: Dict[str, bool]
     queries: Dict[str, Value]
+    condition: Optional[Value] = None
 
 
 @dataclass
@@ -121,8 +123,7 @@ class ExecutionResult:
     error: Optional[str] = None
     timed_out: bool = False
     hits: Dict[int, int] = field(default_factory=dict)
-    snapshots: Dict[int, List[ProbeSnapshot]] = field(default_factory=dict)
-    cond_values: Dict[int, List[bool]] = field(default_factory=dict)
+    snapshots: List[ProbeSnapshot] = field(default_factory=list)
     steps: int = 0
 
     @property
@@ -139,17 +140,14 @@ class _Run(Budget):
     """The state of one execution, passed to every compiled closure. Its
     count is the run's steps."""
 
-    __slots__ = ("functions", "probe", "depth", "hits", "cond_values", "snapshots")
+    __slots__ = ("functions", "depth", "hits", "snapshots")
 
-    def __init__(self, functions: Dict[str, Callable], probe: Optional[int], budget: int,
-                 deadline: Optional[float]):
+    def __init__(self, functions: Dict[str, Callable], budget: int, deadline: Optional[float]):
         super().__init__(budget, deadline)
         self.functions = functions
-        self.probe = probe
         self.depth = 0
         self.hits: Dict[int, int] = {}
-        self.cond_values: Dict[int, List[bool]] = {}
-        self.snapshots: Dict[int, List[ProbeSnapshot]] = {}
+        self.snapshots: List[ProbeSnapshot] = []
 
 
 # A compiled expression maps (run, frame) to a value. A compiled statement
@@ -241,7 +239,7 @@ class _Lowering:
     def __init__(self, program: Program, record: bool = True):
         self.consts, self.registry, self.table = program.consts, program.registry, program.closures
         self.record = record
-        self.capture = _capturer(program.consts, program.registry) if record else None
+        self.capture = _capturer(program.consts, program.registry)
 
     def cached(self, node, lower: Callable):
         """``lower(node)``, made once per node of the table's programs, and
@@ -282,29 +280,30 @@ class _Lowering:
 
     def block(self, stmts: Sequence[Stmt], scoped: bool = True) -> Tuple[Compiled, int]:
         """The block's closure and its closure-nesting depth. Entering each
-        statement takes one step and, in a recording run and except for a
-        loop, which records each of its condition checks, records one hit."""
+        statement takes one step and, in a recording run, records one hit.
+        A probed statement other than an ``if`` (see ``branching``) takes
+        a snapshot next, in a wrapper whose frame is left out of the depth,
+        so that a probed run reserves the call frames an unprobed one does."""
         entries, deepest = [], 0
         for s in stmts:
             stmt, depth = self.cached(s, self.stmt)
-            entries.append((s.loc, not isinstance(s, WhileStmt), stmt))
+            if s.probe and not isinstance(s, IfStmt):
+                stmt = _snapshot_first(stmt, self.capture)
+            entries.append((s.loc, stmt))
             deepest = max(deepest, 1 + depth)
         declared = tuple(s.name for s in stmts if isinstance(s, LetStmt)) if scoped else ()
         if not entries:
             return _empty_block, 0
         if not self.record:
-            return _lean_block(tuple(stmt for _, _, stmt in entries), declared), deepest
-        entries, capture = tuple(entries), self.capture
+            return _lean_block(tuple(stmt for _, stmt in entries), declared), deepest
+        entries = tuple(entries)
 
         def block(run, frame):
-            for loc, hit, stmt in entries:
+            for loc, stmt in entries:
                 run.count += 1
                 if run.count > run.limit:
                     run.check()
-                if hit:
-                    run.hits[loc] = run.hits.get(loc, 0) + 1
-                    if loc == run.probe:
-                        capture(run, loc, frame)
+                run.hits[loc] = run.hits.get(loc, 0) + 1
                 value = stmt(run, frame)
                 if value is not None:
                     return value
@@ -320,8 +319,8 @@ class _Lowering:
         call or the leaf helpers (operators, snapshots, registry methods).
         A block, a statement and an expression node are one closure each,
         a return is its expression, and an if or while condition adds one
-        closure around its expression. A fused binary node counts as the
-        unfused node it falls back to."""
+        level around its expression (see ``branching``). A fused binary
+        node counts as the unfused node it falls back to."""
         if isinstance(stmt, (IfStmt, WhileStmt)):
             return self.branching(stmt)
         if isinstance(stmt, LetStmt):
@@ -360,57 +359,18 @@ class _Lowering:
         raise TypeError(f"not a statement node: {stmt!r}")
 
     def branching(self, stmt) -> Tuple[Compiled, int]:
-        loc, cond = stmt.loc, self.cached(stmt.cond, self.expr)
+        """An ``if`` or ``while``, whose condition is type-checked in line.
+        Its depth counts one level around the condition's expression: the
+        frame of a probed ``if``'s condition, which takes a snapshot as the
+        condition starts and stores the value it gives. Every other
+        condition leaves that level unused, so that the call-depth
+        reservation of a function does not depend on which of its
+        statements is probed."""
+        cond = self.cached(stmt.cond, self.expr)
         cond_depth = 1 + nesting(stmt.cond)
-        if not self.record:
-            return self.lean_branching(stmt, cond, cond_depth)
-
-        def condition(run, frame) -> bool:
-            value = cond(run, frame)
-            if type(value) is not bool:
-                raise _Throw(TYPE_MISMATCH)
-            values = run.cond_values.get(loc)
-            if values is None:
-                run.cond_values[loc] = [value]
-            else:
-                values.append(value)
-            return value
-
         if isinstance(stmt, IfStmt):
-            then_body, then_depth = self.block(stmt.then_body)
-            else_body, else_depth = self.block(stmt.else_body)
-
-            def if_stmt(run, frame):
-                if condition(run, frame):
-                    return then_body(run, frame)
-                return else_body(run, frame)
-
-            return if_stmt, 1 + max(cond_depth, then_depth, else_depth)
-
-        (body, body_depth), capture = self.block(stmt.body), self.capture
-
-        def while_stmt(run, frame):
-            while True:
-                run.hits[loc] = run.hits.get(loc, 0) + 1
-                if loc == run.probe:
-                    capture(run, loc, frame)
-                if not condition(run, frame):
-                    return None
-                value = body(run, frame)
-                if value is not None:
-                    return value
-                run.count += 1
-                if run.count > run.limit:
-                    run.check()
-
-        return while_stmt, 1 + max(cond_depth, body_depth)
-
-    def lean_branching(self, stmt, cond: Compiled, cond_depth: int) -> Tuple[Compiled, int]:
-        """``branching`` without the bookkeeping: the condition is only
-        type-checked, in line. The depth is the recording closure's, so a
-        lean run reserves the frames a recording one does and exhausts the
-        call depth at the same call."""
-        if isinstance(stmt, IfStmt):
+            if stmt.probe:
+                cond = _snapshot_condition(cond, self.capture)
             then_body, then_depth = self.block(stmt.then_body)
             else_body, else_depth = self.block(stmt.else_body)
 
@@ -675,8 +635,8 @@ def _lean_block(stmts: Tuple[Compiled, ...], declared: Tuple[str, ...]) -> Compi
 
 def _capturer(consts, registry) -> Callable:
     """The snapshot taker of the programs with these consts and registry."""
-    def capture(run: _Run, loc: int, frame: Dict[str, Value]) -> None:
-        """Append a snapshot of the state at a probed location."""
+    def capture(run: _Run, frame: Dict[str, Value]) -> ProbeSnapshot:
+        """Append a snapshot of the state at a probed statement."""
         values = {c.name: c.value for c in consts.values()}
         values.update(frame)
         null_flags: Dict[str, bool] = {}
@@ -688,9 +648,31 @@ def _capturer(consts, registry) -> Callable:
                 null_flags[name] = False
                 for method in registry.methods_for(value.cls).values():
                     queries[f"{name}.{method.name}()"] = method.fn(value.payload)
-        run.snapshots.setdefault(loc, []).append(ProbeSnapshot(values, null_flags, queries))
+        snapshot = ProbeSnapshot(values, null_flags, queries)
+        run.snapshots.append(snapshot)
+        return snapshot
 
     return capture
+
+
+def _snapshot_first(stmt: Compiled, capture: Callable) -> Compiled:
+    """A probed statement other than an ``if``: a snapshot, then ``stmt``."""
+    def probed(run, frame):
+        capture(run, frame)
+        return stmt(run, frame)
+
+    return probed
+
+
+def _snapshot_condition(cond: Compiled, capture: Callable) -> Compiled:
+    """The condition of a probed ``if``: a snapshot as it starts, which
+    then stores the value it gives."""
+    def probed(run, frame):
+        snapshot = capture(run, frame)
+        snapshot.condition = value = cond(run, frame)
+        return value
+
+    return probed
 
 
 def _lowered(program: Program, record: bool) -> Dict[str, Callable]:
@@ -711,33 +693,26 @@ def execute(
     program: Program,
     function: str,
     args: Sequence[Value],
-    probe: Optional[int] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
     deadline: Optional[float] = None,
     record: bool = True,
 ) -> ExecutionResult:
-    """Run one function call. A recording run (``record``) keeps hits and
-    condition values, and snapshots at the ``probe`` location if one is
-    given; a lean run (``record=False``) keeps none of them, for callers
-    that read only the value, error, timeout and steps, which are the same
-    either way. A probe with ``record=False`` is a ValueError.
+    """Run one function call. A recording run (``record``) counts hits; a
+    lean run (``record=False``) does not, for callers that read only the
+    value, error, timeout, steps and snapshots, which are the same either
+    way. Snapshots come from the program's probed statement, if it has one
+    (see ``patching.probe``).
 
     Runtime errors and budget exhaustion (steps or call depth) are captured
-    in the result; hits, snapshots, and condition values collected before a
-    failure are kept. A run that reads the clock past ``deadline`` raises
-    DeadlineExceeded instead of returning a result.
+    in the result; hits and snapshots collected before a failure are kept.
+    A run that reads the clock past ``deadline`` raises DeadlineExceeded
+    instead of returning a result.
     """
-    if probe is not None:
-        if not record:
-            raise ValueError("a probe needs a recording run")
-        program.statement_at(probe)
     if function not in program.functions:
         raise ValueError(f"undefined function {function!r}")
     functions = _lowered(program, record)
-    run = _Run(functions, probe, step_budget, deadline)
-    result = ExecutionResult(
-        hits=run.hits, snapshots=run.snapshots, cond_values=run.cond_values
-    )
+    run = _Run(functions, step_budget, deadline)
+    result = ExecutionResult(hits=run.hits, snapshots=run.snapshots)
     try:
         result.value = functions[function](run, list(args))
     except _Throw as t:

@@ -1,5 +1,5 @@
-"""Program edits: patches (condition updates and precondition additions)
-and angelic decisions.
+"""Program edits: patches (condition updates and precondition additions),
+angelic decisions and the trace probe.
 
 Applying a patch produces a new program and leaves its input as it was;
 every location other than the patched one is preserved, which keeps
@@ -19,9 +19,11 @@ program records its base and the patch as ``origin``, which lets
 ``shadow_merge`` run two one-patch children of one base as one program.
 
 ``decide`` makes the edit an angelic trial runs. It replaces an ``if``
-condition with a zero-step ``Forced`` node, whose value a recording run
-still records as the condition's, or for ``SKIP`` drops a plain statement
-from its block. A decided program records no ``origin``.
+condition with a zero-step ``Forced`` node, whose value a probed ``if``
+still stores as the condition's, or for ``SKIP`` drops a plain statement
+from its block. ``probe`` makes the edit trace collection runs: it marks
+one statement, whose state every run of the new program snapshots. A
+decided or probed program records no ``origin``.
 """
 from __future__ import annotations
 
@@ -108,6 +110,13 @@ def decide(program: Program, loc: int, decision: Optional[bool]) -> Program:
     return _replace_statement(
         program, loc, lambda stmt: (dataclasses.replace(stmt, cond=Forced(decision)),)
     )
+
+
+def probe(program: Program, loc: int) -> Program:
+    """A new program whose statement at ``loc`` is probed: each time a run
+    reaches it, the run appends a snapshot of the state to its
+    ``snapshots`` (see ``interp``). Raises KeyError on an unknown location."""
+    return _replace_statement(program, loc, lambda stmt: (dataclasses.replace(stmt, probe=True),))
 
 
 def shadow_merge(program_a: Program, program_b: Program) -> Optional[Program]:

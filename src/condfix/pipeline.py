@@ -74,8 +74,9 @@ class RepairConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; choose from {sorted(METRICS)}")
-        if self.level_timeout <= 0 or self.global_timeout <= 0:
-            raise ValueError("timeouts must be positive")
+        if not (self.level_timeout > 0 and self.global_timeout > 0):  # a NaN fails every compare
+            raise ValueError(f"timeouts must be positive, got level_timeout "
+                             f"{self.level_timeout} and global_timeout {self.global_timeout}")
         if not MIN_LEVEL <= self.max_level <= MAX_LEVEL:
             raise ValueError(f"max_level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {self.max_level}")
         if self.step_budget < 1 or self.solver_nodes < 1:

@@ -41,8 +41,6 @@ class SynthesisProblem:
     columns: List[ColumnSpec]
     rows: List[Tuple[Tuple, bool]]  # (input values, expected outcome)
     components: List[Component]
-    location: int = 0
-    kind: str = "condition"
 
     def __post_init__(self):
         self.num_inputs = len(self.columns)
@@ -189,6 +187,4 @@ def encode_with_components(
         columns=list(matrix.columns),
         rows=rows,
         components=list(components),
-        location=matrix.location,
-        kind=matrix.kind,
     )

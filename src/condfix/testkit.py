@@ -50,7 +50,6 @@ class TestCase:
 class SuiteResult:
     verdicts: Dict[str, bool]
     coverage: Dict[str, Dict[int, int]]
-    executions: Dict[str, ExecutionResult]
 
     @property
     def failing(self) -> Set[str]:
@@ -113,14 +112,12 @@ def run_suite(
         raise SuiteFormatError("duplicate test ids in suite")
     verdicts: Dict[str, bool] = {}
     coverage: Dict[str, Dict[int, int]] = {}
-    executions: Dict[str, ExecutionResult] = {}
     for test in suite:
         result = execute(program, test.function, list(test.args), step_budget=step_budget,
                          deadline=deadline, record=record)
         verdicts[test.id] = verdict_holds(result, test)
         coverage[test.id] = dict(result.hits)
-        executions[test.id] = result
-    return SuiteResult(verdicts, coverage, executions)
+    return SuiteResult(verdicts, coverage)
 
 
 # --- suite file format ------------------------------------------------------

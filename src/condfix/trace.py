@@ -1,16 +1,18 @@
 """Runtime trace collection for patch synthesis.
 
-For a chosen location the whole suite is re-run with a probe installed.
-Each probe hit yields the candidate inputs (in-scope primitives, the
-literal constants 0, -1, 1, nullness of in-scope objects, and state-query
-results on non-null objects) paired with the expected outcome of the
-condition or precondition at that point.
+For a chosen location the whole suite is re-run, lean, on the program
+with that statement probed (``patching.probe``). Each snapshot the probe
+takes yields the candidate inputs (in-scope primitives, the literal
+constants 0, -1, 1, nullness of in-scope objects, and state-query results
+on non-null objects) paired with the expected outcome of the condition or
+precondition at that point.
 
 Expected outcomes: for a condition repair, passing tests contribute the
-actually evaluated condition value per hit and failing tests contribute
-their angelic value (collected from the program with the condition
-forced to it, ``patching.decide``); for a
-precondition repair, passing tests contribute true and failing tests
+value the condition gave at each hit, which the snapshot stores, and
+failing tests contribute their angelic value (collected from the probed
+program with the condition forced to it, ``patching.decide``); a hit
+whose condition ended the run gave no value and contributes no row. For
+a precondition repair, passing tests contribute true and failing tests
 false, one row per test taken at the first hit.
 
 A state-query column whose receiver is null in any row is undefined there
@@ -26,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .angelic import CONDITION, PRECONDITION, AngelicTuple, check_candidate  # noqa: F401
 from .minilang import (
     DEFAULT_STEP_BUDGET, Program, Value, decide, execute, format_value,
-    parse_value_literal,
+    parse_value_literal, probe,
 )
 from .testkit import TestCase, verdict_holds
 
@@ -91,15 +93,17 @@ def collect(
     columns = _candidate_columns(program, loc)
     # A skip decision is per test; the first-hit state is identical with and
     # without the skip, so a precondition probes the unmodified run.
+    probed = probe(program, loc)
     values = {t.val for t in angelic.values()} if kind == CONDITION else ()
-    forced = {value: decide(program, loc, value) for value in values}
+    forced = {value: probe(decide(program, loc, value), loc) for value in values}
 
     raw_rows: List[Tuple[str, int, dict, dict, bool]] = []
     for test in suite:
         tuple_for_test = angelic.get(test.id)
-        run = program if tuple_for_test is None else forced.get(tuple_for_test.val, program)
-        result = execute(run, test.function, list(test.args), loc, step_budget, deadline)
-        snapshots = result.snapshots.get(loc, [])
+        run = probed if tuple_for_test is None else forced.get(tuple_for_test.val, probed)
+        result = execute(run, test.function, list(test.args), step_budget=step_budget,
+                         deadline=deadline, record=False)
+        snapshots = result.snapshots
         if not snapshots:
             if tuple_for_test is not None:
                 raise ValueError(
@@ -112,13 +116,10 @@ def collect(
                 f"failing test {test.id!r} reached {loc} without an angelic tuple"
             )
         if kind == CONDITION:
-            cond_values = result.cond_values.get(loc, [])
             for m, snap in enumerate(snapshots):
-                if tuple_for_test is not None:
-                    expected = tuple_for_test.val
-                else:
-                    expected = cond_values[m]
-                raw_rows.append((test.id, m, snap.values, _derived(snap), expected))
+                expected = snap.condition if tuple_for_test is None else tuple_for_test.val
+                if type(expected) is bool:
+                    raw_rows.append((test.id, m, snap.values, _derived(snap), expected))
         else:
             expected = tuple_for_test is None
             snap = snapshots[0]

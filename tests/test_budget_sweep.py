@@ -17,6 +17,10 @@ Regenerate ``tests/data/budget_sweep.json`` (only when a change to step
 accounting is intended) with:
 
     PYTHONPATH=src python tests/test_budget_sweep.py --write
+
+which also prints each bundle's old -> new runs and timeouts per sweep,
+starring the entries that moved. A failing test lists the moved entries
+in the same form.
 """
 import hashlib
 import json
@@ -28,7 +32,7 @@ import pytest
 
 from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus
 from condfix.minilang import IfStmt, decide, execute
-from test_exec_digest import canonical
+from test_exec_digest import _comparison, canonical
 
 DIGEST_PATH = Path(__file__).parent / "data" / "budget_sweep.json"
 
@@ -75,15 +79,27 @@ def test_budget_sweep_matches_the_golden_digest(seconds):
     expected = json.loads(DIGEST_PATH.read_text())
     assert len(expected) == 18
     actual = compute_digest(None if seconds is None else time.monotonic() + seconds)
-    moved = [f"{bundle_id} {sweep}: {expected.get(bundle_id, {}).get(sweep)} -> {entry}"
-             for bundle_id, sweeps in actual.items() for sweep, entry in sweeps.items()
-             if expected.get(bundle_id, {}).get(sweep) != entry]
+    moved = [line for line, changed in _comparison(expected, actual, _counts) if changed]
     if moved:
         pytest.fail("moved sweep entries (old -> new):\n" + "\n".join(moved), pytrace=False)
     assert actual.keys() == expected.keys()
 
 
+def _counts(entry) -> str:
+    if entry is None:
+        return "-"
+    return f"{entry['runs']} runs/{entry['timeouts']} timeouts"
+
+
+def _write() -> None:
+    old = json.loads(DIGEST_PATH.read_text()) if DIGEST_PATH.exists() else {}
+    new = compute_digest()
+    for line, _ in _comparison(old, new, _counts):
+        print(line)
+    DIGEST_PATH.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_budget_sweep.py --write")
-    DIGEST_PATH.write_text(json.dumps(compute_digest(), indent=2, sort_keys=True) + "\n")
+    _write()

@@ -1,6 +1,7 @@
 """CLI surface: repair and bench subcommands, exit codes, artifacts."""
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,13 @@ class TestRepairCommand:
             assert code == EXIT_USAGE
         assert "step_budget and solver_nodes must be at least 1" in capsys.readouterr().err
 
+    def test_usage_error_on_a_nan_timeout(self, tmp_path, capsys):
+        program, suite = write_gcd_inputs(tmp_path)
+        for flag in ("--timeout", "--level-timeout"):
+            code = main(["repair", "--program", str(program), "--suite", str(suite), flag, "nan"])
+            assert code == EXIT_USAGE
+        assert "timeouts must be positive" in capsys.readouterr().err
+
     def test_usage_error_on_unknown_metric(self, tmp_path, capsys):
         program, suite = write_gcd_inputs(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -199,3 +207,26 @@ class TestBenchCommand:
         assert cm1["id"] == "cm1" and cm1["outcome"] == "patched"
         assert cm5["id"] == "cm5" and cm5["outcome"] == "bundle-error"
         assert cm5["reason"] == error
+
+    def test_bench_runs_the_other_bundles_beside_suites_that_call_wrongly(self, tmp_path, capsys):
+        # A test that calls a function the program lacks, or with the wrong
+        # number of arguments, fails its bundle's self-check by name.
+        corpus = tmp_path / "corpus"
+        for name in ("cm1", "cm5", "pm2"):
+            shutil.copytree(default_corpus_dir() / name, corpus / name)
+        for name, old, new in (("cm1", "above: percentile(3, 4)", "above: nosuch(3, 4)"),
+                               ("pm2", 'other: describe(Str("xy"), 0)', 'other: describe(0)')):
+            suite_file = corpus / name / "suite.txt"
+            assert old in suite_file.read_text()
+            suite_file.write_text(suite_file.read_text().replace(old, new))
+        out = tmp_path / "r.csv"
+        code = main(["bench", "--corpus", str(corpus), "--out", str(out)])
+        assert code == EXIT_NO_PATCH
+        assert "Traceback" not in capsys.readouterr().err
+        cm1, cm5, pm2 = csv.DictReader(out.read_text().splitlines())
+        assert cm5["id"] == "cm5" and cm5["outcome"] == "patched"
+        assert cm1["outcome"] == pm2["outcome"] == "bundle-error"
+        assert cm1["reason"] == ("bundle cm1: test 'above' calls nosuch() with 2 arguments, "
+                                 "which no function takes")
+        assert pm2["reason"] == ("bundle pm2: test 'other' calls describe() with 1 arguments, "
+                                 "which no function takes")

@@ -4,10 +4,11 @@ For each packaged and built-in seeded bundle, one ``run_harness`` pass is
 recorded at the ``execute`` name of every module that calls it. Per bundle
 and per calling module the digest keeps the number of executions, their
 total steps, and a sha256 over a canonical rendering of each result
-(value, error, timed_out, hits, cond_values, steps and snapshots), in call
-order. Any change to interpreter semantics or step accounting shows up
-here as a changed digest; a change that only adds or drops runs of one
-caller moves only that caller's entries.
+(value, error, timed_out, hits, steps, and the snapshots with the value
+each probed ``if`` condition gave), in call order. Any change to
+interpreter semantics or step accounting shows up here as a changed
+digest; a change that only adds or drops runs of one caller moves only
+that caller's entries.
 
 Regenerate ``tests/data/exec_digest.json`` (only when a semantic change is
 intended) with:
@@ -40,6 +41,7 @@ def _snapshot(snap) -> dict:
         "values": {k: format_value(v) for k, v in snap.values.items()},
         "null_flags": snap.null_flags,
         "queries": {k: format_value(v) for k, v in snap.queries.items()},
+        "condition": None if snap.condition is None else format_value(snap.condition),
     }
 
 
@@ -50,11 +52,8 @@ def canonical(result) -> str:
         "error": result.error,
         "timed_out": result.timed_out,
         "hits": result.hits,
-        "cond_values": result.cond_values,
         "steps": result.steps,
-        "snapshots": {
-            loc: [_snapshot(s) for s in snaps] for loc, snaps in result.snapshots.items()
-        },
+        "snapshots": [_snapshot(s) for s in result.snapshots],
     }, sort_keys=True)
 
 
@@ -109,10 +108,10 @@ def _counts(entry) -> str:
     return f"{entry['executions']} runs/{entry['steps']} steps"
 
 
-def _comparison(old: dict, new: dict):
+def _comparison(old: dict, new: dict, counts=_counts):
     """(line, changed) per (bundle, caller) of either digest, in the new
-    digest's order; each line shows old -> new runs and steps, starred
-    when the entry moved."""
+    digest's order; each line shows the entry's old -> new ``counts``
+    (runs and steps), starred when the entry moved."""
     keys = [(b, c) for b, callers in new.items() for c in callers]
     keys += [(b, c) for b, callers in old.items() for c in callers if (b, c) not in keys]
     for bundle_id, caller in keys:
@@ -121,9 +120,9 @@ def _comparison(old: dict, new: dict):
         changed = before != after
         mark = ""
         if changed:
-            same_counts = _counts(before) == _counts(after)
+            same_counts = counts(before) == counts(after)
             mark = "  * (sha256 only)" if same_counts else "  *"
-        yield f"{bundle_id:<12} {caller:<8} {_counts(before)} -> {_counts(after)}{mark}", changed
+        yield f"{bundle_id:<12} {caller:<8} {counts(before)} -> {counts(after)}{mark}", changed
 
 
 def _write() -> None:

@@ -56,7 +56,6 @@ class TestSpectrum:
         suite_result = SuiteResult(
             verdicts={"f": False},
             coverage={"f": {1: 1}},
-            executions={},
         )
         s = build_spectrum(suite_result)
         assert s.counts(1) == (1, 0)
@@ -71,19 +70,19 @@ class TestSpectrum:
         for i in range(23):
             verdicts[f"p{i}"] = True
             coverage[f"p{i}"] = {4: 1}
-        s = build_spectrum(SuiteResult(verdicts, coverage, {}))
+        s = build_spectrum(SuiteResult(verdicts, coverage))
         assert s.counts(4) == (2, 23)
 
     def test_uncovered_statement_counts_zero(self):
         suite_result = SuiteResult(
-            verdicts={"f": False}, coverage={"f": {1: 1}}, executions={}
+            verdicts={"f": False}, coverage={"f": {1: 1}}
         )
         s = build_spectrum(suite_result, all_locations=[1, 2])
         assert s.counts(2) == (0, 0)
 
     def test_requires_a_failing_test(self):
         suite_result = SuiteResult(
-            verdicts={"p": True}, coverage={"p": {1: 1}}, executions={}
+            verdicts={"p": True}, coverage={"p": {1: 1}}
         )
         with pytest.raises(NoFailingTestError):
             build_spectrum(suite_result)

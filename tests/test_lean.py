@@ -1,12 +1,17 @@
-"""Lean runs (``record=False``) end exactly as recording runs do.
+"""Lean runs (``record=False``) and probed runs end exactly as plain
+recording runs do.
 
-A lean run drops the hit, condition-value and snapshot bookkeeping, so it
-must give the same value, error, timeout and steps as a recording run of
-the same call. Checked on every ``execute`` call of one harness pass over
-the packaged and built-in seeded bundles, each rerun in both modes; on
-the suite runs of the budget sweep's programs (as written and with each
-``if`` forced) cut at a spread of step budgets; and on recursions that end
-on the call-depth limit.
+A lean run drops the hit bookkeeping, so it must give the same value,
+error, timeout and steps as a recording run of the same call. Checked on
+every ``execute`` call of one harness pass over the packaged and built-in
+seeded bundles, each rerun in both modes; on the suite runs of the budget
+sweep's programs (as written and with each ``if`` forced) cut at a spread
+of step budgets; and on recursions that end on the call-depth limit.
+
+A probe (``patching.probe``) only adds snapshots, so a run of the program
+probed at any location must give the same value, error, timeout and steps
+as a run of the program as it was, and take one snapshot per hit there.
+Checked on the same programs, budgets and recursions.
 """
 import inspect
 
@@ -14,12 +19,17 @@ import pytest
 
 from condfix import angelic, corpus, testkit, trace
 from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus, run_harness
-from condfix.minilang import IfStmt, decide, execute, parse_program
+from condfix.minilang import IfStmt, decide, execute, parse_program, probe
 from condfix.minilang.interp import MAX_CALL_DEPTH
 from test_minilang import FACT, NESTED_DOWN
 
 CALLERS = (angelic, corpus, testkit, trace)
 SIGNATURE = inspect.signature(execute)
+RECURSIONS = pytest.mark.parametrize("program, function, args", [
+    (decide(parse_program(FACT), 1, False), "fact", [3]),
+    (parse_program(FACT), "fact", [MAX_CALL_DEPTH - 2]),
+    (parse_program(NESTED_DOWN), "down", [5]),
+], ids=["unbounded", "within-the-limit", "nested-blocks"])
 
 
 def outcome(result):
@@ -27,10 +37,10 @@ def outcome(result):
 
 
 def in_both_modes(*args, **kwargs):
-    """Outcomes of the call run recording and run lean (without its probe)."""
+    """Outcomes of the call run recording and run lean."""
     call = SIGNATURE.bind(*args, **kwargs).arguments
     recording = execute(**{**call, "record": True})
-    lean = execute(**{**call, "probe": None, "record": False})
+    lean = execute(**{**call, "record": False})
     return outcome(recording), outcome(lean)
 
 
@@ -67,14 +77,22 @@ def spread(steps):
     return sorted({0, 1, 2, 3, *range(0, steps, max(1, steps // 12)), steps - 1, steps + 1})
 
 
+def sweep_programs(program):
+    """The program as written, then with each ``if`` forced each way, each
+    with the locations a probe is put at: every location of the program as
+    written, and the forced location of a forced one, as trace collection
+    probes it."""
+    ifs = [loc for loc in program.locations() if isinstance(program.statement_at(loc), IfStmt)]
+    return [(program, program.locations())] + [
+        (decide(program, loc, value), [loc]) for loc in ifs for value in (True, False)
+    ]
+
+
 def test_budget_sweep_programs_at_a_spread_of_budgets(bundles):
     for bundle in bundles:
         program, suite = bundle.program(), bundle.suite()
-        ifs = [loc for loc in program.locations()
-               if isinstance(program.statement_at(loc), IfStmt)]
-        programs = [program] + [decide(program, loc, value) for loc in ifs for value in (True, False)]
         for test in suite:
-            for run in programs:
+            for run, _ in sweep_programs(program):
                 full = execute(run, test.function, list(test.args))
                 for budget in spread(full.steps):
                     recording, lean = in_both_modes(run, test.function, list(test.args),
@@ -82,14 +100,39 @@ def test_budget_sweep_programs_at_a_spread_of_budgets(bundles):
                     assert lean == recording, (bundle.id, test.id, budget)
 
 
-@pytest.mark.parametrize("program, function, args", [
-    (decide(parse_program(FACT), 1, False), "fact", [3]),
-    (parse_program(FACT), "fact", [MAX_CALL_DEPTH - 2]),
-    (parse_program(NESTED_DOWN), "down", [5]),
-], ids=["unbounded", "within-the-limit", "nested-blocks"])
+def test_probed_runs_of_the_budget_sweep_programs_at_a_spread_of_budgets(bundles):
+    for bundle in bundles:
+        program, suite = bundle.program(), bundle.suite()
+        for run, locations in sweep_programs(program):
+            probed = {loc: probe(run, loc) for loc in locations}
+            for test in suite:
+                args = list(test.args)
+                full = execute(run, test.function, args)
+                for loc, at in probed.items():
+                    snapshots = execute(at, test.function, args, record=False).snapshots
+                    assert len(snapshots) == full.hits.get(loc, 0), (bundle.id, test.id, loc)
+                for budget in spread(full.steps):
+                    plain = outcome(execute(run, test.function, args, step_budget=budget,
+                                            record=False))
+                    for loc, at in probed.items():
+                        got = execute(at, test.function, args, step_budget=budget, record=False)
+                        assert outcome(got) == plain, (bundle.id, test.id, loc, budget)
+
+
+@RECURSIONS
 def test_recursion_ends_at_the_same_call(program, function, args):
     recording, lean = in_both_modes(program, function, args)
     assert lean == recording
+
+
+@RECURSIONS
+def test_a_probed_recursion_ends_at_the_same_call(program, function, args):
+    plain = execute(program, function, args)
+    for loc in program.locations():
+        probed = execute(probe(program, loc), function, args)
+        assert outcome(probed) == outcome(plain), loc
+        assert probed.hits == plain.hits, loc
+        assert len(probed.snapshots) == plain.hits.get(loc, 0), loc
 
 
 @pytest.mark.parametrize("statement", [
@@ -101,3 +144,5 @@ def test_a_condition_that_is_not_a_bool_is_a_type_mismatch(statement, x):
     recording, lean = in_both_modes(program, "f", [x])
     assert lean == recording
     assert recording[1] == "TypeMismatch"
+    for loc in program.locations():
+        assert in_both_modes(probe(program, loc), "f", [x]) == (recording, recording), loc

@@ -16,7 +16,7 @@ from condfix.errors import (
 from condfix.minilang import (
     INT_MAX, INT_MIN, NULL, SKIP, Binary, Obj, Patch, PatchKind, Program,
     StatementKind, Unary, VarRef, apply_patch, decide, execute,
-    parse_expression, parse_program, render_expr, render_program, shadow_merge,
+    parse_expression, parse_program, probe, render_expr, render_program, shadow_merge,
 )
 from condfix.minilang.ast import BLOCKS
 from condfix.minilang.interp import MAX_CALL_DEPTH, _Lowering
@@ -114,7 +114,8 @@ class TestExecution:
         result = execute(gcd_program, "gcd", [0, 6])
         assert result.value == 6
         assert result.hits[1] == 1
-        assert result.cond_values[1] == [True]
+        snapshots = execute(probe(gcd_program, 1), "gcd", [0, 6]).snapshots
+        assert [s.condition for s in snapshots] == [True]
 
     def test_gcd_coprime(self, gcd_program):
         assert execute(gcd_program, "gcd", [3, 5]).value == 1
@@ -126,7 +127,7 @@ class TestExecution:
     def test_determinism(self, gcd_program):
         a = execute(gcd_program, "gcd", [12, 18])
         b = execute(gcd_program, "gcd", [12, 18])
-        assert (a.value, a.hits, a.cond_values) == (b.value, b.hits, b.cond_values)
+        assert (a.value, a.hits, a.steps) == (b.value, b.hits, b.steps)
 
     def test_division_by_zero_is_captured(self):
         program = parse_program("fn f(x: int) -> int { return 1 / x; }")
@@ -153,14 +154,13 @@ class TestExecution:
 
 
 class TestControls:
-    """Decisions are program edits (``decide``); the probe is the one
-    per-run control."""
+    """Decisions and the probe are program edits (``decide``, ``probe``)."""
 
     def test_override_forces_every_evaluation(self, gcd_program):
-        result = execute(decide(gcd_program, 1, True), "gcd", [3, 5])
+        result = execute(probe(decide(gcd_program, 1, True), 1), "gcd", [3, 5])
         # forced true on a nonzero pair takes the early-return branch
         assert result.value == 8
-        assert result.cond_values[1] == [True]
+        assert [s.condition for s in result.snapshots] == [True]
 
     def test_override_repairs_the_overflow_case(self, gcd_program):
         assert execute(decide(gcd_program, 1, False), "gcd", [BIG, BIG]).value == BIG
@@ -182,27 +182,62 @@ class TestControls:
             decide(gcd_program, 5, False)  # a loop condition is never forced
 
     def test_probe_snapshot_contents(self, probe_program):
-        result = execute(probe_program, "peek", [3, Obj("Str", "abc")], probe=1)
-        snapshot = result.snapshots[1][0]
+        result = execute(probe(probe_program, 1), "peek", [3, Obj("Str", "abc")])
+        [snapshot] = result.snapshots
         assert snapshot.values["n"] == 3
         assert snapshot.null_flags["s"] is False
         assert snapshot.queries["s.length()"] == 3
         assert snapshot.queries["s.isEmpty()"] is False
+        assert snapshot.condition is None  # not an if
 
     def test_probe_capture_precedes_the_statement(self, probe_program):
-        result = execute(probe_program, "peek", [4, Obj("Str", "")], probe=2)
-        assert result.snapshots[2][0].values["doubled"] == 8
+        result = execute(probe(probe_program, 2), "peek", [4, Obj("Str", "")])
+        assert result.snapshots[0].values["doubled"] == 8
 
-    def test_a_probe_needs_a_recording_run(self, probe_program):
-        with pytest.raises(ValueError):
-            execute(probe_program, "peek", [4, Obj("Str", "")], probe=2, record=False)
+    def test_a_lean_run_takes_the_probes_snapshots(self, probe_program):
+        probed = probe(probe_program, 2)
+        recording = execute(probed, "peek", [4, Obj("Str", "")])
+        lean = execute(probed, "peek", [4, Obj("Str", "")], record=False)
+        assert lean.hits == {} and recording.hits
+        assert lean.snapshots == recording.snapshots and len(lean.snapshots) == 1
 
     def test_a_lean_run_records_nothing(self, gcd_program):
         recording = execute(gcd_program, "gcd", [6, 4])
         lean = execute(gcd_program, "gcd", [6, 4], record=False)
-        assert recording.hits and recording.cond_values
-        assert (lean.hits, lean.cond_values, lean.snapshots) == ({}, {}, {})
+        assert recording.hits
+        assert (lean.hits, lean.snapshots) == ({}, [])
         assert (lean.value, lean.steps) == (recording.value, recording.steps)
+
+    PARITY = parse_program(
+        "fn f(n: int) -> int { let i: int = 0; let c: int = 0; "
+        "while (i < n) { if (i % 2 == 0) { c = c + 1; } i = i + 1; } return c; }"
+    )
+
+    def test_a_probed_if_stores_its_condition_for_each_evaluation(self):
+        result = execute(probe(self.PARITY, 4), "f", [5])
+        assert result.value == 3
+        assert [s.values["i"] for s in result.snapshots] == [0, 1, 2, 3, 4]
+        assert [s.condition for s in result.snapshots] == [True, False, True, False, True]
+
+    def test_a_probed_while_snapshots_once_on_entry(self):
+        result = execute(probe(self.PARITY, 3), "f", [5])
+        assert [s.values["i"] for s in result.snapshots] == [0]
+        assert result.hits[3] == 1  # a while counts its hit on entry, too
+
+    def test_a_probed_if_whose_condition_ends_the_run_stores_none(self):
+        program = parse_program("fn f(x: int) -> int { if (1 / x > 0) { return 1; } return 0; }")
+        result = execute(probe(program, 1), "f", [0])
+        assert result.error == "DivisionByZero"
+        assert [s.condition for s in result.snapshots] == [None]
+
+    def test_probe_copies_the_path_and_compares_equal(self, gcd_program):
+        probed = probe(gcd_program, 4)
+        assert probed.statement_at(4).probe and not gcd_program.statement_at(4).probe
+        assert probed.statement_at(1) is gcd_program.statement_at(1)
+        assert probed.functions == gcd_program.functions
+        assert repr(probed.statement_at(4)) == repr(gcd_program.statement_at(4))
+        with pytest.raises(KeyError):
+            probe(gcd_program, 99)
 
 
 STEPS_FIXTURE = """\
@@ -419,11 +454,12 @@ class TestDeadline:
     def test_a_distant_deadline_changes_no_run(self, budget):
         def outcome(result):
             return (result.value, result.error, result.timed_out, result.steps,
-                    result.hits, result.cond_values)
+                    result.hits, result.snapshots)
 
         distant = time.monotonic() + 3600.0
-        plain = execute(self.COUNT, "f", [10_000], step_budget=budget)
-        timed = execute(self.COUNT, "f", [10_000], step_budget=budget, deadline=distant)
+        probed = probe(self.COUNT, 3)
+        plain = execute(probed, "f", [10_000], step_budget=budget)
+        timed = execute(probed, "f", [10_000], step_budget=budget, deadline=distant)
         assert outcome(timed) == outcome(plain)
 
 
@@ -531,8 +567,8 @@ class TestLifetime:
 
     def test_a_program_that_ran_under_a_probe(self):
         def ran():
-            program = parse_program(GCD_BUGGY)
-            execute(program, "gcd", [3, 5], probe=1)
+            program = probe(parse_program(GCD_BUGGY), 1)
+            execute(program, "gcd", [3, 5])
             return program
 
         self.assert_freed(ran)

@@ -129,6 +129,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="at least 1"):
             RepairConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["level_timeout", "global_timeout"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("-inf")])
+    def test_a_timeout_that_is_not_positive_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match="timeouts must be positive"):
+            RepairConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["level_timeout", "global_timeout"])
+    def test_an_infinite_timeout_is_accepted(self, field):
+        assert getattr(RepairConfig(**{field: float("inf")}), field) == float("inf")
+
     def test_budgets_of_one_are_accepted(self):
         config = RepairConfig(step_budget=1, solver_nodes=1)
         assert (config.step_budget, config.solver_nodes) == (1, 1)

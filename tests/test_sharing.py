@@ -141,8 +141,7 @@ def assert_path_copied(source, result, edits, edited_is_new=True):
 
 
 def outcome(result):
-    return (result.value, result.error, result.timed_out, result.steps,
-            result.hits, result.cond_values)
+    return result.value, result.error, result.timed_out, result.steps, result.hits
 
 
 def interleaved_runs(programs, entry, args):
@@ -170,6 +169,8 @@ def interleaved_runs(programs, entry, args):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    # A thread that raised leaves its outcomes short.
+    assert len(outcomes[0]) == len(outcomes[1]) == len(programs) * len(args)
     assert outcomes[0] == outcomes[1]
     return outcomes[0]
 

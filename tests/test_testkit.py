@@ -2,7 +2,7 @@
 import pytest
 
 from condfix.errors import SuiteFormatError
-from condfix.minilang import ExecutionResult, NULL, Obj
+from condfix.minilang import ExecutionResult, NULL, Obj, execute
 from condfix.testkit import (
     TestCase, parse_suite, render_suite, run_suite, verdict_holds,
 )
@@ -74,10 +74,10 @@ class TestRunSuite:
 
     def test_coverage_soundness(self, gcd_program, gcd_suite):
         result = run_suite(gcd_program, gcd_suite)
-        for test_id, hits in result.coverage.items():
-            execution = result.executions[test_id]
-            for loc, count in hits.items():
-                assert count == execution.hits.get(loc, 0)
+        assert result.coverage.keys() == {t.id for t in gcd_suite}
+        for test in gcd_suite:
+            execution = execute(gcd_program, test.function, list(test.args))
+            assert result.coverage[test.id] == execution.hits
 
 
 class TestSuiteFormat:

@@ -117,6 +117,22 @@ class TestConditionCollection:
         assert rows["coprime"].expected is False
         assert rows["overflow"].expected is False  # the angelic value
 
+    def test_a_passing_test_whose_condition_throws_contributes_no_row(self):
+        # f(0) passes by throwing inside the condition, which so gives no
+        # outcome; the other tests still give one row each.
+        program = parse_program(
+            "fn f(x: int) -> int {\n  if (10 / x > 2) {\n    return 1;\n  }\n  return 0;\n}\n"
+        )
+        suite = parse_suite("a: f(0) -> error DivisionByZero\nb: f(2) -> 1\n"
+                            "c: f(4) -> 1\nd: f(20) -> 0\n")
+        failing = run_suite(program, suite).failing
+        assert failing == {"c"}
+        outcome = angelic_condition(program, suite, failing, 1)
+        matrix = collect(program, suite, 1, CONDITION, outcome.tuples)
+        assert [(r.test, r.expected) for r in matrix.rows] == [
+            ("b", True), ("c", True), ("d", False),
+        ]
+
     def test_missing_angelic_tuple_is_an_error(self, gcd_program, gcd_suite):
         with pytest.raises(ValueError, match="angelic"):
             collect(gcd_program, gcd_suite, 1, CONDITION, {})
