@@ -229,6 +229,7 @@ class Program:
         self._scope: Dict[int, Dict[str, str]] = {}
         for fn in self.functions.values():
             self._walk(fn.body, fn.name, {p.name: p.type for p in fn.params})
+        self._max_location = max(self._index, default=0)
 
     def _walk(self, stmts: Block, fn_name: str, scope: Dict[str, str]) -> None:
         # A method: a recursive nested function would make a reference cycle.
@@ -260,7 +261,7 @@ class Program:
         return kind_of_stmt(self.statement_at(loc))
 
     def max_location(self) -> int:
-        return max(self._index) if self._index else 0
+        return self._max_location
 
     def scope_at(self, loc: int) -> Dict[str, str]:
         """A new dict of the names visible at a statement, mapped to their

@@ -9,15 +9,18 @@ exception ``execute`` raises for a run is ``DeadlineExceeded``.
 
 Instrumentation: a recording run (``record=True``, the default) counts a
 hit per statement entry, and a lean one (``record=False``) does not; both
-give the same value, error, timeout and steps. Only the baseline suite
-run reads hits, as the spectrum's coverage, so every other run (angelic
-trials, trace collection, validation, grid equivalence and the corpus
-seeding checks) is lean. The probe is a program edit (``patching.probe``):
-a probed ``if`` snapshots the state as its condition starts and stores
-the value the condition gives in the snapshot, and any other probed
-statement snapshots the state before it runs, in either mode. Angelic
-decisions are program edits too (``patching.decide``): a forced condition
-is a ``Forced`` node, a skipped statement is absent.
+give the same value, error, timeout and steps. A recording run counts its
+hits in a list indexed by location, sized to the program's largest
+location, and turns it into the ``hits`` dict once, when the run ends.
+Only the baseline suite run reads hits, as the spectrum's coverage, so
+every other run (angelic trials, trace collection, validation, grid
+equivalence and the corpus seeding checks) is lean. The probe is a
+program edit (``patching.probe``): a probed ``if`` snapshots the state as
+its condition starts and stores the value the condition gives in the
+snapshot, and any other probed statement snapshots the state before it
+runs, in either mode. Angelic decisions are program edits too
+(``patching.decide``): a forced condition is a ``Forced`` node, a skipped
+statement is absent.
 
 Shared closures: each statement's and function's closure is cached in
 ``Program.closures``, a table that a program shares with every program
@@ -52,23 +55,39 @@ closures need. In the packaged corpus, skipping ``cm2`` location 12 lowers
 a reservation from 10 to 8 frames and skipping ``pm2`` location 4 from 8
 to 6; no corpus run reaches the call-depth limit.
 
-Operand fusion: a binary node ``<``, ``<=``, ``>``, ``>=``, ``+``,
-``-``, ``*``, ``==`` or ``!=`` whose left operand is a variable (not a
-program constant) and whose right operand is a variable or an int or
-real literal or program constant lowers to one closure that reads both
-operands straight from the frame (a superoperator; Proebsting, POPL
-1995). It charges the node's three steps at once, and only when they fit
-under the run's limit, both names are bound, the operands are two ints
-or two reals, and an int result needs no wrapping. In every other case (a
-budget or clock read that falls inside the node, an unbound name, mixed
-or non-numeric types) it runs the node's general closure from the
-unchanged step count. Leaf reads are pure, so that fallback is exact:
-steps, hits, snapshots, errors and timeouts are those of the unfused
-node. ``/`` and ``%`` are never fused. The nesting depth counts a
-fused node like the unfused one, since the call-depth reservation is a
-property of the program, not of its lowering; a fallback adds at most
-one Python frame, at the top of the stack, because fused operands never
-call.
+Fused nodes and statements (superoperators; Proebsting, POPL 1995): a
+binary node ``<``, ``<=``, ``>``, ``>=``, ``+``, ``-``, ``*``, ``==`` or
+``!=`` whose left operand is a variable (not a program constant) and
+whose right operand is a variable or an int or real literal or program
+constant lowers to one closure that reads both operands straight from
+the frame. A ``let`` or assignment of such a node, and an ``if`` or
+``while`` whose condition is such a node with a comparison operator, is
+likewise one closure that runs the node in line. Each charges the node's
+three steps at once, and only when they fit under the run's limit, both
+names are bound, the operands are two ints or two reals, and an int
+result needs no wrapping. In every other case (a budget or clock read
+that falls inside the node, an unbound name, mixed or non-numeric types)
+it runs the node's own closure from the unchanged step count, and a
+statement then finishes as the unfused statement does. Leaf reads are
+pure, so that fallback is exact: steps, hits, snapshots, errors and
+timeouts are those of the unfused node. ``/`` and ``%`` are never fused,
+and neither is the condition of a probed ``if``.
+
+Unrolled blocks: a block of one or two statements that declares nothing
+runs its statements in line instead of looping over them, and returns
+what its last statement returns.
+
+Forced ``if``: an unprobed ``if`` whose condition is ``Forced`` lowers to
+the closure of the branch it takes; the ``if`` takes its entry step, and
+the condition none, as before.
+
+The nesting depth counts a fused node or statement like the unfused one
+and a forced ``if`` like any ``if`` (its condition level and both
+branches), since the call-depth reservation is a property of the
+program, not of its lowering. A fused closure's fallback adds at most one
+Python frame, at the top of the stack, and never around a call, because
+fused operands never call; an unrolled block or a forced ``if`` adds
+none.
 """
 from __future__ import annotations
 
@@ -142,11 +161,12 @@ class _Run(Budget):
 
     __slots__ = ("functions", "depth", "hits", "snapshots")
 
-    def __init__(self, functions: Dict[str, Callable], budget: int, deadline: Optional[float]):
+    def __init__(self, functions: Dict[str, Callable], budget: int, deadline: Optional[float],
+                 hits: Optional[List[int]]):
         super().__init__(budget, deadline)
         self.functions = functions
         self.depth = 0
-        self.hits: Dict[int, int] = {}
+        self.hits = hits  # a recording run's hit count per location; None when lean
         self.snapshots: List[ProbeSnapshot] = []
 
 
@@ -222,9 +242,12 @@ _NUMERIC = {
 }
 # The operators a fused binary node applies itself, to two ints or two
 # reals only. There each agrees with the node's own closure, except that an
-# int result out of range is left to that closure to wrap.
-_FUSED = {op: _NUMERIC[op] for op in ("<", "<=", ">", ">=", "+", "-", "*")}
-_FUSED.update({"==": operator.eq, "!=": operator.ne})
+# int result out of range is left to that closure to wrap. The comparisons
+# give bools, so only they fuse into an ``if`` or ``while``.
+_COMPARISONS = {op: _NUMERIC[op] for op in ("<", "<=", ">", ">=")}
+_COMPARISONS.update({"==": operator.eq, "!=": operator.ne})
+_FUSED = {op: _NUMERIC[op] for op in ("+", "-", "*")}
+_FUSED.update(_COMPARISONS)
 
 
 # The nodes whose closures hold a block, and so differ between the
@@ -280,7 +303,7 @@ class _Lowering:
 
     def block(self, stmts: Sequence[Stmt], scoped: bool = True) -> Tuple[Compiled, int]:
         """The block's closure and its closure-nesting depth. Entering each
-        statement takes one step and, in a recording run, records one hit.
+        statement takes one step and, in a recording run, counts one hit.
         A probed statement other than an ``if`` (see ``branching``) takes
         a snapshot next, in a wrapper whose frame is left out of the depth,
         so that a probed run reserves the call frames an unprobed one does."""
@@ -294,24 +317,9 @@ class _Lowering:
         declared = tuple(s.name for s in stmts if isinstance(s, LetStmt)) if scoped else ()
         if not entries:
             return _empty_block, 0
-        if not self.record:
-            return _lean_block(tuple(stmt for _, stmt in entries), declared), deepest
-        entries = tuple(entries)
-
-        def block(run, frame):
-            for loc, stmt in entries:
-                run.count += 1
-                if run.count > run.limit:
-                    run.check()
-                run.hits[loc] = run.hits.get(loc, 0) + 1
-                value = stmt(run, frame)
-                if value is not None:
-                    return value
-            for name in declared:
-                frame.pop(name, None)
-            return None
-
-        return block, deepest
+        if declared or len(entries) > 2:
+            return _block_loop(tuple(entries), declared, self.record), deepest
+        return _short_block(entries, self.record), deepest
 
     def stmt(self, stmt: Stmt) -> Tuple[Compiled, int]:
         """The statement's closure and its closure-nesting depth: the most
@@ -319,19 +327,24 @@ class _Lowering:
         call or the leaf helpers (operators, snapshots, registry methods).
         A block, a statement and an expression node are one closure each,
         a return is its expression, and an if or while condition adds one
-        level around its expression (see ``branching``). A fused binary
-        node counts as the unfused node it falls back to."""
+        level around its expression (see ``branching``). A fused node or
+        statement counts as the unfused one it falls back to."""
         if isinstance(stmt, (IfStmt, WhileStmt)):
             return self.branching(stmt)
-        if isinstance(stmt, LetStmt):
-            name, value = stmt.name, self.expr(stmt.value)
+        if isinstance(stmt, (LetStmt, AssignStmt)):
+            name, depth = stmt.name, 1 + nesting(stmt.value)
+            declares = isinstance(stmt, LetStmt)
+            fused = self.operands(stmt.value, _FUSED)
+            if fused is not None:
+                # A let binds its name, and so has an assignment read it.
+                bound = declares or name in fused[1:3]
+                return _fused_store(name, bound, self.unfused(stmt.value), *fused), depth
+            value = self.expr(stmt.value)
+            if declares:
+                def let(run, frame):
+                    frame[name] = value(run, frame)
 
-            def let(run, frame):
-                frame[name] = value(run, frame)
-
-            return let, 1 + nesting(stmt.value)
-        if isinstance(stmt, AssignStmt):
-            name, value = stmt.name, self.expr(stmt.value)
+                return let, depth
 
             def assign(run, frame):
                 result = value(run, frame)
@@ -339,7 +352,7 @@ class _Lowering:
                     raise _Throw(UNBOUND_VARIABLE)
                 frame[name] = result
 
-            return assign, 1 + nesting(stmt.value)
+            return assign, depth
         if isinstance(stmt, ReturnStmt):
             return self.expr(stmt.value), nesting(stmt.value)
         if isinstance(stmt, ThrowStmt):
@@ -365,14 +378,20 @@ class _Lowering:
         condition starts and stores the value it gives. Every other
         condition leaves that level unused, so that the call-depth
         reservation of a function does not depend on which of its
-        statements is probed."""
+        statements is probed, fused or forced."""
         cond = self.cached(stmt.cond, self.expr)
         cond_depth = 1 + nesting(stmt.cond)
+        fused = None if stmt.probe else self.operands(stmt.cond, _COMPARISONS)
         if isinstance(stmt, IfStmt):
-            if stmt.probe:
-                cond = _snapshot_condition(cond, self.capture)
             then_body, then_depth = self.block(stmt.then_body)
             else_body, else_depth = self.block(stmt.else_body)
+            depth = 1 + max(cond_depth, then_depth, else_depth)
+            if isinstance(stmt.cond, Forced) and not stmt.probe:
+                return (then_body if stmt.cond.value else else_body), depth
+            if fused is not None:
+                return _fused_if(cond, then_body, else_body, *fused), depth
+            if stmt.probe:
+                cond = _snapshot_condition(cond, self.capture)
 
             def if_stmt(run, frame):
                 value = cond(run, frame)
@@ -382,9 +401,12 @@ class _Lowering:
                     return else_body(run, frame)
                 raise _Throw(TYPE_MISMATCH)
 
-            return if_stmt, 1 + max(cond_depth, then_depth, else_depth)
+            return if_stmt, depth
 
         body, body_depth = self.block(stmt.body)
+        depth = 1 + max(cond_depth, body_depth)
+        if fused is not None:
+            return _fused_while(cond, body, *fused), depth
 
         def while_stmt(run, frame):
             while True:
@@ -400,7 +422,7 @@ class _Lowering:
                 if run.count > run.limit:
                     run.check()
 
-        return while_stmt, 1 + max(cond_depth, body_depth)
+        return while_stmt, depth
 
     # -- expressions --
 
@@ -419,7 +441,9 @@ class _Lowering:
         if isinstance(expr, Unary):
             return self.unary(expr)
         if isinstance(expr, Binary):
-            return self.binary(expr)
+            fused = self.operands(expr, _FUSED)
+            general = self.unfused(expr)
+            return general if fused is None else _fused_node(general, *fused)
         if isinstance(expr, MethodCall):
             return self.method_call(expr)
         if isinstance(expr, CallExpr):
@@ -465,7 +489,9 @@ class _Lowering:
 
         return unary
 
-    def binary(self, expr: Binary) -> Compiled:
+    def unfused(self, expr: Binary) -> Compiled:
+        """The binary node's own closure, which a fused node or statement
+        runs whenever it cannot finish the node itself."""
         op = expr.op
         left, right = self.expr(expr.left), self.expr(expr.right)
         if op in ("&&", "||"):
@@ -501,7 +527,7 @@ class _Lowering:
                     return (a == b) is positive
                 return _equal(a, b) is positive
 
-            return self.fused(expr, equality)
+            return equality
 
         if op not in _NUMERIC:
             raise TypeError(f"unknown binary operator {op!r}")
@@ -521,65 +547,30 @@ class _Lowering:
                 return wrap_int(value)
             return value
 
-        return self.fused(expr, numeric)
+        return numeric
 
-    def fused(self, expr: Binary, general: Compiled) -> Compiled:
-        """The closure for a binary node: a fused one when its left operand
-        is a variable and its right one a variable or an int or real
-        constant (see "Operand fusion" in the module docstring), else
-        ``general``, the node's own closure, which a fused one also runs
-        whenever it cannot finish the node itself."""
-        left, right = expr.left, expr.right
-        if expr.op not in _FUSED or not self.local(left):
-            return general
-        apply, name = _FUSED[expr.op], left.name
-
+    def operands(self, expr: Expr, operators: Dict[str, Callable]) -> Optional[tuple]:
+        """``(apply, left, right, constant)`` for a binary node with an
+        operator in ``operators`` whose left operand is a variable of the
+        frame and whose right one is a variable (``right`` its name,
+        ``constant`` None) or an int or real constant (``right`` None,
+        ``constant`` its value), so that ``frame.get(right, constant)``
+        reads it; None for any other node (see "Fused nodes and
+        statements" in the module docstring)."""
+        if not isinstance(expr, Binary) or expr.op not in operators or not self.local(expr.left):
+            return None
+        apply, name, right = operators[expr.op], expr.left.name, expr.right
         if self.local(right):
-            other = right.name
-
-            def fused_variables(run, frame):
-                steps = run.count + 3
-                if steps <= run.limit:
-                    try:
-                        a = frame[name]
-                        b = frame[other]
-                    except KeyError:
-                        return general(run, frame)
-                    kind = type(a)
-                    if kind is type(b) and (kind is int or kind is float):
-                        value = apply(a, b)
-                        if INT_MIN <= value <= INT_MAX or kind is float:
-                            run.count = steps
-                            return value
-                return general(run, frame)
-
-            return fused_variables
-
+            return apply, name, right.name, None
         if isinstance(right, (IntLit, RealLit)):
-            b = right.value
+            constant = right.value
         elif isinstance(right, VarRef):
-            b = self.consts[right.name].value
+            constant = self.consts[right.name].value
         else:
-            return general
-        kind = type(b)
-        if kind is not int and kind is not float:
-            return general
-
-        def fused_constant(run, frame):
-            steps = run.count + 3
-            if steps <= run.limit:
-                try:
-                    a = frame[name]
-                except KeyError:
-                    return general(run, frame)
-                if type(a) is kind:
-                    value = apply(a, b)
-                    if INT_MIN <= value <= INT_MAX or kind is float:
-                        run.count = steps
-                        return value
-            return general(run, frame)
-
-        return fused_constant
+            return None
+        if type(constant) is not int and type(constant) is not float:
+            return None
+        return apply, name, None, constant
 
     def local(self, expr: Expr) -> bool:
         """Whether ``expr`` reads a variable of the frame."""
@@ -616,9 +607,27 @@ class _Lowering:
         return call
 
 
-def _lean_block(stmts: Tuple[Compiled, ...], declared: Tuple[str, ...]) -> Compiled:
-    """A block of a lean run: each statement entry only takes its step."""
-    def block(run, frame):
+def _block_loop(entries: Tuple[Tuple[int, Compiled], ...], declared: Tuple[str, ...],
+                record: bool) -> Compiled:
+    """A block of ``(location, statement)`` entries, run in a loop."""
+    if record:
+        def block(run, frame):
+            for loc, stmt in entries:
+                run.count += 1
+                if run.count > run.limit:
+                    run.check()
+                run.hits[loc] += 1
+                value = stmt(run, frame)
+                if value is not None:
+                    return value
+            for name in declared:
+                frame.pop(name, None)
+            return None
+
+        return block
+    stmts = tuple(stmt for _, stmt in entries)
+
+    def lean_block(run, frame):
         for stmt in stmts:
             run.count += 1
             if run.count > run.limit:
@@ -630,7 +639,163 @@ def _lean_block(stmts: Tuple[Compiled, ...], declared: Tuple[str, ...]) -> Compi
             frame.pop(name, None)
         return None
 
-    return block
+    return lean_block
+
+
+def _short_block(entries: List[Tuple[int, Compiled]], record: bool) -> Compiled:
+    """A block of one or two statements that declares nothing, unrolled:
+    it returns what its last statement returns."""
+    if len(entries) == 1:
+        [(loc, stmt)] = entries
+        if record:
+            def block(run, frame):
+                run.count += 1
+                if run.count > run.limit:
+                    run.check()
+                run.hits[loc] += 1
+                return stmt(run, frame)
+
+            return block
+
+        def lean_block(run, frame):
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
+            return stmt(run, frame)
+
+        return lean_block
+    (loc, first), (last_loc, last) = entries
+    if record:
+        def block(run, frame):
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
+            run.hits[loc] += 1
+            value = first(run, frame)
+            if value is not None:
+                return value
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
+            run.hits[last_loc] += 1
+            return last(run, frame)
+
+        return block
+
+    def lean_block(run, frame):
+        run.count += 1
+        if run.count > run.limit:
+            run.check()
+        value = first(run, frame)
+        if value is not None:
+            return value
+        run.count += 1
+        if run.count > run.limit:
+            run.check()
+        return last(run, frame)
+
+    return lean_block
+
+
+# The fused closures below read a node's operands with ``frame.get(left)``
+# and ``frame.get(right, constant)`` (see ``_Lowering.operands``): an
+# unbound name reads as None, which fails the type test, so that the
+# closure falls back to the node's own closure, which raises the error.
+
+
+def _fused_node(general: Compiled, apply, left, right, constant) -> Compiled:
+    """A fused binary node in an expression."""
+    def fused(run, frame):
+        steps = run.count + 3
+        a = frame.get(left)
+        b = frame.get(right, constant)
+        kind = type(a)
+        if steps <= run.limit and kind is type(b) and (kind is int or kind is float):
+            value = apply(a, b)
+            if kind is float or INT_MIN <= value <= INT_MAX:
+                run.count = steps
+                return value
+        return general(run, frame)
+
+    return fused
+
+
+def _fused_store(name: str, bound: bool, general: Compiled, apply, left, right,
+                 constant) -> Compiled:
+    """A ``let`` or assignment of a fused binary node. ``bound`` skips the
+    check that an assignment's target is bound."""
+    def fused_store(run, frame):
+        steps = run.count + 3
+        a = frame.get(left)
+        b = frame.get(right, constant)
+        kind = type(a)
+        if steps <= run.limit and kind is type(b) and (kind is int or kind is float):
+            value = apply(a, b)
+            if kind is float or INT_MIN <= value <= INT_MAX:
+                run.count = steps
+            else:
+                value = general(run, frame)
+        else:
+            value = general(run, frame)
+        if bound or name in frame:
+            frame[name] = value
+            return None
+        raise _Throw(UNBOUND_VARIABLE)
+
+    return fused_store
+
+
+def _fused_if(cond: Compiled, then_body: Compiled, else_body: Compiled, apply, left, right,
+              constant) -> Compiled:
+    """An ``if`` whose condition is a fused comparison; ``cond`` is the
+    condition's closure."""
+    def fused_if(run, frame):
+        steps = run.count + 3
+        a = frame.get(left)
+        b = frame.get(right, constant)
+        kind = type(a)
+        if steps <= run.limit and kind is type(b) and (kind is int or kind is float):
+            run.count = steps
+            if apply(a, b):
+                return then_body(run, frame)
+            return else_body(run, frame)
+        value = cond(run, frame)
+        if value is True:
+            return then_body(run, frame)
+        if value is False:
+            return else_body(run, frame)
+        raise _Throw(TYPE_MISMATCH)
+
+    return fused_if
+
+
+def _fused_while(cond: Compiled, body: Compiled, apply, left, right, constant) -> Compiled:
+    """A ``while`` whose condition is a fused comparison; ``cond`` is the
+    condition's closure."""
+    def fused_while(run, frame):
+        while True:
+            steps = run.count + 3
+            a = frame.get(left)
+            b = frame.get(right, constant)
+            kind = type(a)
+            if steps <= run.limit and kind is type(b) and (kind is int or kind is float):
+                run.count = steps
+                if not apply(a, b):
+                    return None
+            else:
+                value = cond(run, frame)
+                if value is not True:
+                    if value is False:
+                        return None
+                    raise _Throw(TYPE_MISMATCH)
+            value = body(run, frame)
+            if value is not None:
+                return value
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
+
+    return fused_while
 
 
 def _capturer(consts, registry) -> Callable:
@@ -711,8 +876,9 @@ def execute(
     if function not in program.functions:
         raise ValueError(f"undefined function {function!r}")
     functions = _lowered(program, record)
-    run = _Run(functions, step_budget, deadline)
-    result = ExecutionResult(hits=run.hits, snapshots=run.snapshots)
+    hits = [0] * (program.max_location() + 1) if record else None
+    run = _Run(functions, step_budget, deadline, hits)
+    result = ExecutionResult(snapshots=run.snapshots)
     try:
         result.value = functions[function](run, list(args))
     except _Throw as t:
@@ -723,4 +889,6 @@ def execute(
         result.error = TIMEOUT
         result.timed_out = True
     result.steps = run.count
+    if record:
+        result.hits = {loc: count for loc, count in enumerate(hits) if count}
     return result

@@ -14,7 +14,7 @@ from condfix.errors import (
     ResolutionError,
 )
 from condfix.minilang import (
-    INT_MAX, INT_MIN, NULL, SKIP, Binary, Obj, Patch, PatchKind, Program,
+    INT_MAX, INT_MIN, NULL, SKIP, Binary, IfStmt, Obj, Patch, PatchKind, Program,
     StatementKind, Unary, VarRef, apply_patch, decide, execute,
     parse_expression, parse_program, probe, render_expr, render_program, shadow_merge,
 )
@@ -322,24 +322,34 @@ const K: int = 5;
 const H: real = 0.5;
 
 fn f(x: int, y: int, r: real, b: bool, s: Str) -> int {
-  return EXPR;
+  BODY
 }
 """
 TIMEOUT = "TimeoutDuringExecution"
 NAN = float("nan")
 
 
-def run_return(expr, x=3, y=4, r=1.5, step_budget=1000, unbound=()):
-    """Execute ``return expr;`` as the body of f(x, y, r, true, null). The
-    parameters named in ``unbound`` are dropped from f and its call, so
-    reading them fails at run time as the resolver would not let it."""
-    program = parse_program(FUSED_FIXTURE.replace("EXPR", expr))
+def run_fused(body, x=3, y=4, r=1.5, step_budget=1000, unbound=()):
+    """Execute ``body`` as the body of f(x, y, r, true, null), recording
+    and lean, which must agree. The parameters named in ``unbound`` are
+    dropped from f and its call, so reading or assigning them fails at run
+    time as the resolver would not let it."""
+    program = parse_program(FUSED_FIXTURE.replace("BODY", body))
     fn = program.functions["f"]
     kept = [(p, a) for p, a in zip(fn.params, [x, y, r, True, NULL]) if p.name not in unbound]
     fn = dataclasses.replace(fn, params=tuple(p for p, _ in kept))
     program = Program(program.consts, {"f": fn}, program.registry)
-    result = execute(program, "f", [a for _, a in kept], step_budget=step_budget)
-    return result.value, result.error, result.timed_out, result.steps
+    outcomes = {
+        (result.value, result.error, result.timed_out, result.steps)
+        for result in (execute(program, "f", [a for _, a in kept], step_budget=step_budget,
+                               record=record) for record in (True, False))
+    }
+    [outcome] = outcomes
+    return outcome
+
+
+def run_return(expr, **kwargs):
+    return run_fused(f"return {expr};", **kwargs)
 
 
 class TestFusedOperands:
@@ -354,9 +364,91 @@ class TestFusedOperands:
         ("x < -1", False), ("b == true", False), ("x < y + 1", False),
     ])
     def test_which_nodes_fuse(self, expr, fused):
-        program = parse_program(FUSED_FIXTURE.replace("EXPR", expr))
+        program = parse_program(FUSED_FIXTURE.replace("BODY", f"return {expr};"))
         closure = _Lowering(program).expr(program.functions["f"].body[0].value)
         assert closure.__name__.startswith("fused") == fused
+
+    @pytest.mark.parametrize("body, fused", [
+        ("let z: int = x + 1; return z;", True), ("x = y * K; return x;", True),
+        ("if (x < y) { return 1; } return 2;", True), ("while (r != H) { r = H; } return 1;", True),
+        ("let z: int = x / y; return z;", False), ("x = 1 + y; return x;", False),
+        ("if (x + y) { return 1; } return 2;", False), ("if (b) { return 1; } return 2;", False),
+        ("while (x < y && b) { x = y; } return 1;", False),
+    ])
+    def test_which_statements_fuse(self, body, fused):
+        program = parse_program(FUSED_FIXTURE.replace("BODY", body))
+        stmt = program.functions["f"].body[0]
+        closure, _ = _Lowering(program).stmt(stmt)
+        assert closure.__name__.startswith("fused") == fused
+        # a probed if runs its condition's own closure, to snapshot it
+        if fused and isinstance(stmt, IfStmt):
+            probed = probe(program, stmt.loc).functions["f"].body[0]
+            assert not _Lowering(program).stmt(probed)[0].__name__.startswith("fused")
+
+    # (body, x, y, r, the full run's value, error and steps)
+    STATEMENTS = [
+        ("let z: int = x + y; return z;", 3, 4, 1.5, 7, None, 6),
+        ("x = x - K; return x;", 3, 4, 1.5, -2, None, 6),
+        ("x = y * 2; return x;", 3, 4, 1.5, 8, None, 6),
+        ("r = r * H; return 1;", 3, 4, 1.5, 1, None, 6),
+        ("if (x < y) { return 1; } return 2;", 3, 4, 1.5, 1, None, 6),
+        ("if (x >= K) { return 1; } return 2;", 3, 4, 1.5, 2, None, 6),
+        ("while (x < y) { x = x + 1; } return x;", 3, 5, 1.5, 5, None, 22),
+        # mixed int and real, and bool, operands: the node's own closure decides
+        ("let z: int = x + r; return z;", 3, 4, 1.5, None, "TypeMismatch", 4),
+        ("x = x * r; return x;", 3, 4, 1.5, None, "TypeMismatch", 4),
+        ("if (x < r) { return 1; } return 2;", 3, 4, 1.5, None, "TypeMismatch", 4),
+        ("while (r >= x) { r = H; } return 1;", 3, 4, 1.5, None, "TypeMismatch", 4),
+        ("if (b == b) { return 1; } return 2;", 3, 4, 1.5, 1, None, 6),
+        ("while (b != b) { b = true; } return 1;", 3, 4, 1.5, 1, None, 6),
+        ("let z: bool = b == b; return 1;", 3, 4, 1.5, 1, None, 6),
+        # an int result out of range is assigned wrapped
+        ("x = x + 1; return x;", INT_MAX, 4, 1.5, INT_MIN, None, 6),
+        ("let z: int = x * y; return z;", INT_MAX, 2, 1.5, -2, None, 6),
+        # NaN compares false, except with !=
+        ("if (r < H) { return 1; } return 2;", 3, 4, NAN, 2, None, 6),
+        ("if (r != r) { return 1; } return 2;", 3, 4, NAN, 1, None, 6),
+        ("while (r >= H) { r = H; } return 1;", 3, 4, NAN, 1, None, 6),
+        ("while (r != r) { r = H; } return 1;", 3, 4, NAN, 1, None, 12),
+        # the condition changes type mid-loop: ints, then reals, then mixed
+        ("while (x != y) { x = r; y = r; } return 1;", 3, 4, 1.5, 1, None, 14),
+        ("while (x < y) { x = r; } return 1;", 3, 4, 1.5, None, "TypeMismatch", 10),
+    ]
+
+    @pytest.mark.parametrize("body, x, y, r, value, error, steps", STATEMENTS)
+    def test_fused_statements_at_every_budget(self, body, x, y, r, value, error, steps):
+        assert run_fused(body, x=x, y=y, r=r) == (value, error, False, steps)
+        for budget in range(steps):
+            assert run_fused(body, x=x, y=y, r=r, step_budget=budget) == (
+                None, TIMEOUT, True, budget + 1)
+
+    @pytest.mark.parametrize("body, unbound, steps", [
+        # the target: after the node's three steps
+        ("x = y + 1; return 0;", {"x"}, 4),
+        ("x = y; return 0;", {"x"}, 2),
+        # an operand: at its read
+        ("x = x + 1; return 0;", {"x"}, 3),
+        ("let z: int = x + y; return z;", {"y"}, 4),
+        ("if (x < K) { return 1; } return 2;", {"x"}, 3),
+        ("while (x != y) { x = y; } return 1;", {"y"}, 4),
+    ])
+    def test_unbound_statement_target_or_operand(self, body, unbound, steps):
+        assert run_fused(body, unbound=unbound) == (None, "UnboundVariable", False, steps)
+        for budget in range(steps):
+            assert run_fused(body, unbound=unbound, step_budget=budget) == (
+                None, TIMEOUT, True, budget + 1)
+
+    def test_a_probed_fused_if_snapshots_and_stores_its_condition(self):
+        program = parse_program(
+            "fn f(n: int) -> int { let i: int = 0; let c: int = 0; "
+            "while (i < n) { if (i != 2) { c = c + 1; } i = i + 1; } return c; }"
+        )
+        plain = execute(program, "f", [4])
+        for record in (True, False):
+            result = execute(probe(program, 4), "f", [4], record=record)
+            assert (result.value, result.steps) == (plain.value, plain.steps) == (3, 70)
+            assert [s.values["i"] for s in result.snapshots] == [0, 1, 2, 3]
+            assert [s.condition for s in result.snapshots] == [True, True, False, True]
 
     @pytest.mark.parametrize("expr, value", [
         ("x < y", True), ("x + 1", 4), ("x - K", -2), ("r * H", 0.75),
@@ -479,6 +571,23 @@ class TestCallDepth:
         program = parse_program(NESTED_DOWN)
         result = execute(program, "down", [5])
         assert result.timed_out and result.error == "TimeoutDuringExecution"
+
+    def test_a_forced_if_keeps_its_call_depth_reservation(self):
+        # A forced if runs only its taken branch, but its depth still counts
+        # the condition level and both branches: the deep branch not taken
+        # lowers the number of calls before the call-depth budget runs out.
+        program = parse_program(
+            "fn down(n: int) -> int { if (n > -1000) { return 1 + down(n - 1); } else { "
+            + "if (n > 0) { " * 20 + "return 0;" + " }" * 20 + " } return 0; }"
+        )
+        plain = execute(program, "down", [5])
+        assert plain.timed_out and plain.hits[1] == 13 < MAX_CALL_DEPTH
+        forced = execute(decide(program, 1, True), "down", [5])
+        assert forced.timed_out and forced.hits == plain.hits
+        # each call skips the condition's four steps
+        assert forced.steps == plain.steps - 4 * 13
+        lean = execute(decide(program, 1, True), "down", [5], record=False)
+        assert (lean.timed_out, lean.steps) == (True, forced.steps)
 
     def test_nested_recursion_stops_at_the_same_point_at_any_stack_depth(self):
         # Each call reserves its body's closure-nesting depth, so the run
