@@ -72,7 +72,9 @@ def matches_declared(v: Value, declared: str) -> bool:
 
 
 def format_value(v: Value) -> str:
-    """Render a value in MiniLang literal syntax (round-trips via the parser)."""
+    """Render a value in MiniLang literal syntax (round-trips via the parser).
+    An object renders as its class applied to its payload as a string
+    literal, escaped as the lexer reads it."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
@@ -82,8 +84,14 @@ def format_value(v: Value) -> str:
     if isinstance(v, Null):
         return "null"
     if isinstance(v, Obj):
-        return f'{v.cls}({v.payload!r})'
+        text = "".join(_ESCAPES.get(c, c) for c in str(v.payload))
+        return f'{v.cls}("{text}")'
     raise TypeError(f"not a MiniLang value: {v!r}")
+
+
+# The escapes the lexer reads in a string literal, by the character each
+# stands for.
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
 
 
 def format_real(x: float) -> str:

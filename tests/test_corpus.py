@@ -35,6 +35,13 @@ class TestBundleFiles:
         assert again.human == original.human
         assert again.grid.axes == original.grid.axes
 
+    def test_round_trip_of_object_values(self, tmp_path):
+        original = load_bundle(default_corpus_dir() / "pm2")  # a grid axis of Str values
+        write_bundle(original, tmp_path / "copy")
+        again = load_bundle(tmp_path / "copy")
+        assert again.suite() == original.suite()
+        assert again.grid.axes == original.grid.axes
+
     def test_grid_sizes_meet_the_floor(self):
         for name in ("cm5", "cl4", "pl4", "pm2"):
             bundle = load_bundle(default_corpus_dir() / name)

@@ -97,6 +97,14 @@ class TestSuiteFormat:
         text = "a: gcd(0, 6) -> 6\nb: f(null) -> error Boom\n"
         assert render_suite(parse_suite(text)) == text
 
+    def test_round_trip_of_object_values(self):
+        suite = parse_suite(
+            'a: f(Str("abc"), Str("")) -> 1\n'
+            'b: f(Str("say \\"hi\\"\\n"), Str("back\\\\slash\\ttab")) -> 2\n'
+        )
+        assert suite[1].args == (Obj("Str", 'say "hi"\n'), Obj("Str", "back\\slash\ttab"))
+        assert parse_suite(render_suite(suite)) == suite
+
     def test_malformed_line_reports_position(self):
         with pytest.raises(SuiteFormatError, match="line 1"):
             parse_suite("not a test line\n")
