@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .values import Value
@@ -105,6 +106,12 @@ class Stmt:
 
     probe: bool = field(default=False, kw_only=True, compare=False, repr=False)
 
+    @cached_property
+    def frames(self) -> int:
+        """The frames the statement adds to its block's depth (see
+        ``depth``), computed once per node."""
+        return _frames(self)
+
 
 Block = Tuple[Stmt, ...]
 
@@ -161,6 +168,39 @@ class CallStmt(Stmt):
 BLOCKS = {IfStmt: ("then_body", "else_body"), WhileStmt: ("body",)}
 
 
+def depth(block: Block) -> int:
+    """The closure-nesting depth of ``block``: the most Python frames its
+    lowered closures stack up (see ``interp``), not counting the callees of
+    a call or the leaf helpers (operators, snapshots, registry methods). A
+    call reserves its function body's depth plus one.
+
+    A block, a statement and an expression node are one frame each, and a
+    return is its expression alone. An ``if`` or ``while`` condition counts
+    one level around its expression: the frame of a probed ``if``'s
+    condition, which snapshots the state as the condition starts. The depth
+    is a property of the program, the same whichever statement is probed,
+    forced or fused, so a probed or decided run reserves what a plain one
+    does."""
+    return max((s.frames for s in block), default=0)
+
+
+def _frames(stmt: Stmt) -> int:
+    """The block's frame for ``stmt`` and the statement's own depth."""
+    if isinstance(stmt, ReturnStmt):
+        return 1 + nesting(stmt.value)
+    if isinstance(stmt, IfStmt):
+        inner = max(1 + nesting(stmt.cond), depth(stmt.then_body), depth(stmt.else_body))
+    elif isinstance(stmt, WhileStmt):
+        inner = max(1 + nesting(stmt.cond), depth(stmt.body))
+    elif isinstance(stmt, CallStmt):
+        inner = nesting(stmt.call)
+    elif isinstance(stmt, ThrowStmt):
+        inner = 0
+    else:
+        inner = nesting(stmt.value)
+    return 2 + inner
+
+
 # --- declarations ---------------------------------------------------------
 
 
@@ -204,7 +244,7 @@ class Program:
     consts: Dict[str, ConstDef]
     functions: Dict[str, FunctionDef]
     registry: object  # StateQueryRegistry
-    # Key -> (node, lowered form) per statement, function and if or while
+    # Key -> (node, closure) per statement, function and if or while
     # condition lowered; the key is id(node), or (id(node), record) for a
     # function, if or while, whose recording and lean closures differ.
     # Shared with every program path-copied from this one (see ``interp``).

@@ -49,29 +49,30 @@ run returns no result, so no caller can mistake it for an answer. A run
 of fewer steps never reads the clock. A deadline that does not pass
 changes no step, value, error or timeout.
 
-Call depth: each call reserves its body's static closure-nesting depth,
-cached with its closures, so an edited program reserves what its own
-closures need. In the packaged corpus, skipping ``cm2`` location 12 lowers
-a reservation from 10 to 8 frames and skipping ``pm2`` location 4 from 8
-to 6; no corpus run reaches the call-depth limit.
+Call depth: each call reserves its body's static closure-nesting depth
+plus one (``ast.depth``), a property of the program computed once per
+statement node, so an edited program reserves what its own statements
+need, whichever of them is probed, forced or fused. In the packaged
+corpus, skipping ``cm2`` location 12 lowers a reservation from 10 to 8
+frames and skipping ``pm2`` location 4 from 8 to 6; no corpus run reaches
+the call-depth limit.
 
-Fused nodes and statements (superoperators; Proebsting, POPL 1995): a
-binary node ``<``, ``<=``, ``>``, ``>=``, ``+``, ``-``, ``*``, ``==`` or
-``!=`` whose left operand is a variable (not a program constant) and
-whose right operand is a variable or an int or real literal or program
-constant lowers to one closure that reads both operands straight from
-the frame. A ``let`` or assignment of such a node, and an ``if`` or
-``while`` whose condition is such a node with a comparison operator, is
-likewise one closure that runs the node in line. Each charges the node's
-three steps at once, and only when they fit under the run's limit, both
-names are bound, the operands are two ints or two reals, and an int
+Fused statements (superoperators; Proebsting, POPL 1995): a ``let`` or
+assignment of a binary node ``<``, ``<=``, ``>``, ``>=``, ``+``, ``-``,
+``*``, ``==`` or ``!=`` whose left operand is a variable (not a program
+constant) and whose right operand is a variable or an int or real literal
+or program constant, and an ``if`` or ``while`` whose condition is such a
+node with a comparison operator, is one closure that runs the node in
+line, reading both operands straight from the frame. It charges the
+node's three steps at once, and only when they fit under the run's limit,
+both names are bound, the operands are two ints or two reals, and an int
 result needs no wrapping. In every other case (a budget or clock read
 that falls inside the node, an unbound name, mixed or non-numeric types)
-it runs the node's own closure from the unchanged step count, and a
-statement then finishes as the unfused statement does. Leaf reads are
-pure, so that fallback is exact: steps, hits, snapshots, errors and
-timeouts are those of the unfused node. ``/`` and ``%`` are never fused,
-and neither is the condition of a probed ``if``.
+it runs the node's own closure from the unchanged step count, and then
+finishes as the unfused statement does. Leaf reads are pure, so that
+fallback is exact: steps, hits, snapshots, errors and timeouts are those
+of the unfused statement. ``/`` and ``%`` are never fused, and neither is
+the condition of a probed ``if``. An expression node alone never fuses.
 
 Unrolled blocks: a block of one or two statements that declares nothing
 runs its statements in line instead of looping over them, and returns
@@ -81,13 +82,9 @@ Forced ``if``: an unprobed ``if`` whose condition is ``Forced`` lowers to
 the closure of the branch it takes; the ``if`` takes its entry step, and
 the condition none, as before.
 
-The nesting depth counts a fused node or statement like the unfused one
-and a forced ``if`` like any ``if`` (its condition level and both
-branches), since the call-depth reservation is a property of the
-program, not of its lowering. A fused closure's fallback adds at most one
-Python frame, at the top of the stack, and never around a call, because
-fused operands never call; an unrolled block or a forced ``if`` adds
-none.
+A fused statement's fallback adds at most one Python frame, at the top of
+the stack, and never around a call, because fused operands never call; an
+unrolled block or a forced ``if`` adds none.
 """
 from __future__ import annotations
 
@@ -99,14 +96,14 @@ from ..budget import Budget, Exhausted
 from .ast import (
     AssignStmt, Binary, BoolLit, CallExpr, CallStmt, Expr, Forced, FunctionDef,
     IfStmt, IntLit, LetStmt, MethodCall, NullLit, Program, RealLit, ReturnStmt,
-    Stmt, ThrowStmt, Unary, VarRef, WhileStmt, nesting,
+    Stmt, ThrowStmt, Unary, VarRef, WhileStmt, depth,
 )
 from .values import INT_MAX, INT_MIN, NULL, Null, Obj, Value, matches_declared, wrap_int
 
 DEFAULT_STEP_BUDGET = 1_000_000
 # Call depth is counted in the Python frames active MiniLang calls may use:
-# each call reserves its body's static closure-nesting depth, and at least
-# CALL_FRAMES. A call that would pass MAX_CALL_DEPTH * CALL_FRAMES ends the
+# each call reserves its body's static closure-nesting depth (``ast.depth``)
+# plus one, and at least CALL_FRAMES. A call that would pass MAX_CALL_DEPTH * CALL_FRAMES ends the
 # run like an exhausted step budget, well before Python's own recursion
 # limit, so where a run stops depends on the program alone and not on the
 # caller's stack. A function nesting at most CALL_FRAMES deep gets
@@ -240,10 +237,10 @@ _NUMERIC = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": _divide, "%": _modulo,
 }
-# The operators a fused binary node applies itself, to two ints or two
-# reals only. There each agrees with the node's own closure, except that an
-# int result out of range is left to that closure to wrap. The comparisons
-# give bools, so only they fuse into an ``if`` or ``while``.
+# The operators a fused statement applies itself, to two ints or two reals
+# only. There each agrees with the node's own closure, except that an int
+# result out of range is left to that closure to wrap. The comparisons give
+# bools, so only they fuse into an ``if`` or ``while``.
 _COMPARISONS = {op: _NUMERIC[op] for op in ("<", "<=", ">", ">=")}
 _COMPARISONS.update({"==": operator.eq, "!=": operator.ne})
 _FUSED = {op: _NUMERIC[op] for op in ("+", "-", "*")}
@@ -276,8 +273,8 @@ class _Lowering:
     def function(self, fn: FunctionDef) -> Callable:
         name, arity = fn.name, len(fn.params)
         params = [(p.name, p.type) for p in fn.params]
-        body, depth = self.block(fn.body, scoped=False)
-        frames = max(1 + depth, CALL_FRAMES)
+        body = self.block(fn.body, scoped=False)
+        frames = max(1 + depth(fn.body), CALL_FRAMES)
         limit = MAX_CALL_DEPTH * CALL_FRAMES - frames
 
         def invoke(run: _Run, args: List[Value]) -> Value:
@@ -301,50 +298,42 @@ class _Lowering:
 
     # -- statements --
 
-    def block(self, stmts: Sequence[Stmt], scoped: bool = True) -> Tuple[Compiled, int]:
-        """The block's closure and its closure-nesting depth. Entering each
-        statement takes one step and, in a recording run, counts one hit.
-        A probed statement other than an ``if`` (see ``branching``) takes
-        a snapshot next, in a wrapper whose frame is left out of the depth,
-        so that a probed run reserves the call frames an unprobed one does."""
-        entries, deepest = [], 0
+    def block(self, stmts: Sequence[Stmt], scoped: bool = True) -> Compiled:
+        """The block's closure. Entering each statement takes one step and,
+        in a recording run, counts one hit. A probed statement other than
+        an ``if`` (see ``branching``) takes a snapshot next, in a wrapper
+        whose frame ``ast.depth`` leaves out, so that a probed run reserves
+        the call frames an unprobed one does."""
+        entries = []
         for s in stmts:
-            stmt, depth = self.cached(s, self.stmt)
+            stmt = self.cached(s, self.stmt)
             if s.probe and not isinstance(s, IfStmt):
                 stmt = _snapshot_first(stmt, self.capture)
             entries.append((s.loc, stmt))
-            deepest = max(deepest, 1 + depth)
         declared = tuple(s.name for s in stmts if isinstance(s, LetStmt)) if scoped else ()
         if not entries:
-            return _empty_block, 0
+            return _empty_block
         if declared or len(entries) > 2:
-            return _block_loop(tuple(entries), declared, self.record), deepest
-        return _short_block(entries, self.record), deepest
+            return _block_loop(tuple(entries), declared, self.record)
+        return _short_block(entries, self.record)
 
-    def stmt(self, stmt: Stmt) -> Tuple[Compiled, int]:
-        """The statement's closure and its closure-nesting depth: the most
-        Python frames its closures stack up, not counting the callees of a
-        call or the leaf helpers (operators, snapshots, registry methods).
-        A block, a statement and an expression node are one closure each,
-        a return is its expression, and an if or while condition adds one
-        level around its expression (see ``branching``). A fused node or
-        statement counts as the unfused one it falls back to."""
+    def stmt(self, stmt: Stmt) -> Compiled:
         if isinstance(stmt, (IfStmt, WhileStmt)):
             return self.branching(stmt)
         if isinstance(stmt, (LetStmt, AssignStmt)):
-            name, depth = stmt.name, 1 + nesting(stmt.value)
+            name = stmt.name
             declares = isinstance(stmt, LetStmt)
             fused = self.operands(stmt.value, _FUSED)
             if fused is not None:
                 # A let binds its name, and so has an assignment read it.
                 bound = declares or name in fused[1:3]
-                return _fused_store(name, bound, self.unfused(stmt.value), *fused), depth
+                return _fused_store(name, bound, self.binary(stmt.value), *fused)
             value = self.expr(stmt.value)
             if declares:
                 def let(run, frame):
                     frame[name] = value(run, frame)
 
-                return let, depth
+                return let
 
             def assign(run, frame):
                 result = value(run, frame)
@@ -352,44 +341,37 @@ class _Lowering:
                     raise _Throw(UNBOUND_VARIABLE)
                 frame[name] = result
 
-            return assign, depth
+            return assign
         if isinstance(stmt, ReturnStmt):
-            return self.expr(stmt.value), nesting(stmt.value)
+            return self.expr(stmt.value)
         if isinstance(stmt, ThrowStmt):
             error = stmt.error
 
             def throw(run, frame):
                 raise _Throw(error)
 
-            return throw, 1
+            return throw
         if isinstance(stmt, CallStmt):
             call = self.expr(stmt.call)
 
             def call_stmt(run, frame):
                 call(run, frame)
 
-            return call_stmt, 1 + nesting(stmt.call)
+            return call_stmt
         raise TypeError(f"not a statement node: {stmt!r}")
 
-    def branching(self, stmt) -> Tuple[Compiled, int]:
+    def branching(self, stmt) -> Compiled:
         """An ``if`` or ``while``, whose condition is type-checked in line.
-        Its depth counts one level around the condition's expression: the
-        frame of a probed ``if``'s condition, which takes a snapshot as the
-        condition starts and stores the value it gives. Every other
-        condition leaves that level unused, so that the call-depth
-        reservation of a function does not depend on which of its
-        statements is probed, fused or forced."""
+        A probed ``if`` runs its condition in a wrapper that takes a
+        snapshot as the condition starts and stores the value it gives."""
         cond = self.cached(stmt.cond, self.expr)
-        cond_depth = 1 + nesting(stmt.cond)
         fused = None if stmt.probe else self.operands(stmt.cond, _COMPARISONS)
         if isinstance(stmt, IfStmt):
-            then_body, then_depth = self.block(stmt.then_body)
-            else_body, else_depth = self.block(stmt.else_body)
-            depth = 1 + max(cond_depth, then_depth, else_depth)
+            then_body, else_body = self.block(stmt.then_body), self.block(stmt.else_body)
             if isinstance(stmt.cond, Forced) and not stmt.probe:
-                return (then_body if stmt.cond.value else else_body), depth
+                return then_body if stmt.cond.value else else_body
             if fused is not None:
-                return _fused_if(cond, then_body, else_body, *fused), depth
+                return _fused_if(cond, then_body, else_body, *fused)
             if stmt.probe:
                 cond = _snapshot_condition(cond, self.capture)
 
@@ -401,12 +383,11 @@ class _Lowering:
                     return else_body(run, frame)
                 raise _Throw(TYPE_MISMATCH)
 
-            return if_stmt, depth
+            return if_stmt
 
-        body, body_depth = self.block(stmt.body)
-        depth = 1 + max(cond_depth, body_depth)
+        body = self.block(stmt.body)
         if fused is not None:
-            return _fused_while(cond, body, *fused), depth
+            return _fused_while(cond, body, *fused)
 
         def while_stmt(run, frame):
             while True:
@@ -422,7 +403,7 @@ class _Lowering:
                 if run.count > run.limit:
                     run.check()
 
-        return while_stmt, depth
+        return while_stmt
 
     # -- expressions --
 
@@ -441,9 +422,7 @@ class _Lowering:
         if isinstance(expr, Unary):
             return self.unary(expr)
         if isinstance(expr, Binary):
-            fused = self.operands(expr, _FUSED)
-            general = self.unfused(expr)
-            return general if fused is None else _fused_node(general, *fused)
+            return self.binary(expr)
         if isinstance(expr, MethodCall):
             return self.method_call(expr)
         if isinstance(expr, CallExpr):
@@ -489,9 +468,9 @@ class _Lowering:
 
         return unary
 
-    def unfused(self, expr: Binary) -> Compiled:
-        """The binary node's own closure, which a fused node or statement
-        runs whenever it cannot finish the node itself."""
+    def binary(self, expr: Binary) -> Compiled:
+        """The binary node's closure, which a fused statement also runs
+        whenever it cannot finish the node itself."""
         op = expr.op
         left, right = self.expr(expr.left), self.expr(expr.right)
         if op in ("&&", "||"):
@@ -555,8 +534,8 @@ class _Lowering:
         frame and whose right one is a variable (``right`` its name,
         ``constant`` None) or an int or real constant (``right`` None,
         ``constant`` its value), so that ``frame.get(right, constant)``
-        reads it; None for any other node (see "Fused nodes and
-        statements" in the module docstring)."""
+        reads it; None for any other node (see "Fused statements" in the
+        module docstring)."""
         if not isinstance(expr, Binary) or expr.op not in operators or not self.local(expr.left):
             return None
         apply, name, right = operators[expr.op], expr.left.name, expr.right
@@ -701,23 +680,6 @@ def _short_block(entries: List[Tuple[int, Compiled]], record: bool) -> Compiled:
 # and ``frame.get(right, constant)`` (see ``_Lowering.operands``): an
 # unbound name reads as None, which fails the type test, so that the
 # closure falls back to the node's own closure, which raises the error.
-
-
-def _fused_node(general: Compiled, apply, left, right, constant) -> Compiled:
-    """A fused binary node in an expression."""
-    def fused(run, frame):
-        steps = run.count + 3
-        a = frame.get(left)
-        b = frame.get(right, constant)
-        kind = type(a)
-        if steps <= run.limit and kind is type(b) and (kind is int or kind is float):
-            value = apply(a, b)
-            if kind is float or INT_MIN <= value <= INT_MAX:
-                run.count = steps
-                return value
-        return general(run, frame)
-
-    return fused
 
 
 def _fused_store(name: str, bound: bool, general: Compiled, apply, left, right,

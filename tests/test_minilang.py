@@ -8,18 +8,20 @@ import weakref
 
 import pytest
 
-from condfix.corpus import default_corpus_dir, load_corpus, run_harness
+from condfix.corpus import (
+    builtin_seeded_bundles, default_corpus_dir, load_bundle, load_corpus, run_harness,
+)
 from condfix.errors import (
     DeadlineExceeded, KindMismatchError, MiniLangSyntaxError, PatchScopeError,
     ResolutionError,
 )
 from condfix.minilang import (
-    INT_MAX, INT_MIN, NULL, SKIP, Binary, IfStmt, Obj, Patch, PatchKind, Program,
+    INT_MAX, INT_MIN, NULL, SKIP, Binary, BoolLit, IfStmt, Obj, Patch, PatchKind, Program,
     StatementKind, Unary, VarRef, apply_patch, decide, execute,
     parse_expression, parse_program, probe, render_expr, render_program, shadow_merge,
 )
-from condfix.minilang.ast import BLOCKS
-from condfix.minilang.interp import MAX_CALL_DEPTH, _Lowering
+from condfix.minilang.ast import BLOCKS, depth
+from condfix.minilang.interp import CALL_FRAMES, MAX_CALL_DEPTH, _Lowering
 from condfix.minilang.parser import MAX_NESTING
 from conftest import GCD_BUGGY
 
@@ -353,9 +355,10 @@ def run_return(expr, **kwargs):
 
 
 class TestFusedOperands:
-    """A binary node over a variable and a variable or constant runs as
-    one closure; every outcome must match the unfused step accounting:
-    step 1 is the return, steps 2-4 the node and its two operands."""
+    """A statement whose value or condition is a binary node over a
+    variable and a variable or constant runs as one closure; every outcome
+    must match the unfused step accounting: in ``return expr;`` step 1 is
+    the return, steps 2-4 the node and its two operands."""
 
     @pytest.mark.parametrize("expr, fused", [
         ("x < y", True), ("x + 1", True), ("x - K", True), ("r * H", True),
@@ -364,9 +367,15 @@ class TestFusedOperands:
         ("x < -1", False), ("b == true", False), ("x < y + 1", False),
     ])
     def test_which_nodes_fuse(self, expr, fused):
-        program = parse_program(FUSED_FIXTURE.replace("BODY", f"return {expr};"))
-        closure = _Lowering(program).expr(program.functions["f"].body[0].value)
-        assert closure.__name__.startswith("fused") == fused
+        # No expression node lowers to a fused closure; the node fuses into
+        # a let that it is the value of, when it has the fused shape.
+        body = f"let z: int = {expr}; return {expr};"
+        program = parse_program(FUSED_FIXTURE.replace("BODY", body))
+        let, ret = program.functions["f"].body
+        lowering = _Lowering(program)
+        assert not lowering.expr(ret.value).__name__.startswith("fused")
+        assert not lowering.stmt(ret).__name__.startswith("fused")
+        assert lowering.stmt(let).__name__.startswith("fused") == fused
 
     @pytest.mark.parametrize("body, fused", [
         ("let z: int = x + 1; return z;", True), ("x = y * K; return x;", True),
@@ -378,12 +387,12 @@ class TestFusedOperands:
     def test_which_statements_fuse(self, body, fused):
         program = parse_program(FUSED_FIXTURE.replace("BODY", body))
         stmt = program.functions["f"].body[0]
-        closure, _ = _Lowering(program).stmt(stmt)
+        closure = _Lowering(program).stmt(stmt)
         assert closure.__name__.startswith("fused") == fused
         # a probed if runs its condition's own closure, to snapshot it
         if fused and isinstance(stmt, IfStmt):
             probed = probe(program, stmt.loc).functions["f"].body[0]
-            assert not _Lowering(program).stmt(probed)[0].__name__.startswith("fused")
+            assert not _Lowering(program).stmt(probed).__name__.startswith("fused")
 
     # (body, x, y, r, the full run's value, error and steps)
     STATEMENTS = [
@@ -603,6 +612,48 @@ class TestCallDepth:
         shallow = run_below(0)
         assert shallow[0] == "TimeoutDuringExecution"
         assert run_below(200) == shallow
+
+    @staticmethod
+    def reservations(program):
+        """The Python frames each call of each function reserves."""
+        return {fn.name: max(1 + depth(fn.body), CALL_FRAMES)
+                for fn in program.functions.values()}
+
+    def test_probing_or_forcing_keeps_the_program_reservation(self):
+        # The reservation is a property of the program, not of its lowering.
+        # Over the packaged and seeded bundles a probe moves no reservation,
+        # and a forced condition reserves what the literal condition `true`
+        # does, though its if lowers to the taken branch alone. A forced
+        # condition replaces the condition, so it lowers the reservation
+        # where the condition was its function's deepest part.
+        lowered = set()
+        for bundle in load_corpus(default_corpus_dir()) + builtin_seeded_bundles():
+            program = bundle.program()
+            expected = self.reservations(program)
+            for loc in program.locations():
+                assert self.reservations(probe(program, loc)) == expected, (bundle.id, loc)
+                if program.kind_of(loc) != StatementKind.IF:
+                    continue
+                literal = Patch(PatchKind.CONDITION_UPDATE, loc, BoolLit(True))
+                want = self.reservations(apply_patch(program, literal))
+                for decision in (True, False):
+                    forced = decide(program, loc, decision)
+                    assert self.reservations(forced) == want, (bundle.id, loc)
+                    assert self.reservations(probe(forced, loc)) == want, (bundle.id, loc)
+                    assert all(want[name] <= expected[name] for name in want)
+                if want != expected:
+                    lowered.add((bundle.id, loc))
+        assert lowered == {("cl4", 9), ("cm1", 5), ("pl3", 5), ("grade-m03", 2), ("grade-m04", 2)}
+
+    @pytest.mark.parametrize("bundle, loc, function, before, after", [
+        ("cm2", 12, "binomial", 10, 8), ("pm2", 4, "describe", 8, 6),
+    ])
+    def test_skipping_a_deep_statement_lowers_the_reservation(
+        self, bundle, loc, function, before, after
+    ):
+        program = load_bundle(default_corpus_dir() / bundle).program()
+        assert self.reservations(program)[function] == before
+        assert self.reservations(decide(program, loc, SKIP))[function] == after
 
 
 class TestCompiledCache:
