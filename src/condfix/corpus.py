@@ -113,19 +113,40 @@ def _parse_kv(text: str, what: str) -> Dict[str, str]:
     return out
 
 
+def _split(text: str, separator: str) -> List[str]:
+    """``text.split(separator)``, except that a separator inside a string
+    literal does not split."""
+    parts, start, i, quoted = [], 0, 0, False
+    while i < len(text):
+        if quoted:
+            if text[i] == "\\":
+                i += 1
+            elif text[i] == '"':
+                quoted = False
+        elif text[i] == '"':
+            quoted = True
+        elif text.startswith(separator, i):
+            parts.append(text[start:i])
+            i = start = i + len(separator)
+            continue
+        i += 1
+    parts.append(text[start:])
+    return parts
+
+
 def _parse_grid(spec: str) -> GridSpec:
     axes: Dict[str, List[Value]] = {}
-    for part in spec.split(";"):
+    for part in _split(spec, ";"):
         part = part.strip()
         if not part:
             continue
         name, _, values_text = part.partition("=")
         name = name.strip()
         values_text = values_text.strip()
-        if ".." in values_text and not values_text.startswith(("Str", "null")):
-            lo_text, _, hi_text = values_text.partition("..")
+        bounds = _split(values_text, "..")
+        if len(bounds) > 1:
             try:
-                lo, hi = int(lo_text), int(hi_text)
+                lo, hi = map(int, bounds)
             except ValueError:
                 raise BundleError(f"malformed grid range {part!r}") from None
             if lo > hi:
@@ -134,7 +155,7 @@ def _parse_grid(spec: str) -> GridSpec:
         elif not values_text:
             raise BundleError(f"empty grid axis {name!r}")
         else:
-            axes[name] = [parse_value_literal(v.strip()) for v in values_text.split("|")]
+            axes[name] = [parse_value_literal(v.strip()) for v in _split(values_text, "|")]
     if not axes:
         raise BundleError(f"empty grid spec: {spec!r}")
     return GridSpec(axes)

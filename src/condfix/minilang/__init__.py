@@ -10,15 +10,14 @@ from .interp import (
     DEFAULT_STEP_BUDGET, ExecutionResult, ProbeSnapshot, TIMEOUT, execute,
 )
 from .parser import (
-    parse_call, parse_expression, parse_program, parse_value_literal,
+    parse_expression, parse_program, parse_test, parse_value_literal,
     resolve_expr,
 )
 from .patching import SKIP, Patch, PatchKind, apply_patch, decide, probe, shadow_merge
 from .printer import render_expr, render_program
 from .registry import QueryMethod, StateQueryRegistry, default_registry
 from .values import (
-    INT_MAX, INT_MIN, NULL, Null, Obj, Value, format_real, format_value,
-    type_of, wrap_int,
+    INT_MAX, INT_MIN, NULL, Null, Obj, Value, format_real, format_value, wrap_int,
 )
 
 __all__ = [
@@ -27,11 +26,11 @@ __all__ = [
     "NullLit", "Param", "Program", "RealLit", "ReturnStmt", "StatementKind",
     "Stmt", "ThrowStmt", "Unary", "VarRef", "WhileStmt",
     "DEFAULT_STEP_BUDGET", "ExecutionResult", "ProbeSnapshot", "TIMEOUT", "execute",
-    "parse_call", "parse_expression", "parse_program", "parse_value_literal",
+    "parse_expression", "parse_program", "parse_test", "parse_value_literal",
     "resolve_expr",
     "SKIP", "Patch", "PatchKind", "apply_patch", "decide", "probe", "shadow_merge",
     "render_expr", "render_program",
     "QueryMethod", "StateQueryRegistry", "default_registry",
     "INT_MAX", "INT_MIN", "NULL", "Null", "Obj", "Value", "format_real",
-    "format_value", "type_of", "wrap_int",
+    "format_value", "wrap_int",
 ]

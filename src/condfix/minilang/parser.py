@@ -24,7 +24,7 @@ from .ast import (
 from .lexer import Token, tokenize
 from .printer import PRECEDENCE
 from .registry import StateQueryRegistry, default_registry
-from .values import NULL, Obj, Value, wrap_int
+from .values import NULL, PRIMITIVE_TYPES, Obj, Value, wrap_int
 
 MAX_NESTING = 100
 
@@ -128,7 +128,7 @@ class _Parser:
 
     def parse_type(self) -> str:
         tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("bool", "int", "real"):
+        if tok.kind == "keyword" and tok.text in PRIMITIVE_TYPES:
             return self.advance().text
         if tok.kind == "ident" and tok.text[0].isupper():
             return self.advance().text
@@ -335,8 +335,11 @@ def parse_expression(text: str) -> Expr:
     return expr
 
 
-def parse_call(text: str) -> Tuple[str, List[Value]]:
-    """Parse a test call of the form ``name(lit, lit, ...)``."""
+def parse_test(text: str) -> Tuple[str, List[Value], Optional[Value], Optional[str]]:
+    """Parse a test of the form ``name(lit, lit, ...) -> oracle``, where the
+    oracle is a literal or ``error <Name>``: the function's name, its
+    arguments, and the expected value or the expected error's name (the
+    other one None)."""
     parser = _Parser(tokenize(text))
     name = parser.expect("ident").text
     parser.expect("op", "(")
@@ -347,9 +350,15 @@ def parse_call(text: str) -> Tuple[str, List[Value]]:
             if parser.accept("op", ")"):
                 break
             parser.expect("op", ",")
+    parser.expect("op", "->")
+    value = error = None
+    if parser.accept("ident", "error"):
+        error = parser.expect("ident").text
+    else:
+        value = parser.parse_literal_value()
     if parser.peek().kind != "eof":
-        parser.error("trailing input after call")
-    return name, args
+        parser.error("trailing input after test")
+    return name, args, value, error
 
 
 def parse_value_literal(text: str) -> Value:
@@ -378,7 +387,7 @@ def resolve_expr(expr: Expr, scope: Dict[str, str], program: Program) -> None:
             recv_type = consts[expr.receiver].type
         else:
             raise ResolutionError(f"unresolved identifier {expr.receiver!r}")
-        if recv_type in ("bool", "int", "real"):
+        if recv_type in PRIMITIVE_TYPES:
             raise ResolutionError(
                 f"method call on non-class variable {expr.receiver!r}"
             )

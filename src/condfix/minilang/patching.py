@@ -66,9 +66,6 @@ class Patch:
     def expression_text(self) -> str:
         return render_expr(self.expression)
 
-    def describe(self) -> str:
-        return f"{self.kind.value} at location {self.location}: {self.expression_text}"
-
 
 def apply_patch(program: Program, patch: Patch) -> Program:
     """Return a new program with the patch applied.

@@ -38,26 +38,12 @@ class Obj:
 
 Value = Union[bool, int, float, Null, Obj]
 
-PRIMITIVE_TYPES = ("bool", "int", "real")
+PRIMITIVE_TYPES = ("bool", "int", "real")  # the declared types that are not classes
 
 
 def wrap_int(x: int) -> int:
     """Two's-complement wrap into the signed 64-bit range."""
     return ((x - INT_MIN) % _INT_MOD) + INT_MIN
-
-
-def type_of(v: Value) -> str:
-    if isinstance(v, bool):
-        return "bool"
-    if isinstance(v, int):
-        return "int"
-    if isinstance(v, float):
-        return "real"
-    if isinstance(v, Null):
-        return "null"
-    if isinstance(v, Obj):
-        return v.cls
-    raise TypeError(f"not a MiniLang value: {v!r}")
 
 
 def matches_declared(v: Value, declared: str) -> bool:

@@ -4,12 +4,12 @@ from .components import (
     ARITHMETIC_TAGS, BOOL, COMPARISON_TAGS, Component, INT, LOGICAL_TAGS,
     MAX_LEVEL, MIN_LEVEL, REAL, components_for_level,
 )
-from .expr import App, Leaf, PatchExpression, decode, evaluate, size, to_minilang, to_source
+from .expr import App, Leaf, PatchExpression, evaluate, size, to_minilang, to_source
 from .internal import (
     DEFAULT_NODE_BUDGET, SAT, SolveResult, TIMEOUT, UNSAT, solve_internal,
 )
 from .oracle import enumerate_oracle, tree_to_source
-from .problem import SynthesisProblem, encode, encode_with_components
+from .problem import SynthesisProblem, decode, encode, encode_with_components
 from .smtlib import emit_smtlib, parse_solver_output, solve, solve_external
 
 __all__ = [

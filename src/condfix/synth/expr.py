@@ -1,23 +1,18 @@
-"""Patch expressions and model decoding.
-
-Decoding walks backward from the result slot: the producer at a slot is
-either an input column (a leaf) or a component whose argument slots are
-decoded recursively. Equal models decode to byte-identical renderings;
-redundant forms such as ``!(x == null)`` are preserved, never simplified.
+"""Patch expressions: the trees a solver model decodes to (see
+``problem.decode``), their evaluation over a row, and their MiniLang form.
+Redundant forms such as ``!(x == null)`` are preserved, never simplified.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
-from ..errors import InternalConsistencyError
 from ..minilang import (
     Binary, CallExpr, Expr, IntLit, MethodCall, NullLit, Unary, VarRef,
 )
 from ..minilang.printer import render_expr
 from ..trace import ColumnSpec
 from .components import Component
-from .problem import SynthesisProblem
 
 
 @dataclass(frozen=True)
@@ -74,35 +69,3 @@ def to_minilang(expr: PatchExpression) -> Expr:
         return Unary("!", args[0])
     return Binary(comp.tag, args[0], args[1])
 
-
-def decode(problem: SynthesisProblem, model: Dict[str, int]) -> PatchExpression:
-    """Backward traversal from the result slot to a deterministic expression.
-
-    Raises InternalConsistencyError when the model violates the structural
-    constraints, which indicates an encoder or solver bug.
-    """
-    violations = problem.check_model(model)
-    if violations:
-        raise InternalConsistencyError("; ".join(violations))
-
-    producer_at: Dict[int, Tuple[str, int]] = {
-        i + 1: ("col", i) for i in range(problem.num_inputs)
-    }
-    for i, e in enumerate(problem.output_elements):
-        producer_at[model[e.name]] = ("comp", e.component_index)
-    return _traverse(problem, model, producer_at, model["l_result"])
-
-
-def _traverse(problem: SynthesisProblem, model: Dict[str, int],
-              producer_at: Dict[int, Tuple[str, int]], slot: int) -> PatchExpression:
-    """The expression produced at ``slot``. A module-level function, not a
-    closure, so that no reference cycle keeps the problem alive."""
-    role, index = producer_at[slot]
-    if role == "col":
-        return Leaf(problem.columns[index])
-    comp = problem.components[index]
-    args = tuple(
-        _traverse(problem, model, producer_at, model[f"l_arg_{comp.uid}_{k}"])
-        for k in range(comp.arity)
-    )
-    return App(comp, args)

@@ -12,15 +12,22 @@ row's column values reproduces the expected outcome.
 
 The final slot must be fed by a bool-typed producer; without that, a
 numeric component parked at slot p would leave the result unconstrained.
+
+Decoding walks backward from the result slot: the producer at a slot is
+either an input column (a leaf) or a component whose argument slots are
+decoded recursively. Equal models decode to byte-identical renderings. A
+model means its decoded expression, which is also what every backend's
+model is checked against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..errors import UnsatisfiableMatrixError
+from ..errors import InternalConsistencyError, UnsatisfiableMatrixError
 from ..trace import ColumnSpec, TraceMatrix
 from .components import BOOL, Component, components_for_level
+from .expr import App, Leaf, PatchExpression, evaluate
 
 
 @dataclass(frozen=True)
@@ -30,10 +37,7 @@ class IOElement:
 
     name: str  # location variable name
     type: str
-    role: str  # column | output | port
-    column_index: Optional[int] = None
-    component_index: Optional[int] = None
-    port_index: Optional[int] = None
+    component_index: Optional[int] = None  # the component of an output or port
 
 
 @dataclass
@@ -46,18 +50,13 @@ class SynthesisProblem:
         self.num_inputs = len(self.columns)
         self.p = self.num_inputs + len(self.components)
         self.column_elements = [
-            IOElement(f"l_in{i + 1}", col.type, "column", column_index=i)
-            for i, col in enumerate(self.columns)
+            IOElement(f"l_in{i + 1}", col.type) for i, col in enumerate(self.columns)
         ]
         self.output_elements = [
-            IOElement(f"l_out_{c.uid}", c.out_type, "output", component_index=i)
-            for i, c in enumerate(self.components)
+            IOElement(f"l_out_{c.uid}", c.out_type, i) for i, c in enumerate(self.components)
         ]
         self.port_elements = [
-            IOElement(
-                f"l_arg_{c.uid}_{k}", c.in_types[k], "port",
-                component_index=i, port_index=k,
-            )
+            IOElement(f"l_arg_{c.uid}_{k}", c.in_types[k], i)
             for i, c in enumerate(self.components)
             for k in range(c.arity)
         ]
@@ -139,28 +138,48 @@ class SynthesisProblem:
             violations.append("result slot must hold a bool producer")
         return violations
 
-    # -- evaluation -----------------------------------------------------------
-
-    def evaluate_model(self, model: Dict[str, int], inputs: Sequence) -> object:
-        """Value produced at the result slot for one row of column values."""
-        slot_value: Dict[int, object] = {i + 1: v for i, v in enumerate(inputs)}
-        by_slot = sorted(
-            ((model[e.name], e.component_index) for e in self.output_elements)
-        )
-        for slot, comp_index in by_slot:
-            comp = self.components[comp_index]
-            args = []
-            for k in range(comp.arity):
-                port = f"l_arg_{comp.uid}_{k}"
-                args.append(slot_value[model[port]])
-            slot_value[slot] = comp.evaluate(args)
-        return slot_value[self.p]
-
     def satisfies_rows(self, model: Dict[str, int]) -> bool:
+        """Whether the model's decoded expression gives every row its
+        expected outcome; raises as ``decode`` does."""
+        expression = decode(self, model)
+        names = [c.name for c in self.columns]
         return all(
-            self.evaluate_model(model, inputs) == expected
+            evaluate(expression, dict(zip(names, inputs))) == expected
             for inputs, expected in self.rows
         )
+
+
+def decode(problem: SynthesisProblem, model: Dict[str, int]) -> PatchExpression:
+    """Backward traversal from the result slot to a deterministic expression.
+
+    Raises InternalConsistencyError when the model violates the structural
+    constraints, which indicates an encoder or solver bug.
+    """
+    violations = problem.check_model(model)
+    if violations:
+        raise InternalConsistencyError("; ".join(violations))
+
+    producer_at: Dict[int, Tuple[str, int]] = {
+        i + 1: ("col", i) for i in range(problem.num_inputs)
+    }
+    for e in problem.output_elements:
+        producer_at[model[e.name]] = ("comp", e.component_index)
+    return _traverse(problem, model, producer_at, model["l_result"])
+
+
+def _traverse(problem: SynthesisProblem, model: Dict[str, int],
+              producer_at: Dict[int, Tuple[str, int]], slot: int) -> PatchExpression:
+    """The expression produced at ``slot``. A module-level function, not a
+    closure, so that no reference cycle keeps the problem alive."""
+    role, index = producer_at[slot]
+    if role == "col":
+        return Leaf(problem.columns[index])
+    comp = problem.components[index]
+    args = tuple(
+        _traverse(problem, model, producer_at, model[f"l_arg_{comp.uid}_{k}"])
+        for k in range(comp.arity)
+    )
+    return App(comp, args)
 
 
 def encode(matrix: TraceMatrix, level: int) -> SynthesisProblem:

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from .errors import SuiteFormatError
 from .minilang import (
     DEFAULT_STEP_BUDGET, ExecutionResult, Null, Program, Value, execute,
-    format_value, parse_call, parse_value_literal,
+    format_value, parse_test,
 )
 
 REAL_TOLERANCE = 1e-9
@@ -124,7 +124,9 @@ def run_suite(
 #
 # One test per line:   <id>: <function>(<literal>, ...) -> <oracle>
 # where <oracle> is a MiniLang literal or ``error <Name>``. Blank lines and
-# lines starting with ``#`` are ignored.
+# lines starting with ``#`` are ignored. The id ends at the first ``:``;
+# the rest is read by the MiniLang parser, so a string literal may hold any
+# text, ``->``, ``:`` and ``#`` included.
 
 
 def parse_suite(text: str) -> List[TestCase]:
@@ -135,21 +137,10 @@ def parse_suite(text: str) -> List[TestCase]:
             continue
         try:
             head, sep, tail = line.partition(":")
-            if not sep or "->" not in tail:
+            if not sep:
                 raise ValueError("expected '<id>: <call> -> <oracle>'")
-            call_text, _, oracle_text = tail.rpartition("->")
-            function, args = parse_call(call_text.strip())
-            oracle_text = oracle_text.strip()
-            if oracle_text.startswith("error "):
-                test = TestCase(
-                    head.strip(), function, tuple(args),
-                    expected_error=oracle_text[len("error "):].strip(),
-                )
-            else:
-                test = TestCase(
-                    head.strip(), function, tuple(args),
-                    expected_value=parse_value_literal(oracle_text),
-                )
+            function, args, value, error = parse_test(tail)
+            test = TestCase(head.strip(), function, tuple(args), value, error)
         except SuiteFormatError:
             raise
         except Exception as exc:

@@ -30,6 +30,7 @@ from .minilang import (
     DEFAULT_STEP_BUDGET, Program, Value, decide, execute, format_value,
     parse_value_literal, probe,
 )
+from .minilang.values import PRIMITIVE_TYPES
 from .testkit import TestCase, verdict_holds
 
 STANDARD_CONSTANTS = (0, -1, 1)
@@ -165,7 +166,7 @@ def _candidate_columns(program: Program, loc: int) -> List[ColumnSpec]:
     columns: List[ColumnSpec] = []
     objects: List[Tuple[str, str]] = []
     for name, declared in scope.items():
-        if declared in ("bool", "int", "real"):
+        if declared in PRIMITIVE_TYPES:
             columns.append(ColumnSpec(name, declared, "var", var=name))
         else:
             objects.append((name, declared))

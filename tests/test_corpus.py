@@ -2,13 +2,15 @@
 import pytest
 
 from condfix.corpus import (
-    BugBundle, GridSpec, HumanPatch, _parse_grid, builtin_seed_sources,
+    BugBundle, GridSpec, HumanPatch, _parse_grid, _render_grid, builtin_seed_sources,
     builtin_seeded_bundles, check_equivalence, default_corpus_dir, load_bundle,
     load_corpus, run_harness, seed_condition_bugs, write_bundle,
 )
 from condfix.pipeline import RepairConfig
 from condfix.errors import BundleError
-from condfix.minilang import Patch, PatchKind, apply_patch, parse_expression, parse_program
+from condfix.minilang import (
+    NULL, Obj, Patch, PatchKind, apply_patch, parse_expression, parse_program,
+)
 from conftest import GCD_BUGGY
 
 GCD_FIXED = GCD_BUGGY.replace("u * v == 0", "u == 0 || v == 0")
@@ -40,6 +42,16 @@ class TestBundleFiles:
         write_bundle(original, tmp_path / "copy")
         again = load_bundle(tmp_path / "copy")
         assert again.suite() == original.suite()
+        assert again.grid.axes == original.grid.axes
+
+    def test_round_trip_of_strings_holding_grid_separators(self, tmp_path):
+        strings = [Obj("Str", s) for s in ("a|b", "c;d", "a..b", 'q"|"r', "x = 1..2; y")]
+        grid = GridSpec({"specific": [NULL, *strings], "baseLen": [1, Obj("Str", "a..b")]})
+        assert _parse_grid(_render_grid(grid)).axes == grid.axes
+        original = load_bundle(default_corpus_dir() / "pm2")
+        original.grid = GridSpec({"specific": [NULL, *strings], "baseLen": [-2, -1, 0]})
+        write_bundle(original, tmp_path / "copy")
+        again = load_bundle(tmp_path / "copy")
         assert again.grid.axes == original.grid.axes
 
     def test_grid_sizes_meet_the_floor(self):

@@ -105,6 +105,31 @@ class TestSuiteFormat:
         assert suite[1].args == (Obj("Str", 'say "hi"\n'), Obj("Str", "back\\slash\ttab"))
         assert parse_suite(render_suite(suite)) == suite
 
+    def test_round_trip_of_strings_that_look_like_suite_syntax(self):
+        def text(payload):
+            return Obj("Str", payload)
+
+        suite = [
+            TestCase("arrow", "f", (text("a->b"),), expected_value=text("x->y")),
+            TestCase("colon", "f", (text("a:b"), 1), expected_value=text("c: d")),
+            TestCase("hash", "f", (text("#x"), text("//y")), expected_value=text("#")),
+            TestCase("quote", "f", (text('q"r'),), expected_value=text('"->"')),
+            TestCase("error", "f", (text("-> error X"),), expected_error="Boom"),
+            TestCase("plain", "f", (), expected_error="NullDereference"),
+        ]
+        rendered = render_suite(suite)
+        assert rendered.splitlines()[0] == 'arrow: f(Str("a->b")) -> Str("x->y")'
+        assert parse_suite(rendered) == suite
+        assert render_suite(parse_suite(rendered)) == rendered
+
+    @pytest.mark.parametrize("line", [
+        "a: f(1) 2", "a: f(1) -> error", "a: f(1) -> error Boom extra", "a: f(1 -> 2",
+        "a: f(1) -> 2 -> 3",
+    ])
+    def test_malformed_test_is_a_suite_error(self, line):
+        with pytest.raises(SuiteFormatError, match="line 1"):
+            parse_suite(line + "\n")
+
     def test_malformed_line_reports_position(self):
         with pytest.raises(SuiteFormatError, match="line 1"):
             parse_suite("not a test line\n")
