@@ -1,0 +1,80 @@
+"""Metamorphic relations of the whole repair (Chen, Cheung & Yiu, HKUST TR
+1998; Segura et al., TSE 2016): how ``repair``'s report must change when
+its input changes in a known way. A golden file pins the answer on known
+inputs; a relation also holds where no answer is known. Each relation is
+checked on every packaged and seeded bundle, ignoring the report's time
+fields (``wall_time`` and each level's ``seconds``)."""
+import dataclasses
+
+import pytest
+
+from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus
+from condfix.minilang import parse_program
+from condfix.pipeline import repair
+
+# A function that no test calls, of UNUSED_STATEMENTS statements.
+UNUSED = """
+fn unusedHelper(a: int, b: int) -> int {
+  let c: int = a + b;
+  if (c > 10) {
+    c = c - 10;
+  }
+  return c;
+}
+"""
+UNUSED_STATEMENTS = 4
+
+BUNDLES = load_corpus(default_corpus_dir()) + builtin_seeded_bundles()
+each_bundle = pytest.mark.parametrize("bundle", BUNDLES, ids=[b.id for b in BUNDLES])
+
+
+def report(program_text, suite):
+    """``repair``'s report as a dict, without its time fields."""
+    body = repair(parse_program(program_text), suite).to_dict()
+    del body["wall_time"]
+    for trial in body["trials"]:
+        for level in trial["levels"]:
+            del level["seconds"]
+    return body
+
+
+def shifted(body, by):
+    """``body`` with every location moved by ``by``: each trial's, each
+    angelic tuple's and the patch's."""
+    for trial in body["trials"]:
+        trial["location"] += by
+        for angelic in trial["angelic_tuples"]:
+            angelic["loc"] += by
+    if body["patch"] is not None:
+        body["patch"]["location"] += by
+    return body
+
+
+@each_bundle
+def test_reversing_the_suite_keeps_the_report(bundle):
+    suite = bundle.suite()
+    assert report(bundle.program_text, suite[::-1]) == report(bundle.program_text, suite)
+
+
+@each_bundle
+def test_appending_an_unused_function_keeps_the_report(bundle):
+    suite = bundle.suite()
+    assert report(bundle.program_text + UNUSED, suite) == report(bundle.program_text, suite)
+
+
+@each_bundle
+def test_prepending_an_unused_function_shifts_every_location(bundle):
+    suite = bundle.suite()
+    assert parse_program(UNUSED).locations() == list(range(1, UNUSED_STATEMENTS + 1))
+    expected = shifted(report(bundle.program_text, suite), UNUSED_STATEMENTS)
+    assert report(UNUSED + bundle.program_text, suite) == expected
+
+
+@each_bundle
+def test_doubling_the_suite_keeps_the_answer(bundle):
+    suite = bundle.suite()
+    doubled = suite + [dataclasses.replace(t, id=f"{t.id}_again") for t in suite]
+    assert len({t.id for t in doubled}) == 2 * len(suite)
+    answer = ("outcome", "reason", "patch", "level")
+    once, twice = report(bundle.program_text, suite), report(bundle.program_text, doubled)
+    assert {key: twice[key] for key in answer} == {key: once[key] for key in answer}
