@@ -7,6 +7,12 @@ their base (see ``patching``), and so do the closures the interpreter
 lowered them to (see ``interp``), which stay valid for as long as the
 node lives. A ``Program`` indexes its statements, the function of each and
 the scope at each in one walk when it is built.
+
+The call-depth rule lives here too: ``depth`` gives a block's
+closure-nesting depth, from which each call of a function reserves its
+Python frames. Each statement computes its share once
+(``Stmt.frames``), so a program path-copied from another recomputes only
+the statements on its copied path.
 """
 from __future__ import annotations
 
