@@ -8,11 +8,9 @@ lowered them to (see ``interp``), which stay valid for as long as the
 node lives. A ``Program`` indexes its statements, the function of each and
 the scope at each in one walk when it is built.
 
-The call-depth rule lives here too: ``depth`` gives a block's
-closure-nesting depth, from which each call of a function reserves its
-Python frames. Each statement computes its share once
-(``Stmt.frames``), so a program path-copied from another recomputes only
-the statements on its copied path.
+The call-depth rule lives here too (``depth``). Each statement computes
+its share of it once, so a path-copied program recomputes only the
+statements on its copied path.
 """
 from __future__ import annotations
 
@@ -183,10 +181,10 @@ def depth(block: Block) -> int:
     A block, a statement and an expression node are one frame each, and a
     return is its expression alone. An ``if`` or ``while`` condition counts
     one level around its expression: the frame of a probed ``if``'s
-    condition, which snapshots the state as the condition starts. The depth
-    is a property of the program, the same whichever statement is probed,
-    forced or fused, so a probed or decided run reserves what a plain one
-    does."""
+    condition, which snapshots the state as the condition starts. So the
+    depth is the same however the interpreter lowers the block and
+    whichever statement is probed; a forced condition or a skipped
+    statement is an edit, whose program reserves what it needs itself."""
     return max((s.frames for s in block), default=0)
 
 

@@ -52,10 +52,9 @@ changes no step, value, error or timeout.
 Call depth: each call reserves its body's static closure-nesting depth
 plus one (``ast.depth``), a property of the program computed once per
 statement node, so an edited program reserves what its own statements
-need, whichever of them is probed, forced or fused. In the packaged
-corpus, skipping ``cm2`` location 12 lowers a reservation from 10 to 8
-frames and skipping ``pm2`` location 4 from 8 to 6; no corpus run reaches
-the call-depth limit.
+need, however they are lowered. In the packaged corpus, skipping ``cm2``
+location 12 lowers a reservation from 10 to 8 frames and skipping ``pm2``
+location 4 from 8 to 6; no corpus run reaches the call-depth limit.
 
 Fused statements (superoperators; Proebsting, POPL 1995): a ``let`` or
 assignment of a binary node ``<``, ``<=``, ``>``, ``>=``, ``+``, ``-``,
@@ -103,11 +102,12 @@ from .values import INT_MAX, INT_MIN, NULL, Null, Obj, Value, matches_declared, 
 DEFAULT_STEP_BUDGET = 1_000_000
 # Call depth is counted in the Python frames active MiniLang calls may use:
 # each call reserves its body's static closure-nesting depth (``ast.depth``)
-# plus one, and at least CALL_FRAMES. A call that would pass MAX_CALL_DEPTH * CALL_FRAMES ends the
-# run like an exhausted step budget, well before Python's own recursion
-# limit, so where a run stops depends on the program alone and not on the
-# caller's stack. A function nesting at most CALL_FRAMES deep gets
-# MAX_CALL_DEPTH active calls; a deeper one gets proportionally fewer.
+# plus one, and at least CALL_FRAMES. A call that would pass
+# MAX_CALL_DEPTH * CALL_FRAMES ends the run like an exhausted step budget,
+# well before Python's own recursion limit, so where a run stops depends on
+# the program alone and not on the caller's stack. A function nesting at
+# most CALL_FRAMES deep gets MAX_CALL_DEPTH active calls; a deeper one gets
+# proportionally fewer.
 MAX_CALL_DEPTH = 100
 CALL_FRAMES = 6
 

@@ -11,7 +11,8 @@ structures persistent", JCSS 1989). This is sound because statements are
 frozen and blocks are tuples (see ``ast``): nothing a program shares can
 change under it. The new program also shares its input's table of lowered
 closures, so it lowers only the statements on the copied path (see
-``interp``).
+``interp``), and only they compute their call-depth share (see
+``ast.depth``).
 
 A statement wrapped by a new precondition keeps executing under the guard
 and is re-addressed at a fresh location past the current maximum. The new

@@ -16,8 +16,8 @@ numeric component parked at slot p would leave the result unconstrained.
 Decoding walks backward from the result slot: the producer at a slot is
 either an input column (a leaf) or a component whose argument slots are
 decoded recursively. Equal models decode to byte-identical renderings. A
-model means its decoded expression, which is also what every backend's
-model is checked against.
+model means its decoded expression: ``satisfies_rows`` evaluates that
+expression on each row.
 """
 from __future__ import annotations
 
