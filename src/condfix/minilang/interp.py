@@ -18,9 +18,10 @@ equivalence and the corpus seeding checks) is lean. The probe is a
 program edit (``patching.probe``): a probed ``if`` snapshots the state as
 its condition starts and stores the value the condition gives in the
 snapshot, and any other probed statement snapshots the state before it
-runs, in either mode. Angelic decisions are program edits too
-(``patching.decide``): a forced condition is a ``Forced`` node, a skipped
-statement is absent.
+runs, in either mode. A snapshot copies the constants' and the frame's
+values; ``trace.collect`` derives every synthesis column from them.
+Angelic decisions are program edits too (``patching.decide``): a forced
+condition is a ``Forced`` node, a skipped statement is absent.
 
 Shared closures: each statement's and function's closure is cached in
 ``Program.closures``, a table that a program shares with every program
@@ -32,8 +33,8 @@ keyed by node identity and mode; every other statement's closure, and
 the expression closure of each ``if`` or ``while`` condition, is keyed by
 node identity alone and serves both. A probed statement is a node of its
 own, so its closure never serves the unprobed one. Calls find their
-callee in ``run.functions`` and snapshots close over consts and registry,
-so no closure refers to a program.
+callee in ``run.functions`` and snapshots close over the consts alone, so
+no closure refers to a program.
 
 Steps: one per statement entry and per expression node (a method call is
 two, its receiver being a variable reference; a ``Forced`` condition is
@@ -122,14 +123,11 @@ TIMEOUT = "TimeoutDuringExecution"
 
 @dataclass
 class ProbeSnapshot:
-    """State at one hit of a probed statement: raw in-scope values, nullness
-    of class-typed bindings, and state-query results for non-null objects
-    (keyed ``name.method()``). At a probed ``if``, ``condition`` is the
+    """State at one hit of a probed statement: the program's constants and
+    the frame's bindings, by name. At a probed ``if``, ``condition`` is the
     value its condition gave, or None if the condition ended the run."""
 
     values: Dict[str, Value]
-    null_flags: Dict[str, bool]
-    queries: Dict[str, Value]
     condition: Optional[Value] = None
 
 
@@ -259,7 +257,7 @@ class _Lowering:
     def __init__(self, program: Program, record: bool = True):
         self.consts, self.registry, self.table = program.consts, program.registry, program.closures
         self.record = record
-        self.capture = _capturer(program.consts, program.registry)
+        self.capture = _capturer(program.consts)
 
     def cached(self, node, lower: Callable):
         """``lower(node)``, made once per node of the table's programs, and
@@ -760,22 +758,13 @@ def _fused_while(cond: Compiled, body: Compiled, apply, left, right, constant) -
     return fused_while
 
 
-def _capturer(consts, registry) -> Callable:
-    """The snapshot taker of the programs with these consts and registry."""
+def _capturer(consts) -> Callable:
+    """The snapshot taker of the programs with these consts."""
     def capture(run: _Run, frame: Dict[str, Value]) -> ProbeSnapshot:
         """Append a snapshot of the state at a probed statement."""
         values = {c.name: c.value for c in consts.values()}
         values.update(frame)
-        null_flags: Dict[str, bool] = {}
-        queries: Dict[str, Value] = {}
-        for name, value in values.items():
-            if isinstance(value, Null):
-                null_flags[name] = True
-            elif isinstance(value, Obj):
-                null_flags[name] = False
-                for method in registry.methods_for(value.cls).values():
-                    queries[f"{name}.{method.name}()"] = method.fn(value.payload)
-        snapshot = ProbeSnapshot(values, null_flags, queries)
+        snapshot = ProbeSnapshot(values)
         run.snapshots.append(snapshot)
         return snapshot
 

@@ -77,6 +77,9 @@ class RepairConfig:
         if not (self.level_timeout > 0 and self.global_timeout > 0):  # a NaN fails every compare
             raise ValueError(f"timeouts must be positive, got level_timeout "
                              f"{self.level_timeout} and global_timeout {self.global_timeout}")
+        for name in ("max_level", "step_budget", "solver_nodes"):
+            if type(getattr(self, name)) is not int:  # a bool is not a count
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not MIN_LEVEL <= self.max_level <= MAX_LEVEL:
             raise ValueError(f"max_level must be in [{MIN_LEVEL}, {MAX_LEVEL}], got {self.max_level}")
         if self.step_budget < 1 or self.solver_nodes < 1:
@@ -256,7 +259,7 @@ def _synthesis_ladder(program, suite, matrix, kind, trial, config, deadline) -> 
         status, patch = result.status, None
         if status == SAT:
             expression = decode(problem, result.model)
-            if not problem.satisfies_rows(result.model):
+            if not problem.fits_rows(expression):
                 # An external backend may answer sat with a junk model; treat
                 # it like an unanswered rung rather than trusting it.
                 status, saw_timeout = "invalid-patch", True

@@ -16,8 +16,8 @@ numeric component parked at slot p would leave the result unconstrained.
 Decoding walks backward from the result slot: the producer at a slot is
 either an input column (a leaf) or a component whose argument slots are
 decoded recursively. Equal models decode to byte-identical renderings. A
-model means its decoded expression: ``satisfies_rows`` evaluates that
-expression on each row.
+model means its decoded expression: ``satisfies_rows`` decodes it and
+``fits_rows`` evaluates that expression on each row.
 """
 from __future__ import annotations
 
@@ -141,7 +141,10 @@ class SynthesisProblem:
     def satisfies_rows(self, model: Dict[str, int]) -> bool:
         """Whether the model's decoded expression gives every row its
         expected outcome; raises as ``decode`` does."""
-        expression = decode(self, model)
+        return self.fits_rows(decode(self, model))
+
+    def fits_rows(self, expression: PatchExpression) -> bool:
+        """Whether ``expression`` gives every row its expected outcome."""
         names = [c.name for c in self.columns]
         return all(
             evaluate(expression, dict(zip(names, inputs))) == expected

@@ -29,6 +29,9 @@ class TestCase:
     expected_error: Optional[str] = None
 
     def __post_init__(self):
+        if (":" in self.id or "".join(self.id.splitlines()) != self.id
+                or self.id.startswith("#") or self.id != self.id.strip()):
+            raise SuiteFormatError(f"test id {self.id!r} would not read back from a suite line")
         has_value = self.expected_value is not None
         has_error = self.expected_error is not None
         if has_value == has_error:

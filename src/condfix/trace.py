@@ -2,10 +2,11 @@
 
 For a chosen location the whole suite is re-run, lean, on the program
 with that statement probed (``patching.probe``). Each snapshot the probe
-takes yields the candidate inputs (in-scope primitives, the literal
-constants 0, -1, 1, nullness of in-scope objects, and state-query results
-on non-null objects) paired with the expected outcome of the condition or
-precondition at that point.
+takes holds the values of the constants and the frame there; from them
+this module derives one row of candidate inputs (in-scope primitives, the
+literal constants 0, -1, 1, nullness of in-scope objects, and state-query
+results through ``program.registry``) paired with the expected outcome of
+the condition or precondition at that point.
 
 Expected outcomes: for a condition repair, passing tests contribute the
 value the condition gave at each hit, which the snapshot stores, and
@@ -15,9 +16,11 @@ whose condition ended the run gave no value and contributes no row. For
 a precondition repair, passing tests contribute true and failing tests
 false, one row per test taken at the first hit.
 
-A state-query column whose receiver is null in any row is undefined there
-and the column is dropped from the entire matrix; the nullness column
-itself always stays.
+Columns: a cell is undefined where its binding holds a value of another
+type than it declares (only parameters are type-checked, so a ``let``
+may bind any value), or where a state query's receiver is not an object.
+A column undefined in any row is dropped from the entire matrix; no row
+is. So a receiver null in some row loses its queries, not its nullness.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .minilang import (
     DEFAULT_STEP_BUDGET, Program, Value, decide, execute, format_value,
     parse_value_literal, probe,
 )
-from .minilang.values import PRIMITIVE_TYPES
+from .minilang.values import PRIMITIVE_TYPES, Null, Obj, matches_declared
 from .testkit import TestCase, verdict_holds
 
 STANDARD_CONSTANTS = (0, -1, 1)
@@ -91,14 +94,22 @@ def collect(
     reads the clock past ``deadline`` raises DeadlineExceeded."""
     check_candidate(program, loc, kind)
 
-    columns = _candidate_columns(program, loc)
+    # The declared type of each name in scope: parameters, locals, then the
+    # global constants that no local shadows.
+    declared = program.scope_at(loc)
+    for const in program.consts.values():
+        declared.setdefault(const.name, const.type)
+    columns = _candidate_columns(program, declared)
     # A skip decision is per test; the first-hit state is identical with and
     # without the skip, so a precondition probes the unmodified run.
     probed = probe(program, loc)
     values = {t.val for t in angelic.values()} if kind == CONDITION else ()
     forced = {value: probe(decide(program, loc, value), loc) for value in values}
 
-    raw_rows: List[Tuple[str, int, dict, dict, bool]] = []
+    def cells(snap) -> tuple:
+        return tuple(_cell(col, declared, snap.values, program.registry) for col in columns)
+
+    raw_rows: List[TraceRow] = []
     for test in suite:
         tuple_for_test = angelic.get(test.id)
         run = probed if tuple_for_test is None else forced.get(tuple_for_test.val, probed)
@@ -120,49 +131,36 @@ def collect(
             for m, snap in enumerate(snapshots):
                 expected = snap.condition if tuple_for_test is None else tuple_for_test.val
                 if type(expected) is bool:
-                    raw_rows.append((test.id, m, snap.values, _derived(snap), expected))
+                    raw_rows.append(TraceRow(test.id, m, cells(snap), expected))
         else:
-            expected = tuple_for_test is None
-            snap = snapshots[0]
-            raw_rows.append((test.id, 0, snap.values, _derived(snap), expected))
+            raw_rows.append(TraceRow(test.id, 0, cells(snapshots[0]), tuple_for_test is None))
 
-    # Drop query columns undefined in any row (null receiver there).
-    kept: List[ColumnSpec] = []
-    for col in columns:
-        if col.kind == "query" and any(col.name not in derived for _, _, _, derived, _ in raw_rows):
-            continue
-        kept.append(col)
-
-    rows = []
-    for test_id, m, values, derived, expected in raw_rows:
-        inputs = tuple(_column_value(col, values, derived) for col in kept)
-        rows.append(TraceRow(test_id, m, inputs, expected))
-    return TraceMatrix(location=loc, kind=kind, columns=kept, rows=rows)
+    kept = [i for i in range(len(columns))
+            if all(row.inputs[i] is not None for row in raw_rows)]
+    rows = [replace(row, inputs=tuple(row.inputs[i] for i in kept)) for row in raw_rows]
+    return TraceMatrix(location=loc, kind=kind, columns=[columns[i] for i in kept], rows=rows)
 
 
-def _derived(snapshot) -> Dict[str, Value]:
-    derived: Dict[str, Value] = {}
-    for name, is_null in snapshot.null_flags.items():
-        derived[f"{name} == null"] = is_null
-    derived.update(snapshot.queries)
-    return derived
-
-
-def _column_value(col: ColumnSpec, values, derived) -> Value:
-    if col.kind == "var":
-        return values[col.var]
+def _cell(col: ColumnSpec, declared: Dict[str, str], values: Dict[str, Value],
+          registry) -> Optional[Value]:
+    """The column's value in a row whose snapshot holds ``values``, or None
+    where the column is undefined there (see the module docstring)."""
     if col.kind == "const":
         return col.const
-    return derived[col.name]
+    value = values[col.var]
+    if not matches_declared(value, declared[col.var]) or (
+            col.kind == "query" and not isinstance(value, Obj)):
+        return None
+    if col.kind == "var":
+        return value
+    if col.kind == "nullcheck":
+        return isinstance(value, Null)
+    return registry.lookup(value.cls, col.method).fn(value.payload)
 
 
-def _candidate_columns(program: Program, loc: int) -> List[ColumnSpec]:
+def _candidate_columns(program: Program, scope: Dict[str, str]) -> List[ColumnSpec]:
     """Column order: scope primitives (parameters before locals), global
     constants, the literal constants, then per-object nullness and queries."""
-    scope = dict(program.scope_at(loc))
-    for const in program.consts.values():
-        scope.setdefault(const.name, const.type)
-
     columns: List[ColumnSpec] = []
     objects: List[Tuple[str, str]] = []
     for name, declared in scope.items():

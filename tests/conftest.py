@@ -69,6 +69,30 @@ fn h(n: int) -> int {
 
 H_SUITE = "".join(f"t{n}: h({n}) -> {n}\n" for n in range(40))
 
+# MiniLang type-checks parameters only, so a let or a constant may bind a
+# value of another type. Each program binds one name so and should read
+# ``if (0 < x)`` at location 2. By name: (program, suite, the trace columns
+# at location 2 once the mistyped name's are dropped).
+MISTYPED = {
+    "str-holds-int": (
+        "fn f(x: int) -> int { let s: Str = x; if (x < 0) { return 1; } return 0; }\n",
+        "t1: f(5) -> 1\nt2: f(-3) -> 0\nt3: f(7) -> 1\nt4: f(-8) -> 0\n",
+        ["x", "0", "-1", "1"],
+    ),
+    "int-holds-str": (
+        "fn f(s: Str, x: int) -> int { let n: int = s; if (x < 0) { return 1; } return 0; }\n",
+        't1: f(Str("a"), 5) -> 1\nt2: f(Str("b"), -3) -> 0\n'
+        't3: f(Str(""), 7) -> 1\nt4: f(Str("d"), -8) -> 0\n',
+        ["x", "0", "-1", "1", "s == null", "s.isEmpty()", "s.length()"],
+    ),
+    "str-const-holds-int": (
+        "const K: Str = 1;\n"
+        "fn f(x: int) -> int { let y: int = x; if (x < 0) { return 1; } return 0; }\n",
+        "t1: f(5) -> 1\nt2: f(-3) -> 0\nt3: f(7) -> 1\nt4: f(-8) -> 0\n",
+        ["x", "y", "0", "-1", "1"],
+    ),
+}
+
 PROBE_FIXTURE = """\
 fn peek(n: int, s: Str) -> int {
   let doubled: int = n + n;

@@ -9,6 +9,7 @@ import pytest
 from condfix.cli import EXIT_NO_PATCH, EXIT_PATCHED, EXIT_USAGE, main
 from condfix.corpus import default_corpus_dir, load_bundle, write_bundle
 from condfix.minilang.parser import MAX_NESTING
+from conftest import MISTYPED
 
 
 def write_gcd_inputs(tmp_path: Path):
@@ -94,6 +95,20 @@ class TestRepairCommand:
         captured = capsys.readouterr()
         assert code == EXIT_NO_PATCH
         assert captured.out.startswith("no patch found: exhausted\n")
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("name", sorted(MISTYPED))
+    def test_a_name_bound_to_another_type_is_repaired(self, tmp_path, capsys, name):
+        program_text, suite_text, _ = MISTYPED[name]
+        (tmp_path / "program.ml").write_text(program_text)
+        (tmp_path / "suite.txt").write_text(suite_text)
+        code = main([
+            "repair", "--program", str(tmp_path / "program.ml"),
+            "--suite", str(tmp_path / "suite.txt"),
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_PATCHED
+        assert "+  if (0 < x) {" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
     def test_usage_error_on_max_level_outside_ladder(self, tmp_path, capsys):

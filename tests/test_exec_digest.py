@@ -30,17 +30,28 @@ from condfix import angelic, corpus, testkit, trace
 from condfix.corpus import (
     builtin_seeded_bundles, default_corpus_dir, load_corpus, run_harness,
 )
-from condfix.minilang import format_value
+from condfix.minilang import Null, Obj, default_registry, format_value
 
 DIGEST_PATH = Path(__file__).parent / "data" / "exec_digest.json"
+REGISTRY = default_registry()
 CALLERS = {m.__name__.rpartition(".")[2]: m for m in (angelic, corpus, testkit, trace)}
 
 
 def _snapshot(snap) -> dict:
+    """A snapshot holds values only; its nullness flags and state-query
+    results are derived here as the interpreter once took them, so the
+    digest still pins every value that a trace column reads."""
+    null_flags, queries = {}, {}
+    for name, value in snap.values.items():
+        if isinstance(value, (Null, Obj)):
+            null_flags[name] = isinstance(value, Null)
+        if isinstance(value, Obj):
+            for method in REGISTRY.methods_for(value.cls).values():
+                queries[f"{name}.{method.name}()"] = format_value(method.fn(value.payload))
     return {
         "values": {k: format_value(v) for k, v in snap.values.items()},
-        "null_flags": snap.null_flags,
-        "queries": {k: format_value(v) for k, v in snap.queries.items()},
+        "null_flags": null_flags,
+        "queries": queries,
         "condition": None if snap.condition is None else format_value(snap.condition),
     }
 

@@ -10,6 +10,7 @@ import pytest
 
 from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus
 from condfix.minilang import parse_program
+from condfix.minilang.lexer import tokenize
 from condfix.pipeline import repair
 
 # A function that no test calls, of UNUSED_STATEMENTS statements.
@@ -50,6 +51,42 @@ def shifted(body, by):
     return body
 
 
+def renaming(program_text):
+    """A new name for each parameter and local, by function. A function's
+    names, sorted, get new names in the reverse order (``v01`` for the
+    last), so a result that depends on the names' order would change."""
+    declared, function = {}, None
+    tokens = tokenize(program_text)
+    for i, token in enumerate(tokens):
+        if token.kind == "keyword" and token.text in ("fn", "const"):
+            function = tokens[i + 1].text if token.text == "fn" else None
+        elif function and token.kind == "ident" and tokens[i + 1].text == ":":
+            declared.setdefault(function, {})[token.text] = None
+    return {
+        function: {name: f"v{len(names) - rank:02d}" for rank, name in enumerate(sorted(names))}
+        for function, names in declared.items()
+    }
+
+
+def renamed(text, names, function=None):
+    """``text`` with each ident token that names a variable renamed as
+    ``names`` says for the function it lies in (``function`` for text with
+    no ``fn``, such as an expression). Function names (a call's), method
+    names and constants keep their text."""
+    tokens, edits = tokenize(text), []
+    for i, token in enumerate(tokens):
+        if token.kind == "keyword" and token.text in ("fn", "const"):
+            function = tokens[i + 1].text if token.text == "fn" else None
+        elif (token.kind == "ident" and token.text in names.get(function, {})
+              and tokens[i + 1].text != "(" and (i == 0 or tokens[i - 1].text != ".")):
+            edits.append((token, names[function][token.text]))
+    lines = text.split("\n")
+    for token, name in reversed(edits):  # right to left keeps each column valid
+        line, start = lines[token.line - 1], token.column - 1
+        lines[token.line - 1] = line[:start] + name + line[start + len(token.text):]
+    return "\n".join(lines)
+
+
 @each_bundle
 def test_reversing_the_suite_keeps_the_report(bundle):
     suite = bundle.suite()
@@ -78,3 +115,16 @@ def test_doubling_the_suite_keeps_the_answer(bundle):
     answer = ("outcome", "reason", "patch", "level")
     once, twice = report(bundle.program_text, suite), report(bundle.program_text, doubled)
     assert {key: twice[key] for key in answer} == {key: once[key] for key in answer}
+
+
+@each_bundle
+def test_renaming_parameters_and_locals_renames_the_patch(bundle):
+    suite, names = bundle.suite(), renaming(bundle.program_text)
+    program_text = renamed(bundle.program_text, names)
+    assert program_text != bundle.program_text
+    expected = report(bundle.program_text, suite)
+    if expected["patch"] is not None:
+        patch = expected["patch"]
+        function = parse_program(bundle.program_text).function_of(patch["location"])
+        patch["expression"] = renamed(patch["expression"], names, function)
+    assert report(program_text, suite) == expected

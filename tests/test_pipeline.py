@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from condfix import pipeline
 from condfix.corpus import default_corpus_dir, load_corpus
 from condfix.errors import NoFailingTestError
 from condfix.minilang import Patch, PatchKind, parse_expression, parse_program
@@ -10,8 +11,10 @@ from condfix.pipeline import (
     CONFLICTING_TRACE, EXECUTION_TIMEOUT, EXHAUSTED, NO_ANGELIC_VALUE, RepairConfig,
     render_patch_diff, repair, validate,
 )
-from condfix.synth import MAX_LEVEL, MIN_LEVEL
+from condfix.synth import MAX_LEVEL, MIN_LEVEL, decode
+from condfix.synth import problem as synth_problem
 from condfix.testkit import parse_suite
+from conftest import MISTYPED
 
 
 class TestRepair:
@@ -94,6 +97,28 @@ class TestRepair:
         b = repair(gcd_program, gcd_suite, RepairConfig()).to_dict()
         assert scrub(a) == scrub(b)
 
+    @pytest.mark.parametrize("name", sorted(MISTYPED))
+    def test_a_name_bound_to_another_type_is_repaired(self, name):
+        program_text, suite_text, _ = MISTYPED[name]
+        report = repair(parse_program(program_text), parse_suite(suite_text))
+        assert report.patched
+        assert (report.patch.expression_text, report.level) == ("0 < x", 1)
+
+    def test_each_sat_model_is_decoded_once(self, gcd_program, gcd_suite, monkeypatch):
+        decoded = []
+
+        def counting(problem, model):
+            decoded.append(model)
+            return decode(problem, model)
+
+        monkeypatch.setattr(pipeline, "decode", counting)
+        monkeypatch.setattr(synth_problem, "decode", counting)
+        report = repair(gcd_program, gcd_suite, RepairConfig())
+        answered = [level for trial in report.trials for level in trial.levels
+                    if level.status in ("sat", "invalid-patch")]
+        assert report.patched and answered
+        assert len(decoded) == len(answered)
+
     def test_angelic_tuples_logged_are_sound(self, gcd_program, gcd_suite):
         from condfix.minilang import SKIP, decide, execute
         from condfix.testkit import verdict_holds
@@ -138,6 +163,12 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["level_timeout", "global_timeout"])
     def test_an_infinite_timeout_is_accepted(self, field):
         assert getattr(RepairConfig(**{field: float("inf")}), field) == float("inf")
+
+    @pytest.mark.parametrize("field", ["max_level", "step_budget", "solver_nodes"])
+    @pytest.mark.parametrize("value", [2.0, True, "2", None])
+    def test_a_count_that_is_not_an_integer_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RepairConfig(**{field: value})
 
     def test_budgets_of_one_are_accepted(self):
         config = RepairConfig(step_budget=1, solver_nodes=1)

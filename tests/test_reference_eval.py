@@ -12,7 +12,8 @@ budget nor the deadline: no run checked here comes near either.
 
 Each run is made in recording and in lean mode, and the two results
 must agree with the evaluator on value, error, timeout, steps, hits (none
-when lean) and snapshots (their values and condition).
+when lean) and snapshots. A snapshot holds only its values and condition,
+so the evaluator checks the whole of each.
 """
 import pytest
 

@@ -122,6 +122,21 @@ class TestSuiteFormat:
         assert parse_suite(rendered) == suite
         assert render_suite(parse_suite(rendered)) == rendered
 
+    @pytest.mark.parametrize("test_id", [
+        "a:b", ":", "a\nb", "a\r\nb", "a\rb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b",
+        "a\u2028b", "end\n", "#x", "# x", " pad", "pad ", "\tpad",
+    ])
+    def test_an_id_that_would_not_read_back_is_rejected(self, test_id):
+        with pytest.raises(SuiteFormatError, match="test id"):
+            TestCase(test_id, "f", (), expected_value=1)
+
+    @pytest.mark.parametrize("test_id", [
+        "t1", "a b", "a->b", "x#1", "f(1)", "-1", "a,b", "t\u00e9", "a\u00a0b", "x_again",
+    ])
+    def test_an_accepted_id_reads_back(self, test_id):
+        suite = [TestCase(test_id, "f", (1,), expected_value=2)]
+        assert parse_suite(render_suite(suite)) == suite
+
     @pytest.mark.parametrize("line", [
         "a: f(1) 2", "a: f(1) -> error", "a: f(1) -> error Boom extra", "a: f(1 -> 2",
         "a: f(1) -> 2 -> 3",

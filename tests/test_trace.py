@@ -8,6 +8,7 @@ from condfix.trace import (
     CONDITION, PRECONDITION, collect, deduplicate, matrix_from_text,
     matrix_to_text,
 )
+from conftest import MISTYPED
 
 TRANSLATE = """\
 fn translate(seqEnd: int, index: int, isHexChar: bool) -> int {
@@ -172,6 +173,19 @@ class TestObjectColumns:
         assert "parent.length()" in names  # parent never null
         # dropping a column never drops rows
         assert len(matrix.rows) == 2
+
+
+class TestMistypedBindings:
+    @pytest.mark.parametrize("name", sorted(MISTYPED))
+    def test_a_mistyped_names_columns_drop_and_every_row_stays(self, name):
+        program_text, suite_text, kept = MISTYPED[name]
+        program, suite = parse_program(program_text), parse_suite(suite_text)
+        failing = run_suite(program, suite).failing
+        outcome = angelic_condition(program, suite, failing, 2)
+        matrix = collect(program, suite, 2, CONDITION, outcome.tuples)
+        assert matrix.column_names() == kept
+        assert [row.test for row in matrix.rows] == ["t1", "t2", "t3", "t4"]
+        assert [row_map(matrix, row)["x"] for row in matrix.rows] == [5, -3, 7, -8]
 
 
 class TestDeduplication:
