@@ -1,6 +1,7 @@
 """Tokenizer for MiniLang source, suite files, and patch expressions."""
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
@@ -13,6 +14,10 @@ KEYWORDS = {
 
 TWO_CHAR = ("->", "==", "!=", "<=", ">=", "&&", "||")
 ONE_CHAR = "{}(),;:.=<>+-*/%!"
+
+# The braced hex digits of a ``\u{hex}`` escape in a string literal; the
+# code point must be a Unicode scalar value, so it can be written as UTF-8.
+_CODE_POINT = re.compile(r"\{([0-9a-fA-F]{1,6})\}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,14 @@ def tokenize(source: str) -> List[Token]:
             while j < n and source[j] != '"':
                 if source[j] == "\n":
                     error("unterminated string literal")
-                if source[j] == "\\" and j + 1 < n:
+                if source.startswith("\\u", j):
+                    code = _CODE_POINT.match(source, j + 2)
+                    point = -1 if code is None else int(code[1], 16)
+                    if not 0 <= point <= 0x10FFFF or 0xD800 <= point <= 0xDFFF:
+                        error("bad \\u{hex} escape in string literal")
+                    buf.append(chr(point))
+                    j = code.end()
+                elif source[j] == "\\" and j + 1 < n:
                     esc = source[j + 1]
                     buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
                     j += 2

@@ -76,8 +76,11 @@ def format_value(v: Value) -> str:
 
 
 # The escapes the lexer reads in a string literal, by the character each
-# stands for.
+# stands for. Every other character ``str.splitlines`` breaks a line at is
+# written ``\u{hex}``, so a rendered value stays on its line of a suite or
+# grid.
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
+_ESCAPES.update((c, f"\\u{{{ord(c):x}}}") for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def format_real(x: float) -> str:

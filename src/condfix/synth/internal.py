@@ -27,16 +27,33 @@ dismissed.
 Within one solve each distinct ``(type, value vector)`` gets a small int
 id, and each component memoizes its applications on the ids of its
 inputs, so a repeated application is one dict lookup and a duplicate
-check is one list index. On the last cone position a root wiring that
-leaves some member unconsumed cannot complete the cone; such wirings are
-counted without computing their vectors.
+check is one list index.
+
+On the last cone position (``close``) every wiring of every bool root
+outside the cone is still one node, but only a wiring that takes every
+unconsumed member can complete the cone, so only those are enumerated, in
+product order, and the nodes before the first hit are counted at once. The
+consumability test leaves at most two unconsumed members there: one pick
+consumes at most two (every operator is unary or binary), and the member
+pushed last, the last ref of its type, is always unconsumed. So:
+
+- an empty cone closes with any root wiring of the columns;
+- one unconsumed member ``m`` closes a unary root as ``(m,)`` and a binary
+  one as ``(x, m)``, ``x`` before ``m``, then ``(m, y)``;
+- two, ``a`` before ``b``, close only a binary root, as ``(a, b)`` or
+  ``(b, a)``.
+
+Columns are the first refs of every type and, like the expected vector,
+never change within a solve, so the first column ``x`` with
+``root(x, m)`` expected and the first column ``y`` with ``root(m, y)``
+expected are cached per root and vector id of ``m``; a call scans only
+the cone members.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 from typing import Dict, List, Optional, Tuple
 
 from ..budget import Budget, Exhausted
@@ -150,6 +167,10 @@ class _SearchState:
             self.seen[vid] = True
             self.refs[col.type].append(("col", i))
             self.ref_ids[col.type].append(vid)
+        self.column_counts = {t: len(r) for t, r in self.refs.items()}
+        # (root, m's vector id) -> the first columns x, y with root(x, m)
+        # and root(m, y) expected, or None (close_one).
+        self.partners: Dict[Tuple[int, int], Tuple[Optional[int], Optional[int]]] = {}
         self.expected = self.intern(BOOL, tuple(exp for _, exp in problem.rows))
 
         self.cone: List[int] = []
@@ -290,38 +311,115 @@ class _SearchState:
         return None
 
     def close(self):
-        """Try each bool root on the last cone position. Every root wiring is
-        one node, but only a wiring that consumes every member nothing else
-        consumes can complete the cone, so only those get a vector; all the
-        nodes are counted at once, up to the first hit."""
-        unconsumed = {("comp", pos) for pos, n in enumerate(self.consumers) if not n}
-        unconsumed_types = {t for t, n in self.unconsumed.items() if n}
-        expected = self.expected
-        by_types: Dict[Tuple[str, ...], tuple] = {}
+        """Try each bool root on the last cone position, counting all its
+        root wirings as nodes at once, up to the first hit. Only a wiring
+        that consumes every unconsumed member can complete the cone, and the
+        cone has none, one or two of them (see the module docstring)."""
+        last = len(self.cone) - 1
+        if last < 0:
+            return self.close_empty()
+        for pos in range(last):
+            if not self.consumers[pos]:
+                return self.close_pair(pos, last)
+        return self.close_one()
+
+    def hits(self, ci: int, memo: Dict[Tuple[int, ...], int], key: Tuple[int, ...]) -> bool:
+        vid = memo.get(key)
+        if vid is None:
+            vid = self.apply(ci, key)
+        return vid == self.expected
+
+    def found(self, ci: int, wiring: Tuple[Ref, ...], nodes: int):
+        self.budget.advance(nodes)
+        return self.cone + [ci], self.wirings + [wiring]
+
+    def close_empty(self):
+        """A one-member cone: every root wiring of the columns closes it."""
+        tried = 0
+        for ci, in_types, memo in self.roots:
+            candidates = self.candidates(in_types)
+            for index, (wiring, key) in enumerate(candidates):
+                if self.hits(ci, memo, key):
+                    return self.found(ci, wiring, tried + index + 1)
+            tried += len(candidates)
+        self.budget.advance(tried)
+        return None
+
+    def close_one(self):
+        """Only the last member ``m`` is unconsumed: a unary root closes
+        with ``(m,)``, a binary one with ``(x, m)``, ``x`` before ``m``,
+        then ``(m, y)``; each first tries its cached column partner."""
+        refs, columns = self.refs, self.column_counts
+        tm = self.shapes[self.cone[-1]][0]
+        im = len(refs[tm]) - 1
+        vm, m = self.ref_ids[tm][im], refs[tm][im]
         tried = 0
         for ci, in_types, memo in self.roots:
             if self.in_cone[ci]:
                 continue
-            entry = by_types.get(in_types)
-            if entry is None:
-                count = prod(len(self.refs[t]) for t in in_types)
-                closing = []
-                if len(unconsumed) <= len(in_types) and unconsumed_types.issubset(in_types):
-                    closing = [
-                        (index, wiring, key)
-                        for index, (wiring, key) in enumerate(self.candidates(in_types))
-                        if unconsumed.issubset(wiring)
-                    ]
-                entry = by_types[in_types] = (count, closing)
-            count, closing = entry
-            for index, wiring, key in closing:
-                vid = memo.get(key)
-                if vid is None:
-                    vid = self.apply(ci, key)
-                if vid == expected:
-                    self.budget.advance(tried + index + 1)
-                    return self.cone + [ci], self.wirings + [wiring]
-            tried += count
+            if len(in_types) == 1:
+                if in_types[0] == tm and self.hits(ci, memo, (vm,)):
+                    return self.found(ci, (m,), tried + im + 1)
+                tried += len(refs[in_types[0]])
+                continue
+            t0, t1 = in_types
+            n0, n1 = len(refs[t0]), len(refs[t1])
+            if t0 != tm and t1 != tm:
+                tried += n0 * n1
+                continue
+            partners = self.partners.get((ci, vm))
+            if partners is None:
+                partners = self.partners[ci, vm] = (
+                    self.partner(ci, memo, vm, t0, 0, columns[t0]) if t1 == tm else None,
+                    self.partner(ci, memo, vm, t1, 0, columns[t1], m_first=True) if t0 == tm else None,
+                )
+            x, y = partners
+            if t1 == tm:
+                if x is None:
+                    x = self.partner(ci, memo, vm, t0, columns[t0], n0 - (t0 == tm))
+                if x is not None:
+                    return self.found(ci, (refs[t0][x], m), tried + x * n1 + im + 1)
+            if t0 == tm:
+                if y is None:
+                    y = self.partner(ci, memo, vm, t1, columns[t1], n1, m_first=True)
+                if y is not None:
+                    return self.found(ci, (m, refs[t1][y]), tried + im * n1 + y + 1)
+            tried += n0 * n1
+        self.budget.advance(tried)
+        return None
+
+    def partner(self, ci: int, memo, vm: int, t: str, start: int, stop: int,
+                m_first: bool = False) -> Optional[int]:
+        """The first index in ``start:stop`` of the refs of type ``t`` that
+        wired with ``m`` (``m`` first or second) gives the expected vector."""
+        ids = self.ref_ids[t]
+        for i in range(start, stop):
+            if self.hits(ci, memo, (vm, ids[i]) if m_first else (ids[i], vm)):
+                return i
+        return None
+
+    def close_pair(self, pa: int, pb: int):
+        """Members ``a`` and ``b`` (the last) are unconsumed: only a binary
+        root wired ``(a, b)`` or ``(b, a)`` closes, in that order."""
+        refs, ids = self.refs, self.ref_ids
+        ta, tb = self.shapes[self.cone[pa]][0], self.shapes[self.cone[pb]][0]
+        a, b = ("comp", pa), ("comp", pb)
+        ia, ib = refs[ta].index(a), len(refs[tb]) - 1
+        va, vb = ids[ta][ia], ids[tb][ib]
+        tried = 0
+        for ci, in_types, memo in self.roots:
+            if self.in_cone[ci]:
+                continue
+            if len(in_types) == 1:
+                tried += len(refs[in_types[0]])
+                continue
+            t0, t1 = in_types
+            n1 = len(refs[t1])
+            if t0 == ta and t1 == tb and self.hits(ci, memo, (va, vb)):
+                return self.found(ci, (a, b), tried + ia * n1 + ib + 1)
+            if t0 == tb and t1 == ta and self.hits(ci, memo, (vb, va)):
+                return self.found(ci, (b, a), tried + ib * n1 + ia + 1)
+            tried += len(refs[t0]) * n1
         self.budget.advance(tried)
         return None
 

@@ -12,6 +12,7 @@ from condfix.minilang import (
     NULL, Obj, Patch, PatchKind, apply_patch, parse_expression, parse_program,
 )
 from conftest import GCD_BUGGY
+from test_testkit import LINE_BREAKS
 
 GCD_FIXED = GCD_BUGGY.replace("u * v == 0", "u == 0 || v == 0")
 
@@ -50,6 +51,14 @@ class TestBundleFiles:
         assert _parse_grid(_render_grid(grid)).axes == grid.axes
         original = load_bundle(default_corpus_dir() / "pm2")
         original.grid = GridSpec({"specific": [NULL, *strings], "baseLen": [-2, -1, 0]})
+        write_bundle(original, tmp_path / "copy")
+        again = load_bundle(tmp_path / "copy")
+        assert again.grid.axes == original.grid.axes
+
+    def test_round_trip_of_strings_holding_line_breaks(self, tmp_path):
+        strings = [Obj("Str", f"a{char}b") for char in LINE_BREAKS]
+        original = load_bundle(default_corpus_dir() / "pm2")
+        original.grid = GridSpec({"specific": [NULL, *strings], "baseLen": [-1, 0]})
         write_bundle(original, tmp_path / "copy")
         again = load_bundle(tmp_path / "copy")
         assert again.grid.axes == original.grid.axes

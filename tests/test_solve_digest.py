@@ -12,12 +12,18 @@ Regenerate ``tests/data/solve_digest.json`` (only when a change of search
 behaviour is intended) with:
 
     PYTHONPATH=src python tests/test_solve_digest.py --write
+
+which also prints each solve's old -> new status, nodes and model hash as
+``matrix/level/cap``, starring the entries that moved. A failing test lists
+the moved entries in the same form.
 """
 import hashlib
 import json
 import random
 import sys
 from pathlib import Path
+
+import pytest
 
 from condfix.minilang.values import INT_MAX, INT_MIN
 from condfix.synth import MAX_LEVEL, MIN_LEVEL, SAT, encode, solve_internal
@@ -93,16 +99,41 @@ def compute_digest() -> list:
     return solves
 
 
+def _summary(entry) -> str:
+    if entry is None:
+        return "-"
+    return f"{entry['status']} {entry['nodes']} {entry['model_sha256'][:12]}"
+
+
+def _comparison(old: list, new: list):
+    """(line, changed) per solve of either digest, in the new digest's
+    order; each line shows the solve's old -> new ``_summary``, starred
+    when the entry moved."""
+    def by_key(entries):
+        return {(e["matrix"], e["level"], e["max_nodes"]): e for e in entries}
+
+    before, after = by_key(old), by_key(new)
+    for key in [*after, *(k for k in before if k not in after)]:
+        changed = before.get(key) != after.get(key)
+        mark = "  *" if changed else ""
+        yield "{}/{}/{}: ".format(*key) + f"{_summary(before.get(key))} -> {_summary(after.get(key))}{mark}", changed
+
+
 def test_solves_match_the_golden_digest():
     expected = json.loads(DIGEST_PATH.read_text())
     actual = compute_digest()
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert got == want
+    moved = [line for line, changed in _comparison(expected, actual) if changed]
+    if moved:
+        pytest.fail("moved digest entries (old -> new):\n" + "\n".join(moved), pytrace=False)
+    assert actual == expected
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_solve_digest.py --write")
-    lines = ",\n".join("  " + json.dumps(e, sort_keys=True) for e in compute_digest())
+    old = json.loads(DIGEST_PATH.read_text()) if DIGEST_PATH.exists() else []
+    new = compute_digest()
+    for line, _ in _comparison(old, new):
+        print(line)
+    lines = ",\n".join("  " + json.dumps(e, sort_keys=True) for e in new)
     DIGEST_PATH.write_text("[\n" + lines + "\n]\n")

@@ -7,6 +7,9 @@ from condfix.testkit import (
     TestCase, parse_suite, render_suite, run_suite, verdict_holds,
 )
 
+# Every character ``str.splitlines`` breaks a line at.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 class TestVerdicts:
     def test_int_exact_match(self):
@@ -121,6 +124,24 @@ class TestSuiteFormat:
         assert rendered.splitlines()[0] == 'arrow: f(Str("a->b")) -> Str("x->y")'
         assert parse_suite(rendered) == suite
         assert render_suite(parse_suite(rendered)) == rendered
+
+    def test_unicode_escape(self):
+        suite = parse_suite('t: f(Str("\\u{41}\\u{2028}\\u{1F600}")) -> 1\n')
+        assert suite[0].args == (Obj("Str", "A\u2028\U0001f600"),)
+
+    @pytest.mark.parametrize("escape", ["\\u41", "\\u{}", "\\u{110000}", "\\u{d800}", "\\u{12", "\\u{g}"])
+    def test_a_bad_unicode_escape_is_rejected(self, escape):
+        with pytest.raises(SuiteFormatError, match="escape"):
+            parse_suite(f't: f(Str("{escape}")) -> 1\n')
+
+    @pytest.mark.parametrize("char", list(LINE_BREAKS), ids=[hex(ord(c)) for c in LINE_BREAKS])
+    def test_round_trip_of_strings_holding_line_breaks(self, char):
+        assert len(f"a{char}b".splitlines()) == 2
+        payload = Obj("Str", f"a{char}b{char}")
+        suite = [TestCase("t", "f", (payload,), expected_value=payload)]
+        rendered = render_suite(suite)
+        assert len(rendered.splitlines()) == 1
+        assert parse_suite(rendered) == suite
 
     @pytest.mark.parametrize("test_id", [
         "a:b", ":", "a\nb", "a\r\nb", "a\rb", "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b",
