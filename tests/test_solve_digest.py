@@ -114,9 +114,11 @@ def _comparison(old: list, new: list):
 
     before, after = by_key(old), by_key(new)
     for key in [*after, *(k for k in before if k not in after)]:
-        changed = before.get(key) != after.get(key)
+        old_entry, new_entry = before.get(key), after.get(key)
+        changed = old_entry != new_entry
         mark = "  *" if changed else ""
-        yield "{}/{}/{}: ".format(*key) + f"{_summary(before.get(key))} -> {_summary(after.get(key))}{mark}", changed
+        matrix, level, cap = key
+        yield f"{matrix}/{level}/{cap}: {_summary(old_entry)} -> {_summary(new_entry)}{mark}", changed
 
 
 def test_solves_match_the_golden_digest():
