@@ -26,8 +26,8 @@ from .errors import BundleError, CondfixError
 from .faultloc import METRICS, build_spectrum, wasted_effort
 from .minilang import (
     DEFAULT_STEP_BUDGET, Binary, ExecutionResult, IfStmt, IntLit, Patch, PatchKind,
-    Program, Value, apply_patch, execute, format_value, parse_expression,
-    parse_program, parse_value_literal, render_expr, render_program, shadow_merge,
+    Program, Value, apply_patch, execute, format_value, parse_expression, parse_grid,
+    parse_program, render_expr, render_program, shadow_merge,
 )
 from .pipeline import RepairConfig, RepairReport, repair, validate
 from .testkit import SuiteResult, TestCase, parse_suite, run_suite, values_match
@@ -113,49 +113,18 @@ def _parse_kv(text: str, what: str) -> Dict[str, str]:
     return out
 
 
-def _split(text: str, separator: str) -> List[str]:
-    """``text.split(separator)``, except that a separator inside a string
-    literal does not split."""
-    parts, start, i, quoted = [], 0, 0, False
-    while i < len(text):
-        if quoted:
-            if text[i] == "\\":
-                i += 1
-            elif text[i] == '"':
-                quoted = False
-        elif text[i] == '"':
-            quoted = True
-        elif text.startswith(separator, i):
-            parts.append(text[start:i])
-            i = start = i + len(separator)
-            continue
-        i += 1
-    parts.append(text[start:])
-    return parts
-
-
 def _parse_grid(spec: str) -> GridSpec:
+    """The grid ``parse_grid`` reads; a malformed or reversed range, an
+    empty axis or a spec of no axes is a BundleError."""
     axes: Dict[str, List[Value]] = {}
-    for part in _split(spec, ";"):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, values_text = part.partition("=")
-        name = name.strip()
-        values_text = values_text.strip()
-        bounds = _split(values_text, "..")
-        if len(bounds) > 1:
-            try:
-                lo, hi = map(int, bounds)
-            except ValueError:
-                raise BundleError(f"malformed grid range {part!r}") from None
-            if lo > hi:
-                raise BundleError(f"empty grid range {part!r}: lo must not exceed hi")
-            axes[name] = list(range(lo, hi + 1))
-        elif not values_text:
+    for name, part, values in parse_grid(spec):
+        if values is None:
+            raise BundleError(f"malformed grid range {part!r}")
+        if isinstance(values, range) and not values:
+            raise BundleError(f"empty grid range {part!r}: lo must not exceed hi")
+        if not values:
             raise BundleError(f"empty grid axis {name!r}")
-        else:
-            axes[name] = [parse_value_literal(v.strip()) for v in _split(values_text, "|")]
+        axes[name] = list(values)
     if not axes:
         raise BundleError(f"empty grid spec: {spec!r}")
     return GridSpec(axes)
@@ -170,7 +139,10 @@ def _render_grid(grid: GridSpec) -> str:
         if len(ints) == len(values) and values == list(range(values[0], values[-1] + 1)):
             parts.append(f"{name} = {values[0]}..{values[-1]}")
         else:
-            parts.append(f"{name} = " + " | ".join(format_value(v) for v in values))
+            try:
+                parts.append(f"{name} = " + " | ".join(format_value(v) for v in values))
+            except ValueError as exc:
+                raise BundleError(f"grid axis {name!r}: {exc}") from None
     return "; ".join(parts)
 
 
@@ -235,6 +207,9 @@ def load_bundle(directory: Path) -> BugBundle:
 
 
 def write_bundle(bundle: BugBundle, directory: Path) -> None:
+    """Write the four bundle files. The grid is rendered before the
+    directory is made, so a grid value with no literal form is a
+    BundleError that leaves nothing on disk."""
     expected = bundle.expected
     if bundle.expected == LIMITATION and bundle.limitation_reason:
         expected = f"{LIMITATION} {bundle.limitation_reason}"

@@ -10,7 +10,7 @@ from .interp import (
     DEFAULT_STEP_BUDGET, ExecutionResult, ProbeSnapshot, TIMEOUT, execute,
 )
 from .parser import (
-    parse_expression, parse_program, parse_test, parse_value_literal,
+    parse_expression, parse_grid, parse_program, parse_test, parse_value_literal,
     resolve_expr,
 )
 from .patching import SKIP, Patch, PatchKind, apply_patch, decide, probe, shadow_merge
@@ -26,7 +26,7 @@ __all__ = [
     "NullLit", "Param", "Program", "RealLit", "ReturnStmt", "StatementKind",
     "Stmt", "ThrowStmt", "Unary", "VarRef", "WhileStmt",
     "DEFAULT_STEP_BUDGET", "ExecutionResult", "ProbeSnapshot", "TIMEOUT", "execute",
-    "parse_expression", "parse_program", "parse_test", "parse_value_literal",
+    "parse_expression", "parse_grid", "parse_program", "parse_test", "parse_value_literal",
     "resolve_expr",
     "SKIP", "Patch", "PatchKind", "apply_patch", "decide", "probe", "shadow_merge",
     "render_expr", "render_program",

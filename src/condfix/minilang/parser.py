@@ -13,7 +13,8 @@ limit.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import MiniLangSyntaxError, ResolutionError
 from .ast import (
@@ -27,6 +28,9 @@ from .registry import StateQueryRegistry, default_registry
 from .values import NULL, PRIMITIVE_TYPES, Obj, Value, wrap_int
 
 MAX_NESTING = 100
+MAX_INT_DIGITS = 4300  # Python's default limit on int() of a digit string
+_RANGES = [  # the token shapes of a grid range ``lo..hi``
+    [*lo, ".", ".", *hi] for lo in (["int"], ["-", "int"]) for hi in (["int"], ["-", "int"])]
 
 
 class _Parser:
@@ -76,6 +80,18 @@ class _Parser:
         loc = self.next_loc
         self.next_loc += 1
         return loc
+
+    def number(self) -> Value:
+        """The int or real literal being read, an int wrapped to 64 bits. No
+        value writes back as a longer int or a real that overflows to inf."""
+        tok = self.advance()
+        if tok.kind == "real":
+            if float(tok.text) != math.inf:
+                return float(tok.text)
+            self.error("real literal out of range", tok)
+        if len(tok.text) > MAX_INT_DIGITS:
+            self.error(f"int literal longer than {MAX_INT_DIGITS} digits", tok)
+        return wrap_int(int(tok.text[-64:]))  # 10**64 is a multiple of 2**64
 
     # -- grammar --
 
@@ -241,12 +257,8 @@ class _Parser:
 
     def parse_primary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return IntLit(wrap_int(int(tok.text)))
-        if tok.kind == "real":
-            self.advance()
-            return RealLit(float(tok.text))
+        if tok.kind in ("int", "real"):
+            return (IntLit if tok.kind == "int" else RealLit)(self.number())
         if tok.kind == "keyword" and tok.text in ("true", "false"):
             self.advance()
             return BoolLit(tok.text == "true")
@@ -279,12 +291,8 @@ class _Parser:
 
     def parse_literal_value(self) -> Value:
         tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return wrap_int(int(tok.text))
-        if tok.kind == "real":
-            self.advance()
-            return float(tok.text)
+        if tok.kind in ("int", "real"):
+            return self.number()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
             inner = self.nested(self.parse_literal_value)
@@ -359,6 +367,39 @@ def parse_test(text: str) -> Tuple[str, List[Value], Optional[Value], Optional[s
     if parser.peek().kind != "eof":
         parser.error("trailing input after test")
     return name, args, value, error
+
+
+def parse_grid(text: str) -> List[Tuple[str, str, Optional[Sequence[Value]]]]:
+    """Parse a one-line grid spec, axes ``name = lo..hi`` or ``name = lit |
+    lit | ...`` joined by ``;``. Per axis: its name, its text, and its
+    values: ``range(lo, hi + 1)``, None for a range whose bounds are not
+    int literals, or the literals' list, empty when none follows the ``=``."""
+    parser = _Parser(tokenize(text))
+    tokens, axes = parser.tokens, []
+    while parser.peek().kind != "eof":
+        if parser.accept("op", ";"):
+            continue
+        name = parser.expect("ident")
+        parser.expect("op", "=")
+        start = end = parser.pos
+        while tokens[end].kind != "eof" and tokens[end][:2] != ("op", ";"):
+            end += 1
+        shape = [tok.text if tok.kind == "op" else tok.kind for tok in tokens[start:end]]
+        values: Optional[Sequence[Value]] = []
+        if "." in shape:  # no literal holds a "." token: a range
+            dot = start + shape.index(".")
+            values = None
+            if shape in _RANGES and tokens[dot + 1].column == tokens[dot].column + 1:
+                lo = parser.parse_literal_value()
+                parser.pos += 2
+                values = range(lo, parser.parse_literal_value() + 1)
+            parser.pos = end
+        while parser.pos < end:
+            if values:
+                parser.expect("op", "|")
+            values.append(parser.parse_literal_value())
+        axes.append((name.text, text[name.column - 1:tokens[end].column - 1].strip(), values))
+    return axes
 
 
 def parse_value_literal(text: str) -> Value:

@@ -1,6 +1,7 @@
 """Runtime values: booleans, 64-bit wrapping integers, reals, null, records."""
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Union
 
@@ -60,7 +61,8 @@ def matches_declared(v: Value, declared: str) -> bool:
 def format_value(v: Value) -> str:
     """Render a value in MiniLang literal syntax (round-trips via the parser).
     An object renders as its class applied to its payload as a string
-    literal, escaped as the lexer reads it."""
+    literal, escaped as the lexer reads it. A payload holding a surrogate
+    code point has no literal form: a ValueError."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
@@ -71,6 +73,8 @@ def format_value(v: Value) -> str:
         return "null"
     if isinstance(v, Obj):
         text = "".join(_ESCAPES.get(c, c) for c in str(v.payload))
+        if _SURROGATE.search(text):
+            raise ValueError(f"{v.cls} payload {v.payload!r} holds a surrogate code point")
         return f'{v.cls}("{text}")'
     raise TypeError(f"not a MiniLang value: {v!r}")
 
@@ -81,6 +85,7 @@ def format_value(v: Value) -> str:
 # grid.
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
 _ESCAPES.update((c, f"\\u{{{ord(c):x}}}") for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def format_real(x: float) -> str:

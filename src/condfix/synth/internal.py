@@ -42,12 +42,6 @@ pushed last, the last ref of its type, is always unconsumed. So:
   one as ``(x, m)``, ``x`` before ``m``, then ``(m, y)``;
 - two, ``a`` before ``b``, close only a binary root, as ``(a, b)`` or
   ``(b, a)``.
-
-Columns are the first refs of every type and, like the expected vector,
-never change within a solve, so the first column ``x`` with
-``root(x, m)`` expected and the first column ``y`` with ``root(m, y)``
-expected are cached per root and vector id of ``m``; a call scans only
-the cone members.
 """
 from __future__ import annotations
 
@@ -167,10 +161,6 @@ class _SearchState:
             self.seen[vid] = True
             self.refs[col.type].append(("col", i))
             self.ref_ids[col.type].append(vid)
-        self.column_counts = {t: len(r) for t, r in self.refs.items()}
-        # (root, m's vector id) -> the first columns x, y with root(x, m)
-        # and root(m, y) expected, or None (close_one).
-        self.partners: Dict[Tuple[int, int], Tuple[Optional[int], Optional[int]]] = {}
         self.expected = self.intern(BOOL, tuple(exp for _, exp in problem.rows))
 
         self.cone: List[int] = []
@@ -348,8 +338,8 @@ class _SearchState:
     def close_one(self):
         """Only the last member ``m`` is unconsumed: a unary root closes
         with ``(m,)``, a binary one with ``(x, m)``, ``x`` before ``m``,
-        then ``(m, y)``; each first tries its cached column partner."""
-        refs, columns = self.refs, self.column_counts
+        then ``(m, y)``."""
+        refs = self.refs
         tm = self.shapes[self.cone[-1]][0]
         im = len(refs[tm]) - 1
         vm, m = self.ref_ids[tm][im], refs[tm][im]
@@ -367,33 +357,24 @@ class _SearchState:
             if t0 != tm and t1 != tm:
                 tried += n0 * n1
                 continue
-            partners = self.partners.get((ci, vm))
-            if partners is None:
-                partners = self.partners[ci, vm] = (
-                    self.partner(ci, memo, vm, t0, 0, columns[t0]) if t1 == tm else None,
-                    self.partner(ci, memo, vm, t1, 0, columns[t1], m_first=True) if t0 == tm else None,
-                )
-            x, y = partners
             if t1 == tm:
-                if x is None:
-                    x = self.partner(ci, memo, vm, t0, columns[t0], n0 - (t0 == tm))
+                x = self.partner(ci, memo, vm, t0, n0 - (t0 == tm))
                 if x is not None:
                     return self.found(ci, (refs[t0][x], m), tried + x * n1 + im + 1)
             if t0 == tm:
-                if y is None:
-                    y = self.partner(ci, memo, vm, t1, columns[t1], n1, m_first=True)
+                y = self.partner(ci, memo, vm, t1, n1, m_first=True)
                 if y is not None:
                     return self.found(ci, (m, refs[t1][y]), tried + im * n1 + y + 1)
             tried += n0 * n1
         self.budget.advance(tried)
         return None
 
-    def partner(self, ci: int, memo, vm: int, t: str, start: int, stop: int,
+    def partner(self, ci: int, memo, vm: int, t: str, stop: int,
                 m_first: bool = False) -> Optional[int]:
-        """The first index in ``start:stop`` of the refs of type ``t`` that
+        """The first index below ``stop`` of the refs of type ``t`` that
         wired with ``m`` (``m`` first or second) gives the expected vector."""
         ids = self.ref_ids[t]
-        for i in range(start, stop):
+        for i in range(stop):
             if self.hits(ci, memo, (vm, ids[i]) if m_first else (ids[i], vm)):
                 return i
         return None

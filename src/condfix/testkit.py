@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
-from .errors import SuiteFormatError
+from .errors import MiniLangSyntaxError, SuiteFormatError
 from .minilang import (
     DEFAULT_STEP_BUDGET, ExecutionResult, Null, Program, Value, execute,
     format_value, parse_test,
@@ -138,17 +138,14 @@ def parse_suite(text: str) -> List[TestCase]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        head, sep, tail = line.partition(":")
+        if not sep:
+            raise SuiteFormatError(f"line {lineno}: expected '<id>: <call> -> <oracle>'")
         try:
-            head, sep, tail = line.partition(":")
-            if not sep:
-                raise ValueError("expected '<id>: <call> -> <oracle>'")
             function, args, value, error = parse_test(tail)
-            test = TestCase(head.strip(), function, tuple(args), value, error)
-        except SuiteFormatError:
-            raise
-        except Exception as exc:
+        except MiniLangSyntaxError as exc:
             raise SuiteFormatError(f"line {lineno}: {exc}") from exc
-        tests.append(test)
+        tests.append(TestCase(head.strip(), function, tuple(args), value, error))
     if not tests:
         raise SuiteFormatError("suite file contains no test cases")
     return tests

@@ -64,6 +64,20 @@ class TestRepairCommand:
         code = main(["repair", "--program", str(program), "--suite", str(suite)])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("literal", ["²", "١٢", "9" * 5000, "1e999"],
+                             ids=["superscript", "arabic-indic", "5000-digits", "1e999"])
+    def test_usage_error_on_a_literal_with_no_value(self, tmp_path, capsys, literal):
+        program, suite = tmp_path / "program.ml", tmp_path / "suite.txt"
+        args = ["repair", "--program", str(program), "--suite", str(suite)]
+        program.write_text(f"fn f(x: int) -> int {{\n  return {literal};\n}}\n")
+        suite.write_text("a: f(1) -> 1\n")
+        assert main(args) == EXIT_USAGE
+        assert "(line 2, column 10)" in capsys.readouterr().err
+        program.write_text("fn f(x: int) -> int {\n  return x;\n}\n")
+        suite.write_text(f"a: f(1) -> 1\nb: f({literal}) -> 1\n")
+        assert main(args) == EXIT_USAGE
+        assert "error: line 2: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("levels", [MAX_NESTING, MAX_NESTING + 1])
     def test_nesting_at_and_past_the_limit(self, tmp_path, capsys, levels):
         from test_minilang import deep_ifs

@@ -1,4 +1,6 @@
 """Bundle format, self-checks, grid equivalence, harness, and seeding."""
+import random
+
 import pytest
 
 from condfix.corpus import (
@@ -7,9 +9,10 @@ from condfix.corpus import (
     load_corpus, run_harness, seed_condition_bugs, write_bundle,
 )
 from condfix.pipeline import RepairConfig
-from condfix.errors import BundleError
+from condfix.errors import BundleError, MiniLangSyntaxError
 from condfix.minilang import (
-    NULL, Obj, Patch, PatchKind, apply_patch, parse_expression, parse_program,
+    NULL, Obj, Patch, PatchKind, apply_patch, format_value, parse_expression, parse_program,
+    parse_value_literal,
 )
 from conftest import GCD_BUGGY
 from test_testkit import LINE_BREAKS
@@ -93,6 +96,13 @@ class TestBundleFiles:
             write_bundle(bundle, tmp_path / "copy")
         assert not (tmp_path / "copy").exists()
 
+    def test_write_refuses_a_surrogate_grid_value(self, tmp_path):
+        bundle = load_bundle(default_corpus_dir() / "pm2")
+        bundle.grid = GridSpec({"specific": [NULL, Obj("Str", "a\ud800")], "baseLen": [0, 1]})
+        with pytest.raises(BundleError, match="grid axis 'specific': .*surrogate"):
+            write_bundle(bundle, tmp_path / "copy")
+        assert not (tmp_path / "copy").exists()
+
     def test_self_check_catches_passing_bug(self, tmp_path):
         bundle = BugBundle(
             id="bogus",
@@ -111,6 +121,56 @@ class TestGridSpec:
     def test_bad_range_is_a_bundle_error(self, spec):
         with pytest.raises(BundleError, match="grid range"):
             _parse_grid(spec)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("u = 1..", "malformed grid range 'u = 1..'"),
+        ("v = 0..1; u = 1 . . 5", "malformed grid range 'u = 1 . . 5'"),
+        ("u = 1..2..3", "malformed grid range 'u = 1..2..3'"),
+        ("u = 1.5..3", "malformed grid range 'u = 1.5..3'"),
+        ("u = 5..1 ;", "empty grid range 'u = 5..1': lo must not exceed hi"),
+        ("u = -1..0; v =", "empty grid axis 'v'"),
+        (" ; ;", "empty grid spec: ' ; ;'"),
+    ])
+    def test_grid_error_texts(self, spec, message):
+        with pytest.raises(BundleError) as err:
+            _parse_grid(spec)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("spec, match", [
+        ("u = 1 2", "expected '\\|', found '2' \\(line 1, column 7\\)"),
+        ("u = 1 | ²", "unexpected character '²' \\(line 1, column 9\\)"),
+        ("u v = 1", "expected '=', found 'v'"),
+        ("u = Str(\"a\") || null", "expected '\\|', found '\\|\\|'"),
+    ])
+    def test_a_grid_syntax_error_names_its_column(self, spec, match):
+        with pytest.raises(MiniLangSyntaxError, match=match):
+            _parse_grid(spec)
+
+    def test_axes_of_literals_and_ranges(self):
+        grid = _parse_grid('s = Str("a;b") | null|Str("") ;n = -3..-1;b = true | false')
+        assert grid.axes == {
+            "s": [Obj("Str", "a;b"), NULL, Obj("Str", "")], "n": [-3, -2, -1], "b": [True, False],
+        }
+
+    def test_payloads_from_every_code_point_round_trip(self):
+        """Each Str payload, its characters drawn from every code point but
+        the surrogates (and from the ones escaping cares about), reads back
+        from its literal and from a grid that holds it."""
+        rng = random.Random(19)
+        special = '\\"\n\t|;.=-{}u#' + LINE_BREAKS
+
+        def char():
+            if rng.random() < 0.25:
+                return rng.choice(special)
+            point = rng.randrange(0x110000 - 0x800)
+            return chr(point + 0x800 if point >= 0xD800 else point)
+
+        values = [Obj("Str", "".join(char() for _ in range(rng.randrange(12))))
+                  for _ in range(400)]
+        for value in values:
+            assert parse_value_literal(format_value(value)) == value
+        grid = GridSpec({"s": values, "n": [NULL, 1, -2], "k": [-2, -1, 0]})
+        assert _parse_grid(_render_grid(grid)).axes == grid.axes
 
     def test_single_point_range(self):
         assert _parse_grid("u = 3..3; v = -1..0").axes == {"u": [3], "v": [-1, 0]}

@@ -1,6 +1,7 @@
 """Parser, interpreter, decisions, probes, and patching."""
 import dataclasses
 import gc
+import random
 import sys
 import threading
 import time
@@ -12,17 +13,20 @@ from condfix.corpus import (
     builtin_seeded_bundles, default_corpus_dir, load_bundle, load_corpus, run_harness,
 )
 from condfix.errors import (
-    DeadlineExceeded, KindMismatchError, MiniLangSyntaxError, PatchScopeError,
+    CondfixError, DeadlineExceeded, KindMismatchError, MiniLangSyntaxError, PatchScopeError,
     ResolutionError,
 )
 from condfix.minilang import (
     INT_MAX, INT_MIN, NULL, SKIP, Binary, BoolLit, IfStmt, Obj, Patch, PatchKind, Program,
-    StatementKind, Unary, VarRef, apply_patch, decide, execute,
-    parse_expression, parse_program, probe, render_expr, render_program, shadow_merge,
+    StatementKind, Unary, VarRef, apply_patch, decide, execute, parse_expression,
+    parse_program, parse_value_literal, probe, render_expr, render_program, shadow_merge,
+    wrap_int,
 )
 from condfix.minilang.ast import BLOCKS, depth
 from condfix.minilang.interp import CALL_FRAMES, MAX_CALL_DEPTH, _Lowering
-from condfix.minilang.parser import MAX_NESTING
+from condfix.minilang.lexer import tokenize
+from condfix.minilang.parser import MAX_INT_DIGITS, MAX_NESTING
+from condfix.testkit import parse_suite
 from conftest import GCD_BUGGY
 
 BIG = 1 << 32  # BIG * BIG wraps to 0 in 64-bit arithmetic
@@ -67,6 +71,108 @@ class TestParsing:
         text = render_program(gcd_program)
         again = parse_program(text)
         assert render_program(again) == text
+
+
+# The lexer's contract: each text gives these (kind, text, line, column)
+# tokens, eof last, or raises this (message, line, column).
+LEXER_CASES = {
+    "1..5": [("int", "1", 1, 1), ("op", ".", 1, 2), ("op", ".", 1, 3), ("int", "5", 1, 4),
+             ("eof", "", 1, 5)],
+    "-12..12": [("op", "-", 1, 1), ("int", "12", 1, 2), ("op", ".", 1, 4), ("op", ".", 1, 5),
+                ("int", "12", 1, 6), ("eof", "", 1, 8)],
+    "1.e5": [("int", "1", 1, 1), ("op", ".", 1, 2), ("ident", "e5", 1, 3), ("eof", "", 1, 5)],
+    "1e": [("int", "1", 1, 1), ("ident", "e", 1, 2), ("eof", "", 1, 3)],
+    "1.5e+3": [("real", "1.5e+3", 1, 1), ("eof", "", 1, 7)],
+    "1e5 2E-3 0.25": [("real", "1e5", 1, 1), ("real", "2E-3", 1, 5), ("real", "0.25", 1, 10),
+                      ("eof", "", 1, 14)],
+    "if x1 _y": [("keyword", "if", 1, 1), ("ident", "x1", 1, 4), ("ident", "_y", 1, 7),
+                 ("eof", "", 1, 9)],
+    "x<=-1->y": [("ident", "x", 1, 1), ("op", "<=", 1, 2), ("op", "-", 1, 4), ("int", "1", 1, 5),
+                 ("op", "->", 1, 6), ("ident", "y", 1, 8), ("eof", "", 1, 9)],
+    "a | b || c": [("ident", "a", 1, 1), ("op", "|", 1, 3), ("ident", "b", 1, 5),
+                   ("op", "||", 1, 7), ("ident", "c", 1, 10), ("eof", "", 1, 11)],
+    '"\\\\ \\" \\n \\t \\q \\u{41}"': [("string", '\\ " \n \t q A', 1, 1), ("eof", "", 1, 24)],
+    '"\\u{0}"': [("string", "\0", 1, 1), ("eof", "", 1, 8)],
+    '"\\u{10FFFF}"': [("string", "\U0010ffff", 1, 1), ("eof", "", 1, 13)],
+    'x "\\u{110000}"': ("bad \\u{hex} escape in string literal", 1, 3),
+    'x "\\u{d800}"': ("bad \\u{hex} escape in string literal", 1, 3),
+    'x "\\u41"': ("bad \\u{hex} escape in string literal", 1, 3),
+    'x\n "a\nb"': ("unterminated string literal", 2, 2),
+    'x\n "a\\\nb"': ("unterminated string literal", 2, 2),
+    '"a\\"': ("unterminated string literal", 1, 1),
+    '"\\u{d800}': ("unterminated string literal", 1, 1),
+    "a # b\nc // d": [("ident", "a", 1, 1), ("ident", "c", 2, 1), ("eof", "", 2, 7)],
+    "#x": [("eof", "", 1, 3)],
+    "a\r\nb": [("ident", "a", 1, 1), ("ident", "b", 2, 1), ("eof", "", 2, 2)],
+    "\ta\tb": [("ident", "a", 1, 2), ("ident", "b", 1, 4), ("eof", "", 1, 5)],
+    "a\x0cb": ("unexpected character '\\x0c'", 1, 2),
+    "té": ("unexpected character 'é'", 1, 2),
+    "1²": ("unexpected character '²'", 1, 2),
+    "١٢": ("unexpected character '١'", 1, 1),
+    '"té²" # é': [("string", "té²", 1, 1), ("eof", "", 1, 10)],
+}
+
+# Literals no value can come from: a character outside the ASCII grammar,
+# an int longer than MAX_INT_DIGITS, a real that overflows to inf (which
+# format_real would write as the identifier ``inf``).
+NO_VALUE = {
+    "superscript": ("²", "unexpected character '²'"),
+    "arabic-indic": ("١٢", "unexpected character '١'"),
+    "5000-digits": ("9" * 5000, "int literal longer than 4300 digits"),
+    "1e999": ("1e999", "real literal out of range"),
+}
+
+# Pieces of programs, suites and literals, for texts that are almost input.
+FRAGMENTS = [
+    "fn ", "f", "(", ")", "x", ":", " int", " Str", "->", "{", "}", "return ", ";", "let ",
+    "if ", "while ", "const ", "=", "==", "&&", "!", "-", "+", "null", "true", "1", "9" * 30,
+    "9" * 4301, "1e999", "1e-999", "2.5", ".", "..", "|", '"', "\\", "u{", "d800", "110000",
+    "Str(", "²", "١", "é", "\n", "#", " ", "error ",
+]
+
+
+class TestLexer:
+    @pytest.mark.parametrize("text, expected", LEXER_CASES.items(), ids=map(repr, LEXER_CASES))
+    def test_contract(self, text, expected):
+        if isinstance(expected, list):
+            assert tokenize(text) == expected
+        else:
+            with pytest.raises(MiniLangSyntaxError) as err:
+                tokenize(text)
+            message = str(err.value).rsplit(" (line", 1)[0]
+            assert (message, err.value.line, err.value.column) == expected
+
+    @pytest.mark.parametrize("literal, message", NO_VALUE.values(), ids=NO_VALUE)
+    def test_a_literal_with_no_value_is_a_syntax_error_at_its_position(self, literal, message):
+        with pytest.raises(MiniLangSyntaxError, match=message) as err:
+            parse_program(f"fn f(x: int) -> int {{\n  return {literal};\n}}\n")
+        assert (err.value.line, err.value.column) == (2, 10)
+        with pytest.raises(MiniLangSyntaxError, match=message) as err:
+            parse_expression(f"x + {literal}")
+        assert (err.value.line, err.value.column) == (1, 5)
+        with pytest.raises(MiniLangSyntaxError, match=message) as err:
+            parse_value_literal(f"-{literal}")
+        assert (err.value.line, err.value.column) == (1, 2)
+
+    def test_the_longest_int_literal_wraps(self):
+        text = "7" * MAX_INT_DIGITS
+        assert parse_value_literal(text) == wrap_int(int(text))
+        assert parse_value_literal("-" + text) == wrap_int(-int(text))
+
+    def test_every_parse_entry_raises_only_condfix_errors(self):
+        rng = random.Random(19)
+        programs = [b.program_text for b in load_corpus(default_corpus_dir())]
+        for _ in range(1500):
+            junk = "".join(rng.choice(FRAGMENTS) for _ in range(rng.randrange(25)))
+            program = rng.choice(programs)
+            at = rng.randrange(len(program) + 1)
+            for text in (junk, program[:at] + junk + program[at:]):
+                for parse in (parse_program, parse_expression, parse_value_literal,
+                              lambda t: parse_suite("t: " + t)):
+                    try:
+                        parse(text)
+                    except CondfixError:
+                        pass
 
 
 # Binary operators loosest to tightest, written out independently of

@@ -50,8 +50,10 @@ class TestRepair:
 
     def test_global_timeout_bounds_every_rung(self, even_program, even_suite):
         # Parity is out of reach of every rung, and level 2 alone takes
-        # longer than the global timeout when given the per-rung timeout.
-        config = RepairConfig(global_timeout=1.0)
+        # longer than the global timeout when given the per-rung timeout
+        # and a node budget that no host spends in a second (the default
+        # 2M nodes can take about 0.5 s).
+        config = RepairConfig(global_timeout=1.0, solver_nodes=10**9)
         started = time.monotonic()
         report = repair(even_program, even_suite, config)
         elapsed = time.monotonic() - started

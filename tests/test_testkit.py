@@ -173,3 +173,15 @@ class TestSuiteFormat:
     def test_empty_file_rejected(self):
         with pytest.raises(SuiteFormatError):
             parse_suite("# nothing here\n")
+
+    @pytest.mark.parametrize("literal", ["²", "١٢", "9" * 5000, "1e999"],
+                             ids=["superscript", "arabic-indic", "5000-digits", "1e999"])
+    def test_a_literal_with_no_value_is_a_suite_error(self, literal):
+        # The parser reads the text after the id's ":", so columns count from there.
+        with pytest.raises(SuiteFormatError, match="line 2: .*column 4"):
+            parse_suite(f"ok: f(1) -> 1\nbad: f({literal}) -> 1\n")
+
+    def test_a_surrogate_payload_has_no_literal_form(self):
+        suite = [TestCase("t", "f", (Obj("Str", "a\ud800b"),), expected_value=1)]
+        with pytest.raises(ValueError, match="surrogate"):
+            render_suite(suite)
