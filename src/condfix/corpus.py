@@ -9,6 +9,9 @@ grid for semantic-equivalence checking):
     human_patch.txt   kind / location / expr, one ``key: value`` per line
     meta.txt          id / expected / entry / grid, ``key: value`` lines
 
+``load_bundle`` turns bundle text into values, a ``BugBundle``, and makes
+every static check; ``write_bundle`` renders the values back.
+
 The harness repairs every bundle, checks the outcome against the
 expected tag, measures wasted effort for all metrics against the human
 location, and, when a grid is present, compares the synthesized and human
@@ -18,6 +21,7 @@ stay out of them (they are reported in the JSON report instead).
 from __future__ import annotations
 
 import itertools
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,125 +29,86 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import BundleError, CondfixError
 from .faultloc import METRICS, build_spectrum, wasted_effort
 from .minilang import (
-    DEFAULT_STEP_BUDGET, Binary, ExecutionResult, IfStmt, IntLit, Patch, PatchKind,
-    Program, Value, apply_patch, execute, format_value, parse_expression, parse_grid,
-    parse_program, render_expr, render_program, shadow_merge,
+    DEFAULT_STEP_BUDGET, Binary, ExecutionResult, IfStmt, IntLit, Patch, PatchKind, Program, Value, apply_patch, execute, format_value, parse_expression,
+    parse_grid, parse_program, render_program, shadow_merge,
 )
 from .pipeline import RepairConfig, RepairReport, repair, validate
-from .testkit import SuiteResult, TestCase, parse_suite, run_suite, values_match
+from .testkit import SuiteResult, TestCase, parse_suite, render_suite, run_suite, values_match
 
 FIXABLE = "fixable"
 LIMITATION = "limitation"
-
-
-@dataclass(frozen=True)
-class HumanPatch:
-    kind: PatchKind
-    location: int
-    expression_text: str
-
-    def to_patch(self) -> Patch:
-        return Patch(self.kind, self.location, parse_expression(self.expression_text))
+MAX_GRID_POINTS = 100_000  # pl4's 676 points are the most a packaged grid has
 
 
 @dataclass
 class GridSpec:
-    """Per-parameter value lists; the grid is their cartesian product."""
+    """Per-parameter values, each a list or a range; the grid is their
+    cartesian product."""
 
-    axes: Dict[str, List[Value]]
+    axes: Dict[str, Sequence[Value]]
 
     def size(self) -> int:
+        """The number of points; ``len`` of a range fails past ``sys.maxsize``."""
         total = 1
         for values in self.axes.values():
-            total *= len(values)
+            if isinstance(values, range) and values:
+                total *= (values[-1] - values[0]) // values.step + 1
+            else:
+                total *= len(values)
         return total
 
 
 @dataclass
 class BugBundle:
+    """A bug as values; ``load_bundle`` makes one from a bundle directory."""
+
     id: str
-    program_text: str
-    suite_text: str
-    human: HumanPatch
+    program: Program
+    suite: List[TestCase]
+    human: Patch
     entry: str
     expected: str  # fixable | limitation
     limitation_reason: Optional[str] = None
     grid: Optional[GridSpec] = None
 
-    def program(self) -> Program:
-        return parse_program(self.program_text)
-
-    def suite(self) -> List[TestCase]:
-        return parse_suite(self.suite_text)
-
-    def self_check(self, step_budget: int = DEFAULT_STEP_BUDGET
-                   ) -> Tuple[Program, List[TestCase], SuiteResult]:
-        """Every test must call a function of the program with its number
-        of parameters, the buggy program must fail at least one test and
-        the human patch must make the whole suite pass. Returns the parsed
-        program, the suite and the suite's result on the buggy program."""
-        program = self.program()
-        suite = self.suite()
-        for test in suite:
-            fn = program.functions.get(test.function)
-            if fn is None or len(fn.params) != len(test.args):
-                raise BundleError(f"bundle {self.id}: test {test.id!r} calls {test.function}() "
-                                  f"with {len(test.args)} arguments, which no function takes")
-        baseline = run_suite(program, suite, step_budget=step_budget)
+    def self_check(self, step_budget: int = DEFAULT_STEP_BUDGET) -> SuiteResult:
+        """The buggy program must fail at least one test and the human patch
+        must make the whole suite pass. Returns the suite's result on the
+        buggy program."""
+        baseline = run_suite(self.program, self.suite, step_budget=step_budget)
         if not baseline.failing:
             raise BundleError(f"bundle {self.id}: no failing test on the buggy program")
-        if not validate(program, self.human.to_patch(), suite, step_budget):
+        if not validate(self.program, self.human, self.suite, step_budget):
             raise BundleError(f"bundle {self.id}: human patch does not validate")
-        return program, suite, baseline
+        return baseline
 
 
 # --- bundle files -----------------------------------------------------------
 
 
-def _parse_kv(text: str, what: str) -> Dict[str, str]:
+def _read(directory: Path, name: str, parse):
+    """``parse`` of one bundle file's text; a file that cannot be read or
+    parsed is a BundleError naming the bundle and the file."""
+    try:
+        return parse((directory / name).read_text())
+    except OSError as exc:
+        reason = f"cannot read {name}: {exc.strerror}"
+    except (ValueError, CondfixError) as exc:  # a UnicodeDecodeError is a ValueError
+        reason = f"bad {name}: {exc}"
+    raise BundleError(f"bundle {directory.name}: {reason}")
+
+
+def _parse_kv(text: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise BundleError(f"malformed {what} line: {line!r}")
+            raise BundleError(f"malformed line: {line!r}")
         key, _, value = line.partition(":")
         out[key.strip()] = value.strip()
     return out
-
-
-def _parse_grid(spec: str) -> GridSpec:
-    """The grid ``parse_grid`` reads; a malformed or reversed range, an
-    empty axis or a spec of no axes is a BundleError."""
-    axes: Dict[str, List[Value]] = {}
-    for name, part, values in parse_grid(spec):
-        if values is None:
-            raise BundleError(f"malformed grid range {part!r}")
-        if isinstance(values, range) and not values:
-            raise BundleError(f"empty grid range {part!r}: lo must not exceed hi")
-        if not values:
-            raise BundleError(f"empty grid axis {name!r}")
-        axes[name] = list(values)
-    if not axes:
-        raise BundleError(f"empty grid spec: {spec!r}")
-    return GridSpec(axes)
-
-
-def _render_grid(grid: GridSpec) -> str:
-    parts = []
-    for name, values in grid.axes.items():
-        if not values:
-            raise BundleError(f"empty grid axis {name!r}")
-        ints = [v for v in values if isinstance(v, int) and not isinstance(v, bool)]
-        if len(ints) == len(values) and values == list(range(values[0], values[-1] + 1)):
-            parts.append(f"{name} = {values[0]}..{values[-1]}")
-        else:
-            try:
-                parts.append(f"{name} = " + " | ".join(format_value(v) for v in values))
-            except ValueError as exc:
-                raise BundleError(f"grid axis {name!r}: {exc}") from None
-    return "; ".join(parts)
 
 
 def _field(directory: Path, kv: Dict[str, str], key: str, convert=str):
@@ -156,48 +121,91 @@ def _field(directory: Path, kv: Dict[str, str], key: str, convert=str):
         raise BundleError(f"bundle {directory.name}: bad {key} {kv[key]!r}: {exc}") from None
 
 
-def _expression_text(text: str) -> str:
-    """The text itself, once it parses as an expression."""
-    parse_expression(text)
-    return text
-
-
-def _read(directory: Path, name: str) -> str:
-    """The text of one bundle file; a file that cannot be read is a
+def _parse_grid(spec: str) -> GridSpec:
+    """The grid ``parse_grid`` reads; a malformed or reversed range, an
+    empty axis, a spec of no axes or more than MAX_GRID_POINTS points is a
     BundleError."""
-    try:
-        return (directory / name).read_text()
-    except OSError as exc:
-        raise BundleError(f"bundle {directory.name}: cannot read {name}: {exc.strerror}") from None
+    axes: Dict[str, Sequence[Value]] = {}
+    for name, part, values in parse_grid(spec):
+        if values is None:
+            raise BundleError(f"malformed grid range {part!r}")
+        if isinstance(values, range) and not values:
+            raise BundleError(f"empty grid range {part!r}: lo must not exceed hi")
+        if not values:
+            raise BundleError(f"empty grid axis {name!r}")
+        axes[name] = values
+    if not axes:
+        raise BundleError(f"empty grid spec: {spec!r}")
+    grid = GridSpec(axes)
+    if grid.size() > MAX_GRID_POINTS:
+        raise BundleError(f"{grid.size()} grid points, more than {MAX_GRID_POINTS}")
+    return grid
+
+
+def _render_grid(grid: GridSpec) -> str:
+    parts = []
+    for name, values in grid.axes.items():
+        if not values:
+            raise BundleError(f"empty grid axis {name!r}")
+        if isinstance(values, range) and values.step == 1:
+            parts.append(f"{name} = {values.start}..{values.stop - 1}")
+        else:
+            try:
+                parts.append(f"{name} = " + " | ".join(format_value(v) for v in values))
+            except ValueError as exc:
+                raise BundleError(f"grid axis {name!r}: {exc}") from None
+    return "; ".join(parts)
 
 
 def load_bundle(directory: Path) -> BugBundle:
+    """The bundle in ``directory`` once each file and field parses, each test
+    calls a function with its arity, the human patch applies, the entry is
+    a function and a grid covers exactly its parameters in at most
+    MAX_GRID_POINTS points; else a BundleError naming the bundle and the
+    file or field."""
     directory = Path(directory)
-    program_text = _read(directory, "program.ml")
-    suite_text = _read(directory, "suite.txt")
-    patch_kv = _parse_kv(_read(directory, "human_patch.txt"), "human_patch")
-    meta = _parse_kv(_read(directory, "meta.txt"), "meta")
+    name = directory.name
+    program = _read(directory, "program.ml", parse_program)
+    suite = _read(directory, "suite.txt", parse_suite)
+    for test in suite:
+        fn = program.functions.get(test.function)
+        if fn is None or len(fn.params) != len(test.args):
+            raise BundleError(f"bundle {name}: bad suite.txt: test {test.id!r} calls "
+                              f"{test.function}() with {len(test.args)} arguments, "
+                              "which no function takes")
 
-    human = HumanPatch(
+    patch_kv = _read(directory, "human_patch.txt", _parse_kv)
+    human = Patch(
         _field(directory, patch_kv, "kind", PatchKind),
         _field(directory, patch_kv, "location", int),
-        _field(directory, patch_kv, "expr", _expression_text),
+        _field(directory, patch_kv, "expr", parse_expression),
     )
-    expected = _field(directory, meta, "expected")
-    entry = _field(directory, meta, "entry")
+    try:
+        apply_patch(program, human)
+    except (CondfixError, KeyError) as exc:  # KeyError: no statement at the location
+        raise BundleError(f"bundle {name}: bad human_patch.txt: {exc.args[0]}") from None
 
+    meta = _read(directory, "meta.txt", _parse_kv)
+    expected = _field(directory, meta, "expected")
     reason = None
     if expected.startswith(LIMITATION):
         reason = expected.split(None, 1)[1] if " " in expected else None
         expected = LIMITATION
     elif expected != FIXABLE:
-        raise BundleError(f"bundle {directory.name}: unknown expected tag {expected!r}")
-
+        raise BundleError(f"bundle {name}: unknown expected tag {expected!r}")
+    entry = _field(directory, meta, "entry")
+    fn = program.functions.get(entry)
+    if fn is None:
+        raise BundleError(f"bundle {name}: bad entry {entry!r}: program.ml has no such function")
     grid = _field(directory, meta, "grid", _parse_grid) if "grid" in meta else None
+    params = sorted(p.name for p in fn.params)
+    if grid is not None and sorted(grid.axes) != params:
+        raise BundleError(f"bundle {name}: bad grid: axes {sorted(grid.axes)} are not the "
+                          f"parameters {params} of {entry}")
     return BugBundle(
-        id=meta.get("id", directory.name),
-        program_text=program_text,
-        suite_text=suite_text,
+        id=meta.get("id", name),
+        program=program,
+        suite=suite,
         human=human,
         entry=entry,
         expected=expected,
@@ -218,8 +226,8 @@ def write_bundle(bundle: BugBundle, directory: Path) -> None:
         meta_lines.append(f"grid: {_render_grid(bundle.grid)}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "program.ml").write_text(bundle.program_text)
-    (directory / "suite.txt").write_text(bundle.suite_text)
+    (directory / "program.ml").write_text(render_program(bundle.program))
+    (directory / "suite.txt").write_text(render_suite(bundle.suite))
     (directory / "human_patch.txt").write_text(
         f"kind: {bundle.human.kind.value}\n"
         f"location: {bundle.human.location}\n"
@@ -263,16 +271,10 @@ def check_equivalence(
     runs their ``shadow_merge`` once: a returned value that matches itself
     means both sides return it. Any other outcome, and every point of
     programs without a shared base, runs both sides. Every run is lean:
-    only outcomes are compared.
+    only outcomes are compared. The grid's axes must be the entry's
+    parameters, as ``load_bundle`` checks for a bundle's grid.
     """
-    fn = program_a.functions.get(entry)
-    if fn is None or entry not in program_b.functions:
-        raise BundleError(f"entry function {entry!r} missing from a program")
-    names = [p.name for p in fn.params]
-    if set(names) != set(grid.axes):
-        raise BundleError(
-            f"grid axes {sorted(grid.axes)} do not match parameters {sorted(names)}"
-        )
+    names = [p.name for p in program_a.functions[entry].params]
     empty = sorted(n for n in names if not grid.axes[n])
     if empty:
         raise BundleError(f"grid axes {empty} are empty")
@@ -366,24 +368,13 @@ class HarnessReport:
                     r.wasted[metric] for r in self.rows
                     if r.human_kind == kind and metric in r.wasted
                 )
-                cells.append(f"{_mean(values):.2f}" if values else "")
-                cells.append(f"{_median(values):.2f}" if values else "")
+                cells.append(f"{statistics.mean(values):.2f}" if values else "")
+                cells.append(f"{statistics.median(values):.2f}" if values else "")
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
     def all_expected(self) -> bool:
         return all(r.expected_match for r in self.rows)
-
-
-def _mean(values):
-    return sum(values) / len(values)
-
-
-def _median(values):
-    mid = len(values) // 2
-    if len(values) % 2:
-        return float(values[mid])
-    return (values[mid - 1] + values[mid]) / 2
 
 
 def _csv_escape(cell: str) -> str:
@@ -423,8 +414,9 @@ def bundle_error_row(
 
 
 def _run_bundle(bundle: BugBundle, config: RepairConfig) -> BundleRow:
-    program, suite, baseline = bundle.self_check(config.step_budget)
-    report = repair(program, suite, config, baseline)
+    baseline = bundle.self_check(config.step_budget)
+    program = bundle.program
+    report = repair(program, bundle.suite, config, baseline)
     spectrum = build_spectrum(baseline, program.locations())
     wasted = {
         metric: wasted_effort(spectrum, metric, bundle.human.location)
@@ -442,7 +434,7 @@ def _run_bundle(bundle: BugBundle, config: RepairConfig) -> BundleRow:
         if bundle.grid is not None:
             grid_equivalent = check_equivalence(
                 apply_patch(program, report.patch),
-                apply_patch(program, bundle.human.to_patch()),
+                apply_patch(program, bundle.human),
                 bundle.entry,
                 bundle.grid,
                 config.step_budget,
@@ -522,14 +514,14 @@ def seed_condition_bugs(
             if not baseline.failing or not baseline.passing:
                 continue
             counter += 1
-            human = HumanPatch(PatchKind.CONDITION_UPDATE, loc, render_expr(original))
-            if not validate(mutated, human.to_patch(), suite, config.step_budget):
+            human = Patch(PatchKind.CONDITION_UPDATE, loc, original)
+            if not validate(mutated, human, suite, config.step_budget):
                 continue
             if repair(mutated, suite, config, baseline).patched:
                 bundles.append(BugBundle(
                     id=f"{seed_id}-m{counter:02d}",
-                    program_text=render_program(mutated),
-                    suite_text=suite_text,
+                    program=mutated,
+                    suite=suite,
                     human=human,
                     entry=entry,
                     expected=FIXABLE,

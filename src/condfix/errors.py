@@ -8,6 +8,7 @@ class CondfixError(Exception):
 class MiniLangSyntaxError(CondfixError):
     def __init__(self, message, line, column):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
 

@@ -4,7 +4,7 @@ from .components import (
     ARITHMETIC_TAGS, BOOL, COMPARISON_TAGS, Component, INT, LOGICAL_TAGS,
     MAX_LEVEL, MIN_LEVEL, REAL, components_for_level,
 )
-from .expr import App, Leaf, PatchExpression, evaluate, size, to_minilang, to_source
+from .expr import App, Leaf, PatchExpression, evaluate, to_minilang, to_source
 from .internal import (
     DEFAULT_NODE_BUDGET, SAT, SolveResult, TIMEOUT, UNSAT, solve_internal,
 )
@@ -15,7 +15,7 @@ from .smtlib import emit_smtlib, parse_solver_output, solve, solve_external
 __all__ = [
     "ARITHMETIC_TAGS", "BOOL", "COMPARISON_TAGS", "Component", "INT",
     "LOGICAL_TAGS", "MAX_LEVEL", "MIN_LEVEL", "REAL", "components_for_level",
-    "App", "Leaf", "PatchExpression", "decode", "evaluate", "size",
+    "App", "Leaf", "PatchExpression", "decode", "evaluate",
     "to_minilang", "to_source",
     "DEFAULT_NODE_BUDGET", "SAT", "SolveResult", "TIMEOUT", "UNSAT",
     "solve_internal",

@@ -36,12 +36,6 @@ def evaluate(expr: PatchExpression, values: Dict[str, object]):
     return expr.component.evaluate([evaluate(a, values) for a in expr.args])
 
 
-def size(expr: PatchExpression) -> int:
-    if isinstance(expr, Leaf):
-        return 1
-    return 1 + sum(size(a) for a in expr.args)
-
-
 def to_source(expr: PatchExpression) -> str:
     """Human-readable text; labeled components print call-style."""
     return render_expr(to_minilang(expr))

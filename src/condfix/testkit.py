@@ -133,19 +133,26 @@ def run_suite(
 
 
 def parse_suite(text: str) -> List[TestCase]:
+    """The tests of a suite file; an error names its line (and column)."""
     tests: List[TestCase] = []
+    ids = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        head, sep, tail = line.partition(":")
-        if not sep:
+        colon = raw.find(":")
+        if colon < 0:
             raise SuiteFormatError(f"line {lineno}: expected '<id>: <call> -> <oracle>'")
         try:
-            function, args, value, error = parse_test(tail)
+            # Blanking the id keeps each column where it is in the line.
+            function, args, value, error = parse_test(" " * (colon + 1) + raw[colon + 1:])
         except MiniLangSyntaxError as exc:
-            raise SuiteFormatError(f"line {lineno}: {exc}") from exc
-        tests.append(TestCase(head.strip(), function, tuple(args), value, error))
+            raise SuiteFormatError(f"line {lineno}: {exc.message} (column {exc.column})") from exc
+        test = TestCase(raw[:colon].strip(), function, tuple(args), value, error)
+        if test.id in ids:
+            raise SuiteFormatError(f"line {lineno}: duplicate test id {test.id!r}")
+        ids.add(test.id)
+        tests.append(test)
     if not tests:
         raise SuiteFormatError("suite file contains no test cases")
     return tests

@@ -93,6 +93,27 @@ MISTYPED = {
     ),
 }
 
+# A call used as a statement (location 4) and an else-if chain (the if at
+# 7 is the whole else block of the if at 5); sign throws TooBig for x > 2.
+CALLS = """\
+fn check(x: int) -> bool {
+  if (x > 2) {
+    throw TooBig;
+  }
+  return true;
+}
+
+fn sign(x: int) -> int {
+  check(x);
+  if (x < 0) {
+    return -1;
+  } else if (x == 0) {
+    return 0;
+  }
+  return 1;
+}
+"""
+
 PROBE_FIXTURE = """\
 fn peek(n: int, s: Str) -> int {
   let doubled: int = n + n;

@@ -240,8 +240,8 @@ def test_criterion_09_angelic_soundness_across_corpus():
         if row.report is None:
             continue
         bundle = by_id[row.id]
-        program = bundle.program()
-        tests = {t.id: t for t in bundle.suite()}
+        program = bundle.program
+        tests = {t.id: t for t in bundle.suite}
         for trial in row.report.trials:
             for tup in trial.angelic_tuples:
                 test = tests[tup["test"]]

@@ -61,7 +61,7 @@ def _summary(runs) -> dict:
 def compute_digest(deadline=None) -> dict:
     digest = {}
     for bundle in load_corpus(default_corpus_dir()) + builtin_seeded_bundles():
-        program, suite = bundle.program(), bundle.suite()
+        program, suite = bundle.program, bundle.suite
         ifs = [loc for loc in program.locations()
                if isinstance(program.statement_at(loc), IfStmt)]
         forcings = [decide(program, loc, value) for loc in ifs for value in (True, False)]

@@ -1,15 +1,20 @@
 """CLI surface: repair and bench subcommands, exit codes, artifacts."""
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from condfix.cli import EXIT_NO_PATCH, EXIT_PATCHED, EXIT_USAGE, main
-from condfix.corpus import default_corpus_dir, load_bundle, write_bundle
+from condfix.corpus import MAX_GRID_POINTS, default_corpus_dir, load_bundle, write_bundle
 from condfix.minilang.parser import MAX_NESTING
 from conftest import MISTYPED
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_gcd_inputs(tmp_path: Path):
@@ -250,12 +255,56 @@ class TestBenchCommand:
             suite_file.write_text(suite_file.read_text().replace(old, new))
         out = tmp_path / "r.csv"
         code = main(["bench", "--corpus", str(corpus), "--out", str(out)])
-        assert code == EXIT_NO_PATCH
+        assert code == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
         cm1, cm5, pm2 = csv.DictReader(out.read_text().splitlines())
         assert cm5["id"] == "cm5" and cm5["outcome"] == "patched"
         assert cm1["outcome"] == pm2["outcome"] == "bundle-error"
-        assert cm1["reason"] == ("bundle cm1: test 'above' calls nosuch() with 2 arguments, "
-                                 "which no function takes")
-        assert pm2["reason"] == ("bundle pm2: test 'other' calls describe() with 1 arguments, "
-                                 "which no function takes")
+        assert cm1["reason"] == ("bundle cm1: bad suite.txt: test 'above' calls nosuch() "
+                                 "with 2 arguments, which no function takes")
+        assert pm2["reason"] == ("bundle pm2: bad suite.txt: test 'other' calls describe() "
+                                 "with 1 arguments, which no function takes")
+
+    def test_bench_gives_each_bad_bundle_one_row_and_runs_the_rest(self, tmp_path):
+        # Seven copies of cm1, each bad in one file or field, beside a good
+        # cm2: every copy fails its load with a reason that names it and the
+        # file or field, and cm2's row is its row in the golden harness CSV.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(default_corpus_dir() / "cm2", corpus / "cm2")
+        bad = {
+            "program": ("program.ml", "return 0;", "return 0", "bad program.ml: expected ';'"),
+            "suite": ("suite.txt", "percentile(3, 4)", "percentile(3, 4", "bad suite.txt: line 1"),
+            "undefined": ("suite.txt", "above: percentile", "above: nosuch",
+                          "bad suite.txt: test 'above' calls nosuch()"),
+            "location": ("human_patch.txt", "location: 3", "location: 999",
+                         "bad human_patch.txt: unknown location 999"),
+            "kind": ("human_patch.txt", "condition-update", "precondition-addition",
+                     "bad human_patch.txt: precondition-addition requires statement kind"),
+            "scope": ("human_patch.txt", "expr: pos >= n", "expr: pos >= zz",
+                      "bad human_patch.txt: unresolved identifier 'zz'"),
+            "grid": ("meta.txt", "entry: percentile", "entry: percentile\ngrid: u = 0..9223372036854775807",
+                     f"bad grid 'u = 0..9223372036854775807': 9223372036854775808 grid points, "
+                     f"more than {MAX_GRID_POINTS}"),
+        }
+        for name, (file, old, new, _) in bad.items():
+            shutil.copytree(default_corpus_dir() / "cm1", corpus / name)
+            path = corpus / name / file
+            assert old in path.read_text()
+            path.write_text(path.read_text().replace(old, new, 1))
+        out = tmp_path / "r.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "condfix.cli", "bench", "--corpus", str(corpus), "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == EXIT_USAGE
+        assert "Traceback" not in done.stderr
+        assert (tmp_path / "r_effort.csv").exists()
+        lines = out.read_text().splitlines()
+        rows = {row["id"]: row for row in csv.DictReader(lines)}
+        assert sorted(rows) == sorted([*bad, "cm2"])
+        for name, (_, _, _, reason) in bad.items():
+            assert rows[name]["outcome"] == "bundle-error"
+            assert rows[name]["reason"].startswith(f"bundle {name}: {reason}"), rows[name]["reason"]
+        golden = (Path(__file__).parent / "data" / "harness.csv").read_text().splitlines()
+        assert [line for line in lines if line.startswith("cm2,")] == [
+            line for line in golden if line.startswith("cm2,")]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from condfix.corpus import (
-    BugBundle, GridSpec, HumanPatch, _parse_grid, _render_grid, builtin_seed_sources,
+    MAX_GRID_POINTS, BugBundle, GridSpec, _parse_grid, _render_grid, builtin_seed_sources,
     builtin_seeded_bundles, check_equivalence, default_corpus_dir, load_bundle,
     load_corpus, run_harness, seed_condition_bugs, write_bundle,
 )
@@ -12,12 +12,25 @@ from condfix.pipeline import RepairConfig
 from condfix.errors import BundleError, MiniLangSyntaxError
 from condfix.minilang import (
     NULL, Obj, Patch, PatchKind, apply_patch, format_value, parse_expression, parse_program,
-    parse_value_literal,
+    parse_value_literal, render_program,
 )
+from condfix.testkit import parse_suite
 from conftest import GCD_BUGGY
 from test_testkit import LINE_BREAKS
 
 GCD_FIXED = GCD_BUGGY.replace("u * v == 0", "u == 0 || v == 0")
+
+
+def passing_bundle(bundle_id):
+    """A bundle whose "buggy" program already passes its suite."""
+    return BugBundle(
+        id=bundle_id,
+        program=parse_program(GCD_FIXED),
+        suite=parse_suite("a: gcd(0, 6) -> 6\n"),
+        human=Patch(PatchKind.CONDITION_UPDATE, 1, parse_expression("u == 0 || v == 0")),
+        entry="gcd",
+        expected="fixable",
+    )
 
 
 class TestBundleFiles:
@@ -36,8 +49,8 @@ class TestBundleFiles:
         write_bundle(original, tmp_path / "copy")
         again = load_bundle(tmp_path / "copy")
         assert again.id == original.id
-        assert again.program_text == original.program_text
-        assert again.suite_text == original.suite_text
+        assert render_program(again.program) == render_program(original.program)
+        assert again.suite == original.suite
         assert again.human == original.human
         assert again.grid.axes == original.grid.axes
 
@@ -45,7 +58,7 @@ class TestBundleFiles:
         original = load_bundle(default_corpus_dir() / "pm2")  # a grid axis of Str values
         write_bundle(original, tmp_path / "copy")
         again = load_bundle(tmp_path / "copy")
-        assert again.suite() == original.suite()
+        assert again.suite == original.suite
         assert again.grid.axes == original.grid.axes
 
     def test_round_trip_of_strings_holding_grid_separators(self, tmp_path):
@@ -78,7 +91,13 @@ class TestBundleFiles:
         ("human_patch.txt", "kind: condition-update", "kind: loop-update", "kind 'loop-update'"),
         ("meta.txt", "u = -12..12;", "u = ;", "grid .*empty grid axis 'u'"),
         ("human_patch.txt", "expr: u == 0 || v == 0", "expr: u == || v", "expr 'u == \\|\\| v'"),
-    ], ids=["word-location", "real-location", "unknown-kind", "empty-grid-axis", "malformed-expr"])
+        ("meta.txt", "entry: gcd", "entry: lcm", "entry 'lcm': program.ml has no such function"),
+        ("meta.txt", "u = -12..12; v", "w = -12..12; v",
+         "grid: axes \\['v', 'w'\\] are not the parameters \\['u', 'v'\\] of gcd"),
+        ("meta.txt", "-12..12; v = -12..12", "0..999; v = 0..100",
+         f"grid .*: 101000 grid points, more than {MAX_GRID_POINTS}"),
+    ], ids=["word-location", "real-location", "unknown-kind", "empty-grid-axis", "malformed-expr",
+            "unknown-entry", "axes-not-parameters", "too-many-points"])
     def test_bad_field_is_a_bundle_error_naming_bundle_and_field(
         self, tmp_path, file, old, new, match
     ):
@@ -104,14 +123,7 @@ class TestBundleFiles:
         assert not (tmp_path / "copy").exists()
 
     def test_self_check_catches_passing_bug(self, tmp_path):
-        bundle = BugBundle(
-            id="bogus",
-            program_text=GCD_FIXED,
-            suite_text="a: gcd(0, 6) -> 6\n",
-            human=HumanPatch(PatchKind.CONDITION_UPDATE, 1, "u == 0 || v == 0"),
-            entry="gcd",
-            expected="fixable",
-        )
+        bundle = passing_bundle("bogus")
         with pytest.raises(BundleError, match="no failing test"):
             bundle.self_check()
 
@@ -130,6 +142,9 @@ class TestGridSpec:
         ("u = 5..1 ;", "empty grid range 'u = 5..1': lo must not exceed hi"),
         ("u = -1..0; v =", "empty grid axis 'v'"),
         (" ; ;", "empty grid spec: ' ; ;'"),
+        ("u = 0..9223372036854775807", "9223372036854775808 grid points, more than 100000"),
+        ("u = 0..99999999999", "100000000000 grid points, more than 100000"),
+        ("u = 1..1000; v = 0 | 1 | 2 | 3; w = -12..13", "104000 grid points, more than 100000"),
     ])
     def test_grid_error_texts(self, spec, message):
         with pytest.raises(BundleError) as err:
@@ -149,7 +164,7 @@ class TestGridSpec:
     def test_axes_of_literals_and_ranges(self):
         grid = _parse_grid('s = Str("a;b") | null|Str("") ;n = -3..-1;b = true | false')
         assert grid.axes == {
-            "s": [Obj("Str", "a;b"), NULL, Obj("Str", "")], "n": [-3, -2, -1], "b": [True, False],
+            "s": [Obj("Str", "a;b"), NULL, Obj("Str", "")], "n": range(-3, 0), "b": [True, False],
         }
 
     def test_payloads_from_every_code_point_round_trip(self):
@@ -172,8 +187,16 @@ class TestGridSpec:
         grid = GridSpec({"s": values, "n": [NULL, 1, -2], "k": [-2, -1, 0]})
         assert _parse_grid(_render_grid(grid)).axes == grid.axes
 
+    def test_a_range_axis_stays_a_range(self):
+        # The cap is MAX_GRID_POINTS itself; a range is never expanded.
+        grid = _parse_grid("u = 1..1000; v = 0..99")
+        assert grid.axes == {"u": range(1, 1001), "v": range(0, 100)}
+        assert grid.size() == MAX_GRID_POINTS
+        assert GridSpec({"u": range(0, 1 << 70), "v": [1, 2]}).size() == 1 << 71
+        assert _render_grid(grid) == "u = 1..1000; v = 0..99"
+
     def test_single_point_range(self):
-        assert _parse_grid("u = 3..3; v = -1..0").axes == {"u": [3], "v": [-1, 0]}
+        assert _parse_grid("u = 3..3; v = -1..0").axes == {"u": range(3, 4), "v": range(-1, 1)}
 
     def test_reversed_range_in_meta_fails_the_load(self, tmp_path):
         bundle = load_bundle(default_corpus_dir() / "cm5")
@@ -213,14 +236,12 @@ class TestEquivalence:
 
     def test_cl4_redundant_null_form_is_equivalent(self):
         bundle = load_bundle(default_corpus_dir() / "cl4")
-        program = bundle.program()
-        from condfix.minilang import Patch, parse_expression
-
+        program = bundle.program
         paper_form = Patch(
             PatchKind.CONDITION_UPDATE, 4,
             parse_expression("!(substr != null) || startIndex >= size"),
         )
-        human = bundle.human.to_patch()
+        human = bundle.human
         assert check_equivalence(
             apply_patch(program, paper_form),
             apply_patch(program, human),
@@ -323,14 +344,7 @@ class TestHarness:
         assert report.to_csv().count("\n") == 1  # header only
 
     def test_invalid_bundle_becomes_error_row(self):
-        bogus = BugBundle(
-            id="broken",
-            program_text=GCD_FIXED,
-            suite_text="a: gcd(0, 6) -> 6\n",
-            human=HumanPatch(PatchKind.CONDITION_UPDATE, 1, "u == 0 || v == 0"),
-            entry="gcd",
-            expected="fixable",
-        )
+        bogus = passing_bundle("broken")
         good = load_bundle(default_corpus_dir() / "pm2")
         report = run_harness([bogus, good])
         outcomes = {r.id: r.outcome for r in report.rows}

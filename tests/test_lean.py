@@ -90,7 +90,7 @@ def sweep_programs(program):
 
 def test_budget_sweep_programs_at_a_spread_of_budgets(bundles):
     for bundle in bundles:
-        program, suite = bundle.program(), bundle.suite()
+        program, suite = bundle.program, bundle.suite
         for test in suite:
             for run, _ in sweep_programs(program):
                 full = execute(run, test.function, list(test.args))
@@ -102,7 +102,7 @@ def test_budget_sweep_programs_at_a_spread_of_budgets(bundles):
 
 def test_probed_runs_of_the_budget_sweep_programs_at_a_spread_of_budgets(bundles):
     for bundle in bundles:
-        program, suite = bundle.program(), bundle.suite()
+        program, suite = bundle.program, bundle.suite
         for run, locations in sweep_programs(program):
             probed = {loc: probe(run, loc) for loc in locations}
             for test in suite:

@@ -9,7 +9,7 @@ import dataclasses
 import pytest
 
 from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus
-from condfix.minilang import parse_program
+from condfix.minilang import parse_program, render_program
 from condfix.minilang.lexer import tokenize
 from condfix.pipeline import repair
 
@@ -27,6 +27,11 @@ UNUSED_STATEMENTS = 4
 
 BUNDLES = load_corpus(default_corpus_dir()) + builtin_seeded_bundles()
 each_bundle = pytest.mark.parametrize("bundle", BUNDLES, ids=[b.id for b in BUNDLES])
+
+
+def source(bundle):
+    """The bundle's program as text, as its ``program.ml`` holds it."""
+    return render_program(bundle.program)
 
 
 def report(program_text, suite):
@@ -89,42 +94,42 @@ def renamed(text, names, function=None):
 
 @each_bundle
 def test_reversing_the_suite_keeps_the_report(bundle):
-    suite = bundle.suite()
-    assert report(bundle.program_text, suite[::-1]) == report(bundle.program_text, suite)
+    suite = bundle.suite
+    assert report(source(bundle), suite[::-1]) == report(source(bundle), suite)
 
 
 @each_bundle
 def test_appending_an_unused_function_keeps_the_report(bundle):
-    suite = bundle.suite()
-    assert report(bundle.program_text + UNUSED, suite) == report(bundle.program_text, suite)
+    suite = bundle.suite
+    assert report(source(bundle) + UNUSED, suite) == report(source(bundle), suite)
 
 
 @each_bundle
 def test_prepending_an_unused_function_shifts_every_location(bundle):
-    suite = bundle.suite()
+    suite = bundle.suite
     assert parse_program(UNUSED).locations() == list(range(1, UNUSED_STATEMENTS + 1))
-    expected = shifted(report(bundle.program_text, suite), UNUSED_STATEMENTS)
-    assert report(UNUSED + bundle.program_text, suite) == expected
+    expected = shifted(report(source(bundle), suite), UNUSED_STATEMENTS)
+    assert report(UNUSED + source(bundle), suite) == expected
 
 
 @each_bundle
 def test_doubling_the_suite_keeps_the_answer(bundle):
-    suite = bundle.suite()
+    suite = bundle.suite
     doubled = suite + [dataclasses.replace(t, id=f"{t.id}_again") for t in suite]
     assert len({t.id for t in doubled}) == 2 * len(suite)
     answer = ("outcome", "reason", "patch", "level")
-    once, twice = report(bundle.program_text, suite), report(bundle.program_text, doubled)
+    once, twice = report(source(bundle), suite), report(source(bundle), doubled)
     assert {key: twice[key] for key in answer} == {key: once[key] for key in answer}
 
 
 @each_bundle
 def test_renaming_parameters_and_locals_renames_the_patch(bundle):
-    suite, names = bundle.suite(), renaming(bundle.program_text)
-    program_text = renamed(bundle.program_text, names)
-    assert program_text != bundle.program_text
-    expected = report(bundle.program_text, suite)
+    suite, names = bundle.suite, renaming(source(bundle))
+    program_text = renamed(source(bundle), names)
+    assert program_text != source(bundle)
+    expected = report(source(bundle), suite)
     if expected["patch"] is not None:
         patch = expected["patch"]
-        function = parse_program(bundle.program_text).function_of(patch["location"])
+        function = parse_program(source(bundle)).function_of(patch["location"])
         patch["expression"] = renamed(patch["expression"], names, function)
     assert report(program_text, suite) == expected

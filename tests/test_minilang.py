@@ -17,7 +17,7 @@ from condfix.errors import (
     ResolutionError,
 )
 from condfix.minilang import (
-    INT_MAX, INT_MIN, NULL, SKIP, Binary, BoolLit, IfStmt, Obj, Patch, PatchKind, Program,
+    INT_MAX, INT_MIN, NULL, SKIP, Binary, BoolLit, CallStmt, IfStmt, Obj, Patch, PatchKind, Program,
     StatementKind, Unary, VarRef, apply_patch, decide, execute, parse_expression,
     parse_program, parse_value_literal, probe, render_expr, render_program, shadow_merge,
     wrap_int,
@@ -27,7 +27,7 @@ from condfix.minilang.interp import CALL_FRAMES, MAX_CALL_DEPTH, _Lowering
 from condfix.minilang.lexer import tokenize
 from condfix.minilang.parser import MAX_INT_DIGITS, MAX_NESTING
 from condfix.testkit import parse_suite
-from conftest import GCD_BUGGY
+from conftest import CALLS, GCD_BUGGY
 
 BIG = 1 << 32  # BIG * BIG wraps to 0 in 64-bit arithmetic
 
@@ -161,7 +161,7 @@ class TestLexer:
 
     def test_every_parse_entry_raises_only_condfix_errors(self):
         rng = random.Random(19)
-        programs = [b.program_text for b in load_corpus(default_corpus_dir())]
+        programs = [render_program(b.program) for b in load_corpus(default_corpus_dir())]
         for _ in range(1500):
             junk = "".join(rng.choice(FRAGMENTS) for _ in range(rng.randrange(25)))
             program = rng.choice(programs)
@@ -733,7 +733,7 @@ class TestCallDepth:
         # where the condition was its function's deepest part.
         lowered = set()
         for bundle in load_corpus(default_corpus_dir()) + builtin_seeded_bundles():
-            program = bundle.program()
+            program = bundle.program
             expected = self.reservations(program)
             for loc in program.locations():
                 assert self.reservations(probe(program, loc)) == expected, (bundle.id, loc)
@@ -756,9 +756,50 @@ class TestCallDepth:
     def test_skipping_a_deep_statement_lowers_the_reservation(
         self, bundle, loc, function, before, after
     ):
-        program = load_bundle(default_corpus_dir() / bundle).program()
+        program = load_bundle(default_corpus_dir() / bundle).program
         assert self.reservations(program)[function] == before
         assert self.reservations(decide(program, loc, SKIP))[function] == after
+
+
+class TestCallStatement:
+    """A call used as a statement, and an else-if chain."""
+
+    def test_parse_and_print_round_trip(self):
+        program = parse_program(CALLS)
+        assert isinstance(program.statement_at(4), CallStmt)
+        assert program.statement_at(5).else_body == (program.statement_at(7),)
+        text = render_program(program)
+        assert "  check(x);\n" in text and "  } else {\n    if (x == 0) {\n" in text
+        assert render_program(parse_program(text)) == text
+
+    @pytest.mark.parametrize("x, value, error, steps, hits", [
+        # the call statement's entry, its call and argument, then check's
+        # if, condition (3) and return (2): 9 steps before sign's if
+        (-3, -1, None, 16, {1: 1, 3: 1, 4: 1, 5: 1, 6: 1}),
+        (0, 0, None, 19, {1: 1, 3: 1, 4: 1, 5: 1, 7: 1, 8: 1}),
+        (2, 1, None, 19, {1: 1, 3: 1, 4: 1, 5: 1, 7: 1, 9: 1}),
+        (5, None, "TooBig", 8, {1: 1, 2: 1, 4: 1}),
+    ])
+    def test_steps_and_hits(self, x, value, error, steps, hits):
+        program = parse_program(CALLS)
+        result = execute(program, "sign", [x])
+        assert (result.value, result.error, result.steps, result.hits) == (value, error, steps, hits)
+        lean = execute(program, "sign", [x], record=False)
+        assert (lean.value, lean.error, lean.steps, lean.hits) == (value, error, steps, {})
+
+    @pytest.mark.parametrize("argument, frames, calls", [
+        ("n - 1", 8, 75), ("n - 1 + 0 * (n - n)", 10, 60), ("-(-(-(-(n - 1))))", 12, 50),
+    ])
+    def test_call_depth_reservation(self, argument, frames, calls):
+        # A call statement's frame holds its call expression's nesting, so a
+        # deeper argument reserves more frames per call and allows fewer.
+        program = parse_program(
+            f"fn down(n: int) -> int {{\n  if (n > 0) {{\n    down({argument});\n  }}\n"
+            "  return 0;\n}\n"
+        )
+        assert TestCallDepth.reservations(program) == {"down": frames}
+        result = execute(program, "down", [500])
+        assert result.timed_out and result.hits[1] == calls == MAX_CALL_DEPTH * CALL_FRAMES // frames
 
 
 class TestCompiledCache:

@@ -1,4 +1,5 @@
 """End-to-end repair orchestration."""
+import dataclasses
 import time
 
 import pytest
@@ -8,10 +9,10 @@ from condfix.corpus import default_corpus_dir, load_corpus
 from condfix.errors import NoFailingTestError
 from condfix.minilang import Patch, PatchKind, parse_expression, parse_program
 from condfix.pipeline import (
-    CONFLICTING_TRACE, EXECUTION_TIMEOUT, EXHAUSTED, NO_ANGELIC_VALUE, RepairConfig,
-    render_patch_diff, repair, validate,
+    CONFLICTING_TRACE, EXECUTION_TIMEOUT, EXHAUSTED, NO_ANGELIC_VALUE, SYNTHESIS_TIMEOUT,
+    RepairConfig, render_patch_diff, repair, validate,
 )
-from condfix.synth import MAX_LEVEL, MIN_LEVEL, decode
+from condfix.synth import MAX_LEVEL, MIN_LEVEL, decode, solve
 from condfix.synth import problem as synth_problem
 from condfix.testkit import parse_suite
 from conftest import MISTYPED
@@ -78,7 +79,7 @@ class TestRepair:
         # No run of these repairs reaches 4,096 steps, so no run reads the
         # clock; each ranked location does as it starts.
         bundle = next(b for b in load_corpus(default_corpus_dir()) if b.id == bundle_id)
-        program, suite = bundle.program(), bundle.suite()
+        program, suite = bundle.program, bundle.suite
         full = repair(program, suite, RepairConfig())
         assert full.reason in (CONFLICTING_TRACE, NO_ANGELIC_VALUE)
         report = repair(program, suite, RepairConfig(global_timeout=1e-4))
@@ -241,6 +242,63 @@ class TestNoPatchReasons:
         report = repair(program, suite, RepairConfig())
         assert not report.patched
         assert report.reason == EXECUTION_TIMEOUT
+
+
+def rungs(report):
+    """(location, trial status, [(level, rung status)]) of each trial."""
+    return [(t.loc, t.status, [(level.level, level.status) for level in t.levels])
+            for t in report.trials]
+
+
+class TestLadderEnds:
+    """A ladder that climbs to ``max_level`` without a patch."""
+
+    def test_rungs_stopped_by_the_node_budget_end_as_a_synthesis_timeout(
+        self, even_program, even_suite
+    ):
+        report = repair(even_program, even_suite, RepairConfig(max_level=2, solver_nodes=1000))
+        assert report.reason == SYNTHESIS_TIMEOUT
+        assert rungs(report)[0] == (1, SYNTHESIS_TIMEOUT, [(1, "unsat"), (2, "timeout")])
+
+    def test_a_guard_that_fits_only_first_hits_is_an_invalid_patch(self):
+        # A precondition's trace holds each test's first hit only. There
+        # i = 0 and c = 0 for every test, so a guard on i fits the rows,
+        # but in d's later iterations it skips the counting it should do.
+        program = parse_program(
+            "fn f(n: int, k: int) -> int {\n"
+            "  let c: int = 0;\n"
+            "  let i: int = 0;\n"
+            "  while (i < n) {\n"
+            "    c = c + 1;\n"
+            "    i = i + 1;\n"
+            "  }\n"
+            "  return c;\n"
+            "}\n"
+        )
+        suite = parse_suite(
+            "a: f(3, 5) -> 3\nb: f(2, 2) -> 2\nd: f(4, 1) -> 4\ne: f(3, 0) -> 0\ng: f(2, 0) -> 0\n"
+        )
+        report = repair(program, suite, RepairConfig(max_level=2))
+        assert not report.patched
+        assert (4, EXHAUSTED, [(1, "invalid-patch"), (2, "invalid-patch")]) in rungs(report)
+
+    def test_a_model_that_fits_no_row_is_an_unanswered_rung(
+        self, gcd_program, gcd_suite, monkeypatch
+    ):
+        # A backend that answers sat with a well-formed model of another
+        # problem: the one whose rows all expect the other outcome.
+        def junk(problem, backend, timeout, nodes):
+            flipped = dataclasses.replace(problem, rows=[(v, not e) for v, e in problem.rows])
+            return solve(flipped, backend, timeout, nodes)
+
+        monkeypatch.setattr(pipeline, "solve", junk)
+        report = repair(gcd_program, gcd_suite, RepairConfig(max_level=2))
+        assert report.reason == SYNTHESIS_TIMEOUT
+        answered = [t for t in rungs(report) if t[2]]
+        assert answered and all(
+            status == SYNTHESIS_TIMEOUT and levels == [(1, "invalid-patch"), (2, "invalid-patch")]
+            for _, status, levels in answered
+        )
 
 
 class TestValidate:

@@ -23,6 +23,7 @@ from condfix.minilang import (
     LetStmt, MethodCall, NullLit, Obj, RealLit, ReturnStmt, StatementKind, ThrowStmt,
     Unary, VarRef, WhileStmt, decide, execute, parse_program, probe,
 )
+from conftest import CALLS
 
 TIMEOUT = "TimeoutDuringExecution"
 
@@ -253,7 +254,7 @@ BUNDLES = load_corpus(default_corpus_dir()) + builtin_seeded_bundles()
 
 @pytest.mark.parametrize("bundle", BUNDLES, ids=[b.id for b in BUNDLES])
 def test_every_suite_test_of_the_corpus(bundle):
-    program, suite = bundle.program(), bundle.suite()
+    program, suite = bundle.program, bundle.suite
     for test in suite:
         check(program, test.function, test.args, 1_000_000)
     # an edit can loop for ever, so edited runs get the workload's budget
@@ -265,6 +266,16 @@ def test_every_suite_test_of_the_corpus(bundle):
         full = execute(program, test.function, test.args)
         for budget in range(min(full.steps, 200) + 1):
             check(program, test.function, test.args, budget)
+
+
+def test_a_call_statement_and_an_else_if():
+    program = parse_program(CALLS)
+    for edited in edits(program):
+        for x in range(-3, 5):
+            check(edited, "sign", [x], BUDGET)
+    for x in (-3, 0, 5):
+        for budget in range(20):
+            check(program, "sign", [x], budget)
 
 
 # The three loop shapes of the benchmark's ``diverge`` workload, with

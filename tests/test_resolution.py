@@ -133,9 +133,10 @@ def corpus_programs():
     children, and their merge."""
     programs = []
     for bundle in load_corpus(default_corpus_dir()) + builtin_seeded_bundles():
-        program, suite, baseline = bundle.self_check()
+        baseline = bundle.self_check()
+        program, suite = bundle.program, bundle.suite
         programs.append((bundle.id, program))
-        human = apply_patch(program, bundle.human.to_patch())
+        human = apply_patch(program, bundle.human)
         programs.append((f"{bundle.id}/human", human))
         report = repair(program, suite, baseline=baseline)
         if report.patched:

@@ -60,9 +60,10 @@ def grid_pairs():
     pairs = []
     for name in GRID_BUNDLES:
         bundle = load_bundle(default_corpus_dir() / name)
-        program, suite, baseline = bundle.self_check()
+        baseline = bundle.self_check()
+        program, suite = bundle.program, bundle.suite
         report = repair(program, suite, baseline=baseline)
-        pairs.append((bundle, program, report.patch, bundle.human.to_patch()))
+        pairs.append((bundle, program, report.patch, bundle.human))
     return pairs
 
 
@@ -140,8 +141,8 @@ class TestDifferential:
     ])
     def test_condition_update_against_precondition(self, name, condition):
         bundle = load_bundle(default_corpus_dir() / name)
-        program = bundle.program()
-        pre = apply_patch(program, bundle.human.to_patch())
+        program = bundle.program
+        pre = apply_patch(program, bundle.human)
         cond = child(program, CONDITION, *condition)
         verdict(pre, cond, bundle.entry, bundle.grid)
         verdict(cond, pre, bundle.entry, bundle.grid)

@@ -2,9 +2,9 @@
 import pytest
 
 from condfix.errors import SuiteFormatError
-from condfix.minilang import ExecutionResult, NULL, Obj, execute
+from condfix.minilang import ExecutionResult, NULL, Obj, execute, parse_program
 from condfix.testkit import (
-    TestCase, parse_suite, render_suite, run_suite, verdict_holds,
+    TestCase, parse_suite, render_suite, run_suite, values_match, verdict_holds,
 )
 
 # Every character ``str.splitlines`` breaks a line at.
@@ -40,6 +40,21 @@ class TestVerdicts:
         test = TestCase("t", "f", (), expected_error="TimeoutDuringExecution")
         result = ExecutionResult(error="TimeoutDuringExecution", timed_out=True)
         assert not verdict_holds(result, test)
+
+    def test_null_and_object_oracles(self):
+        program = parse_program(
+            "fn pick(s: Str, b: bool) -> Str {\n  if (b) {\n    return s;\n  }\n  return null;\n}\n"
+        )
+        suite = parse_suite("""\
+obj: pick(Str("a"), true) -> Str("a")
+null: pick(Str("a"), false) -> null
+other_payload: pick(Str("a"), true) -> Str("b")
+obj_not_null: pick(Str("a"), true) -> null
+null_not_obj: pick(Str("a"), false) -> Str("a")
+null_not_zero: pick(Str("a"), false) -> 0
+""")
+        assert run_suite(program, suite).passing == {"obj", "null"}
+        assert not values_match(Obj("Str", "a"), Obj("Text", "a"))
 
     def test_exactly_one_oracle_enforced(self):
         with pytest.raises(SuiteFormatError):
@@ -177,9 +192,23 @@ class TestSuiteFormat:
     @pytest.mark.parametrize("literal", ["²", "١٢", "9" * 5000, "1e999"],
                              ids=["superscript", "arabic-indic", "5000-digits", "1e999"])
     def test_a_literal_with_no_value_is_a_suite_error(self, literal):
-        # The parser reads the text after the id's ":", so columns count from there.
-        with pytest.raises(SuiteFormatError, match="line 2: .*column 4"):
+        # Columns count in the file line, id included.
+        with pytest.raises(SuiteFormatError, match=r"line 2: .*\(column 8\)"):
             parse_suite(f"ok: f(1) -> 1\nbad: f({literal}) -> 1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("ok: f(1) -> 1\nbad: f(1e999) -> 1\n", "line 2: real literal out of range (column 8)"),
+        ("t9: gcd(1, 2 -> 3\n", "line 1: expected ',', found '->' (column 14)"),
+        ("  t9:gcd(1, 2 -> 3\n", "line 1: expected ',', found '->' (column 15)"),
+    ])
+    def test_a_syntax_error_names_its_column_in_the_file_line(self, text, message):
+        with pytest.raises(SuiteFormatError) as err:
+            parse_suite(text)
+        assert str(err.value) == message
+
+    def test_a_duplicate_id_names_its_line(self):
+        with pytest.raises(SuiteFormatError, match="^line 3: duplicate test id 'a'$"):
+            parse_suite("a: f(1) -> 1\nb: f(2) -> 2\na: f(3) -> 3\n")
 
     def test_a_surrogate_payload_has_no_literal_form(self):
         suite = [TestCase("t", "f", (Obj("Str", "a\ud800b"),), expected_value=1)]
