@@ -26,13 +26,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BundleError, CondfixError
+from .errors import BundleError, CondfixError, SuiteFormatError
 from .faultloc import METRICS, build_spectrum, wasted_effort
 from .minilang import (
     DEFAULT_STEP_BUDGET, Binary, ExecutionResult, IfStmt, IntLit, Patch, PatchKind, Program, Value, apply_patch, execute, format_value, parse_expression,
     parse_grid, parse_program, render_program, shadow_merge,
 )
-from .pipeline import RepairConfig, RepairReport, repair, validate
+from .pipeline import REASONS, RepairConfig, RepairReport, repair, validate
 from .testkit import SuiteResult, TestCase, parse_suite, render_suite, run_suite, values_match
 
 FIXABLE = "fixable"
@@ -75,7 +75,10 @@ class BugBundle:
         """The buggy program must fail at least one test and the human patch
         must make the whole suite pass. Returns the suite's result on the
         buggy program."""
-        baseline = run_suite(self.program, self.suite, step_budget=step_budget)
+        try:
+            baseline = run_suite(self.program, self.suite, step_budget=step_budget)
+        except SuiteFormatError as exc:  # a suite built in code, not read by load_bundle
+            raise BundleError(f"bundle {self.id}: bad suite: {exc}") from None
         if not baseline.failing:
             raise BundleError(f"bundle {self.id}: no failing test on the buggy program")
         if not validate(self.program, self.human, self.suite, step_budget):
@@ -119,6 +122,17 @@ def _field(directory: Path, kv: Dict[str, str], key: str, convert=str):
         return convert(kv[key])
     except (ValueError, CondfixError) as exc:
         raise BundleError(f"bundle {directory.name}: bad {key} {kv[key]!r}: {exc}") from None
+
+
+def _parse_expected(text: str) -> Tuple[str, Optional[str]]:
+    """``fixable``, or ``limitation`` with an optional repair-report reason."""
+    tag, _, reason = text.partition(" ")
+    reason = reason.strip() or None
+    if tag == LIMITATION and reason not in (None, *REASONS):
+        raise ValueError(f"unknown reason {reason!r}, not one of {', '.join(REASONS)}")
+    if tag not in (FIXABLE, LIMITATION) or (tag == FIXABLE and reason is not None):
+        raise ValueError(f"unknown tag, not {FIXABLE} or {LIMITATION} <reason>")
+    return tag, reason
 
 
 def _parse_grid(spec: str) -> GridSpec:
@@ -186,13 +200,7 @@ def load_bundle(directory: Path) -> BugBundle:
         raise BundleError(f"bundle {name}: bad human_patch.txt: {exc.args[0]}") from None
 
     meta = _read(directory, "meta.txt", _parse_kv)
-    expected = _field(directory, meta, "expected")
-    reason = None
-    if expected.startswith(LIMITATION):
-        reason = expected.split(None, 1)[1] if " " in expected else None
-        expected = LIMITATION
-    elif expected != FIXABLE:
-        raise BundleError(f"bundle {name}: unknown expected tag {expected!r}")
+    expected, reason = _field(directory, meta, "expected", _parse_expected)
     entry = _field(directory, meta, "entry")
     fn = program.functions.get(entry)
     if fn is None:

@@ -56,6 +56,7 @@ _REASON_PRIORITY = [
     CONFLICTING_TRACE,
     SYNTHESIS_TIMEOUT,
 ]
+REASONS = (*_REASON_PRIORITY, EXHAUSTED)  # every reason a no-patch report can give
 
 
 @dataclass

@@ -42,6 +42,21 @@ pushed last, the last ref of its type, is always unconsumed. So:
   one as ``(x, m)``, ``x`` before ``m``, then ``(m, y)``;
 - two, ``a`` before ``b``, close only a binary root, as ``(a, b)`` or
   ``(b, a)``.
+
+When no component outputs an int or a real (levels 1 and 2), a failed
+one-member pass can prove the problem unsat with no further search. Every
+numeric port then takes a column, so every comparison in any cone is a
+one-member root over a column wiring, and every other bool node is a bool
+column or a component over bool nodes. On each row an expression's value
+is therefore a function of the values of the bool columns and of those
+roots, all of which the pass has interned. Rows are keyed by these
+vectors; if two rows with the same key expect different outcomes, no
+expression separates them and the answer is unsat. The expected vector
+joins the key only as a column's own vector: a deeper cone may still reach
+that column, as ``b == (b == b)`` does with two bool ``==`` components.
+The check reuses the pass's vectors and costs no node, so an unsat it
+proves reports the nodes of the one-member pass: every root wiring of the
+columns.
 """
 from __future__ import annotations
 
@@ -118,10 +133,13 @@ def _search_cones(problem: SynthesisProblem, budget: Budget):
     if not bool_roots:
         return None
     state = _SearchState(problem, bool_roots, budget)
+    numeric_free = all(c.out_type == BOOL for c in problem.components)
     for k in range(1, len(problem.components) + 1):
         hit = state.extend(k)
         if hit is not None:
             return hit
+        if k == 1 and numeric_free and state.confounded():
+            return None
     return None
 
 
@@ -334,6 +352,20 @@ class _SearchState:
             tried += len(candidates)
         self.budget.advance(tried)
         return None
+
+    def confounded(self) -> bool:
+        """Two rows that agree on every bool column and every one-member
+        root over the columns expect different outcomes. Call it only after
+        ``close_empty`` has tried every root wiring; the expected vector
+        takes part only as a column's (see the module docstring)."""
+        vectors, expected = self.vectors, self.expected
+        atoms = [vectors[vid] for vid in self.ids[BOOL].values()
+                 if vid != expected or self.seen[vid]]
+        outcomes: Dict[Tuple, bool] = {}
+        for key, outcome in zip(zip(*atoms), vectors[expected]):
+            if outcomes.setdefault(key, outcome) != outcome:
+                return True
+        return False
 
     def close_one(self):
         """Only the last member ``m`` is unconsumed: a unary root closes

@@ -108,6 +108,20 @@ class TestBundleFiles:
         with pytest.raises(BundleError, match=f"bundle copy: bad {match}"):
             load_bundle(tmp_path / "copy")
 
+    @pytest.mark.parametrize("expected, match", [
+        ("limitation conflicting-traces", "unknown reason 'conflicting-traces'"),
+        ("limitations conflicting-trace", "unknown tag"),
+        ("fixable conflicting-trace", "unknown tag"),
+    ], ids=["misspelt-reason", "misspelt-tag", "fixable-with-reason"])
+    def test_bad_expected_is_a_bundle_error_naming_the_field(self, tmp_path, expected, match):
+        write_bundle(load_bundle(default_corpus_dir() / "pl3"), tmp_path / "pl3")
+        path = tmp_path / "pl3" / "meta.txt"
+        text = path.read_text()
+        assert "expected: limitation conflicting-trace\n" in text
+        path.write_text(text.replace("limitation conflicting-trace", expected))
+        with pytest.raises(BundleError, match=f"bundle pl3: bad expected '{expected}': {match}"):
+            load_bundle(tmp_path / "pl3")
+
     def test_write_refuses_an_empty_grid_axis(self, tmp_path):
         bundle = load_bundle(default_corpus_dir() / "cm5")
         bundle.grid = GridSpec({"u": [], "v": [1]})
@@ -350,6 +364,14 @@ class TestHarness:
         outcomes = {r.id: r.outcome for r in report.rows}
         assert outcomes["broken"] == "bundle-error"
         assert outcomes["pm2"] == "patched"
+
+    def test_a_suite_repeating_a_test_id_becomes_an_error_row(self):
+        bundle = load_bundle(default_corpus_dir() / "cm1")
+        bundle.suite.append(bundle.suite[0])
+        good = load_bundle(default_corpus_dir() / "pm2")
+        rows = run_harness([bundle, good]).rows
+        assert [(r.id, r.outcome) for r in rows] == [("cm1", "bundle-error"), ("pm2", "patched")]
+        assert rows[0].reason == "bundle cm1: bad suite: duplicate test ids in suite"
 
     def test_csv_is_deterministic(self):
         bundles = [load_bundle(default_corpus_dir() / "pm2")]

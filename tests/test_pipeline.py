@@ -50,10 +50,11 @@ class TestRepair:
         assert levels and all(level["nodes"] > 0 for level in levels)
 
     def test_global_timeout_bounds_every_rung(self, even_program, even_suite):
-        # Parity is out of reach of every rung, and level 2 alone takes
-        # longer than the global timeout when given the per-rung timeout
-        # and a node budget that no host spends in a second (the default
-        # 2M nodes can take about 0.5 s).
+        # Parity is out of reach of every rung. Levels 1 and 2 are unsat
+        # within a few hundred nodes, and level 3 alone takes longer than
+        # the global timeout when given the per-rung timeout and a node
+        # budget that no host spends in a second (the default 2M nodes can
+        # take about 0.5 s).
         config = RepairConfig(global_timeout=1.0, solver_nodes=10**9)
         started = time.monotonic()
         report = repair(even_program, even_suite, config)
@@ -256,9 +257,13 @@ class TestLadderEnds:
     def test_rungs_stopped_by_the_node_budget_end_as_a_synthesis_timeout(
         self, even_program, even_suite
     ):
-        report = repair(even_program, even_suite, RepairConfig(max_level=2, solver_nodes=1000))
+        # Level 2 is proved unsat without search (two rows no comparison
+        # tells apart), so the first rung the budget stops is level 3.
+        report = repair(even_program, even_suite, RepairConfig(max_level=3, solver_nodes=1000))
         assert report.reason == SYNTHESIS_TIMEOUT
-        assert rungs(report)[0] == (1, SYNTHESIS_TIMEOUT, [(1, "unsat"), (2, "timeout")])
+        assert rungs(report)[0] == (
+            1, SYNTHESIS_TIMEOUT, [(1, "unsat"), (2, "unsat"), (3, "timeout")]
+        )
 
     def test_a_guard_that_fits_only_first_hits_is_an_invalid_patch(self):
         # A precondition's trace holds each test's first hit only. There

@@ -17,8 +17,8 @@ from condfix.synth import (
     emit_smtlib, encode, encode_with_components, enumerate_oracle, evaluate,
     solve, solve_external, to_source, tree_to_source,
 )
-from condfix.synth.internal import TIMEOUT, UNSAT, solve_internal
-from condfix.trace import ColumnSpec, TraceMatrix, TraceRow
+from condfix.synth.internal import SAT, TIMEOUT, UNSAT, _SearchState, solve_internal
+from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,13 +169,14 @@ class TestInternalSolve:
 
     @staticmethod
     def undecided_problem():
-        """Six random int columns at level 2: 100k nodes do not decide it."""
+        """Six random int columns at level 3: 100k nodes do not decide it.
+        At level 2 two rows that no comparison tells apart make it unsat."""
         cols = [int_col(f"c{i}") for i in range(6)]
         rows = [
             tuple(random.Random(i).randint(-5, 5) for _ in range(6)) + (i % 2 == 0,)
             for i in range(12)
         ]
-        return encode(matrix(cols, rows), 2)
+        return encode(matrix(cols, rows), 3)
 
     def test_node_budget_reports_timeout(self):
         result = solve_internal(self.undecided_problem(), timeout_s=None, max_nodes=50)
@@ -199,6 +200,80 @@ class TestInternalSolve:
         result = solve(problem, None, 10.0)
         assert result.is_sat
         assert problem.check_model(result.model) == []
+
+
+def small_matrix(rng):
+    """One to three int, bool or real columns over a few values; 2 to 6 rows."""
+    columns = [
+        ColumnSpec(f"c{i}", rng.choices(["int", "bool", "real"], [6, 3, 1])[0], "var", var=f"c{i}")
+        for i in range(rng.randint(1, 3))
+    ]
+    pools = {"int": range(-3, 4), "bool": (False, True), "real": (-1.5, 0.0, 0.5, 2.0)}
+    rows = [
+        tuple(rng.choice(pools[c.type]) for c in columns) + (rng.random() < 0.5,)
+        for _ in range(rng.randint(2, 6))
+    ]
+    return deduplicate(matrix(columns, rows))
+
+
+class TestIndistinctRows:
+    """At levels 1 and 2 two rows that agree on every bool column and every
+    comparison over the columns, yet expect different outcomes, make a rung
+    unsat once the one-member cones miss."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        check = _SearchState.confounded
+
+        def counted(state):
+            calls.append(check(state))
+            return calls[-1]
+
+        monkeypatch.setattr(_SearchState, "confounded", counted)
+        return calls
+
+    def test_parity_rows_are_unsat_at_level_2_without_search(self, monkeypatch):
+        # even(x): -4 and -5 agree on every comparison of x with itself.
+        rows = matrix([int_col("x")], [(-4, True), (-5, False)])
+        calls = self.spy(monkeypatch)
+        result = solve_internal(encode(rows, 2), None, 1000)
+        assert (result.status, result.nodes, calls) == (UNSAT, 4, [True])  # x <, <=, ==, != x
+
+    def test_the_same_rows_at_level_3_are_left_to_the_search(self, monkeypatch):
+        # Arithmetic makes new numbers, which a comparison may tell apart.
+        rows = matrix([int_col("x")], [(-4, True), (-5, False)])
+        calls = self.spy(monkeypatch)
+        result = solve_internal(encode(rows, 3), None, 1000)
+        assert (result.status, result.nodes, calls) == (TIMEOUT, 1001, [])
+
+    def test_a_column_equal_to_the_expected_vector_keeps_its_rows_apart(self):
+        # Only b separates the rows, and it is their expected outcome. No
+        # one-member cone (x < x, b == b) separates them, but b == (b == b)
+        # fits: b's vector must stay in the key although it is the expected one.
+        rows = matrix([int_col("x"), bool_col("b")], [(1, True, True), (1, False, False)])
+        equals = [Component("==", ("bool", "bool"), "bool", instance) for instance in (0, 1)]
+        problem = encode_with_components(rows, [Component("<", ("int", "int"), "bool"), *equals])
+        result = solve_internal(problem, None, 1000)
+        assert result.status == SAT
+        assert to_source(decode(problem, result.model)) == "b == (b == b)"
+
+    def test_every_unsat_it_proves_is_unsat_by_search(self, monkeypatch):
+        rng = random.Random(21)
+        problems = [encode(m, level) for m in (small_matrix(rng) for _ in range(80))
+                    if not m.conflicting for level in (1, 2)]
+        with_check = [solve_internal(p, None, 20_000) for p in problems]
+        monkeypatch.setattr(_SearchState, "confounded", lambda state: False)
+        by_search = [solve_internal(p, None, 20_000) for p in problems]
+        decided = [(a, b) for a, b in zip(with_check, by_search) if b.status != TIMEOUT]
+        assert len(decided) >= 100
+        for checked, searched in decided:
+            if searched.status == SAT:
+                assert checked == searched
+            else:
+                assert checked.status == UNSAT and checked.nodes <= searched.nodes
+        shortcut = [a for a, b in decided if a.nodes < b.nodes]
+        assert len(shortcut) >= 50
 
 
 class TestDecode:
