@@ -4,8 +4,8 @@ For a candidate if statement, each failing test is re-run with the
 condition forced to true and, if that fails, forced to false; for a
 candidate plain statement, once with the statement skipped. Each decision
 is a program edit (``patching.decide``), made once per location and shared
-by every failing test; a trial reads only its verdict, so it runs lean
-(``execute(..., record=False)``). A location qualifies when every failing
+by every failing test; a trial reads only its verdict. A location
+qualifies when every failing
 test passes under some forced decision; the search stops at the first
 failing test (in sorted order) that none passes.
 The forced value is constant for the whole test execution; per-evaluation
@@ -124,7 +124,7 @@ def _angelic_search(program, suite, failing, loc, kind, step_budget, deadline) -
     for test in tests:
         for decision in decisions:
             result = execute(decided[decision], test.function, list(test.args),
-                             step_budget=step_budget, deadline=deadline, record=False)
+                             step_budget=step_budget, deadline=deadline)
             passed = verdict_holds(result, test)
             trials.append(Trial(loc, test.id, decision, passed, result.timed_out))
             if passed:

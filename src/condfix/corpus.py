@@ -75,9 +75,12 @@ class BugBundle:
         """The buggy program must fail at least one test and the human patch
         must make the whole suite pass. Returns the suite's result on the
         buggy program."""
+        # Only a suite built in code, not read by load_bundle, fails these.
+        if not self.suite:
+            raise BundleError(f"bundle {self.id}: bad suite: no test cases")
         try:
             baseline = run_suite(self.program, self.suite, step_budget=step_budget)
-        except SuiteFormatError as exc:  # a suite built in code, not read by load_bundle
+        except SuiteFormatError as exc:
             raise BundleError(f"bundle {self.id}: bad suite: {exc}") from None
         if not baseline.failing:
             raise BundleError(f"bundle {self.id}: no failing test on the buggy program")
@@ -278,9 +281,9 @@ def check_equivalence(
     When both programs are one-patch children of one base, each point first
     runs their ``shadow_merge`` once: a returned value that matches itself
     means both sides return it. Any other outcome, and every point of
-    programs without a shared base, runs both sides. Every run is lean:
-    only outcomes are compared. The grid's axes must be the entry's
-    parameters, as ``load_bundle`` checks for a bundle's grid.
+    programs without a shared base, runs both sides. Only outcomes are
+    compared. The grid's axes must be the entry's parameters, as
+    ``load_bundle`` checks for a bundle's grid.
     """
     names = [p.name for p in program_a.functions[entry].params]
     empty = sorted(n for n in names if not grid.axes[n])
@@ -290,12 +293,12 @@ def check_equivalence(
     for point in itertools.product(*(grid.axes[n] for n in names)):
         args = list(point)
         if merged is not None:
-            shadow = execute(merged, entry, args, step_budget=step_budget, record=False)
+            shadow = execute(merged, entry, args, step_budget=step_budget)
             if shadow.error is None and values_match(shadow.value, shadow.value):
                 continue
         if not _same_outcome(
-            execute(program_a, entry, args, step_budget=step_budget, record=False),
-            execute(program_b, entry, args, step_budget=step_budget, record=False),
+            execute(program_a, entry, args, step_budget=step_budget),
+            execute(program_b, entry, args, step_budget=step_budget),
         ):
             return False
     return True
@@ -506,7 +509,7 @@ def seed_condition_bugs(
     config = config or RepairConfig()
     program = parse_program(program_text)
     suite = parse_suite(suite_text)
-    if run_suite(program, suite, step_budget=config.step_budget, record=False).failing:
+    if run_suite(program, suite, step_budget=config.step_budget).failing:
         raise BundleError(f"seed program {seed_id} must pass its suite")
 
     bundles: List[BugBundle] = []

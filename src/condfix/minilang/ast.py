@@ -248,15 +248,13 @@ class Program:
     consts: Dict[str, ConstDef]
     functions: Dict[str, FunctionDef]
     registry: object  # StateQueryRegistry
-    # Key -> (node, closure) per statement, function and if or while
-    # condition lowered; the key is id(node), or (id(node), record) for a
-    # function, if or while, whose recording and lean closures differ.
-    # Shared with every program path-copied from this one (see ``interp``).
-    closures: Dict[object, tuple] = field(default_factory=dict, repr=False, compare=False)
-    # record -> function name -> closure, built by the interpreter on the
-    # first execution in each mode.
-    compiled: Dict[bool, Dict[str, Callable]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    # id(node) -> (node, closure) per statement, function and if or while
+    # condition lowered. Shared with every program path-copied from this
+    # one (see ``interp``).
+    closures: Dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
+    # Function name -> closure, built by the interpreter on the first run.
+    compiled: Optional[Dict[str, Callable]] = field(
+        default=None, init=False, repr=False, compare=False
     )
     # (base program, patch) for a program made by ``apply_patch``.
     origin: Optional[Tuple["Program", object]] = field(

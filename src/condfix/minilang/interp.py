@@ -7,32 +7,26 @@ dereference, division by zero, thrown errors, exhausted step budget or
 call depth) are reported in the ExecutionResult, never raised. The one
 exception ``execute`` raises for a run is ``DeadlineExceeded``.
 
-Instrumentation: a recording run (``record=True``, the default) counts a
-hit per statement entry, and a lean one (``record=False``) does not; both
-give the same value, error, timeout and steps. A recording run counts its
-hits in a list indexed by location, sized to the program's largest
-location, and turns it into the ``hits`` dict once, when the run ends.
-Only the baseline suite run reads hits, as the spectrum's coverage, so
-every other run (angelic trials, trace collection, validation, grid
-equivalence and the corpus seeding checks) is lean. The probe is a
+Instrumentation: every run counts a hit per statement entry, in
+``run.hits``, a list indexed by location and sized to the program's
+largest location. The result keeps that list, and ``ExecutionResult.hits``
+turns it into a dict only when read: the baseline suite run reads it as
+the spectrum's coverage, and most other runs never do. The probe is a
 program edit (``patching.probe``): a probed ``if`` snapshots the state as
 its condition starts and stores the value the condition gives in the
 snapshot, and any other probed statement snapshots the state before it
-runs, in either mode. A snapshot copies the constants' and the frame's
-values; ``trace.collect`` derives every synthesis column from them.
-Angelic decisions are program edits too (``patching.decide``): a forced
-condition is a ``Forced`` node, a skipped statement is absent.
+runs. A snapshot copies the constants' and the frame's values;
+``trace.collect`` derives every synthesis column from them. Angelic
+decisions are program edits too (``patching.decide``): a forced condition
+is a ``Forced`` node, a skipped statement is absent.
 
-Shared closures: each statement's and function's closure is cached in
-``Program.closures``, a table that a program shares with every program
-path-copied from it, along with consts and registry, the only program
-parts a closure reads. An edit so lowers only the statements on its path
-and its function. A closure that holds a block (a function, an ``if`` or
-a ``while``) differs between the recording and the lean lowering and is
-keyed by node identity and mode; every other statement's closure, and
-the expression closure of each ``if`` or ``while`` condition, is keyed by
-node identity alone and serves both. A probed statement is a node of its
-own, so its closure never serves the unprobed one. Calls find their
+Shared closures: each statement's and function's closure, and the
+expression closure of each ``if`` or ``while`` condition, is cached in
+``Program.closures`` by node identity, a table that a program shares
+with every program path-copied from it, along with consts and registry,
+the only program parts a closure reads. An edit so lowers only the
+statements on its path and its function. A probed statement is a node of
+its own, so its closure never serves the unprobed one. Calls find their
 callee in ``run.functions`` and snapshots close over the consts alone, so
 no closure refers to a program.
 
@@ -136,13 +130,19 @@ class ExecutionResult:
     value: Optional[Value] = None
     error: Optional[str] = None
     timed_out: bool = False
-    hits: Dict[int, int] = field(default_factory=dict)
     snapshots: List[ProbeSnapshot] = field(default_factory=list)
     steps: int = 0
+    # The run's hit count per location, indexed by location.
+    counts: List[int] = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def hits(self) -> Dict[int, int]:
+        """A new dict of each location the run entered to its hit count."""
+        return {loc: count for loc, count in enumerate(self.counts) if count}
 
 
 class _Throw(Exception):
@@ -157,11 +157,11 @@ class _Run(Budget):
     __slots__ = ("functions", "depth", "hits", "snapshots")
 
     def __init__(self, functions: Dict[str, Callable], budget: int, deadline: Optional[float],
-                 hits: Optional[List[int]]):
+                 hits: List[int]):
         super().__init__(budget, deadline)
         self.functions = functions
         self.depth = 0
-        self.hits = hits  # a recording run's hit count per location; None when lean
+        self.hits = hits  # the hit count per location
         self.snapshots: List[ProbeSnapshot] = []
 
 
@@ -245,27 +245,18 @@ _FUSED = {op: _NUMERIC[op] for op in ("+", "-", "*")}
 _FUSED.update(_COMPARISONS)
 
 
-# The nodes whose closures hold a block, and so differ between the
-# recording and the lean lowering.
-_MODAL = (FunctionDef, IfStmt, WhileStmt)
-
-
 class _Lowering:
-    """Lowers the statements and functions of programs sharing one table,
-    recording or lean (see "Instrumentation" in the module docstring)."""
+    """Lowers the statements and functions of programs sharing one table."""
 
-    def __init__(self, program: Program, record: bool = True):
+    def __init__(self, program: Program):
         self.consts, self.registry, self.table = program.consts, program.registry, program.closures
-        self.record = record
         self.capture = _capturer(program.consts)
 
     def cached(self, node, lower: Callable):
-        """``lower(node)``, made once per node of the table's programs, and
-        once per mode for a node that holds a block."""
-        key = (id(node), self.record) if isinstance(node, _MODAL) else id(node)
-        entry = self.table.get(key)
+        """``lower(node)``, made once per node of the table's programs."""
+        entry = self.table.get(id(node))
         if entry is None:
-            entry = self.table[key] = (node, lower(node))
+            entry = self.table[id(node)] = (node, lower(node))
         return entry[1]
 
     def function(self, fn: FunctionDef) -> Callable:
@@ -297,11 +288,11 @@ class _Lowering:
     # -- statements --
 
     def block(self, stmts: Sequence[Stmt], scoped: bool = True) -> Compiled:
-        """The block's closure. Entering each statement takes one step and,
-        in a recording run, counts one hit. A probed statement other than
-        an ``if`` (see ``branching``) takes a snapshot next, in a wrapper
-        whose frame ``ast.depth`` leaves out, so that a probed run reserves
-        the call frames an unprobed one does."""
+        """The block's closure. Entering each statement takes one step and
+        counts one hit. A probed statement other than an ``if`` (see
+        ``branching``) takes a snapshot next, in a wrapper whose frame
+        ``ast.depth`` leaves out, so that a probed run reserves the call
+        frames an unprobed one does."""
         entries = []
         for s in stmts:
             stmt = self.cached(s, self.stmt)
@@ -312,8 +303,8 @@ class _Lowering:
         if not entries:
             return _empty_block
         if declared or len(entries) > 2:
-            return _block_loop(tuple(entries), declared, self.record)
-        return _short_block(entries, self.record)
+            return _block_loop(tuple(entries), declared)
+        return _short_block(entries)
 
     def stmt(self, stmt: Stmt) -> Compiled:
         if isinstance(stmt, (IfStmt, WhileStmt)):
@@ -584,31 +575,14 @@ class _Lowering:
         return call
 
 
-def _block_loop(entries: Tuple[Tuple[int, Compiled], ...], declared: Tuple[str, ...],
-                record: bool) -> Compiled:
+def _block_loop(entries: Tuple[Tuple[int, Compiled], ...], declared: Tuple[str, ...]) -> Compiled:
     """A block of ``(location, statement)`` entries, run in a loop."""
-    if record:
-        def block(run, frame):
-            for loc, stmt in entries:
-                run.count += 1
-                if run.count > run.limit:
-                    run.check()
-                run.hits[loc] += 1
-                value = stmt(run, frame)
-                if value is not None:
-                    return value
-            for name in declared:
-                frame.pop(name, None)
-            return None
-
-        return block
-    stmts = tuple(stmt for _, stmt in entries)
-
-    def lean_block(run, frame):
-        for stmt in stmts:
+    def block(run, frame):
+        for loc, stmt in entries:
             run.count += 1
             if run.count > run.limit:
                 run.check()
+            run.hits[loc] += 1
             value = stmt(run, frame)
             if value is not None:
                 return value
@@ -616,62 +590,40 @@ def _block_loop(entries: Tuple[Tuple[int, Compiled], ...], declared: Tuple[str, 
             frame.pop(name, None)
         return None
 
-    return lean_block
+    return block
 
 
-def _short_block(entries: List[Tuple[int, Compiled]], record: bool) -> Compiled:
+def _short_block(entries: List[Tuple[int, Compiled]]) -> Compiled:
     """A block of one or two statements that declares nothing, unrolled:
     it returns what its last statement returns."""
     if len(entries) == 1:
         [(loc, stmt)] = entries
-        if record:
-            def block(run, frame):
-                run.count += 1
-                if run.count > run.limit:
-                    run.check()
-                run.hits[loc] += 1
-                return stmt(run, frame)
 
-            return block
-
-        def lean_block(run, frame):
-            run.count += 1
-            if run.count > run.limit:
-                run.check()
-            return stmt(run, frame)
-
-        return lean_block
-    (loc, first), (last_loc, last) = entries
-    if record:
         def block(run, frame):
             run.count += 1
             if run.count > run.limit:
                 run.check()
             run.hits[loc] += 1
-            value = first(run, frame)
-            if value is not None:
-                return value
-            run.count += 1
-            if run.count > run.limit:
-                run.check()
-            run.hits[last_loc] += 1
-            return last(run, frame)
+            return stmt(run, frame)
 
         return block
+    (loc, first), (last_loc, last) = entries
 
-    def lean_block(run, frame):
+    def block(run, frame):
         run.count += 1
         if run.count > run.limit:
             run.check()
+        run.hits[loc] += 1
         value = first(run, frame)
         if value is not None:
             return value
         run.count += 1
         if run.count > run.limit:
             run.check()
+        run.hits[last_loc] += 1
         return last(run, frame)
 
-    return lean_block
+    return block
 
 
 # The fused closures below read a node's operands with ``frame.get(left)``
@@ -791,14 +743,13 @@ def _snapshot_condition(cond: Compiled, capture: Callable) -> Compiled:
     return probed
 
 
-def _lowered(program: Program, record: bool) -> Dict[str, Callable]:
-    """The program's functions as recording or lean closures, lowered on
-    the first run in that mode. Runs that race here each lower the program;
-    either result serves every run."""
-    compiled = program.compiled.get(record)
+def _lowered(program: Program) -> Dict[str, Callable]:
+    """The program's functions as closures, lowered on its first run. Runs
+    that race here each lower the program; either result serves every run."""
+    compiled = program.compiled
     if compiled is None:
-        lowering = _Lowering(program, record)
-        compiled = program.compiled[record] = {
+        lowering = _Lowering(program)
+        compiled = program.compiled = {
             name: lowering.cached(fn, lowering.function)
             for name, fn in program.functions.items()
         }
@@ -811,13 +762,10 @@ def execute(
     args: Sequence[Value],
     step_budget: int = DEFAULT_STEP_BUDGET,
     deadline: Optional[float] = None,
-    record: bool = True,
 ) -> ExecutionResult:
-    """Run one function call. A recording run (``record``) counts hits; a
-    lean run (``record=False``) does not, for callers that read only the
-    value, error, timeout, steps and snapshots, which are the same either
-    way. Snapshots come from the program's probed statement, if it has one
-    (see ``patching.probe``).
+    """Run one function call, counting a hit per statement entry.
+    Snapshots come from the program's probed statement, if it has one (see
+    ``patching.probe``).
 
     Runtime errors and budget exhaustion (steps or call depth) are captured
     in the result; hits and snapshots collected before a failure are kept.
@@ -826,10 +774,10 @@ def execute(
     """
     if function not in program.functions:
         raise ValueError(f"undefined function {function!r}")
-    functions = _lowered(program, record)
-    hits = [0] * (program.max_location() + 1) if record else None
+    functions = _lowered(program)
+    hits = [0] * (program.max_location() + 1)
     run = _Run(functions, step_budget, deadline, hits)
-    result = ExecutionResult(snapshots=run.snapshots)
+    result = ExecutionResult(snapshots=run.snapshots, counts=hits)
     try:
         result.value = functions[function](run, list(args))
     except _Throw as t:
@@ -840,6 +788,4 @@ def execute(
         result.error = TIMEOUT
         result.timed_out = True
     result.steps = run.count
-    if record:
-        result.hits = {loc: count for loc, count in enumerate(hits) if count}
     return result

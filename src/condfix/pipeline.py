@@ -155,18 +155,18 @@ class RepairReport:
 
 def validate(program: Program, patch: Patch, suite: Sequence[TestCase],
              step_budget: int = DEFAULT_STEP_BUDGET, deadline: Optional[float] = None) -> bool:
-    """Whole-suite re-execution on the patched program, in lean runs; true
-    iff nothing fails. A run that reads the clock past ``deadline`` raises
+    """Whole-suite re-execution on the patched program; true iff nothing
+    fails. A run that reads the clock past ``deadline`` raises
     DeadlineExceeded."""
     patched = apply_patch(program, patch)
-    return run_suite(patched, suite, step_budget, deadline, record=False).all_pass()
+    return run_suite(patched, suite, step_budget, deadline).all_pass()
 
 
 def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairConfig] = None,
            baseline: Optional[SuiteResult] = None) -> RepairReport:
     """``baseline``, if given, must be ``run_suite(program, suite,
-    step_budget=config.step_budget)``, a recording run whose coverage is
-    the spectrum's; the repair then skips that run."""
+    step_budget=config.step_budget)``, whose coverage is the spectrum's;
+    the repair then skips that run."""
     config = config or RepairConfig()
     started = time.monotonic()
     deadline = started + config.global_timeout

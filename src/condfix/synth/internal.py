@@ -43,6 +43,11 @@ pushed last, the last ref of its type, is always unconsumed. So:
 - two, ``a`` before ``b``, close only a binary root, as ``(a, b)`` or
   ``(b, a)``.
 
+A root closes a cone only if every other component can park below it,
+which the columns alone decide, once per solve (``_closers``); on the
+standard ladder every bool root can. The wirings of a root that cannot
+still count as nodes.
+
 When no component outputs an int or a real (levels 1 and 2), a failed
 one-member pass can prove the problem unsat with no further search. Every
 numeric port then takes a column, so every comparison in any cone is a
@@ -63,7 +68,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..budget import Budget, Exhausted
 from ..errors import DeadlineExceeded
@@ -106,16 +111,6 @@ def solve_internal(
             return SolveResult(SAT, problem.fixed_assignment())
         return SolveResult(UNSAT)
 
-    # Producer pools per type; a component whose input type has no producer
-    # at all can never be placed, making the whole problem unsatisfiable.
-    column_types = {c.type for c in columns}
-    producible = set(column_types)
-    for c in components:
-        producible.add(c.out_type)
-    for c in components:
-        if any(t not in producible for t in c.in_types):
-            return SolveResult(UNSAT)
-
     budget = Budget(max_nodes, None if timeout_s is None else time.monotonic() + timeout_s)
     try:
         found = _search_cones(problem, budget)
@@ -129,10 +124,10 @@ def solve_internal(
 
 
 def _search_cones(problem: SynthesisProblem, budget: Budget):
-    bool_roots = [i for i, c in enumerate(problem.components) if c.out_type == BOOL]
-    if not bool_roots:
+    closers = _closers(problem)
+    if not closers:
         return None
-    state = _SearchState(problem, bool_roots, budget)
+    state = _SearchState(problem, closers, budget)
     numeric_free = all(c.out_type == BOOL for c in problem.components)
     for k in range(1, len(problem.components) + 1):
         hit = state.extend(k)
@@ -141,6 +136,33 @@ def _search_cones(problem: SynthesisProblem, budget: Budget):
         if k == 1 and numeric_free and state.confounded():
             return None
     return None
+
+
+def _closers(problem: SynthesisProblem) -> Set[int]:
+    """The bool components that can own the result slot and so close a
+    cone: those below which every other component parks, each once the
+    columns or the components parked before it produce its input types,
+    and whose own input types are then produced. Decided per shape from
+    the columns alone, before any search; with none, no model exists."""
+    shapes = [(c.in_types, c.out_type) for c in problem.components]
+    columns = {c.type for c in problem.columns}
+    verdicts: Dict[Tuple, bool] = {}
+    closers = set()
+    for ci, shape in enumerate(shapes):
+        if shape[1] != BOOL:
+            continue
+        if shape not in verdicts:
+            others = set(shapes[:ci] + shapes[ci + 1:])
+            available = set(columns)
+            while True:
+                ready = {out for ins, out in others if available.issuperset(ins)}
+                if ready <= available:
+                    break
+                available |= ready
+            verdicts[shape] = all(available.issuperset(ins) for ins, _ in others | {shape})
+        if verdicts[shape]:
+            closers.add(ci)
+    return closers
 
 
 class _SearchState:
@@ -157,15 +179,18 @@ class _SearchState:
     the consumability test are updated on push and pop, not rebuilt.
     """
 
-    def __init__(self, problem: SynthesisProblem, bool_roots: List[int], budget: Budget):
+    def __init__(self, problem: SynthesisProblem, closers: Set[int], budget: Budget):
         components = problem.components
         self.components = components
         self.budget = budget
         # Resolved once per solve so the per-node path stays in C.
         self.semantics = [(c.op.fn, c.wraps, c.out_type == REAL) for c in components]
         self.memos: List[Dict[Tuple[int, ...], int]] = [{} for _ in components]
-        # The candidate roots of the last cone position, in component order.
-        self.roots = [(ci, components[ci].in_types, self.memos[ci]) for ci in bool_roots]
+        # The candidate roots of the last cone position, in component order:
+        # every bool component, whose wirings all count as nodes, and
+        # whether it can close a cone (see ``_closers``).
+        self.roots = [(ci, c.in_types, self.memos[ci], ci in closers)
+                      for ci, c in enumerate(components) if c.out_type == BOOL]
         # Per component: output type, distinct input types, arity.
         self.shapes = [(c.out_type, tuple(set(c.in_types)), c.arity) for c in components]
         types = {c.type for c in problem.columns} | {c.out_type for c in components}
@@ -344,11 +369,12 @@ class _SearchState:
     def close_empty(self):
         """A one-member cone: every root wiring of the columns closes it."""
         tried = 0
-        for ci, in_types, memo in self.roots:
+        for ci, in_types, memo, closes in self.roots:
             candidates = self.candidates(in_types)
-            for index, (wiring, key) in enumerate(candidates):
-                if self.hits(ci, memo, key):
-                    return self.found(ci, wiring, tried + index + 1)
+            if closes:
+                for index, (wiring, key) in enumerate(candidates):
+                    if self.hits(ci, memo, key):
+                        return self.found(ci, wiring, tried + index + 1)
             tried += len(candidates)
         self.budget.advance(tried)
         return None
@@ -376,17 +402,17 @@ class _SearchState:
         im = len(refs[tm]) - 1
         vm, m = self.ref_ids[tm][im], refs[tm][im]
         tried = 0
-        for ci, in_types, memo in self.roots:
+        for ci, in_types, memo, closes in self.roots:
             if self.in_cone[ci]:
                 continue
             if len(in_types) == 1:
-                if in_types[0] == tm and self.hits(ci, memo, (vm,)):
+                if closes and in_types[0] == tm and self.hits(ci, memo, (vm,)):
                     return self.found(ci, (m,), tried + im + 1)
                 tried += len(refs[in_types[0]])
                 continue
             t0, t1 = in_types
             n0, n1 = len(refs[t0]), len(refs[t1])
-            if t0 != tm and t1 != tm:
+            if not closes or (t0 != tm and t1 != tm):
                 tried += n0 * n1
                 continue
             if t1 == tm:
@@ -420,7 +446,7 @@ class _SearchState:
         ia, ib = refs[ta].index(a), len(refs[tb]) - 1
         va, vb = ids[ta][ia], ids[tb][ib]
         tried = 0
-        for ci, in_types, memo in self.roots:
+        for ci, in_types, memo, closes in self.roots:
             if self.in_cone[ci]:
                 continue
             if len(in_types) == 1:
@@ -428,9 +454,9 @@ class _SearchState:
                 continue
             t0, t1 = in_types
             n1 = len(refs[t1])
-            if t0 == ta and t1 == tb and self.hits(ci, memo, (va, vb)):
+            if closes and t0 == ta and t1 == tb and self.hits(ci, memo, (va, vb)):
                 return self.found(ci, (a, b), tried + ia * n1 + ib + 1)
-            if t0 == tb and t1 == ta and self.hits(ci, memo, (vb, va)):
+            if closes and t0 == tb and t1 == ta and self.hits(ci, memo, (vb, va)):
                 return self.found(ci, (b, a), tried + ib * n1 + ia + 1)
             tried += len(refs[t0]) * n1
         self.budget.advance(tried)
@@ -442,7 +468,8 @@ def _complete_model(
 ) -> Dict[str, int]:
     """Assign slots: unused components park below the cone wherever their
     input types already have producers; cone members stack on top in
-    discovery order with the root pinned to the final slot."""
+    discovery order. Every unused component parks before the root, the
+    last member (see ``_closers``), so the root takes the final slot."""
     components = problem.components
     num_inputs = problem.num_inputs
     available_types = {c.type for c in problem.columns}
@@ -469,12 +496,6 @@ def _complete_model(
         place_ready_dead()
     if dead:
         raise RuntimeError("could not place unused components below the result")
-
-    # The cone root must own the final slot; it is the last cone member and
-    # place_ready_dead never appends after it unless types were missing.
-    if placement[-1] != cone[-1]:
-        placement.remove(cone[-1])
-        placement.append(cone[-1])
 
     slot_of_component = {ci: num_inputs + 1 + pos for pos, ci in enumerate(placement)}
     cone_slot = {pos: slot_of_component[ci] for pos, ci in enumerate(cone)}

@@ -103,11 +103,10 @@ def run_suite(
     suite: Sequence[TestCase],
     step_budget: int = DEFAULT_STEP_BUDGET,
     deadline: Optional[float] = None,
-    record: bool = True,
 ) -> SuiteResult:
-    """Run every test against the program; DeadlineExceeded ends the suite
-    at the first run that reads the clock past ``deadline``. With
-    ``record=False`` the runs are lean and every coverage map is empty."""
+    """Run every test against the program; each test's coverage is its
+    run's hits. DeadlineExceeded ends the suite at the first run that reads
+    the clock past ``deadline``."""
     if not suite:
         raise ValueError("suite must contain at least one test case")
     ids = [t.id for t in suite]
@@ -117,9 +116,9 @@ def run_suite(
     coverage: Dict[str, Dict[int, int]] = {}
     for test in suite:
         result = execute(program, test.function, list(test.args), step_budget=step_budget,
-                         deadline=deadline, record=record)
+                         deadline=deadline)
         verdicts[test.id] = verdict_holds(result, test)
-        coverage[test.id] = dict(result.hits)
+        coverage[test.id] = result.hits
     return SuiteResult(verdicts, coverage)
 
 

@@ -1,7 +1,7 @@
 """Runtime trace collection for patch synthesis.
 
-For a chosen location the whole suite is re-run, lean, on the program
-with that statement probed (``patching.probe``). Each snapshot the probe
+For a chosen location the whole suite is re-run on the program with
+that statement probed (``patching.probe``). Each snapshot the probe
 takes holds the values of the constants and the frame there; from them
 this module derives one row of candidate inputs (in-scope primitives, the
 literal constants 0, -1, 1, nullness of in-scope objects, and state-query
@@ -114,7 +114,7 @@ def collect(
         tuple_for_test = angelic.get(test.id)
         run = probed if tuple_for_test is None else forced.get(tuple_for_test.val, probed)
         result = execute(run, test.function, list(test.args), step_budget=step_budget,
-                         deadline=deadline, record=False)
+                         deadline=deadline)
         snapshots = result.snapshots
         if not snapshots:
             if tuple_for_test is not None:

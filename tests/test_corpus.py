@@ -3,16 +3,17 @@ import random
 
 import pytest
 
+from condfix import corpus
 from condfix.corpus import (
-    MAX_GRID_POINTS, BugBundle, GridSpec, _parse_grid, _render_grid, builtin_seed_sources,
-    builtin_seeded_bundles, check_equivalence, default_corpus_dir, load_bundle,
-    load_corpus, run_harness, seed_condition_bugs, write_bundle,
+    MAX_GRID_POINTS, BugBundle, GridSpec, _condition_mutants, _parse_grid, _render_grid,
+    builtin_seed_sources, builtin_seeded_bundles, check_equivalence, default_corpus_dir,
+    load_bundle, load_corpus, run_harness, seed_condition_bugs, write_bundle,
 )
 from condfix.pipeline import RepairConfig
 from condfix.errors import BundleError, MiniLangSyntaxError
 from condfix.minilang import (
     NULL, Obj, Patch, PatchKind, apply_patch, format_value, parse_expression, parse_program,
-    parse_value_literal, render_program,
+    parse_value_literal, render_expr, render_program,
 )
 from condfix.testkit import parse_suite
 from conftest import GCD_BUGGY
@@ -373,6 +374,23 @@ class TestHarness:
         assert [(r.id, r.outcome) for r in rows] == [("cm1", "bundle-error"), ("pm2", "patched")]
         assert rows[0].reason == "bundle cm1: bad suite: duplicate test ids in suite"
 
+    def test_an_empty_suite_becomes_an_error_row_before_any_run(self, monkeypatch):
+        bundle = load_bundle(default_corpus_dir() / "cm1")
+        bundle.suite = []
+        good = load_bundle(default_corpus_dir() / "pm2")
+        suites = []
+        run_suite = corpus.run_suite
+
+        def counting(program, suite, **kwargs):
+            suites.append(suite)
+            return run_suite(program, suite, **kwargs)
+
+        monkeypatch.setattr(corpus, "run_suite", counting)
+        rows = run_harness([bundle, good]).rows
+        assert [(r.id, r.outcome) for r in rows] == [("cm1", "bundle-error"), ("pm2", "patched")]
+        assert rows[0].reason == "bundle cm1: bad suite: no test cases"
+        assert suites and all(suite is good.suite for suite in suites)
+
     def test_csv_is_deterministic(self):
         bundles = [load_bundle(default_corpus_dir() / "pm2")]
         first = run_harness(bundles)
@@ -401,6 +419,18 @@ class TestSeeding:
             bundle.self_check()
         report = run_harness(bundles)
         assert report.all_expected()
+
+    @pytest.mark.parametrize("condition, mutants", [
+        ("x < y && y != 0", [
+            "x < y || y != 0", "x <= y && y != 0", "x > y && y != 0", "x < y + 1 && y != 0",
+            "x < y - 1 && y != 0", "x < y && y == 0", "x < y && y != 0 + 1",
+            "x < y && y != 0 - 1",
+        ]),
+        ("a || b == 1", ["a && b == 1", "a || b != 1", "a || b == 1 + 1", "a || b == 1 - 1"]),
+    ], ids=["and", "or"])
+    def test_a_connective_flips_and_mutates_each_side(self, condition, mutants):
+        got = _condition_mutants(parse_expression(condition))
+        assert [render_expr(m) for m in got] == mutants
 
     def test_seed_programs_must_pass_their_suites(self):
         with pytest.raises(BundleError, match="must pass"):

@@ -1,30 +1,19 @@
-"""Lean runs (``record=False``) and probed runs end exactly as plain
-recording runs do.
-
-A lean run drops the hit bookkeeping, so it must give the same value,
-error, timeout and steps as a recording run of the same call. Checked on
-every ``execute`` call of one harness pass over the packaged and built-in
-seeded bundles, each rerun in both modes; on the suite runs of the budget
-sweep's programs (as written and with each ``if`` forced) cut at a spread
-of step budgets; and on recursions that end on the call-depth limit.
+"""Probed runs end exactly as plain runs do.
 
 A probe (``patching.probe``) only adds snapshots, so a run of the program
-probed at any location must give the same value, error, timeout and steps
-as a run of the program as it was, and take one snapshot per hit there.
-Checked on the same programs, budgets and recursions.
+probed at any location must give the same value, error, timeout, steps
+and hits as a run of the program as it was, and take one snapshot per hit
+there. Checked on the suite runs of the budget sweep's programs (as
+written and with each ``if`` forced) cut at a spread of step budgets, and
+on recursions that end on the call-depth limit.
 """
-import inspect
-
 import pytest
 
-from condfix import angelic, corpus, testkit, trace
-from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus, run_harness
+from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus
 from condfix.minilang import IfStmt, decide, execute, parse_program, probe
 from condfix.minilang.interp import MAX_CALL_DEPTH
 from test_minilang import FACT, NESTED_DOWN
 
-CALLERS = (angelic, corpus, testkit, trace)
-SIGNATURE = inspect.signature(execute)
 RECURSIONS = pytest.mark.parametrize("program, function, args", [
     (decide(parse_program(FACT), 1, False), "fact", [3]),
     (parse_program(FACT), "fact", [MAX_CALL_DEPTH - 2]),
@@ -33,42 +22,12 @@ RECURSIONS = pytest.mark.parametrize("program, function, args", [
 
 
 def outcome(result):
-    return result.value, result.error, result.timed_out, result.steps
-
-
-def in_both_modes(*args, **kwargs):
-    """Outcomes of the call run recording and run lean."""
-    call = SIGNATURE.bind(*args, **kwargs).arguments
-    recording = execute(**{**call, "record": True})
-    lean = execute(**{**call, "record": False})
-    return outcome(recording), outcome(lean)
+    return result.value, result.error, result.timed_out, result.steps, result.hits
 
 
 @pytest.fixture(scope="module")
 def bundles():
     return load_corpus(default_corpus_dir()) + builtin_seeded_bundles()
-
-
-def test_every_run_of_a_harness_pass(bundles):
-    calls = []
-
-    def recording(*args, **kwargs):
-        result = execute(*args, **kwargs)
-        calls.append((args, kwargs, outcome(result)))
-        return result
-
-    for module in CALLERS:
-        module.execute = recording
-    try:
-        run_harness(bundles)
-    finally:
-        for module in CALLERS:
-            module.execute = execute
-    modes = {SIGNATURE.bind(*args, **kwargs).arguments.get("record", True)
-             for args, kwargs, _ in calls}
-    assert modes == {True, False}
-    for args, kwargs, original in calls:
-        assert in_both_modes(*args, **kwargs) == (original, original), (args[1:], kwargs)
 
 
 def spread(steps):
@@ -88,18 +47,6 @@ def sweep_programs(program):
     ]
 
 
-def test_budget_sweep_programs_at_a_spread_of_budgets(bundles):
-    for bundle in bundles:
-        program, suite = bundle.program, bundle.suite
-        for test in suite:
-            for run, _ in sweep_programs(program):
-                full = execute(run, test.function, list(test.args))
-                for budget in spread(full.steps):
-                    recording, lean = in_both_modes(run, test.function, list(test.args),
-                                                    step_budget=budget)
-                    assert lean == recording, (bundle.id, test.id, budget)
-
-
 def test_probed_runs_of_the_budget_sweep_programs_at_a_spread_of_budgets(bundles):
     for bundle in bundles:
         program, suite = bundle.program, bundle.suite
@@ -109,20 +56,13 @@ def test_probed_runs_of_the_budget_sweep_programs_at_a_spread_of_budgets(bundles
                 args = list(test.args)
                 full = execute(run, test.function, args)
                 for loc, at in probed.items():
-                    snapshots = execute(at, test.function, args, record=False).snapshots
+                    snapshots = execute(at, test.function, args).snapshots
                     assert len(snapshots) == full.hits.get(loc, 0), (bundle.id, test.id, loc)
                 for budget in spread(full.steps):
-                    plain = outcome(execute(run, test.function, args, step_budget=budget,
-                                            record=False))
+                    plain = outcome(execute(run, test.function, args, step_budget=budget))
                     for loc, at in probed.items():
-                        got = execute(at, test.function, args, step_budget=budget, record=False)
+                        got = execute(at, test.function, args, step_budget=budget)
                         assert outcome(got) == plain, (bundle.id, test.id, loc, budget)
-
-
-@RECURSIONS
-def test_recursion_ends_at_the_same_call(program, function, args):
-    recording, lean = in_both_modes(program, function, args)
-    assert lean == recording
 
 
 @RECURSIONS
@@ -131,7 +71,6 @@ def test_a_probed_recursion_ends_at_the_same_call(program, function, args):
     for loc in program.locations():
         probed = execute(probe(program, loc), function, args)
         assert outcome(probed) == outcome(plain), loc
-        assert probed.hits == plain.hits, loc
         assert len(probed.snapshots) == plain.hits.get(loc, 0), loc
 
 
@@ -141,8 +80,7 @@ def test_a_probed_recursion_ends_at_the_same_call(program, function, args):
 @pytest.mark.parametrize("x", [0, 3])
 def test_a_condition_that_is_not_a_bool_is_a_type_mismatch(statement, x):
     program = parse_program(f"fn f(x: int) -> int {{ {statement} return 0; }}")
-    recording, lean = in_both_modes(program, "f", [x])
-    assert lean == recording
-    assert recording[1] == "TypeMismatch"
+    plain = outcome(execute(program, "f", [x]))
+    assert plain[1] == "TypeMismatch"
     for loc in program.locations():
-        assert in_both_modes(probe(program, loc), "f", [x]) == (recording, recording), loc
+        assert outcome(execute(probe(program, loc), "f", [x])) == plain, loc

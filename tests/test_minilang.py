@@ -301,20 +301,6 @@ class TestControls:
         result = execute(probe(probe_program, 2), "peek", [4, Obj("Str", "")])
         assert result.snapshots[0].values["doubled"] == 8
 
-    def test_a_lean_run_takes_the_probes_snapshots(self, probe_program):
-        probed = probe(probe_program, 2)
-        recording = execute(probed, "peek", [4, Obj("Str", "")])
-        lean = execute(probed, "peek", [4, Obj("Str", "")], record=False)
-        assert lean.hits == {} and recording.hits
-        assert lean.snapshots == recording.snapshots and len(lean.snapshots) == 1
-
-    def test_a_lean_run_records_nothing(self, gcd_program):
-        recording = execute(gcd_program, "gcd", [6, 4])
-        lean = execute(gcd_program, "gcd", [6, 4], record=False)
-        assert recording.hits
-        assert (lean.hits, lean.snapshots) == ({}, [])
-        assert (lean.value, lean.steps) == (recording.value, recording.steps)
-
     PARITY = parse_program(
         "fn f(n: int) -> int { let i: int = 0; let c: int = 0; "
         "while (i < n) { if (i % 2 == 0) { c = c + 1; } i = i + 1; } return c; }"
@@ -437,22 +423,17 @@ NAN = float("nan")
 
 
 def run_fused(body, x=3, y=4, r=1.5, step_budget=1000, unbound=()):
-    """Execute ``body`` as the body of f(x, y, r, true, null), recording
-    and lean, which must agree. The parameters named in ``unbound`` are
-    dropped from f and its call, so reading or assigning them fails at run
-    time as the resolver would not let it."""
+    """Execute ``body`` as the body of f(x, y, r, true, null). The
+    parameters named in ``unbound`` are dropped from f and its call, so
+    reading or assigning them fails at run time as the resolver would not
+    let it."""
     program = parse_program(FUSED_FIXTURE.replace("BODY", body))
     fn = program.functions["f"]
     kept = [(p, a) for p, a in zip(fn.params, [x, y, r, True, NULL]) if p.name not in unbound]
     fn = dataclasses.replace(fn, params=tuple(p for p, _ in kept))
     program = Program(program.consts, {"f": fn}, program.registry)
-    outcomes = {
-        (result.value, result.error, result.timed_out, result.steps)
-        for result in (execute(program, "f", [a for _, a in kept], step_budget=step_budget,
-                               record=record) for record in (True, False))
-    }
-    [outcome] = outcomes
-    return outcome
+    result = execute(program, "f", [a for _, a in kept], step_budget=step_budget)
+    return result.value, result.error, result.timed_out, result.steps
 
 
 def run_return(expr, **kwargs):
@@ -558,11 +539,10 @@ class TestFusedOperands:
             "while (i < n) { if (i != 2) { c = c + 1; } i = i + 1; } return c; }"
         )
         plain = execute(program, "f", [4])
-        for record in (True, False):
-            result = execute(probe(program, 4), "f", [4], record=record)
-            assert (result.value, result.steps) == (plain.value, plain.steps) == (3, 70)
-            assert [s.values["i"] for s in result.snapshots] == [0, 1, 2, 3]
-            assert [s.condition for s in result.snapshots] == [True, True, False, True]
+        result = execute(probe(program, 4), "f", [4])
+        assert (result.value, result.steps) == (plain.value, plain.steps) == (3, 70)
+        assert [s.values["i"] for s in result.snapshots] == [0, 1, 2, 3]
+        assert [s.condition for s in result.snapshots] == [True, True, False, True]
 
     @pytest.mark.parametrize("expr, value", [
         ("x < y", True), ("x + 1", 4), ("x - K", -2), ("r * H", 0.75),
@@ -647,15 +627,6 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded):
             execute(self.COUNT, "f", [10_000], step_budget=4096, deadline=passed)
 
-    def test_a_lean_run_reads_the_clock_at_the_same_step(self):
-        passed = time.monotonic() - 1.0
-        result = execute(self.COUNT, "f", [10_000], step_budget=4095, deadline=passed,
-                         record=False)
-        assert result.timed_out and result.steps == 4096
-        with pytest.raises(DeadlineExceeded):
-            execute(self.COUNT, "f", [10_000], step_budget=4096, deadline=passed,
-                    record=False)
-
     @pytest.mark.parametrize("budget", [*range(4093, 4101), *range(8189, 8197), 1_000_000])
     def test_a_distant_deadline_changes_no_run(self, budget):
         def outcome(result):
@@ -700,8 +671,6 @@ class TestCallDepth:
         assert forced.timed_out and forced.hits == plain.hits
         # each call skips the condition's four steps
         assert forced.steps == plain.steps - 4 * 13
-        lean = execute(decide(program, 1, True), "down", [5], record=False)
-        assert (lean.timed_out, lean.steps) == (True, forced.steps)
 
     def test_nested_recursion_stops_at_the_same_point_at_any_stack_depth(self):
         # Each call reserves its body's closure-nesting depth, so the run
@@ -784,8 +753,6 @@ class TestCallStatement:
         program = parse_program(CALLS)
         result = execute(program, "sign", [x])
         assert (result.value, result.error, result.steps, result.hits) == (value, error, steps, hits)
-        lean = execute(program, "sign", [x], record=False)
-        assert (lean.value, lean.error, lean.steps, lean.hits) == (value, error, steps, {})
 
     @pytest.mark.parametrize("argument, frames, calls", [
         ("n - 1", 8, 75), ("n - 1 + 0 * (n - n)", 10, 60), ("-(-(-(-(n - 1))))", 12, 50),
@@ -821,20 +788,17 @@ class TestCompiledCache:
 
     def test_concurrent_runs_share_the_compiled_program(self):
         # Threads start on an uncompiled program, so they race to lower it
-        # in both modes and then share its closures; every run must match a
-        # lone run in its mode.
+        # and then share its closures; every run must match a lone run.
         points = [(u, v) for u in range(-4, 5) for v in (0, 6, BIG)]
         lone = parse_program(GCD_BUGGY)
-        expected = {record: [(r.value, r.steps, r.hits) for r in
-                             (execute(lone, "gcd", list(p), record=record) for p in points)]
-                    for record in (True, False)}
+        expected = [(r.value, r.steps, r.hits) for r in
+                    (execute(lone, "gcd", list(p)) for p in points)]
         shared = parse_program(GCD_BUGGY)
         results = {}
 
         def worker(n):
             results[n] = [(r.value, r.steps, r.hits) for r in
-                          (execute(shared, "gcd", list(p), record=n % 2 == 0)
-                           for p in points * 5)]
+                          (execute(shared, "gcd", list(p)) for p in points * 5)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -847,7 +811,7 @@ class TestCompiledCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert all(results[n] == expected[n % 2 == 0] * 5 for n in range(8))
+        assert all(results[n] == expected * 5 for n in range(8))
 
 
 class TestLifetime:

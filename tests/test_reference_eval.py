@@ -4,16 +4,15 @@ The evaluator walks the AST and follows the step rules of the
 interpreter's module docstring, with no lowering, fusion, unrolling or
 shared closures: one step per statement entry and per expression node (a
 method call is two, a ``Forced`` condition none), one per finished
-loop-body run, and the run times out on step ``budget + 1``. A recording
-run counts a hit per statement entry; a probed ``if`` snapshots as its
-condition starts and stores the value it gives, and any other probed
-statement snapshots before it runs. It models neither the call-depth
-budget nor the deadline: no run checked here comes near either.
+loop-body run, and the run times out on step ``budget + 1``. A run counts
+a hit per statement entry; a probed ``if`` snapshots as its condition
+starts and stores the value it gives, and any other probed statement
+snapshots before it runs. It models neither the call-depth budget nor the
+deadline: no run checked here comes near either.
 
-Each run is made in recording and in lean mode, and the two results
-must agree with the evaluator on value, error, timeout, steps, hits (none
-when lean) and snapshots. A snapshot holds only its values and condition,
-so the evaluator checks the whole of each.
+Each run must agree with the evaluator on value, error, timeout, steps,
+hits and snapshots. A snapshot holds only its values and condition, so
+the evaluator checks the whole of each.
 """
 import pytest
 
@@ -220,18 +219,15 @@ def reference(program, function, args, budget):
 
 
 def check(program, function, args, budget, deadlines=(None,)):
-    """Assert that both modes of ``execute``, under each deadline, agree
-    with the evaluator."""
+    """Assert that ``execute``, under each deadline, agrees with the
+    evaluator."""
     expected = reference(program, function, args, budget)
-    for record in (True, False):
-        want = expected if record else expected[:4] + ({},) + expected[5:]
-        for deadline in deadlines:
-            result = execute(program, function, args, step_budget=budget, deadline=deadline,
-                             record=record)
-            snapshots = [[s.values, s.condition] for s in result.snapshots]
-            actual = (_key(result.value), result.error, result.timed_out, result.steps,
-                      result.hits, snapshots)
-            assert actual == want, (function, args, budget, record, deadline)
+    for deadline in deadlines:
+        result = execute(program, function, args, step_budget=budget, deadline=deadline)
+        snapshots = [[s.values, s.condition] for s in result.snapshots]
+        actual = (_key(result.value), result.error, result.timed_out, result.steps,
+                  result.hits, snapshots)
+        assert actual == expected, (function, args, budget, deadline)
 
 
 def edits(program):

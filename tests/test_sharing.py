@@ -18,7 +18,7 @@ import pytest
 from condfix import corpus
 from condfix.corpus import builtin_seed_sources, seed_condition_bugs
 from condfix.minilang import (
-    SKIP, FunctionDef, IfStmt, Patch, PatchKind, WhileStmt, apply_patch, decide, execute,
+    SKIP, IfStmt, Patch, PatchKind, WhileStmt, apply_patch, decide, execute,
     parse_expression, parse_program, render_program, shadow_merge,
 )
 
@@ -268,17 +268,9 @@ def lowered_nodes(program):
     return {id(node): node for node in [*stmts, *program.functions.values(), *conds]}
 
 
-def table_keys(nodes, record):
-    """The table keys of ``nodes`` lowered in one mode: a node that holds a
-    block has one closure per mode, every other node one for both."""
-    return {(id(node), record) if isinstance(node, (FunctionDef, IfStmt, WhileStmt))
-            else id(node) for node in nodes}
-
-
 class TestClosureSharing:
     """A child lowers closures only for what it does not share with its
-    base: the statements on the edited path and the edited function, in
-    each mode it runs in."""
+    base: the statements on the edited path and the edited function."""
 
     @pytest.mark.parametrize("edit", [
         *(lambda base, d=d: decide(base, *d) for d in DECISIONS),
@@ -290,40 +282,24 @@ class TestClosureSharing:
        + ["patch-nested-condition", "patch-outer-condition", "patch-other-function",
           "patch-nested-precondition", "merge"])
     def test_a_child_lowers_only_its_edited_path(self, edit):
-        for record in (True, False):
-            self.check_a_child_run_first(edit, record)
-
-    @staticmethod
-    def check_a_child_run_first(edit, record):
-        """The base has run in both modes; its child runs first recording
-        or lean (``record``), then in the other mode."""
         base = parse_program(BASE)
         branches = [loc for loc in base.locations()
                     if isinstance(base.statement_at(loc), (IfStmt, WhileStmt))]
         execute(base, "f", ARGS[0])
-        assert len(base.closures) == (len(base.locations()) + len(branches)
-                                      + len(base.functions))
-        execute(base, "f", ARGS[0], record=False)
         before = set(base.closures)
-        assert len(before) == (len(base.locations()) + 2 * len(branches)
-                               + 2 * len(base.functions))
+        assert len(before) == (len(base.locations()) + len(branches)
+                               + len(base.functions))
         base_nodes = lowered_nodes(base)
-        assert before == (table_keys(base_nodes.values(), True)
-                          | table_keys(base_nodes.values(), False))
+        assert before == set(base_nodes)
         child = edit(base)
         assert child.closures is base.closures
-        unshared = [node for key, node in lowered_nodes(child).items() if key not in base_nodes]
-        execute(child, "f", ARGS[0], record=record)
-        assert new_closures(child, before) == table_keys(unshared, record)
-        # The other mode lowers only the block-holding nodes of that path.
+        unshared = {key for key in lowered_nodes(child) if key not in base_nodes}
+        execute(child, "f", ARGS[0])
+        assert new_closures(child, before) == unshared
+        # Running it again, or running the base, lowers nothing more.
         lowered = set(child.closures)
-        execute(child, "f", ARGS[0], record=not record)
-        assert new_closures(child, lowered) == table_keys(unshared, not record) - lowered
-        # Running it again, or running the base, in either mode lowers nothing more.
-        lowered = set(child.closures)
-        for mode in (True, False):
-            execute(child, "f", ARGS[1], record=mode)
-            execute(base, "f", ARGS[1], record=mode)
+        execute(child, "f", ARGS[1])
+        execute(base, "f", ARGS[1])
         assert set(child.closures) == lowered
 
 

@@ -2,8 +2,9 @@
 
 ``reference_close`` is the closing rule stated plainly: walk the full
 root-wiring product of every bool root outside the cone, keep the wirings
-that take every unconsumed cone member, and stop at the first whose vector
-is the expected one; every wiring walked over is one node.
+of a root that can close a cone that take every unconsumed cone member,
+and stop at the first whose vector is the expected one; every wiring
+walked over is one node.
 ``_SearchState.close`` enumerates only the closing wirings. Wrapped over
 the solve-digest matrices (levels 1 to 4, climbing until the first sat)
 and over 20 criterion-4 matrices (levels 1 and 2), every call must give
@@ -17,7 +18,10 @@ from collections import Counter
 import pytest
 
 from condfix.budget import Exhausted
-from condfix.synth import MAX_LEVEL, MIN_LEVEL, SAT, encode, internal, solve_internal
+from condfix.synth import (
+    MAX_LEVEL, MIN_LEVEL, SAT, Component, encode, encode_with_components, internal,
+    solve_internal,
+)
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 from test_acceptance import _random_matrix
 from test_solve_digest import LADDER_CAP, matrices
@@ -27,12 +31,12 @@ def reference_close(state):
     """(hit, nodes) of the product-and-filter rule; the budget is left alone."""
     unconsumed = {("comp", pos) for pos, n in enumerate(state.consumers) if not n}
     tried = 0
-    for ci, in_types, memo in state.roots:
+    for ci, in_types, memo, closes in state.roots:
         if state.in_cone[ci]:
             continue
         candidates = state.candidates(in_types)
         for index, (wiring, key) in enumerate(candidates):
-            if unconsumed.issubset(wiring):
+            if closes and unconsumed.issubset(wiring):
                 vid = memo.get(key)
                 if vid is None:
                     vid = state.apply(ci, key)
@@ -131,3 +135,16 @@ def test_every_kind_of_closing_wiring_hits(checked_close):
     kinds = {"(m,)", "(x, m) x col", "(x, m) x comp", "(m, y) y col", "(m, y) y comp",
              "(a, b)", "(b, a)"}
     assert kinds <= set(checked_close)
+
+
+def test_a_root_that_cannot_close_still_counts_its_wirings(checked_close):
+    # ``==`` over two int columns strands ``!``: it never closes a cone,
+    # and every wiring of it is still one node
+    columns = [ColumnSpec(c, "int", "var", var=c) for c in "ab"]
+    components = [Component("!", ("bool",), "bool"), Component("==", ("int", "int"), "bool")]
+    for rows in ([((1, 1), True), ((1, 2), False), ((3, 3), True)],
+                 [((1, 1), False), ((1, 2), True)]):
+        matrix = TraceMatrix(1, "condition", columns,
+                             [TraceRow(f"t{r}", 0, inputs, exp) for r, (inputs, exp) in enumerate(rows)])
+        solve_internal(encode_with_components(matrix, components), None, LADDER_CAP)
+    assert checked_close["hit"] == 1

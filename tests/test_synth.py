@@ -15,7 +15,7 @@ from condfix.minilang.values import INT_MAX, INT_MIN
 from condfix.synth import (
     ARITHMETIC_TAGS, COMPARISON_TAGS, LOGICAL_TAGS, Component, decode,
     emit_smtlib, encode, encode_with_components, enumerate_oracle, evaluate,
-    solve, solve_external, to_source, tree_to_source,
+    parse_solver_output, solve, solve_external, to_source, tree_to_source,
 )
 from condfix.synth.internal import SAT, TIMEOUT, UNSAT, _SearchState, solve_internal
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
@@ -190,6 +190,24 @@ class TestInternalSolve:
         result = solve_internal(self.undecided_problem(), timeout_s=timeout_s, max_nodes=100_000)
         assert result.status == TIMEOUT
         assert result.nodes == 4096
+
+    @staticmethod
+    def not_over_equality(rows):
+        """Criterion 8's components over two int columns: ``==`` cannot own
+        the result slot, for ``!`` would have no bool producer below it."""
+        components = [Component("!", ("bool",), "bool"), Component("==", ("int", "int"), "bool")]
+        return encode_with_components(matrix([int_col("a"), int_col("b")], rows), components)
+
+    def test_a_cone_fitting_only_under_a_root_that_strands_a_component_is_unsat(self):
+        problem = self.not_over_equality([(1, 1, True), (1, 2, False), (3, 3, True)])
+        assert solve(problem, None, 10.0).status == UNSAT
+
+    def test_a_root_every_other_component_parks_below_closes_the_cone(self):
+        problem = self.not_over_equality([(1, 1, False), (1, 2, True)])
+        result = solve(problem, None, 10.0)
+        assert (result.status, result.nodes) == (SAT, 8)
+        assert problem.check_model(result.model) == []
+        assert to_source(decode(problem, result.model)) == "!(a == b)"
 
     def test_structural_validity_of_models(self):
         m = matrix(
@@ -467,6 +485,31 @@ class TestExternalBackend:
         )
         with pytest.raises(SolverBackendError):
             solve(problem, f"python3 {stub}", 10.0)
+
+
+class TestSolverOutput:
+    LVARS = ("l_in1", "l_result")
+
+    def test_unknown_is_a_timeout(self):
+        assert parse_solver_output("unknown\n", self.LVARS).status == TIMEOUT
+
+    def test_a_negative_value_prints_as_a_minus_term(self):
+        result = parse_solver_output("sat\n((l_in1 (- 5))\n (l_result 2))\n", self.LVARS)
+        assert (result.status, result.model) == (SAT, {"l_in1": -5, "l_result": 2})
+
+    @pytest.mark.parametrize("output, message", [
+        ("", "empty solver output"),
+        (" \n\n", "empty solver output"),
+        ("sat\n", "missing get-value response"),
+        ("sat\n((l_in1 1))", "model is missing variables: \\['l_result'\\]"),
+        ("sat\n((l_in1 1 2) (l_result 2))", "malformed get-value pair: \\['l_in1', '1', '2'\\]"),
+        ("sat\n(l_in1 (l_result 2))", "malformed get-value pair: 'l_in1'"),
+        ("sat\n((l_in1 (+ 1 2)) (l_result 2))", "unsupported value term \\['\\+', '1', '2'\\]"),
+    ], ids=["empty", "blank", "no-model", "missing-variable", "three-item-pair", "bare-name",
+            "sum-term"])
+    def test_unusable_output_is_a_backend_error(self, output, message):
+        with pytest.raises(SolverBackendError, match=message):
+            parse_solver_output(output, self.LVARS)
 
 
 class TestOracle:
