@@ -104,7 +104,13 @@ def _read(directory: Path, name: str, parse):
     raise BundleError(f"bundle {directory.name}: {reason}")
 
 
-def _parse_kv(text: str) -> Dict[str, str]:
+_PATCH_KEYS = ("kind", "location", "expr")
+_META_KEYS = ("id", "expected", "entry", "grid")
+
+
+def _parse_kv(text: str, keys: Sequence[str]) -> Dict[str, str]:
+    """The ``key: value`` lines of ``text``; a line with no ``:``, a key
+    outside ``keys`` or a key given twice is a BundleError."""
     out: Dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -113,7 +119,12 @@ def _parse_kv(text: str) -> Dict[str, str]:
         if ":" not in line:
             raise BundleError(f"malformed line: {line!r}")
         key, _, value = line.partition(":")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in keys:
+            raise BundleError(f"unknown key {key!r}, not one of {', '.join(keys)}")
+        if key in out:
+            raise BundleError(f"repeated key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -191,7 +202,7 @@ def load_bundle(directory: Path) -> BugBundle:
                               f"{test.function}() with {len(test.args)} arguments, "
                               "which no function takes")
 
-    patch_kv = _read(directory, "human_patch.txt", _parse_kv)
+    patch_kv = _read(directory, "human_patch.txt", lambda text: _parse_kv(text, _PATCH_KEYS))
     human = Patch(
         _field(directory, patch_kv, "kind", PatchKind),
         _field(directory, patch_kv, "location", int),
@@ -202,7 +213,7 @@ def load_bundle(directory: Path) -> BugBundle:
     except (CondfixError, KeyError) as exc:  # KeyError: no statement at the location
         raise BundleError(f"bundle {name}: bad human_patch.txt: {exc.args[0]}") from None
 
-    meta = _read(directory, "meta.txt", _parse_kv)
+    meta = _read(directory, "meta.txt", lambda text: _parse_kv(text, _META_KEYS))
     expected, reason = _field(directory, meta, "expected", _parse_expected)
     entry = _field(directory, meta, "entry")
     fn = program.functions.get(entry)

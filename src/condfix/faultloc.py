@@ -8,7 +8,7 @@ form evaluates to 0 so uncovered statements never outrank covered ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import NoFailingTestError
@@ -27,18 +27,6 @@ class Spectrum:
 
     def counts(self, loc: int) -> Tuple[int, int]:
         return self.failed.get(loc, 0), self.passed.get(loc, 0)
-
-
-@dataclass
-class Ranking:
-    """Positive-score statements in descending score order (ties broken by
-    ascending location id), plus the full score map for effort computation."""
-
-    entries: List[Tuple[int, float]]
-    scores: Dict[int, float] = field(default_factory=dict)
-
-    def locations(self) -> List[int]:
-        return [loc for loc, _ in self.entries]
 
 
 def build_spectrum(
@@ -118,13 +106,13 @@ def all_scores(spectrum: Spectrum, metric: str) -> Dict[int, float]:
     return {loc: suspiciousness(metric, spectrum, loc) for loc in spectrum.locations()}
 
 
-def rank(spectrum: Spectrum, metric: str = "ochiai") -> Ranking:
-    scores = all_scores(spectrum, metric)
-    entries = sorted(
-        ((loc, s) for loc, s in scores.items() if s > 0),
+def rank(spectrum: Spectrum, metric: str = "ochiai") -> List[Tuple[int, float]]:
+    """Positive-score statements as ``(location, score)`` pairs, in
+    descending score order with ties broken by ascending location id."""
+    return sorted(
+        ((loc, s) for loc, s in all_scores(spectrum, metric).items() if s > 0),
         key=lambda item: (-item[1], item[0]),
     )
-    return Ranking(entries=entries, scores=scores)
 
 
 def wasted_effort_from_scores(scores: Dict[int, float], buggy: int) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Any, Union
 
 INT_BITS = 64
@@ -94,10 +95,10 @@ def format_real(x: float) -> str:
         # Special values cannot appear in source or suites; propagate-only.
         return repr(x)
     text = repr(float(x))
-    if "e" in text or "E" in text:
-        text = format(float(x), "f").rstrip("0")
-        if text.endswith("."):
-            text += "0"
+    if "e" in text:
+        # Expand the shortest digits themselves: format(x, "f") keeps only
+        # 6 decimals, so 1e-07 would read 0.0.
+        text = format(Decimal(text), "f")
     if "." not in text:
         text += ".0"
     return text

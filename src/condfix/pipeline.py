@@ -181,7 +181,7 @@ def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairC
         spectrum = build_spectrum(baseline, program.locations())
         ranking = rank(spectrum, config.metric)
 
-        for position, (loc, _score) in enumerate(ranking.entries, start=1):
+        for position, (loc, _score) in enumerate(ranking, start=1):
             kind = _repair_kind(program, loc, config.mode)
             if kind is None:
                 continue

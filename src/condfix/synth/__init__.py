@@ -8,7 +8,6 @@ from .expr import App, Leaf, PatchExpression, evaluate, to_minilang, to_source
 from .internal import (
     DEFAULT_NODE_BUDGET, SAT, SolveResult, TIMEOUT, UNSAT, solve_internal,
 )
-from .oracle import enumerate_oracle, tree_to_source
 from .problem import SynthesisProblem, decode, encode, encode_with_components
 from .smtlib import emit_smtlib, parse_solver_output, solve, solve_external
 
@@ -19,7 +18,6 @@ __all__ = [
     "to_minilang", "to_source",
     "DEFAULT_NODE_BUDGET", "SAT", "SolveResult", "TIMEOUT", "UNSAT",
     "solve_internal",
-    "enumerate_oracle", "tree_to_source",
     "SynthesisProblem", "encode", "encode_with_components",
     "emit_smtlib", "parse_solver_output", "solve", "solve_external",
 ]

@@ -27,11 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-# The repair-kind constants live in angelic; trace re-exports them.
-from .angelic import CONDITION, PRECONDITION, AngelicTuple, check_candidate  # noqa: F401
+from .angelic import CONDITION, AngelicTuple, check_candidate
 from .minilang import (
-    DEFAULT_STEP_BUDGET, Program, Value, decide, execute, format_value,
-    parse_value_literal, probe,
+    DEFAULT_STEP_BUDGET, Program, Value, decide, execute, format_value, probe,
 )
 from .minilang.values import PRIMITIVE_TYPES, Null, Obj, matches_declared
 from .testkit import TestCase, verdict_holds
@@ -198,7 +196,7 @@ def deduplicate(matrix: TraceMatrix) -> TraceMatrix:
     return replace(matrix, rows=rows, conflicting=conflicting)
 
 
-# --- line-oriented serialization (debugging, enumerative oracle) -----------
+# --- line-oriented serialization (debugging) --------------------------------
 
 
 def matrix_to_text(matrix: TraceMatrix) -> str:
@@ -211,28 +209,4 @@ def matrix_to_text(matrix: TraceMatrix) -> str:
         cells.append("true" if row.expected else "false")
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> TraceMatrix:
-    lines = [l for l in text.splitlines() if l.strip()]
-    loc_text, kind = lines[0].split("\t")
-    columns = []
-    for cell in lines[1].split("\t"):
-        name, type_, col_kind = cell.split("|")
-        # Rebuild each recipe from the name _candidate_columns gave the column.
-        var, _, call = name.removesuffix(" == null").partition(".")
-        columns.append(ColumnSpec(
-            name, type_, col_kind,
-            var=None if col_kind == "const" else var,
-            const=int(name) if col_kind == "const" else None,
-            method=call.removesuffix("()") if col_kind == "query" else None,
-        ))
-    rows = []
-    for line in lines[2:]:
-        cells = line.split("\t")
-        test, m = cells[0], int(cells[1])
-        inputs = tuple(parse_value_literal(c) for c in cells[2:-1])
-        expected = cells[-1] == "true"
-        rows.append(TraceRow(test, m, inputs, expected))
-    return TraceMatrix(int(loc_text), kind, columns, rows)
 

@@ -1,4 +1,4 @@
-"""Independent brute-force oracle for the synthesis path.
+"""Independent brute-force oracle for the synthesis path, used by tests.
 
 Exhaustively enumerates typed expression trees (smallest first) over the
 same columns and component multiset a ladder rung offers, each component
@@ -14,8 +14,8 @@ from __future__ import annotations
 from itertools import product
 from typing import List, Optional, Tuple
 
-from ..trace import TraceMatrix
-from .components import BOOL, components_for_level
+from condfix.synth import BOOL, components_for_level
+from condfix.trace import TraceMatrix
 
 MAX_ORACLE_ROWS = 64
 MAX_ORACLE_LEVEL = 2

@@ -17,11 +17,12 @@ from condfix.faultloc import (
 from condfix.minilang import SKIP, decide, execute
 from condfix.pipeline import RepairConfig
 from condfix.synth import (
-    Component, decode, encode, encode_with_components, enumerate_oracle,
-    evaluate, solve, to_source,
+    Component, decode, encode, encode_with_components, evaluate, solve,
+    to_source,
 )
 from condfix.testkit import verdict_holds
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
+from enumeration_oracle import enumerate_oracle
 
 FIXABLE_PORTS = ("cm1", "cm2", "cm5", "cl4", "pl4", "pm2")
 GRID_PORTS = ("cm5", "cl4", "pl4", "pm2")

@@ -97,8 +97,17 @@ class TestBundleFiles:
          "grid: axes \\['v', 'w'\\] are not the parameters \\['u', 'v'\\] of gcd"),
         ("meta.txt", "-12..12; v = -12..12", "0..999; v = 0..100",
          f"grid .*: 101000 grid points, more than {MAX_GRID_POINTS}"),
+        ("meta.txt", "grid: ", "grids: ",
+         "meta.txt: unknown key 'grids', not one of id, expected, entry, grid"),
+        ("human_patch.txt", "expr: ", "exp: ",
+         "human_patch.txt: unknown key 'exp', not one of kind, location, expr"),
+        ("meta.txt", "entry: gcd", "entry: gcd\nentry: lcm", "meta.txt: repeated key 'entry'"),
+        ("human_patch.txt", "location: 1", "location: 1\nlocation: 1",
+         "human_patch.txt: repeated key 'location'"),
+        ("meta.txt", "entry: gcd", "entry gcd", "meta.txt: malformed line: 'entry gcd'"),
     ], ids=["word-location", "real-location", "unknown-kind", "empty-grid-axis", "malformed-expr",
-            "unknown-entry", "axes-not-parameters", "too-many-points"])
+            "unknown-entry", "axes-not-parameters", "too-many-points", "unknown-meta-key",
+            "unknown-patch-key", "repeated-meta-key", "repeated-patch-key", "line-without-colon"])
     def test_bad_field_is_a_bundle_error_naming_bundle_and_field(
         self, tmp_path, file, old, new, match
     ):
@@ -107,6 +116,19 @@ class TestBundleFiles:
         assert old in path.read_text()
         path.write_text(path.read_text().replace(old, new))
         with pytest.raises(BundleError, match=f"bundle copy: bad {match}"):
+            load_bundle(tmp_path / "copy")
+
+    @pytest.mark.parametrize("file, line", [
+        ("human_patch.txt", "kind: condition-update\n"),
+        ("meta.txt", "entry: gcd\n"),
+    ], ids=["kind", "entry"])
+    def test_a_missing_field_is_a_bundle_error_naming_it(self, tmp_path, file, line):
+        write_bundle(load_bundle(default_corpus_dir() / "cm5"), tmp_path / "copy")
+        path = tmp_path / "copy" / file
+        assert line in path.read_text()
+        path.write_text(path.read_text().replace(line, ""))
+        key = line.split(":")[0]
+        with pytest.raises(BundleError, match=f"^bundle copy: missing field '{key}'$"):
             load_bundle(tmp_path / "copy")
 
     @pytest.mark.parametrize("expected, match", [
@@ -390,6 +412,15 @@ class TestHarness:
         assert [(r.id, r.outcome) for r in rows] == [("cm1", "bundle-error"), ("pm2", "patched")]
         assert rows[0].reason == "bundle cm1: bad suite: no test cases"
         assert suites and all(suite is good.suite for suite in suites)
+
+    def test_a_human_patch_that_fails_the_suite_becomes_an_error_row(self):
+        bundle = load_bundle(default_corpus_dir() / "cm1")
+        assert bundle.human.expression_text == "pos >= n"
+        bundle.human = Patch(PatchKind.CONDITION_UPDATE, 3, parse_expression("pos > n"))
+        good = load_bundle(default_corpus_dir() / "pm2")
+        rows = run_harness([bundle, good]).rows
+        assert [(r.id, r.outcome) for r in rows] == [("cm1", "bundle-error"), ("pm2", "patched")]
+        assert rows[0].reason == "bundle cm1: human patch does not validate"
 
     def test_csv_is_deterministic(self):
         bundles = [load_bundle(default_corpus_dir() / "pm2")]

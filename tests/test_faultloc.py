@@ -91,16 +91,15 @@ class TestSpectrum:
 class TestRanking:
     def test_descending_scores(self):
         s = make_spectrum({1: 1, 2: 1}, {1: 3, 2: 0}, 1, 3)
-        ranking = rank(s, "ochiai")
-        assert ranking.locations() == [2, 1]
+        assert [loc for loc, _ in rank(s, "ochiai")] == [2, 1]
 
     def test_tie_break_by_location(self):
         s = make_spectrum({3: 1, 1: 1}, {3: 2, 1: 2}, 1, 2)
-        assert rank(s, "ochiai").locations() == [1, 3]
+        assert [loc for loc, _ in rank(s, "ochiai")] == [1, 3]
 
     def test_zero_scores_excluded(self):
         s = make_spectrum({1: 0, 2: 0}, {1: 1, 2: 1}, 1, 1)
-        assert rank(s, "ochiai").entries == []
+        assert rank(s, "ochiai") == []
 
     def test_entries_are_positive_score_permutation(self):
         rng = random.Random(11)
@@ -114,8 +113,8 @@ class TestRanking:
             )
             ranking = rank(s, "ochiai")
             positive = {l for l in locs if s.counts(l)[0] > 0}
-            assert set(ranking.locations()) == positive
-            scores = [score for _, score in ranking.entries]
+            assert {loc for loc, _ in ranking} == positive
+            scores = [score for _, score in ranking]
             assert scores == sorted(scores, reverse=True)
 
 

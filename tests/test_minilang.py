@@ -19,15 +19,18 @@ from condfix.errors import (
 from condfix.minilang import (
     INT_MAX, INT_MIN, NULL, SKIP, Binary, BoolLit, CallStmt, IfStmt, Obj, Patch, PatchKind, Program,
     StatementKind, Unary, VarRef, apply_patch, decide, execute, parse_expression,
-    parse_program, parse_value_literal, probe, render_expr, render_program, shadow_merge,
-    wrap_int,
+    format_real, parse_program, parse_value_literal, probe, render_expr, render_program,
+    shadow_merge, wrap_int,
 )
 from condfix.minilang.ast import BLOCKS, depth
 from condfix.minilang.interp import CALL_FRAMES, MAX_CALL_DEPTH, _Lowering
 from condfix.minilang.lexer import tokenize
 from condfix.minilang.parser import MAX_INT_DIGITS, MAX_NESTING
-from condfix.testkit import parse_suite
+from condfix.synth import REAL
+from condfix.synth.smtlib import _smt_literal
+from condfix.testkit import parse_suite, render_suite
 from conftest import CALLS, GCD_BUGGY
+from test_reference_eval import check as check_reference
 
 BIG = 1 << 32  # BIG * BIG wraps to 0 in 64-bit arithmetic
 
@@ -173,6 +176,30 @@ class TestLexer:
                         parse(text)
                     except CondfixError:
                         pass
+
+
+# Reals and the text every writer gives them: the shortest digits that read
+# back as the same double, never an exponent.
+REAL_TEXTS = {
+    1e-07: "0.0000001",
+    -1e-07: "-0.0000001",
+    1.2345e-05: "0.000012345",
+    1e16: "10000000000000000.0",
+    5e-324: "0." + "0" * 323 + "5",
+    1.7976931348623157e308: "17976931348623157" + "0" * 292 + ".0",
+}
+
+
+class TestRealFormat:
+    @pytest.mark.parametrize("value, text", REAL_TEXTS.items(), ids=map(repr, REAL_TEXTS))
+    def test_every_writer_keeps_the_value(self, value, text):
+        assert format_real(value) == text
+        assert parse_value_literal(text) == value
+        program = parse_program(f"const EPS: real = {text};\nfn f() -> real {{ return EPS; }}")
+        assert f"const EPS: real = {text};" in render_program(program)
+        suite = parse_suite(f"t: f() -> {text}\n")
+        assert suite[0].expected_value == value and render_suite(suite) == f"t: f() -> {text}\n"
+        assert _smt_literal(value, REAL) == (f"(- {text[1:]})" if value < 0 else text)
 
 
 # Binary operators loosest to tightest, written out independently of
@@ -348,11 +375,14 @@ fn g(n: int) -> int {
 
 def run_body(body, decision=None, step_budget=1000):
     """Execute ``body`` as the body of f(3, 4, true, "ab"), with the
-    ``(location, decision)`` pair ``decision`` applied if given."""
+    ``(location, decision)`` pair ``decision`` applied if given, and check
+    the run against the reference evaluator."""
     program = parse_program(STEPS_FIXTURE.replace("BODY", body))
     if decision is not None:
         program = decide(program, *decision)
-    return execute(program, "f", [3, 4, True, Obj("Str", "ab")], step_budget=step_budget)
+    args = [3, 4, True, Obj("Str", "ab")]
+    check_reference(program, "f", args, step_budget)
+    return execute(program, "f", args, step_budget=step_budget)
 
 
 class TestStepAccounting:
@@ -367,6 +397,7 @@ class TestStepAccounting:
         ("x + y", 4), ("x < y", 4), ("x == y", 4), ("(x + y) * (x - 1)", 8),
         ("s.length()", 3),  # the call and its receiver variable
         ("g(x)", 5),  # call, argument, and g's return of its parameter
+        ("s == s", 4),
     ])
     def test_return_of_expression(self, expr, steps):
         result = run_body(f"return {expr};")
@@ -409,10 +440,20 @@ class TestStepAccounting:
         assert result.timed_out and result.error == "TimeoutDuringExecution"
         assert result.steps == budget + 1
 
+    @pytest.mark.parametrize("function, args, message", [
+        ("h", [3], "undefined function 'h'"),
+        ("g", [3, 4], "g\\(\\) takes 1 arguments, got 2"),
+    ], ids=["undefined-function", "wrong-arity"])
+    def test_a_call_the_program_cannot_make_is_a_value_error(self, function, args, message):
+        program = parse_program(STEPS_FIXTURE.replace("BODY", "return x;"))
+        with pytest.raises(ValueError, match=message):
+            execute(program, function, args)
+
 
 FUSED_FIXTURE = """\
 const K: int = 5;
 const H: real = 0.5;
+const T: bool = true;
 
 fn f(x: int, y: int, r: real, b: bool, s: Str) -> int {
   BODY
@@ -423,16 +464,18 @@ NAN = float("nan")
 
 
 def run_fused(body, x=3, y=4, r=1.5, step_budget=1000, unbound=()):
-    """Execute ``body`` as the body of f(x, y, r, true, null). The
-    parameters named in ``unbound`` are dropped from f and its call, so
-    reading or assigning them fails at run time as the resolver would not
-    let it."""
+    """Execute ``body`` as the body of f(x, y, r, true, null), and check the
+    run against the reference evaluator. The parameters named in
+    ``unbound`` are dropped from f and its call, so reading or assigning
+    them fails at run time as the resolver would not let it."""
     program = parse_program(FUSED_FIXTURE.replace("BODY", body))
     fn = program.functions["f"]
     kept = [(p, a) for p, a in zip(fn.params, [x, y, r, True, NULL]) if p.name not in unbound]
     fn = dataclasses.replace(fn, params=tuple(p for p, _ in kept))
     program = Program(program.consts, {"f": fn}, program.registry)
-    result = execute(program, "f", [a for _, a in kept], step_budget=step_budget)
+    args = [a for _, a in kept]
+    check_reference(program, "f", args, step_budget)
+    result = execute(program, "f", args, step_budget=step_budget)
     return result.value, result.error, result.timed_out, result.steps
 
 
@@ -450,7 +493,7 @@ class TestFusedOperands:
         ("x < y", True), ("x + 1", True), ("x - K", True), ("r * H", True),
         ("r >= 0.5", True), ("x == y", True), ("x != 0", True), ("s == x", True),
         ("x / y", False), ("x % 2", False), ("1 + x", False), ("K < x", False),
-        ("x < -1", False), ("b == true", False), ("x < y + 1", False),
+        ("x < -1", False), ("b == true", False), ("x < y + 1", False), ("b == T", False),
     ])
     def test_which_nodes_fuse(self, expr, fused):
         # No expression node lowers to a fused closure; the node fuses into
@@ -508,6 +551,16 @@ class TestFusedOperands:
         # the condition changes type mid-loop: ints, then reals, then mixed
         ("while (x != y) { x = r; y = r; } return 1;", 3, 4, 1.5, 1, None, 14),
         ("while (x < y) { x = r; } return 1;", 3, 4, 1.5, None, "TypeMismatch", 10),
+        # statements that do not fuse, and nodes only their own closures run
+        ("if (b == T) { return 1; } return 2;", 3, 4, 1.5, 1, None, 6),
+        ("while (b) { return x; } return 2;", 3, 4, 1.5, 3, None, 4),
+        ("return -r;", 3, 4, 1.5, -1.5, None, 3),
+        ("return -b;", 3, 4, 1.5, None, "TypeMismatch", 3),
+        ("return !x;", 3, 4, 1.5, None, "TypeMismatch", 3),
+        ("return x || b;", 3, 4, 1.5, None, "TypeMismatch", 3),
+        ("let t: Str = x; return t.length();", 3, 4, 1.5, None, "TypeMismatch", 5),
+        # a parameter is checked against its declared type before any step
+        ("return x;", 1.5, 4, 1.5, None, "TypeMismatch", 0),
     ]
 
     @pytest.mark.parametrize("body, x, y, r, value, error, steps", STATEMENTS)
@@ -546,7 +599,7 @@ class TestFusedOperands:
 
     @pytest.mark.parametrize("expr, value", [
         ("x < y", True), ("x + 1", 4), ("x - K", -2), ("r * H", 0.75),
-        ("r <= r", True), ("x != y", True), ("x == 3", True),
+        ("r <= r", True), ("x != y", True), ("x == 3", True), ("r / H", 3.0),
     ])
     @pytest.mark.parametrize("budget", [1, 2, 3, 4])
     def test_budget_ending_on_each_step_of_the_node(self, expr, value, budget):
@@ -565,6 +618,7 @@ class TestFusedOperands:
 
     @pytest.mark.parametrize("expr", [
         "x < r", "r + x", "x == r", "x < H", "r < K", "b < 1", "true < 1", "s < x",
+        "r % H", "b == x", "b && x",
     ])
     def test_mismatched_operands(self, expr):
         assert run_return(expr) == (None, "TypeMismatch", False, 4)

@@ -14,11 +14,12 @@ from condfix.minilang import execute, parse_program
 from condfix.minilang.values import INT_MAX, INT_MIN
 from condfix.synth import (
     ARITHMETIC_TAGS, COMPARISON_TAGS, LOGICAL_TAGS, Component, decode,
-    emit_smtlib, encode, encode_with_components, enumerate_oracle, evaluate,
-    parse_solver_output, solve, solve_external, to_source, tree_to_source,
+    emit_smtlib, encode, encode_with_components, evaluate, parse_solver_output,
+    solve, solve_external, to_source,
 )
 from condfix.synth.internal import SAT, TIMEOUT, UNSAT, _SearchState, solve_internal
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
+from enumeration_oracle import enumerate_oracle, tree_to_source
 
 DATA = Path(__file__).parent / "data"
 

@@ -1,12 +1,13 @@
 """Trace matrix collection, column policies, and deduplication."""
 import pytest
 
-from condfix.angelic import AngelicTuple, angelic_condition, angelic_precondition
-from condfix.minilang import parse_program
+from condfix.angelic import (
+    CONDITION, PRECONDITION, AngelicTuple, angelic_condition, angelic_precondition,
+)
+from condfix.minilang import parse_program, parse_value_literal
 from condfix.testkit import parse_suite, run_suite
 from condfix.trace import (
-    CONDITION, PRECONDITION, collect, deduplicate, matrix_from_text,
-    matrix_to_text,
+    ColumnSpec, TraceMatrix, TraceRow, collect, deduplicate, matrix_to_text,
 )
 from conftest import MISTYPED
 
@@ -236,6 +237,29 @@ class TestDeduplication:
         suite = parse_suite("hex_end: translate(8, 5, true) -> 0\n")
         matrix = collect(program, suite, 6, PRECONDITION, {})
         assert matrix.degenerate  # single outcome only
+
+
+def matrix_from_text(text):
+    """The matrix ``matrix_to_text`` wrote, column recipes included."""
+    lines = [l for l in text.splitlines() if l.strip()]
+    loc_text, kind = lines[0].split("\t")
+    columns = []
+    for cell in lines[1].split("\t"):
+        name, type_, col_kind = cell.split("|")
+        # Rebuild each recipe from the name collect gave the column.
+        var, _, call = name.removesuffix(" == null").partition(".")
+        columns.append(ColumnSpec(
+            name, type_, col_kind,
+            var=None if col_kind == "const" else var,
+            const=int(name) if col_kind == "const" else None,
+            method=call.removesuffix("()") if col_kind == "query" else None,
+        ))
+    rows = []
+    for line in lines[2:]:
+        cells = line.split("\t")
+        inputs = tuple(parse_value_literal(c) for c in cells[2:-1])
+        rows.append(TraceRow(cells[0], int(cells[1]), inputs, cells[-1] == "true"))
+    return TraceMatrix(int(loc_text), kind, columns, rows)
 
 
 class TestSerialization:
