@@ -252,6 +252,9 @@ class Program:
     # condition lowered. Shared with every program path-copied from this
     # one (see ``interp``).
     closures: Dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
+    # The name of each interpreter frame slot, by slot, numbered as the
+    # closures are lowered and shared with them (see ``interp``).
+    slots: List[str] = field(default_factory=list, repr=False, compare=False)
     # Function name -> closure, built by the interpreter on the first run.
     compiled: Optional[Dict[str, Callable]] = field(
         default=None, init=False, repr=False, compare=False

@@ -15,10 +15,10 @@ the spectrum's coverage, and most other runs never do. The probe is a
 program edit (``patching.probe``): a probed ``if`` snapshots the state as
 its condition starts and stores the value the condition gives in the
 snapshot, and any other probed statement snapshots the state before it
-runs. A snapshot copies the constants' and the frame's values;
-``trace.collect`` derives every synthesis column from them. Angelic
-decisions are program edits too (``patching.decide``): a forced condition
-is a ``Forced`` node, a skipped statement is absent.
+runs. A snapshot copies the constants' values and the frame's bound
+slots, by name; ``trace.collect`` derives every synthesis column from
+them. Angelic decisions are program edits too (``patching.decide``): a
+forced condition is a ``Forced`` node, a skipped statement is absent.
 
 Shared closures: each statement's and function's closure, and the
 expression closure of each ``if`` or ``while`` condition, is cached in
@@ -27,8 +27,20 @@ with every program path-copied from it, along with consts and registry,
 the only program parts a closure reads. An edit so lowers only the
 statements on its path and its function. A probed statement is a node of
 its own, so its closure never serves the unprobed one. Calls find their
-callee in ``run.functions`` and snapshots close over the consts alone, so
-no closure refers to a program.
+callee in ``run.functions`` and snapshots close over the consts and slot
+names alone, so no closure refers to a program.
+
+Frames (lexical addressing; Abelson & Sussman, SICP §5.5.6): a call's
+frame is a list with one slot per local name, and a closure reads or
+writes a variable at a slot fixed when it is lowered. The resolver
+rejects a declaration of a name already visible, so one slot per name
+serves every scope: a block that completes resets the slots it declared
+to ``UNBOUND``, and reading or assigning an unbound slot raises
+``UnboundVariable``. Names are numbered once per closure table, in
+``Program.slots``, which path copies share as they share the table; the
+numbering only grows, so a slot a closure holds stays valid. A program
+constant never takes a slot. A call fills ``[UNBOUND] * n`` with its
+arguments, ``n`` being the slots numbered when its function was lowered.
 
 Steps: one per statement entry and per expression node (a method call is
 two, its receiver being a variable reference; a ``Forced`` condition is
@@ -57,11 +69,11 @@ assignment of a binary node ``<``, ``<=``, ``>``, ``>=``, ``+``, ``-``,
 constant) and whose right operand is a variable or an int or real literal
 or program constant, and an ``if`` or ``while`` whose condition is such a
 node with a comparison operator, is one closure that runs the node in
-line, reading both operands straight from the frame. It charges the
+line, reading its variables straight from their slots. It charges the
 node's three steps at once, and only when they fit under the run's limit,
-both names are bound, the operands are two ints or two reals, and an int
+both slots are bound, the operands are two ints or two reals, and an int
 result needs no wrapping. In every other case (a budget or clock read
-that falls inside the node, an unbound name, mixed or non-numeric types)
+that falls inside the node, an unbound slot, mixed or non-numeric types)
 it runs the node's own closure from the unchanged step count, and then
 finishes as the unfused statement does. Leaf reads are pure, so that
 fallback is exact: steps, hits, snapshots, errors and timeouts are those
@@ -167,13 +179,13 @@ class _Run(Budget):
 
 # A compiled expression maps (run, frame) to a value. A compiled statement
 # or block maps (run, frame) to None, or to the value of a ``return`` it
-# ran. A frame is one dict per call: the resolver rejects a declaration of
-# a name already visible, so each block removes its own declarations when
-# it completes and no chain of scopes is needed.
-Compiled = Callable[[_Run, Dict[str, Value]], Optional[Value]]
+# ran. A frame is one list per call, of a slot per name (see "Frames" in
+# the module docstring); an unbound slot holds UNBOUND.
+Compiled = Callable[[_Run, List[Value]], Optional[Value]]
+UNBOUND = object()
 
 
-def _empty_block(run: _Run, frame: Dict[str, Value]) -> None:
+def _empty_block(run: _Run, frame: List[Value]) -> None:
     return None
 
 
@@ -250,7 +262,8 @@ class _Lowering:
 
     def __init__(self, program: Program):
         self.consts, self.registry, self.table = program.consts, program.registry, program.closures
-        self.capture = _capturer(program.consts)
+        self.names = program.slots
+        self.capture = _capturer(program.consts, self.names)
 
     def cached(self, node, lower: Callable):
         """``lower(node)``, made once per node of the table's programs."""
@@ -259,10 +272,19 @@ class _Lowering:
             entry = self.table[id(node)] = (node, lower(node))
         return entry[1]
 
+    def slot(self, name: str) -> int:
+        """The frame slot of the local ``name``, numbered on first use. Two
+        lowerings that race here may both append the name; the first copy
+        serves both, and the other slot is never bound."""
+        if name not in self.names:
+            self.names.append(name)
+        return self.names.index(name)
+
     def function(self, fn: FunctionDef) -> Callable:
         name, arity = fn.name, len(fn.params)
-        params = [(p.name, p.type) for p in fn.params]
+        params = [(self.slot(p.name), p.type) for p in fn.params]
         body = self.block(fn.body, scoped=False)
+        size = len(self.names)  # every slot the body uses is numbered
         frames = max(1 + depth(fn.body), CALL_FRAMES)
         limit = MAX_CALL_DEPTH * CALL_FRAMES - frames
 
@@ -271,11 +293,11 @@ class _Lowering:
                 raise ValueError(f"{name}() takes {arity} arguments, got {len(args)}")
             if run.depth > limit:
                 raise Exhausted()
-            frame: Dict[str, Value] = {}
-            for (param, declared), arg in zip(params, args):
+            frame = [UNBOUND] * size
+            for (slot, declared), arg in zip(params, args):
                 if not matches_declared(arg, declared):
                     raise _Throw(TYPE_MISMATCH)
-                frame[param] = arg
+                frame[slot] = arg
             run.depth += frames
             value = body(run, frame)
             run.depth -= frames
@@ -299,7 +321,8 @@ class _Lowering:
             if s.probe and not isinstance(s, IfStmt):
                 stmt = _snapshot_first(stmt, self.capture)
             entries.append((s.loc, stmt))
-        declared = tuple(s.name for s in stmts if isinstance(s, LetStmt)) if scoped else ()
+        declared = (tuple(self.slot(s.name) for s in stmts if isinstance(s, LetStmt))
+                    if scoped else ())
         if not entries:
             return _empty_block
         if declared or len(entries) > 2:
@@ -310,25 +333,25 @@ class _Lowering:
         if isinstance(stmt, (IfStmt, WhileStmt)):
             return self.branching(stmt)
         if isinstance(stmt, (LetStmt, AssignStmt)):
-            name = stmt.name
+            slot = self.slot(stmt.name)
             declares = isinstance(stmt, LetStmt)
             fused = self.operands(stmt.value, _FUSED)
             if fused is not None:
                 # A let binds its name, and so has an assignment read it.
-                bound = declares or name in fused[1:3]
-                return _fused_store(name, bound, self.binary(stmt.value), *fused)
+                bound = declares or slot in fused[1:3]
+                return _fused_store(slot, bound, self.binary(stmt.value), *fused)
             value = self.expr(stmt.value)
             if declares:
                 def let(run, frame):
-                    frame[name] = value(run, frame)
+                    frame[slot] = value(run, frame)
 
                 return let
 
             def assign(run, frame):
                 result = value(run, frame)
-                if name not in frame:
+                if frame[slot] is UNBOUND:
                     raise _Throw(UNBOUND_VARIABLE)
-                frame[name] = result
+                frame[slot] = result
 
             return assign
         if isinstance(stmt, ReturnStmt):
@@ -431,15 +454,16 @@ class _Lowering:
     def variable(self, name: str) -> Compiled:
         if name in self.consts:
             return self.constant(self.consts[name].value)
+        slot = self.slot(name)
 
         def variable(run, frame):
             run.count += 1
             if run.count > run.limit:
                 run.check()
-            try:
-                return frame[name]
-            except KeyError:
-                raise _Throw(UNBOUND_VARIABLE) from None
+            value = frame[slot]
+            if value is UNBOUND:
+                raise _Throw(UNBOUND_VARIABLE)
+            return value
 
         return variable
 
@@ -520,16 +544,15 @@ class _Lowering:
     def operands(self, expr: Expr, operators: Dict[str, Callable]) -> Optional[tuple]:
         """``(apply, left, right, constant)`` for a binary node with an
         operator in ``operators`` whose left operand is a variable of the
-        frame and whose right one is a variable (``right`` its name,
-        ``constant`` None) or an int or real constant (``right`` None,
-        ``constant`` its value), so that ``frame.get(right, constant)``
-        reads it; None for any other node (see "Fused statements" in the
-        module docstring)."""
+        frame (``left`` its slot) and whose right one is a variable
+        (``right`` its slot, ``constant`` None) or an int or real constant
+        (``right`` None, ``constant`` its value); None for any other node
+        (see "Fused statements" in the module docstring)."""
         if not isinstance(expr, Binary) or expr.op not in operators or not self.local(expr.left):
             return None
-        apply, name, right = operators[expr.op], expr.left.name, expr.right
+        apply, left, right = operators[expr.op], self.slot(expr.left.name), expr.right
         if self.local(right):
-            return apply, name, right.name, None
+            return apply, left, self.slot(right.name), None
         if isinstance(right, (IntLit, RealLit)):
             constant = right.value
         elif isinstance(right, VarRef):
@@ -538,7 +561,7 @@ class _Lowering:
             return None
         if type(constant) is not int and type(constant) is not float:
             return None
-        return apply, name, None, constant
+        return apply, left, None, constant
 
     def local(self, expr: Expr) -> bool:
         """Whether ``expr`` reads a variable of the frame."""
@@ -575,8 +598,9 @@ class _Lowering:
         return call
 
 
-def _block_loop(entries: Tuple[Tuple[int, Compiled], ...], declared: Tuple[str, ...]) -> Compiled:
-    """A block of ``(location, statement)`` entries, run in a loop."""
+def _block_loop(entries: Tuple[Tuple[int, Compiled], ...], declared: Tuple[int, ...]) -> Compiled:
+    """A block of ``(location, statement)`` entries, run in a loop, that
+    unbinds the slots it ``declared`` when it completes."""
     def block(run, frame):
         for loc, stmt in entries:
             run.count += 1
@@ -586,8 +610,8 @@ def _block_loop(entries: Tuple[Tuple[int, Compiled], ...], declared: Tuple[str, 
             value = stmt(run, frame)
             if value is not None:
                 return value
-        for name in declared:
-            frame.pop(name, None)
+        for slot in declared:
+            frame[slot] = UNBOUND
         return None
 
     return block
@@ -626,20 +650,21 @@ def _short_block(entries: List[Tuple[int, Compiled]]) -> Compiled:
     return block
 
 
-# The fused closures below read a node's operands with ``frame.get(left)``
-# and ``frame.get(right, constant)`` (see ``_Lowering.operands``): an
-# unbound name reads as None, which fails the type test, so that the
-# closure falls back to the node's own closure, which raises the error.
+# The fused closures below read a node's operands from the frame slots
+# ``left`` and ``right``, or take ``constant`` where ``right`` is None (see
+# ``_Lowering.operands``): an unbound slot reads as UNBOUND, which fails
+# the type test, so that the closure falls back to the node's own closure,
+# which raises the error.
 
 
-def _fused_store(name: str, bound: bool, general: Compiled, apply, left, right,
+def _fused_store(slot: int, bound: bool, general: Compiled, apply, left, right,
                  constant) -> Compiled:
-    """A ``let`` or assignment of a fused binary node. ``bound`` skips the
-    check that an assignment's target is bound."""
+    """A ``let`` or assignment of a fused binary node to ``slot``.
+    ``bound`` skips the check that an assignment's target is bound."""
     def fused_store(run, frame):
         steps = run.count + 3
-        a = frame.get(left)
-        b = frame.get(right, constant)
+        a = frame[left]
+        b = constant if right is None else frame[right]
         kind = type(a)
         if steps <= run.limit and kind is type(b) and (kind is int or kind is float):
             value = apply(a, b)
@@ -649,8 +674,8 @@ def _fused_store(name: str, bound: bool, general: Compiled, apply, left, right,
                 value = general(run, frame)
         else:
             value = general(run, frame)
-        if bound or name in frame:
-            frame[name] = value
+        if bound or frame[slot] is not UNBOUND:
+            frame[slot] = value
             return None
         raise _Throw(UNBOUND_VARIABLE)
 
@@ -663,8 +688,8 @@ def _fused_if(cond: Compiled, then_body: Compiled, else_body: Compiled, apply, l
     condition's closure."""
     def fused_if(run, frame):
         steps = run.count + 3
-        a = frame.get(left)
-        b = frame.get(right, constant)
+        a = frame[left]
+        b = constant if right is None else frame[right]
         kind = type(a)
         if steps <= run.limit and kind is type(b) and (kind is int or kind is float):
             run.count = steps
@@ -687,8 +712,8 @@ def _fused_while(cond: Compiled, body: Compiled, apply, left, right, constant) -
     def fused_while(run, frame):
         while True:
             steps = run.count + 3
-            a = frame.get(left)
-            b = frame.get(right, constant)
+            a = frame[left]
+            b = constant if right is None else frame[right]
             kind = type(a)
             if steps <= run.limit and kind is type(b) and (kind is int or kind is float):
                 run.count = steps
@@ -710,12 +735,16 @@ def _fused_while(cond: Compiled, body: Compiled, apply, left, right, constant) -
     return fused_while
 
 
-def _capturer(consts) -> Callable:
-    """The snapshot taker of the programs with these consts."""
-    def capture(run: _Run, frame: Dict[str, Value]) -> ProbeSnapshot:
-        """Append a snapshot of the state at a probed statement."""
+def _capturer(consts, names: List[str]) -> Callable:
+    """The snapshot taker of the programs with these consts and slot
+    ``names``."""
+    def capture(run: _Run, frame: List[Value]) -> ProbeSnapshot:
+        """Append a snapshot of the state at a probed statement: the
+        constants, then the frame's bound slots by name."""
         values = {c.name: c.value for c in consts.values()}
-        values.update(frame)
+        for name, value in zip(names, frame):
+            if value is not UNBOUND:
+                values[name] = value
         snapshot = ProbeSnapshot(values)
         run.snapshots.append(snapshot)
         return snapshot

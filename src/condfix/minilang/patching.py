@@ -10,9 +10,9 @@ statement, every expression and ``consts`` are shared with the input
 structures persistent", JCSS 1989). This is sound because statements are
 frozen and blocks are tuples (see ``ast``): nothing a program shares can
 change under it. The new program also shares its input's table of lowered
-closures, so it lowers only the statements on the copied path (see
-``interp``), and only they compute their call-depth share (see
-``ast.depth``).
+closures and their frame slots, so it lowers only the statements on the
+copied path (see ``interp``), and only they compute their call-depth
+share (see ``ast.depth``).
 
 A statement wrapped by a new precondition keeps executing under the guard
 and is re-addressed at a fresh location past the current maximum. The new
@@ -194,7 +194,7 @@ def _replace_statement(
     functions = dict(program.functions)
     functions[fn.name] = dataclasses.replace(fn, body=_rewrite(fn.body, loc, replace))
     return Program(consts=program.consts, functions=functions, registry=program.registry,
-                   closures=program.closures)
+                   closures=program.closures, slots=program.slots)
 
 
 def _rewrite(stmts: Block, loc: int, replace: Callable[[Stmt], Block]) -> Optional[Block]:

@@ -30,6 +30,7 @@ from condfix.synth import REAL
 from condfix.synth.smtlib import _smt_literal
 from condfix.testkit import parse_suite, render_suite
 from conftest import CALLS, GCD_BUGGY
+from test_reference_eval import BUDGET, edits
 from test_reference_eval import check as check_reference
 
 BIG = 1 << 32  # BIG * BIG wraps to 0 in 64-bit arithmetic
@@ -645,6 +646,110 @@ class TestFusedOperands:
     ])
     def test_null_and_nan_operands(self, expr, r, value):
         assert run_return(expr, r=r) == (value, None, False, 4)
+
+
+# Locations: constant 1-2, skipped 3-7, siblings 8-17, sum 18-22, scoped 23-28.
+FRAMES = """\
+const P: Str = Str("ab");
+
+fn constant(x: int) -> int {
+  let n: int = P.length();
+  return n + x;
+}
+
+fn skipped(x: int) -> int {
+  let y: int = x + 1;
+  let z: int = 2;
+  y = y * x;
+  z = x - 1;
+  return y + z;
+}
+
+fn siblings(x: int) -> int {
+  let t: int = 0;
+  if (x > 0) {
+    let d: int = x * 2;
+    t = t + d;
+  } else {
+    let d: int = 0 - x;
+    t = t - d;
+  }
+  while (t > 10) {
+    let d: int = t - 7;
+    t = d;
+  }
+  return t;
+}
+
+fn sum(n: int) -> int {
+  if (n <= 0) {
+    return 0;
+  }
+  let m: int = n - 1;
+  let rest: int = sum(m);
+  return rest + n * m;
+}
+
+fn scoped(x: int) -> int {
+  if (x > 0) {
+    let a: int = x;
+    x = a - 1;
+  }
+  if (x < 5) {
+    x = x + 1;
+  }
+  return x;
+}
+"""
+FRAME_CALLS = [("constant", [3]), ("skipped", [4]), ("siblings", [9]), ("siblings", [-4]),
+               ("sum", [4]), ("scoped", [3]), ("scoped", [-2])]
+# sum's base case forced false recurses past what the reference evaluator
+# models, so its edited runs are left out.
+EDITED_CALLS = [call for call in FRAME_CALLS if call[0] != "sum"]
+
+
+class TestFrames:
+    """A call's frame holds a slot per local name, numbered once per
+    closure table; every run must still agree with the reference
+    evaluator, which keeps a dict per call."""
+
+    @pytest.mark.parametrize("function, args", EDITED_CALLS)
+    def test_every_edit_agrees_with_the_reference(self, function, args):
+        for edited in edits(parse_program(FRAMES)):
+            check_reference(edited, function, args, BUDGET)
+
+    def test_a_method_call_on_a_program_constant(self):
+        program = parse_program(FRAMES)
+        result = execute(program, "constant", [3])
+        assert (result.value, result.steps, result.hits) == (5, 7, {1: 1, 2: 1})
+        assert "P" not in program.slots
+
+    @pytest.mark.parametrize("skip, steps", [(3, 5), (4, 12)])
+    def test_a_skipped_let_leaves_its_slot_unbound(self, skip, steps):
+        # skipping y's let fails at the read of y, z's at the store to z
+        result = execute(decide(parse_program(FRAMES), skip, SKIP), "skipped", [4])
+        assert (result.error, result.steps) == ("UnboundVariable", steps)
+
+    @pytest.mark.parametrize("function, args, value", [
+        ("siblings", [9], 4), ("siblings", [-4], -4), ("sum", [4], 20),
+    ])
+    def test_names_declared_in_sibling_blocks_and_recursive_calls(self, function, args, value):
+        assert execute(parse_program(FRAMES), function, args).value == value
+
+    def test_a_snapshot_holds_only_the_names_in_scope(self):
+        # the first if's block declared a, and unbound it when it completed
+        result = execute(probe(parse_program(FRAMES), 27), "scoped", [3])
+        [snapshot] = result.snapshots
+        assert snapshot.values == {"P": Obj("Str", "ab"), "x": 2}
+
+    def test_a_base_runs_alike_before_and_after_its_skip_child(self):
+        base = parse_program(FRAMES)
+        child = decide(base, 24, SKIP)
+        for program in (base, child, base):
+            for function, args in FRAME_CALLS:
+                check_reference(program, function, args, BUDGET)
+        assert child.closures is base.closures and child.slots is base.slots
+        assert execute(child, "scoped", [3]).error == "UnboundVariable"
 
 
 FACT = """\

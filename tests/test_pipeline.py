@@ -26,6 +26,24 @@ class TestRepair:
         assert report.level is not None
         assert report.location_rank >= 1
 
+    def test_a_patch_can_use_a_state_query(self):
+        # Only the length of s separates the tests that need the early
+        # return, so the patch decodes a query column.
+        program = parse_program(
+            "fn firstOr(s: Str, d: int) -> int { if (d < 0) { return s.length(); } return d; }"
+        )
+        suite = parse_suite(
+            'a: firstOr(Str("abc"), 7) -> 3\n'
+            'b: firstOr(Str(""), 7) -> 7\n'
+            'c: firstOr(Str("x"), -2) -> 1\n'
+            'd: firstOr(Str(""), -2) -> -2\n'
+            'e: firstOr(Str("hello"), 0) -> 5\n'
+        )
+        report = repair(program, suite)
+        assert (report.outcome, report.patch.location, report.level) == ("patched", 1, 1)
+        assert report.to_dict()["patch"]["expression"] == "0 < s.length()"
+        assert validate(program, report.patch, suite)
+
     def test_no_failing_test_is_an_error(self, gcd_program):
         suite = parse_suite("zero_u: gcd(0, 6) -> 6\n")
         with pytest.raises(NoFailingTestError):
