@@ -24,11 +24,12 @@ Shared closures: each statement's and function's closure, and the
 expression closure of each ``if`` or ``while`` condition, is cached in
 ``Program.closures`` by node identity, a table that a program shares
 with every program path-copied from it, along with consts and registry,
-the only program parts a closure reads. An edit so lowers only the
-statements on its path and its function. A probed statement is a node of
-its own, so its closure never serves the unprobed one. Calls find their
-callee in ``run.functions`` and snapshots close over the consts and slot
-names alone, so no closure refers to a program.
+the only program parts a closure reads. A statement that a loop runs in
+line (see "Generated loops") has no entry of its own. An edit so lowers
+only the statements on its path and its function. A probed statement is
+a node of its own, so its closure never serves the unprobed one. Calls
+find their callee in ``run.functions`` and snapshots close over the
+consts and slot names alone, so no closure refers to a program.
 
 Frames (lexical addressing; Abelson & Sussman, SICP §5.5.6): a call's
 frame is a list with one slot per local name, and a closure reads or
@@ -68,32 +69,55 @@ assignment of a binary node ``<``, ``<=``, ``>``, ``>=``, ``+``, ``-``,
 ``*``, ``==`` or ``!=`` whose left operand is a variable (not a program
 constant) and whose right operand is a variable or an int or real literal
 or program constant, and an ``if`` or ``while`` whose condition is such a
-node with a comparison operator, is one closure that runs the node in
-line, reading its variables straight from their slots. It charges the
-node's three steps at once, and only when they fit under the run's limit,
-both slots are bound, the operands are two ints or two reals, and an int
-result needs no wrapping. In every other case (a budget or clock read
-that falls inside the node, an unbound slot, mixed or non-numeric types)
-it runs the node's own closure from the unchanged step count, and then
-finishes as the unfused statement does. Leaf reads are pure, so that
-fallback is exact: steps, hits, snapshots, errors and timeouts are those
-of the unfused statement. ``/`` and ``%`` are never fused, and neither is
-the condition of a probed ``if``. An expression node alone never fuses.
+node with a comparison operator, runs the node in line, reading its
+variables straight from their slots. It charges the node's three steps
+at once, and only when they fit under the run's limit, both slots are
+bound, the operands are two ints or two reals, and an int result needs no
+wrapping. In every other case (a budget or clock read that falls inside
+the node, an unbound slot, mixed or non-numeric types) it runs the node's
+own closure from the unchanged step count, and then finishes as the
+unfused statement does. Leaf reads are pure, so that fallback is exact:
+steps, hits, snapshots, errors and timeouts are those of the unfused
+statement. ``/`` and ``%`` are never fused, and neither is the condition
+of a probed ``if``. An expression node alone never fuses.
 
-Unrolled blocks: a block of one or two statements that declares nothing
-runs its statements in line instead of looping over them, and returns
-what its last statement returns.
+Generated loops (copy-and-patch; Xu & Kjolstad, OOPSLA 2021): a ``while``
+lowers to one Python function, generated from the loop's shape, that
+keeps the run's step count and limit in locals. In line it runs its
+condition, each body statement's entry step and hit, fused stores, the
+unbinding of a block's ``let`` slots, the loop-body step, and each
+unprobed ``if`` with its branch blocks, recursively: a forced ``if`` as
+the branch it takes, any other with its fused comparison or a call to
+its condition's closure. It calls every other statement's closure (a
+call, a ``let`` or assignment that does not fuse, a ``return``, a
+``throw``, a nested ``while`` and a probed statement), writing the count
+back to the run before each call, ``run.check()``, raise and return, and
+reading the count and limit back after each. A fused ``let``, assignment
+or ``if`` outside a loop is generated the same way, as a one-statement
+shape whose branch blocks are closures. The shape holds operators, the
+kinds of constants and the structure; slots, locations, constants and
+closures are arguments of the shape's ``make``, so no MiniLang name or
+literal enters the source, and the ``make`` of each shape is compiled
+once per process, in a bounded cache (``_make``).
+
+Unrolled blocks: outside a loop, a block of one or two statements that
+declares nothing runs its statements in line instead of looping over
+them, and returns what its last statement returns.
 
 Forced ``if``: an unprobed ``if`` whose condition is ``Forced`` lowers to
-the closure of the branch it takes; the ``if`` takes its entry step, and
-the condition none, as before.
+the closure of the branch it takes, or inside a loop to that branch in
+line; the ``if`` takes its entry step, and the condition none, as before.
 
-A fused statement's fallback adds at most one Python frame, at the top of
-the stack, and never around a call, because fused operands never call; an
-unrolled block or a forced ``if`` adds none.
+Python frames: a fused fallback adds one frame, at the top of the stack,
+and never around a call, because fused operands never call; an unrolled
+block or a forced ``if`` adds none. A generated loop is one frame where
+its ``while`` closure, body block and in-line statements were several,
+so it never stacks more frames than ``ast.depth`` counts.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -247,14 +271,13 @@ _NUMERIC = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": _divide, "%": _modulo,
 }
-# The operators a fused statement applies itself, to two ints or two reals
-# only. There each agrees with the node's own closure, except that an int
-# result out of range is left to that closure to wrap. The comparisons give
-# bools, so only they fuse into an ``if`` or ``while``.
-_COMPARISONS = {op: _NUMERIC[op] for op in ("<", "<=", ">", ">=")}
-_COMPARISONS.update({"==": operator.eq, "!=": operator.ne})
-_FUSED = {op: _NUMERIC[op] for op in ("+", "-", "*")}
-_FUSED.update(_COMPARISONS)
+# The operators a fused statement applies itself, as Python operators, to
+# two ints or two reals only. There each agrees with the node's own closure,
+# except that an int result out of range is left to that closure to wrap.
+# The comparisons give bools, so only they fuse into an ``if`` or ``while``.
+_COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
+_WRAPS = ("+", "-", "*")
+_FUSED = _COMPARISONS + _WRAPS
 
 
 class _Lowering:
@@ -312,15 +335,10 @@ class _Lowering:
     def block(self, stmts: Sequence[Stmt], scoped: bool = True) -> Compiled:
         """The block's closure. Entering each statement takes one step and
         counts one hit. A probed statement other than an ``if`` (see
-        ``branching``) takes a snapshot next, in a wrapper whose frame
+        ``if_stmt``) takes a snapshot next, in a wrapper whose frame
         ``ast.depth`` leaves out, so that a probed run reserves the call
         frames an unprobed one does."""
-        entries = []
-        for s in stmts:
-            stmt = self.cached(s, self.stmt)
-            if s.probe and not isinstance(s, IfStmt):
-                stmt = _snapshot_first(stmt, self.capture)
-            entries.append((s.loc, stmt))
+        entries = [(s.loc, self.called(s)) for s in stmts]
         declared = (tuple(self.slot(s.name) for s in stmts if isinstance(s, LetStmt))
                     if scoped else ())
         if not entries:
@@ -329,19 +347,26 @@ class _Lowering:
             return _block_loop(tuple(entries), declared)
         return _short_block(entries)
 
+    def called(self, stmt: Stmt) -> Compiled:
+        """The closure a block calls to run ``stmt`` after its entry."""
+        closure = self.cached(stmt, self.stmt)
+        if stmt.probe and not isinstance(stmt, IfStmt):
+            closure = _snapshot_first(closure, self.capture)
+        return closure
+
     def stmt(self, stmt: Stmt) -> Compiled:
-        if isinstance(stmt, (IfStmt, WhileStmt)):
-            return self.branching(stmt)
+        if isinstance(stmt, IfStmt):
+            return self.if_stmt(stmt)
+        if isinstance(stmt, WhileStmt):
+            params = []
+            return _make(self.loop(stmt, params))(*params)
         if isinstance(stmt, (LetStmt, AssignStmt)):
-            slot = self.slot(stmt.name)
-            declares = isinstance(stmt, LetStmt)
-            fused = self.operands(stmt.value, _FUSED)
-            if fused is not None:
-                # A let binds its name, and so has an assignment read it.
-                bound = declares or slot in fused[1:3]
-                return _fused_store(slot, bound, self.binary(stmt.value), *fused)
-            value = self.expr(stmt.value)
-            if declares:
+            params = []
+            shape = self.store(stmt, params)
+            if shape is not None:
+                return _make(shape)(*params)
+            slot, value = self.slot(stmt.name), self.expr(stmt.value)
+            if isinstance(stmt, LetStmt):
                 def let(run, frame):
                     frame[slot] = value(run, frame)
 
@@ -372,50 +397,93 @@ class _Lowering:
             return call_stmt
         raise TypeError(f"not a statement node: {stmt!r}")
 
-    def branching(self, stmt) -> Compiled:
-        """An ``if`` or ``while``, whose condition is type-checked in line.
-        A probed ``if`` runs its condition in a wrapper that takes a
+    def if_stmt(self, stmt: IfStmt) -> Compiled:
+        """An ``if`` outside a loop, whose condition is type-checked in
+        line. A probed ``if`` runs its condition in a wrapper that takes a
         snapshot as the condition starts and stores the value it gives."""
         cond = self.cached(stmt.cond, self.expr)
-        fused = None if stmt.probe else self.operands(stmt.cond, _COMPARISONS)
-        if isinstance(stmt, IfStmt):
-            then_body, else_body = self.block(stmt.then_body), self.block(stmt.else_body)
-            if isinstance(stmt.cond, Forced) and not stmt.probe:
-                return then_body if stmt.cond.value else else_body
-            if fused is not None:
-                return _fused_if(cond, then_body, else_body, *fused)
-            if stmt.probe:
-                cond = _snapshot_condition(cond, self.capture)
+        then_body, else_body = self.block(stmt.then_body), self.block(stmt.else_body)
+        if stmt.probe:
+            cond = _snapshot_condition(cond, self.capture)
+        elif isinstance(stmt.cond, Forced):
+            return then_body if stmt.cond.value else else_body
+        else:
+            params = []
+            shape = self.condition(stmt.cond, params)
+            if shape[0] == "fused":
+                params += (then_body, else_body)
+                return _make(("if", shape, ("tail",), ("tail",)))(*params)
 
-            def if_stmt(run, frame):
-                value = cond(run, frame)
-                if value is True:
-                    return then_body(run, frame)
-                if value is False:
-                    return else_body(run, frame)
-                raise _Throw(TYPE_MISMATCH)
+        def if_stmt(run, frame):
+            value = cond(run, frame)
+            if value is True:
+                return then_body(run, frame)
+            if value is False:
+                return else_body(run, frame)
+            raise _Throw(TYPE_MISMATCH)
 
-            return if_stmt
+        return if_stmt
 
-        body = self.block(stmt.body)
-        if fused is not None:
-            return _fused_while(cond, body, *fused)
+    # -- generated code: shapes and their parameters, in one walk --
 
-        def while_stmt(run, frame):
-            while True:
-                value = cond(run, frame)
-                if value is not True:
-                    if value is False:
-                        return None
-                    raise _Throw(TYPE_MISMATCH)
-                value = body(run, frame)
-                if value is not None:
-                    return value
-                run.count += 1
-                if run.count > run.limit:
-                    run.check()
+    def loop(self, stmt: WhileStmt, params: list) -> tuple:
+        """The shape of a ``while``; see "Generated code" in the module
+        docstring. Each walk method appends the parameters of its shape to
+        ``params``, in the order ``_render`` numbers them."""
+        return ("while", self.condition(stmt.cond, params), self.body(stmt.body, params))
 
-        return while_stmt
+    def condition(self, cond: Expr, params: list) -> tuple:
+        """An ``if`` or ``while`` condition: a fused comparison, else a call
+        to the condition's closure."""
+        closure = self.cached(cond, self.expr)
+        fused = self.operands(cond, _COMPARISONS)
+        if fused is None:
+            params.append(closure)
+            return ("call",)
+        op, left, kind, right = fused
+        params += (left, right, closure)
+        return ("fused", op, kind)
+
+    def store(self, stmt, params: list) -> Optional[tuple]:
+        """A ``let`` or assignment of a fused node, or None. A let binds its
+        target, and so has an assignment read it; any other assignment
+        checks that its target is bound."""
+        fused = self.operands(stmt.value, _FUSED)
+        if fused is None:
+            return None
+        op, left, kind, right = fused
+        target = self.slot(stmt.name)
+        bound = isinstance(stmt, LetStmt) or target == left or (kind == "slot" and target == right)
+        params += (left, right, self.binary(stmt.value), target)
+        return ("store", op, kind, bound)
+
+    def body(self, stmts: Sequence[Stmt], params: list) -> tuple:
+        """A block run in line: each statement's location and shape, then
+        the slots its ``let``s declared."""
+        entries = []
+        for s in stmts:
+            params.append(s.loc)
+            entries.append(self.inline(s, params))
+        declared = [self.slot(s.name) for s in stmts if isinstance(s, LetStmt)]
+        params += declared
+        return ("block", tuple(entries), len(declared))
+
+    def inline(self, stmt: Stmt, params: list) -> tuple:
+        """A statement of a loop body: an unprobed ``if`` and a fused store
+        run in line, and every other statement is a call to its closure."""
+        if not stmt.probe:
+            if isinstance(stmt, IfStmt) and isinstance(stmt.cond, Forced):
+                self.cached(stmt.cond, self.expr)  # every condition has its entry
+                return self.body(stmt.then_body if stmt.cond.value else stmt.else_body, params)
+            if isinstance(stmt, IfStmt):
+                return ("if", self.condition(stmt.cond, params),
+                        self.body(stmt.then_body, params), self.body(stmt.else_body, params))
+            if isinstance(stmt, (LetStmt, AssignStmt)):
+                shape = self.store(stmt, params)
+                if shape is not None:
+                    return shape
+        params.append(self.called(stmt))
+        return ("tail",) if isinstance(stmt, ReturnStmt) else ("call",)
 
     # -- expressions --
 
@@ -541,18 +609,18 @@ class _Lowering:
 
         return numeric
 
-    def operands(self, expr: Expr, operators: Dict[str, Callable]) -> Optional[tuple]:
-        """``(apply, left, right, constant)`` for a binary node with an
-        operator in ``operators`` whose left operand is a variable of the
-        frame (``left`` its slot) and whose right one is a variable
-        (``right`` its slot, ``constant`` None) or an int or real constant
-        (``right`` None, ``constant`` its value); None for any other node
-        (see "Fused statements" in the module docstring)."""
+    def operands(self, expr: Expr, operators: Tuple[str, ...]) -> Optional[tuple]:
+        """``(op, left, kind, right)`` for a binary node with an operator in
+        ``operators`` whose left operand is a variable of the frame (``left``
+        its slot) and whose right one is a variable (``kind`` "slot",
+        ``right`` its slot) or an int or real constant (``kind`` "int" or
+        "float", ``right`` its value); None for any other node (see "Fused
+        statements" in the module docstring)."""
         if not isinstance(expr, Binary) or expr.op not in operators or not self.local(expr.left):
             return None
-        apply, left, right = operators[expr.op], self.slot(expr.left.name), expr.right
+        left, right = self.slot(expr.left.name), expr.right
         if self.local(right):
-            return apply, left, self.slot(right.name), None
+            return expr.op, left, "slot", self.slot(right.name)
         if isinstance(right, (IntLit, RealLit)):
             constant = right.value
         elif isinstance(right, VarRef):
@@ -561,7 +629,7 @@ class _Lowering:
             return None
         if type(constant) is not int and type(constant) is not float:
             return None
-        return apply, left, None, constant
+        return expr.op, left, type(constant).__name__, constant
 
     def local(self, expr: Expr) -> bool:
         """Whether ``expr`` reads a variable of the frame."""
@@ -650,89 +718,136 @@ def _short_block(entries: List[Tuple[int, Compiled]]) -> Compiled:
     return block
 
 
-# The fused closures below read a node's operands from the frame slots
-# ``left`` and ``right``, or take ``constant`` where ``right`` is None (see
-# ``_Lowering.operands``): an unbound slot reads as UNBOUND, which fails
-# the type test, so that the closure falls back to the node's own closure,
-# which raises the error.
+# Generated code (see "Generated loops" in the module docstring): ``_render``
+# writes the source of a shape's ``make``, whose parameters p0, p1, ... are
+# the shape's slots, locations, constants and closures, numbered in the
+# order the walk that built the shape (``_Lowering.loop`` and the methods
+# after it) appended them. The source holds no MiniLang name or literal, so
+# one compiled ``make`` serves every statement of its shape.
+_SHAPES = 128  # compiled shapes kept; 300 `diverge` repairs make 22
+_GLOBALS = {"UNBOUND": UNBOUND, "_Throw": _Throw, "TYPE_MISMATCH": TYPE_MISMATCH,
+            "UNBOUND_VARIABLE": UNBOUND_VARIABLE, "INT_MIN": INT_MIN, "INT_MAX": INT_MAX}
 
 
-def _fused_store(slot: int, bound: bool, general: Compiled, apply, left, right,
-                 constant) -> Compiled:
-    """A ``let`` or assignment of a fused binary node to ``slot``.
-    ``bound`` skips the check that an assignment's target is bound."""
-    def fused_store(run, frame):
-        steps = run.count + 3
-        a = frame[left]
-        b = constant if right is None else frame[right]
-        kind = type(a)
-        if steps <= run.limit and kind is type(b) and (kind is int or kind is float):
-            value = apply(a, b)
-            if kind is float or INT_MIN <= value <= INT_MAX:
-                run.count = steps
-            else:
-                value = general(run, frame)
+@functools.lru_cache(maxsize=_SHAPES)
+def _make(shape: tuple) -> Callable:
+    """The ``make`` of ``shape``, compiled once per process while cached."""
+    namespace = dict(_GLOBALS)
+    exec(compile(_render(shape), "<minilang shape>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _render(shape: tuple) -> str:
+    """The source of ``make``, which returns the shape's function of
+    ``(run, frame)``. That function keeps the run's step count and limit
+    in locals, and writes the count back to ``run`` before every call,
+    ``run.check()``, raise and return, and reads both back after each."""
+    lines, numbers = [], itertools.count()
+
+    def param():
+        return f"p{next(numbers)}"
+
+    def emit(depth, *texts):
+        lines.extend("    " * depth + text for text in texts)
+
+    def call(depth, closure):
+        emit(depth, "run.count = count", f"value = {closure}(run, frame)",
+             "count = run.count", "limit = run.limit")
+
+    def step(depth):
+        emit(depth, "count += 1", "if count > limit:")
+        emit(depth + 1, "run.count = count", "run.check()", "limit = run.limit")
+
+    def typecheck(depth):
+        emit(depth, "if value is not True and value is not False:",
+             "    raise _Throw(TYPE_MISMATCH)")
+
+    def fused(depth, op, kind, condition):
+        """The node's value, in ``value``: its three steps at once when
+        they fit under the limit and the operands are two ints or two reals
+        whose int result needs no wrapping, else the node's own closure run
+        from the unchanged count, whose value a condition type-checks."""
+        left, right, general = param(), param(), param()
+        emit(depth, f"a = frame[{left}]")
+        if kind == "slot":
+            emit(depth, f"b = frame[{right}]", "kind = type(a)")
+            test, right = "kind is type(b) and (kind is int or kind is float)", "b"
         else:
-            value = general(run, frame)
-        if bound or frame[slot] is not UNBOUND:
-            frame[slot] = value
-            return None
-        raise _Throw(UNBOUND_VARIABLE)
+            test = f"type(a) is {kind}"
+        applied, fast = f"a {op} {right}", ["count += 3"]
+        if op in _WRAPS and kind != "float":
+            test += f" and (INT_MIN <= (value := {applied}) <= INT_MAX" + (
+                " or kind is float)" if kind == "slot" else ")")
+        else:
+            fast.insert(0, f"value = {applied}")
+        emit(depth, f"if count + 3 <= limit and {test}:")
+        emit(depth + 1, *fast)
+        emit(depth, "else:")
+        call(depth + 1, general)
+        if condition:
+            typecheck(depth + 1)
 
-    return fused_store
+    def condition(depth, cond):
+        if cond[0] == "fused":
+            fused(depth, *cond[1:], True)
+        else:
+            call(depth, param())
+            typecheck(depth)
 
+    def statement(depth, shape):
+        kind = shape[0]
+        if kind == "block":
+            _, entries, declared = shape
+            for entry in entries:
+                loc = param()
+                step(depth)
+                emit(depth, f"hits[{loc}] += 1")
+                statement(depth, entry)
+            for _ in range(declared):
+                emit(depth, f"frame[{param()}] = UNBOUND")
+            if not entries and not declared:
+                emit(depth, "pass")
+        elif kind == "store":
+            _, op, operand, bound = shape
+            fused(depth, op, operand, False)
+            target = param()
+            if not bound:
+                emit(depth, f"if frame[{target}] is UNBOUND:")
+                emit(depth + 1, "run.count = count", "raise _Throw(UNBOUND_VARIABLE)")
+            emit(depth, f"frame[{target}] = value")
+        elif kind == "if":
+            condition(depth, shape[1])
+            emit(depth, "if value:")
+            statement(depth + 1, shape[2])
+            emit(depth, "else:")
+            statement(depth + 1, shape[3])
+        elif kind == "tail":
+            emit(depth, "run.count = count", f"return {param()}(run, frame)")
+        elif kind == "call":
+            call(depth, param())
+            emit(depth, "if value is not None:", "    return value")
+        else:
+            assert kind == "while", shape
+            emit(depth, "while True:")
+            condition(depth + 1, shape[1])
+            emit(depth + 1, "if not value:", "    run.count = count", "    return None")
+            statement(depth + 1, shape[2])
+            step(depth + 1)
 
-def _fused_if(cond: Compiled, then_body: Compiled, else_body: Compiled, apply, left, right,
-              constant) -> Compiled:
-    """An ``if`` whose condition is a fused comparison; ``cond`` is the
-    condition's closure."""
-    def fused_if(run, frame):
-        steps = run.count + 3
-        a = frame[left]
-        b = constant if right is None else frame[right]
-        kind = type(a)
-        if steps <= run.limit and kind is type(b) and (kind is int or kind is float):
-            run.count = steps
-            if apply(a, b):
-                return then_body(run, frame)
-            return else_body(run, frame)
-        value = cond(run, frame)
-        if value is True:
-            return then_body(run, frame)
-        if value is False:
-            return else_body(run, frame)
-        raise _Throw(TYPE_MISMATCH)
-
-    return fused_if
-
-
-def _fused_while(cond: Compiled, body: Compiled, apply, left, right, constant) -> Compiled:
-    """A ``while`` whose condition is a fused comparison; ``cond`` is the
-    condition's closure."""
-    def fused_while(run, frame):
-        while True:
-            steps = run.count + 3
-            a = frame[left]
-            b = constant if right is None else frame[right]
-            kind = type(a)
-            if steps <= run.limit and kind is type(b) and (kind is int or kind is float):
-                run.count = steps
-                if not apply(a, b):
-                    return None
-            else:
-                value = cond(run, frame)
-                if value is not True:
-                    if value is False:
-                        return None
-                    raise _Throw(TYPE_MISMATCH)
-            value = body(run, frame)
-            if value is not None:
-                return value
-            run.count += 1
-            if run.count > run.limit:
-                run.check()
-
-    return fused_while
+    loops = shape[0] == "while"
+    if loops:
+        name = "fused_loop" if shape[1][0] == "fused" else "loop"
+    else:
+        name = "fused_" + shape[0]
+    emit(1, f"def {name}(run, frame):", "    count = run.count", "    limit = run.limit")
+    if loops:
+        emit(2, "hits = run.hits")
+    statement(2, shape)
+    if not loops:
+        emit(2, "run.count = count")
+    emit(1, f"return {name}")
+    header = f"def make({', '.join(f'p{i}' for i in range(next(numbers)))}):"
+    return "\n".join([header, *lines, ""])
 
 
 def _capturer(consts, names: List[str]) -> Callable:

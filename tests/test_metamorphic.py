@@ -163,3 +163,24 @@ def test_renaming_parameters_and_locals_renames_the_patch(bundle):
         function = parse_program(source(bundle)).function_of(patch["location"])
         patch["expression"] = renamed(patch["expression"], names, function)
     assert report(bundle, program_text) == expected
+
+
+def in_id_order(body):
+    """``body`` with each trial's angelic tuples sorted by test id."""
+    for trial in body["trials"]:
+        trial["angelic_tuples"].sort(key=lambda angelic: angelic["test"])
+    return body
+
+
+@each_bundle
+def test_renaming_the_test_ids_renames_the_tuples(bundle):
+    # the new ids sort in the reverse order of the old ones; on these inputs
+    # no location's reason depends on which failing test ends its search
+    ids = sorted(test.id for test in bundle.suite)
+    new_ids = {old: f"t{len(ids) - rank:03d}" for rank, old in enumerate(ids)}
+    suite = [dataclasses.replace(test, id=new_ids[test.id]) for test in bundle.suite]
+    expected = report(bundle)
+    for trial in expected["trials"]:
+        for angelic in trial["angelic_tuples"]:
+            angelic["test"] = new_ids[angelic["test"]]
+    assert in_id_order(report(bundle, suite=suite)) == in_id_order(expected)

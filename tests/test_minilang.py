@@ -2,6 +2,7 @@
 import dataclasses
 import gc
 import random
+import re
 import sys
 import threading
 import time
@@ -22,6 +23,7 @@ from condfix.minilang import (
     format_real, parse_program, parse_value_literal, probe, render_expr, render_program,
     shadow_merge, wrap_int,
 )
+from condfix.minilang import interp
 from condfix.minilang.ast import BLOCKS, depth
 from condfix.minilang.interp import CALL_FRAMES, MAX_CALL_DEPTH, _Lowering
 from condfix.minilang.lexer import tokenize
@@ -30,7 +32,7 @@ from condfix.synth import REAL
 from condfix.synth.smtlib import _smt_literal
 from condfix.testkit import parse_suite, render_suite
 from conftest import CALLS, GCD_BUGGY
-from test_reference_eval import BUDGET, edits
+from test_reference_eval import BUDGET, COMPARISONS, LOOPS, edits, loop_variants
 from test_reference_eval import check as check_reference
 
 BIG = 1 << 32  # BIG * BIG wraps to 0 in 64-bit arithmetic
@@ -648,6 +650,62 @@ class TestFusedOperands:
         assert run_return(expr, r=r) == (value, None, False, 4)
 
 
+KEYWORDS = {"fn", "let", "if", "else", "while", "return", "int"}
+
+
+def disguised(text):
+    """``text`` with each identifier renamed, each ``1`` made ``12345`` and
+    an unused function in front, so that its names, its constants and its
+    locations all differ and its shapes do not."""
+    text = re.sub(r"\b[a-z]\w*\b",
+                  lambda m: m.group() if m.group() in KEYWORDS else f"zq_{m.group()}", text)
+    text = re.sub(r"\b1\b", "12345", text)
+    return "fn zq_unused(zq_u: int) -> int { let zq_v: int = zq_u; return zq_v; }\n" + text
+
+
+class TestShapeCache:
+    """A loop's generated source depends on its shape alone, and each
+    shape is compiled once while it stays in a bounded cache."""
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        sources, render = [], interp._render
+        monkeypatch.setattr(interp, "_render", lambda shape: sources.append(render(shape))
+                            or sources[-1])
+        interp._make.cache_clear()
+        yield sources
+        interp._make.cache_clear()
+
+    def test_one_entry_per_shape_whatever_the_names_constants_and_locations(self, rendered):
+        for text in LOOPS.values():
+            for comparison in COMPARISONS:
+                for program in loop_variants(text, comparison):
+                    interp._lowered(program)
+        # per loop, a shape per comparison operator (<, <=, >, >=) and per
+        # decided branch, except meet's two branches, each a ``+ 1`` store
+        assert len(rendered) == interp._make.cache_info().currsize == 3 * (4 + 2) - 1
+        first = list(rendered)
+        for text in LOOPS.values():
+            for comparison in COMPARISONS:
+                for program in loop_variants(disguised(text), comparison):
+                    interp._lowered(program)
+        assert rendered == first  # no new shape
+        for source in rendered:
+            assert "zq_" not in source and "12345" not in source
+
+    def test_the_cache_stays_within_its_bound(self, rendered):
+        stores = [f"i = i {op} {right};" for op in ("+", "-", "*", "<", "==")
+                  for right in ("1", "0.5", "j")]
+        bodies = [(s, t) for s in stores for t in stores][:interp._SHAPES + 20]
+        for first, second in bodies:
+            program = parse_program(
+                f"fn f(i: int, j: int) -> int {{ while (i < 0) {{ {first} {second} }} return i; }}")
+            assert execute(program, "f", [1, 2]).value == 1
+        assert len(rendered) == len(bodies) > interp._SHAPES
+        assert interp._make.cache_info().currsize == interp._make.cache_info().maxsize
+        assert interp._make.cache_info().maxsize == interp._SHAPES
+
+
 # Locations: constant 1-2, skipped 3-7, siblings 8-17, sum 18-22, scoped 23-28.
 FRAMES = """\
 const P: Str = Str("ab");
@@ -702,10 +760,7 @@ fn scoped(x: int) -> int {
 }
 """
 FRAME_CALLS = [("constant", [3]), ("skipped", [4]), ("siblings", [9]), ("siblings", [-4]),
-               ("sum", [4]), ("scoped", [3]), ("scoped", [-2])]
-# sum's base case forced false recurses past what the reference evaluator
-# models, so its edited runs are left out.
-EDITED_CALLS = [call for call in FRAME_CALLS if call[0] != "sum"]
+               ("scoped", [3]), ("scoped", [-2]), ("sum", [4])]
 
 
 class TestFrames:
@@ -713,7 +768,7 @@ class TestFrames:
     closure table; every run must still agree with the reference
     evaluator, which keeps a dict per call."""
 
-    @pytest.mark.parametrize("function, args", EDITED_CALLS)
+    @pytest.mark.parametrize("function, args", FRAME_CALLS)
     def test_every_edit_agrees_with_the_reference(self, function, args):
         for edited in edits(parse_program(FRAMES)):
             check_reference(edited, function, args, BUDGET)

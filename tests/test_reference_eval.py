@@ -7,13 +7,18 @@ method call is two, a ``Forced`` condition none), one per finished
 loop-body run, and the run times out on step ``budget + 1``. A run counts
 a hit per statement entry; a probed ``if`` snapshots as its condition
 starts and stores the value it gives, and any other probed statement
-snapshots before it runs. It models neither the call-depth budget nor the
-deadline: no run checked here comes near either.
+snapshots before it runs. It models the call-depth reservation as
+``invoke`` makes it: each call reserves ``max(1 + depth(body),
+CALL_FRAMES)`` frames, and a call whose reserved depth would pass
+``MAX_CALL_DEPTH * CALL_FRAMES`` ends the run as a timeout. It does not
+model the deadline: a deadline that does not pass changes no run.
 
 Each run must agree with the evaluator on value, error, timeout, steps,
 hits and snapshots. A snapshot holds only its values and condition, so
 the evaluator checks the whole of each.
 """
+import re
+
 import pytest
 
 from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus
@@ -22,6 +27,8 @@ from condfix.minilang import (
     LetStmt, MethodCall, NullLit, Obj, RealLit, ReturnStmt, StatementKind, ThrowStmt,
     Unary, VarRef, WhileStmt, decide, execute, parse_program, probe,
 )
+from condfix.minilang.ast import depth
+from condfix.minilang.interp import CALL_FRAMES, MAX_CALL_DEPTH
 from conftest import CALLS
 
 TIMEOUT = "TimeoutDuringExecution"
@@ -90,6 +97,8 @@ class Reference:
     def __init__(self, program, budget):
         self.program, self.budget = program, budget
         self.steps, self.hits, self.snapshots = 0, {}, []
+        self.depth = 0  # the frames the active calls reserve
+        self.iterations = []  # the step count at the end of each loop-body run
 
     def step(self):
         self.steps += 1
@@ -104,14 +113,19 @@ class Reference:
 
     def call(self, name, args):
         fn = self.program.functions[name]
+        frames = max(1 + depth(fn.body), CALL_FRAMES)
+        if self.depth > MAX_CALL_DEPTH * CALL_FRAMES - frames:
+            raise _Stop(TIMEOUT, timed_out=True)
         frame = {}
         for param, arg in zip(fn.params, args):
             if not _fits(arg, param.type):
                 raise _Stop("TypeMismatch")
             frame[param.name] = arg
+        self.depth += frames
         try:
             self.block(fn.body, frame)
         except _Return as ret:
+            self.depth -= frames
             return ret.value
         raise _Stop("MissingReturn")
 
@@ -150,6 +164,7 @@ class Reference:
             while self.condition(s.cond, frame):
                 self.block(s.body, frame)
                 self.step()
+                self.iterations.append(self.steps)
         elif isinstance(s, ReturnStmt):
             raise _Return(self.expr(s.value, frame))
         elif isinstance(s, ThrowStmt):
@@ -324,14 +339,21 @@ CASES = [(-7, -4), (-1, 5), (6, 3), (2, -6), (2, 2)]
 ITERATION = 16  # steps of one walk iteration
 
 
+def loop_variants(text, comparison):
+    """A ``LOOPS`` program with ``comparison`` over its two parameters, and
+    the program with its ``if`` decided true and false."""
+    params = re.search(r"\((\w+): int, (\w+): int\)", text).groups()
+    cond = comparison.replace("x", "X").replace("y", params[1]).replace("X", params[0])
+    program = parse_program(text.replace("COND", cond))
+    [if_loc] = [loc for loc in program.locations() if program.kind_of(loc) is StatementKind.IF]
+    return [program, decide(program, if_loc, True), decide(program, if_loc, False)]
+
+
 @pytest.mark.parametrize("name", LOOPS)
 @pytest.mark.parametrize("comparison", COMPARISONS)
 def test_diverge_loops(name, comparison):
-    params = ("pos", "target") if name != "meet" else ("a", "b")
-    cond = comparison.replace("x", "X").replace("y", params[1]).replace("X", params[0])
-    program = parse_program(LOOPS[name].replace("COND", cond))
-    [if_loc] = [loc for loc in program.locations() if program.kind_of(loc) is StatementKind.IF]
-    variants = [program, decide(program, if_loc, True), decide(program, if_loc, False)]
+    variants = loop_variants(LOOPS[name], comparison)
+    program = variants[0]
     probed = [probe(program, loc) for loc in program.locations()]
     for variant, cases in [(v, CASES) for v in variants] + [(p, CASES[:3]) for p in probed]:
         for args in cases:
@@ -343,3 +365,156 @@ def test_diverge_loops(name, comparison):
         for args in CASES[:2]:
             for budget in range(3 * ITERATION + 8):
                 check(variant, name, args, budget)
+
+
+# Loop edges: (id, program, function, args, the plain run's value or
+# error). Each takes a generated loop off its fused fast path, or through
+# a statement that it calls.
+LOOP_EDGES = [
+    ("int-store-wraps", """\
+fn f(x: int, d: int) -> int {
+  let i: int = 0;
+  while (i < 5) {
+    x = x + d;
+    i = i + 1;
+  }
+  return x;
+}
+""", "f", [9223372036854775806, 1], -9223372036854775805),
+    ("real-loop", """\
+fn f(n: int) -> real {
+  let x: real = 0.0;
+  let i: int = 0;
+  while (x < 2.5) {
+    x = x + 0.5;
+    i = i + n;
+  }
+  return x;
+}
+""", "f", [1], 2.5),
+    ("int-real-condition", """\
+fn f(i: int, n: int, r: real) -> int {
+  let k: int = 0;
+  while (i < n) {
+    k = k + 1;
+    if (k > 2) {
+      n = r;
+    }
+  }
+  return k;
+}
+""", "f", [0, 10, 4.5], "TypeMismatch"),
+    ("let-in-body", """\
+fn f(n: int) -> int {
+  let s: int = 0;
+  let i: int = 0;
+  while (i < n) {
+    let d: int = i * 2;
+    s = s + d;
+    i = i + 1;
+  }
+  return s;
+}
+""", "f", [5], 20),
+    ("return-from-branch", """\
+fn f(n: int) -> int {
+  let i: int = 0;
+  while (i < 100) {
+    i = i + 1;
+    if (i >= n) {
+      return i * 10;
+    }
+  }
+  return 0;
+}
+""", "f", [4], 40),
+    ("throw-in-body", """\
+fn f(n: int) -> int {
+  let i: int = 0;
+  while (i < n) {
+    i = i + 1;
+    if (i == 4) {
+      throw Boom;
+    }
+  }
+  return i;
+}
+""", "f", [9], "Boom"),
+    ("nested-while", """\
+fn f(n: int) -> int {
+  let s: int = 0;
+  let i: int = 0;
+  while (i < n) {
+    let j: int = 0;
+    while (j < i) {
+      s = s + j;
+      j = j + 1;
+    }
+    i = i + 1;
+  }
+  return s;
+}
+""", "f", [5], 10),
+    ("call-in-body", """\
+fn sq(x: int) -> int {
+  return x * x;
+}
+
+fn note(x: int) -> int {
+  if (x > 100) {
+    throw Big;
+  }
+  return x;
+}
+
+fn f(n: int) -> int {
+  let s: int = 0;
+  let i: int = 0;
+  while (i < n) {
+    s = s + sq(i);
+    note(s);
+    i = i + 1;
+  }
+  return s;
+}
+""", "f", [5], 30),
+    ("generated-names", """\
+fn f(count: int, limit: int) -> int {
+  let hits: int = 0;
+  let run: int = 0;
+  let frame: int = 1;
+  let a: int = 0;
+  let b: int = 1;
+  let c: int = 0;
+  while (count < limit) {
+    c = a + b;
+    a = b;
+    b = c;
+    hits = hits + 1;
+    run = run + frame;
+    count = count + 1;
+  }
+  return c * 1000 + hits * 10 + run;
+}
+""", "f", [0, 6], 13066),
+]
+
+
+@pytest.mark.parametrize("source, function, args, expected",
+                         [edge[1:] for edge in LOOP_EDGES], ids=[edge[0] for edge in LOOP_EDGES])
+def test_loop_edges(source, function, args, expected):
+    program = parse_program(source)
+    result = execute(program, function, args)
+    assert (result.value if result.ok else result.error) == expected
+    # every budget through the first three loop-body runs
+    ref = Reference(program, 1_000_000)
+    try:
+        ref.call(function, list(args))
+    except _Stop:
+        pass
+    end = ref.iterations[2] if len(ref.iterations) > 2 else ref.steps
+    for budget in range(end + 1):
+        check(program, function, args, budget, deadlines=(None, float("inf")))
+    # a forced wrong way, a loop runs to the budget, past a clock read
+    for edited in edits(program):
+        check(edited, function, args, BUDGET, deadlines=(None, float("inf")))

@@ -18,7 +18,7 @@ import pytest
 from condfix import corpus
 from condfix.corpus import builtin_seed_sources, seed_condition_bugs
 from condfix.minilang import (
-    SKIP, IfStmt, Patch, PatchKind, WhileStmt, apply_patch, decide, execute,
+    SKIP, AssignStmt, IfStmt, LetStmt, Patch, PatchKind, WhileStmt, apply_patch, decide, execute,
     parse_expression, parse_program, render_program, shadow_merge,
 )
 
@@ -260,12 +260,23 @@ def new_closures(program, before):
     return {key for key in program.closures if key not in before}
 
 
+def in_line(program, loc):
+    """Whether a loop runs the statement at ``loc`` in line, so that it has
+    no closure of its own: an ``if``, ``let`` or assignment inside a
+    ``while`` (none of them is probed here, and each ``let`` and assignment
+    has the fused shape)."""
+    return (isinstance(program.statement_at(loc), (IfStmt, LetStmt, AssignStmt))
+            and any(isinstance(program.statement_at(outer), WhileStmt)
+                    for outer in enclosing(program, loc)))
+
+
 def lowered_nodes(program):
-    """Id -> node of every node with a closure in the table: statements,
-    functions and the conditions of ifs and whiles."""
+    """Id -> node of every node with a closure in the table: statements
+    not run in line, functions and the conditions of ifs and whiles."""
     stmts = [program.statement_at(loc) for loc in program.locations()]
     conds = [s.cond for s in stmts if isinstance(s, (IfStmt, WhileStmt))]
-    return {id(node): node for node in [*stmts, *program.functions.values(), *conds]}
+    own = [s for s in stmts if not in_line(program, s.loc)]
+    return {id(node): node for node in [*own, *program.functions.values(), *conds]}
 
 
 class TestClosureSharing:
@@ -287,7 +298,9 @@ class TestClosureSharing:
                     if isinstance(base.statement_at(loc), (IfStmt, WhileStmt))]
         execute(base, "f", ARGS[0])
         before = set(base.closures)
-        assert len(before) == (len(base.locations()) + len(branches)
+        in_loops = [loc for loc in base.locations() if in_line(base, loc)]
+        assert in_loops == [4, 5, 6, 7, 8]
+        assert len(before) == (len(base.locations()) - len(in_loops) + len(branches)
                                + len(base.functions))
         base_nodes = lowered_nodes(base)
         assert before == set(base_nodes)
