@@ -28,8 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BundleError, CondfixError, SuiteFormatError
 from .faultloc import METRICS, build_spectrum, wasted_effort
+# No code here calls ``execute``; it stays a name of this module because
+# ``perfbench/layers.py`` wraps it by name in every module that imports it.
 from .minilang import (
-    DEFAULT_STEP_BUDGET, Binary, ExecutionResult, IfStmt, IntLit, Patch, PatchKind, Program, Value, apply_patch, execute, format_value, parse_expression,
+    DEFAULT_STEP_BUDGET, Binary, IfStmt, IntLit, Patch, PatchKind, Program, Value, apply_patch, execute, execute_rows, format_value, parse_expression,
     parse_grid, parse_program, render_program, shadow_merge,
 )
 from .pipeline import REASONS, RepairConfig, RepairReport, repair, validate
@@ -289,11 +291,14 @@ def check_equivalence(
     A point where only one side exhausts its step budget counts as a
     disagreement; both sides exhausting counts as agreement.
 
-    When both programs are one-patch children of one base, each point first
-    runs their ``shadow_merge`` once: a returned value that matches itself
-    means both sides return it. Any other outcome, and every point of
-    programs without a shared base, runs both sides. Only outcomes are
-    compared. The grid's axes must be the entry's parameters, as
+    When both programs are one-patch children of one base, their
+    ``shadow_merge`` runs first over the grid: a point where it returns a
+    value that matches itself is settled, as both sides return it. Both
+    sides run on every other point, and on every point of programs without
+    a shared base. Each program runs its points through one
+    ``execute_rows``, which lowers it once and yields only outcomes; the
+    points flow through the three lazily, so a disagreement stops every
+    run at its point. The grid's axes must be the entry's parameters, as
     ``load_bundle`` checks for a bundle's grid.
     """
     names = [p.name for p in program_a.functions[entry].params]
@@ -301,28 +306,27 @@ def check_equivalence(
     if empty:
         raise BundleError(f"grid axes {empty} are empty")
     merged = shadow_merge(program_a, program_b)
-    for point in itertools.product(*(grid.axes[n] for n in names)):
-        args = list(point)
-        if merged is not None:
-            shadow = execute(merged, entry, args, step_budget=step_budget)
-            if shadow.error is None and values_match(shadow.value, shadow.value):
-                continue
-        if not _same_outcome(
-            execute(program_a, entry, args, step_budget=step_budget),
-            execute(program_b, entry, args, step_budget=step_budget),
-        ):
-            return False
-    return True
+    points = itertools.product(*(grid.axes[n] for n in names))
+    if merged is not None:
+        points, tried = itertools.tee(points)
+        points = (point for point, (value, error, _) in
+                  zip(points, execute_rows(merged, entry, tried, step_budget))
+                  if error is not None or not values_match(value, value))
+    points_a, points_b = itertools.tee(points)
+    return all(map(_same_outcome, execute_rows(program_a, entry, points_a, step_budget),
+                   execute_rows(program_b, entry, points_b, step_budget)))
 
 
-def _same_outcome(ra: ExecutionResult, rb: ExecutionResult) -> bool:
+def _same_outcome(a: tuple, b: tuple) -> bool:
     """Both exhausted a budget, raised the same error, or returned matching
-    values."""
-    if ra.timed_out or rb.timed_out:
-        return ra.timed_out and rb.timed_out
-    if ra.error is not None or rb.error is not None:
-        return ra.error == rb.error
-    return values_match(ra.value, rb.value)
+    values; each outcome is a value, an error and whether that error is an
+    exhausted budget."""
+    (a_value, a_error, a_timed_out), (b_value, b_error, b_timed_out) = a, b
+    if a_timed_out or b_timed_out:
+        return a_timed_out and b_timed_out
+    if a_error is not None or b_error is not None:
+        return a_error == b_error
+    return values_match(a_value, b_value)
 
 
 # --- harness ----------------------------------------------------------------

@@ -7,7 +7,7 @@ from .ast import (
     VarRef, WhileStmt,
 )
 from .interp import (
-    DEFAULT_STEP_BUDGET, ExecutionResult, ProbeSnapshot, TIMEOUT, execute,
+    DEFAULT_STEP_BUDGET, ExecutionResult, ProbeSnapshot, TIMEOUT, execute, execute_rows,
 )
 from .parser import (
     parse_expression, parse_grid, parse_program, parse_test, parse_value_literal,
@@ -26,6 +26,7 @@ __all__ = [
     "NullLit", "Param", "Program", "RealLit", "ReturnStmt", "StatementKind",
     "Stmt", "ThrowStmt", "Unary", "VarRef", "WhileStmt",
     "DEFAULT_STEP_BUDGET", "ExecutionResult", "ProbeSnapshot", "TIMEOUT", "execute",
+    "execute_rows",
     "parse_expression", "parse_grid", "parse_program", "parse_test", "parse_value_literal",
     "resolve_expr",
     "SKIP", "Patch", "PatchKind", "apply_patch", "decide", "probe", "shadow_merge",

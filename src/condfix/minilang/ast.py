@@ -117,7 +117,7 @@ class Stmt:
         return _frames(self)
 
 
-Block = Tuple[Stmt, ...]
+Block = Tuple["Stmt", ...]  # a string: see ``values.Value``
 
 
 @dataclass(frozen=True)

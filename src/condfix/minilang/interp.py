@@ -6,6 +6,8 @@ current call frame, so runs never share state. Runtime failures (null
 dereference, division by zero, thrown errors, exhausted step budget or
 call depth) are reported in the ExecutionResult, never raised. The one
 exception ``execute`` raises for a run is ``DeadlineExceeded``.
+``execute_rows`` runs one call per row of arguments in one run state and
+yields only each row's outcome, for callers that read nothing else.
 
 Instrumentation: every run counts a hit per statement entry, in
 ``run.hits``, a list indexed by location and sized to the program's
@@ -21,10 +23,11 @@ them. Angelic decisions are program edits too (``patching.decide``): a
 forced condition is a ``Forced`` node, a skipped statement is absent.
 
 Shared closures: each statement's and function's closure, and the
-expression closure of each ``if`` or ``while`` condition, is cached in
-``Program.closures`` by node identity, a table that a program shares
-with every program path-copied from it, along with consts and registry,
-the only program parts a closure reads. A statement that a loop runs in
+closure of each ``if`` or ``while`` condition (a pure tree's fallback, see
+"Fused expression trees"), is cached in ``Program.closures`` by node
+identity, a table that a program shares with every program path-copied
+from it, along with consts and registry, the only program parts a
+closure reads. A statement that a loop runs in
 line (see "Generated loops") has no entry of its own. An edit so lowers
 only the statements on its path and its function. A probed statement is
 a node of its own, so its closure never serves the unprobed one. Calls
@@ -64,41 +67,46 @@ need, however they are lowered. In the packaged corpus, skipping ``cm2``
 location 12 lowers a reservation from 10 to 8 frames and skipping ``pm2``
 location 4 from 8 to 6; no corpus run reaches the call-depth limit.
 
-Fused statements (superoperators; Proebsting, POPL 1995): a ``let`` or
-assignment of a binary node ``<``, ``<=``, ``>``, ``>=``, ``+``, ``-``,
-``*``, ``==`` or ``!=`` whose left operand is a variable (not a program
-constant) and whose right operand is a variable or an int or real literal
-or program constant, and an ``if`` or ``while`` whose condition is such a
-node with a comparison operator, runs the node in line, reading its
-variables straight from their slots. It charges the node's three steps
-at once, and only when they fit under the run's limit, both slots are
-bound, the operands are two ints or two reals, and an int result needs no
-wrapping. In every other case (a budget or clock read that falls inside
-the node, an unbound slot, mixed or non-numeric types) it runs the node's
-own closure from the unchanged step count, and then finishes as the
-unfused statement does. Leaf reads are pure, so that fallback is exact:
-steps, hits, snapshots, errors and timeouts are those of the unfused
-statement. ``/`` and ``%`` are never fused, and neither is the condition
-of a probed ``if``. An expression node alone never fuses.
+Fused expression trees (superoperators; Proebsting, POPL 1995): a *pure
+tree* is an expression built from variables, literals and program
+constants, ``!`` and unary ``-``, every binary operator, and method calls;
+a call or a ``Forced`` value is never part of one. Each maximal pure tree
+whose root is an operator or a method call lowers to one generated
+function, or runs in line where a loop or one-statement shape holds it
+(see "Generated loops"). Its fast path reads the variables straight from
+their slots and keeps the step count in a local: it runs only when the
+tree's largest step count fits under the run's limit, charges each node's
+step, and charges the right operand of ``&&`` or ``||`` only when it
+runs. It checks operand types as the node closures do, and where they
+would throw or wrap (an unbound slot, mixed or unhandled types, an int
+result out of range, a null receiver, ``/`` or ``%`` by zero) it runs the
+tree's closures instead, from the unchanged step count. Trees are pure,
+so that fallback is exact: steps, hits, snapshots, errors and timeouts
+are those of the closures alone. The fallback is lowered on its first
+run, and numbers no slot, as the tree's walk numbered them all; it is
+also the entry of an ``if`` or ``while`` condition in the table.
 
 Generated loops (copy-and-patch; Xu & Kjolstad, OOPSLA 2021): a ``while``
 lowers to one Python function, generated from the loop's shape, that
 keeps the run's step count and limit in locals. In line it runs its
-condition, each body statement's entry step and hit, fused stores, the
-unbinding of a block's ``let`` slots, the loop-body step, and each
-unprobed ``if`` with its branch blocks, recursively: a forced ``if`` as
-the branch it takes, any other with its fused comparison or a call to
-its condition's closure. It calls every other statement's closure (a
-call, a ``let`` or assignment that does not fuse, a ``return``, a
-``throw``, a nested ``while`` and a probed statement), writing the count
-back to the run before each call, ``run.check()``, raise and return, and
-reading the count and limit back after each. A fused ``let``, assignment
-or ``if`` outside a loop is generated the same way, as a one-statement
-shape whose branch blocks are closures. The shape holds operators, the
-kinds of constants and the structure; slots, locations, constants and
-closures are arguments of the shape's ``make``, so no MiniLang name or
-literal enters the source, and the ``make`` of each shape is compiled
-once per process, in a bounded cache (``_make``).
+condition, each body statement's entry step and hit, each ``let`` or
+assignment of a pure tree, the unbinding of a block's ``let`` slots, the
+loop-body step, and each unprobed ``if`` with its branch blocks,
+recursively: a forced ``if`` as the branch it takes, any other with its
+condition's pure tree in line or a call to the condition's closure. It
+calls every other statement's closure (a call, any other ``let`` or
+assignment, a ``return``, a ``throw``, a nested ``while`` and a probed
+statement), writing the count back to the run before each call,
+``run.check()``, raise and return, and reading the count and limit back
+after each. A ``let`` or assignment of a pure tree and an ``if`` on one
+outside a loop are generated the same way, as one-statement shapes whose
+branch blocks are closures, and any other pure tree as an expression
+shape. Conditions and stores render their trees through one tree writer.
+A shape holds operators, the kinds of constants and the structure;
+slots, locations, constants, closures and fallbacks are arguments of the
+shape's ``make``, so no MiniLang name or literal enters the source, and
+the ``make`` of each shape is compiled once per process, in a bounded
+cache (``_make``).
 
 Unrolled blocks: outside a loop, a block of one or two statements that
 declares nothing runs its statements in line instead of looping over
@@ -108,19 +116,23 @@ Forced ``if``: an unprobed ``if`` whose condition is ``Forced`` lowers to
 the closure of the branch it takes, or inside a loop to that branch in
 line; the ``if`` takes its entry step, and the condition none, as before.
 
-Python frames: a fused fallback adds one frame, at the top of the stack,
-and never around a call, because fused operands never call; an unrolled
-block or a forced ``if`` adds none. A generated loop is one frame where
-its ``while`` closure, body block and in-line statements were several,
-so it never stacks more frames than ``ast.depth`` counts.
+Python frames: a pure tree's fast path is one frame where its closures
+are one per level. Its fallback stacks at most two frames more than the
+closures alone (the tree function's and the lazy lowering's), at the top
+of the stack and never around a call, because pure trees never call; an
+unrolled block or a forced ``if`` adds none. A generated loop is one
+frame where its ``while`` closure, body block and in-line statements
+were several, so it never stacks more frames than ``ast.depth`` counts.
 """
 from __future__ import annotations
 
+import builtins
 import functools
 import itertools
 import operator
+import types
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..budget import Budget, Exhausted
 from .ast import (
@@ -204,8 +216,9 @@ class _Run(Budget):
 # A compiled expression maps (run, frame) to a value. A compiled statement
 # or block maps (run, frame) to None, or to the value of a ``return`` it
 # ran. A frame is one list per call, of a slot per name (see "Frames" in
-# the module docstring); an unbound slot holds UNBOUND.
-Compiled = Callable[[_Run, List[Value]], Optional[Value]]
+# the module docstring); an unbound slot holds UNBOUND. The run type is a
+# string, as ``values.Value`` explains.
+Compiled = Callable[["_Run", List[Value]], Optional[Value]]
 UNBOUND = object()
 
 
@@ -271,29 +284,17 @@ _NUMERIC = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": _divide, "%": _modulo,
 }
-# The operators a fused statement applies itself, as Python operators, to
-# two ints or two reals only. There each agrees with the node's own closure,
-# except that an int result out of range is left to that closure to wrap.
-# The comparisons give bools, so only they fuse into an ``if`` or ``while``.
-_COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
-_WRAPS = ("+", "-", "*")
-_FUSED = _COMPARISONS + _WRAPS
+_LOGICAL = ("&&", "||")
+_EQUALITY = ("==", "!=")
+_BINARY = frozenset(_NUMERIC).union(_LOGICAL, _EQUALITY)
 
 
-class _Lowering:
-    """Lowers the statements and functions of programs sharing one table."""
+class _Closures:
+    """Lowers expressions to one closure per node: every node outside a
+    pure tree, and each pure tree's fallback."""
 
-    def __init__(self, program: Program):
-        self.consts, self.registry, self.table = program.consts, program.registry, program.closures
-        self.names = program.slots
-        self.capture = _capturer(program.consts, self.names)
-
-    def cached(self, node, lower: Callable):
-        """``lower(node)``, made once per node of the table's programs."""
-        entry = self.table.get(id(node))
-        if entry is None:
-            entry = self.table[id(node)] = (node, lower(node))
-        return entry[1]
+    def __init__(self, consts, registry, names: List[str]):
+        self.consts, self.registry, self.names = consts, registry, names
 
     def slot(self, name: str) -> int:
         """The frame slot of the local ``name``, numbered on first use. Two
@@ -302,6 +303,174 @@ class _Lowering:
         if name not in self.names:
             self.names.append(name)
         return self.names.index(name)
+
+    def expr(self, expr: Expr) -> Compiled:
+        if isinstance(expr, Forced):
+            value = expr.value
+
+            def forced(run, frame):
+                return value
+
+            return forced
+        if isinstance(expr, (IntLit, RealLit, BoolLit, NullLit)):
+            return self.constant(NULL if isinstance(expr, NullLit) else expr.value)
+        if isinstance(expr, VarRef):
+            return self.variable(expr.name)
+        if isinstance(expr, Unary):
+            return self.unary(expr)
+        if isinstance(expr, Binary):
+            return self.binary(expr)
+        if isinstance(expr, MethodCall):
+            return self.method_call(expr)
+        if isinstance(expr, CallExpr):
+            return self.call(expr)
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    @staticmethod
+    def constant(value: Value) -> Compiled:
+        def constant(run, frame):
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
+            return value
+
+        return constant
+
+    def variable(self, name: str) -> Compiled:
+        if name in self.consts:
+            return self.constant(self.consts[name].value)
+        slot = self.slot(name)
+
+        def variable(run, frame):
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
+            value = frame[slot]
+            if value is UNBOUND:
+                raise _Throw(UNBOUND_VARIABLE)
+            return value
+
+        return variable
+
+    def unary(self, expr: Unary) -> Compiled:
+        operand = self.expr(expr.operand)
+        if expr.op not in _UNARY:
+            raise TypeError(f"unknown unary operator {expr.op!r}")
+        apply = _UNARY[expr.op]
+
+        def unary(run, frame):
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
+            return apply(operand(run, frame))
+
+        return unary
+
+    def binary(self, expr: Binary) -> Compiled:
+        op = expr.op
+        left, right = self.expr(expr.left), self.expr(expr.right)
+        if op in _LOGICAL:
+            # The left operand decides alone when it equals this value.
+            decisive = op == "||"
+
+            def logical(run, frame):
+                run.count += 1
+                if run.count > run.limit:
+                    run.check()
+                value = left(run, frame)
+                if type(value) is not bool:
+                    raise _Throw(TYPE_MISMATCH)
+                if value is decisive:
+                    return value
+                value = right(run, frame)
+                if type(value) is not bool:
+                    raise _Throw(TYPE_MISMATCH)
+                return value
+
+            return logical
+
+        if op in _EQUALITY:
+            positive = op == "=="
+
+            def equality(run, frame):
+                run.count += 1
+                if run.count > run.limit:
+                    run.check()
+                a = left(run, frame)
+                b = right(run, frame)
+                if type(a) is int and type(b) is int:
+                    return (a == b) is positive
+                return _equal(a, b) is positive
+
+            return equality
+
+        if op not in _NUMERIC:
+            raise TypeError(f"unknown binary operator {op!r}")
+        apply = _NUMERIC[op]
+
+        def numeric(run, frame):
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
+            a = left(run, frame)
+            b = right(run, frame)
+            kind = type(a)
+            if kind is not type(b) or (kind is not int and kind is not float):
+                raise _Throw(TYPE_MISMATCH)
+            value = apply(a, b)
+            if kind is int and not INT_MIN <= value <= INT_MAX:
+                return wrap_int(value)
+            return value
+
+        return numeric
+
+    def method_call(self, expr: MethodCall) -> Compiled:
+        receiver, method, registry = self.variable(expr.receiver), expr.method, self.registry
+
+        def method_call(run, frame):
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
+            value = receiver(run, frame)
+            if isinstance(value, Null):
+                raise _Throw(NULL_DEREFERENCE)
+            if not isinstance(value, Obj):
+                raise _Throw(TYPE_MISMATCH)
+            return registry.lookup(value.cls, method).fn(value.payload)
+
+        return method_call
+
+    def call(self, expr: CallExpr) -> Compiled:
+        name, args = expr.func, tuple(self.expr(a) for a in expr.args)
+
+        def call(run, frame):
+            run.count += 1
+            if run.count > run.limit:
+                run.check()
+            values = []
+            for arg in args:
+                values.append(arg(run, frame))
+            return run.functions[name](run, values)
+
+        return call
+
+
+class _Lowering(_Closures):
+    """Lowers the statements and functions of programs sharing one table."""
+
+    def __init__(self, program: Program):
+        super().__init__(program.consts, program.registry, program.slots)
+        self.table = program.closures
+        self.capture = _capturer(program.consts, self.names)
+        # Lowers fallbacks; it holds no table, so a fallback makes no cycle.
+        self.closures = _Closures(program.consts, program.registry, self.names)
+
+    def cached(self, node, lower: Callable):
+        """``lower(node)``, made once per node of the table's programs."""
+        entry = self.table.get(id(node))
+        if entry is None:
+            entry = self.table[id(node)] = (node, lower(node))
+        return entry[1]
 
     def function(self, fn: FunctionDef) -> Callable:
         name, arity = fn.name, len(fn.params)
@@ -398,21 +567,26 @@ class _Lowering:
         raise TypeError(f"not a statement node: {stmt!r}")
 
     def if_stmt(self, stmt: IfStmt) -> Compiled:
-        """An ``if`` outside a loop, whose condition is type-checked in
-        line. A probed ``if`` runs its condition in a wrapper that takes a
-        snapshot as the condition starts and stores the value it gives."""
-        cond = self.cached(stmt.cond, self.expr)
+        """An ``if`` outside a loop. One whose condition is a pure tree is
+        a one-statement shape; any other type-checks its condition's value
+        in line. A probed ``if`` runs its condition (a tree's generated
+        function, else its closure) in a wrapper that takes a snapshot as
+        the condition starts and stores the value it gives."""
+        params = []
+        if isinstance(stmt.cond, Forced):
+            cond, shape = self.cached(stmt.cond, self.expr), ("call",)
+        else:
+            shape = self.condition(stmt.cond, params)
+            cond = params[-1]
         then_body, else_body = self.block(stmt.then_body), self.block(stmt.else_body)
         if stmt.probe:
+            if shape[0] == "tree":
+                cond = _make(("expr", shape[1]))(*params)
             cond = _snapshot_condition(cond, self.capture)
         elif isinstance(stmt.cond, Forced):
             return then_body if stmt.cond.value else else_body
-        else:
-            params = []
-            shape = self.condition(stmt.cond, params)
-            if shape[0] == "fused":
-                params += (then_body, else_body)
-                return _make(("if", shape, ("tail",), ("tail",)))(*params)
+        elif shape[0] == "tree":
+            return _make(("if", shape, ("tail",), ("tail",)))(*params, then_body, else_body)
 
         def if_stmt(run, frame):
             value = cond(run, frame)
@@ -427,35 +601,33 @@ class _Lowering:
     # -- generated code: shapes and their parameters, in one walk --
 
     def loop(self, stmt: WhileStmt, params: list) -> tuple:
-        """The shape of a ``while``; see "Generated code" in the module
+        """The shape of a ``while``; see "Generated loops" in the module
         docstring. Each walk method appends the parameters of its shape to
         ``params``, in the order ``_render`` numbers them."""
         return ("while", self.condition(stmt.cond, params), self.body(stmt.body, params))
 
     def condition(self, cond: Expr, params: list) -> tuple:
-        """An ``if`` or ``while`` condition: a fused comparison, else a call
-        to the condition's closure."""
-        closure = self.cached(cond, self.expr)
-        fused = self.operands(cond, _COMPARISONS)
-        if fused is None:
-            params.append(closure)
+        """An ``if`` or ``while`` condition: a pure tree in line, whose
+        fallback is the condition's entry in the table, else a call to the
+        condition's closure."""
+        shape = self.tree(cond, params)
+        if shape is None:
+            params.append(self.cached(cond, self.expr))
             return ("call",)
-        op, left, kind, right = fused
-        params += (left, right, closure)
-        return ("fused", op, kind)
+        params.append(self.cached(cond, self.fallback))
+        return ("tree", shape)
 
     def store(self, stmt, params: list) -> Optional[tuple]:
-        """A ``let`` or assignment of a fused node, or None. A let binds its
-        target, and so has an assignment read it; any other assignment
-        checks that its target is bound."""
-        fused = self.operands(stmt.value, _FUSED)
-        if fused is None:
+        """A ``let`` or assignment of a pure tree, or None. A let binds its
+        target, and so has an assignment that every run of its tree reads
+        (the fast path reads only bound slots); any other assignment checks
+        that its target is bound."""
+        shape = self.tree(stmt.value, params)
+        if shape is None:
             return None
-        op, left, kind, right = fused
-        target = self.slot(stmt.name)
-        bound = isinstance(stmt, LetStmt) or target == left or (kind == "slot" and target == right)
-        params += (left, right, self.binary(stmt.value), target)
-        return ("store", op, kind, bound)
+        bound = isinstance(stmt, LetStmt) or _always_reads(stmt.value, stmt.name)
+        params += (self.fallback(stmt.value), self.slot(stmt.name))
+        return ("store", shape, bound)
 
     def body(self, stmts: Sequence[Stmt], params: list) -> tuple:
         """A block run in line: each statement's location and shape, then
@@ -469,8 +641,9 @@ class _Lowering:
         return ("block", tuple(entries), len(declared))
 
     def inline(self, stmt: Stmt, params: list) -> tuple:
-        """A statement of a loop body: an unprobed ``if`` and a fused store
-        run in line, and every other statement is a call to its closure."""
+        """A statement of a loop body: an unprobed ``if`` and a store of a
+        pure tree run in line, and every other statement is a call to its
+        closure."""
         if not stmt.probe:
             if isinstance(stmt, IfStmt) and isinstance(stmt.cond, Forced):
                 self.cached(stmt.cond, self.expr)  # every condition has its entry
@@ -488,182 +661,90 @@ class _Lowering:
     # -- expressions --
 
     def expr(self, expr: Expr) -> Compiled:
-        if isinstance(expr, Forced):
-            value = expr.value
+        """A pure tree's generated function, else the node's closure."""
+        params = []
+        shape = self.tree(expr, params)
+        if shape is None:
+            return super().expr(expr)
+        params.append(self.fallback(expr))
+        return _make(("expr", shape))(*params)
 
-            def forced(run, frame):
-                return value
+    def fallback(self, expr: Expr) -> Compiled:
+        """The closure tree of the pure tree ``expr``, lowered on its first
+        run (see "Fused expression trees" in the module docstring)."""
+        closures, closure = self.closures, None
 
-            return forced
-        if isinstance(expr, (IntLit, RealLit, BoolLit, NullLit)):
-            return self.constant(NULL if isinstance(expr, NullLit) else expr.value)
+        def fallback(run, frame):
+            nonlocal closure
+            if closure is None:
+                closure = closures.expr(expr)
+            return closure(run, frame)
+
+        return fallback
+
+    def tree(self, expr: Expr, params: list) -> Optional[tuple]:
+        """The shape of ``expr`` if it is a pure tree whose root is an
+        operator or a method call, appending its parameters, else None."""
+        if not isinstance(expr, (Unary, Binary, MethodCall)):
+            return None
+        mark = len(params)
+        shape = self.node(expr, params)
+        if shape is None:
+            del params[mark:]
+        return shape
+
+    def node(self, expr: Expr, params: list) -> Optional[tuple]:
+        """The shape of a node of a pure tree, or None where the tree holds
+        a call or a forced value. A variable of the frame is its slot, a
+        literal or program constant its value with the value's kind, and a
+        method call its receiver, the registry's lookup and the method."""
         if isinstance(expr, VarRef):
-            return self.variable(expr.name)
-        if isinstance(expr, Unary):
-            return self.unary(expr)
+            return self.variable_leaf(expr.name, params)
         if isinstance(expr, Binary):
-            return self.binary(expr)
+            if expr.op not in _BINARY:
+                raise TypeError(f"unknown binary operator {expr.op!r}")
+            left = self.node(expr.left, params)
+            right = None if left is None else self.node(expr.right, params)
+            return None if right is None else ("binary", expr.op, left, right)
+        if isinstance(expr, (IntLit, RealLit, BoolLit, NullLit)):
+            value = NULL if isinstance(expr, NullLit) else expr.value
+            params.append(value)
+            return ("const", _KINDS[type(value)])
+        if isinstance(expr, Unary):
+            if expr.op not in _UNARY:
+                raise TypeError(f"unknown unary operator {expr.op!r}")
+            operand = self.node(expr.operand, params)
+            return None if operand is None else ("unary", expr.op, operand)
         if isinstance(expr, MethodCall):
-            return self.method_call(expr)
-        if isinstance(expr, CallExpr):
-            return self.call(expr)
-        raise TypeError(f"not an expression node: {expr!r}")
+            receiver = self.variable_leaf(expr.receiver, params)
+            params += (self.registry.lookup, expr.method)
+            return ("method", receiver)
+        return None
 
-    @staticmethod
-    def constant(value: Value) -> Compiled:
-        def constant(run, frame):
-            run.count += 1
-            if run.count > run.limit:
-                run.check()
-            return value
-
-        return constant
-
-    def variable(self, name: str) -> Compiled:
+    def variable_leaf(self, name: str, params: list) -> tuple:
+        """A variable of a pure tree: a slot, or a program constant's
+        value."""
         if name in self.consts:
-            return self.constant(self.consts[name].value)
-        slot = self.slot(name)
+            value = self.consts[name].value
+            params.append(value)
+            return ("const", _KINDS[type(value)])
+        params.append(self.slot(name))
+        return ("slot",)
 
-        def variable(run, frame):
-            run.count += 1
-            if run.count > run.limit:
-                run.check()
-            value = frame[slot]
-            if value is UNBOUND:
-                raise _Throw(UNBOUND_VARIABLE)
-            return value
 
-        return variable
-
-    def unary(self, expr: Unary) -> Compiled:
-        operand = self.expr(expr.operand)
-        if expr.op not in _UNARY:
-            raise TypeError(f"unknown unary operator {expr.op!r}")
-        apply = _UNARY[expr.op]
-
-        def unary(run, frame):
-            run.count += 1
-            if run.count > run.limit:
-                run.check()
-            return apply(operand(run, frame))
-
-        return unary
-
-    def binary(self, expr: Binary) -> Compiled:
-        """The binary node's closure, which a fused statement also runs
-        whenever it cannot finish the node itself."""
-        op = expr.op
-        left, right = self.expr(expr.left), self.expr(expr.right)
-        if op in ("&&", "||"):
-            # The left operand decides alone when it equals this value.
-            decisive = op == "||"
-
-            def logical(run, frame):
-                run.count += 1
-                if run.count > run.limit:
-                    run.check()
-                value = left(run, frame)
-                if type(value) is not bool:
-                    raise _Throw(TYPE_MISMATCH)
-                if value is decisive:
-                    return value
-                value = right(run, frame)
-                if type(value) is not bool:
-                    raise _Throw(TYPE_MISMATCH)
-                return value
-
-            return logical
-
-        if op in ("==", "!="):
-            positive = op == "=="
-
-            def equality(run, frame):
-                run.count += 1
-                if run.count > run.limit:
-                    run.check()
-                a = left(run, frame)
-                b = right(run, frame)
-                if type(a) is int and type(b) is int:
-                    return (a == b) is positive
-                return _equal(a, b) is positive
-
-            return equality
-
-        if op not in _NUMERIC:
-            raise TypeError(f"unknown binary operator {op!r}")
-        apply = _NUMERIC[op]
-
-        def numeric(run, frame):
-            run.count += 1
-            if run.count > run.limit:
-                run.check()
-            a = left(run, frame)
-            b = right(run, frame)
-            kind = type(a)
-            if kind is not type(b) or (kind is not int and kind is not float):
-                raise _Throw(TYPE_MISMATCH)
-            value = apply(a, b)
-            if kind is int and not INT_MIN <= value <= INT_MAX:
-                return wrap_int(value)
-            return value
-
-        return numeric
-
-    def operands(self, expr: Expr, operators: Tuple[str, ...]) -> Optional[tuple]:
-        """``(op, left, kind, right)`` for a binary node with an operator in
-        ``operators`` whose left operand is a variable of the frame (``left``
-        its slot) and whose right one is a variable (``kind`` "slot",
-        ``right`` its slot) or an int or real constant (``kind`` "int" or
-        "float", ``right`` its value); None for any other node (see "Fused
-        statements" in the module docstring)."""
-        if not isinstance(expr, Binary) or expr.op not in operators or not self.local(expr.left):
-            return None
-        left, right = self.slot(expr.left.name), expr.right
-        if self.local(right):
-            return expr.op, left, "slot", self.slot(right.name)
-        if isinstance(right, (IntLit, RealLit)):
-            constant = right.value
-        elif isinstance(right, VarRef):
-            constant = self.consts[right.name].value
-        else:
-            return None
-        if type(constant) is not int and type(constant) is not float:
-            return None
-        return expr.op, left, type(constant).__name__, constant
-
-    def local(self, expr: Expr) -> bool:
-        """Whether ``expr`` reads a variable of the frame."""
-        return isinstance(expr, VarRef) and expr.name not in self.consts
-
-    def method_call(self, expr: MethodCall) -> Compiled:
-        receiver, method, registry = self.variable(expr.receiver), expr.method, self.registry
-
-        def method_call(run, frame):
-            run.count += 1
-            if run.count > run.limit:
-                run.check()
-            value = receiver(run, frame)
-            if isinstance(value, Null):
-                raise _Throw(NULL_DEREFERENCE)
-            if not isinstance(value, Obj):
-                raise _Throw(TYPE_MISMATCH)
-            return registry.lookup(value.cls, method).fn(value.payload)
-
-        return method_call
-
-    def call(self, expr: CallExpr) -> Compiled:
-        name, args = expr.func, tuple(self.expr(a) for a in expr.args)
-
-        def call(run, frame):
-            run.count += 1
-            if run.count > run.limit:
-                run.check()
-            values = []
-            for arg in args:
-                values.append(arg(run, frame))
-            return run.functions[name](run, values)
-
-        return call
+def _always_reads(expr: Expr, name: str) -> bool:
+    """Whether every run of the pure tree ``expr`` reads the variable
+    ``name``: the right operand of ``&&`` or ``||`` may not run."""
+    if isinstance(expr, VarRef):
+        return expr.name == name
+    if isinstance(expr, MethodCall):
+        return expr.receiver == name
+    if isinstance(expr, Unary):
+        return _always_reads(expr.operand, name)
+    if isinstance(expr, Binary):
+        return _always_reads(expr.left, name) or (
+            expr.op not in _LOGICAL and _always_reads(expr.right, name))
+    return False
 
 
 def _block_loop(entries: Tuple[Tuple[int, Compiled], ...], declared: Tuple[int, ...]) -> Compiled:
@@ -720,21 +801,29 @@ def _short_block(entries: List[Tuple[int, Compiled]]) -> Compiled:
 
 # Generated code (see "Generated loops" in the module docstring): ``_render``
 # writes the source of a shape's ``make``, whose parameters p0, p1, ... are
-# the shape's slots, locations, constants and closures, numbered in the
-# order the walk that built the shape (``_Lowering.loop`` and the methods
-# after it) appended them. The source holds no MiniLang name or literal, so
-# one compiled ``make`` serves every statement of its shape.
-_SHAPES = 128  # compiled shapes kept; 300 `diverge` repairs make 22
+# the shape's slots, locations, constants, closures and fallbacks, numbered
+# in the order the walk that built the shape (``_Lowering.loop`` and the
+# methods after it) appended them. The source holds no MiniLang name or
+# literal, so one compiled ``make`` serves every statement and expression
+# of its shape.
+# Compiled shapes kept: the `corpus` benchmark's set-up makes 23, one pass
+# 28 more, and 300 `diverge` repairs after those 21 more.
+_SHAPES = 128
+_KINDS = {bool: "bool", int: "int", float: "float", Null: "null", Obj: "obj"}
 _GLOBALS = {"UNBOUND": UNBOUND, "_Throw": _Throw, "TYPE_MISMATCH": TYPE_MISMATCH,
-            "UNBOUND_VARIABLE": UNBOUND_VARIABLE, "INT_MIN": INT_MIN, "INT_MAX": INT_MAX}
+            "UNBOUND_VARIABLE": UNBOUND_VARIABLE, "INT_MIN": INT_MIN, "INT_MAX": INT_MAX,
+            "Obj": Obj, "_divide": _divide, "_modulo": _modulo, "__builtins__": builtins}
+# A constant's kind -> the name of its Python type in generated code.
+_TYPES = {"bool": "bool", "int": "int", "float": "float", "obj": "Obj"}
 
 
 @functools.lru_cache(maxsize=_SHAPES)
 def _make(shape: tuple) -> Callable:
-    """The ``make`` of ``shape``, compiled once per process while cached."""
-    namespace = dict(_GLOBALS)
-    exec(compile(_render(shape), "<minilang shape>", "exec"), namespace)
-    return namespace["make"]
+    """The ``make`` of ``shape``, compiled once per process while cached.
+    Every ``make`` shares ``_GLOBALS`` as its globals."""
+    [code] = [c for c in compile(_render(shape), "<minilang shape>", "exec").co_consts
+              if isinstance(c, types.CodeType)]
+    return types.FunctionType(code, _GLOBALS)
 
 
 def _render(shape: tuple) -> str:
@@ -742,7 +831,7 @@ def _render(shape: tuple) -> str:
     ``(run, frame)``. That function keeps the run's step count and limit
     in locals, and writes the count back to ``run`` before every call,
     ``run.check()``, raise and return, and reads both back after each."""
-    lines, numbers = [], itertools.count()
+    lines, numbers, temps = [], itertools.count(), itertools.count()
 
     def param():
         return f"p{next(numbers)}"
@@ -762,34 +851,192 @@ def _render(shape: tuple) -> str:
         emit(depth, "if value is not True and value is not False:",
              "    raise _Throw(TYPE_MISMATCH)")
 
-    def fused(depth, op, kind, condition):
-        """The node's value, in ``value``: its three steps at once when
-        they fit under the limit and the operands are two ints or two reals
-        whose int result needs no wrapping, else the node's own closure run
-        from the unchanged count, whose value a condition type-checks."""
-        left, right, general = param(), param(), param()
-        emit(depth, f"a = frame[{left}]")
-        if kind == "slot":
-            emit(depth, f"b = frame[{right}]", "kind = type(a)")
-            test, right = "kind is type(b) and (kind is int or kind is float)", "b"
+    def reads(text, count):
+        """``count`` reads of the value ``text``: a name is read as it is,
+        and any other value binds a temporary at its first read."""
+        if text.isidentifier():
+            return [text] * count
+        name = f"t{next(temps)}"
+        return [f"({name} := {text})"] + [name] * (count - 1)
+
+    def node(shape, guards):
+        """``(value, kind, steps, most)`` of a tree node: its value as an
+        expression, its kind if the shape fixes it, the steps it always
+        takes and the most it can take. Appends to ``guards`` the tests the
+        fast path needs, in the order they run; the value is read after
+        them."""
+        if shape[0] == "slot":
+            return f"frame[{param()}]", None, 1, 1
+        if shape[0] == "const":
+            return param(), shape[1], 1, 1
+        if shape[0] == "method":
+            receiver, kind, _, _ = node(shape[1], guards)
+            lookup, method = param(), param()
+            if kind == "obj":
+                first = second = receiver
+            else:
+                test, first, second = reads(receiver, 3)
+                guards.append(f"type({test}) is Obj")
+            return f"{lookup}({first}.cls, {method}).fn({second}.payload)", None, 2, 2
+        if shape[0] == "unary":
+            return unary(shape[1], node(shape[2], guards), guards)
+        op, left, right = shape[1:]
+        if op in _LOGICAL:
+            return logical(op, node(left, guards), right, guards)
+        left, right = node(left, guards), node(right, guards)
+        steps, most = 1 + left[2] + right[2], 1 + left[3] + right[3]
+        if op in _EQUALITY:
+            return equality(op, left, right, guards), "bool", steps, most
+        value, kind = numeric(op, left, right, guards)
+        return value, kind, steps, most
+
+    def unary(op, operand, guards):
+        value, kind, steps, most = operand
+        if op == "!":
+            if kind != "bool":
+                test, value = reads(value, 2)
+                guards.append(f"({test} is True or {value} is False)")
+            return f"(not {value})", "bool", steps + 1, most + 1
+        if kind != "float":
+            test, value = reads(value, 2)
+            if kind == "int":
+                guards.append(f"{test} != INT_MIN")
+            elif kind is None:
+                k = f"k{next(temps)}"
+                guards.append(f"(({k} := type({test})) is int and {value} != INT_MIN "
+                              f"or {k} is float)")
+            else:
+                guards.append("False")
+        return f"(-{value})", kind, steps + 1, most + 1
+
+    def logical(op, left, right, guards):
+        """``&&`` and ``||``: the right operand's guards run only when the
+        left one does not decide, and add its steps to ``n`` first."""
+        value, kind, steps, most = left
+        test, value = reads(value, 2)
+        if kind != "bool":
+            guards.append(f"({test} is True or {value} is False)")
+            test = value
+        inner = []
+        other, kind, right_steps, right_most = node(right, inner)
+        if kind != "bool":
+            check, other = reads(other, 2)
+            inner.append(f"({check} is True or {other} is False)")
+        decides = test if op == "||" else f"not {test}"
+        inner.insert(0, f"(n := n + {right_steps})")
+        guards.append(f"({decides} or {' and '.join(inner)})")
+        joined = "or" if op == "||" else "and"
+        return f"({value} {joined} {other})", "bool", steps + 1, most + 1 + right_most
+
+    def equality(op, left, right, guards):
+        """``==`` and ``!=``: null compares by identity and a record by
+        ``==``, whatever the other operand; any other pair must have one
+        type, as ``_equal`` requires."""
+        (a, a_kind, _, _), (b, b_kind, _, _) = left, right
+        kinds = (a_kind, b_kind)
+        if "null" in kinds or "obj" in kinds:
+            # the other operand needs no type, and only a slot can be unbound
+            if a.startswith("frame["):
+                test, a = reads(a, 2)
+                guards.append(f"{test} is not UNBOUND")
+            if b.startswith("frame["):
+                test, b = reads(b, 2)
+                guards.append(f"{test} is not UNBOUND")
+            if "null" in kinds:
+                return f"({a} {'is' if op == '==' else 'is not'} {b})"
+        elif a_kind and b_kind:
+            if a_kind != b_kind:
+                guards.append("False")
+        elif a_kind or b_kind:
+            if b_kind:
+                test, a = reads(a, 2)
+            else:
+                test, b = reads(b, 2)
+            guards.append(f"type({test}) is {_TYPES[a_kind or b_kind]}")
         else:
-            test = f"type(a) is {kind}"
-        applied, fast = f"a {op} {right}", ["count += 3"]
-        if op in _WRAPS and kind != "float":
-            test += f" and (INT_MIN <= (value := {applied}) <= INT_MAX" + (
-                " or kind is float)" if kind == "slot" else ")")
+            k = f"k{next(temps)}"
+            (a_test, a), (b_test, b) = reads(a, 2), reads(b, 2)
+            guards.append(f"({k} := type({a_test})) is type({b_test}) and {k} is not object")
+        return f"({a} {op} {b})"
+
+    def numeric(op, left, right, guards):
+        """The arithmetic operators and comparisons, on two ints or two
+        reals (``%`` on ints only); ``+``, ``-`` and ``*`` fall back when an
+        int result needs wrapping, ``/`` and ``%`` when dividing by zero."""
+        (a, a_kind, _, _), (b, b_kind, _, _) = left, right
+        numbers_ok = ("int",) if op == "%" else ("int", "float")
+        kind = k = None
+        if a_kind and b_kind:
+            kind = a_kind
+            if a_kind != b_kind or kind not in numbers_ok:
+                guards.append("False")
+        elif a_kind or b_kind:
+            kind = a_kind or b_kind
+            if kind not in numbers_ok:
+                guards.append("False")
+            elif b_kind:
+                test, a = reads(a, 2)
+                guards.append(f"type({test}) is {kind}")
+            else:
+                test, b = reads(b, 2)
+                guards.append(f"type({test}) is {kind}")
+        elif op == "%":
+            kind = "int"
+            (a_test, a), (b_test, b) = reads(a, 2), reads(b, 2)
+            guards.append(f"type({a_test}) is int and type({b_test}) is int")
         else:
-            fast.insert(0, f"value = {applied}")
-        emit(depth, f"if count + 3 <= limit and {test}:")
-        emit(depth + 1, *fast)
+            k = f"k{next(temps)}"
+            (a_test, a), (b_test, b) = reads(a, 2), reads(b, 2)
+            guards.append(f"({k} := type({a_test})) is type({b_test}) "
+                          f"and ({k} is int or {k} is float)")
+        if op in ("<", "<=", ">", ">="):
+            return f"({a} {op} {b})", "bool"
+        if op in ("/", "%"):
+            test, b = reads(b, 2)
+            guards.append(f"{test} != 0")
+            return f"{'_divide' if op == '/' else '_modulo'}({a}, {b})", kind
+        if kind == "float":
+            return f"({a} {op} {b})", kind
+        t = f"t{next(temps)}"
+        tail = "" if kind == "int" else f" or {k} is float"
+        guards.append(f"(INT_MIN <= ({t} := {a} {op} {b}) <= INT_MAX{tail})")
+        return t, kind
+
+    def tree(shape, condition):
+        """The guards of a tree's fast path, its value, the steps it always
+        takes and the most it can take, and its fallback. A condition's
+        guards also check that its value is a bool, binding it to
+        ``value``."""
+        guards = []
+        value, kind, steps, most = node(shape, guards)
+        if condition and kind != "bool":
+            guards.append(f"((value := {value}) is True or value is False)")
+            value = "value"
+        return guards, value, steps, most, param()
+
+    def fast(limit, guards, most):
+        """The test that opens a tree's fast path."""
+        return "".join([f"if count + {most} <= {limit}", *(f" and {g}" for g in guards), ":"])
+
+    def in_line(depth, shape, condition):
+        """The tree's value in ``value``: its fast path when it fits under
+        the limit and every guard holds, else its fallback run from the
+        unchanged count, whose value a condition type-checks."""
+        guards, value, steps, most, fallback = tree(shape, condition)
+        if steps != most:
+            emit(depth, f"n = count + {steps}")
+        emit(depth, fast("limit", guards, most))
+        if value != "value":
+            emit(depth + 1, f"value = {value}")
+        emit(depth + 1, "count = n" if steps != most else f"count += {steps}")
         emit(depth, "else:")
-        call(depth + 1, general)
+        call(depth + 1, fallback)
         if condition:
             typecheck(depth + 1)
 
     def condition(depth, cond):
-        if cond[0] == "fused":
-            fused(depth, *cond[1:], True)
+        if cond[0] == "tree":
+            in_line(depth, cond[1], True)
         else:
             call(depth, param())
             typecheck(depth)
@@ -808,8 +1055,8 @@ def _render(shape: tuple) -> str:
             if not entries and not declared:
                 emit(depth, "pass")
         elif kind == "store":
-            _, op, operand, bound = shape
-            fused(depth, op, operand, False)
+            _, tree_shape, bound = shape
+            in_line(depth, tree_shape, False)
             target = param()
             if not bound:
                 emit(depth, f"if frame[{target}] is UNBOUND:")
@@ -834,18 +1081,30 @@ def _render(shape: tuple) -> str:
             statement(depth + 1, shape[2])
             step(depth + 1)
 
-    loops = shape[0] == "while"
-    if loops:
-        name = "fused_loop" if shape[1][0] == "fused" else "loop"
+    if shape[0] == "expr":
+        # A tree alone: its fast path reads the limit from the run.
+        guards, value, steps, most, fallback = tree(shape[1], False)
+        emit(1, "def tree(run, frame):", "    count = run.count")
+        if steps != most:
+            emit(2, f"n = count + {steps}")
+        emit(2, fast("run.limit", guards, most))
+        emit(3, "run.count = n" if steps != most else f"run.count = count + {steps}",
+             f"return {value}")
+        emit(2, f"return {fallback}(run, frame)")
+        emit(1, "return tree")
     else:
-        name = "fused_" + shape[0]
-    emit(1, f"def {name}(run, frame):", "    count = run.count", "    limit = run.limit")
-    if loops:
-        emit(2, "hits = run.hits")
-    statement(2, shape)
-    if not loops:
-        emit(2, "run.count = count")
-    emit(1, f"return {name}")
+        loops = shape[0] == "while"
+        if loops:
+            name = "fused_loop" if shape[1][0] == "tree" else "loop"
+        else:
+            name = "fused_" + shape[0]
+        emit(1, f"def {name}(run, frame):", "    count = run.count", "    limit = run.limit")
+        if loops:
+            emit(2, "hits = run.hits")
+        statement(2, shape)
+        if not loops:
+            emit(2, "run.count = count")
+        emit(1, f"return {name}")
     header = f"def make({', '.join(f'p{i}' for i in range(next(numbers)))}):"
     return "\n".join([header, *lines, ""])
 
@@ -933,3 +1192,35 @@ def execute(
         result.timed_out = True
     result.steps = run.count
     return result
+
+
+def execute_rows(
+    program: Program,
+    function: str,
+    rows: Iterable[Sequence[Value]],
+    step_budget: int = DEFAULT_STEP_BUDGET,
+) -> Iterator[Tuple[Optional[Value], Optional[str], bool]]:
+    """The outcome of one call of ``function`` per row of arguments, as
+    ``execute`` would end it: its value, error and whether that error is an
+    exhausted budget, yielded as the rows are read.
+
+    The program is lowered once and every row runs in one run state, whose
+    count, limit and depth are reset before each row, so that a row ending
+    in a throw or an exhausted budget leaves nothing to the next one. The
+    rows share one hit list, which nothing reads, and take no snapshot
+    that anything reads. There is no deadline.
+    """
+    if function not in program.functions:
+        raise ValueError(f"undefined function {function!r}")
+    functions = _lowered(program)
+    entry = functions[function]
+    run = _Run(functions, step_budget, None, [0] * (program.max_location() + 1))
+    for args in rows:
+        run.count, run.limit, run.depth = 0, step_budget, 0
+        try:
+            outcome = entry(run, list(args)), None, False
+        except _Throw as t:
+            outcome = None, t.name, False
+        except (Exhausted, RecursionError):
+            outcome = None, TIMEOUT, True
+        yield outcome

@@ -38,7 +38,10 @@ class Obj:
     payload: Any
 
 
-Value = Union[bool, int, float, Null, Obj]
+# Type aliases name condfix classes as strings: typing caches each alias,
+# and one that held the classes would keep their module, with every module
+# its functions reach, alive after a re-import drops it.
+Value = Union[bool, int, float, "Null", "Obj"]
 
 PRIMITIVE_TYPES = ("bool", "int", "real")  # the declared types that are not classes
 

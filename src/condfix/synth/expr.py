@@ -26,7 +26,7 @@ class App:
     args: Tuple["PatchExpression", ...]
 
 
-PatchExpression = Union[Leaf, App]
+PatchExpression = Union["Leaf", "App"]  # strings: see ``minilang.values.Value``
 
 
 def evaluate(expr: PatchExpression, values: Dict[str, object]):

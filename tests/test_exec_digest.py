@@ -1,7 +1,10 @@
 """Golden digest of every interpreter run in one harness pass.
 
 For each packaged and built-in seeded bundle, one ``run_harness`` pass is
-recorded at the ``execute`` name of every module that calls it. Per bundle
+recorded at the ``execute`` name of every module that calls it. Grid
+equivalence runs its points through ``execute_rows``, which keeps no full
+result, so the pass checks grids with the per-point oracle
+(``equivalence_oracle``), whose runs are recorded as ``corpus``'s. Per bundle
 and per calling module the digest keeps the number of executions, their
 total steps, and a sha256 over a canonical rendering of each result
 (value, error, timed_out, hits, steps, and the snapshots with the value
@@ -19,6 +22,7 @@ which also prints each bundle's old -> new executions and steps per caller,
 starring the entries that moved. A failing test lists the moved entries in
 the same form.
 """
+import functools
 import hashlib
 import json
 import sys
@@ -31,6 +35,7 @@ from condfix.corpus import (
     builtin_seeded_bundles, default_corpus_dir, load_corpus, run_harness,
 )
 from condfix.minilang import Null, Obj, default_registry, format_value
+from equivalence_oracle import check_equivalence
 
 DIGEST_PATH = Path(__file__).parent / "data" / "exec_digest.json"
 REGISTRY = default_registry()
@@ -90,17 +95,19 @@ def _summary(runs) -> dict:
 
 def compute_digest() -> dict:
     bundles = load_corpus(default_corpus_dir()) + builtin_seeded_bundles()
-    original = corpus.execute
+    original, batched = corpus.execute, corpus.check_equivalence
     digest = {}
     for bundle in bundles:
         runs = {name: [] for name in CALLERS}
         for name, module in CALLERS.items():
             module.execute = _recorder(original, runs[name])
+        corpus.check_equivalence = functools.partial(check_equivalence, execute=corpus.execute)
         try:
             run_harness([bundle])
         finally:
             for module in CALLERS.values():
                 module.execute = original
+            corpus.check_equivalence = batched
         digest[bundle.id] = {caller: _summary(r) for caller, r in runs.items()}
     return digest
 

@@ -3,10 +3,12 @@ import dataclasses
 import gc
 import random
 import re
+import subprocess
 import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +20,8 @@ from condfix.errors import (
     ResolutionError,
 )
 from condfix.minilang import (
-    INT_MAX, INT_MIN, NULL, SKIP, Binary, BoolLit, CallStmt, IfStmt, Obj, Patch, PatchKind, Program,
-    StatementKind, Unary, VarRef, apply_patch, decide, execute, parse_expression,
+    INT_MAX, INT_MIN, NULL, SKIP, AssignStmt, Binary, BoolLit, CallStmt, IfStmt, LetStmt, Obj,
+    Patch, PatchKind, Program, StatementKind, Unary, VarRef, apply_patch, decide, execute, parse_expression,
     format_real, parse_program, parse_value_literal, probe, render_expr, render_program,
     shadow_merge, wrap_int,
 )
@@ -486,43 +488,67 @@ def run_return(expr, **kwargs):
     return run_fused(f"return {expr};", **kwargs)
 
 
-class TestFusedOperands:
-    """A statement whose value or condition is a binary node over a
-    variable and a variable or constant runs as one closure; every outcome
-    must match the unfused step accounting: in ``return expr;`` step 1 is
-    the return, steps 2-4 the node and its two operands."""
+# The operators of the pair rule that fused expression trees replaced; of
+# them, only the comparisons fused into a condition.
+PAIR_OPERATORS = ("<", "<=", ">", ">=", "==", "!=", "+", "-", "*")
 
-    @pytest.mark.parametrize("expr, fused", [
+
+def is_pair(shape, condition=False):
+    """Whether a tree shape is a pair as the pair rule fused it: a frame
+    variable on the left, a variable or an int or real constant on the
+    right."""
+    operators = PAIR_OPERATORS[:6] if condition else PAIR_OPERATORS
+    return (shape is not None and shape[0] == "binary" and shape[1] in operators
+            and shape[2] == ("slot",) and shape[3] in (("slot",), ("const", "int"),
+                                                       ("const", "float")))
+
+
+class TestFusedOperands:
+    """A pure expression tree (here mostly a binary node over a variable
+    and a variable or constant) runs as one generated function, or in line
+    in its statement; every outcome must match the closures' step
+    accounting: in ``return expr;`` step 1 is the return, steps 2-4 the
+    node and its two operands."""
+
+    @pytest.mark.parametrize("expr, pair", [
         ("x < y", True), ("x + 1", True), ("x - K", True), ("r * H", True),
         ("r >= 0.5", True), ("x == y", True), ("x != 0", True), ("s == x", True),
         ("x / y", False), ("x % 2", False), ("1 + x", False), ("K < x", False),
         ("x < -1", False), ("b == true", False), ("x < y + 1", False), ("b == T", False),
     ])
-    def test_which_nodes_fuse(self, expr, fused):
-        # No expression node lowers to a fused closure; the node fuses into
-        # a let that it is the value of, when it has the fused shape.
+    def test_which_nodes_fuse(self, expr, pair):
+        # Every node here is a pure tree: the expression lowers to a
+        # generated function and the let to a generated store, whether or
+        # not the pair rule fused it; the pairs are the two-leaf trees.
         body = f"let z: int = {expr}; return {expr};"
         program = parse_program(FUSED_FIXTURE.replace("BODY", body))
         let, ret = program.functions["f"].body
         lowering = _Lowering(program)
-        assert not lowering.expr(ret.value).__name__.startswith("fused")
-        assert not lowering.stmt(ret).__name__.startswith("fused")
-        assert lowering.stmt(let).__name__.startswith("fused") == fused
+        assert lowering.expr(ret.value).__name__ == "tree"
+        assert lowering.stmt(ret).__name__ == "tree"
+        assert lowering.stmt(let).__name__ == "fused_store"
+        assert is_pair(lowering.tree(let.value, [])) == pair
 
-    @pytest.mark.parametrize("body, fused", [
+    @pytest.mark.parametrize("body, pair", [
         ("let z: int = x + 1; return z;", True), ("x = y * K; return x;", True),
         ("if (x < y) { return 1; } return 2;", True), ("while (r != H) { r = H; } return 1;", True),
         ("let z: int = x / y; return z;", False), ("x = 1 + y; return x;", False),
         ("if (x + y) { return 1; } return 2;", False), ("if (b) { return 1; } return 2;", False),
         ("while (x < y && b) { x = y; } return 1;", False),
     ])
-    def test_which_statements_fuse(self, body, fused):
+    def test_which_statements_fuse(self, body, pair):
+        # A statement fuses when its value or condition is a pure tree
+        # whose root is an operator: all of these but ``if (b)``, the pairs
+        # and the trees the pair rule left to closures alike.
         program = parse_program(FUSED_FIXTURE.replace("BODY", body))
         stmt = program.functions["f"].body[0]
+        store = isinstance(stmt, (LetStmt, AssignStmt))
+        shape = _Lowering(program).tree(stmt.value if store else stmt.cond, [])
         closure = _Lowering(program).stmt(stmt)
-        assert closure.__name__.startswith("fused") == fused
-        # a probed if runs its condition's own closure, to snapshot it
-        if fused and isinstance(stmt, IfStmt):
+        assert closure.__name__.startswith("fused") == (shape is not None)
+        assert is_pair(shape, condition=not store) == pair
+        # a probed if runs its condition's tree under a snapshot wrapper
+        if shape is not None and isinstance(stmt, IfStmt):
             probed = probe(program, stmt.loc).functions["f"].body[0]
             assert not _Lowering(program).stmt(probed).__name__.startswith("fused")
 
@@ -535,7 +561,7 @@ class TestFusedOperands:
         ("if (x < y) { return 1; } return 2;", 3, 4, 1.5, 1, None, 6),
         ("if (x >= K) { return 1; } return 2;", 3, 4, 1.5, 2, None, 6),
         ("while (x < y) { x = x + 1; } return x;", 3, 5, 1.5, 5, None, 22),
-        # mixed int and real, and bool, operands: the node's own closure decides
+        # mixed int and real, and bool, operands: the closures decide
         ("let z: int = x + r; return z;", 3, 4, 1.5, None, "TypeMismatch", 4),
         ("x = x * r; return x;", 3, 4, 1.5, None, "TypeMismatch", 4),
         ("if (x < r) { return 1; } return 2;", 3, 4, 1.5, None, "TypeMismatch", 4),
@@ -554,7 +580,7 @@ class TestFusedOperands:
         # the condition changes type mid-loop: ints, then reals, then mixed
         ("while (x != y) { x = r; y = r; } return 1;", 3, 4, 1.5, 1, None, 14),
         ("while (x < y) { x = r; } return 1;", 3, 4, 1.5, None, "TypeMismatch", 10),
-        # statements that do not fuse, and nodes only their own closures run
+        # a condition that is not a tree, and trees whose closures decide
         ("if (b == T) { return 1; } return 2;", 3, 4, 1.5, 1, None, 6),
         ("while (b) { return x; } return 2;", 3, 4, 1.5, 3, None, 4),
         ("return -r;", 3, 4, 1.5, -1.5, None, 3),
@@ -650,7 +676,8 @@ class TestFusedOperands:
         assert run_return(expr, r=r) == (value, None, False, 4)
 
 
-KEYWORDS = {"fn", "let", "if", "else", "while", "return", "int"}
+KEYWORDS = {"fn", "let", "if", "else", "while", "return", "int", "real", "bool", "const",
+            "true", "false", "null", "length"}
 
 
 def disguised(text):
@@ -663,8 +690,50 @@ def disguised(text):
     return "fn zq_unused(zq_u: int) -> int { let zq_v: int = zq_u; return zq_v; }\n" + text
 
 
+# Pure trees over every kind of leaf and node: variables, literals, a
+# program constant as an operand and as a receiver, null, method calls,
+# logical and unary operators.
+TREES = """\
+const p: Str = Str("abc");
+const k: int = 1;
+
+fn f(x: int, y: int, r: real, b: bool, s: Str) -> int {
+  let t: bool = x * y == 0 != (x == 0 || y == 0);
+  let n: int = p.length() + x * k;
+  if (!(s == null) && s.length() > 1) {
+    n = -n % 2;
+  }
+  while (r * 1.5 <= r / 2.5 && !b) {
+    r = r + 1.0;
+  }
+  return n;
+}
+"""
+
+# Runs one corpus pass and 300 diverge repairs as the benchmark makes them,
+# on a fresh import, and prints the shape cache's misses and size.
+SHAPE_COUNT_CHILD = """
+import sys, tempfile
+from pathlib import Path
+sys.path[:0] = sys.argv[1:3]
+import workloads
+api = workloads.import_condfix()
+from condfix.minilang import interp
+with tempfile.TemporaryDirectory() as workdir:
+    corpus = workloads.Corpus(api, 1, Path(workdir))
+    for bundle in next(corpus.groups()):
+        corpus._harness(bundle)
+    diverge = workloads.Diverge(api, 1, Path(workdir))
+    groups = diverge.groups()
+    for _ in range(300):
+        diverge._repair(next(groups))
+info = interp._make.cache_info()
+print(info.misses, info.currsize)
+"""
+
+
 class TestShapeCache:
-    """A loop's generated source depends on its shape alone, and each
+    """A generated function's source depends on its shape alone, and each
     shape is compiled once while it stays in a bounded cache."""
 
     @pytest.fixture
@@ -692,6 +761,25 @@ class TestShapeCache:
         assert rendered == first  # no new shape
         for source in rendered:
             assert "zq_" not in source and "12345" not in source
+
+    def test_trees_of_one_shape_share_one_entry_and_hold_no_name_or_literal(self, rendered):
+        args = [3, 0, 0.5, False, Obj("Str", "ab")]
+        check_reference(parse_program(TREES), "f", args, BUDGET)
+        first = list(rendered)
+        assert first and len(first) == interp._make.cache_info().currsize
+        check_reference(parse_program(disguised(TREES)), "zq_f", args, BUDGET)
+        assert rendered == first  # no new shape
+        for source in rendered:
+            assert not re.search(r"zq_|12345|abc|1\.5|2\.5|length", source), source
+
+    def test_a_corpus_pass_and_300_diverge_repairs_stay_within_the_bound(self):
+        root = Path(__file__).resolve().parent.parent
+        child = subprocess.run(
+            [sys.executable, "-B", "-c", SHAPE_COUNT_CHILD, str(root / "perfbench"),
+             str(root / "src")], capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        misses, size = map(int, child.stdout.split())
+        assert misses == size <= interp._SHAPES  # every shape compiled once
 
     def test_the_cache_stays_within_its_bound(self, rendered):
         stores = [f"i = i {op} {right};" for op in ("+", "-", "*", "<", "==")

@@ -29,6 +29,8 @@ from condfix.minilang import (
 )
 from condfix.minilang.ast import depth
 from condfix.minilang.interp import CALL_FRAMES, MAX_CALL_DEPTH
+from condfix.minilang.parser import MAX_NESTING
+from condfix.minilang.values import INT_MAX, INT_MIN
 from conftest import CALLS
 
 TIMEOUT = "TimeoutDuringExecution"
@@ -518,3 +520,80 @@ def test_loop_edges(source, function, args, expected):
     # a forced wrong way, a loop runs to the budget, past a clock read
     for edited in edits(program):
         check(edited, function, args, BUDGET, deadlines=(None, float("inf")))
+
+
+# Expression edges: (id, program, function, args, the plain run's value or
+# error). Each runs a pure tree whose generated fast path must hand the
+# run to the tree's closures, or decide a case the closures decide, with
+# the same steps. The ``unbound`` program runs with its ``let`` skipped, so
+# that its tree reads an unbound variable.
+DEEP = MAX_NESTING - 4
+# Each call reserves its deep tree's frames, so six calls fit in the limit
+# and the deepest one runs the tree (and, under a cut budget, its
+# fallback) on top of them.
+DEEP_RECURSION = """\
+fn f(n: int, b: bool) -> bool {
+  if (n > 0) {
+    return f(n - 1, b);
+  }
+  return """ + "!" * (DEEP - 4) + """(b || n > 0);
+}
+"""
+EXPRESSION_EDGES = [
+    ("nan-equals-itself", "fn f(r: real) -> bool { return r == r || r != r && !(r == r); }",
+     "f", [float("nan")], True),
+    ("signed-zeros", "fn f(a: real, b: real) -> bool { return a == b && !(a != b); }",
+     "f", [0.0, -0.0], True),
+    ("int-max-plus-one", "fn f(x: int) -> int { return x + 1 - 1; }", "f", [INT_MAX], INT_MAX),
+    ("negated-int-min", "fn f(x: int) -> bool { return -x == x && -(x + 1) != x + 1; }",
+     "f", [INT_MIN], True),
+    ("negated-int-min-of-an-int-node", "fn f(x: int) -> bool { return -(x - 1) == x - 1; }",
+     "f", [INT_MIN + 1], True),
+    ("int-real-mix", "fn f(x: int, r: real) -> bool { return x < 1 || x < r; }",
+     "f", [3, 2.5], "TypeMismatch"),
+    ("bool-equals-int", "fn f(b: bool) -> bool { return !b || b == 1; }", "f", [True],
+     "TypeMismatch"),
+    ("record-equals-null", "fn f(s: Str) -> bool { return s == null || null != s; }",
+     "f", [Obj("Str", "ab")], True),
+    ("null-equals-null", "fn f(s: Str) -> bool { return s == null && null == null; }",
+     "f", [NULL], True),
+    ("record-equals-record", "fn f(s: Str, t: Str) -> bool { return s == t && !(s != t); }",
+     "f", [Obj("Str", "ab"), Obj("Str", "ab")], True),
+    ("method-on-null", "fn f(s: Str) -> int { return s.length() + 1; }", "f", [NULL],
+     "NullDereference"),
+    ("method-on-a-constant",
+     'const P: Str = Str("abc");\nfn f(x: int) -> int { return P.length() * x - P.length(); }',
+     "f", [4], 9),
+    ("unbound", "fn f(x: int, s: Str) -> bool { let t: Str = s; return x > 1 && t == null; }",
+     "f", [5, NULL], "UnboundVariable"),
+    ("and-skips-a-mistyped-right", "fn f(x: int) -> bool { return x < 0 && x; }", "f", [3], False),
+    ("or-skips-a-mistyped-right", "fn f(x: int) -> bool { return x > 0 || x; }", "f", [3], True),
+    ("or-runs-a-mistyped-right", "fn f(x: int) -> bool { return x < 0 || x; }", "f", [3],
+     "TypeMismatch"),
+    ("not-of-an-int", "fn f(x: int) -> bool { return !(x + 1); }", "f", [3], "TypeMismatch"),
+    ("an-if-on-an-int", "fn f(s: Str) -> int { if (s.length()) { return 1; } return 2; }",
+     "f", [Obj("Str", "ab")], "TypeMismatch"),
+    ("a-while-on-an-int", "fn f(x: int) -> int { while (x * 2) { x = 0; } return x; }",
+     "f", [3], "TypeMismatch"),
+    ("division-by-zero", "fn f(x: int) -> int { return x / (x - 3) + x % 2; }", "f", [3],
+     "DivisionByZero"),
+    ("near-max-nesting", "fn f(b: bool) -> bool { return " + "!" * DEEP + "(b && b); }",
+     "f", [True], True),
+    ("near-max-nesting-at-the-deepest-call", DEEP_RECURSION, "f", [5, True], True),
+    ("near-max-nesting-past-the-call-depth-limit", DEEP_RECURSION, "f", [6, True],
+     "TimeoutDuringExecution"),
+]
+
+
+@pytest.mark.parametrize("name, source, function, args, expected", EXPRESSION_EDGES,
+                         ids=[edge[0] for edge in EXPRESSION_EDGES])
+def test_expression_edges(name, source, function, args, expected):
+    program = parse_program(source)
+    if name == "unbound":
+        program = decide(program, 1, SKIP)  # the let of t
+    result = execute(program, function, args)
+    assert (result.value if result.ok else result.error) == expected
+    # every budget through the whole run, each with and without a deadline
+    for budget in range(result.steps + 2):
+        check(program, function, args, budget, deadlines=(None, float("inf")))
+    check(program, function, args, BUDGET, deadlines=(None, float("inf")))
