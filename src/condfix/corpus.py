@@ -511,20 +511,20 @@ def seed_condition_bugs(
     program_text: str,
     suite_text: str,
     entry: str,
-    config: Optional[RepairConfig] = None,
+    step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> List[BugBundle]:
     """Mutate every if condition of a correct program (operator flips and
-    off-by-one boundary shifts) and keep the mutants the engine can repair.
+    off-by-one boundary shifts) and keep each mutant the suite catches.
 
-    Each kept bundle is tagged fixable; its human patch restores the
-    original condition. Mutants the suite does not catch, or the engine
-    cannot fix, are filtered out so the seeded corpus stays a regression
-    harness for the repair loop.
+    A mutant is kept when it fails some test and passes some test, and the
+    human patch, which restores the original condition, makes the whole
+    suite pass again. Each kept bundle is tagged fixable. The engine does
+    not choose the corpus: no mutant is dropped for being hard to repair,
+    so one the engine leaves unrepaired is an unexpected harness row.
     """
-    config = config or RepairConfig()
     program = parse_program(program_text)
     suite = parse_suite(suite_text)
-    if run_suite(program, suite, step_budget=config.step_budget).failing:
+    if run_suite(program, suite, step_budget=step_budget).failing:
         raise BundleError(f"seed program {seed_id} must pass its suite")
 
     bundles: List[BugBundle] = []
@@ -536,14 +536,12 @@ def seed_condition_bugs(
         original = stmt.cond
         for mutant_expr in _condition_mutants(original):
             mutated = apply_patch(program, Patch(PatchKind.CONDITION_UPDATE, loc, mutant_expr))
-            baseline = run_suite(mutated, suite, step_budget=config.step_budget)
+            baseline = run_suite(mutated, suite, step_budget=step_budget)
             if not baseline.failing or not baseline.passing:
                 continue
             counter += 1
             human = Patch(PatchKind.CONDITION_UPDATE, loc, original)
-            if not validate(mutated, human, suite, config.step_budget):
-                continue
-            if repair(mutated, suite, config, baseline).patched:
+            if validate(mutated, human, suite, step_budget):
                 bundles.append(BugBundle(
                     id=f"{seed_id}-m{counter:02d}",
                     program=mutated,
@@ -652,15 +650,11 @@ def builtin_seed_sources() -> List[Tuple[str, str, str, str]]:
     ]
 
 
-def builtin_seeded_bundles(config: Optional[RepairConfig] = None) -> List[BugBundle]:
-    """Deterministic synthetic bug corpus: mutation-seeded condition bugs
-    over the built-in correct programs."""
-    bundles: List[BugBundle] = []
-    for seed_id, program_text, suite_text, entry in builtin_seed_sources():
-        bundles.extend(
-            seed_condition_bugs(seed_id, program_text, suite_text, entry, config)
-        )
-    return bundles
+def builtin_seeded_bundles() -> List[BugBundle]:
+    """Deterministic synthetic bug corpus: every mutant of the built-in
+    correct programs that ``seed_condition_bugs`` keeps, whatever the
+    engine makes of it."""
+    return [bundle for source in builtin_seed_sources() for bundle in seed_condition_bugs(*source)]
 
 
 def _condition_mutants(expr) -> List:

@@ -1180,18 +1180,8 @@ def execute(
     functions = _lowered(program)
     hits = [0] * (program.max_location() + 1)
     run = _Run(functions, step_budget, deadline, hits)
-    result = ExecutionResult(snapshots=run.snapshots, counts=hits)
-    try:
-        result.value = functions[function](run, list(args))
-    except _Throw as t:
-        result.error = t.name
-    except (Exhausted, RecursionError):
-        # The call-depth budget keeps MiniLang calls within Python's stack
-        # unless the caller itself runs deep in it; that exhausts the run too.
-        result.error = TIMEOUT
-        result.timed_out = True
-    result.steps = run.count
-    return result
+    value, error, timed_out = _outcome(functions[function], run, args)
+    return ExecutionResult(value, error, timed_out, run.snapshots, steps=run.count, counts=hits)
 
 
 def execute_rows(
@@ -1217,10 +1207,18 @@ def execute_rows(
     run = _Run(functions, step_budget, None, [0] * (program.max_location() + 1))
     for args in rows:
         run.count, run.limit, run.depth = 0, step_budget, 0
-        try:
-            outcome = entry(run, list(args)), None, False
-        except _Throw as t:
-            outcome = None, t.name, False
-        except (Exhausted, RecursionError):
-            outcome = None, TIMEOUT, True
-        yield outcome
+        yield _outcome(entry, run, args)
+
+
+def _outcome(entry: Callable, run: _Run,
+             args: Sequence[Value]) -> Tuple[Optional[Value], Optional[str], bool]:
+    """The value of one call of ``entry`` in ``run``, or the error it ends
+    in; the last item tells whether that error is an exhausted budget."""
+    try:
+        return entry(run, list(args)), None, False
+    except _Throw as t:
+        return None, t.name, False
+    except (Exhausted, RecursionError):
+        # The call-depth budget keeps MiniLang calls within Python's stack
+        # unless the caller itself runs deep in it; that exhausts the run too.
+        return None, TIMEOUT, True

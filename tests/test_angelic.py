@@ -6,6 +6,7 @@ from condfix.angelic import (
     check_candidate,
 )
 from condfix.minilang import decide, execute, parse_program
+from condfix.pipeline import RepairConfig, repair
 from condfix.testkit import parse_suite, run_suite, verdict_holds
 from condfix.trace import collect
 
@@ -223,3 +224,29 @@ class TestSearchSpace:
             angelic_precondition(gcd_program, gcd_suite, failing, 1)
         with pytest.raises(ValueError, match="not a condition candidate"):
             angelic_condition(gcd_program, gcd_suite, failing, 3)
+
+
+# f(1) spins until the step budget runs out unless the if at 2 is forced
+# false, and then returns 5; f(-1) returns 5 under every decision. So no
+# decision passes either test that wants 7, and only f(1)'s trials can time
+# out.
+SPIN_OR_FIVE = (
+    "fn f(x: int) -> int { let i: int = 0; "
+    "if (x > 0) { while (i < x) { i = i + 0; } } return 5; }\n"
+)
+
+
+class TestIdOrder:
+    """The first failing test, in sorted id order, that no decision passes
+    ends a location's search, and its trials alone decide between
+    ``execution-timeout`` and ``no-angelic-value`` (docs/formats.md)."""
+
+    @pytest.mark.parametrize("spin, five, reason, statuses", [
+        ("a", "b", "execution-timeout", ["no-angelic-value"] + ["execution-timeout"] * 3),
+        ("b", "a", "no-angelic-value", ["no-angelic-value"] * 4),
+    ], ids=["spinning-test-first", "spinning-test-second"])
+    def test_the_first_uncovered_test_decides_the_reason(self, spin, five, reason, statuses):
+        suite = parse_suite(f"{spin}: f(1) -> 7\n{five}: f(-1) -> 7\nc: f(0) -> 5\n")
+        report = repair(parse_program(SPIN_OR_FIVE), suite, RepairConfig(step_budget=2000))
+        assert (report.outcome, report.reason) == ("no-patch", reason)
+        assert [(t.loc, t.status) for t in report.trials] == list(zip([1, 2, 4, 5], statuses))

@@ -23,8 +23,6 @@ starring the entries that moved. A failing test lists the moved entries
 in the same form.
 """
 import hashlib
-import json
-import sys
 import time
 from pathlib import Path
 
@@ -32,7 +30,8 @@ import pytest
 
 from condfix.corpus import builtin_seeded_bundles, default_corpus_dir, load_corpus
 from condfix.minilang import IfStmt, decide, execute
-from test_exec_digest import _comparison, canonical
+from golden import Golden
+from test_exec_digest import canonical
 
 DIGEST_PATH = Path(__file__).parent / "data" / "budget_sweep.json"
 
@@ -74,32 +73,23 @@ def compute_digest(deadline=None) -> dict:
     return digest
 
 
-@pytest.mark.parametrize("seconds", [None, 3600.0], ids=["no-deadline", "distant-deadline"])
-def test_budget_sweep_matches_the_golden_digest(seconds):
-    expected = json.loads(DIGEST_PATH.read_text())
-    assert len(expected) == 18
-    actual = compute_digest(None if seconds is None else time.monotonic() + seconds)
-    moved = [line for line, changed in _comparison(expected, actual, _counts) if changed]
-    if moved:
-        pytest.fail("moved sweep entries (old -> new):\n" + "\n".join(moved), pytrace=False)
-    assert actual.keys() == expected.keys()
-
-
 def _counts(entry) -> str:
     if entry is None:
         return "-"
     return f"{entry['runs']} runs/{entry['timeouts']} timeouts"
 
 
-def _write() -> None:
-    old = json.loads(DIGEST_PATH.read_text()) if DIGEST_PATH.exists() else {}
-    new = compute_digest()
-    for line, _ in _comparison(old, new, _counts):
-        print(line)
-    DIGEST_PATH.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+GOLDEN = Golden(DIGEST_PATH, compute_digest, _counts, 8)
+
+
+@pytest.mark.parametrize("seconds", [None, 3600.0], ids=["no-deadline", "distant-deadline"])
+def test_budget_sweep_matches_the_golden_digest(seconds):
+    expected = GOLDEN.committed()
+    assert len(expected) == 18
+    actual = compute_digest(None if seconds is None else time.monotonic() + seconds)
+    GOLDEN.check(expected, actual, "sweep")
+    assert actual.keys() == expected.keys()
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_budget_sweep.py --write")
-    _write()
+    GOLDEN.main()

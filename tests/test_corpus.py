@@ -472,4 +472,21 @@ class TestSeeding:
         # seed program itself no longer passes its suite.
         steps = next(s for s in builtin_seed_sources() if s[0] == "steps")
         with pytest.raises(BundleError, match="must pass"):
-            seed_condition_bugs(*steps, RepairConfig(step_budget=50))
+            seed_condition_bugs(*steps, step_budget=50)
+
+    def test_seeding_keeps_mutants_the_engine_cannot_repair(self):
+        # Parity needs x % 2, which no component offers, so no rung up to
+        # level 2 repairs either boundary shift. The flip to != fails every
+        # test, so it is not kept.
+        program = ("fn parity(x: int) -> int { let r: int = 0; "
+                   "if (x % 2 == 0) { r = 1; } return r; }\n")
+        suite = "".join(f"t{i}: parity({x}) -> {int(x % 2 == 0)}\n"
+                        for i, x in enumerate([0, 1, 2, 3, 4, -3, -4, 7]))
+        bundles = seed_condition_bugs("parity", program, suite, "parity")
+        assert [(b.id, render_expr(b.program.statement_at(2).cond)) for b in bundles] == [
+            ("parity-m01", "x % 2 == 0 + 1"), ("parity-m02", "x % 2 == 0 - 1"),
+        ]
+        rows = run_harness(bundles, RepairConfig(max_level=2)).rows
+        assert [(r.id, r.outcome, r.expected_match) for r in rows] == [
+            ("parity-m01", "no-patch", False), ("parity-m02", "no-patch", False),
+        ]

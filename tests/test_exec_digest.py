@@ -25,10 +25,7 @@ the same form.
 import functools
 import hashlib
 import json
-import sys
 from pathlib import Path
-
-import pytest
 
 from condfix import angelic, corpus, testkit, trace
 from condfix.corpus import (
@@ -36,6 +33,7 @@ from condfix.corpus import (
 )
 from condfix.minilang import Null, Obj, default_registry, format_value
 from equivalence_oracle import check_equivalence
+from golden import Golden
 
 DIGEST_PATH = Path(__file__).parent / "data" / "exec_digest.json"
 REGISTRY = default_registry()
@@ -112,46 +110,20 @@ def compute_digest() -> dict:
     return digest
 
 
-def test_harness_executions_match_the_golden_digest():
-    expected = json.loads(DIGEST_PATH.read_text())
-    assert len(expected) == 18
-    moved = [line for line, changed in _comparison(expected, compute_digest()) if changed]
-    if moved:
-        pytest.fail("moved digest entries (old -> new):\n" + "\n".join(moved), pytrace=False)
-
-
 def _counts(entry) -> str:
     if entry is None:
         return "-"
     return f"{entry['executions']} runs/{entry['steps']} steps"
 
 
-def _comparison(old: dict, new: dict, counts=_counts):
-    """(line, changed) per (bundle, caller) of either digest, in the new
-    digest's order; each line shows the entry's old -> new ``counts``
-    (runs and steps), starred when the entry moved."""
-    keys = [(b, c) for b, callers in new.items() for c in callers]
-    keys += [(b, c) for b, callers in old.items() for c in callers if (b, c) not in keys]
-    for bundle_id, caller in keys:
-        before = old.get(bundle_id, {}).get(caller)
-        after = new.get(bundle_id, {}).get(caller)
-        changed = before != after
-        mark = ""
-        if changed:
-            same_counts = counts(before) == counts(after)
-            mark = "  * (sha256 only)" if same_counts else "  *"
-        yield f"{bundle_id:<12} {caller:<8} {counts(before)} -> {counts(after)}{mark}", changed
+GOLDEN = Golden(DIGEST_PATH, compute_digest, _counts, 8)
 
 
-def _write() -> None:
-    old = json.loads(DIGEST_PATH.read_text()) if DIGEST_PATH.exists() else {}
-    new = compute_digest()
-    for line, _ in _comparison(old, new):
-        print(line)
-    DIGEST_PATH.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+def test_harness_executions_match_the_golden_digest():
+    expected = GOLDEN.committed()
+    assert len(expected) == 18
+    GOLDEN.check(expected, compute_digest(), "digest")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_exec_digest.py --write")
-    _write()
+    GOLDEN.main()
