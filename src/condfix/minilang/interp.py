@@ -77,9 +77,10 @@ function, or runs in line where a loop or one-statement shape holds it
 their slots and keeps the step count in a local: it runs only when the
 tree's largest step count fits under the run's limit, charges each node's
 step, and charges the right operand of ``&&`` or ``||`` only when it
-runs. It checks operand types as the node closures do, and where they
-would throw or wrap (an unbound slot, mixed or unhandled types, an int
-result out of range, a null receiver, ``/`` or ``%`` by zero) it runs the
+runs. Its guards and the node closures derive from one table of operator
+semantics (``values.OPERATORS`` and ``UNARY_OPERATORS``): where the
+closures would throw or wrap (an unbound slot, mixed or unhandled types,
+an int result out of range, a null receiver, a zero divisor) it runs the
 tree's closures instead, from the unchanged step count. Trees are pure,
 so that fallback is exact: steps, hits, snapshots, errors and timeouts
 are those of the closures alone. The fallback is lowered on its first
@@ -129,7 +130,6 @@ from __future__ import annotations
 import builtins
 import functools
 import itertools
-import operator
 import types
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -140,7 +140,10 @@ from .ast import (
     IfStmt, IntLit, LetStmt, MethodCall, NullLit, Program, RealLit, ReturnStmt,
     Stmt, ThrowStmt, Unary, VarRef, WhileStmt, depth,
 )
-from .values import INT_MAX, INT_MIN, NULL, Null, Obj, Value, matches_declared, wrap_int
+from .values import (
+    INT_MAX, INT_MIN, NULL, OPERATORS, UNARY_OPERATORS, Null, Obj, Value, divide,
+    matches_declared, modulo, wrap_int,
+)
 
 DEFAULT_STEP_BUDGET = 1_000_000
 # Call depth is counted in the Python frames active MiniLang calls may use:
@@ -242,53 +245,6 @@ def _equal(left: Value, right: Value) -> bool:
     return left == right
 
 
-def _divide(left, right):
-    if type(left) is int:
-        if right == 0:
-            raise _Throw(DIVISION_BY_ZERO)
-        q = abs(left) // abs(right)
-        return wrap_int(q if (left >= 0) == (right >= 0) else -q)
-    if right == 0.0:
-        raise _Throw(DIVISION_BY_ZERO)
-    return left / right
-
-
-def _modulo(left, right):
-    if type(left) is not int:
-        raise _Throw(TYPE_MISMATCH)
-    if right == 0:
-        raise _Throw(DIVISION_BY_ZERO)
-    r = abs(left) % abs(right)
-    return wrap_int(r if left >= 0 else -r)
-
-
-def _not(value):
-    if type(value) is not bool:
-        raise _Throw(TYPE_MISMATCH)
-    return not value
-
-
-def _negative(value):
-    if type(value) is int:
-        return wrap_int(-value)
-    if type(value) is float:
-        return -value
-    raise _Throw(TYPE_MISMATCH)
-
-
-_UNARY = {"!": _not, "-": _negative}
-# Both operands int or both real; an int result out of range wraps to
-# signed 64 bits (comparisons give bools, always in range).
-_NUMERIC = {
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "/": _divide, "%": _modulo,
-}
-_LOGICAL = ("&&", "||")
-_EQUALITY = ("==", "!=")
-_BINARY = frozenset(_NUMERIC).union(_LOGICAL, _EQUALITY)
-
-
 class _Closures:
     """Lowers expressions to one closure per node: every node outside a
     pure tree, and each pure tree's fallback."""
@@ -353,23 +309,33 @@ class _Closures:
         return variable
 
     def unary(self, expr: Unary) -> Compiled:
-        operand = self.expr(expr.operand)
-        if expr.op not in _UNARY:
+        if expr.op not in UNARY_OPERATORS:
             raise TypeError(f"unknown unary operator {expr.op!r}")
-        apply = _UNARY[expr.op]
+        operand = self.expr(expr.operand)
+        entry = UNARY_OPERATORS[expr.op]
+        operands, apply = entry.operands, entry.fn
 
         def unary(run, frame):
             run.count += 1
             if run.count > run.limit:
                 run.check()
-            return apply(operand(run, frame))
+            value = operand(run, frame)
+            kind = type(value)
+            if kind not in operands:
+                raise _Throw(TYPE_MISMATCH)
+            value = apply(value)
+            if kind is int and not INT_MIN <= value <= INT_MAX:
+                return wrap_int(value)
+            return value
 
         return unary
 
     def binary(self, expr: Binary) -> Compiled:
         op = expr.op
+        if op not in OPERATORS:
+            raise TypeError(f"unknown binary operator {op!r}")
         left, right = self.expr(expr.left), self.expr(expr.right)
-        if op in _LOGICAL:
+        if op == "&&" or op == "||":
             # The left operand decides alone when it equals this value.
             decisive = op == "||"
 
@@ -389,7 +355,7 @@ class _Closures:
 
             return logical
 
-        if op in _EQUALITY:
+        if op == "==" or op == "!=":
             positive = op == "=="
 
             def equality(run, frame):
@@ -404,9 +370,8 @@ class _Closures:
 
             return equality
 
-        if op not in _NUMERIC:
-            raise TypeError(f"unknown binary operator {op!r}")
-        apply = _NUMERIC[op]
+        entry = OPERATORS[op]
+        operands, apply, zero_throws = entry.operands, entry.fn, entry.zero_throws
 
         def numeric(run, frame):
             run.count += 1
@@ -415,8 +380,10 @@ class _Closures:
             a = left(run, frame)
             b = right(run, frame)
             kind = type(a)
-            if kind is not type(b) or (kind is not int and kind is not float):
+            if kind is not type(b) or kind not in operands:
                 raise _Throw(TYPE_MISMATCH)
+            if zero_throws and b == 0:
+                raise _Throw(DIVISION_BY_ZERO)
             value = apply(a, b)
             if kind is int and not INT_MIN <= value <= INT_MAX:
                 return wrap_int(value)
@@ -701,7 +668,7 @@ class _Lowering(_Closures):
         if isinstance(expr, VarRef):
             return self.variable_leaf(expr.name, params)
         if isinstance(expr, Binary):
-            if expr.op not in _BINARY:
+            if expr.op not in OPERATORS:
                 raise TypeError(f"unknown binary operator {expr.op!r}")
             left = self.node(expr.left, params)
             right = None if left is None else self.node(expr.right, params)
@@ -709,9 +676,9 @@ class _Lowering(_Closures):
         if isinstance(expr, (IntLit, RealLit, BoolLit, NullLit)):
             value = NULL if isinstance(expr, NullLit) else expr.value
             params.append(value)
-            return ("const", _KINDS[type(value)])
+            return ("const", type(value).__name__)
         if isinstance(expr, Unary):
-            if expr.op not in _UNARY:
+            if expr.op not in UNARY_OPERATORS:
                 raise TypeError(f"unknown unary operator {expr.op!r}")
             operand = self.node(expr.operand, params)
             return None if operand is None else ("unary", expr.op, operand)
@@ -727,7 +694,7 @@ class _Lowering(_Closures):
         if name in self.consts:
             value = self.consts[name].value
             params.append(value)
-            return ("const", _KINDS[type(value)])
+            return ("const", type(value).__name__)
         params.append(self.slot(name))
         return ("slot",)
 
@@ -743,7 +710,7 @@ def _always_reads(expr: Expr, name: str) -> bool:
         return _always_reads(expr.operand, name)
     if isinstance(expr, Binary):
         return _always_reads(expr.left, name) or (
-            expr.op not in _LOGICAL and _always_reads(expr.right, name))
+            expr.op not in ("&&", "||") and _always_reads(expr.right, name))
     return False
 
 
@@ -809,12 +776,9 @@ def _short_block(entries: List[Tuple[int, Compiled]]) -> Compiled:
 # Compiled shapes kept: the `corpus` benchmark's set-up makes 23, one pass
 # 28 more, and 300 `diverge` repairs after those 21 more.
 _SHAPES = 128
-_KINDS = {bool: "bool", int: "int", float: "float", Null: "null", Obj: "obj"}
 _GLOBALS = {"UNBOUND": UNBOUND, "_Throw": _Throw, "TYPE_MISMATCH": TYPE_MISMATCH,
             "UNBOUND_VARIABLE": UNBOUND_VARIABLE, "INT_MIN": INT_MIN, "INT_MAX": INT_MAX,
-            "Obj": Obj, "_divide": _divide, "_modulo": _modulo, "__builtins__": builtins}
-# A constant's kind -> the name of its Python type in generated code.
-_TYPES = {"bool": "bool", "int": "int", "float": "float", "obj": "Obj"}
+            "Obj": Obj, "divide": divide, "modulo": modulo, "__builtins__": builtins}
 
 
 @functools.lru_cache(maxsize=_SHAPES)
@@ -859,12 +823,20 @@ def _render(shape: tuple) -> str:
         name = f"t{next(temps)}"
         return [f"({name} := {text})"] + [name] * (count - 1)
 
+    def typed(value, kind, guards):
+        """``value`` read after a guard that its type is the one named
+        ``kind``."""
+        test, value = reads(value, 2)
+        guards.append(f"({test} is True or {value} is False)" if kind == "bool"
+                      else f"type({test}) is {kind}")
+        return value
+
     def node(shape, guards):
         """``(value, kind, steps, most)`` of a tree node: its value as an
-        expression, its kind if the shape fixes it, the steps it always
-        takes and the most it can take. Appends to ``guards`` the tests the
-        fast path needs, in the order they run; the value is read after
-        them."""
+        expression, the name of its Python type if the shape fixes it, the
+        steps it always takes and the most it can take. Appends to
+        ``guards`` the tests the fast path needs, in the order they run;
+        the value is read after them."""
         if shape[0] == "slot":
             return f"frame[{param()}]", None, 1, 1
         if shape[0] == "const":
@@ -872,61 +844,76 @@ def _render(shape: tuple) -> str:
         if shape[0] == "method":
             receiver, kind, _, _ = node(shape[1], guards)
             lookup, method = param(), param()
-            if kind == "obj":
-                first = second = receiver
-            else:
-                test, first, second = reads(receiver, 3)
-                guards.append(f"type({test}) is Obj")
-            return f"{lookup}({first}.cls, {method}).fn({second}.payload)", None, 2, 2
+            if kind != "Obj":
+                receiver = typed(receiver, "Obj", guards)
+            return f"{lookup}({receiver}.cls, {method}).fn({receiver}.payload)", None, 2, 2
         if shape[0] == "unary":
-            return unary(shape[1], node(shape[2], guards), guards)
+            return operation(UNARY_OPERATORS[shape[1]], [node(shape[2], guards)], guards)
         op, left, right = shape[1:]
-        if op in _LOGICAL:
+        if op == "&&" or op == "||":
             return logical(op, node(left, guards), right, guards)
         left, right = node(left, guards), node(right, guards)
-        steps, most = 1 + left[2] + right[2], 1 + left[3] + right[3]
-        if op in _EQUALITY:
-            return equality(op, left, right, guards), "bool", steps, most
-        value, kind = numeric(op, left, right, guards)
-        return value, kind, steps, most
+        if op == "==" or op == "!=":
+            return (equality(op, left, right, guards), "bool", 1 + left[2] + right[2],
+                    1 + left[3] + right[3])
+        return operation(OPERATORS[op], [left, right], guards)
 
-    def unary(op, operand, guards):
-        value, kind, steps, most = operand
-        if op == "!":
-            if kind != "bool":
-                test, value = reads(value, 2)
-                guards.append(f"({test} is True or {value} is False)")
-            return f"(not {value})", "bool", steps + 1, most + 1
-        if kind != "float":
-            test, value = reads(value, 2)
-            if kind == "int":
-                guards.append(f"{test} != INT_MIN")
-            elif kind is None:
-                k = f"k{next(temps)}"
-                guards.append(f"(({k} := type({test})) is int and {value} != INT_MIN "
-                              f"or {k} is float)")
-            else:
+    def operation(entry, operands, guards):
+        """An operator of the table (``values.Operator``) on its operands'
+        nodes. The fast path needs the operands to share one of its operand
+        types, a divisor that is not zero and an int result in range, where
+        the closures would throw or wrap."""
+        values = [value for value, _, _, _ in operands]
+        kinds = {kind for _, kind, _, _ in operands} - {None}
+        steps, most = 1 + sum(o[2] for o in operands), 1 + sum(o[3] for o in operands)
+        allowed = [t.__name__ for t in entry.operands]
+        kind = k = None
+        if kinds:
+            kind = kinds.pop() if len(kinds) == 1 else None
+            if kind not in allowed:
                 guards.append("False")
-        return f"(-{value})", kind, steps + 1, most + 1
+                return entry.code.format(*values), None, steps, most
+            values = [v if known else typed(v, kind, guards)
+                      for v, (_, known, _, _) in zip(values, operands)]
+        elif len(allowed) == 1:
+            kind = allowed[0]
+            values = [typed(v, kind, guards) for v in values]
+        else:
+            k = f"k{next(temps)}"
+            tests, values = map(list, zip(*(reads(v, 2) for v in values)))
+            same = "".join(f" is type({test})" for test in tests[1:])
+            either = " or ".join(f"{k} is {t}" for t in allowed)
+            guards.append(f"({k} := type({tests[0]})){same} and ({either})")
+        if entry.zero_throws:
+            test, values[-1] = reads(values[-1], 2)
+            guards.append(f"{test} != 0")
+        value = entry.code.format(*values)
+        if entry.result is bool:
+            return value, "bool", steps, most
+        if kind == "float":
+            return value, kind, steps, most
+        t = f"t{next(temps)}"
+        tail = "" if kind == "int" else f" or {k} is float"
+        guards.append(f"(INT_MIN <= ({t} := {value}) <= INT_MAX{tail})")
+        return t, kind, steps, most
 
     def logical(op, left, right, guards):
         """``&&`` and ``||``: the right operand's guards run only when the
         left one does not decide, and add its steps to ``n`` first."""
         value, kind, steps, most = left
-        test, value = reads(value, 2)
-        if kind != "bool":
-            guards.append(f"({test} is True or {value} is False)")
-            test = value
+        if kind == "bool":
+            test, value = reads(value, 2)
+        else:
+            test = value = typed(value, "bool", guards)
         inner = []
         other, kind, right_steps, right_most = node(right, inner)
         if kind != "bool":
-            check, other = reads(other, 2)
-            inner.append(f"({check} is True or {other} is False)")
+            other = typed(other, "bool", inner)
         decides = test if op == "||" else f"not {test}"
         inner.insert(0, f"(n := n + {right_steps})")
         guards.append(f"({decides} or {' and '.join(inner)})")
-        joined = "or" if op == "||" else "and"
-        return f"({value} {joined} {other})", "bool", steps + 1, most + 1 + right_most
+        return (OPERATORS[op].code.format(value, other), "bool", steps + 1,
+                most + 1 + right_most)
 
     def equality(op, left, right, guards):
         """``==`` and ``!=``: null compares by identity and a record by
@@ -934,7 +921,7 @@ def _render(shape: tuple) -> str:
         type, as ``_equal`` requires."""
         (a, a_kind, _, _), (b, b_kind, _, _) = left, right
         kinds = (a_kind, b_kind)
-        if "null" in kinds or "obj" in kinds:
+        if "Null" in kinds or "Obj" in kinds:
             # the other operand needs no type, and only a slot can be unbound
             if a.startswith("frame["):
                 test, a = reads(a, 2)
@@ -942,65 +929,20 @@ def _render(shape: tuple) -> str:
             if b.startswith("frame["):
                 test, b = reads(b, 2)
                 guards.append(f"{test} is not UNBOUND")
-            if "null" in kinds:
+            if "Null" in kinds:
                 return f"({a} {'is' if op == '==' else 'is not'} {b})"
         elif a_kind and b_kind:
             if a_kind != b_kind:
                 guards.append("False")
-        elif a_kind or b_kind:
-            if b_kind:
-                test, a = reads(a, 2)
-            else:
-                test, b = reads(b, 2)
-            guards.append(f"type({test}) is {_TYPES[a_kind or b_kind]}")
+        elif b_kind:
+            a = typed(a, b_kind, guards)
+        elif a_kind:
+            b = typed(b, a_kind, guards)
         else:
             k = f"k{next(temps)}"
             (a_test, a), (b_test, b) = reads(a, 2), reads(b, 2)
             guards.append(f"({k} := type({a_test})) is type({b_test}) and {k} is not object")
-        return f"({a} {op} {b})"
-
-    def numeric(op, left, right, guards):
-        """The arithmetic operators and comparisons, on two ints or two
-        reals (``%`` on ints only); ``+``, ``-`` and ``*`` fall back when an
-        int result needs wrapping, ``/`` and ``%`` when dividing by zero."""
-        (a, a_kind, _, _), (b, b_kind, _, _) = left, right
-        numbers_ok = ("int",) if op == "%" else ("int", "float")
-        kind = k = None
-        if a_kind and b_kind:
-            kind = a_kind
-            if a_kind != b_kind or kind not in numbers_ok:
-                guards.append("False")
-        elif a_kind or b_kind:
-            kind = a_kind or b_kind
-            if kind not in numbers_ok:
-                guards.append("False")
-            elif b_kind:
-                test, a = reads(a, 2)
-                guards.append(f"type({test}) is {kind}")
-            else:
-                test, b = reads(b, 2)
-                guards.append(f"type({test}) is {kind}")
-        elif op == "%":
-            kind = "int"
-            (a_test, a), (b_test, b) = reads(a, 2), reads(b, 2)
-            guards.append(f"type({a_test}) is int and type({b_test}) is int")
-        else:
-            k = f"k{next(temps)}"
-            (a_test, a), (b_test, b) = reads(a, 2), reads(b, 2)
-            guards.append(f"({k} := type({a_test})) is type({b_test}) "
-                          f"and ({k} is int or {k} is float)")
-        if op in ("<", "<=", ">", ">="):
-            return f"({a} {op} {b})", "bool"
-        if op in ("/", "%"):
-            test, b = reads(b, 2)
-            guards.append(f"{test} != 0")
-            return f"{'_divide' if op == '/' else '_modulo'}({a}, {b})", kind
-        if kind == "float":
-            return f"({a} {op} {b})", kind
-        t = f"t{next(temps)}"
-        tail = "" if kind == "int" else f" or {k} is float"
-        guards.append(f"(INT_MIN <= ({t} := {a} {op} {b}) <= INT_MAX{tail})")
-        return t, kind
+        return OPERATORS[op].code.format(a, b)
 
     def tree(shape, condition):
         """The guards of a tree's fast path, its value, the steps it always

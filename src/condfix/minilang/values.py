@@ -1,10 +1,13 @@
-"""Runtime values: booleans, 64-bit wrapping integers, reals, null, records."""
+"""Runtime values: booleans, 64-bit wrapping integers, reals, null, records;
+and the one table of operator semantics (``OPERATORS``,
+``UNARY_OPERATORS``)."""
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Any, Union
+from typing import Any, Callable, NamedTuple, Optional, Tuple, Union
 
 INT_BITS = 64
 INT_MIN = -(1 << (INT_BITS - 1))
@@ -49,6 +52,63 @@ PRIMITIVE_TYPES = ("bool", "int", "real")  # the declared types that are not cla
 def wrap_int(x: int) -> int:
     """Two's-complement wrap into the signed 64-bit range."""
     return ((x - INT_MIN) % _INT_MOD) + INT_MIN
+
+
+def divide(left, right):
+    """``/`` before the wrap: an int quotient truncates toward zero."""
+    if type(left) is int:
+        q = abs(left) // abs(right)
+        return q if (left >= 0) == (right >= 0) else -q
+    return left / right
+
+
+def modulo(left, right):
+    """``%`` of two ints: the remainder takes the dividend's sign."""
+    r = abs(left) % abs(right)
+    return r if left >= 0 else -r
+
+
+class Operator(NamedTuple):
+    """One operator's semantics. Its operands share one of ``operands``,
+    else it raises TypeMismatch. Its result is a bool, or with ``result``
+    None of the operands' type, where an int result out of range wraps to
+    signed 64 bits. With ``zero_throws`` a right operand equal to zero (an
+    int 0 or a real ±0.0) raises DivisionByZero before ``fn`` runs.
+    ``code`` writes ``fn`` in Python over the operand texts ``{0}`` and
+    ``{1}``, for the interpreter's generated code, whose globals hold
+    ``divide`` and ``modulo``."""
+
+    operands: Tuple[type, ...]
+    result: Optional[type]
+    fn: Callable
+    code: str
+    zero_throws: bool = False
+
+
+_NUMBERS = (int, float)
+# ``==``/``!=`` and ``&&``/``||`` keep rules of their own beyond these
+# entries: an object or null compares with any value (the interpreter's
+# ``_equal``), and the right operand of ``&&``/``||`` runs only when the
+# left one does not decide.
+OPERATORS = {
+    "||": Operator((bool,), bool, operator.or_, "({0} or {1})"),
+    "&&": Operator((bool,), bool, operator.and_, "({0} and {1})"),
+    "==": Operator((bool, int, float), bool, operator.eq, "({0} == {1})"),
+    "!=": Operator((bool, int, float), bool, operator.ne, "({0} != {1})"),
+    "<": Operator(_NUMBERS, bool, operator.lt, "({0} < {1})"),
+    "<=": Operator(_NUMBERS, bool, operator.le, "({0} <= {1})"),
+    ">": Operator(_NUMBERS, bool, operator.gt, "({0} > {1})"),
+    ">=": Operator(_NUMBERS, bool, operator.ge, "({0} >= {1})"),
+    "+": Operator(_NUMBERS, None, operator.add, "({0} + {1})"),
+    "-": Operator(_NUMBERS, None, operator.sub, "({0} - {1})"),
+    "*": Operator(_NUMBERS, None, operator.mul, "({0} * {1})"),
+    "/": Operator(_NUMBERS, None, divide, "divide({0}, {1})", zero_throws=True),
+    "%": Operator((int,), None, modulo, "modulo({0}, {1})", zero_throws=True),
+}
+UNARY_OPERATORS = {
+    "!": Operator((bool,), bool, operator.not_, "(not {0})"),
+    "-": Operator(_NUMBERS, None, operator.neg, "(-{0})"),
+}
 
 
 def matches_declared(v: Value, declared: str) -> bool:

@@ -6,19 +6,21 @@ to the same numeric type, and the logical operators work on bools.
 Greater-than forms are not separate components; they are reachable by
 swapping operands of ``<`` and ``<=``. Division is excluded.
 
-``OPERATORS`` is the one table of operator semantics. It follows MiniLang,
-so int ``+ - *`` wrap to signed 64 bits, and every backend reads it.
+A component means what its operator means in MiniLang: its semantics
+(``Component.entry``) come from ``minilang.values.OPERATORS`` and
+``UNARY_OPERATORS``, the one table of operator semantics, so int ``+ - *``
+wrap to signed 64 bits in every backend. This module keeps only each
+tag's variable-name stem and SMT-LIB2 symbol (``STEMS``, ``SMT_SYMBOLS``).
 
 The difficulty ladder has four rungs: comparisons only, plus logical
 operators, plus arithmetic, and finally two instances of everything.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..minilang.values import wrap_int
+from ..minilang.values import OPERATORS, UNARY_OPERATORS, Operator, wrap_int
 
 BOOL, INT, REAL = "bool", "int", "real"
 
@@ -29,25 +31,11 @@ ARITHMETIC_TAGS = ("+", "-", "*")
 MIN_LEVEL, MAX_LEVEL = 1, 4
 
 
-class Operator(NamedTuple):
-    stem: str  # variable-name stem of its components
-    smt: str  # SMT-LIB2 function symbol
-    fn: Callable  # Python semantics over unwrapped operands
-    wraps: bool  # int results wrap to signed 64 bits, as in MiniLang
-
-
-OPERATORS = {
-    "<": Operator("lt", "<", operator.lt, False),
-    "<=": Operator("le", "<=", operator.le, False),
-    "==": Operator("eq", "=", operator.eq, False),
-    "!=": Operator("ne", "distinct", operator.ne, False),
-    "&&": Operator("and", "and", operator.and_, False),
-    "||": Operator("or", "or", operator.or_, False),
-    "!": Operator("not", "not", operator.not_, False),
-    "+": Operator("add", "+", operator.add, True),
-    "-": Operator("sub", "-", operator.sub, True),
-    "*": Operator("mul", "*", operator.mul, True),
-}
+# Each tag's variable-name stem and SMT-LIB2 function symbol.
+STEMS = {"<": "lt", "<=": "le", "==": "eq", "!=": "ne", "&&": "and", "||": "or", "!": "not",
+         "+": "add", "-": "sub", "*": "mul"}
+SMT_SYMBOLS = {"<": "<", "<=": "<=", "==": "=", "!=": "distinct", "&&": "and", "||": "or",
+               "!": "not", "+": "+", "-": "-", "*": "*"}
 
 
 @dataclass(frozen=True)
@@ -63,22 +51,23 @@ class Component:
         return len(self.in_types)
 
     @property
-    def op(self) -> Operator:
-        return OPERATORS[self.tag]
+    def entry(self) -> Operator:
+        """The operator's entry in MiniLang's table of operator semantics."""
+        return (UNARY_OPERATORS if self.arity == 1 else OPERATORS)[self.tag]
 
     @property
     def wraps(self) -> bool:
-        """Results wrap to signed 64 bits (int arithmetic only)."""
-        return self.out_type == INT and self.op.wraps
+        """Results wrap to signed 64 bits, as the table's int results do."""
+        return self.entry.result is None and self.in_types[0] == INT
 
     @property
     def uid(self) -> str:
         """Unique variable-name stem, e.g. ``le_int_0``."""
-        stem = self.label or self.op.stem
+        stem = self.label or STEMS[self.tag]
         return f"{stem}_{'_'.join(self.in_types)}_{self.instance}"
 
     def evaluate(self, args: Sequence):
-        value = self.op.fn(*args)
+        value = self.entry.fn(*args)
         return wrap_int(value) if self.wraps else value
 
 

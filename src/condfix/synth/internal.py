@@ -184,7 +184,7 @@ class _SearchState:
         self.components = components
         self.budget = budget
         # Resolved once per solve so the per-node path stays in C.
-        self.semantics = [(c.op.fn, c.wraps, c.out_type == REAL) for c in components]
+        self.semantics = [(c.entry.fn, c.wraps, c.out_type == REAL) for c in components]
         self.memos: List[Dict[Tuple[int, ...], int]] = [{} for _ in components]
         # The candidate roots of the last cone position, in component order:
         # every bool component, whose wirings all count as nodes, and

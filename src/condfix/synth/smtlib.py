@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import SolverBackendError
 from ..minilang import format_real
 from ..minilang.values import INT_BITS, INT_MIN
-from .components import BOOL, INT, REAL, Component
+from .components import BOOL, INT, REAL, SMT_SYMBOLS, Component
 from .internal import DEFAULT_NODE_BUDGET, SAT, TIMEOUT, UNSAT, SolveResult, solve_internal
 from .problem import SynthesisProblem
 
@@ -125,7 +125,7 @@ def _row_constraints(problem, r: int, inputs, expected) -> List[str]:
 
 
 def _apply_smt(comp: Component, args: Sequence[str]) -> str:
-    term = f"({comp.op.smt} {' '.join(args)})"
+    term = f"({SMT_SYMBOLS[comp.tag]} {' '.join(args)})"
     return _WRAP_INT.format(term) if comp.wraps else term
 
 

@@ -11,12 +11,14 @@ from condfix.errors import (
     InternalConsistencyError, SolverBackendError, UnsatisfiableMatrixError,
 )
 from condfix.minilang import execute, parse_program
-from condfix.minilang.values import INT_MAX, INT_MIN
+from condfix.minilang.printer import PRECEDENCE
+from condfix.minilang.values import INT_MAX, INT_MIN, OPERATORS, UNARY_OPERATORS
 from condfix.synth import (
-    ARITHMETIC_TAGS, COMPARISON_TAGS, LOGICAL_TAGS, Component, decode,
-    emit_smtlib, encode, encode_with_components, evaluate, parse_solver_output,
-    solve, solve_external, to_source,
+    ARITHMETIC_TAGS, COMPARISON_TAGS, LOGICAL_TAGS, MAX_LEVEL, Component,
+    components_for_level, decode, emit_smtlib, encode, encode_with_components, evaluate,
+    parse_solver_output, solve, solve_external, to_source,
 )
+from condfix.synth.components import SMT_SYMBOLS, STEMS
 from condfix.synth.internal import SAT, TIMEOUT, UNSAT, _SearchState, solve_internal
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 from enumeration_oracle import enumerate_oracle, tree_to_source
@@ -52,7 +54,7 @@ def running_example_problem():
 
 
 INT_OPERANDS = (INT_MIN, INT_MIN + 1, -1, 0, 1, 2**32, INT_MAX - 1, INT_MAX)
-REAL_OPERANDS = (-1.5, -0.0, 0.0, 0.1, 2.5, 1e300)
+REAL_OPERANDS = (-1.5, -0.0, 0.0, 0.1, 2.5, 1e300, float("nan"))
 BOOL_OPERANDS = (False, True)
 
 
@@ -67,26 +69,45 @@ def operator_cases():
         yield tag, "bool", "bool"
 
 
+def same(a, b):
+    """Equal values of one type, NaN equal to itself."""
+    return type(a) is type(b) and (a == b or a != a and b != b)
+
+
 class TestOperatorSemantics:
     @pytest.mark.parametrize("tag,in_type,out_type", list(operator_cases()))
     def test_component_matches_minilang(self, tag, in_type, out_type):
         operands = {"int": INT_OPERANDS, "real": REAL_OPERANDS, "bool": BOOL_OPERANDS}[in_type]
+        # each tree as a pure tree, and with its first operand read through
+        # a call, so that the node closures decide the operator
+        via = f"\nfn via(x: {in_type}) -> {in_type} {{ return x; }}\n"
         if tag == "!":
             comp = Component(tag, (in_type,), out_type)
-            source = f"fn f(a: {in_type}) -> {out_type} {{ return !a; }}"
+            signature, trees = f"a: {in_type}", ["!a", "!via(a)"]
             cases = [(a,) for a in operands]
         else:
             comp = Component(tag, (in_type, in_type), out_type)
-            source = (
-                f"fn f(a: {in_type}, b: {in_type}) -> {out_type} "
-                f"{{ return a {tag} b; }}"
-            )
+            signature, trees = f"a: {in_type}, b: {in_type}", [f"a {tag} b", f"via(a) {tag} b"]
             cases = [(a, b) for a in operands for b in operands]
-        program = parse_program(source)
-        for args in cases:
-            result = execute(program, "f", list(args))
-            assert result.ok, (args, result.error)
-            assert comp.evaluate(args) == result.value, args
+        for tree in trees:
+            program = parse_program(
+                f"fn f({signature}) -> {out_type} {{ return {tree}; }}\n{via}")
+            for args in cases:
+                result = execute(program, "f", list(args))
+                assert result.ok, (tree, args, result.error)
+                assert same(comp.evaluate(args), result.value), (tree, args)
+
+    def test_every_operator_is_in_the_table(self):
+        # an operator added in one place only fails here
+        assert set(PRECEDENCE) == set(OPERATORS)
+        tags = COMPARISON_TAGS + LOGICAL_TAGS + ARITHMETIC_TAGS
+        assert set(STEMS) == set(SMT_SYMBOLS) == set(tags)
+        for tag in tags:
+            assert tag in OPERATORS or tag in UNARY_OPERATORS, tag
+        python_types = {"bool": bool, "int": int, "real": float}
+        for comp in components_for_level(MAX_LEVEL, ["int", "real", "bool"]):
+            for t in comp.in_types:
+                assert python_types[t] in comp.entry.operands, comp
 
     def test_overflowing_product_is_not_zero(self):
         # 2**32 * 2**32 wraps to 0 in MiniLang, so "u * v == 0" cannot
