@@ -15,7 +15,7 @@ from .parser import (
 )
 from .patching import SKIP, Patch, PatchKind, apply_patch, decide, probe, shadow_merge
 from .printer import render_expr, render_program
-from .registry import QueryMethod, StateQueryRegistry, default_registry
+from .registry import QUERIES, QueryMethod
 from .values import (
     INT_MAX, INT_MIN, NULL, Null, Obj, Value, format_real, format_value, wrap_int,
 )
@@ -31,7 +31,7 @@ __all__ = [
     "resolve_expr",
     "SKIP", "Patch", "PatchKind", "apply_patch", "decide", "probe", "shadow_merge",
     "render_expr", "render_program",
-    "QueryMethod", "StateQueryRegistry", "default_registry",
+    "QUERIES", "QueryMethod",
     "INT_MAX", "INT_MIN", "NULL", "Null", "Obj", "Value", "format_real",
     "format_value", "wrap_int",
 ]

@@ -175,7 +175,7 @@ BLOCKS = {IfStmt: ("then_body", "else_body"), WhileStmt: ("body",)}
 def depth(block: Block) -> int:
     """The closure-nesting depth of ``block``: the most Python frames its
     lowered closures stack up (see ``interp``), not counting the callees of
-    a call or the leaf helpers (operators, snapshots, registry methods). A
+    a call or the leaf helpers (operators, snapshots, state queries). A
     call reserves its function body's depth plus one.
 
     A block, a statement and an expression node are one frame each, and a
@@ -247,7 +247,6 @@ def kind_of_stmt(stmt: Stmt) -> StatementKind:
 class Program:
     consts: Dict[str, ConstDef]
     functions: Dict[str, FunctionDef]
-    registry: object  # StateQueryRegistry
     # id(node) -> (node, closure) per statement, function and if or while
     # condition lowered. Shared with every program path-copied from this
     # one (see ``interp``).

@@ -26,13 +26,14 @@ Shared closures: each statement's and function's closure, and the
 closure of each ``if`` or ``while`` condition (a pure tree's fallback, see
 "Fused expression trees"), is cached in ``Program.closures`` by node
 identity, a table that a program shares with every program path-copied
-from it, along with consts and registry, the only program parts a
-closure reads. A statement that a loop runs in
-line (see "Generated loops") has no entry of its own. An edit so lowers
-only the statements on its path and its function. A probed statement is
-a node of its own, so its closure never serves the unprobed one. Calls
-find their callee in ``run.functions`` and snapshots close over the
-consts and slot names alone, so no closure refers to a program.
+from it, along with consts, the only program part a closure reads (state
+queries come from the one table, ``registry.QUERIES``). A statement that
+a loop runs in line (see "Generated loops") has no entry of its own. An
+edit so lowers only the statements on its path and its function. A
+probed statement is a node of its own, so its closure never serves the
+unprobed one. Calls find their callee in ``run.functions`` and snapshots
+close over the consts and slot names alone, so no closure refers to a
+program.
 
 Frames (lexical addressing; Abelson & Sussman, SICP §5.5.6): a call's
 frame is a list with one slot per local name, and a closure reads or
@@ -80,12 +81,13 @@ step, and charges the right operand of ``&&`` or ``||`` only when it
 runs. Its guards and the node closures derive from one table of operator
 semantics (``values.OPERATORS`` and ``UNARY_OPERATORS``): where the
 closures would throw or wrap (an unbound slot, mixed or unhandled types,
-an int result out of range, a null receiver, a zero divisor) it runs the
-tree's closures instead, from the unchanged step count. Trees are pure,
-so that fallback is exact: steps, hits, snapshots, errors and timeouts
-are those of the closures alone. The fallback is lowered on its first
-run, and numbers no slot, as the tree's walk numbered them all; it is
-also the entry of an ``if`` or ``while`` condition in the table.
+an int result out of range, a null receiver or one whose class has no
+such state query, a zero divisor) it runs the tree's closures instead,
+from the unchanged step count. Trees are pure, so that fallback is
+exact: steps, hits, snapshots, errors and timeouts are those of the
+closures alone. The fallback is lowered on its first run, and numbers no
+slot, as the tree's walk numbered them all; it is also the entry of an
+``if`` or ``while`` condition in the table.
 
 Generated loops (copy-and-patch; Xu & Kjolstad, OOPSLA 2021): a ``while``
 lowers to one Python function, generated from the loop's shape, that
@@ -140,6 +142,7 @@ from .ast import (
     IfStmt, IntLit, LetStmt, MethodCall, NullLit, Program, RealLit, ReturnStmt,
     Stmt, ThrowStmt, Unary, VarRef, WhileStmt, depth,
 )
+from .registry import QUERIES
 from .values import (
     INT_MAX, INT_MIN, NULL, OPERATORS, UNARY_OPERATORS, Null, Obj, Value, divide,
     matches_declared, modulo, wrap_int,
@@ -249,8 +252,8 @@ class _Closures:
     """Lowers expressions to one closure per node: every node outside a
     pure tree, and each pure tree's fallback."""
 
-    def __init__(self, consts, registry, names: List[str]):
-        self.consts, self.registry, self.names = consts, registry, names
+    def __init__(self, consts, names: List[str]):
+        self.consts, self.names = consts, names
 
     def slot(self, name: str) -> int:
         """The frame slot of the local ``name``, numbered on first use. Two
@@ -392,7 +395,7 @@ class _Closures:
         return numeric
 
     def method_call(self, expr: MethodCall) -> Compiled:
-        receiver, method, registry = self.variable(expr.receiver), expr.method, self.registry
+        receiver, method = self.variable(expr.receiver), expr.method
 
         def method_call(run, frame):
             run.count += 1
@@ -401,9 +404,10 @@ class _Closures:
             value = receiver(run, frame)
             if isinstance(value, Null):
                 raise _Throw(NULL_DEREFERENCE)
-            if not isinstance(value, Obj):
+            queries = QUERIES.get(value.cls) if isinstance(value, Obj) else None
+            if queries is None or method not in queries:
                 raise _Throw(TYPE_MISMATCH)
-            return registry.lookup(value.cls, method).fn(value.payload)
+            return queries[method].fn(value.payload)
 
         return method_call
 
@@ -426,11 +430,11 @@ class _Lowering(_Closures):
     """Lowers the statements and functions of programs sharing one table."""
 
     def __init__(self, program: Program):
-        super().__init__(program.consts, program.registry, program.slots)
+        super().__init__(program.consts, program.slots)
         self.table = program.closures
         self.capture = _capturer(program.consts, self.names)
         # Lowers fallbacks; it holds no table, so a fallback makes no cycle.
-        self.closures = _Closures(program.consts, program.registry, self.names)
+        self.closures = _Closures(program.consts, self.names)
 
     def cached(self, node, lower: Callable):
         """``lower(node)``, made once per node of the table's programs."""
@@ -664,7 +668,7 @@ class _Lowering(_Closures):
         """The shape of a node of a pure tree, or None where the tree holds
         a call or a forced value. A variable of the frame is its slot, a
         literal or program constant its value with the value's kind, and a
-        method call its receiver, the registry's lookup and the method."""
+        method call its receiver and the method's name."""
         if isinstance(expr, VarRef):
             return self.variable_leaf(expr.name, params)
         if isinstance(expr, Binary):
@@ -684,7 +688,7 @@ class _Lowering(_Closures):
             return None if operand is None else ("unary", expr.op, operand)
         if isinstance(expr, MethodCall):
             receiver = self.variable_leaf(expr.receiver, params)
-            params += (self.registry.lookup, expr.method)
+            params.append(expr.method)
             return ("method", receiver)
         return None
 
@@ -778,7 +782,8 @@ def _short_block(entries: List[Tuple[int, Compiled]]) -> Compiled:
 _SHAPES = 128
 _GLOBALS = {"UNBOUND": UNBOUND, "_Throw": _Throw, "TYPE_MISMATCH": TYPE_MISMATCH,
             "UNBOUND_VARIABLE": UNBOUND_VARIABLE, "INT_MIN": INT_MIN, "INT_MAX": INT_MAX,
-            "Obj": Obj, "divide": divide, "modulo": modulo, "__builtins__": builtins}
+            "Obj": Obj, "QUERIES": QUERIES, "divide": divide, "modulo": modulo,
+            "__builtins__": builtins}
 
 
 @functools.lru_cache(maxsize=_SHAPES)
@@ -843,10 +848,12 @@ def _render(shape: tuple) -> str:
             return param(), shape[1], 1, 1
         if shape[0] == "method":
             receiver, kind, _, _ = node(shape[1], guards)
-            lookup, method = param(), param()
+            method, queries = param(), f"q{next(temps)}"
             if kind != "Obj":
                 receiver = typed(receiver, "Obj", guards)
-            return f"{lookup}({receiver}.cls, {method}).fn({receiver}.payload)", None, 2, 2
+            # a class without the query throws, so the fallback decides it
+            guards.append(f"{method} in ({queries} := QUERIES.get({receiver}.cls, ()))")
+            return f"{queries}[{method}].fn({receiver}.payload)", None, 2, 2
         if shape[0] == "unary":
             return operation(UNARY_OPERATORS[shape[1]], [node(shape[2], guards)], guards)
         op, left, right = shape[1:]

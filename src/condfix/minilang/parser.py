@@ -24,7 +24,7 @@ from .ast import (
 )
 from .lexer import Token, tokenize
 from .printer import PRECEDENCE
-from .registry import StateQueryRegistry, default_registry
+from .registry import QUERIES
 from .values import NULL, PRIMITIVE_TYPES, Obj, Value, wrap_int
 
 MAX_NESTING = 100
@@ -319,17 +319,16 @@ class _Parser:
 # --- public entry points ---------------------------------------------------
 
 
-def parse_program(text: str, registry: Optional[StateQueryRegistry] = None) -> Program:
+def parse_program(text: str) -> Program:
     """Parse and resolve a MiniLang program.
 
     Raises MiniLangSyntaxError with line/column on malformed input and
     ResolutionError on unresolved identifiers, duplicate names, bad arity,
-    or unregistered method calls.
+    or method calls that no state query of the receiver's class serves.
     """
-    registry = registry or default_registry()
     parser = _Parser(tokenize(text))
     consts, functions = parser.parse_program()
-    program = Program(consts=consts, functions=functions, registry=registry)
+    program = Program(consts=consts, functions=functions)
     _resolve(program)
     return program
 
@@ -415,7 +414,7 @@ def parse_value_literal(text: str) -> Value:
 
 def resolve_expr(expr: Expr, scope: Dict[str, str], program: Program) -> None:
     """Check that every name in ``expr`` resolves in ``scope`` plus globals,
-    and that method calls target registered state queries."""
+    and that method calls target state queries of the receiver's class."""
     # Recursion by name, not by a nested function, makes no reference cycle.
     consts = program.consts
     if isinstance(expr, VarRef):
@@ -432,7 +431,10 @@ def resolve_expr(expr: Expr, scope: Dict[str, str], program: Program) -> None:
             raise ResolutionError(
                 f"method call on non-class variable {expr.receiver!r}"
             )
-        program.registry.lookup(recv_type, expr.method)
+        if expr.method not in QUERIES.get(recv_type, ()):
+            raise ResolutionError(
+                f"no state query {expr.method!r} registered for class {recv_type!r}"
+            )
     elif isinstance(expr, Unary):
         resolve_expr(expr.operand, scope, program)
     elif isinstance(expr, Binary):

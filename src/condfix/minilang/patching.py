@@ -193,8 +193,8 @@ def _replace_statement(
     fn = program.functions[program.function_of(loc)]
     functions = dict(program.functions)
     functions[fn.name] = dataclasses.replace(fn, body=_rewrite(fn.body, loc, replace))
-    return Program(consts=program.consts, functions=functions, registry=program.registry,
-                   closures=program.closures, slots=program.slots)
+    return Program(consts=program.consts, functions=functions, closures=program.closures,
+                   slots=program.slots)
 
 
 def _rewrite(stmts: Block, loc: int, replace: Callable[[Stmt], Block]) -> Optional[Block]:

@@ -34,8 +34,8 @@ NULL = Null()
 
 @dataclass(frozen=True)
 class Obj:
-    """Record instance: a class tag plus an opaque payload the registered
-    state query methods compute on."""
+    """Record instance: a class tag plus an opaque payload that the state
+    queries of ``registry.QUERIES`` compute on."""
 
     cls: str
     payload: Any

@@ -5,7 +5,7 @@ that statement probed (``patching.probe``). Each snapshot the probe
 takes holds the values of the constants and the frame there; from them
 this module derives one row of candidate inputs (in-scope primitives, the
 literal constants 0, -1, 1, nullness of in-scope objects, and state-query
-results through ``program.registry``) paired with the expected outcome of
+results from ``registry.QUERIES``) paired with the expected outcome of
 the condition or precondition at that point.
 
 Expected outcomes: for a condition repair, passing tests contribute the
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .angelic import CONDITION, AngelicTuple, check_candidate
 from .minilang import (
-    DEFAULT_STEP_BUDGET, Program, Value, decide, execute, format_value, probe,
+    DEFAULT_STEP_BUDGET, QUERIES, Program, Value, decide, execute, format_value, probe,
 )
 from .minilang.values import PRIMITIVE_TYPES, Null, Obj, matches_declared
 from .testkit import TestCase, verdict_holds
@@ -97,7 +97,7 @@ def collect(
     declared = program.scope_at(loc)
     for const in program.consts.values():
         declared.setdefault(const.name, const.type)
-    columns = _candidate_columns(program, declared)
+    columns = _candidate_columns(declared)
     # A skip decision is per test; the first-hit state is identical with and
     # without the skip, so a precondition probes the unmodified run.
     probed = probe(program, loc)
@@ -105,7 +105,7 @@ def collect(
     forced = {value: probe(decide(program, loc, value), loc) for value in values}
 
     def cells(snap) -> tuple:
-        return tuple(_cell(col, declared, snap.values, program.registry) for col in columns)
+        return tuple(_cell(col, declared, snap.values) for col in columns)
 
     raw_rows: List[TraceRow] = []
     for test in suite:
@@ -139,8 +139,8 @@ def collect(
     return TraceMatrix(location=loc, kind=kind, columns=[columns[i] for i in kept], rows=rows)
 
 
-def _cell(col: ColumnSpec, declared: Dict[str, str], values: Dict[str, Value],
-          registry) -> Optional[Value]:
+def _cell(col: ColumnSpec, declared: Dict[str, str],
+          values: Dict[str, Value]) -> Optional[Value]:
     """The column's value in a row whose snapshot holds ``values``, or None
     where the column is undefined there (see the module docstring)."""
     if col.kind == "const":
@@ -153,12 +153,13 @@ def _cell(col: ColumnSpec, declared: Dict[str, str], values: Dict[str, Value],
         return value
     if col.kind == "nullcheck":
         return isinstance(value, Null)
-    return registry.lookup(value.cls, col.method).fn(value.payload)
+    return QUERIES[value.cls][col.method].fn(value.payload)
 
 
-def _candidate_columns(program: Program, scope: Dict[str, str]) -> List[ColumnSpec]:
+def _candidate_columns(scope: Dict[str, str]) -> List[ColumnSpec]:
     """Column order: scope primitives (parameters before locals), global
-    constants, the literal constants, then per-object nullness and queries."""
+    constants, the literal constants, then per-object nullness and queries,
+    a class's queries by name."""
     columns: List[ColumnSpec] = []
     objects: List[Tuple[str, str]] = []
     for name, declared in scope.items():
@@ -170,7 +171,7 @@ def _candidate_columns(program: Program, scope: Dict[str, str]) -> List[ColumnSp
         columns.append(ColumnSpec(str(value), "int", "const", const=value))
     for name, declared in objects:
         columns.append(ColumnSpec(f"{name} == null", "bool", "nullcheck", var=name))
-        for method in program.registry.methods_for(declared).values():
+        for _, method in sorted(QUERIES.get(declared, {}).items()):
             columns.append(
                 ColumnSpec(
                     f"{name}.{method.name}()", method.return_type, "query",

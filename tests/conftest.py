@@ -93,6 +93,17 @@ MISTYPED = {
     ),
 }
 
+# A state query on a record of a class that has none: s is declared Str
+# but holds a Foo, so s.length() throws TypeMismatch at run time.
+FOREIGN_QUERY = (
+    "fn f(a: Foo, n: int) -> int {\n"
+    "  let s: Str = a;\n"
+    "  if (n > 0) { return s.length(); }\n"
+    "  return 0;\n"
+    "}\n",
+    'zero: f(Foo("x"), 0) -> 1\none: f(Foo("x"), 1) -> 1\n',
+)
+
 # A call used as a statement (location 4) and an else-if chain (the if at
 # 7 is the whole else block of the if at 5); sign throws TooBig for x > 2.
 CALLS = """\

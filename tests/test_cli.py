@@ -12,7 +12,7 @@ import pytest
 from condfix.cli import EXIT_NO_PATCH, EXIT_PATCHED, EXIT_USAGE, main
 from condfix.corpus import MAX_GRID_POINTS, default_corpus_dir, load_bundle, write_bundle
 from condfix.minilang.parser import MAX_NESTING
-from conftest import MISTYPED
+from conftest import FOREIGN_QUERY, MISTYPED
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -60,6 +60,18 @@ class TestRepairCommand:
         code = main(["repair", "--program", str(program), "--suite", str(suite)])
         assert code == EXIT_NO_PATCH
         assert "no-angelic-value" in capsys.readouterr().out
+
+    def test_a_query_on_a_record_of_another_class_is_no_patch(self, tmp_path, capsys):
+        for path, text in zip(("program.ml", "suite.txt"), FOREIGN_QUERY):
+            (tmp_path / path).write_text(text)
+        code = main([
+            "repair", "--program", str(tmp_path / "program.ml"),
+            "--suite", str(tmp_path / "suite.txt"),
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_PATCH
+        assert "no-angelic-value" in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
     def test_usage_error_on_bad_input(self, tmp_path, capsys):
         program = tmp_path / "program.ml"

@@ -31,12 +31,11 @@ from condfix import angelic, corpus, testkit, trace
 from condfix.corpus import (
     builtin_seeded_bundles, default_corpus_dir, load_corpus, run_harness,
 )
-from condfix.minilang import Null, Obj, default_registry, format_value
+from condfix.minilang import QUERIES, Null, Obj, format_value
 from equivalence_oracle import check_equivalence
 from golden import Golden
 
 DIGEST_PATH = Path(__file__).parent / "data" / "exec_digest.json"
-REGISTRY = default_registry()
 CALLERS = {m.__name__.rpartition(".")[2]: m for m in (angelic, corpus, testkit, trace)}
 
 
@@ -49,7 +48,7 @@ def _snapshot(snap) -> dict:
         if isinstance(value, (Null, Obj)):
             null_flags[name] = isinstance(value, Null)
         if isinstance(value, Obj):
-            for method in REGISTRY.methods_for(value.cls).values():
+            for method in QUERIES.get(value.cls, {}).values():
                 queries[f"{name}.{method.name}()"] = format_value(method.fn(value.payload))
     return {
         "values": {k: format_value(v) for k, v in snap.values.items()},

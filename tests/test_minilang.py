@@ -80,6 +80,13 @@ class TestParsing:
         again = parse_program(text)
         assert render_program(again) == text
 
+    def test_render_then_parse_gives_an_equal_program(self):
+        # A program equals another with equal consts and functions.
+        bundles = load_corpus(default_corpus_dir()) + builtin_seeded_bundles()
+        assert len(bundles) == 18
+        for bundle in bundles:
+            assert parse_program(render_program(bundle.program)) == bundle.program, bundle.id
+
 
 # The lexer's contract: each text gives these (kind, text, line, column)
 # tokens, eof last, or raises this (message, line, column).
@@ -477,7 +484,7 @@ def run_fused(body, x=3, y=4, r=1.5, step_budget=1000, unbound=()):
     fn = program.functions["f"]
     kept = [(p, a) for p, a in zip(fn.params, [x, y, r, True, NULL]) if p.name not in unbound]
     fn = dataclasses.replace(fn, params=tuple(p for p, _ in kept))
-    program = Program(program.consts, {"f": fn}, program.registry)
+    program = Program(program.consts, {"f": fn})
     args = [a for _, a in kept]
     check_reference(program, "f", args, step_budget)
     result = execute(program, "f", args, step_budget=step_budget)

@@ -15,7 +15,7 @@ from condfix.pipeline import (
 from condfix.synth import MAX_LEVEL, MIN_LEVEL, decode, solve
 from condfix.synth import problem as synth_problem
 from condfix.testkit import parse_suite
-from conftest import MISTYPED
+from conftest import FOREIGN_QUERY, MISTYPED
 
 
 class TestRepair:
@@ -243,6 +243,15 @@ class TestNoPatchReasons:
         report = repair(program, suite, RepairConfig())
         assert not report.patched
         assert report.reason == CONFLICTING_TRACE
+
+    def test_a_query_on_a_record_of_another_class_is_no_patch(self):
+        # s.length() on a Foo throws TypeMismatch, and no decision at any
+        # location makes the test that reaches it return 1.
+        program_text, suite_text = FOREIGN_QUERY
+        report = repair(parse_program(program_text), parse_suite(suite_text))
+        assert not report.patched
+        assert report.reason == NO_ANGELIC_VALUE
+        assert {t.status for t in report.trials} == {NO_ANGELIC_VALUE}
 
     def test_unbounded_recursion_is_an_execution_timeout(self):
         # The base case is wrong; forcing it to false recurses without bound,

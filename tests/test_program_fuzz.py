@@ -17,7 +17,10 @@ at some operands, so the node closures run it as well as the generated
 fast path. The tree sits in a ``return``, a ``let``, an assignment, an
 ``if`` or a ``while`` body; a program may first bind a record name to a
 value of any type. Arguments come from each type's edges: ``INT_MAX``,
-``INT_MIN``, NaN, ±0.0, ±inf, null and records.
+``INT_MIN``, NaN, ±0.0, ±inf, null and records. A record constant may be
+of a class with no state queries, so that a query on it throws
+``TypeMismatch``. Each program must also parse back from its rendering
+as an equal program.
 
 Tier-1 runs ``SLICE`` programs of one seed. The longer sweep runs outside
 it:
@@ -34,7 +37,7 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from condfix.minilang import NULL, Obj, execute, parse_program
+from condfix.minilang import NULL, Obj, execute, parse_program, render_program
 from condfix.minilang.values import INT_MAX, INT_MIN, format_value
 
 from test_reference_eval import check, reference
@@ -64,7 +67,7 @@ CONSTANTS = {
     "int": (INT_MAX, INT_MIN, 0, 5),
     "real": (0.0, -0.0, 1.5),
     "bool": (True, False),
-    "Str": (NULL, Obj("Str", "abc")),
+    "Str": (NULL, Obj("Str", "abc"), Obj("Foo", "ab")),
 }
 ARITHMETIC = {"int": ("+", "-", "*", "/", "%"), "real": ("+", "-", "*", "/")}
 PLACEMENTS = ("return", "let", "assign", "if", "while-store", "while-if")
@@ -162,6 +165,7 @@ def run(seed, count):
     for _ in range(count):
         source, args, called = generate(rng)
         program = parse_program(source)
+        assert parse_program(render_program(program)) == program, source
         full = execute(program, "f", args, step_budget=LONG_BUDGET)
         # a run ends the same under every budget it does not reach
         whole = reference(program, "f", args, LONG_BUDGET)

@@ -96,6 +96,10 @@ def _arithmetic(op, a, b):
     return value
 
 
+# The state queries, written out apart from ``registry.QUERIES``.
+_QUERIES = {("Str", "length"): len, ("Str", "isEmpty"): lambda payload: payload == ""}
+
+
 class Reference:
     def __init__(self, program, budget):
         self.program, self.budget = program, budget
@@ -213,9 +217,9 @@ class Reference:
             receiver = self.expr(VarRef(e.receiver), frame)
             if receiver is NULL:
                 raise _Stop("NullDereference")
-            if not isinstance(receiver, Obj):
+            if not isinstance(receiver, Obj) or (receiver.cls, e.method) not in _QUERIES:
                 raise _Stop("TypeMismatch")
-            return self.program.registry.lookup(receiver.cls, e.method).fn(receiver.payload)
+            return _QUERIES[receiver.cls, e.method](receiver.payload)
         assert isinstance(e, CallExpr)
         return self.call(e.func, [self.expr(a, frame) for a in e.args])
 
@@ -567,6 +571,12 @@ EXPRESSION_EDGES = [
     ("method-on-a-constant",
      'const P: Str = Str("abc");\nfn f(x: int) -> int { return P.length() * x - P.length(); }',
      "f", [4], 9),
+    ("method-of-another-class",
+     "fn f(a: Foo) -> int { let s: Str = a; return s.length() + 1; }",
+     "f", [Obj("Foo", "ab")], "TypeMismatch"),
+    ("method-of-another-class-on-a-constant",
+     'const K: Str = Foo("ab");\nfn g() -> bool { return K.isEmpty(); }',
+     "g", [], "TypeMismatch"),
     ("unbound", "fn f(x: int, s: Str) -> bool { let t: Str = s; return x > 1 && t == null; }",
      "f", [5, NULL], "UnboundVariable"),
     ("and-skips-a-mistyped-right", "fn f(x: int) -> bool { return x < 0 && x; }", "f", [3], False),
@@ -627,7 +637,7 @@ def through_calls(program):
     for name, fn in program.functions.items():
         params = {p.name: p.type for p in fn.params}
         functions[name] = replace(fn, body=tuple(stmt(s, params) for s in fn.body))
-    text = render_program(Program(program.consts, functions, program.registry))
+    text = render_program(Program(program.consts, functions))
     text += "".join(f"\nfn via{t.capitalize()}(a: {t}) -> {t} {{ return a; }}\n"
                     for t in sorted(types))
     return parse_program(text)

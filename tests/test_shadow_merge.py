@@ -34,7 +34,7 @@ def verdict(a, b, entry, grid, step_budget=DEFAULT_STEP_BUDGET) -> bool:
 
 def rebuilt(program):
     """The same program without the record of the patch that made it."""
-    return Program(program.consts, program.functions, program.registry)
+    return Program(program.consts, program.functions)
 
 
 def child(base, kind, location, text):
