@@ -50,7 +50,10 @@ arguments, ``n`` being the slots numbered when its function was lowered.
 Steps: one per statement entry and per expression node (a method call is
 two, its receiver being a variable reference; a ``Forced`` condition is
 none), plus one per finished loop-body run. The run times out on step
-``budget + 1``.
+``budget + 1``. A generated loop charges the steps of a whole iteration
+at once where it fits under the limit (see "Fast iterations"); the count
+it reports, and the step at which it times out or reads the clock, are
+those of one charge per step.
 
 Deadline: a run counts its steps through a ``budget.Budget``, so each
 step is one increment and one compare against the run's ``limit``. With
@@ -101,7 +104,9 @@ calls every other statement's closure (a call, any other ``let`` or
 assignment, a ``return``, a ``throw``, a nested ``while`` and a probed
 statement), writing the count back to the run before each call,
 ``run.check()``, raise and return, and reading the count and limit back
-after each. A ``let`` or assignment of a pure tree and an ``if`` on one
+after each. Such a *checked* iteration tests the count against the limit
+after each step; a bounded one may run *fast* instead (see "Fast
+iterations"). A ``let`` or assignment of a pure tree and an ``if`` on one
 outside a loop are generated the same way, as one-statement shapes whose
 branch blocks are closures, and any other pure tree as an expression
 shape. Conditions and stores render their trees through one tree writer.
@@ -110,6 +115,29 @@ slots, locations, constants, closures and fallbacks are arguments of the
 shape's ``make``, so no MiniLang name or literal enters the source, and
 the ``make`` of each shape is compiled once per process, in a bounded
 cache (``_make``).
+
+Fast iterations (counting once per straight-line stretch; Ball & Larus,
+"Optimally profiling and tracing programs", TOPLAS 1994): a generated
+loop whose condition and body hold no call expression and no nested
+``while`` has a static bound K, the most steps one iteration can take:
+its condition, each statement's entry step, each tree's most, each called
+statement closure's expression nodes (``_most``) and the loop-body step.
+At the top of each iteration where ``count + K`` is within the limit, the
+loop runs a fast iteration, written by the same statement writer in a
+mode with no limit test. It adds the constant charges of each
+straight-line stretch to the count at once, still counts every hit, and
+writes the exact count before each closure call, a tree's fallback (which
+starts from the unchanged count), the ``n`` of ``&&`` or ``||``, a raise,
+a return and leaving the loop; a tree without ``&&`` or ``||`` charges
+its steps on both paths, as a fallback that returns ran every node. Any
+other iteration is the checked one above. This is exact: no step of a
+fast iteration passes the limit, which is where the checked one calls
+``run.check()``, so a fast iteration neither times out nor reads the
+clock, and every reader of the count (a closure, a fallback, the result
+of a return, a throw or the loop's end) sees what one charge per step
+gives. A run that times out stops at step ``budget + 1`` with the same
+hits, and a deadline's clock read falls in a checked iteration, after
+which the next one is fast again.
 
 Unrolled blocks: outside a loop, a block of one or two statements that
 declares nothing runs its statements in line instead of looping over
@@ -133,6 +161,7 @@ import builtins
 import functools
 import itertools
 import types
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -557,7 +586,8 @@ class _Lowering(_Closures):
         elif isinstance(stmt.cond, Forced):
             return then_body if stmt.cond.value else else_body
         elif shape[0] == "tree":
-            return _make(("if", shape, ("tail",), ("tail",)))(*params, then_body, else_body)
+            return _make(("if", shape, ("tail", None), ("tail", None)))(
+                *params, then_body, else_body)
 
         def if_stmt(run, frame):
             value = cond(run, frame)
@@ -574,7 +604,8 @@ class _Lowering(_Closures):
     def loop(self, stmt: WhileStmt, params: list) -> tuple:
         """The shape of a ``while``; see "Generated loops" in the module
         docstring. Each walk method appends the parameters of its shape to
-        ``params``, in the order ``_render`` numbers them."""
+        ``params``, in the order ``_render`` numbers them. A call to a
+        closure carries the most steps the closure can take, or None."""
         return ("while", self.condition(stmt.cond, params), self.body(stmt.body, params))
 
     def condition(self, cond: Expr, params: list) -> tuple:
@@ -584,7 +615,7 @@ class _Lowering(_Closures):
         shape = self.tree(cond, params)
         if shape is None:
             params.append(self.cached(cond, self.expr))
-            return ("call",)
+            return ("call", _most(cond))
         params.append(self.cached(cond, self.fallback))
         return ("tree", shape)
 
@@ -627,7 +658,7 @@ class _Lowering(_Closures):
                 if shape is not None:
                     return shape
         params.append(self.called(stmt))
-        return ("tail",) if isinstance(stmt, ReturnStmt) else ("call",)
+        return ("tail" if isinstance(stmt, ReturnStmt) else "call", _most(stmt))
 
     # -- expressions --
 
@@ -718,6 +749,33 @@ def _always_reads(expr: Expr, name: str) -> bool:
     return False
 
 
+def _most(node) -> Optional[int]:
+    """The most steps ``node`` can take: an expression's nodes, a
+    statement's after its entry step, or a block's with each entry step;
+    None where it holds a call or a ``while``, whose steps have no static
+    bound."""
+    if isinstance(node, (CallExpr, CallStmt, WhileStmt)):
+        return None
+    if isinstance(node, (ThrowStmt, Forced)):
+        return 0
+    if isinstance(node, MethodCall):
+        return 2
+    if isinstance(node, IfStmt) and isinstance(node.cond, Forced):
+        return _most(node.then_body if node.cond.value else node.else_body)
+    if isinstance(node, IfStmt):
+        parts = [_most(node.cond), _most(node.then_body), _most(node.else_body)]
+        return None if None in parts else parts[0] + max(parts[1:])
+    if isinstance(node, (LetStmt, AssignStmt, ReturnStmt)):
+        return _most(node.value)
+    if isinstance(node, tuple):  # a block
+        parts = [_most(s) for s in node]
+        return None if None in parts else len(parts) + sum(parts)
+    children = ((node.operand,) if isinstance(node, Unary) else
+                (node.left, node.right) if isinstance(node, Binary) else ())
+    parts = [_most(e) for e in children]
+    return None if None in parts else 1 + sum(parts)
+
+
 def _block_loop(entries: Tuple[Tuple[int, Compiled], ...], declared: Tuple[int, ...]) -> Compiled:
     """A block of ``(location, statement)`` entries, run in a loop, that
     unbinds the slots it ``declared`` when it completes."""
@@ -777,8 +835,8 @@ def _short_block(entries: List[Tuple[int, Compiled]]) -> Compiled:
 # methods after it) appended them. The source holds no MiniLang name or
 # literal, so one compiled ``make`` serves every statement and expression
 # of its shape.
-# Compiled shapes kept: the `corpus` benchmark's set-up makes 23, one pass
-# 28 more, and 300 `diverge` repairs after those 21 more.
+# Compiled shapes kept: the `corpus` benchmark's set-up makes 17, one pass
+# 34 more, and 300 `diverge` repairs after those 24 more.
 _SHAPES = 128
 _GLOBALS = {"UNBOUND": UNBOUND, "_Throw": _Throw, "TYPE_MISMATCH": TYPE_MISMATCH,
             "UNBOUND_VARIABLE": UNBOUND_VARIABLE, "INT_MIN": INT_MIN, "INT_MAX": INT_MAX,
@@ -789,8 +847,13 @@ _GLOBALS = {"UNBOUND": UNBOUND, "_Throw": _Throw, "TYPE_MISMATCH": TYPE_MISMATCH
 @functools.lru_cache(maxsize=_SHAPES)
 def _make(shape: tuple) -> Callable:
     """The ``make`` of ``shape``, compiled once per process while cached.
-    Every ``make`` shares ``_GLOBALS`` as its globals."""
-    [code] = [c for c in compile(_render(shape), "<minilang shape>", "exec").co_consts
+    Every ``make`` shares ``_GLOBALS`` as its globals. Its file name holds
+    the CRC-32 of its source, so that a profiler, which keys functions by
+    file, line and name, tells shapes apart, alike in every process
+    (``hashlib`` would load OpenSSL, 3.6 MB of resident memory)."""
+    source = _render(shape)
+    name = f"<minilang shape {zlib.crc32(source.encode()):08x}>"
+    [code] = [c for c in compile(source, name, "exec").co_consts
               if isinstance(c, types.CodeType)]
     return types.FunctionType(code, _GLOBALS)
 
@@ -799,20 +862,49 @@ def _render(shape: tuple) -> str:
     """The source of ``make``, which returns the shape's function of
     ``(run, frame)``. That function keeps the run's step count and limit
     in locals, and writes the count back to ``run`` before every call,
-    ``run.check()``, raise and return, and reads both back after each."""
-    lines, numbers, temps = [], itertools.count(), itertools.count()
+    ``run.check()``, raise and return, and reads both back after each.
+
+    A loop's fast iteration is written by the same statement writer, in
+    its fast mode: ``pending`` holds the steps taken since ``count`` was
+    last exact, which it adds once per straight-line stretch, and it
+    writes ``run.count`` as ``count + pending`` before every call, raise
+    and return. ``bound`` is the most steps an iteration can take up to
+    the point written, or None where a called closure has no bound."""
+    lines, temps = [], itertools.count()
+    number, fast, pending, bound = 0, False, 0, 0
 
     def param():
-        return f"p{next(numbers)}"
+        nonlocal number
+        number += 1
+        return f"p{number - 1}"
+
+    def exact():
+        """The run's step count."""
+        return f"count + {pending}" if pending else "count"
+
+    def charge(steps):
+        nonlocal bound
+        bound = None if bound is None or steps is None else bound + steps
 
     def emit(depth, *texts):
         lines.extend("    " * depth + text for text in texts)
 
     def call(depth, closure):
-        emit(depth, "run.count = count", f"value = {closure}(run, frame)",
-             "count = run.count", "limit = run.limit")
+        """A call of ``closure``; in a fast iteration it takes no step past
+        the limit, so it leaves the limit as it is."""
+        nonlocal pending
+        emit(depth, f"run.count = {exact()}", f"value = {closure}(run, frame)",
+             "count = run.count")
+        if not fast:
+            emit(depth, "limit = run.limit")
+        pending = 0
 
     def step(depth):
+        nonlocal pending
+        charge(1)
+        if fast:
+            pending += 1
+            return
         emit(depth, "count += 1", "if count > limit:")
         emit(depth + 1, "run.count = count", "run.check()", "limit = run.limit")
 
@@ -963,23 +1055,40 @@ def _render(shape: tuple) -> str:
             value = "value"
         return guards, value, steps, most, param()
 
-    def fast(limit, guards, most):
+    def fits(limit, guards, most):
         """The test that opens a tree's fast path."""
         return "".join([f"if count + {most} <= {limit}", *(f" and {g}" for g in guards), ":"])
 
     def in_line(depth, shape, condition):
         """The tree's value in ``value``: its fast path when it fits under
         the limit and every guard holds, else its fallback run from the
-        unchanged count, whose value a condition type-checks."""
+        unchanged count, whose value a condition type-checks. In a fast
+        iteration it always fits, and a tree without ``&&`` or ``||`` adds
+        its steps to ``pending`` on both paths: a fallback that returns
+        ran every node."""
+        nonlocal pending
         guards, value, steps, most, fallback = tree(shape, condition)
-        if steps != most:
-            emit(depth, f"n = count + {steps}")
-        emit(depth, fast("limit", guards, most))
+        charge(most)
+        logical = steps != most
+        if logical:
+            emit(depth, f"n = count + {pending + steps}")
+        if fast and not guards:
+            emit(depth, f"value = {value}")
+            pending += steps
+            return
+        emit(depth, f"if {' and '.join(guards)}:" if fast else fits("limit", guards, most))
         if value != "value":
             emit(depth + 1, f"value = {value}")
-        emit(depth + 1, "count = n" if steps != most else f"count += {steps}")
+        if logical or not fast:
+            emit(depth + 1, "count = n" if logical else f"count += {steps}")
+        elif value == "value":
+            emit(depth + 1, "pass")
         emit(depth, "else:")
-        call(depth + 1, fallback)
+        if logical or not fast:
+            call(depth + 1, fallback)
+        else:
+            emit(depth + 1, f"run.count = {exact()}", f"value = {fallback}(run, frame)")
+            pending += steps
         if condition:
             typecheck(depth + 1)
 
@@ -988,9 +1097,11 @@ def _render(shape: tuple) -> str:
             in_line(depth, cond[1], True)
         else:
             call(depth, param())
+            charge(cond[1])
             typecheck(depth)
 
     def statement(depth, shape):
+        nonlocal number, fast, pending, bound
         kind = shape[0]
         if kind == "block":
             _, entries, declared = shape
@@ -1004,31 +1115,60 @@ def _render(shape: tuple) -> str:
             if not entries and not declared:
                 emit(depth, "pass")
         elif kind == "store":
-            _, tree_shape, bound = shape
+            _, tree_shape, target_bound = shape
             in_line(depth, tree_shape, False)
             target = param()
-            if not bound:
+            if not target_bound:
                 emit(depth, f"if frame[{target}] is UNBOUND:")
-                emit(depth + 1, "run.count = count", "raise _Throw(UNBOUND_VARIABLE)")
+                emit(depth + 1, f"run.count = {exact()}", "raise _Throw(UNBOUND_VARIABLE)")
             emit(depth, f"frame[{target}] = value")
         elif kind == "if":
             condition(depth, shape[1])
             emit(depth, "if value:")
+            start = pending, bound
             statement(depth + 1, shape[2])
+            (then_pending, then_bound), then_end = (pending, bound), len(lines)
+            pending, bound = start
             emit(depth, "else:")
             statement(depth + 1, shape[3])
+            bound = None if None in (bound, then_bound) else max(bound, then_bound)
+            # both branches leave the lesser of their pending steps
+            if then_pending > pending:
+                lines.insert(then_end, "    " * (depth + 1) + f"count += {then_pending - pending}")
+            elif pending > then_pending:
+                emit(depth + 1, f"count += {pending - then_pending}")
+                pending = then_pending
         elif kind == "tail":
-            emit(depth, "run.count = count", f"return {param()}(run, frame)")
+            emit(depth, f"run.count = {exact()}", f"return {param()}(run, frame)")
+            charge(shape[1])
         elif kind == "call":
             call(depth, param())
+            charge(shape[1])
             emit(depth, "if value is not None:", "    return value")
         else:
             assert kind == "while", shape
             emit(depth, "while True:")
-            condition(depth + 1, shape[1])
-            emit(depth + 1, "if not value:", "    run.count = count", "    return None")
-            statement(depth + 1, shape[2])
-            step(depth + 1)
+            # a fast iteration when every step it can take fits under the
+            # limit, so that no step reaches ``run.check()``
+            start, mark, fast, bound = len(lines), number, True, 0
+            iteration(depth + 2, shape)
+            emit(depth + 2, "continue")
+            if bound is None:
+                del lines[start:]
+            else:
+                lines.insert(start, "    " * (depth + 1) + f"if count + {bound} <= limit:")
+            number, fast = mark, False
+            iteration(depth + 1, shape)
+
+    def iteration(depth, shape):
+        nonlocal pending
+        condition(depth, shape[1])
+        emit(depth, "if not value:", f"    run.count = {exact()}", "    return None")
+        statement(depth, shape[2])
+        step(depth)
+        if fast:
+            emit(depth, f"count += {pending}")
+            pending = 0
 
     if shape[0] == "expr":
         # A tree alone: its fast path reads the limit from the run.
@@ -1036,7 +1176,7 @@ def _render(shape: tuple) -> str:
         emit(1, "def tree(run, frame):", "    count = run.count")
         if steps != most:
             emit(2, f"n = count + {steps}")
-        emit(2, fast("run.limit", guards, most))
+        emit(2, fits("run.limit", guards, most))
         emit(3, "run.count = n" if steps != most else f"run.count = count + {steps}",
              f"return {value}")
         emit(2, f"return {fallback}(run, frame)")
@@ -1054,7 +1194,7 @@ def _render(shape: tuple) -> str:
         if not loops:
             emit(2, "run.count = count")
         emit(1, f"return {name}")
-    header = f"def make({', '.join(f'p{i}' for i in range(next(numbers)))}):"
+    header = f"def make({', '.join(f'p{i}' for i in range(number))}):"
     return "\n".join([header, *lines, ""])
 
 

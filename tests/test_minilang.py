@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import weakref
+import zlib
 from pathlib import Path
 
 import pytest
@@ -778,6 +779,13 @@ class TestShapeCache:
         assert rendered == first  # no new shape
         for source in rendered:
             assert not re.search(r"zq_|12345|abc|1\.5|2\.5|length", source), source
+
+    def test_each_shape_compiles_under_a_file_name_of_its_own(self, rendered):
+        plus, minus = (("expr", ("binary", op, ("slot",), ("slot",))) for op in "+-")
+        names = [interp._make(shape).__code__.co_filename for shape in (plus, minus)]
+        assert names[0] != names[1]  # a profiler keeps the two apart
+        # named from the source alone, so a shape reads the same in every process
+        assert names == [f"<minilang shape {zlib.crc32(s.encode()):08x}>" for s in rendered]
 
     def test_a_corpus_pass_and_300_diverge_repairs_stay_within_the_bound(self):
         root = Path(__file__).resolve().parent.parent

@@ -15,12 +15,13 @@ about ``MISTYPED`` of its operands from a type other than the one its
 operator takes. The tree of a program that may call holds a helper call
 at some operands, so the node closures run it as well as the generated
 fast path. The tree sits in a ``return``, a ``let``, an assignment, an
-``if`` or a ``while`` body; a program may first bind a record name to a
-value of any type. Arguments come from each type's edges: ``INT_MAX``,
-``INT_MIN``, NaN, ±0.0, ±inf, null and records. A record constant may be
-of a class with no state queries, so that a query on it throws
-``TypeMismatch``. Each program must also parse back from its rendering
-as an equal program.
+``if``, a ``while`` body, the body of a ``while`` nested in a ``while``,
+or the argument of a call statement in a loop body; a program may first
+bind a record name to a value of any type. Arguments come from each
+type's edges: ``INT_MAX``, ``INT_MIN``, NaN, ±0.0, ±inf, null and
+records. A record constant may be of a class with no state queries, so
+that a query on it throws ``TypeMismatch``. Each program must also parse
+back from its rendering as an equal program.
 
 Tier-1 runs ``SLICE`` programs of one seed. The longer sweep runs outside
 it:
@@ -44,7 +45,7 @@ from test_reference_eval import check, reference
 
 MAX_DEPTH = 5
 MISTYPED = 0.08
-SLICE = 1_000
+SLICE = 800
 BUDGETS = range(60)
 LONG_BUDGET = 5_000
 
@@ -70,7 +71,8 @@ CONSTANTS = {
     "Str": (NULL, Obj("Str", "abc"), Obj("Foo", "ab")),
 }
 ARITHMETIC = {"int": ("+", "-", "*", "/", "%"), "real": ("+", "-", "*", "/")}
-PLACEMENTS = ("return", "let", "assign", "if", "while-store", "while-if")
+PLACEMENTS = ("return", "let", "assign", "if", "while-store", "while-if", "while-nested",
+              "while-call")
 
 
 class Generator:
@@ -134,7 +136,8 @@ def generate(rng):
         body.append(f"let w: Str = {rng.choice(PARAMS[any_type] + LITERALS[any_type])};")
     tree = Generator(rng, const_type, rng.random() < 0.4, records)
     placement = rng.choice(PLACEMENTS)
-    want = "bool" if placement in ("if", "while-if") else rng.choice(list(PARAMS))
+    want = ("bool" if placement in ("if", "while-if", "while-nested")
+            else rng.choice(list(PARAMS)))
     e = tree.expr(want)
     if placement == "return":
         body.append(f"return {e};")
@@ -149,11 +152,20 @@ def generate(rng):
         target = rng.choice(("x", "u", "b", "s") if want != "Str" else ("s",))
         body += ["let i: int = 0;", f"while (i < 3) {{ {target} = {e}; i = i + 1; }}",
                  f"return {target};"]
-    else:
+    elif placement == "while-if":
         body += ["let i: int = 0;", "let r: int = 0;",
                  f"while (i < 3) {{ if ({e}) {{ r = r + 1; }} i = i + 1; }}", "return r;"]
+    elif placement == "while-nested":
+        body += ["let i: int = 0;", "let r: int = 0;",
+                 "while (i < 2) { let j: int = i; "
+                 f"while (j < 2) {{ if ({e}) {{ r = r + 1; }} j = j + 1; }} i = i + 1; }}",
+                 "return r;"]
+    else:
+        body += ["let i: int = 0;", f"while (i < 2) {{ id{want.capitalize()}({e}); i = i + 1; }}",
+                 "return i;"]
+    helpers = tree.calls or placement == "while-call"
     source = (const + f"\nfn f({SIGNATURE}) -> int {{\n  " + "\n  ".join(body) + "\n}\n"
-              + (HELPERS if tree.calls else ""))
+              + (HELPERS if helpers else ""))
     args = [rng.choice(ARGUMENTS[t]) for t in ("int", "int", "real", "real", "bool", "Str")]
     return source, args, tree.called
 

@@ -29,7 +29,7 @@ from condfix.minilang import (
     Unary, VarRef, WhileStmt, decide, execute, parse_program, probe, render_program,
 )
 from condfix.minilang.ast import BLOCKS, Program, depth
-from condfix.minilang.interp import CALL_FRAMES, MAX_CALL_DEPTH
+from condfix.minilang.interp import CALL_FRAMES, MAX_CALL_DEPTH, _Lowering, _render
 from condfix.minilang.parser import MAX_NESTING
 from condfix.minilang.values import INT_MAX, INT_MIN
 from conftest import CALLS
@@ -506,13 +506,102 @@ fn f(count: int, limit: int) -> int {
   return c * 1000 + hits * 10 + run;
 }
 """, "f", [0, 6], 13066),
+    # The rows below pin the fast iteration: each of its exits, and the
+    # loops that keep only the checked one.
+    ("logical-conditions", """\
+fn f(n: int) -> int {
+  let i: int = 0;
+  let s: int = 0;
+  while (i < n && (i % 3 != 1 || s >= 0)) {
+    if (i > 2 && s % 2 == 0) {
+      s = s + 1;
+    }
+    s = s + i;
+    i = i + 1;
+  }
+  return s;
+}
+""", "f", [7], 23),
+    ("return-in-straight-body", """\
+fn f(n: int) -> int {
+  let i: int = n;
+  while (i < 100) {
+    i = i * 2;
+    let t: int = i + 1;
+    return t * 3;
+  }
+  return 0;
+}
+""", "f", [5], 33),
+    ("throw-in-straight-body", """\
+fn f(n: int) -> int {
+  let i: int = n;
+  while (i < 100) {
+    i = i * 2 + 1;
+    throw Stop;
+  }
+  return i;
+}
+""", "f", [5], "Stop"),
+    ("probed-if-in-body", """\
+fn f(n: int) -> int {
+  let i: int = 0;
+  let s: int = 0;
+  while (i < n) {
+    if (s < 2 * i) {
+      s = s + 3 * i;
+    } else {
+      s = s - 1;
+    }
+    i = i + 1;
+  }
+  return s;
+}
+""", "f", [6], 18),
+    ("call-in-condition", """\
+fn lim(n: int) -> int {
+  return n - 1;
+}
+
+fn f(n: int) -> int {
+  let i: int = 0;
+  while (i < lim(n)) {
+    i = i + 1;
+  }
+  return i;
+}
+""", "f", [5], 4),
+    ("while-in-branch", """\
+fn f(n: int) -> int {
+  let s: int = 0;
+  let i: int = 0;
+  while (i < n) {
+    if (i % 2 == 0) {
+      let j: int = 0;
+      while (j < i) {
+        s = s + 1;
+        j = j + 1;
+      }
+    }
+    i = i + 1;
+  }
+  return s;
+}
+""", "f", [6], 6),
 ]
+# Rows that run with the statement at a location probed: the ``if``.
+PROBED = {"probed-if-in-body": 4}
 
 
-@pytest.mark.parametrize("source, function, args, expected",
-                         [edge[1:] for edge in LOOP_EDGES], ids=[edge[0] for edge in LOOP_EDGES])
-def test_loop_edges(source, function, args, expected):
+def edge_program(name, source):
     program = parse_program(source)
+    return probe(program, PROBED[name]) if name in PROBED else program
+
+
+@pytest.mark.parametrize("name, source, function, args, expected", LOOP_EDGES,
+                         ids=[edge[0] for edge in LOOP_EDGES])
+def test_loop_edges(name, source, function, args, expected):
+    program = edge_program(name, source)
     result = execute(program, function, args)
     assert (result.value if result.ok else result.error) == expected
     # every budget through the first three loop-body runs
@@ -659,6 +748,30 @@ CALL_EDGES = [edge for edge in EXPRESSION_EDGES if edge[0] != "near-max-nesting"
                          ids=[edge[0] for edge in CALL_EDGES])
 def test_expression_edges_through_calls(name, source, function, args, expected):
     check_edge(name, through_calls(parse_program(source)), function, args, expected)
+
+
+def fast_bound(program, function):
+    """The bound of the fast iteration of the first loop in ``function``'s
+    body, or None where its loop runs checked iterations only."""
+    loop = next(s for s in program.functions[function].body if isinstance(s, WhileStmt))
+    source = _render(_Lowering(program).loop(loop, []))
+    found = re.search(r"while True:\n +if count \+ (\d+) <= limit:\n", source)
+    return found and int(found[1])
+
+
+def test_which_loops_run_fast_iterations():
+    # the most steps of one iteration: every path of walk's takes them all
+    bounds = {name: fast_bound(loop_variants(text, "x < y")[0], name)
+              for name, text in LOOPS.items()}
+    assert bounds == {"walk": ITERATION, "walkSum": ITERATION, "meet": 12}
+    [pl4] = [b for b in BUNDLES if b.id == "pl4"]
+    assert fast_bound(pl4.program, "translate") == 12
+    edges = {edge[0]: edge_program(edge[0], edge[1]) for edge in LOOP_EDGES}
+    # a probed if is a call to its closure, which takes at most its steps
+    assert fast_bound(edges["probed-if-in-body"], "f") == 20
+    assert fast_bound(edges["logical-conditions"], "f") == 36
+    for name in ("call-in-body", "call-in-condition", "nested-while", "while-in-branch"):
+        assert fast_bound(edges[name], "f") is None, name
 
 
 def check_edge(name, program, function, args, expected):
