@@ -28,7 +28,7 @@ closure of each ``if`` or ``while`` condition (a pure tree's fallback, see
 identity, a table that a program shares with every program path-copied
 from it, along with consts, the only program part a closure reads (state
 queries come from the one table, ``registry.QUERIES``). A statement that
-a loop runs in line (see "Generated loops") has no entry of its own. An
+a loop runs in line (see "Generated shapes") has no entry of its own. An
 edit so lowers only the statements on its path and its function. A
 probed statement is a node of its own, so its closure never serves the
 unprobed one. Calls find their callee in ``run.functions`` and snapshots
@@ -73,28 +73,34 @@ location 4 from 8 to 6; no corpus run reaches the call-depth limit.
 
 Fused expression trees (superoperators; Proebsting, POPL 1995): a *pure
 tree* is an expression built from variables, literals and program
-constants, ``!`` and unary ``-``, every binary operator, and method calls;
-a call or a ``Forced`` value is never part of one. Each maximal pure tree
-whose root is an operator or a method call lowers to one generated
-function, or runs in line where a loop or one-statement shape holds it
-(see "Generated loops"). Its fast path reads the variables straight from
-their slots and keeps the step count in a local: it runs only when the
-tree's largest step count fits under the run's limit, charges each node's
-step, and charges the right operand of ``&&`` or ``||`` only when it
-runs. Its guards and the node closures derive from one table of operator
-semantics (``values.OPERATORS`` and ``UNARY_OPERATORS``): where the
-closures would throw or wrap (an unbound slot, mixed or unhandled types,
-an int result out of range, a null receiver or one whose class has no
-such state query, a zero divisor) it runs the tree's closures instead,
-from the unchanged step count. Trees are pure, so that fallback is
-exact: steps, hits, snapshots, errors and timeouts are those of the
-closures alone. The fallback is lowered on its first run, and numbers no
-slot, as the tree's walk numbered them all; it is also the entry of an
-``if`` or ``while`` condition in the table.
+constants, ``!`` and unary ``-``, every binary operator, and method
+calls; a call or a ``Forced`` value is never part of one. Each maximal
+pure tree whose root is an operator or a method call runs in line in a
+generated shape, its statement's or one of its own (see "Generated
+shapes"). Its fast path reads the variables straight from their slots and
+keeps the step count in a local: it runs only when the tree's largest
+step count fits under the run's limit, charges each node's step, and
+charges the right operand of ``&&`` or ``||`` only when it runs. Its
+guards and the node closures derive from one table of operator semantics
+(``values.OPERATORS`` and ``UNARY_OPERATORS``): where the closures would
+throw or wrap (an unbound slot, mixed or unhandled types, an int result
+out of range, a null receiver or one whose class has no such state query,
+a zero divisor) it runs the tree's closures instead, from the unchanged
+step count. Trees are pure, so that fallback is exact: steps, hits,
+snapshots, errors and timeouts are those of the closures alone. The
+fallback is lowered on its first run, and numbers no slot, as the tree's
+walk numbered them all; it is also the entry of an ``if`` or ``while``
+condition in the table.
 
-Generated loops (copy-and-patch; Xu & Kjolstad, OOPSLA 2021): a ``while``
-lowers to one Python function, generated from the loop's shape, that
-keeps the run's step count and limit in locals. In line it runs its
+Generated shapes (copy-and-patch; Xu & Kjolstad, OOPSLA 2021): every
+non-empty block, ``while`` and unforced ``if``, every ``let`` or assignment
+of a pure tree and every other pure tree lowers to one Python function,
+generated from its *shape*, that keeps the run's step count and limit in
+locals. Outside a loop, a block takes each statement's entry step and hit
+and calls the statement's closure, unbinds its ``let`` slots, and
+tail-calls its last statement where it declares nothing; an ``if`` runs
+its condition's pure tree in line, or calls the condition's closure, and
+tail-calls the block of the branch it takes. A ``while`` runs in line its
 condition, each body statement's entry step and hit, each ``let`` or
 assignment of a pure tree, the unbinding of a block's ``let`` slots, the
 loop-body step, and each unprobed ``if`` with its branch blocks,
@@ -106,15 +112,13 @@ statement), writing the count back to the run before each call,
 ``run.check()``, raise and return, and reading the count and limit back
 after each. Such a *checked* iteration tests the count against the limit
 after each step; a bounded one may run *fast* instead (see "Fast
-iterations"). A ``let`` or assignment of a pure tree and an ``if`` on one
-outside a loop are generated the same way, as one-statement shapes whose
-branch blocks are closures, and any other pure tree as an expression
-shape. Conditions and stores render their trees through one tree writer.
-A shape holds operators, the kinds of constants and the structure;
-slots, locations, constants, closures and fallbacks are arguments of the
-shape's ``make``, so no MiniLang name or literal enters the source, and
-the ``make`` of each shape is compiled once per process, in a bounded
-cache (``_make``).
+iterations"). One statement writer writes every shape, and one tree
+writer every tree. A shape holds operators, the kinds of constants and
+the structure; slots, locations, constants, closures and fallbacks are
+arguments of the shape's ``make``, so no MiniLang name or literal enters
+the source, and the ``make`` of each shape is compiled once per process,
+in a bounded cache (``_make``). A block's shape outside a loop is its
+statement count, its declared count and whether it ends in a tail call.
 
 Fast iterations (counting once per straight-line stretch; Ball & Larus,
 "Optimally profiling and tracing programs", TOPLAS 1994): a generated
@@ -139,21 +143,18 @@ gives. A run that times out stops at step ``budget + 1`` with the same
 hits, and a deadline's clock read falls in a checked iteration, after
 which the next one is fast again.
 
-Unrolled blocks: outside a loop, a block of one or two statements that
-declares nothing runs its statements in line instead of looping over
-them, and returns what its last statement returns.
-
 Forced ``if``: an unprobed ``if`` whose condition is ``Forced`` lowers to
-the closure of the branch it takes, or inside a loop to that branch in
+the block of the branch it takes, or inside a loop to that branch in
 line; the ``if`` takes its entry step, and the condition none, as before.
 
 Python frames: a pure tree's fast path is one frame where its closures
 are one per level. Its fallback stacks at most two frames more than the
 closures alone (the tree function's and the lazy lowering's), at the top
-of the stack and never around a call, because pure trees never call; an
-unrolled block or a forced ``if`` adds none. A generated loop is one
-frame where its ``while`` closure, body block and in-line statements
-were several, so it never stacks more frames than ``ast.depth`` counts.
+of the stack and never around a call, because pure trees never call. A
+block or an ``if`` outside a loop is one frame, and a forced ``if`` none.
+A generated loop is one frame where its ``while`` closure, body block and
+in-line statements were several, so it never stacks more frames than
+``ast.depth`` counts.
 """
 from __future__ import annotations
 
@@ -502,19 +503,23 @@ class _Lowering(_Closures):
     # -- statements --
 
     def block(self, stmts: Sequence[Stmt], scoped: bool = True) -> Compiled:
-        """The block's closure. Entering each statement takes one step and
-        counts one hit. A probed statement other than an ``if`` (see
-        ``if_stmt``) takes a snapshot next, in a wrapper whose frame
+        """The block's shape (see "Generated shapes"). Entering each
+        statement takes one step and counts one hit, then calls the
+        statement's closure; the last statement of a block that declares
+        nothing is a tail call. A probed statement other than an ``if`` (see
+        ``if_stmt``) takes a snapshot first, in a wrapper whose frame
         ``ast.depth`` leaves out, so that a probed run reserves the call
         frames an unprobed one does."""
-        entries = [(s.loc, self.called(s)) for s in stmts]
-        declared = (tuple(self.slot(s.name) for s in stmts if isinstance(s, LetStmt))
-                    if scoped else ())
-        if not entries:
+        if not stmts:
             return _empty_block
-        if declared or len(entries) > 2:
-            return _block_loop(tuple(entries), declared)
-        return _short_block(entries)
+        params = []
+        for s in stmts:
+            params += (s.loc, self.called(s))
+        declared = [self.slot(s.name) for s in stmts if isinstance(s, LetStmt)] if scoped else []
+        entries = [("call", None)] * len(stmts)
+        if not declared:
+            entries[-1] = ("tail", None)
+        return _make(("block", tuple(entries), len(declared)))(*params, *declared)
 
     def called(self, stmt: Stmt) -> Compiled:
         """The closure a block calls to run ``stmt`` after its entry."""
@@ -567,42 +572,33 @@ class _Lowering(_Closures):
         raise TypeError(f"not a statement node: {stmt!r}")
 
     def if_stmt(self, stmt: IfStmt) -> Compiled:
-        """An ``if`` outside a loop. One whose condition is a pure tree is
-        a one-statement shape; any other type-checks its condition's value
-        in line. A probed ``if`` runs its condition (a tree's generated
-        function, else its closure) in a wrapper that takes a snapshot as
-        the condition starts and stores the value it gives."""
+        """An ``if`` outside a loop: an unprobed forced one is the block of
+        the branch it takes, and any other the ``if`` shape, whose branches
+        are tail calls of their blocks. Its condition runs in line where it
+        is an unprobed pure tree, else is a call: of the condition's closure
+        or, when probed, of a wrapper that takes a snapshot as the condition
+        (a tree's generated function, else its closure) starts and stores
+        the value it gives."""
         params = []
         if isinstance(stmt.cond, Forced):
-            cond, shape = self.cached(stmt.cond, self.expr), ("call",)
+            params.append(self.cached(stmt.cond, self.expr))
+            shape = ("call", None)
         else:
             shape = self.condition(stmt.cond, params)
-            cond = params[-1]
         then_body, else_body = self.block(stmt.then_body), self.block(stmt.else_body)
         if stmt.probe:
-            if shape[0] == "tree":
-                cond = _make(("expr", shape[1]))(*params)
-            cond = _snapshot_condition(cond, self.capture)
+            cond = params[-1] if shape[0] == "call" else _make(("expr", shape[1]))(*params)
+            params, shape = [_snapshot_condition(cond, self.capture)], ("call", None)
         elif isinstance(stmt.cond, Forced):
             return then_body if stmt.cond.value else else_body
-        elif shape[0] == "tree":
-            return _make(("if", shape, ("tail", None), ("tail", None)))(
-                *params, then_body, else_body)
-
-        def if_stmt(run, frame):
-            value = cond(run, frame)
-            if value is True:
-                return then_body(run, frame)
-            if value is False:
-                return else_body(run, frame)
-            raise _Throw(TYPE_MISMATCH)
-
-        return if_stmt
+        elif shape[0] == "call":
+            shape = ("call", None)  # its most bounds only a loop's iteration
+        return _make(("if", shape, ("tail", None), ("tail", None)))(*params, then_body, else_body)
 
     # -- generated code: shapes and their parameters, in one walk --
 
     def loop(self, stmt: WhileStmt, params: list) -> tuple:
-        """The shape of a ``while``; see "Generated loops" in the module
+        """The shape of a ``while``; see "Generated shapes" in the module
         docstring. Each walk method appends the parameters of its shape to
         ``params``, in the order ``_render`` numbers them. A call to a
         closure carries the most steps the closure can take, or None."""
@@ -776,67 +772,16 @@ def _most(node) -> Optional[int]:
     return None if None in parts else 1 + sum(parts)
 
 
-def _block_loop(entries: Tuple[Tuple[int, Compiled], ...], declared: Tuple[int, ...]) -> Compiled:
-    """A block of ``(location, statement)`` entries, run in a loop, that
-    unbinds the slots it ``declared`` when it completes."""
-    def block(run, frame):
-        for loc, stmt in entries:
-            run.count += 1
-            if run.count > run.limit:
-                run.check()
-            run.hits[loc] += 1
-            value = stmt(run, frame)
-            if value is not None:
-                return value
-        for slot in declared:
-            frame[slot] = UNBOUND
-        return None
-
-    return block
-
-
-def _short_block(entries: List[Tuple[int, Compiled]]) -> Compiled:
-    """A block of one or two statements that declares nothing, unrolled:
-    it returns what its last statement returns."""
-    if len(entries) == 1:
-        [(loc, stmt)] = entries
-
-        def block(run, frame):
-            run.count += 1
-            if run.count > run.limit:
-                run.check()
-            run.hits[loc] += 1
-            return stmt(run, frame)
-
-        return block
-    (loc, first), (last_loc, last) = entries
-
-    def block(run, frame):
-        run.count += 1
-        if run.count > run.limit:
-            run.check()
-        run.hits[loc] += 1
-        value = first(run, frame)
-        if value is not None:
-            return value
-        run.count += 1
-        if run.count > run.limit:
-            run.check()
-        run.hits[last_loc] += 1
-        return last(run, frame)
-
-    return block
-
-
-# Generated code (see "Generated loops" in the module docstring): ``_render``
+# Generated code (see "Generated shapes" in the module docstring): ``_render``
 # writes the source of a shape's ``make``, whose parameters p0, p1, ... are
 # the shape's slots, locations, constants, closures and fallbacks, numbered
-# in the order the walk that built the shape (``_Lowering.loop`` and the
-# methods after it) appended them. The source holds no MiniLang name or
-# literal, so one compiled ``make`` serves every statement and expression
-# of its shape.
-# Compiled shapes kept: the `corpus` benchmark's set-up makes 17, one pass
-# 34 more, and 300 `diverge` repairs after those 24 more.
+# in the order the lowering that built the shape (``_Lowering.block``,
+# ``if_stmt``, ``expr``, and ``loop`` and the methods after it) appended
+# them. The source holds no MiniLang name or literal, so one compiled
+# ``make`` serves every statement and expression of its shape.
+# Compiled shapes kept: the `corpus` benchmark's set-up makes 21, one pass
+# 39 more (further passes none), and 300 `diverge` repairs after those 24
+# more, 84 in all.
 _SHAPES = 128
 _GLOBALS = {"UNBOUND": UNBOUND, "_Throw": _Throw, "TYPE_MISMATCH": TYPE_MISMATCH,
             "UNBOUND_VARIABLE": UNBOUND_VARIABLE, "INT_MIN": INT_MIN, "INT_MAX": INT_MAX,
@@ -863,6 +808,9 @@ def _render(shape: tuple) -> str:
     ``(run, frame)``. That function keeps the run's step count and limit
     in locals, and writes the count back to ``run`` before every call,
     ``run.check()``, raise and return, and reads both back after each.
+    Every shape shares one prologue and one epilogue; an expression
+    shape's function returns the tree's value, any other's what its
+    statement returns.
 
     A loop's fast iteration is written by the same statement writer, in
     its fast mode: ``pending`` holds the steps taken since ``count`` was
@@ -1055,10 +1003,6 @@ def _render(shape: tuple) -> str:
             value = "value"
         return guards, value, steps, most, param()
 
-    def fits(limit, guards, most):
-        """The test that opens a tree's fast path."""
-        return "".join([f"if count + {most} <= {limit}", *(f" and {g}" for g in guards), ":"])
-
     def in_line(depth, shape, condition):
         """The tree's value in ``value``: its fast path when it fits under
         the limit and every guard holds, else its fallback run from the
@@ -1076,7 +1020,7 @@ def _render(shape: tuple) -> str:
             emit(depth, f"value = {value}")
             pending += steps
             return
-        emit(depth, f"if {' and '.join(guards)}:" if fast else fits("limit", guards, most))
+        emit(depth, f"if {' and '.join(guards if fast else [f'count + {most} <= limit', *guards])}:")
         if value != "value":
             emit(depth + 1, f"value = {value}")
         if logical or not fast:
@@ -1138,6 +1082,8 @@ def _render(shape: tuple) -> str:
             elif pending > then_pending:
                 emit(depth + 1, f"count += {pending - then_pending}")
                 pending = then_pending
+        elif kind == "expr":
+            in_line(depth, shape[1], False)
         elif kind == "tail":
             emit(depth, f"run.count = {exact()}", f"return {param()}(run, frame)")
             charge(shape[1])
@@ -1170,30 +1116,17 @@ def _render(shape: tuple) -> str:
             emit(depth, f"count += {pending}")
             pending = 0
 
-    if shape[0] == "expr":
-        # A tree alone: its fast path reads the limit from the run.
-        guards, value, steps, most, fallback = tree(shape[1], False)
-        emit(1, "def tree(run, frame):", "    count = run.count")
-        if steps != most:
-            emit(2, f"n = count + {steps}")
-        emit(2, fits("run.limit", guards, most))
-        emit(3, "run.count = n" if steps != most else f"run.count = count + {steps}",
-             f"return {value}")
-        emit(2, f"return {fallback}(run, frame)")
-        emit(1, "return tree")
-    else:
-        loops = shape[0] == "while"
-        if loops:
-            name = "fused_loop" if shape[1][0] == "tree" else "loop"
-        else:
-            name = "fused_" + shape[0]
-        emit(1, f"def {name}(run, frame):", "    count = run.count", "    limit = run.limit")
-        if loops:
-            emit(2, "hits = run.hits")
-        statement(2, shape)
-        if not loops:
-            emit(2, "run.count = count")
-        emit(1, f"return {name}")
+    kind = shape[0]
+    fused = kind in ("store", "expr") or kind in ("while", "if") and shape[1][0] == "tree"
+    name = ("fused_" if fused else "") + {"while": "loop", "if": "branch"}.get(kind, kind)
+    emit(1, f"def {name}(run, frame):", "    count = run.count", "    limit = run.limit")
+    if kind in ("while", "block"):
+        emit(2, "hits = run.hits")
+    statement(2, shape)
+    emit(2, "run.count = count")
+    if kind == "expr":
+        emit(2, "return value")
+    emit(1, f"return {name}")
     header = f"def make({', '.join(f'p{i}' for i in range(number))}):"
     return "\n".join([header, *lines, ""])
 

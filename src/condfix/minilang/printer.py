@@ -5,13 +5,18 @@ Operator precedence (loosest to tightest): ``||`` < ``&&`` < equality
 are left-associative; a right operand at equal precedence is
 parenthesized. ``PRECEDENCE`` is the one binary-precedence table: the
 parser climbs the same levels.
+
+A decided program (``patching.decide``) renders too: a forced condition
+is its literal, ``true`` or ``false``, which reads back as a ``BoolLit``,
+so the program parsed back takes one step at each of that condition's
+runs where the ``Forced`` node took none.
 """
 from __future__ import annotations
 
 from typing import List, Sequence
 
 from .ast import (
-    AssignStmt, Binary, BoolLit, CallExpr, CallStmt, Expr, FunctionDef,
+    AssignStmt, Binary, BoolLit, CallExpr, CallStmt, Expr, Forced, FunctionDef,
     IfStmt, IntLit, LetStmt, MethodCall, NullLit, Program, RealLit,
     ReturnStmt, Stmt, ThrowStmt, Unary, VarRef, WhileStmt,
 )
@@ -37,7 +42,7 @@ def _render(expr: Expr):
         return str(expr.value), 100
     if isinstance(expr, RealLit):
         return format_real(expr.value), 100
-    if isinstance(expr, BoolLit):
+    if isinstance(expr, (BoolLit, Forced)):
         return ("true" if expr.value else "false"), 100
     if isinstance(expr, NullLit):
         return "null", 100

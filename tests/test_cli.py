@@ -119,9 +119,12 @@ class TestRepairCommand:
         program.write_text(H_BUGGY)
         suite = tmp_path / "suite.txt"
         suite.write_text(H_SUITE)
+        # With the default step budget this repair patches in under two
+        # seconds on a 2-core x86-64 host; with ten million steps per run it
+        # patches after about 17 s there, so the 1 s timeout always ends it.
         code = main([
             "repair", "--program", str(program), "--suite", str(suite),
-            "--timeout", "1", "--mode", "condition",
+            "--timeout", "1", "--mode", "condition", "--step-budget", "10000000",
         ])
         captured = capsys.readouterr()
         assert code == EXIT_NO_PATCH

@@ -81,6 +81,19 @@ class TestParsing:
         again = parse_program(text)
         assert render_program(again) == text
 
+    def test_a_decided_program_renders_its_forced_condition_as_a_literal(self):
+        # the diverge workload's walk, with its if decided each way
+        program, *decided = loop_variants(LOOPS["walk"], "x < y")
+        [if_loc] = [loc for loc in program.locations() if program.kind_of(loc) is StatementKind.IF]
+        # each decision walks three steps to the target
+        for edited, literal, args in zip(decided, ("true", "false"), ([0, 3], [3, 0])):
+            text = render_program(edited)
+            assert f"if ({literal}) {{" in text
+            # the literal reads back as a BoolLit, one step at each run of the if
+            forced, read = (execute(p, "walk", args) for p in (edited, parse_program(text)))
+            assert forced.hits[if_loc] == 3
+            assert (read.value, read.steps) == (forced.value, forced.steps + 3)
+
     def test_render_then_parse_gives_an_equal_program(self):
         # A program equals another with equal consts and functions.
         bundles = load_corpus(default_corpus_dir()) + builtin_seeded_bundles()
@@ -532,8 +545,8 @@ class TestFusedOperands:
         program = parse_program(FUSED_FIXTURE.replace("BODY", body))
         let, ret = program.functions["f"].body
         lowering = _Lowering(program)
-        assert lowering.expr(ret.value).__name__ == "tree"
-        assert lowering.stmt(ret).__name__ == "tree"
+        assert lowering.expr(ret.value).__name__ == "fused_expr"
+        assert lowering.stmt(ret).__name__ == "fused_expr"
         assert lowering.stmt(let).__name__ == "fused_store"
         assert is_pair(lowering.tree(let.value, [])) == pair
 
@@ -759,8 +772,9 @@ class TestShapeCache:
                 for program in loop_variants(text, comparison):
                     interp._lowered(program)
         # per loop, a shape per comparison operator (<, <=, >, >=) and per
-        # decided branch, except meet's two branches, each a ``+ 1`` store
-        assert len(rendered) == interp._make.cache_info().currsize == 3 * (4 + 2) - 1
+        # decided branch, except meet's two branches, each a ``+ 1`` store;
+        # then the function bodies, blocks of three statements and of two
+        assert len(rendered) == interp._make.cache_info().currsize == 3 * (4 + 2) - 1 + 2
         first = list(rendered)
         for text in LOOPS.values():
             for comparison in COMPARISONS:
@@ -776,9 +790,33 @@ class TestShapeCache:
         first = list(rendered)
         assert first and len(first) == interp._make.cache_info().currsize
         check_reference(parse_program(disguised(TREES)), "zq_f", args, BUDGET)
-        assert rendered == first  # no new shape
+        # no new shape but the unused function's body, a block of two
+        [extra] = rendered[len(first):]
+        assert rendered[:len(first)] == first
+        assert "def block(" in extra and extra.count("hits[") == 2
         for source in rendered:
             assert not re.search(r"zq_|12345|abc|1\.5|2\.5|length", source), source
+
+    def test_a_block_shape_is_its_counts_and_its_tail_alone(self, monkeypatch):
+        # two functions whose blocks differ in every name, location and
+        # statement kind, and agree in their statement and declared counts
+        made, make = [], interp._make
+        monkeypatch.setattr(interp, "_make", lambda shape: made.append(shape) or make(shape))
+        first = parse_program(
+            "fn f(x: int) -> int { let z: int = x * 2; "
+            "if (x < 0) { let y: int = x + 1; x = y; throw Oops; } return z; }")
+        second = parse_program(
+            "fn zq_g(a: int, b: bool) -> int { while (a < 0) { a = a + 1; } "
+            "if (b) { a = 2; zq_g(a, b); let d: bool = !b; } throw Stop; }")
+        blocks = []
+        for program in (first, second, probe(first, 3)):
+            made.clear()
+            interp._lowered(program)
+            blocks.append([shape for shape in made if shape[0] == "block"])
+        # the branch declares one name, so its last statement is no tail call
+        branch = ("block", (("call", None),) * 3, 1)
+        body = ("block", (("call", None),) * 2 + (("tail", None),), 0)
+        assert blocks == [[branch, body]] * 3
 
     def test_each_shape_compiles_under_a_file_name_of_its_own(self, rendered):
         plus, minus = (("expr", ("binary", op, ("slot",), ("slot",))) for op in "+-")
@@ -804,7 +842,8 @@ class TestShapeCache:
             program = parse_program(
                 f"fn f(i: int, j: int) -> int {{ while (i < 0) {{ {first} {second} }} return i; }}")
             assert execute(program, "f", [1, 2]).value == 1
-        assert len(rendered) == len(bodies) > interp._SHAPES
+        # each loop's shape, and the one shape of every function's body
+        assert len(rendered) == len(bodies) + 1 > interp._SHAPES
         assert interp._make.cache_info().currsize == interp._make.cache_info().maxsize
         assert interp._make.cache_info().maxsize == interp._SHAPES
 

@@ -84,8 +84,10 @@ class TestRepair:
         assert timed_out.nodes < config.solver_nodes
 
     def test_global_timeout_stops_every_phase(self, h_program, h_suite):
-        # Without the deadline the angelic phase alone runs for seconds.
-        config = RepairConfig(global_timeout=1.0, mode="condition")
+        # With ten million steps per run and no deadline this repair patches
+        # after about 17 s on a 2-core x86-64 host (under two seconds at the
+        # default budget), so the 1 s deadline always ends it.
+        config = RepairConfig(global_timeout=1.0, mode="condition", step_budget=10_000_000)
         started = time.monotonic()
         report = repair(h_program, h_suite, config)
         elapsed = time.monotonic() - started

@@ -16,12 +16,15 @@ operator takes. The tree of a program that may call holds a helper call
 at some operands, so the node closures run it as well as the generated
 fast path. The tree sits in a ``return``, a ``let``, an assignment, an
 ``if``, a ``while`` body, the body of a ``while`` nested in a ``while``,
-or the argument of a call statement in a loop body; a program may first
-bind a record name to a value of any type. Arguments come from each
-type's edges: ``INT_MAX``, ``INT_MIN``, NaN, ±0.0, ±inf, null and
-records. A record constant may be of a class with no state queries, so
-that a query on it throws ``TypeMismatch``. Each program must also parse
-back from its rendering as an equal program.
+the argument of a call statement in a loop body, a ``let`` in an ``if``
+branch of several statements that may return or throw midway, or an
+argument of a recursive call of ``f``, which some runs take to the
+call-depth limit; a program may first bind a record name to a value of
+any type. Arguments come from each type's edges: ``INT_MAX``,
+``INT_MIN``, NaN, ±0.0, ±inf, null and records. A record constant may be
+of a class with no state queries, so that a query on it throws
+``TypeMismatch``. Each program must also parse back from its rendering
+as an equal program.
 
 Tier-1 runs ``SLICE`` programs of one seed. The longer sweep runs outside
 it:
@@ -72,7 +75,11 @@ CONSTANTS = {
 }
 ARITHMETIC = {"int": ("+", "-", "*", "/", "%"), "real": ("+", "-", "*", "/")}
 PLACEMENTS = ("return", "let", "assign", "if", "while-store", "while-if", "while-nested",
-              "while-call")
+              "while-call", "block", "recursive")
+# What a branch of the ``block`` placement runs between its statements.
+MIDWAY = ("", "return r;", "throw Midway;", "if (x < y) { return 7; }")
+# The parameter a tree of each type replaces in the ``recursive`` call.
+POSITION = {"int": 0, "real": 2, "bool": 4, "Str": 5}
 
 
 class Generator:
@@ -160,9 +167,19 @@ def generate(rng):
                  "while (i < 2) { let j: int = i; "
                  f"while (j < 2) {{ if ({e}) {{ r = r + 1; }} j = j + 1; }} i = i + 1; }}",
                  "return r;"]
-    else:
+    elif placement == "while-call":
         body += ["let i: int = 0;", f"while (i < 2) {{ id{want.capitalize()}({e}); i = i + 1; }}",
                  "return i;"]
+    elif placement == "block":
+        body += ["let r: int = 0;",
+                 f"if ({rng.choice(('b', '!b', 'x < y'))}) {{ let t: {want} = {e}; r = 1; "
+                 f"{rng.choice(MIDWAY)} r = r + 2; }} else {{ r = 3; }}",
+                 "return r;"]
+    else:
+        # y counts the calls down; from INT_MAX they reach the depth limit
+        args = ["x", "y - 1", "u", "v", "b", "s"]
+        args[POSITION[want]] = e
+        body += ["if (y <= 0) { return x; }", f"return f({', '.join(args)});"]
     helpers = tree.calls or placement == "while-call"
     source = (const + f"\nfn f({SIGNATURE}) -> int {{\n  " + "\n  ".join(body) + "\n}\n"
               + (HELPERS if helpers else ""))
