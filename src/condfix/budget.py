@@ -11,8 +11,8 @@ count passes the cap. Otherwise the count sits on a multiple of
 read never changes a count, so a deadline that does not pass leaves every
 count as it is without one.
 
-Deadlines are absolute ``time.monotonic()`` seconds, and ``None`` is the
-only value that means no deadline.
+Deadlines are absolute ``budget.now()`` seconds, and ``None`` is the only
+value that means no deadline. ``now`` is the engine's one clock.
 """
 from __future__ import annotations
 
@@ -22,6 +22,17 @@ from typing import Optional
 from .errors import DeadlineExceeded
 
 CLOCK_EVERY = 4096
+
+now = time.monotonic
+
+
+def seconds_left(deadline: float) -> float:
+    """The seconds until ``deadline``; raises DeadlineExceeded once it has
+    passed."""
+    left = deadline - now()
+    if left <= 0:
+        raise DeadlineExceeded()
+    return left
 
 
 class Exhausted(Exception):
@@ -51,15 +62,7 @@ class Budget:
         """Act on a count one past ``limit`` (see the module docstring)."""
         if self.count > self.cap:
             raise Exhausted()
-        if time.monotonic() > self.deadline:
+        if now() > self.deadline:
             raise DeadlineExceeded()
         self.limit = min(self.cap, self.count + CLOCK_EVERY - 1)
 
-    @staticmethod
-    def seconds_left(deadline: float) -> float:
-        """The seconds until ``deadline``; raises DeadlineExceeded once it
-        has passed."""
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise DeadlineExceeded()
-        return left

@@ -19,23 +19,27 @@ When nothing validates, the report carries one reason:
 
 with later phases taking precedence, since they carry more information.
 The global deadline outranks them all: ``repair`` gives the one deadline
-``started + global_timeout`` to every run it makes, caps each rung at
-what is left of it and reads the clock once as each ranked location
-starts. The first location, run or rung that finds it passed raises
-DeadlineExceeded, which ends the search; the current trial then reads
-``exhausted``.
+``started + global_timeout`` to every run it makes and caps each rung at
+what is left of it. The first location, run or rung that reads the clock
+past it raises DeadlineExceeded, which ends the search; the current trial
+then reads ``exhausted``. The clock is ``budget.now``, read at ``started``,
+as each location starts, before each rung, around its solve
+(``level_started``, ``elapsed``), as a built-in rung sets its deadline,
+every 4,096 steps of a run or nodes of a rung, after a rung that timed
+out, and for ``wall_time``. A deadline that passes after the last rung's
+``seconds_left``, in a solve and validation too short to read the clock,
+goes unseen: this late-patch window returns the patch past the deadline.
 """
 from __future__ import annotations
 
 import difflib
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .angelic import (
     BUDGET_EXHAUSTED, CONDITION, REPAIR_KINDS, angelic_condition, angelic_precondition,
 )
-from .budget import Budget
+from . import budget
 from .errors import DeadlineExceeded, NoFailingTestError
 from .faultloc import METRICS, build_spectrum, rank
 from .minilang import DEFAULT_STEP_BUDGET, Patch, Program, apply_patch, render_program
@@ -168,7 +172,7 @@ def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairC
     step_budget=config.step_budget)``, whose coverage is the spectrum's;
     the repair then skips that run."""
     config = config or RepairConfig()
-    started = time.monotonic()
+    started = budget.now()
     deadline = started + config.global_timeout
     trials: List[LocationTrial] = []
     try:
@@ -189,7 +193,7 @@ def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairC
             trials.append(trial)
             # Runs shorter than 4,096 steps never read the clock, so a
             # ranking of short runs reads it here, once per location.
-            Budget.seconds_left(deadline)
+            budget.seconds_left(deadline)
 
             search = angelic_condition if kind == CONDITION else angelic_precondition
             outcome = search(program, suite, failing, loc, config.step_budget, deadline)
@@ -217,29 +221,18 @@ def repair(program: Program, suite: Sequence[TestCase], config: Optional[RepairC
                     patch=patch,
                     level=trial.levels[-1].level,
                     location_rank=position,
-                    wall_time=time.monotonic() - started,
+                    wall_time=budget.now() - started,
                     trials=trials,
                 )
     except DeadlineExceeded:
         if trials:
             trials[-1].status = EXHAUSTED
-        return _no_patch(EXHAUSTED, trials, started)
-    return _no_patch(None, trials, started)
-
-
-def _no_patch(forced_reason: Optional[str], trials: List[LocationTrial], started: float) -> RepairReport:
-    reason = forced_reason
-    if reason is None:
         reason = EXHAUSTED
-        for candidate in _REASON_PRIORITY:
-            if any(t.status == candidate for t in trials):
-                reason = candidate
-    return RepairReport(
-        outcome="no-patch",
-        reason=reason,
-        wall_time=time.monotonic() - started,
-        trials=trials,
-    )
+    else:
+        statuses = {t.status for t in trials}
+        reason = next((r for r in reversed(_REASON_PRIORITY) if r in statuses), EXHAUSTED)
+    return RepairReport(outcome="no-patch", reason=reason, wall_time=budget.now() - started,
+                        trials=trials)
 
 
 def _repair_kind(program: Program, loc: int, mode: str) -> Optional[str]:
@@ -252,11 +245,11 @@ def _repair_kind(program: Program, loc: int, mode: str) -> Optional[str]:
 def _synthesis_ladder(program, suite, matrix, kind, trial, config, deadline) -> Optional[Patch]:
     saw_timeout = False
     for level in range(1, config.max_level + 1):
-        timeout = min(config.level_timeout, Budget.seconds_left(deadline))
-        level_started = time.monotonic()
+        timeout = min(config.level_timeout, budget.seconds_left(deadline))
+        level_started = budget.now()
         problem = encode(matrix, level)
         result = solve(problem, config.solver_cmd, timeout, config.solver_nodes)
-        elapsed = time.monotonic() - level_started
+        elapsed = budget.now() - level_started
         status, patch = result.status, None
         if status == SAT:
             expression = decode(problem, result.model)
@@ -274,7 +267,7 @@ def _synthesis_ladder(program, suite, matrix, kind, trial, config, deadline) -> 
             return patch
         if status == TIMEOUT:
             saw_timeout = True
-            Budget.seconds_left(deadline)  # a rung the deadline stopped ends the search
+            budget.seconds_left(deadline)  # a rung the deadline stopped ends the search
     trial.status = SYNTHESIS_TIMEOUT if saw_timeout else EXHAUSTED
     return None
 

@@ -10,11 +10,11 @@ parking the unused components on the remaining lower slots with arbitrary
 valid wirings (their values cannot reach the result).
 
 Exhausting the cone space proves unsatisfiability. The search honors both
-a wall-clock limit and a deterministic node budget; crossing either
-reports a timeout, never a wrong unsat. Nodes are counted through a
-``budget.Budget``, which reads the clock each time the count reaches a
-multiple of 4,096; a timeout of zero is a deadline already passed, so it
-stops the search at node 4,096.
+a deadline, ``timeout_s`` after ``budget.now()``, and a deterministic node
+budget; crossing either reports a timeout, never a wrong unsat. Nodes are
+counted through a ``budget.Budget``, which reads the clock each time the
+count reaches a multiple of 4,096; a timeout of zero is a deadline already
+passed, so it stops the search at node 4,096.
 
 One node is one candidate for the next cone position: a component not yet
 in the cone with one wiring of its inputs. Candidates are visited in a
@@ -48,7 +48,9 @@ which the columns alone decide, once per solve (``_closers``); on the
 standard ladder every bool root can. The wirings of a root that cannot
 still count as nodes.
 
-When no component outputs an int or a real (levels 1 and 2), a failed
+When no component takes a type that a component outputs (level 1), no
+cone has two members, so the search ends after the one-member pass. When
+no component outputs an int or a real (levels 1 and 2), a failed
 one-member pass can prove the problem unsat with no further search. Every
 numeric port then takes a column, so every comparison in any cone is a
 one-member root over a column wiring, and every other bool node is a bool
@@ -65,11 +67,11 @@ columns.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Set, Tuple
 
+from .. import budget
 from ..budget import Budget, Exhausted
 from ..errors import DeadlineExceeded
 from ..minilang.values import INT_MAX, INT_MIN, wrap_int
@@ -111,16 +113,16 @@ def solve_internal(
             return SolveResult(SAT, problem.fixed_assignment())
         return SolveResult(UNSAT)
 
-    budget = Budget(max_nodes, None if timeout_s is None else time.monotonic() + timeout_s)
+    nodes = Budget(max_nodes, None if timeout_s is None else budget.now() + timeout_s)
     try:
-        found = _search_cones(problem, budget)
+        found = _search_cones(problem, nodes)
     except (Exhausted, DeadlineExceeded):
-        return SolveResult(TIMEOUT, nodes=budget.count)
+        return SolveResult(TIMEOUT, nodes=nodes.count)
     if found is not None:
         order, wirings = found
         model = _complete_model(problem, order, wirings)
-        return SolveResult(SAT, model, budget.count)
-    return SolveResult(UNSAT, nodes=budget.count)
+        return SolveResult(SAT, model, nodes.count)
+    return SolveResult(UNSAT, nodes=nodes.count)
 
 
 def _search_cones(problem: SynthesisProblem, budget: Budget):
@@ -129,11 +131,12 @@ def _search_cones(problem: SynthesisProblem, budget: Budget):
         return None
     state = _SearchState(problem, closers, budget)
     numeric_free = all(c.out_type == BOOL for c in problem.components)
+    chains = any(state.takers[c.out_type] for c in problem.components)
     for k in range(1, len(problem.components) + 1):
         hit = state.extend(k)
         if hit is not None:
             return hit
-        if k == 1 and numeric_free and state.confounded():
+        if k == 1 and (not chains or numeric_free and state.confounded()):
             return None
     return None
 

@@ -186,7 +186,8 @@ def solve_external(
 
     The configured command receives the script path as its final argument.
     A failed process or unparseable output raises SolverBackendError,
-    which is distinct from an unsat answer.
+    which is distinct from an unsat answer. ``timeout_s`` is real time, the
+    ``subprocess`` timeout, not seconds on ``budget.now``.
     """
     script = emit_smtlib(problem)
     argv = shlex.split(command)
