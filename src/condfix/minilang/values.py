@@ -74,6 +74,9 @@ class Operator(NamedTuple):
     None of the operands' type, where an int result out of range wraps to
     signed 64 bits. With ``zero_throws`` a right operand equal to zero (an
     int 0 or a real ±0.0) raises DivisionByZero before ``fn`` runs.
+    With ``commutes`` swapping the operands never changes the result, on
+    every pair of values of one operand type, so ``fn(a, b) == fn(b, a)``;
+    the solver reads it to skip a wiring that mirrors one it tried.
     ``code`` writes ``fn`` in Python over the operand texts ``{0}`` and
     ``{1}``, for the interpreter's generated code, whose globals hold
     ``divide`` and ``modulo``."""
@@ -83,6 +86,7 @@ class Operator(NamedTuple):
     fn: Callable
     code: str
     zero_throws: bool = False
+    commutes: bool = False
 
 
 _NUMBERS = (int, float)
@@ -91,17 +95,17 @@ _NUMBERS = (int, float)
 # ``_equal``), and the right operand of ``&&``/``||`` runs only when the
 # left one does not decide.
 OPERATORS = {
-    "||": Operator((bool,), bool, operator.or_, "({0} or {1})"),
-    "&&": Operator((bool,), bool, operator.and_, "({0} and {1})"),
-    "==": Operator((bool, int, float), bool, operator.eq, "({0} == {1})"),
-    "!=": Operator((bool, int, float), bool, operator.ne, "({0} != {1})"),
+    "||": Operator((bool,), bool, operator.or_, "({0} or {1})", commutes=True),
+    "&&": Operator((bool,), bool, operator.and_, "({0} and {1})", commutes=True),
+    "==": Operator((bool, int, float), bool, operator.eq, "({0} == {1})", commutes=True),
+    "!=": Operator((bool, int, float), bool, operator.ne, "({0} != {1})", commutes=True),
     "<": Operator(_NUMBERS, bool, operator.lt, "({0} < {1})"),
     "<=": Operator(_NUMBERS, bool, operator.le, "({0} <= {1})"),
     ">": Operator(_NUMBERS, bool, operator.gt, "({0} > {1})"),
     ">=": Operator(_NUMBERS, bool, operator.ge, "({0} >= {1})"),
-    "+": Operator(_NUMBERS, None, operator.add, "({0} + {1})"),
+    "+": Operator(_NUMBERS, None, operator.add, "({0} + {1})", commutes=True),
     "-": Operator(_NUMBERS, None, operator.sub, "({0} - {1})"),
-    "*": Operator(_NUMBERS, None, operator.mul, "({0} * {1})"),
+    "*": Operator(_NUMBERS, None, operator.mul, "({0} * {1})", commutes=True),
     "/": Operator(_NUMBERS, None, divide, "divide({0}, {1})", zero_throws=True),
     "%": Operator((int,), None, modulo, "modulo({0}, {1})", zero_throws=True),
 }

@@ -250,22 +250,23 @@ def _synthesis_ladder(program, suite, matrix, kind, trial, config, deadline) -> 
         problem = encode(matrix, level)
         result = solve(problem, config.solver_cmd, timeout, config.solver_nodes)
         elapsed = budget.now() - level_started
-        status, patch = result.status, None
-        if status == SAT:
+        rung = LevelTrial(level, result.status, elapsed, result.nodes)
+        # Kept before validation, so a deadline that stops it leaves the
+        # solved rung in the report with status sat.
+        trial.levels.append(rung)
+        if rung.status == SAT:
             expression = decode(problem, result.model)
             if not problem.fits_rows(expression):
                 # An external backend may answer sat with a junk model; treat
                 # it like an unanswered rung rather than trusting it.
-                status, saw_timeout = "invalid-patch", True
+                rung.status, saw_timeout = "invalid-patch", True
             else:
                 patch = Patch(REPAIR_KINDS[kind][0], matrix.location, to_minilang(expression))
-                if not validate(program, patch, suite, config.step_budget, deadline):
-                    status, patch = "invalid-patch", None
-        trial.levels.append(LevelTrial(level, status, elapsed, result.nodes))
-        if patch is not None:
-            trial.status = "patched"
-            return patch
-        if status == TIMEOUT:
+                if validate(program, patch, suite, config.step_budget, deadline):
+                    trial.status = "patched"
+                    return patch
+                rung.status = "invalid-patch"
+        if rung.status == TIMEOUT:
             saw_timeout = True
             budget.seconds_left(deadline)  # a rung the deadline stopped ends the search
     trial.status = SYNTHESIS_TIMEOUT if saw_timeout else EXHAUSTED

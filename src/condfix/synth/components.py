@@ -61,6 +61,11 @@ class Component:
         return self.entry.result is None and self.in_types[0] == INT
 
     @property
+    def commutes(self) -> bool:
+        """Swapping the two inputs never changes the output."""
+        return self.entry.commutes
+
+    @property
     def uid(self) -> str:
         """Unique variable-name stem, e.g. ``le_int_0``."""
         stem = self.label or STEMS[self.tag]

@@ -25,9 +25,12 @@ deterministic. Every candidate costs one node however cheaply it is
 dismissed.
 
 Within one solve each distinct ``(type, value vector)`` gets a small int
-id, and each component memoizes its applications on the ids of its
-inputs, so a repeated application is one dict lookup and a duplicate
-check is one list index.
+id, and each operator semantics, a tag with its input types, memoizes its
+applications on the ids of its inputs, so a repeated application is one
+dict lookup and a duplicate check is one list index. The two instances of
+an operator at level 4 share one memo: both compute the same vector from
+the same inputs, and the id of a vector does not depend on which instance
+computed it first, so sharing changes no id, no pruning and no node.
 
 On the last cone position (``close``) every wiring of every bool root
 outside the cone is still one node, but only a wiring that takes every
@@ -42,6 +45,21 @@ pushed last, the last ref of its type, is always unconsumed. So:
   one as ``(x, m)``, ``x`` before ``m``, then ``(m, y)``;
 - two, ``a`` before ``b``, close only a binary root, as ``(a, b)`` or
   ``(b, a)``.
+
+Two rules skip checks whose outcome is already known; every wiring still
+counts its node, so neither moves a node count, and neither skips the
+first hit, so neither moves a status or a model:
+
+- A root whose nearest earlier twin (the component sharing its memo) is
+  outside the cone follows a twin tried earlier in the same pass, on the
+  same refs with the same closing wirings, that missed on each; its checks
+  are skipped. A twin inside the cone was not tried, so the later instance
+  is.
+- A commuting root (``Component.commutes``: ``==``, ``!=``, ``&&`` and
+  ``||`` here) gives a wiring's mirror the same vector. So with one
+  unconsumed member ``m``, each ``(m, y)`` with ``y`` before ``m`` mirrors
+  an ``(x, m)`` that missed, and only ``(m, m)`` is checked; with two,
+  ``(b, a)`` mirrors ``(a, b)`` and is not checked.
 
 A root closes a cone only if every other component can park below it,
 which the columns alone decide, once per solve (``_closers``); on the
@@ -186,18 +204,32 @@ class _SearchState:
         components = problem.components
         self.components = components
         self.budget = budget
-        # Resolved once per solve so the per-node path stays in C.
-        self.semantics = [(c.entry.fn, c.wraps, c.out_type == REAL) for c in components]
-        self.memos: List[Dict[Tuple[int, ...], int]] = [{} for _ in components]
-        # The candidate roots of the last cone position, in component order:
-        # every bool component, whose wirings all count as nodes, and
-        # whether it can close a cone (see ``_closers``).
-        self.roots = [(ci, c.in_types, self.memos[ci], ci in closers)
-                      for ci, c in enumerate(components) if c.out_type == BOOL]
         # Per component: output type, distinct input types, arity.
         self.shapes = [(c.out_type, tuple(set(c.in_types)), c.arity) for c in components]
         types = {c.type for c in problem.columns} | {c.out_type for c in components}
         self.ids: Dict[str, Dict[Tuple, int]] = {t: {} for t in types}
+        # One memo per operator semantics, a tag with its input types: the
+        # two instances of an operator at level 4 share theirs, while ``<``
+        # over ints and ``<`` over reals each get their own.
+        # The candidate roots of the last cone position, in component order:
+        # every bool component, whose wirings all count as nodes; whether it
+        # can close a cone (see ``_closers``); its nearest earlier twin (the
+        # instance before it of its operator semantics), or None; whether it
+        # commutes.
+        memos: Dict[Tuple, Dict[Tuple[int, ...], int]] = {}
+        latest: Dict[Tuple, int] = {}
+        self.memos: List[Dict[Tuple[int, ...], int]] = []
+        self.roots = []
+        for ci, c in enumerate(components):
+            op = (c.tag, c.in_types)
+            memo = memos.setdefault(op, {})
+            self.memos.append(memo)
+            twin, latest[op] = latest.get(op), ci
+            if c.out_type == BOOL:
+                self.roots.append((ci, c.in_types, memo, ci in closers, twin, c.commutes))
+        # Resolved once per solve so the per-node path stays in C.
+        self.semantics = [(c.entry.fn, c.wraps, c.out_type == REAL, self.ids[c.out_type],
+                           self.memos[ci]) for ci, c in enumerate(components)]
         self.vectors: List[Tuple] = []  # by id
         self.seen: List[bool] = []  # by id: a column or a cone member has it
         self.refs: Dict[str, List[Ref]] = {t: [] for t in types}
@@ -238,16 +270,22 @@ class _SearchState:
     def apply(self, ci: int, key: Tuple[int, ...]) -> int:
         """Id of component ``ci``'s vector over the input ids ``key``,
         computed and memoized on a memo miss."""
-        fn, wraps, real = self.semantics[ci]
+        fn, wraps, real, ids, memo = self.semantics[ci]
         vectors = self.vectors
-        vector = tuple(map(fn, *[vectors[i] for i in key]))
+        if len(key) == 2:
+            vector = tuple(map(fn, vectors[key[0]], vectors[key[1]]))
+        else:
+            vector = tuple(map(fn, vectors[key[0]]))
         if wraps and (max(vector, default=0) > INT_MAX or min(vector, default=0) < INT_MIN):
             vector = tuple(map(wrap_int, vector))
         if real and any(v != v for v in vector):
             # A NaN equals no other value, so each application yields a
             # vector no other one matches: a fresh id, never memoized.
             return self.fresh(vector)
-        vid = self.memos[ci][key] = self.intern(self.shapes[ci][0], vector)
+        vid = ids.get(vector)
+        if vid is None:
+            vid = ids[vector] = self.fresh(vector)
+        memo[key] = vid
         return vid
 
     def push(self, ci: int, wiring: Tuple[Ref, ...], vid: int) -> None:
@@ -372,9 +410,9 @@ class _SearchState:
     def close_empty(self):
         """A one-member cone: every root wiring of the columns closes it."""
         tried = 0
-        for ci, in_types, memo, closes in self.roots:
+        for ci, in_types, memo, closes, twin, _ in self.roots:
             candidates = self.candidates(in_types)
-            if closes:
+            if closes and twin is None:  # a twin follows one that missed here
                 for index, (wiring, key) in enumerate(candidates):
                     if self.hits(ci, memo, key):
                         return self.found(ci, wiring, tried + index + 1)
@@ -399,15 +437,18 @@ class _SearchState:
     def close_one(self):
         """Only the last member ``m`` is unconsumed: a unary root closes
         with ``(m,)``, a binary one with ``(x, m)``, ``x`` before ``m``,
-        then ``(m, y)``."""
-        refs = self.refs
+        then ``(m, y)``; a commuting one then only with ``(m, m)``, since
+        each ``(m, y)`` before it mirrors an ``(x, m)``."""
+        refs, in_cone = self.refs, self.in_cone
         tm = self.shapes[self.cone[-1]][0]
         im = len(refs[tm]) - 1
         vm, m = self.ref_ids[tm][im], refs[tm][im]
         tried = 0
-        for ci, in_types, memo, closes in self.roots:
-            if self.in_cone[ci]:
+        for ci, in_types, memo, closes, twin, commutes in self.roots:
+            if in_cone[ci]:
                 continue
+            if twin is not None and not in_cone[twin]:
+                closes = False  # its twin missed on these same wirings
             if len(in_types) == 1:
                 if closes and in_types[0] == tm and self.hits(ci, memo, (vm,)):
                     return self.found(ci, (m,), tried + im + 1)
@@ -419,39 +460,47 @@ class _SearchState:
                 tried += n0 * n1
                 continue
             if t1 == tm:
-                x = self.partner(ci, memo, vm, t0, n0 - (t0 == tm))
+                x = self.partner(ci, memo, vm, t0, 0, n0 - (t0 == tm), False)
                 if x is not None:
                     return self.found(ci, (refs[t0][x], m), tried + x * n1 + im + 1)
             if t0 == tm:
-                y = self.partner(ci, memo, vm, t1, n1, m_first=True)
+                y = self.partner(ci, memo, vm, t1, im if commutes else 0, n1, True)
                 if y is not None:
                     return self.found(ci, (m, refs[t1][y]), tried + im * n1 + y + 1)
             tried += n0 * n1
         self.budget.advance(tried)
         return None
 
-    def partner(self, ci: int, memo, vm: int, t: str, stop: int,
-                m_first: bool = False) -> Optional[int]:
-        """The first index below ``stop`` of the refs of type ``t`` that
-        wired with ``m`` (``m`` first or second) gives the expected vector."""
-        ids = self.ref_ids[t]
-        for i in range(stop):
-            if self.hits(ci, memo, (vm, ids[i]) if m_first else (ids[i], vm)):
+    def partner(self, ci: int, memo, vm: int, t: str, start: int, stop: int,
+                m_first: bool) -> Optional[int]:
+        """The first index from ``start`` below ``stop`` of the refs of type
+        ``t`` that wired with ``m`` (``m`` first or second) gives the
+        expected vector."""
+        ids, expected, get = self.ref_ids[t], self.expected, memo.get
+        for i in range(start, stop):
+            key = (vm, ids[i]) if m_first else (ids[i], vm)
+            vid = get(key)
+            if vid is None:
+                vid = self.apply(ci, key)
+            if vid == expected:
                 return i
         return None
 
     def close_pair(self, pa: int, pb: int):
         """Members ``a`` and ``b`` (the last) are unconsumed: only a binary
-        root wired ``(a, b)`` or ``(b, a)`` closes, in that order."""
-        refs, ids = self.refs, self.ref_ids
+        root wired ``(a, b)`` or ``(b, a)`` closes, in that order; a
+        commuting one only with ``(a, b)``."""
+        refs, ids, in_cone = self.refs, self.ref_ids, self.in_cone
         ta, tb = self.shapes[self.cone[pa]][0], self.shapes[self.cone[pb]][0]
         a, b = ("comp", pa), ("comp", pb)
         ia, ib = refs[ta].index(a), len(refs[tb]) - 1
         va, vb = ids[ta][ia], ids[tb][ib]
         tried = 0
-        for ci, in_types, memo, closes in self.roots:
-            if self.in_cone[ci]:
+        for ci, in_types, memo, closes, twin, commutes in self.roots:
+            if in_cone[ci]:
                 continue
+            if twin is not None and not in_cone[twin]:
+                closes = False  # its twin missed on these same wirings
             if len(in_types) == 1:
                 tried += len(refs[in_types[0]])
                 continue
@@ -459,7 +508,8 @@ class _SearchState:
             n1 = len(refs[t1])
             if closes and t0 == ta and t1 == tb and self.hits(ci, memo, (va, vb)):
                 return self.found(ci, (a, b), tried + ia * n1 + ib + 1)
-            if closes and t0 == tb and t1 == ta and self.hits(ci, memo, (vb, va)):
+            if (closes and not commutes and t0 == tb and t1 == ta
+                    and self.hits(ci, memo, (vb, va))):
                 return self.found(ci, (b, a), tried + ib * n1 + ia + 1)
             tried += len(refs[t0]) * n1
         self.budget.advance(tried)

@@ -6,7 +6,9 @@ arithmetic reach inf and nan) climb the synthesis ladder at a 10k-node
 cap until the first sat, as the pipeline does; a few more solves run at a
 100k-node cap. Each solve records its status, its node count and a sha256
 of its sorted model. Any change to the search order, its pruning or the
-node accounting shows up here as a changed entry.
+node accounting shows up here as a changed entry. Over the same climbs a
+second test pins how many value vectors the search computes, its work per
+node.
 
 Regenerate ``tests/data/solve_digest.json`` (only when a change of search
 behaviour is intended) with:
@@ -25,8 +27,9 @@ from pathlib import Path
 
 import pytest
 
+from condfix.budget import Budget
 from condfix.minilang.values import INT_MAX, INT_MIN
-from condfix.synth import MAX_LEVEL, MIN_LEVEL, SAT, encode, solve_internal
+from condfix.synth import MAX_LEVEL, MIN_LEVEL, SAT, encode, internal, solve_internal
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 
 DIGEST_PATH = Path(__file__).parent / "data" / "solve_digest.json"
@@ -119,6 +122,47 @@ def _comparison(old: list, new: list):
         mark = "  *" if changed else ""
         matrix, level, cap = key
         yield f"{matrix}/{level}/{cap}: {_summary(old_entry)} -> {_summary(new_entry)}{mark}", changed
+
+
+# ``_SearchState.apply`` calls, one per vector computed, over the ladder
+# climbs of ``matrices()``. The nodes of a solve are pinned above; this pins
+# the work done per node. It was 63,878 before the two instances of an
+# operator shared one memo and the checks of twin and mirrored root
+# wirings were skipped.
+APPLY_CALLS = 38_390
+
+
+def test_vector_computations_match_the_pinned_count(monkeypatch):
+    calls = 0
+    apply = internal._SearchState.apply
+
+    def counted(state, ci, key):
+        nonlocal calls
+        calls += 1
+        return apply(state, ci, key)
+
+    monkeypatch.setattr(internal._SearchState, "apply", counted)
+    for m in matrices():
+        for level in range(MIN_LEVEL, MAX_LEVEL + 1):
+            if solve_internal(encode(m, level), None, LADDER_CAP).status == SAT:
+                break
+    assert calls == APPLY_CALLS
+
+
+def test_each_operator_semantics_has_one_memo():
+    # at level 4 the two instances of an operator share a memo; a tag over
+    # other input types (``<`` over ints and over reals) does not
+    columns = [ColumnSpec(f"c{i}", t, "var", var=f"c{i}") for i, t in enumerate(("int", "real", "bool"))]
+    problem = encode(TraceMatrix(1, "condition", columns,
+                                 [TraceRow("t0", 0, (1, 0.5, True), True)]), MAX_LEVEL)
+    state = internal._SearchState(problem, internal._closers(problem), Budget(LADDER_CAP))
+    components = problem.components
+    semantics = {(c.tag, c.in_types) for c in components}
+    assert len(components) == 2 * len(semantics)
+    for i, a in enumerate(components):
+        for j, b in enumerate(components):
+            same = (a.tag, a.in_types) == (b.tag, b.in_types)
+            assert (state.memos[i] is state.memos[j]) == same, (a, b)
 
 
 def test_solves_match_the_golden_digest():

@@ -10,17 +10,19 @@ the solve-digest matrices (levels 1 to 4, climbing until the first sat)
 and over 20 criterion-4 matrices (levels 1 and 2), every call must give
 the reference's hit (cone and wiring) or ``None`` with it, the same node
 delta, and find zero, one or two unconsumed members. A few small matrices
-make each kind of closing wiring the hit.
+make each kind of closing wiring the hit, and one makes it a root whose
+twin (the earlier instance of its operator) is in the cone.
 """
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from condfix.budget import Exhausted
 from condfix.synth import (
-    MAX_LEVEL, MIN_LEVEL, SAT, Component, encode, encode_with_components, internal,
-    solve_internal,
+    MAX_LEVEL, MIN_LEVEL, SAT, Component, decode, encode, encode_with_components, internal,
+    solve_internal, to_source,
 )
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 from test_acceptance import _random_matrix
@@ -31,7 +33,7 @@ def reference_close(state):
     """(hit, nodes) of the product-and-filter rule; the budget is left alone."""
     unconsumed = {("comp", pos) for pos, n in enumerate(state.consumers) if not n}
     tried = 0
-    for ci, in_types, memo, closes in state.roots:
+    for ci, in_types, memo, closes, _twin, _commutes in state.roots:
         if state.in_cone[ci]:
             continue
         candidates = state.candidates(in_types)
@@ -147,4 +149,20 @@ def test_a_root_that_cannot_close_still_counts_its_wirings(checked_close):
         matrix = TraceMatrix(1, "condition", columns,
                              [TraceRow(f"t{r}", 0, inputs, exp) for r, (inputs, exp) in enumerate(rows)])
         solve_internal(encode_with_components(matrix, components), None, LADDER_CAP)
+    assert checked_close["hit"] == 1
+
+
+def test_a_twin_whose_earlier_instance_is_in_the_cone_is_tried(checked_close):
+    # a && b && c takes both ``&&`` instances: the first opens the cone as
+    # a && b, and its twin, whose checks are skipped only while the first
+    # is outside the cone, closes it
+    columns = [ColumnSpec(c, "bool", "var", var=c) for c in "abc"]
+    matrix = TraceMatrix(1, "condition", columns,
+                         [TraceRow(f"t{r}", 0, bits, all(bits))
+                          for r, bits in enumerate(product((False, True), repeat=3))])
+    components = [Component("&&", ("bool", "bool"), "bool", instance) for instance in (0, 1)]
+    problem = encode_with_components(matrix, components)
+    result = solve_internal(problem, None, LADDER_CAP)
+    assert (result.status, result.nodes) == (SAT, 32)
+    assert to_source(decode(problem, result.model)) == "c && (a && b)"
     assert checked_close["hit"] == 1

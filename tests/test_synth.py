@@ -109,6 +109,27 @@ class TestOperatorSemantics:
             for t in comp.in_types:
                 assert python_types[t] in comp.entry.operands, comp
 
+    def test_an_operator_marked_commuting_commutes_on_a_sample(self):
+        samples = {
+            int: [INT_MIN, -1, 0, 1, 7, INT_MAX],
+            float: [-2.5, -0.0, 0.0, 0.5, 1e300],
+            bool: [False, True],
+        }
+
+        def commutes_on_sample(entry):
+            # a real result compares by repr, so -0.0 and 0.0 differ
+            return all(repr(entry.fn(a, b)) == repr(entry.fn(b, a))
+                       for t in entry.operands for a in samples[t] for b in samples[t])
+
+        marked = {tag for tag, entry in OPERATORS.items() if entry.commutes}
+        assert marked == {"||", "&&", "==", "!=", "+", "*"}
+        for tag in marked:
+            assert commutes_on_sample(OPERATORS[tag]), tag
+        for tag in ("<", "<="):
+            assert not commutes_on_sample(OPERATORS[tag]), tag
+        for comp in components_for_level(MAX_LEVEL, ["int", "real", "bool"]):
+            assert comp.commutes == (comp.arity == 2 and comp.tag in marked), comp
+
     def test_overflowing_product_is_not_zero(self):
         # 2**32 * 2**32 wraps to 0 in MiniLang, so "u * v == 0" cannot
         # tell the overflow row from a zero operand.
