@@ -46,20 +46,32 @@ pushed last, the last ref of its type, is always unconsumed. So:
 - two, ``a`` before ``b``, close only a binary root, as ``(a, b)`` or
   ``(b, a)``.
 
-Two rules skip checks whose outcome is already known; every wiring still
-counts its node, so neither moves a node count, and neither skips the
-first hit, so neither moves a status or a model:
+Two rules skip work whose outcome is already known, on every cone
+position. Neither skips a hit, so neither moves a status or a model. Each
+counts every node it skips through ``Budget.advance(n)``, which counts as
+``n`` single advances would, so neither moves a node count, the node on
+which the cap or a deadline stops the search, or the counts at which the
+clock is read:
 
-- A root whose nearest earlier twin (the component sharing its memo) is
-  outside the cone follows a twin tried earlier in the same pass, on the
-  same refs with the same closing wirings, that missed on each; its checks
-  are skipped. A twin inside the cone was not tried, so the later instance
-  is.
-- A commuting root (``Component.commutes``: ``==``, ``!=``, ``&&`` and
-  ``||`` here) gives a wiring's mirror the same vector. So with one
-  unconsumed member ``m``, each ``(m, y)`` with ``y`` before ``m`` mirrors
-  an ``(x, m)`` that missed, and only ``(m, m)`` is checked; with two,
-  ``(b, a)`` mirrors ``(a, b)`` and is not checked.
+- *Twins.* A component's nearest earlier twin is the instance before it of
+  its operator semantics, the component sharing its memo. While that twin
+  is outside the cone, it was tried earlier in the same pass, on the same
+  refs, and missed. Swapping the two instances maps each subtree of the
+  twin onto the later instance's, wiring for wiring and vector for vector;
+  the later one visits its candidates in another order, which changes no
+  count of a subtree that misses. So on a position before the last the
+  later instance's whole loop is counted as the twin's, and on the last its
+  root wirings are counted and not checked. A twin inside the cone was not
+  tried there, so the later instance is.
+- *Mirrors.* A commuting component (``Component.commutes``: ``==``,
+  ``!=``, ``&&``, ``||``, ``+`` and ``*``) gives a wiring's mirror the same
+  vector, and the mirror consumes the same members. When both its ports
+  take one type, product order walks ``(j, i)`` before ``(i, j)`` for
+  ``j < i``, so on a position before the last ``(i, j)`` is counted as the
+  nodes that ``(j, i)`` took, its own node included. On the last position,
+  with one unconsumed member ``m``, each ``(m, y)`` with ``y`` before ``m``
+  mirrors an ``(x, m)`` that missed, so only ``(m, m)`` is checked; with
+  two, ``(b, a)`` mirrors ``(a, b)`` and is not checked.
 
 A root closes a cone only if every other component can park below it,
 which the columns alone decide, once per solve (``_closers``); on the
@@ -198,11 +210,17 @@ class _SearchState:
     The refs a port may take (columns first, then cone members in cone
     order), the count of consumers of each member, and the counts behind
     the consumability test are updated on push and pop, not rebuilt.
+
+    On every cone position a later twin and a mirrored wiring repeat
+    subtrees that just missed (see the module docstring). ``extend`` keeps
+    the nodes of each component's loop and, for a component whose wirings
+    have mirrors, the count before each wiring, and advances the budget by
+    the recorded count in place of the walk; ``close`` counts such root
+    wirings without checking them.
     """
 
     def __init__(self, problem: SynthesisProblem, closers: Set[int], budget: Budget):
         components = problem.components
-        self.components = components
         self.budget = budget
         # Per component: output type, distinct input types, arity.
         self.shapes = [(c.out_type, tuple(set(c.in_types)), c.arity) for c in components]
@@ -211,20 +229,26 @@ class _SearchState:
         # One memo per operator semantics, a tag with its input types: the
         # two instances of an operator at level 4 share theirs, while ``<``
         # over ints and ``<`` over reals each get their own.
-        # The candidate roots of the last cone position, in component order:
-        # every bool component, whose wirings all count as nodes; whether it
-        # can close a cone (see ``_closers``); its nearest earlier twin (the
-        # instance before it of its operator semantics), or None; whether it
-        # commutes.
+        # The picks of a cone position before the last, in component order:
+        # every component with its input types, its memo, its nearest
+        # earlier twin (the instance before it of its operator semantics)
+        # or None, and whether its wirings have mirrors (it commutes and
+        # both its ports take one type).
+        # The candidate roots of the last cone position: every bool
+        # component, whose wirings all count as nodes, with whether it can
+        # close a cone (see ``_closers``), its twin and whether it commutes.
         memos: Dict[Tuple, Dict[Tuple[int, ...], int]] = {}
         latest: Dict[Tuple, int] = {}
         self.memos: List[Dict[Tuple[int, ...], int]] = []
+        self.picks = []
         self.roots = []
         for ci, c in enumerate(components):
             op = (c.tag, c.in_types)
             memo = memos.setdefault(op, {})
             self.memos.append(memo)
             twin, latest[op] = latest.get(op), ci
+            mirrored = c.arity == 2 and c.commutes and c.in_types[0] == c.in_types[1]
+            self.picks.append((ci, c.in_types, memo, twin, mirrored))
             if c.out_type == BOOL:
                 self.roots.append((ci, c.in_types, memo, ci in closers, twin, c.commutes))
         # Resolved once per solve so the per-node path stays in C.
@@ -356,16 +380,32 @@ class _SearchState:
     def extend(self, k: int):
         if len(self.cone) == k - 1:
             return self.close()
-        budget, seen = self.budget, self.seen
+        budget, seen, in_cone = self.budget, self.seen, self.in_cone
         by_types: Dict[Tuple[str, ...], list] = {}
-        for ci, comp in enumerate(self.components):
-            if self.in_cone[ci]:
+        spent: Dict[int, int] = {}  # the nodes of each component's wirings here
+        for ci, in_types, memo, twin, mirrored in self.picks:
+            if in_cone[ci]:
                 continue
-            candidates = by_types.get(comp.in_types)
+            if twin is not None and not in_cone[twin]:
+                # the twin's wirings just missed; these walk the same subtrees
+                spent[ci] = spent[twin]
+                budget.advance(spent[ci])
+                continue
+            start = budget.count
+            candidates = by_types.get(in_types)
             if candidates is None:
-                candidates = by_types[comp.in_types] = self.candidates(comp.in_types)
-            memo = self.memos[ci]
+                candidates = by_types[in_types] = self.candidates(in_types)
+            if mirrored:
+                n = len(self.refs[in_types[0]])
+                starts: List[int] = []  # the count before each wiring
             for wiring, key in candidates:
+                if mirrored:
+                    i, j = divmod(len(starts), n)
+                    starts.append(budget.count)
+                    if j < i:  # (i, j) walks the subtree of (j, i), which missed
+                        mirror = j * n + i
+                        budget.advance(starts[mirror + 1] - starts[mirror])
+                        continue
                 budget.advance()
                 vid = memo.get(key)
                 if vid is None:
@@ -382,6 +422,7 @@ class _SearchState:
                     return hit
                 seen[vid] = False
                 self.pop()
+            spent[ci] = budget.count - start
         return None
 
     def close(self):

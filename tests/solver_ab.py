@@ -1,0 +1,116 @@
+"""In-process interleaved A/B of the built-in solver on ``synth-ladder``.
+
+Loads condfix twice into one process, from a baseline ``src/`` tree and
+from a changed one (this checkout's by default), and builds each tree its
+own copy of the benchmark's ``synth-ladder`` matrices through
+``perfbench/workloads.SynthLadder``, which it only reads. Each matrix climbs
+levels 1 to 4 until the first sat, as in the benchmark.
+
+It first checks that both trees give every solve of the climbs the same
+status, node count and model, and stops if one differs. It then times
+interleaved rounds, the tree that runs first alternating between rounds,
+of every solve of the climbs on problems encoded beforehand, in CPU time.
+Per level and in total it prints each side's median CPU per round, and
+the median, min and max over rounds of the ratio changed / baseline.
+
+Run it as a script (pytest does not collect it):
+
+    git archive <commit> src | tar -x -C /tmp/base
+    PYTHONPATH= python tests/solver_ab.py /tmp/base/src --seed 1 --matrices 72 --rounds 20
+"""
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import time
+from itertools import islice
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (perfbench/ is not a package)
+
+LEVELS = (1, 2, 3, 4)
+CAP = workloads.SynthLadder.NODE_CAP
+
+
+def load(src: Path):
+    """condfix imported afresh from ``src``, as the benchmark imports it."""
+    sys.path.insert(0, str(src))
+    try:
+        return workloads.import_condfix()
+    finally:
+        sys.path.remove(str(src))
+
+
+def climbs(api, seed: int, count: int):
+    """Per matrix, the encoded problem of each level the climb solves and
+    each solve's (status, nodes, model)."""
+    synth = api.synth
+    problems, outcomes = [], []
+    for matrix in islice(workloads.SynthLadder(api, seed, ROOT).groups(), count):
+        for level in LEVELS:
+            problem = synth.encode(matrix, level)
+            result = synth.solve_internal(problem, None, CAP)
+            problems.append((level, problem))
+            outcomes.append((result.status, result.nodes, result.model))
+            if result.is_sat:
+                break
+    return problems, outcomes
+
+
+def timed_round(api, problems):
+    """CPU seconds per level for one pass over ``problems``."""
+    solve, clock = api.synth.solve_internal, time.process_time
+    spent = dict.fromkeys(LEVELS, 0.0)
+    for level, problem in problems:
+        start = clock()
+        solve(problem, None, CAP)
+        spent[level] += clock() - start
+    return spent
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("baseline", type=Path, help="the baseline tree's src/ directory")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the changed tree's src/ directory (default: this checkout's)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--matrices", type=int, default=72)
+    parser.add_argument("--rounds", type=int, default=20)
+    args = parser.parse_args()
+
+    base_api, new_api = load(args.baseline.resolve()), load(args.src.resolve())
+    base_problems, base_out = climbs(base_api, args.seed, args.matrices)
+    new_problems, new_out = climbs(new_api, args.seed, args.matrices)
+    if base_out != new_out:
+        moved = sum(a != b for a, b in zip(base_out, new_out)) + abs(len(base_out) - len(new_out))
+        sys.exit(f"the trees disagree on {moved} of {len(base_out)} solves; no timing run")
+    print(f"{len(base_out)} solves over {args.matrices} matrices, seed {args.seed}: "
+          "every status, node count and model agrees")
+
+    base_runs, new_runs = [], []
+    for round_ in range(args.rounds):
+        order = [(base_api, base_problems, base_runs), (new_api, new_problems, new_runs)]
+        for api, problems, runs in (order if round_ % 2 == 0 else order[::-1]):
+            runs.append(timed_round(api, problems))
+    print(f"{args.rounds} interleaved rounds, CPU seconds per round, changed / baseline:")
+    print(f"{'level':>6} {'solves':>6} {'baseline':>9} {'changed':>9} "
+          f"{'median':>7} {'min':>7} {'max':>7}")
+    for level in (*LEVELS, "all"):
+        def total(run):
+            return sum(run.values()) if level == "all" else run[level]
+
+        base = [total(run) for run in base_runs]
+        new = [total(run) for run in new_runs]
+        if not min(base):
+            continue
+        ratios = [b / a for a, b in zip(base, new)]
+        solves = sum(1 for lv, _ in base_problems if level in ("all", lv))
+        print(f"{level:>6} {solves:>6} {statistics.median(base):>9.4f} {statistics.median(new):>9.4f} "
+              f"{statistics.median(ratios):>7.3f} {min(ratios):>7.3f} {max(ratios):>7.3f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,9 +6,9 @@ arithmetic reach inf and nan) climb the synthesis ladder at a 10k-node
 cap until the first sat, as the pipeline does; a few more solves run at a
 100k-node cap. Each solve records its status, its node count and a sha256
 of its sorted model. Any change to the search order, its pruning or the
-node accounting shows up here as a changed entry. Over the same climbs a
-second test pins how many value vectors the search computes, its work per
-node.
+node accounting shows up here as a changed entry. Over the same climbs two
+more tests pin the search's work per node: how many value vectors it
+computes and how many candidates it walks into the cone.
 
 Regenerate ``tests/data/solve_digest.json`` (only when a change of search
 behaviour is intended) with:
@@ -128,25 +128,40 @@ def _comparison(old: list, new: list):
 # climbs of ``matrices()``. The nodes of a solve are pinned above; this pins
 # the work done per node. It was 63,878 before the two instances of an
 # operator shared one memo and the checks of twin and mirrored root
-# wirings were skipped.
-APPLY_CALLS = 38_390
+# wirings were skipped, and 38,390 before the cone positions before the
+# last counted, without walking, the subtrees of a twin and of a mirrored
+# wiring.
+APPLY_CALLS = 37_663
+# ``_SearchState.push`` calls, one per candidate walked into the cone, over
+# the same climbs. It was 20,629 before those subtrees were counted without
+# walking them.
+PUSH_CALLS = 15_171
 
 
-def test_vector_computations_match_the_pinned_count(monkeypatch):
+def _calls_over_climbs(monkeypatch, name: str) -> int:
+    """Calls of ``_SearchState.<name>`` over the ladder climbs."""
     calls = 0
-    apply = internal._SearchState.apply
+    method = getattr(internal._SearchState, name)
 
-    def counted(state, ci, key):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return apply(state, ci, key)
+        return method(*args)
 
-    monkeypatch.setattr(internal._SearchState, "apply", counted)
+    monkeypatch.setattr(internal._SearchState, name, counted)
     for m in matrices():
         for level in range(MIN_LEVEL, MAX_LEVEL + 1):
             if solve_internal(encode(m, level), None, LADDER_CAP).status == SAT:
                 break
-    assert calls == APPLY_CALLS
+    return calls
+
+
+def test_vector_computations_match_the_pinned_count(monkeypatch):
+    assert _calls_over_climbs(monkeypatch, "apply") == APPLY_CALLS
+
+
+def test_walked_candidates_match_the_pinned_count(monkeypatch):
+    assert _calls_over_climbs(monkeypatch, "push") == PUSH_CALLS
 
 
 def test_each_operator_semantics_has_one_memo():
