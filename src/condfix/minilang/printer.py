@@ -39,7 +39,7 @@ def render_expr(expr: Expr) -> str:
 
 def _render(expr: Expr):
     if isinstance(expr, IntLit):
-        return str(expr.value), 100
+        return str(expr.value % 2**64), 100  # negative only if wrapped from 2**63 or more
     if isinstance(expr, RealLit):
         return format_real(expr.value), 100
     if isinstance(expr, (BoolLit, Forced)):

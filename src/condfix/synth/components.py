@@ -76,30 +76,6 @@ class Component:
         return wrap_int(value) if self.wraps else value
 
 
-def _comparison_set(numeric_types: Iterable[str], instance: int) -> List[Component]:
-    comps = []
-    for t in numeric_types:
-        for tag in COMPARISON_TAGS:
-            comps.append(Component(tag, (t, t), BOOL, instance))
-    return comps
-
-
-def _logical_set(instance: int) -> List[Component]:
-    return [
-        Component("&&", (BOOL, BOOL), BOOL, instance),
-        Component("||", (BOOL, BOOL), BOOL, instance),
-        Component("!", (BOOL,), BOOL, instance),
-    ]
-
-
-def _arithmetic_set(numeric_types: Iterable[str], instance: int) -> List[Component]:
-    comps = []
-    for t in numeric_types:
-        for tag in ARITHMETIC_TAGS:
-            comps.append(Component(tag, (t, t), t, instance))
-    return comps
-
-
 def components_for_level(level: int, column_types: Iterable[str]) -> List[Component]:
     """Component multiset for a ladder rung, instantiated only over numeric
     types that actually occur among the matrix columns (a comparison over
@@ -109,12 +85,14 @@ def components_for_level(level: int, column_types: Iterable[str]) -> List[Compon
     present = set(column_types)
     numeric = [t for t in (INT, REAL) if t in present]
 
-    instances = (0, 1) if level >= 4 else (0,)
     comps: List[Component] = []
-    for instance in instances:
-        comps.extend(_comparison_set(numeric, instance))
+    for instance in (0, 1) if level >= 4 else (0,):
+        comps += [Component(tag, (t, t), BOOL, instance)
+                  for t in numeric for tag in COMPARISON_TAGS]
         if level >= 2:
-            comps.extend(_logical_set(instance))
+            comps += [Component(tag, (BOOL,) if tag == "!" else (BOOL, BOOL), BOOL, instance)
+                      for tag in LOGICAL_TAGS]
         if level >= 3:
-            comps.extend(_arithmetic_set(numeric, instance))
+            comps += [Component(tag, (t, t), t, instance)
+                      for t in numeric for tag in ARITHMETIC_TAGS]
     return comps

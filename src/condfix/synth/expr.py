@@ -11,6 +11,7 @@ from ..minilang import (
     Binary, CallExpr, Expr, IntLit, MethodCall, NullLit, Unary, VarRef,
 )
 from ..minilang.printer import render_expr
+from ..minilang.values import wrap_int
 from ..trace import ColumnSpec
 from .components import Component
 
@@ -47,8 +48,8 @@ def to_minilang(expr: PatchExpression) -> Expr:
         col = expr.column
         if col.kind == "var":
             return VarRef(col.var)
-        if col.kind == "const":
-            return IntLit(col.const)
+        if col.kind == "const":  # a negative one as the parser reads ``-1``
+            return IntLit(col.const) if col.const >= 0 else Unary("-", IntLit(wrap_int(-col.const)))
         if col.kind == "nullcheck":
             return Binary("==", VarRef(col.var), NullLit())
         if col.kind == "query":

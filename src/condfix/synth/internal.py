@@ -63,10 +63,10 @@ clock is read:
   later instance's whole loop is counted as the twin's, and on the last its
   root wirings are counted and not checked. A twin inside the cone was not
   tried there, so the later instance is.
-- *Mirrors.* A commuting component (``Component.commutes``: ``==``,
-  ``!=``, ``&&``, ``||``, ``+`` and ``*``) gives a wiring's mirror the same
-  vector, and the mirror consumes the same members. When both its ports
-  take one type, product order walks ``(j, i)`` before ``(i, j)`` for
+- *Mirrors.* A mirrored component commutes (``Component.commutes``:
+  ``==``, ``!=``, ``&&``, ``||``, ``+`` and ``*``) and both its ports take
+  one type. A wiring's mirror gives the same vector and consumes the same
+  members, and product order walks ``(j, i)`` before ``(i, j)`` for
   ``j < i``, so on a position before the last ``(i, j)`` is counted as the
   nodes that ``(j, i)`` took, its own node included. On the last position,
   with one unconsumed member ``m``, each ``(m, y)`` with ``y`` before ``m``
@@ -213,47 +213,46 @@ class _SearchState:
 
     On every cone position a later twin and a mirrored wiring repeat
     subtrees that just missed (see the module docstring). ``extend`` keeps
-    the nodes of each component's loop and, for a component whose wirings
-    have mirrors, the count before each wiring, and advances the budget by
-    the recorded count in place of the walk; ``close`` counts such root
-    wirings without checking them.
+    the nodes of each component's loop and, for a mirrored component, the
+    count before each wiring, and advances the budget by the recorded count
+    in place of the walk; ``close`` counts such root wirings without
+    checking them.
     """
 
     def __init__(self, problem: SynthesisProblem, closers: Set[int], budget: Budget):
         components = problem.components
         self.budget = budget
-        # Per component: output type, distinct input types, arity.
-        self.shapes = [(c.out_type, tuple(set(c.in_types)), c.arity) for c in components]
         types = {c.type for c in problem.columns} | {c.out_type for c in components}
         self.ids: Dict[str, Dict[Tuple, int]] = {t: {} for t in types}
-        # One memo per operator semantics, a tag with its input types: the
-        # two instances of an operator at level 4 share theirs, while ``<``
-        # over ints and ``<`` over reals each get their own.
-        # The picks of a cone position before the last, in component order:
-        # every component with its input types, its memo, its nearest
-        # earlier twin (the instance before it of its operator semantics)
-        # or None, and whether its wirings have mirrors (it commutes and
-        # both its ports take one type).
-        # The candidate roots of the last cone position: every bool
-        # component, whose wirings all count as nodes, with whether it can
-        # close a cone (see ``_closers``), its twin and whether it commutes.
+        # Per component, in component order: its ``shapes`` (output type,
+        # distinct input types, arity), its ``semantics``, resolved once per
+        # solve so the per-node path stays in C, and its entry in ``picks``,
+        # the candidates of a cone position before the last: input types,
+        # memo, nearest earlier twin (the instance before it of its operator
+        # semantics) or None, and whether it is ``mirrored`` (it commutes
+        # and both its ports take one type). A bool component also has an
+        # entry in ``roots``, the candidates of the last position, whose
+        # wirings all count as nodes: the same, with whether it can close a
+        # cone (see ``_closers``). One memo serves each operator semantics,
+        # a tag with its input types: the two instances of an operator at
+        # level 4 share theirs, while ``<`` over ints and over reals do not.
         memos: Dict[Tuple, Dict[Tuple[int, ...], int]] = {}
         latest: Dict[Tuple, int] = {}
-        self.memos: List[Dict[Tuple[int, ...], int]] = []
+        self.shapes = []
         self.picks = []
         self.roots = []
+        self.semantics = []
         for ci, c in enumerate(components):
             op = (c.tag, c.in_types)
             memo = memos.setdefault(op, {})
-            self.memos.append(memo)
             twin, latest[op] = latest.get(op), ci
             mirrored = c.arity == 2 and c.commutes and c.in_types[0] == c.in_types[1]
+            self.shapes.append((c.out_type, tuple(set(c.in_types)), c.arity))
             self.picks.append((ci, c.in_types, memo, twin, mirrored))
             if c.out_type == BOOL:
-                self.roots.append((ci, c.in_types, memo, ci in closers, twin, c.commutes))
-        # Resolved once per solve so the per-node path stays in C.
-        self.semantics = [(c.entry.fn, c.wraps, c.out_type == REAL, self.ids[c.out_type],
-                           self.memos[ci]) for ci, c in enumerate(components)]
+                self.roots.append((ci, c.in_types, memo, ci in closers, twin, mirrored))
+            self.semantics.append((c.entry.fn, c.wraps, c.out_type == REAL,
+                                   self.ids[c.out_type], memo))
         self.vectors: List[Tuple] = []  # by id
         self.seen: List[bool] = []  # by id: a column or a cone member has it
         self.refs: Dict[str, List[Ref]] = {t: [] for t in types}
@@ -478,14 +477,14 @@ class _SearchState:
     def close_one(self):
         """Only the last member ``m`` is unconsumed: a unary root closes
         with ``(m,)``, a binary one with ``(x, m)``, ``x`` before ``m``,
-        then ``(m, y)``; a commuting one then only with ``(m, m)``, since
+        then ``(m, y)``; a mirrored one then only with ``(m, m)``, since
         each ``(m, y)`` before it mirrors an ``(x, m)``."""
         refs, in_cone = self.refs, self.in_cone
         tm = self.shapes[self.cone[-1]][0]
         im = len(refs[tm]) - 1
         vm, m = self.ref_ids[tm][im], refs[tm][im]
         tried = 0
-        for ci, in_types, memo, closes, twin, commutes in self.roots:
+        for ci, in_types, memo, closes, twin, mirrored in self.roots:
             if in_cone[ci]:
                 continue
             if twin is not None and not in_cone[twin]:
@@ -505,7 +504,7 @@ class _SearchState:
                 if x is not None:
                     return self.found(ci, (refs[t0][x], m), tried + x * n1 + im + 1)
             if t0 == tm:
-                y = self.partner(ci, memo, vm, t1, im if commutes else 0, n1, True)
+                y = self.partner(ci, memo, vm, t1, im if mirrored else 0, n1, True)
                 if y is not None:
                     return self.found(ci, (m, refs[t1][y]), tried + im * n1 + y + 1)
             tried += n0 * n1
@@ -530,14 +529,14 @@ class _SearchState:
     def close_pair(self, pa: int, pb: int):
         """Members ``a`` and ``b`` (the last) are unconsumed: only a binary
         root wired ``(a, b)`` or ``(b, a)`` closes, in that order; a
-        commuting one only with ``(a, b)``."""
+        mirrored one only with ``(a, b)``."""
         refs, ids, in_cone = self.refs, self.ref_ids, self.in_cone
         ta, tb = self.shapes[self.cone[pa]][0], self.shapes[self.cone[pb]][0]
         a, b = ("comp", pa), ("comp", pb)
         ia, ib = refs[ta].index(a), len(refs[tb]) - 1
         va, vb = ids[ta][ia], ids[tb][ib]
         tried = 0
-        for ci, in_types, memo, closes, twin, commutes in self.roots:
+        for ci, in_types, memo, closes, twin, mirrored in self.roots:
             if in_cone[ci]:
                 continue
             if twin is not None and not in_cone[twin]:
@@ -549,7 +548,7 @@ class _SearchState:
             n1 = len(refs[t1])
             if closes and t0 == ta and t1 == tb and self.hits(ci, memo, (va, vb)):
                 return self.found(ci, (a, b), tried + ia * n1 + ib + 1)
-            if (closes and not commutes and t0 == tb and t1 == ta
+            if (closes and not mirrored and t0 == tb and t1 == ta
                     and self.hits(ci, memo, (vb, va))):
                 return self.found(ci, (b, a), tried + ib * n1 + ia + 1)
             tried += len(refs[t0]) * n1
@@ -560,72 +559,47 @@ class _SearchState:
 def _complete_model(
     problem: SynthesisProblem, cone: List[int], wirings: List[Tuple[Ref, ...]]
 ) -> Dict[str, int]:
-    """Assign slots: unused components park below the cone wherever their
-    input types already have producers; cone members stack on top in
-    discovery order. Every unused component parks before the root, the
-    last member (see ``_closers``), so the root takes the final slot."""
+    """Give every component a slot above the columns and wire its ports.
+
+    Slots fill bottom up. ``first`` maps each type to the slot of its first
+    producer: a column, else the first component placed that outputs it.
+    Unused components park in repeated passes over ``dead``, each as soon
+    as ``first`` holds its input types, and each port of one takes the
+    first producer of its type, which is therefore below it. Cone members
+    follow in discovery order, wired by their refs, each followed by the
+    unused components it lets park. Every unused component parks before the
+    root, the last member (see ``_closers``), so the root takes the final
+    slot."""
     components = problem.components
-    num_inputs = problem.num_inputs
-    available_types = {c.type for c in problem.columns}
-
-    dead = [i for i in range(len(components)) if i not in cone]
-    placement: List[int] = []  # component indices in slot order
-
-    def place_ready_dead():
-        progress = True
-        while progress:
-            progress = False
-            for i in list(dead):
-                comp = components[i]
-                if all(t in available_types for t in comp.in_types):
-                    placement.append(i)
-                    dead.remove(i)
-                    available_types.add(comp.out_type)
-                    progress = True
-
-    place_ready_dead()
-    for ci in cone:
-        placement.append(ci)
-        available_types.add(components[ci].out_type)
-        place_ready_dead()
+    base = problem.num_inputs + 1
+    first: Dict[str, int] = {}
+    for slot, col in enumerate(problem.columns, 1):
+        first.setdefault(col.type, slot)
+    dead = [ci for ci in range(len(components)) if ci not in cone]
+    placement: List[Tuple[int, List[int]]] = []  # (component, port slots) in slot order
+    cone_slots: List[int] = []  # by cone position
+    for pos in range(len(cone) + 1):
+        parked = True
+        while parked:
+            parked = False
+            for ci in list(dead):
+                comp = components[ci]
+                if all(t in first for t in comp.in_types):
+                    dead.remove(ci)
+                    placement.append((ci, [first[t] for t in comp.in_types]))
+                    first.setdefault(comp.out_type, base + len(placement) - 1)
+                    parked = True
+        if pos < len(cone):
+            ci = cone[pos]
+            ports = [i + 1 if kind == "col" else cone_slots[i] for kind, i in wirings[pos]]
+            cone_slots.append(base + len(placement))
+            first.setdefault(components[ci].out_type, cone_slots[-1])
+            placement.append((ci, ports))
     if dead:
         raise RuntimeError("could not place unused components below the result")
-
-    slot_of_component = {ci: num_inputs + 1 + pos for pos, ci in enumerate(placement)}
-    cone_slot = {pos: slot_of_component[ci] for pos, ci in enumerate(cone)}
-
     model = problem.fixed_assignment()
-    for ci, slot in slot_of_component.items():
-        model[f"l_out_{components[ci].uid}"] = slot
-
-    # Wire cone ports per the discovered refs; wire dead ports to the first
-    # same-typed producer strictly below their own slot.
-    cone_positions = {ci: pos for pos, ci in enumerate(cone)}
-    for ci in range(len(components)):
-        comp = components[ci]
-        own_slot = slot_of_component[ci]
-        for k in range(comp.arity):
-            name = f"l_arg_{comp.uid}_{k}"
-            if ci in cone_positions:
-                ref_kind, ref_index = wirings[cone_positions[ci]][k]
-                if ref_kind == "col":
-                    model[name] = ref_index + 1
-                else:
-                    model[name] = cone_slot[ref_index]
-            else:
-                model[name] = _first_producer_below(
-                    problem, slot_of_component, comp.in_types[k], own_slot
-                )
+    for slot, (ci, ports) in enumerate(placement, base):
+        uid = components[ci].uid
+        model[f"l_out_{uid}"] = slot
+        model.update((f"l_arg_{uid}_{k}", port) for k, port in enumerate(ports))
     return model
-
-
-def _first_producer_below(
-    problem: SynthesisProblem, slot_of_component: Dict[int, int], in_type: str, limit: int
-) -> int:
-    for i, col in enumerate(problem.columns):
-        if col.type == in_type:
-            return i + 1
-    for ci, slot in sorted(slot_of_component.items(), key=lambda kv: kv[1]):
-        if slot < limit and problem.components[ci].out_type == in_type:
-            return slot
-    raise RuntimeError("no producer available for an unused component input")

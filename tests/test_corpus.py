@@ -105,9 +105,13 @@ class TestBundleFiles:
         ("human_patch.txt", "location: 1", "location: 1\nlocation: 1",
          "human_patch.txt: repeated key 'location'"),
         ("meta.txt", "entry: gcd", "entry gcd", "meta.txt: malformed line: 'entry gcd'"),
+        ("human_patch.txt", "location: 1", "location: 99", "human_patch.txt: unknown location 99"),
+        ("human_patch.txt", "expr: u == 0 || v == 0", "expr: w == 0",
+         "human_patch.txt: unresolved identifier 'w'"),
     ], ids=["word-location", "real-location", "unknown-kind", "empty-grid-axis", "malformed-expr",
             "unknown-entry", "axes-not-parameters", "too-many-points", "unknown-meta-key",
-            "unknown-patch-key", "repeated-meta-key", "repeated-patch-key", "line-without-colon"])
+            "unknown-patch-key", "repeated-meta-key", "repeated-patch-key", "line-without-colon",
+            "patch-location-with-no-statement", "patch-name-out-of-scope"])
     def test_bad_field_is_a_bundle_error_naming_bundle_and_field(
         self, tmp_path, file, old, new, match
     ):
@@ -117,6 +121,15 @@ class TestBundleFiles:
         path.write_text(path.read_text().replace(old, new))
         with pytest.raises(BundleError, match=f"bundle copy: bad {match}"):
             load_bundle(tmp_path / "copy")
+
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        original = load_bundle(default_corpus_dir() / "cm5")
+        write_bundle(original, tmp_path / "copy")
+        path = tmp_path / "copy" / "meta.txt"
+        text = path.read_text().replace("entry: gcd\n", "entry: gcd\n\n  # entry: lcm\n")
+        path.write_text("# id: other\n" + text)
+        again = load_bundle(tmp_path / "copy")
+        assert (again.id, again.entry, again.grid.axes) == ("cm5", "gcd", original.grid.axes)
 
     @pytest.mark.parametrize("file, line", [
         ("human_patch.txt", "kind: condition-update\n"),

@@ -66,6 +66,18 @@ class TestParsing:
         with pytest.raises(MiniLangSyntaxError, match="duplicate function"):
             parse_program(source)
 
+    def test_duplicate_constant(self):
+        source = "const K: int = 1;\nconst K: int = 2;\nfn f() -> int { return K; }"
+        with pytest.raises(MiniLangSyntaxError, match="duplicate constant 'K'"):
+            parse_program(source)
+
+    @pytest.mark.parametrize("literal", ["-true", "-null", '-Str("a")'])
+    def test_minus_on_a_non_numeric_literal_value(self, literal):
+        with pytest.raises(MiniLangSyntaxError, match="'-' applies to numeric literals only"):
+            parse_value_literal(literal)
+        with pytest.raises(MiniLangSyntaxError, match="'-' applies to numeric literals only"):
+            parse_program(f"const K: bool = {literal};\nfn f() -> int {{ return 0; }}")
+
     def test_unregistered_method_rejected(self):
         with pytest.raises(ResolutionError, match="reverse"):
             parse_program("fn f(s: Str) -> int { return s.reverse(); }")
@@ -80,6 +92,17 @@ class TestParsing:
         text = render_program(gcd_program)
         again = parse_program(text)
         assert render_program(again) == text
+
+    @pytest.mark.parametrize("literal", ["-9223372036854775808", "9223372036854775808"])
+    def test_a_literal_that_wraps_to_a_negative_int_round_trips(self, literal):
+        # both read an IntLit of INT_MIN (the first under unary ``-``), which
+        # renders as the literal it wraps from
+        program = parse_program(f"fn f() -> int {{ return {literal}; }}")
+        text = render_program(program)
+        assert f"return {literal};" in text
+        again = parse_program(text)
+        assert again == program
+        assert execute(again, "f", []).steps == execute(program, "f", []).steps
 
     def test_a_decided_program_renders_its_forced_condition_as_a_literal(self):
         # the diverge workload's walk, with its if decided each way

@@ -56,7 +56,7 @@ PARAMS = {"int": ("x", "y"), "real": ("u", "v"), "bool": ("b",), "Str": ("s",)}
 SIGNATURE = "x: int, y: int, u: real, v: real, b: bool, s: Str"
 HELPERS = "".join(f"\nfn id{t.capitalize()}(a: {t}) -> {t} {{ return a; }}\n" for t in PARAMS)
 LITERALS = {
-    "int": ("0", "1", "2", "3", "4294967296", "9223372036854775807"),
+    "int": ("0", "1", "2", "3", "4294967296", "9223372036854775807", "9223372036854775808"),
     "real": ("0.0", "0.5", "2.5"),
     "bool": ("true", "false"),
     "Str": ("null",),

@@ -66,6 +66,10 @@ CASES = {
         "fn f(x: int) -> int { return g(x, x); }\nfn g(y: int) -> int { return y; }",
         "'g' expects 1 arguments, got 2",
     ),
+    "unresolved-method-receiver": (
+        "fn f(x: int) -> int { return s.length(); }",
+        "unresolved identifier 's'",
+    ),
     "method-call-on-a-primitive": (
         "fn f(x: int) -> int { return x.length(); }",
         "method call on non-class variable 'x'",

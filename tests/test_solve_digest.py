@@ -4,8 +4,12 @@ Seeded random trace matrices (widths 1 to 6, 2 to 20 rows, int, bool and
 real columns, including values that make int arithmetic wrap and real
 arithmetic reach inf and nan) climb the synthesis ladder at a 10k-node
 cap until the first sat, as the pipeline does; a few more solves run at a
-100k-node cap. Each solve records its status, its node count and a sha256
-of its sorted model. Any change to the search order, its pruning or the
+100k-node cap. Every function of two bool columns is solved at level 4 at
+both caps: xor closes a four-member cone after 9,951 nodes, and xnor runs
+out at the 10k cap and is sat after 10,027, while every level-4 solve of
+the random matrices runs out or closes a cone of at most two members.
+Each solve records its status, its node count and a sha256 of its sorted
+model. Any change to the search order, its pruning or the
 node accounting shows up here as a changed entry. Over the same climbs two
 more tests pin the search's work per node: how many value vectors it
 computes and how many candidates it walks into the cone.
@@ -23,6 +27,7 @@ import hashlib
 import json
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -74,7 +79,20 @@ def matrices():
     return out
 
 
-def _entry(index: int, level: int, cap: int, result) -> dict:
+def bool_functions():
+    """(name, matrix) for each function of two bool columns ``a`` and
+    ``b``, named by its outcomes on the rows ``ff``, ``ft``, ``tf`` and
+    ``tt`` (xor is ``bools-0110``)."""
+    columns = [ColumnSpec(c, "bool", "var", var=c) for c in "ab"]
+    inputs = list(product((False, True), repeat=2))
+    for outcomes in product((False, True), repeat=len(inputs)):
+        rows = [TraceRow(f"t{r}", 0, bits, exp)
+                for r, (bits, exp) in enumerate(zip(inputs, outcomes))]
+        name = "bools-" + "".join(str(int(exp)) for exp in outcomes)
+        yield name, TraceMatrix(1, "condition", columns, rows)
+
+
+def _entry(index, level: int, cap: int, result) -> dict:
     model = None if result.model is None else sorted(result.model.items())
     return {
         "matrix": index,
@@ -99,6 +117,9 @@ def compute_digest() -> list:
         for level in (2, 3):
             result = solve_internal(encode(pool[index], level), None, DEEP_CAP)
             solves.append(_entry(index, level, DEEP_CAP, result))
+    for name, m in bool_functions():
+        for cap in (LADDER_CAP, DEEP_CAP):
+            solves.append(_entry(name, MAX_LEVEL, cap, solve_internal(encode(m, MAX_LEVEL), None, cap)))
     return solves
 
 
@@ -177,7 +198,7 @@ def test_each_operator_semantics_has_one_memo():
     for i, a in enumerate(components):
         for j, b in enumerate(components):
             same = (a.tag, a.in_types) == (b.tag, b.in_types)
-            assert (state.memos[i] is state.memos[j]) == same, (a, b)
+            assert (state.picks[i][2] is state.picks[j][2]) == same, (a, b)
 
 
 def test_solves_match_the_golden_digest():

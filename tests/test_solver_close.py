@@ -33,7 +33,7 @@ def reference_close(state):
     """(hit, nodes) of the product-and-filter rule; the budget is left alone."""
     unconsumed = {("comp", pos) for pos, n in enumerate(state.consumers) if not n}
     tried = 0
-    for ci, in_types, memo, closes, _twin, _commutes in state.roots:
+    for ci, in_types, memo, closes, _twin, _mirrored in state.roots:
         if state.in_cone[ci]:
             continue
         candidates = state.candidates(in_types)

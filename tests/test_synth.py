@@ -10,13 +10,15 @@ import pytest
 from condfix.errors import (
     InternalConsistencyError, SolverBackendError, UnsatisfiableMatrixError,
 )
-from condfix.minilang import execute, parse_program
+from condfix.minilang import (
+    Patch, PatchKind, apply_patch, execute, parse_expression, parse_program, render_program,
+)
 from condfix.minilang.printer import PRECEDENCE
 from condfix.minilang.values import INT_MAX, INT_MIN, OPERATORS, UNARY_OPERATORS
 from condfix.synth import (
     ARITHMETIC_TAGS, COMPARISON_TAGS, LOGICAL_TAGS, MAX_LEVEL, Component,
-    components_for_level, decode, emit_smtlib, encode, encode_with_components, evaluate,
-    parse_solver_output, solve, solve_external, to_source,
+    App, Leaf, components_for_level, decode, emit_smtlib, encode, encode_with_components,
+    evaluate, parse_solver_output, solve, solve_external, to_minilang, to_source,
 )
 from condfix.synth.components import SMT_SYMBOLS, STEMS
 from condfix.synth.internal import SAT, TIMEOUT, UNSAT, _SearchState, solve_internal
@@ -388,6 +390,34 @@ class TestDecode:
         with pytest.raises(InternalConsistencyError):
             decode(problem, model)
 
+    def test_check_model_names_a_missing_port_and_a_non_bool_result(self):
+        m = matrix([int_col("a"), bool_col("b")], [(1, True, True)])
+        problem = encode_with_components(
+            m, [Component("!", ("bool",), "bool"), Component("+", ("int", "int"), "int")])
+        model = problem.fixed_assignment()
+        model.update({"l_out_not_bool_0": 3, "l_out_add_int_int_0": 4,
+                      "l_arg_add_int_int_0_0": 1, "l_arg_add_int_int_0_1": 1})
+        assert problem.check_model(model) == [
+            "missing assignment for l_arg_not_bool_0_0", "result slot must hold a bool producer"]
+        no_components = encode_with_components(matrix([int_col("a")], [(1, True)]), [])
+        assert no_components.check_model(no_components.fixed_assignment()) == [
+            "result slot must hold a bool producer"]
+
+    @pytest.mark.parametrize("value, text", [(-1, "-1"), (INT_MIN, "-9223372036854775808")])
+    def test_a_negative_constant_builds_as_the_parser_reads_it(self, value, text):
+        leaf = Leaf(ColumnSpec(text, "int", "const", const=value))
+        assert to_source(leaf) == text
+        assert to_minilang(leaf) == parse_expression(text)
+
+    def test_a_patch_with_a_negative_constant_round_trips(self):
+        program = parse_program("fn f(x: int) -> int { if (x > 0) { return 1; } return 0; }")
+        minus_one = Leaf(ColumnSpec("-1", "int", "const", const=-1))
+        expr = App(Component("<", ("int", "int"), "bool"), (Leaf(int_col("x")), minus_one))
+        patched = apply_patch(program, Patch(PatchKind.CONDITION_UPDATE, 1, to_minilang(expr)))
+        text = render_program(patched)
+        assert "if (x < -1) {" in text
+        assert parse_program(text) == patched
+
     def test_row_reevaluation_matches_expected(self, gcd_program, gcd_suite):
         from condfix.angelic import angelic_condition
         from condfix.testkit import run_suite
@@ -428,6 +458,16 @@ class TestEmission:
         assert "(check-sat)" in script
         assert "(get-value" in script
         assert "0.5" in script and "(- 1.5)" in script
+
+    @pytest.mark.parametrize("components, falsities", [
+        ([Component("<", ("real", "real"), "bool")], 2),  # one per port no producer feeds
+        ([Component("+", ("int", "int"), "int")], 1),  # no bool producer for the result
+        ([], 1),  # no component, and the last column is not a bool
+    ], ids=["unwireable-ports", "no-bool-producer", "no-bool-column"])
+    def test_a_problem_with_no_model_asserts_false(self, components, falsities):
+        problem = encode_with_components(matrix([int_col("a")], [(1, True)]), components)
+        assert emit_smtlib(problem).splitlines().count("(assert false)") == falsities
+        assert solve_internal(problem).status == UNSAT
 
     def test_int_arithmetic_wraps_and_real_does_not(self):
         m = matrix(
@@ -486,6 +526,11 @@ class TestExternalBackend:
         )
         with pytest.raises(SolverBackendError):
             solve_external(problem, f"python3 {stub}", 10.0)
+
+    def test_a_command_that_cannot_start_is_a_backend_error(self, tmp_path):
+        missing = tmp_path / "no-such-solver"
+        with pytest.raises(SolverBackendError, match="cannot run solver"):
+            solve_external(self.make_problem(), str(missing), 10.0)
 
     def test_garbage_output_is_backend_error(self, tmp_path):
         problem = self.make_problem()
