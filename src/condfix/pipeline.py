@@ -20,9 +20,10 @@ When nothing validates, the report carries one reason:
 with later phases taking precedence, since they carry more information.
 The global deadline outranks them all: ``repair`` gives the one deadline
 ``started + global_timeout`` to every run it makes and caps each rung at
-what is left of it. The first location, run or rung that reads the clock
-past it raises DeadlineExceeded, which ends the search; the current trial
-then reads ``exhausted``. The clock is ``budget.now``, read at ``started``,
+what is left of it; a built-in rung's own deadline is never later. The
+first location, run or rung that reads the clock past it raises
+DeadlineExceeded, which ends the search; the current trial then reads
+``exhausted``. The clock is ``budget.now``, read at ``started``,
 as each location starts, before each rung, around its solve
 (``level_started``, ``elapsed``), as a built-in rung sets its deadline,
 every 4,096 steps of a run or nodes of a rung, after a rung that timed
@@ -248,7 +249,8 @@ def _synthesis_ladder(program, suite, matrix, kind, trial, config, deadline) -> 
         timeout = min(config.level_timeout, budget.seconds_left(deadline))
         level_started = budget.now()
         problem = encode(matrix, level)
-        result = solve(problem, config.solver_cmd, timeout, config.solver_nodes)
+        result = solve(problem, config.solver_cmd, timeout, config.solver_nodes,
+                       deadline=deadline)
         elapsed = budget.now() - level_started
         rung = LevelTrial(level, result.status, elapsed, result.nodes)
         # Kept before validation, so a deadline that stops it leaves the

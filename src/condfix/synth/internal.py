@@ -10,11 +10,12 @@ parking the unused components on the remaining lower slots with arbitrary
 valid wirings (their values cannot reach the result).
 
 Exhausting the cone space proves unsatisfiability. The search honors both
-a deadline, ``timeout_s`` after ``budget.now()``, and a deterministic node
-budget; crossing either reports a timeout, never a wrong unsat. Nodes are
-counted through a ``budget.Budget``, which reads the clock each time the
-count reaches a multiple of 4,096; a timeout of zero is a deadline already
-passed, so it stops the search at node 4,096.
+a deadline, ``timeout_s`` after ``budget.now()`` and never later than the
+caller's ``deadline``, and a deterministic node budget; crossing either
+reports a timeout, never a wrong unsat. Nodes are counted through a
+``budget.Budget``, which reads the clock each time the count reaches a
+multiple of 4,096; a timeout of zero is a deadline already passed, so it
+stops the search at node 4,096.
 
 One node is one candidate for the next cone position: a component not yet
 in the cone with one wiring of its inputs. Candidates are visited in a
@@ -32,19 +33,30 @@ an operator at level 4 share one memo: both compute the same vector from
 the same inputs, and the id of a vector does not depend on which instance
 computed it first, so sharing changes no id, no pruning and no node.
 
-On the last cone position (``close``) every wiring of every bool root
-outside the cone is still one node, but only a wiring that takes every
-unconsumed member can complete the cone, so only those are enumerated, in
-product order, and the nodes before the first hit are counted at once. The
-consumability test leaves at most two unconsumed members there: one pick
-consumes at most two (every operator is unary or binary), and the member
-pushed last, the last ref of its type, is always unconsumed. So:
+The last two cone positions are taken in one step (``close``): a
+candidate on the next-to-last position is not pushed. Every wiring of
+every bool root outside the cone and the candidate is still one node, but
+only a wiring that takes every unconsumed member can complete the cone, so
+only those are enumerated, in product order, and the nodes before the
+first hit are counted at once. One pick consumes at most two members
+(every operator is unary or binary), and the candidate ``m``, the last
+ref of its type, is always unconsumed. So ``m`` may leave at most one
+earlier member unconsumed, each pending type needs a taker outside the
+cone other than ``m``, and two pending members need a binary component
+left. Then:
 
-- an empty cone closes with any root wiring of the columns;
-- one unconsumed member ``m`` closes a unary root as ``(m,)`` and a binary
-  one as ``(x, m)``, ``x`` before ``m``, then ``(m, y)``;
-- two, ``a`` before ``b``, close only a binary root, as ``(a, b)`` or
-  ``(b, a)``.
+- an empty cone closes with any root wiring of the columns
+  (``close_empty``);
+- when only ``m`` is unconsumed, a unary root closes as ``(m,)`` and a
+  binary one as ``(x, m)``, ``x`` before ``m``, then ``(m, y)``;
+- with an earlier member ``a`` unconsumed too, only a binary root closes,
+  as ``(a, m)`` or ``(m, a)``.
+
+Once per component there, ``plan`` counts the root wirings of every root
+outside the cone and the component, with one more ref of the component's
+type, and lists the roots that can close over that type, each with the
+count before it. ``m``'s ref joins the refs only while its roots are
+tried.
 
 Two rules skip work whose outcome is already known, on every cone
 position. Neither skips a hit, so neither moves a status or a model. Each
@@ -61,8 +73,9 @@ clock is read:
   the later one visits its candidates in another order, which changes no
   count of a subtree that misses. So on a position before the last the
   later instance's whole loop is counted as the twin's, and on the last its
-  root wirings are counted and not checked. A twin inside the cone was not
-  tried there, so the later instance is.
+  root wirings are counted and not checked. A twin inside the cone, or the
+  candidate of the next-to-last position, was not tried there, so the
+  later instance is.
 - *Mirrors.* A mirrored component commutes (``Component.commutes``:
   ``==``, ``!=``, ``&&``, ``||``, ``+`` and ``*``) and both its ports take
   one type. A wiring's mirror gives the same vector and consumes the same
@@ -71,7 +84,7 @@ clock is read:
   nodes that ``(j, i)`` took, its own node included. On the last position,
   with one unconsumed member ``m``, each ``(m, y)`` with ``y`` before ``m``
   mirrors an ``(x, m)`` that missed, so only ``(m, m)`` is checked; with
-  two, ``(b, a)`` mirrors ``(a, b)`` and is not checked.
+  two, ``(m, a)`` mirrors ``(a, m)`` and is not checked.
 
 A root closes a cone only if every other component can park below it,
 which the columns alone decide, once per solve (``_closers``); on the
@@ -132,7 +145,12 @@ def solve_internal(
     problem: SynthesisProblem,
     timeout_s: Optional[float] = None,
     max_nodes: int = DEFAULT_NODE_BUDGET,
+    *,
+    deadline: Optional[float] = None,
 ) -> SolveResult:
+    """Decide ``problem`` within ``max_nodes`` nodes and by a deadline
+    ``timeout_s`` after ``budget.now()``, capped at ``deadline`` (a time on
+    ``budget.now``) when one is given."""
     columns = problem.columns
     components = problem.components
 
@@ -143,7 +161,10 @@ def solve_internal(
             return SolveResult(SAT, problem.fixed_assignment())
         return SolveResult(UNSAT)
 
-    nodes = Budget(max_nodes, None if timeout_s is None else budget.now() + timeout_s)
+    stop = None if timeout_s is None else budget.now() + timeout_s
+    if deadline is not None and (stop is None or deadline < stop):
+        stop = deadline
+    nodes = Budget(max_nodes, stop)
     try:
         found = _search_cones(problem, nodes)
     except (Exhausted, DeadlineExceeded):
@@ -209,14 +230,18 @@ class _SearchState:
 
     The refs a port may take (columns first, then cone members in cone
     order), the count of consumers of each member, and the counts behind
-    the consumability test are updated on push and pop, not rebuilt.
+    the consumability test are updated on push and pop, not rebuilt. Only
+    positions before the next-to-last push: there ``extend`` tests each
+    candidate against the members left unconsumed for the one pick left,
+    without pushing it, and ``close`` tries the roots over it by the
+    component's ``plan`` (see the module docstring).
 
     On every cone position a later twin and a mirrored wiring repeat
     subtrees that just missed (see the module docstring). ``extend`` keeps
     the nodes of each component's loop and, for a mirrored component, the
     count before each wiring, and advances the budget by the recorded count
-    in place of the walk; ``close`` counts such root wirings without
-    checking them.
+    in place of the walk; ``plan`` counts such root wirings without
+    listing them for ``close`` to check.
     """
 
     def __init__(self, problem: SynthesisProblem, closers: Set[int], budget: Budget):
@@ -377,9 +402,12 @@ class _SearchState:
         return list(zip(refs, keys))
 
     def extend(self, k: int):
-        if len(self.cone) == k - 1:
-            return self.close()
+        if k == 1:
+            return self.close_empty()
         budget, seen, in_cone = self.budget, self.seen, self.in_cone
+        last = len(self.cone) == k - 2  # each candidate here takes the next-to-last position
+        if last:
+            unconsumed = self.unconsumed_members()
         by_types: Dict[Tuple[str, ...], list] = {}
         spent: Dict[int, int] = {}  # the nodes of each component's wirings here
         for ci, in_types, memo, twin, mirrored in self.picks:
@@ -394,6 +422,7 @@ class _SearchState:
             candidates = by_types.get(in_types)
             if candidates is None:
                 candidates = by_types[in_types] = self.candidates(in_types)
+            plan = None  # built for the first candidate that is no duplicate
             if mirrored:
                 n = len(self.refs[in_types[0]])
                 starts: List[int] = []  # the count before each wiring
@@ -411,6 +440,18 @@ class _SearchState:
                     vid = self.apply(ci, key)
                 if seen[vid]:
                     continue
+                if last:
+                    if plan is None:
+                        plan = self.plan(ci, unconsumed)
+                    if not plan:
+                        continue
+                    left = [member for member in unconsumed if member[0] not in wiring]
+                    if left and (len(left) > 1 or left[0] not in plan[2]):
+                        continue
+                    hit = self.close(plan, ci, wiring, vid, left[0] if left else None)
+                    if hit is not None:
+                        return hit
+                    continue
                 self.push(ci, wiring, vid)
                 if not self.consumable(k):
                     self.pop()
@@ -424,28 +465,103 @@ class _SearchState:
             spent[ci] = budget.count - start
         return None
 
-    def close(self):
-        """Try each bool root on the last cone position, counting all its
-        root wirings as nodes at once, up to the first hit. Only a wiring
-        that consumes every unconsumed member can complete the cone, and the
-        cone has none, one or two of them (see the module docstring)."""
-        last = len(self.cone) - 1
-        if last < 0:
-            return self.close_empty()
-        for pos in range(last):
-            if not self.consumers[pos]:
-                return self.close_pair(pos, last)
-        return self.close_one()
+    def unconsumed_members(self) -> List[Tuple[Ref, str, int, int]]:
+        """The cone members no wiring uses, each as its ref, its type, its
+        index among the refs of that type and its vector id."""
+        members = []
+        for pos, consumers in enumerate(self.consumers):
+            if not consumers:
+                t = self.shapes[self.cone[pos]][0]
+                index = self.refs[t].index(("comp", pos))
+                members.append((("comp", pos), t, index, self.ref_ids[t][index]))
+        return members
+
+    def plan(self, ci: int, unconsumed: List[Tuple[Ref, str, int, int]]):
+        """How component ``ci`` on the next-to-last position closes the
+        cone, or ``()`` when no wiring of it can: its output type would have
+        no taker left. Otherwise ``(total, closers, partners)``: the root
+        wirings of every root outside the cone and ``ci``, with the ref of
+        ``ci`` counted among its type's; each root that can close over that
+        type, with the count of the root wirings before its own; and the
+        members that may stay unconsumed beside ``ci``, those whose type
+        keeps a taker when a binary component is left for both."""
+        tm, ins, arity = self.shapes[ci]
+        takers, refs, in_cone = self.takers, self.refs, self.in_cone
+        if takers[tm] <= (tm in ins):
+            return ()
+        pair = self.by_arity.get(2, 0) > (arity == 2)
+        partners = [m for m in unconsumed if pair and takers[m[1]] > (m[1] in ins)]
+        total = 0
+        closers = []
+        for rci, in_types, memo, closes, twin, mirrored in self.roots:
+            if in_cone[rci] or rci == ci:
+                continue
+            # a twin follows one that missed here, unless that one is ``ci``
+            if closes and tm in in_types and (twin is None or twin == ci or in_cone[twin]):
+                closers.append((rci, in_types, memo, mirrored, total))
+            size = 1
+            for t in in_types:
+                size *= len(refs[t]) + (t == tm)
+            total += size
+        return total, closers, partners
+
+    def close(self, plan, ci: int, wiring: Tuple[Ref, ...], vid: int,
+              a: Optional[Tuple[Ref, str, int, int]]):
+        """Close the cone with component ``ci`` wired ``wiring`` (vector
+        ``vid``) as ``m`` on the next-to-last position and a root on the
+        last, ``a`` being the earlier member left unconsumed, or None (see
+        the module docstring). The root wirings of ``plan`` count as nodes
+        up to the first hit."""
+        total, closers, _ = plan
+        tm = self.shapes[ci][0]
+        refs, ids = self.refs, self.ref_ids
+        refs[tm].append(("comp", len(self.cone)))
+        ids[tm].append(vid)
+        im = len(refs[tm]) - 1
+        m = refs[tm][im]
+        if a is not None:
+            ra, ta, ia, va = a
+        hit = None
+        for rci, in_types, memo, mirrored, tried in closers:
+            if len(in_types) == 1:
+                if a is None and self.hits(rci, memo, (vid,)):
+                    hit = rci, (m,), tried + im + 1
+                    break
+                continue
+            t0, t1 = in_types
+            n1 = len(refs[t1])
+            if a is not None:
+                if t0 == ta and t1 == tm and self.hits(rci, memo, (va, vid)):
+                    hit = rci, (ra, m), tried + ia * n1 + im + 1
+                    break
+                if not mirrored and t0 == tm and t1 == ta and self.hits(rci, memo, (vid, va)):
+                    hit = rci, (m, ra), tried + im * n1 + ia + 1
+                    break
+                continue
+            if t1 == tm:
+                x = self.partner(rci, memo, vid, t0, 0, len(refs[t0]) - (t0 == tm), False)
+                if x is not None:
+                    hit = rci, (refs[t0][x], m), tried + x * n1 + im + 1
+                    break
+            if t0 == tm:
+                y = self.partner(rci, memo, vid, t1, im if mirrored else 0, n1, True)
+                if y is not None:
+                    hit = rci, (m, refs[t1][y]), tried + im * n1 + y + 1
+                    break
+        refs[tm].pop()
+        ids[tm].pop()
+        if hit is None:
+            self.budget.advance(total)
+            return None
+        rci, root_wiring, nodes = hit
+        self.budget.advance(nodes)
+        return self.cone + [ci, rci], self.wirings + [wiring, root_wiring]
 
     def hits(self, ci: int, memo: Dict[Tuple[int, ...], int], key: Tuple[int, ...]) -> bool:
         vid = memo.get(key)
         if vid is None:
             vid = self.apply(ci, key)
         return vid == self.expected
-
-    def found(self, ci: int, wiring: Tuple[Ref, ...], nodes: int):
-        self.budget.advance(nodes)
-        return self.cone + [ci], self.wirings + [wiring]
 
     def close_empty(self):
         """A one-member cone: every root wiring of the columns closes it."""
@@ -455,7 +571,8 @@ class _SearchState:
             if closes and twin is None:  # a twin follows one that missed here
                 for index, (wiring, key) in enumerate(candidates):
                     if self.hits(ci, memo, key):
-                        return self.found(ci, wiring, tried + index + 1)
+                        self.budget.advance(tried + index + 1)
+                        return [ci], [wiring]
             tried += len(candidates)
         self.budget.advance(tried)
         return None
@@ -474,43 +591,6 @@ class _SearchState:
                 return True
         return False
 
-    def close_one(self):
-        """Only the last member ``m`` is unconsumed: a unary root closes
-        with ``(m,)``, a binary one with ``(x, m)``, ``x`` before ``m``,
-        then ``(m, y)``; a mirrored one then only with ``(m, m)``, since
-        each ``(m, y)`` before it mirrors an ``(x, m)``."""
-        refs, in_cone = self.refs, self.in_cone
-        tm = self.shapes[self.cone[-1]][0]
-        im = len(refs[tm]) - 1
-        vm, m = self.ref_ids[tm][im], refs[tm][im]
-        tried = 0
-        for ci, in_types, memo, closes, twin, mirrored in self.roots:
-            if in_cone[ci]:
-                continue
-            if twin is not None and not in_cone[twin]:
-                closes = False  # its twin missed on these same wirings
-            if len(in_types) == 1:
-                if closes and in_types[0] == tm and self.hits(ci, memo, (vm,)):
-                    return self.found(ci, (m,), tried + im + 1)
-                tried += len(refs[in_types[0]])
-                continue
-            t0, t1 = in_types
-            n0, n1 = len(refs[t0]), len(refs[t1])
-            if not closes or (t0 != tm and t1 != tm):
-                tried += n0 * n1
-                continue
-            if t1 == tm:
-                x = self.partner(ci, memo, vm, t0, 0, n0 - (t0 == tm), False)
-                if x is not None:
-                    return self.found(ci, (refs[t0][x], m), tried + x * n1 + im + 1)
-            if t0 == tm:
-                y = self.partner(ci, memo, vm, t1, im if mirrored else 0, n1, True)
-                if y is not None:
-                    return self.found(ci, (m, refs[t1][y]), tried + im * n1 + y + 1)
-            tried += n0 * n1
-        self.budget.advance(tried)
-        return None
-
     def partner(self, ci: int, memo, vm: int, t: str, start: int, stop: int,
                 m_first: bool) -> Optional[int]:
         """The first index from ``start`` below ``stop`` of the refs of type
@@ -524,35 +604,6 @@ class _SearchState:
                 vid = self.apply(ci, key)
             if vid == expected:
                 return i
-        return None
-
-    def close_pair(self, pa: int, pb: int):
-        """Members ``a`` and ``b`` (the last) are unconsumed: only a binary
-        root wired ``(a, b)`` or ``(b, a)`` closes, in that order; a
-        mirrored one only with ``(a, b)``."""
-        refs, ids, in_cone = self.refs, self.ref_ids, self.in_cone
-        ta, tb = self.shapes[self.cone[pa]][0], self.shapes[self.cone[pb]][0]
-        a, b = ("comp", pa), ("comp", pb)
-        ia, ib = refs[ta].index(a), len(refs[tb]) - 1
-        va, vb = ids[ta][ia], ids[tb][ib]
-        tried = 0
-        for ci, in_types, memo, closes, twin, mirrored in self.roots:
-            if in_cone[ci]:
-                continue
-            if twin is not None and not in_cone[twin]:
-                closes = False  # its twin missed on these same wirings
-            if len(in_types) == 1:
-                tried += len(refs[in_types[0]])
-                continue
-            t0, t1 = in_types
-            n1 = len(refs[t1])
-            if closes and t0 == ta and t1 == tb and self.hits(ci, memo, (va, vb)):
-                return self.found(ci, (a, b), tried + ia * n1 + ib + 1)
-            if (closes and not mirrored and t0 == tb and t1 == ta
-                    and self.hits(ci, memo, (vb, va))):
-                return self.found(ci, (b, a), tried + ib * n1 + ia + 1)
-            tried += len(refs[t0]) * n1
-        self.budget.advance(tried)
         return None
 
 

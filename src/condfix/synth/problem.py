@@ -22,6 +22,7 @@ model means its decoded expression: ``satisfies_rows`` decodes it and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import InternalConsistencyError, UnsatisfiableMatrixError
@@ -52,10 +53,15 @@ class SynthesisProblem:
         self.column_elements = [
             IOElement(f"l_in{i + 1}", col.type) for i, col in enumerate(self.columns)
         ]
-        self.output_elements = [
-            IOElement(f"l_out_{c.uid}", c.out_type, i) for i, c in enumerate(self.components)
-        ]
-        self.port_elements = [
+
+    # Built on first read: a built-in solve reads neither unless it is sat.
+    @cached_property
+    def output_elements(self) -> List[IOElement]:
+        return [IOElement(f"l_out_{c.uid}", c.out_type, i) for i, c in enumerate(self.components)]
+
+    @cached_property
+    def port_elements(self) -> List[IOElement]:
+        return [
             IOElement(f"l_arg_{c.uid}_{k}", c.in_types[k], i)
             for i, c in enumerate(self.components)
             for k in range(c.arity)

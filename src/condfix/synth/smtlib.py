@@ -217,11 +217,16 @@ def solve(
     backend: Optional[str] = None,
     timeout_s: Optional[float] = 60.0,
     max_nodes: int = DEFAULT_NODE_BUDGET,
+    *,
+    deadline: Optional[float] = None,
 ) -> SolveResult:
     """Solve via the internal backend (backend=None) or an external solver
-    command. A Sat model is structurally re-checked before it is returned."""
+    command. The internal backend's deadline is ``timeout_s`` from now,
+    capped at ``deadline`` (a time on ``budget.now``); an external solver
+    gets ``timeout_s`` only. A Sat model is structurally re-checked before
+    it is returned."""
     if backend is None:
-        result = solve_internal(problem, timeout_s, max_nodes)
+        result = solve_internal(problem, timeout_s, max_nodes, deadline=deadline)
     else:
         result = solve_external(problem, backend, timeout_s)
     if result.is_sat:

@@ -68,8 +68,9 @@ FEW_KS = (2, 3, 5, 10, 20, 50, 100, 200)
 # What a module other than ``budget`` may neither import nor call.
 CLOCK_NAMES = ("time", "datetime", "monotonic", "perf_counter", "process_time")
 # The most reads after read k. A rung whose level_started read is read k
-# sets its solve's deadline after it, so the solve runs on to its end and
-# its own reads, elapsed and wall_time follow; cm5's level 2 makes 5.
+# meets the passed deadline only at its solve's first clock check, at node
+# 4,096: the solve's start, that check, elapsed, the seconds_left after the
+# timed-out rung and wall_time follow; cm5's level 2 makes 5.
 MOST_READS_AFTER = 5
 
 
@@ -181,6 +182,20 @@ def test_a_rung_stops_at_the_read_that_finds_its_deadline_passed(monkeypatch, j)
     monkeypatch.setattr(budget, "now", FakeClock(1 + j))
     result = solve_internal(problem, 60.0, 10**9)
     assert (result.status, result.nodes) == (TIMEOUT, 4096 * j)
+
+
+@pytest.mark.parametrize("timeout, deadline, passes_at, nodes", [
+    (60.0, None, None, 3 * 4096 + 1),  # the node cap stops it
+    (60.0, -1.0, None, 4096),  # the caller's deadline passed before the rung
+    (None, -1.0, None, 4096),
+    (60.0, 1e13, 2, 4096),  # the timeout passes first
+])
+def test_a_rung_deadline_is_the_earlier_of_its_timeout_and_the_callers(
+        monkeypatch, timeout, deadline, passes_at, nodes):
+    problem = encode(matrix([int_col("x")], [(-4, True), (-5, False)]), 3)
+    monkeypatch.setattr(budget, "now", FakeClock(passes_at))
+    result = solve_internal(problem, timeout, 3 * 4096, deadline=deadline)
+    assert (result.status, result.nodes) == (TIMEOUT, nodes)
 
 
 def test_only_the_budget_module_reads_a_clock():

@@ -321,9 +321,9 @@ class TestLadderEnds:
     ):
         # A backend that answers sat with a well-formed model of another
         # problem: the one whose rows all expect the other outcome.
-        def junk(problem, backend, timeout, nodes):
+        def junk(problem, backend, timeout, nodes, deadline=None):
             flipped = dataclasses.replace(problem, rows=[(v, not e) for v, e in problem.rows])
-            return solve(flipped, backend, timeout, nodes)
+            return solve(flipped, backend, timeout, nodes, deadline=deadline)
 
         monkeypatch.setattr(pipeline, "solve", junk)
         report = repair(gcd_program, gcd_suite, RepairConfig(max_level=2))

@@ -10,9 +10,10 @@ out at the 10k cap and is sat after 10,027, while every level-4 solve of
 the random matrices runs out or closes a cone of at most two members.
 Each solve records its status, its node count and a sha256 of its sorted
 model. Any change to the search order, its pruning or the
-node accounting shows up here as a changed entry. Over the same climbs two
+node accounting shows up here as a changed entry. Over the same climbs three
 more tests pin the search's work per node: how many value vectors it
-computes and how many candidates it walks into the cone.
+computes, how many candidates it walks into the cone and how many
+candidates of the next-to-last position reach a root check.
 
 Regenerate ``tests/data/solve_digest.json`` (only when a change of search
 behaviour is intended) with:
@@ -155,8 +156,13 @@ def _comparison(old: list, new: list):
 APPLY_CALLS = 37_663
 # ``_SearchState.push`` calls, one per candidate walked into the cone, over
 # the same climbs. It was 20,629 before those subtrees were counted without
-# walking them.
-PUSH_CALLS = 15_171
+# walking them, and 15,171 before a candidate of the next-to-last position
+# closed the cone without being walked into it.
+PUSH_CALLS = 744
+# ``_SearchState.close`` calls, one per candidate of the next-to-last
+# position that passes the consumability test and so reaches a root check,
+# over the same climbs.
+CLOSE_CALLS = 13_514
 
 
 def _calls_over_climbs(monkeypatch, name: str) -> int:
@@ -183,6 +189,10 @@ def test_vector_computations_match_the_pinned_count(monkeypatch):
 
 def test_walked_candidates_match_the_pinned_count(monkeypatch):
     assert _calls_over_climbs(monkeypatch, "push") == PUSH_CALLS
+
+
+def test_closed_candidates_match_the_pinned_count(monkeypatch):
+    assert _calls_over_climbs(monkeypatch, "close") == CLOSE_CALLS
 
 
 def test_each_operator_semantics_has_one_memo():

@@ -1,17 +1,24 @@
-"""Differential test of the solver's last cone position.
+"""Differential test of the solver's last two cone positions.
 
 ``reference_close`` is the closing rule stated plainly: walk the full
 root-wiring product of every bool root outside the cone, keep the wirings
 of a root that can close a cone that take every unconsumed cone member,
 and stop at the first whose vector is the expected one; every wiring
 walked over is one node.
-``_SearchState.close`` enumerates only the closing wirings. Wrapped over
-the solve-digest matrices (levels 1 to 4, climbing until the first sat)
-and over 20 criterion-4 matrices (levels 1 and 2), every call must give
-the reference's hit (cone and wiring) or ``None`` with it, the same node
-delta, and find zero, one or two unconsumed members. A few small matrices
-make each kind of closing wiring the hit, and one makes it a root whose
-twin (the earlier instance of its operator) is in the cone.
+``_SearchState.close`` closes the cone over one candidate on the
+next-to-last position without pushing it, and enumerates only the closing
+wirings. Each of its calls is checked against the rule its search stated
+plainly: push the candidate, test consumability, ``reference_close``, pop.
+The candidate must be consumable with the same number of unconsumed
+members, and the call must give the reference's hit (cone and wiring) or
+``None`` with it, and the same node delta. ``close_empty``, which closes a
+one-member cone over the columns, is checked against ``reference_close``
+too. Over the solve-digest matrices (levels 1 to 4, climbing until the
+first sat), 20 criterion-4 matrices (levels 1 and 2) and every function
+of two bool columns (level 2) the calls find zero, one and two
+unconsumed members. A few small matrices make each kind of closing wiring
+the hit, and one makes it a root whose twin (the earlier instance of its
+operator) is the candidate.
 """
 import random
 from collections import Counter
@@ -21,12 +28,12 @@ import pytest
 
 from condfix.budget import Exhausted
 from condfix.synth import (
-    MAX_LEVEL, MIN_LEVEL, SAT, Component, decode, encode, encode_with_components, internal,
+    MAX_LEVEL, MIN_LEVEL, SAT, UNSAT, Component, decode, encode, encode_with_components, internal,
     solve_internal, to_source,
 )
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 from test_acceptance import _random_matrix
-from test_solve_digest import LADDER_CAP, matrices
+from test_solve_digest import LADDER_CAP, bool_functions, matrices
 
 
 def reference_close(state):
@@ -48,17 +55,16 @@ def reference_close(state):
     return None, tried
 
 
-def hit_kind(state, wiring) -> str:
-    """Which closing wiring hit: over the columns (empty cone), ``(m,)``,
-    ``(x, m)`` or ``(m, y)`` with a column or member partner, ``(a, b)``
-    or ``(b, a)``."""
-    if not state.cone:
-        return "columns"
-    m = ("comp", len(state.cone) - 1)
+def hit_kind(cone_size: int, a, wiring) -> str:
+    """Which closing wiring hit: ``(m,)``, ``(x, m)`` or ``(m, y)`` with a
+    column or member partner when only the candidate ``m`` is unconsumed,
+    ``(a, m)`` or ``(m, a)`` when the earlier member ``a`` is unconsumed
+    too."""
+    m = ("comp", cone_size)
     if len(wiring) == 1:
         return "(m,)"
-    if any(not n for n in state.consumers[:-1]):
-        return "(a, b)" if wiring[1] == m else "(b, a)"
+    if a is not None:
+        return "(a, m)" if wiring[1] == m else "(m, a)"
     if wiring[1] == m and wiring[0] != m:
         return f"(x, m) x {wiring[0][0]}"
     return f"(m, y) y {wiring[1][0]}"
@@ -66,29 +72,49 @@ def hit_kind(state, wiring) -> str:
 
 @pytest.fixture
 def checked_close(monkeypatch):
-    """Wrap ``close`` with the reference; returns a Counter of the calls by
-    number of unconsumed members and of the hits by ``hit_kind``."""
-    close = internal._SearchState.close
+    """Check ``close_empty`` and ``close`` against the reference; returns a
+    Counter of the calls by number of unconsumed members and of the hits by
+    kind."""
+    close_empty, close = internal._SearchState.close_empty, internal._SearchState.close
     calls = Counter()
 
-    def checked(state):
-        unconsumed = sum(1 for n in state.consumers if not n)
-        assert unconsumed <= 2 and (unconsumed == 0) == (not state.cone)
+    def compare(state, closing, want, nodes):
         before = state.budget.count
-        want, nodes = reference_close(state)
         try:
-            got = close(state)
+            got = closing()
         except Exhausted:
             assert before + nodes > state.budget.cap
             raise
         assert got == want
         assert state.budget.count - before == nodes
-        calls[unconsumed] += 1
         if got is not None:
             calls["hit"] += 1
-            calls[hit_kind(state, got[1][-1])] += 1
         return got
 
+    def checked_empty(state):
+        assert not state.cone
+        want, nodes = reference_close(state)
+        got = compare(state, lambda: close_empty(state), want, nodes)
+        calls[0] += 1
+        if got is not None:
+            calls["columns"] += 1
+        return got
+
+    def checked(state, plan, ci, wiring, vid, a):
+        size = len(state.cone)
+        state.push(ci, wiring, vid)
+        consumable = state.consumable(size + 2)
+        unconsumed = sum(1 for n in state.consumers if not n)
+        want, nodes = reference_close(state)
+        state.pop()
+        assert consumable and unconsumed == 1 + (a is not None)
+        got = compare(state, lambda: close(state, plan, ci, wiring, vid, a), want, nodes)
+        calls[unconsumed] += 1
+        if got is not None:
+            calls[hit_kind(size, a, got[1][-1])] += 1
+        return got
+
+    monkeypatch.setattr(internal._SearchState, "close_empty", checked_empty)
     monkeypatch.setattr(internal._SearchState, "close", checked)
     return calls
 
@@ -114,6 +140,18 @@ def test_close_matches_the_reference_on_criterion_4_matrices(checked_close):
     assert all(checked_close[key] for key in (0, 1, 2, "hit"))
 
 
+def test_close_matches_the_reference_on_every_function_of_two_bools(checked_close):
+    # level 2 over two bool columns has one each of ``&&``, ``||`` and
+    # ``!``: xor and xnor are unsat after every three-member cone, among
+    # them each ``&&`` and ``||`` that leave one another unconsumed with
+    # only ``!`` left to take them, which no root check may follow
+    statuses = Counter()
+    for _name, matrix in bool_functions():
+        statuses[solve_internal(encode(matrix, 2), None, LADDER_CAP).status] += 1
+    assert statuses == {SAT: 14, UNSAT: 2}
+    assert all(checked_close[key] for key in (0, 1, 2, "hit"))
+
+
 # (level, column types, rows): each ends in a different kind of hit.
 DIRECTED = [
     (2, "bool", [((True,), False), ((False,), False)]),
@@ -135,7 +173,7 @@ def test_every_kind_of_closing_wiring_hits(checked_close):
                              [TraceRow(f"t{r}", 0, inputs, exp) for r, (inputs, exp) in enumerate(rows)])
         assert solve_internal(encode(matrix, level), None, LADDER_CAP).status == SAT
     kinds = {"(m,)", "(x, m) x col", "(x, m) x comp", "(m, y) y col", "(m, y) y comp",
-             "(a, b)", "(b, a)"}
+             "(a, m)", "(m, a)"}
     assert kinds <= set(checked_close)
 
 
@@ -154,8 +192,8 @@ def test_a_root_that_cannot_close_still_counts_its_wirings(checked_close):
 
 def test_a_twin_whose_earlier_instance_is_in_the_cone_is_tried(checked_close):
     # a && b && c takes both ``&&`` instances: the first opens the cone as
-    # a && b, and its twin, whose checks are skipped only while the first
-    # is outside the cone, closes it
+    # a && b on the next-to-last position, and its twin, whose checks are
+    # skipped only while the first is outside the cone, closes it
     columns = [ColumnSpec(c, "bool", "var", var=c) for c in "abc"]
     matrix = TraceMatrix(1, "condition", columns,
                          [TraceRow(f"t{r}", 0, bits, all(bits))

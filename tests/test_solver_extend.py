@@ -1,15 +1,18 @@
-"""Differential test of the solver's cone positions before the last.
+"""Differential test of the solver's cone search over every position.
 
 ``reference_extend`` is the search stated plainly: every candidate of
 every component outside the cone, each component wiring in product order,
-counts one node and is walked. ``_SearchState.extend`` counts the subtrees
-that a twin component (the later instance of an operator semantics whose
-earlier instance is outside the cone) or a mirrored wiring of a commuting
-component repeats, without walking them. Over the solve-digest climbs
-(levels 1 to 4, climbing until the first sat, and level 4 again on each
-matrix that level 3 solves) and 20 criterion-4 matrices (levels 1 and 2),
-each solve must give the same status, node count and model both ways, and
-read a counting clock as often. The climbs run under a deadline that
+counts one node and is walked, and the last position closes by
+``test_solver_close.reference_close``. ``_SearchState.extend`` closes the
+cone over each candidate of the next-to-last position without walking
+into it, and counts the subtrees that a twin component (the later
+instance of an operator semantics whose earlier instance is outside the
+cone) or a mirrored wiring of a commuting component repeats, without
+walking them. Over the solve-digest climbs (levels 1 to 4, climbing until
+the first sat, and level 4 again on each matrix that level 3 solves) and
+20 criterion-4 matrices (levels 1 and 2), each solve must give the same
+status, node count and model both ways, and read a counting clock as
+often. The climbs run under a deadline that
 passes after the ladder's node cap, the criterion-4 solves under one that
 passes before it. At level 4 every function of two bool columns, xor
 among them, is solved both ways too: each level-4 solve above runs out or
@@ -27,13 +30,16 @@ from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 from test_acceptance import _random_matrix
 from test_deadline_sweep import FakeClock
 from test_solve_digest import DEEP_CAP, LADDER_CAP, matrices
+from test_solver_close import reference_close
 
 
 def reference_extend(state, k: int):
     """The first cone and wirings that close within ``k`` members, walking
     every candidate."""
     if len(state.cone) == k - 1:
-        return state.close()
+        hit, nodes = reference_close(state)
+        state.budget.advance(nodes)
+        return hit
     seen = state.seen
     by_types = {}
     for ci, in_types, memo, _twin, _mirrored in state.picks:
