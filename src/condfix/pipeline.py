@@ -27,9 +27,12 @@ DeadlineExceeded, which ends the search; the current trial then reads
 as each location starts, before each rung, around its solve
 (``level_started``, ``elapsed``), as a built-in rung sets its deadline,
 every 4,096 steps of a run or nodes of a rung, after a rung that timed
-out, and for ``wall_time``. A deadline that passes after the last rung's
-``seconds_left``, in a solve and validation too short to read the clock,
-goes unseen: this late-patch window returns the patch past the deadline.
+out, and for ``wall_time``. A built-in rung that starts past the deadline
+times out with no node searched, and the read after it ends the search. A
+deadline that passes after a rung's start, in a solve and validation too
+short to read the clock, goes unseen: this late-patch window, which for a
+built-in rung holds only the ``elapsed`` read, returns the patch past the
+deadline.
 """
 from __future__ import annotations
 

@@ -14,8 +14,10 @@ a deadline, ``timeout_s`` after ``budget.now()`` and never later than the
 caller's ``deadline``, and a deterministic node budget; crossing either
 reports a timeout, never a wrong unsat. Nodes are counted through a
 ``budget.Budget``, which reads the clock each time the count reaches a
-multiple of 4,096; a timeout of zero is a deadline already passed, so it
-stops the search at node 4,096.
+multiple of 4,096. A solve whose start, the read that sets its deadline,
+is already past that deadline (the caller's, unless ``timeout_s`` is
+negative) times out at once with no node; a timeout of zero is a deadline
+that passes just after that read, so it stops the search at node 4,096.
 
 One node is one candidate for the next cone position: a component not yet
 in the cone with one wiring of its inputs. Candidates are visited in a
@@ -25,13 +27,22 @@ budget alone the node count, the status and the model of a solve are
 deterministic. Every candidate costs one node however cheaply it is
 dismissed.
 
-Within one solve each distinct ``(type, value vector)`` gets a small int
-id, and each operator semantics, a tag with its input types, memoizes its
-applications on the ids of its inputs, so a repeated application is one
-dict lookup and a duplicate check is one list index. The two instances of
-an operator at level 4 share one memo: both compute the same vector from
-the same inputs, and the id of a vector does not depend on which instance
-computed it first, so sharing changes no id, no pruning and no node.
+Each distinct ``(type, value vector)`` gets a small int id, and each
+operator semantics, a tag with its input types, memoizes its applications
+on the ids of its inputs, so a repeated application is one dict lookup and
+a duplicate check is one list index. Ids and memos live in the problem's
+``trace.VectorTable``, one per trace matrix (hash-consing, Filliâtre and
+Conchon 2006): every rung encoded from a matrix reads its rows, so each
+rung finds the vectors and applications of the rungs before it, and a
+ladder climb applies each operator to each input once. An id names a
+vector's contents only, so which solve or which instance computed it
+first changes no pruning, no node and no model; the two instances of an
+operator at level 4 share one memo for the same reason. A solve marks the
+ids its columns and cone members hold in its own ``seen`` list, and holds
+the table's lock: two threads solving rungs of one matrix take turns, and
+independent matrices never contend. A vector holding NaN gets a fresh id
+each time and is never memoized (see ``apply``), so it is the one
+application a climb repeats.
 
 The last two cone positions are taken in one step (``close``): a
 candidate on the next-to-last position is not pushed. Every wiring of
@@ -99,14 +110,15 @@ numeric port then takes a column, so every comparison in any cone is a
 one-member root over a column wiring, and every other bool node is a bool
 column or a component over bool nodes. On each row an expression's value
 is therefore a function of the values of the bool columns and of those
-roots, all of which the pass has interned. Rows are keyed by these
-vectors; if two rows with the same key expect different outcomes, no
-expression separates them and the answer is unsat. The expected vector
-joins the key only as a column's own vector: a deeper cone may still reach
-that column, as ``b == (b == b)`` does with two bool ``==`` components.
-The check reuses the pass's vectors and costs no node, so an unsat it
-proves reports the nodes of the one-member pass: every root wiring of the
-columns.
+roots, all of which the pass has memoized. Rows are keyed by these
+vectors, read from the pass's memo entries and not from the whole table,
+which may hold the bool vectors of deeper rungs; if two rows with the same
+key expect different outcomes, no expression separates them and the
+answer is unsat. The expected vector joins the key only as a column's own
+vector: a deeper cone may still reach that column, as ``b == (b == b)``
+does with two bool ``==`` components. The check reuses the pass's vectors
+and costs no node, so an unsat it proves reports the nodes of the
+one-member pass: every root wiring of the columns.
 """
 from __future__ import annotations
 
@@ -161,14 +173,19 @@ def solve_internal(
             return SolveResult(SAT, problem.fixed_assignment())
         return SolveResult(UNSAT)
 
-    stop = None if timeout_s is None else budget.now() + timeout_s
-    if deadline is not None and (stop is None or deadline < stop):
+    if timeout_s is None:
         stop = deadline
+    else:
+        start = budget.now()
+        stop = start + timeout_s if deadline is None else min(start + timeout_s, deadline)
+        if start > stop:  # the deadline passed before the rung started
+            return SolveResult(TIMEOUT)
     nodes = Budget(max_nodes, stop)
-    try:
-        found = _search_cones(problem, nodes)
-    except (Exhausted, DeadlineExceeded):
-        return SolveResult(TIMEOUT, nodes=nodes.count)
+    with problem.vector_table.lock:
+        try:
+            found = _search_cones(problem, nodes)
+        except (Exhausted, DeadlineExceeded):
+            return SolveResult(TIMEOUT, nodes=nodes.count)
     if found is not None:
         order, wirings = found
         model = _complete_model(problem, order, wirings)
@@ -228,6 +245,11 @@ class _SearchState:
     the duplicate also exists through the original with a strictly smaller
     cone, which an earlier iteration already enumerated.
 
+    Ids, vectors and memos are the problem's ``vector_table``, shared with
+    every other solve over the same matrix, and the caller holds its lock.
+    Only ``seen`` (by id, sized to the table at the start and grown with
+    it), the cone and its counts belong to this solve.
+
     The refs a port may take (columns first, then cone members in cone
     order), the count of consumers of each member, and the counts behind
     the consumability test are updated on push and pop, not rebuilt. Only
@@ -246,9 +268,14 @@ class _SearchState:
 
     def __init__(self, problem: SynthesisProblem, closers: Set[int], budget: Budget):
         components = problem.components
+        table = problem.vector_table
         self.budget = budget
         types = {c.type for c in problem.columns} | {c.out_type for c in components}
-        self.ids: Dict[str, Dict[Tuple, int]] = {t: {} for t in types}
+        for t in types:
+            table.ids.setdefault(t, {})
+        self.ids = table.ids
+        self.vectors = table.vectors  # by id
+        self.seen = [False] * len(self.vectors)  # by id: a column or a cone member has it
         # Per component, in component order: its ``shapes`` (output type,
         # distinct input types, arity), its ``semantics``, resolved once per
         # solve so the per-node path stays in C, and its entry in ``picks``,
@@ -261,7 +288,6 @@ class _SearchState:
         # cone (see ``_closers``). One memo serves each operator semantics,
         # a tag with its input types: the two instances of an operator at
         # level 4 share theirs, while ``<`` over ints and over reals do not.
-        memos: Dict[Tuple, Dict[Tuple[int, ...], int]] = {}
         latest: Dict[Tuple, int] = {}
         self.shapes = []
         self.picks = []
@@ -269,7 +295,7 @@ class _SearchState:
         self.semantics = []
         for ci, c in enumerate(components):
             op = (c.tag, c.in_types)
-            memo = memos.setdefault(op, {})
+            memo = table.memos.setdefault(op, {})
             twin, latest[op] = latest.get(op), ci
             mirrored = c.arity == 2 and c.commutes and c.in_types[0] == c.in_types[1]
             self.shapes.append((c.out_type, tuple(set(c.in_types)), c.arity))
@@ -278,8 +304,6 @@ class _SearchState:
                 self.roots.append((ci, c.in_types, memo, ci in closers, twin, mirrored))
             self.semantics.append((c.entry.fn, c.wraps, c.out_type == REAL,
                                    self.ids[c.out_type], memo))
-        self.vectors: List[Tuple] = []  # by id
-        self.seen: List[bool] = []  # by id: a column or a cone member has it
         self.refs: Dict[str, List[Ref]] = {t: [] for t in types}
         self.ref_ids: Dict[str, List[int]] = {t: [] for t in types}
         for i, col in enumerate(problem.columns):
@@ -580,13 +604,18 @@ class _SearchState:
     def confounded(self) -> bool:
         """Two rows that agree on every bool column and every one-member
         root over the columns expect different outcomes. Call it only after
-        ``close_empty`` has tried every root wiring; the expected vector
-        takes part only as a column's (see the module docstring)."""
-        vectors, expected = self.vectors, self.expected
-        atoms = [vectors[vid] for vid in self.ids[BOOL].values()
-                 if vid != expected or self.seen[vid]]
+        ``close_empty`` has tried every root wiring, so that each is in its
+        memo and none gave the expected vector, which therefore takes part
+        only as a column's (see the module docstring). The table may hold
+        other bool vectors, from other solves; they take no part."""
+        vids = set(self.ref_ids[BOOL])
+        for _, in_types, memo, closes, twin, _ in self.roots:
+            if closes and twin is None:  # a twin's wirings give its twin's vectors
+                vids.update(map(memo.__getitem__, product(*[self.ref_ids[t] for t in in_types])))
+        vectors = self.vectors
+        atoms = [vectors[vid] for vid in vids]
         outcomes: Dict[Tuple, bool] = {}
-        for key, outcome in zip(zip(*atoms), vectors[expected]):
+        for key, outcome in zip(zip(*atoms), vectors[self.expected]):
             if outcomes.setdefault(key, outcome) != outcome:
                 return True
         return False

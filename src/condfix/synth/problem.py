@@ -21,12 +21,12 @@ model means its decoded expression: ``satisfies_rows`` decodes it and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import InternalConsistencyError, UnsatisfiableMatrixError
-from ..trace import ColumnSpec, TraceMatrix
+from ..trace import ColumnSpec, TraceMatrix, VectorTable
 from .components import BOOL, Component, components_for_level
 from .expr import App, Leaf, PatchExpression, evaluate
 
@@ -46,6 +46,9 @@ class SynthesisProblem:
     columns: List[ColumnSpec]
     rows: List[Tuple[Tuple, bool]]  # (input values, expected outcome)
     components: List[Component]
+    # The built-in solver's interned vectors and memos: the matrix's table
+    # for a problem ``encode`` builds, else a fresh one.
+    vector_table: VectorTable = field(default_factory=VectorTable, repr=False, compare=False)
 
     def __post_init__(self):
         self.num_inputs = len(self.columns)
@@ -215,4 +218,5 @@ def encode_with_components(
         columns=list(matrix.columns),
         rows=rows,
         components=list(components),
+        vector_table=matrix.vector_table,
     )

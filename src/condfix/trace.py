@@ -24,7 +24,8 @@ is. So a receiver null in some row loses its queries, not its nullness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .angelic import CONDITION, AngelicTuple, check_candidate
@@ -58,6 +59,22 @@ class TraceRow:
     expected: bool
 
 
+class VectorTable:
+    """Interned value vectors and operator memos for the built-in solver
+    (see ``synth.internal``): each distinct ``(type, vector)`` has one id,
+    and each operator semantics maps the ids of its inputs to the id of its
+    output. Both depend on vector contents alone, so every solve may share
+    one table; a solve holds ``lock`` while it reads or writes the rest."""
+
+    __slots__ = ("lock", "ids", "vectors", "memos")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.ids: Dict[str, Dict[Tuple, int]] = {}  # by type: vector -> id
+        self.vectors: List[Tuple] = []  # by id
+        self.memos: Dict[Tuple, Dict[Tuple[int, ...], int]] = {}  # by (tag, in_types)
+
+
 @dataclass
 class TraceMatrix:
     location: int
@@ -65,6 +82,13 @@ class TraceMatrix:
     columns: List[ColumnSpec]
     rows: List[TraceRow]
     conflicting: bool = False
+    # The solver's table over these rows, handed to every problem encoded
+    # from this matrix, so the rungs of a ladder climb share their vectors
+    # and memos. Not an init field: ``replace`` (and so ``deduplicate``)
+    # starts a fresh one.
+    vector_table: VectorTable = field(
+        default_factory=VectorTable, init=False, repr=False, compare=False
+    )
 
     @property
     def degenerate(self) -> bool:

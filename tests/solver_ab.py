@@ -9,9 +9,13 @@ levels 1 to 4 until the first sat, as in the benchmark.
 It first checks that both trees give every solve of the climbs the same
 status, node count and model, and stops if one differs. It then times
 interleaved rounds, the tree that runs first alternating between rounds,
-of every solve of the climbs on problems encoded beforehand, in CPU time.
-Per level and in total it prints each side's median CPU per round, and
-the median, min and max over rounds of the ratio changed / baseline.
+of every solve of the climbs, in CPU time. Each round encodes its
+problems, untimed, from fresh copies of the matrices (``dataclasses.replace``):
+the rungs of one matrix share its vector table, so a round that re-solved
+the problems of the round before would start with every vector computed
+and overstate a gain. Per level and in total it prints each side's median
+CPU per round, and the median, min and max over rounds of the ratio
+changed / baseline.
 
 Run it as a script (pytest does not collect it):
 
@@ -21,6 +25,7 @@ Run it as a script (pytest does not collect it):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import statistics
 import sys
 import time
@@ -45,19 +50,31 @@ def load(src: Path):
 
 
 def climbs(api, seed: int, count: int):
-    """Per matrix, the encoded problem of each level the climb solves and
-    each solve's (status, nodes, model)."""
+    """Per matrix, the matrix and the levels its climb solves, and each
+    solve's (status, nodes, model)."""
     synth = api.synth
-    problems, outcomes = [], []
+    ladders, outcomes = [], []
     for matrix in islice(workloads.SynthLadder(api, seed, ROOT).groups(), count):
+        levels = []
         for level in LEVELS:
-            problem = synth.encode(matrix, level)
-            result = synth.solve_internal(problem, None, CAP)
-            problems.append((level, problem))
+            result = synth.solve_internal(synth.encode(matrix, level), None, CAP)
+            levels.append(level)
             outcomes.append((result.status, result.nodes, result.model))
             if result.is_sat:
                 break
-    return problems, outcomes
+        ladders.append((matrix, levels))
+    return ladders, outcomes
+
+
+def encoded(api, ladders):
+    """(level, problem) for every solve of the climbs, encoded from fresh
+    copies of the matrices, whose vector tables are empty."""
+    encode = api.synth.encode
+    problems = []
+    for matrix, levels in ladders:
+        fresh = dataclasses.replace(matrix)
+        problems += [(level, encode(fresh, level)) for level in levels]
+    return problems
 
 
 def timed_round(api, problems):
@@ -82,8 +99,8 @@ def main() -> None:
     args = parser.parse_args()
 
     base_api, new_api = load(args.baseline.resolve()), load(args.src.resolve())
-    base_problems, base_out = climbs(base_api, args.seed, args.matrices)
-    new_problems, new_out = climbs(new_api, args.seed, args.matrices)
+    base_ladders, base_out = climbs(base_api, args.seed, args.matrices)
+    new_ladders, new_out = climbs(new_api, args.seed, args.matrices)
     if base_out != new_out:
         moved = sum(a != b for a, b in zip(base_out, new_out)) + abs(len(base_out) - len(new_out))
         sys.exit(f"the trees disagree on {moved} of {len(base_out)} solves; no timing run")
@@ -92,9 +109,9 @@ def main() -> None:
 
     base_runs, new_runs = [], []
     for round_ in range(args.rounds):
-        order = [(base_api, base_problems, base_runs), (new_api, new_problems, new_runs)]
-        for api, problems, runs in (order if round_ % 2 == 0 else order[::-1]):
-            runs.append(timed_round(api, problems))
+        order = [(base_api, base_ladders, base_runs), (new_api, new_ladders, new_runs)]
+        for api, ladders, runs in (order if round_ % 2 == 0 else order[::-1]):
+            runs.append(timed_round(api, encoded(api, ladders)))
     print(f"{args.rounds} interleaved rounds, CPU seconds per round, changed / baseline:")
     print(f"{'level':>6} {'solves':>6} {'baseline':>9} {'changed':>9} "
           f"{'median':>7} {'min':>7} {'max':>7}")
@@ -107,7 +124,7 @@ def main() -> None:
         if not min(base):
             continue
         ratios = [b / a for a, b in zip(base, new)]
-        solves = sum(1 for lv, _ in base_problems if level in ("all", lv))
+        solves = sum(1 for _, levels in base_ladders for lv in levels if level in ("all", lv))
         print(f"{level:>6} {solves:>6} {statistics.median(base):>9.4f} {statistics.median(new):>9.4f} "
               f"{statistics.median(ratios):>7.3f} {min(ratios):>7.3f} {max(ratios):>7.3f}")
 

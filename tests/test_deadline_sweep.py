@@ -68,10 +68,9 @@ FEW_KS = (2, 3, 5, 10, 20, 50, 100, 200)
 # What a module other than ``budget`` may neither import nor call.
 CLOCK_NAMES = ("time", "datetime", "monotonic", "perf_counter", "process_time")
 # The most reads after read k. A rung whose level_started read is read k
-# meets the passed deadline only at its solve's first clock check, at node
-# 4,096: the solve's start, that check, elapsed, the seconds_left after the
-# timed-out rung and wall_time follow; cm5's level 2 makes 5.
-MOST_READS_AFTER = 5
+# times out at its solve's start, with no node searched: elapsed, the
+# seconds_left after the timed-out rung and wall_time follow, 4 in all.
+MOST_READS_AFTER = 4
 
 
 class FakeClock:
@@ -155,7 +154,7 @@ def test_a_passed_deadline_ends_exhausted_unless_a_patch_comes_late():
     # Only the last read, wall_time's, comes after the repair's outcome.
     # Before it, a repair the deadline stops ends exhausted, with its
     # current trial exhausted if one began; one that patches anyway fell
-    # in the window after the last rung's seconds_left read.
+    # in the window after the last rung's solve started: its elapsed read.
     for case, entries in GOLDEN.committed().items():
         for k, entry in entries.items():
             if entry["reads_after"] and entry["outcome"] == "no-patch":
@@ -186,9 +185,10 @@ def test_a_rung_stops_at_the_read_that_finds_its_deadline_passed(monkeypatch, j)
 
 @pytest.mark.parametrize("timeout, deadline, passes_at, nodes", [
     (60.0, None, None, 3 * 4096 + 1),  # the node cap stops it
-    (60.0, -1.0, None, 4096),  # the caller's deadline passed before the rung
-    (None, -1.0, None, 4096),
+    (60.0, -1.0, None, 0),  # the caller's deadline passed before the rung
+    (None, -1.0, None, 4096),  # no clock read at the start
     (60.0, 1e13, 2, 4096),  # the timeout passes first
+    (0.0, None, 2, 4096),  # a zero timeout is not past at the start
 ])
 def test_a_rung_deadline_is_the_earlier_of_its_timeout_and_the_callers(
         monkeypatch, timeout, deadline, passes_at, nodes):

@@ -152,8 +152,9 @@ def _comparison(old: list, new: list):
 # operator shared one memo and the checks of twin and mirrored root
 # wirings were skipped, and 38,390 before the cone positions before the
 # last counted, without walking, the subtrees of a twin and of a mirrored
-# wiring.
-APPLY_CALLS = 37_663
+# wiring, and 37,663 before the rungs of a climb shared one matrix's
+# vector table.
+APPLY_CALLS = 22_014
 # ``_SearchState.push`` calls, one per candidate walked into the cone, over
 # the same climbs. It was 20,629 before those subtrees were counted without
 # walking them, and 15,171 before a candidate of the next-to-last position

@@ -3,7 +3,10 @@
 ``reference_extend`` is the search stated plainly: every candidate of
 every component outside the cone, each component wiring in product order,
 counts one node and is walked, and the last position closes by
-``test_solver_close.reference_close``. ``_SearchState.extend`` closes the
+``test_solver_close.reference_close``. On the empty cone that memoizes
+every wiring of every closing root, as ``close_empty`` does, so
+``confounded``, which reads the one-member pass from those memos, sees the
+same vectors after either. ``_SearchState.extend`` closes the
 cone over each candidate of the next-to-last position without walking
 into it, and counts the subtrees that a twin component (the later
 instance of an operator semantics whose earlier instance is outside the
