@@ -63,11 +63,15 @@ left. Then:
 - with an earlier member ``a`` unconsumed too, only a binary root closes,
   as ``(a, m)`` or ``(m, a)``.
 
-Once per component there, ``plan`` counts the root wirings of every root
-outside the cone and the component, with one more ref of the component's
-type, and lists the roots that can close over that type, each with the
-count before it. ``m``'s ref joins the refs only while its roots are
-tried.
+``close`` checks each such wiring in line: a memo lookup, an ``apply`` on
+a miss, a compare with the expected id. Once per component there, ``plan``
+counts the root wirings of every root outside the cone and the component,
+with one more ref of the component's type, and lists the roots that can
+close over that type, each with the count before it. It reads both from a
+table of the roots outside the cone (``root_counts``), built once per
+output type in each ``extend`` call there, less the component's own
+wirings when it is a root. ``m``'s ref joins the refs only while its roots
+are tried.
 
 Two rules skip work whose outcome is already known, on every cone
 position. Neither skips a hit, so neither moves a status or a model. Each
@@ -98,9 +102,9 @@ clock is read:
   two, ``(m, a)`` mirrors ``(a, m)`` and is not checked.
 
 A root closes a cone only if every other component can park below it,
-which the columns alone decide, once per solve (``_closers``); on the
-standard ladder every bool root can. The wirings of a root that cannot
-still count as nodes.
+which the component shapes and the column types alone decide, once per
+process for each (``_closers``); on the standard ladder every bool root
+can. The wirings of a root that cannot still count as nodes.
 
 When no component takes a type that a component outputs (level 1), no
 cone has two members, so the search ends after the one-member pass. When
@@ -123,8 +127,9 @@ one-member pass: every root wiring of the columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .. import budget
 from ..budget import Budget, Exhausted
@@ -209,14 +214,22 @@ def _search_cones(problem: SynthesisProblem, budget: Budget):
     return None
 
 
-def _closers(problem: SynthesisProblem) -> Set[int]:
+def _closers(problem: SynthesisProblem) -> FrozenSet[int]:
     """The bool components that can own the result slot and so close a
     cone: those below which every other component parks, each once the
     columns or the components parked before it produce its input types,
     and whose own input types are then produced. Decided per shape from
-    the columns alone, before any search; with none, no model exists."""
-    shapes = [(c.in_types, c.out_type) for c in problem.components]
-    columns = {c.type for c in problem.columns}
+    the columns alone, before any search; with none, no model exists.
+    Cached by the shapes (input types, output type) and the column types,
+    never by the components, whose dataclass hash is a Python call each:
+    the rungs ``encode`` builds give 28 keys."""
+    return _closing(tuple([(c.in_types, c.out_type) for c in problem.components]),
+                    frozenset([c.type for c in problem.columns]))
+
+
+@lru_cache(maxsize=32)
+def _closing(shapes: Tuple[Tuple[Tuple[str, ...], str], ...],
+             columns: FrozenSet[str]) -> FrozenSet[int]:
     verdicts: Dict[Tuple, bool] = {}
     closers = set()
     for ci, shape in enumerate(shapes):
@@ -233,7 +246,7 @@ def _closers(problem: SynthesisProblem) -> Set[int]:
             verdicts[shape] = all(available.issuperset(ins) for ins, _ in others | {shape})
         if verdicts[shape]:
             closers.add(ci)
-    return closers
+    return frozenset(closers)
 
 
 class _SearchState:
@@ -248,7 +261,9 @@ class _SearchState:
     Ids, vectors and memos are the problem's ``vector_table``, shared with
     every other solve over the same matrix, and the caller holds its lock.
     Only ``seen`` (by id, sized to the table at the start and grown with
-    it), the cone and its counts belong to this solve.
+    it), the cone and its counts belong to this solve. The tables below
+    read each ``Component``'s precomputed facts; no per-process cache holds
+    a memo, a vector or an id.
 
     The refs a port may take (columns first, then cone members in cone
     order), the count of consumers of each member, and the counts behind
@@ -256,7 +271,9 @@ class _SearchState:
     positions before the next-to-last push: there ``extend`` tests each
     candidate against the members left unconsumed for the one pick left,
     without pushing it, and ``close`` tries the roots over it by the
-    component's ``plan`` (see the module docstring).
+    component's ``plan`` (see the module docstring), checking each root
+    wiring in line. The cone does not change there, so each ``plan`` reads
+    the ``root_counts`` of its type, built once per ``extend`` call.
 
     On every cone position a later twin and a mirrored wiring repeat
     subtrees that just missed (see the module docstring). ``extend`` keeps
@@ -266,7 +283,7 @@ class _SearchState:
     listing them for ``close`` to check.
     """
 
-    def __init__(self, problem: SynthesisProblem, closers: Set[int], budget: Budget):
+    def __init__(self, problem: SynthesisProblem, closers: FrozenSet[int], budget: Budget):
         components = problem.components
         table = problem.vector_table
         self.budget = budget
@@ -306,8 +323,9 @@ class _SearchState:
                                    self.ids[c.out_type], memo))
         self.refs: Dict[str, List[Ref]] = {t: [] for t in types}
         self.ref_ids: Dict[str, List[int]] = {t: [] for t in types}
+        values = list(zip(*[inputs for inputs, _ in problem.rows])) or [()] * len(problem.columns)
         for i, col in enumerate(problem.columns):
-            vid = self.intern(col.type, tuple(inputs[i] for inputs, _ in problem.rows))
+            vid = self.intern(col.type, values[i])
             self.seen[vid] = True
             self.refs[col.type].append(("col", i))
             self.ref_ids[col.type].append(vid)
@@ -321,11 +339,12 @@ class _SearchState:
         # Components outside the cone: how many take each type, how many
         # have each arity (largest first).
         self.takers = dict.fromkeys(types, 0)
-        self.by_arity: Dict[int, int] = {}
-        for _, in_types, arity in sorted(self.shapes, key=lambda shape: -shape[2]):
+        by_arity: Dict[int, int] = {}
+        for _, in_types, arity in self.shapes:
             for t in in_types:
                 self.takers[t] += 1
-            self.by_arity[arity] = self.by_arity.get(arity, 0) + 1
+            by_arity[arity] = by_arity.get(arity, 0) + 1
+        self.by_arity = dict(sorted(by_arity.items(), reverse=True))
 
     def intern(self, type_: str, vector: Tuple) -> int:
         ids = self.ids[type_]
@@ -432,6 +451,7 @@ class _SearchState:
         last = len(self.cone) == k - 2  # each candidate here takes the next-to-last position
         if last:
             unconsumed = self.unconsumed_members()
+            counts: Dict[str, tuple] = {}  # by output type: ``root_counts``
         by_types: Dict[Tuple[str, ...], list] = {}
         spent: Dict[int, int] = {}  # the nodes of each component's wirings here
         for ci, in_types, memo, twin, mirrored in self.picks:
@@ -466,10 +486,10 @@ class _SearchState:
                     continue
                 if last:
                     if plan is None:
-                        plan = self.plan(ci, unconsumed)
+                        plan = self.plan(ci, unconsumed, counts)
                     if not plan:
                         continue
-                    left = [member for member in unconsumed if member[0] not in wiring]
+                    left = unconsumed and [m for m in unconsumed if m[0] not in wiring]
                     if left and (len(left) > 1 or left[0] not in plan[2]):
                         continue
                     hit = self.close(plan, ci, wiring, vid, left[0] if left else None)
@@ -500,7 +520,28 @@ class _SearchState:
                 members.append((("comp", pos), t, index, self.ref_ids[t][index]))
         return members
 
-    def plan(self, ci: int, unconsumed: List[Tuple[Ref, str, int, int]]):
+    def root_counts(self, tm: str):
+        """The root wirings of the roots outside the cone, with one more ref
+        of type ``tm``: their total, each root's count, and the roots that
+        can close over ``tm``, each with the count before it and its earlier
+        twin while that is outside the cone (see ``plan``)."""
+        refs, in_cone = self.refs, self.in_cone
+        total, sizes, closers = 0, {}, []
+        for rci, in_types, memo, closes, twin, mirrored in self.roots:
+            if in_cone[rci]:
+                continue
+            if closes and tm in in_types:
+                waits = None if twin is None or in_cone[twin] else twin
+                closers.append((rci, in_types, memo, mirrored, total, waits))
+            size = 1
+            for t in in_types:
+                size *= len(refs[t]) + (t == tm)
+            sizes[rci] = size
+            total += size
+        return total, sizes, closers
+
+    def plan(self, ci: int, unconsumed: List[Tuple[Ref, str, int, int]],
+             counts: Dict[str, tuple]):
         """How component ``ci`` on the next-to-last position closes the
         cone, or ``()`` when no wiring of it can: its output type would have
         no taker left. Otherwise ``(total, closers, partners)``: the root
@@ -508,70 +549,86 @@ class _SearchState:
         ``ci`` counted among its type's; each root that can close over that
         type, with the count of the root wirings before its own; and the
         members that may stay unconsumed beside ``ci``, those whose type
-        keeps a taker when a binary component is left for both."""
+        keeps a taker when a binary component is left for both. The counts
+        come from ``root_counts`` of ``ci``'s type, built once per call of
+        ``extend`` in ``counts``, less ``ci``'s own wirings when it is a
+        root."""
         tm, ins, arity = self.shapes[ci]
-        takers, refs, in_cone = self.takers, self.refs, self.in_cone
+        takers = self.takers
         if takers[tm] <= (tm in ins):
             return ()
         pair = self.by_arity.get(2, 0) > (arity == 2)
         partners = [m for m in unconsumed if pair and takers[m[1]] > (m[1] in ins)]
-        total = 0
-        closers = []
-        for rci, in_types, memo, closes, twin, mirrored in self.roots:
-            if in_cone[rci] or rci == ci:
-                continue
-            # a twin follows one that missed here, unless that one is ``ci``
-            if closes and tm in in_types and (twin is None or twin == ci or in_cone[twin]):
-                closers.append((rci, in_types, memo, mirrored, total))
-            size = 1
-            for t in in_types:
-                size *= len(refs[t]) + (t == tm)
-            total += size
-        return total, closers, partners
+        table = counts.get(tm)
+        if table is None:
+            table = counts[tm] = self.root_counts(tm)
+        total, sizes, roots = table
+        own = sizes.get(ci, 0)
+        # a twin follows one that missed here, unless that one is ``ci``
+        closers = [(rci, in_types, memo, mirrored, tried - own if ci < rci else tried)
+                   for rci, in_types, memo, mirrored, tried, waits in roots
+                   if rci != ci and (waits is None or waits == ci)]
+        return total - own, closers, partners
 
     def close(self, plan, ci: int, wiring: Tuple[Ref, ...], vid: int,
               a: Optional[Tuple[Ref, str, int, int]]):
         """Close the cone with component ``ci`` wired ``wiring`` (vector
         ``vid``) as ``m`` on the next-to-last position and a root on the
         last, ``a`` being the earlier member left unconsumed, or None (see
-        the module docstring). The root wirings of ``plan`` count as nodes
-        up to the first hit."""
+        the module docstring). Each root's closing wirings are checked in
+        line: ``(x, m)`` over the refs ``xs`` of its first port's type, then
+        ``(m, y)`` over the refs ``ys`` of its second's. The root wirings of
+        ``plan`` count as nodes up to the first hit."""
         total, closers, _ = plan
         tm = self.shapes[ci][0]
-        refs, ids = self.refs, self.ref_ids
+        refs, ids, expected = self.refs, self.ref_ids, self.expected
         refs[tm].append(("comp", len(self.cone)))
         ids[tm].append(vid)
         im = len(refs[tm]) - 1
         m = refs[tm][im]
         if a is not None:
-            ra, ta, ia, va = a
+            ia, ta = a[2], a[1]
         hit = None
         for rci, in_types, memo, mirrored, tried in closers:
             if len(in_types) == 1:
-                if a is None and self.hits(rci, memo, (vid,)):
-                    hit = rci, (m,), tried + im + 1
-                    break
+                if a is None:
+                    got = memo.get((vid,))
+                    if got is None:
+                        got = self.apply(rci, (vid,))
+                    if got == expected:
+                        hit = rci, (m,), tried + im + 1
+                        break
                 continue
             t0, t1 = in_types
             n1 = len(refs[t1])
-            if a is not None:
-                if t0 == ta and t1 == tm and self.hits(rci, memo, (va, vid)):
-                    hit = rci, (ra, m), tried + ia * n1 + im + 1
-                    break
-                if not mirrored and t0 == tm and t1 == ta and self.hits(rci, memo, (vid, va)):
-                    hit = rci, (m, ra), tried + im * n1 + ia + 1
-                    break
-                continue
-            if t1 == tm:
-                x = self.partner(rci, memo, vid, t0, 0, len(refs[t0]) - (t0 == tm), False)
-                if x is not None:
+            if a is None:  # (x, m) with x before m, then (m, y), mirrors of a miss skipped
+                xs = range(len(refs[t0]) - (t0 == tm)) if t1 == tm else ()
+                ys = range(im if mirrored else 0, n1) if t0 == tm else ()
+            else:  # (a, m), then (m, a) unless it mirrors (a, m)
+                xs = (ia,) if t0 == ta and t1 == tm else ()
+                ys = (ia,) if not mirrored and t0 == tm and t1 == ta else ()
+            port_ids = ids[t0]
+            for x in xs:
+                key = (port_ids[x], vid)
+                got = memo.get(key)
+                if got is None:
+                    got = self.apply(rci, key)
+                if got == expected:
                     hit = rci, (refs[t0][x], m), tried + x * n1 + im + 1
                     break
-            if t0 == tm:
-                y = self.partner(rci, memo, vid, t1, im if mirrored else 0, n1, True)
-                if y is not None:
+            if hit is not None:
+                break
+            port_ids = ids[t1]
+            for y in ys:
+                key = (vid, port_ids[y])
+                got = memo.get(key)
+                if got is None:
+                    got = self.apply(rci, key)
+                if got == expected:
                     hit = rci, (m, refs[t1][y]), tried + im * n1 + y + 1
                     break
+            if hit is not None:
+                break
         refs[tm].pop()
         ids[tm].pop()
         if hit is None:
@@ -581,20 +638,17 @@ class _SearchState:
         self.budget.advance(nodes)
         return self.cone + [ci, rci], self.wirings + [wiring, root_wiring]
 
-    def hits(self, ci: int, memo: Dict[Tuple[int, ...], int], key: Tuple[int, ...]) -> bool:
-        vid = memo.get(key)
-        if vid is None:
-            vid = self.apply(ci, key)
-        return vid == self.expected
-
     def close_empty(self):
         """A one-member cone: every root wiring of the columns closes it."""
-        tried = 0
+        tried, expected = 0, self.expected
         for ci, in_types, memo, closes, twin, _ in self.roots:
             candidates = self.candidates(in_types)
             if closes and twin is None:  # a twin follows one that missed here
                 for index, (wiring, key) in enumerate(candidates):
-                    if self.hits(ci, memo, key):
+                    vid = memo.get(key)
+                    if vid is None:
+                        vid = self.apply(ci, key)
+                    if vid == expected:
                         self.budget.advance(tried + index + 1)
                         return [ci], [wiring]
             tried += len(candidates)
@@ -619,21 +673,6 @@ class _SearchState:
             if outcomes.setdefault(key, outcome) != outcome:
                 return True
         return False
-
-    def partner(self, ci: int, memo, vm: int, t: str, start: int, stop: int,
-                m_first: bool) -> Optional[int]:
-        """The first index from ``start`` below ``stop`` of the refs of type
-        ``t`` that wired with ``m`` (``m`` first or second) gives the
-        expected vector."""
-        ids, expected, get = self.ref_ids[t], self.expected, memo.get
-        for i in range(start, stop):
-            key = (vm, ids[i]) if m_first else (ids[i], vm)
-            vid = get(key)
-            if vid is None:
-                vid = self.apply(ci, key)
-            if vid == expected:
-                return i
-        return None
 
 
 def _complete_model(

@@ -53,11 +53,12 @@ class SynthesisProblem:
     def __post_init__(self):
         self.num_inputs = len(self.columns)
         self.p = self.num_inputs + len(self.components)
-        self.column_elements = [
-            IOElement(f"l_in{i + 1}", col.type) for i, col in enumerate(self.columns)
-        ]
 
-    # Built on first read: a built-in solve reads neither unless it is sat.
+    # Built on first read: a built-in solve reads none unless it is sat.
+    @cached_property
+    def column_elements(self) -> List[IOElement]:
+        return [IOElement(f"l_in{i + 1}", col.type) for i, col in enumerate(self.columns)]
+
     @cached_property
     def output_elements(self) -> List[IOElement]:
         return [IOElement(f"l_out_{c.uid}", c.out_type, i) for i, c in enumerate(self.components)]

@@ -131,7 +131,8 @@ def collect(
     def cells(snap) -> tuple:
         return tuple(_cell(col, declared, snap.values) for col in columns)
 
-    raw_rows: List[TraceRow] = []
+    # (test id, evaluation index, every column's cell, expected outcome)
+    raw_rows: List[Tuple[str, int, tuple, bool]] = []
     for test in suite:
         tuple_for_test = angelic.get(test.id)
         run = probed if tuple_for_test is None else forced.get(tuple_for_test.val, probed)
@@ -153,13 +154,15 @@ def collect(
             for m, snap in enumerate(snapshots):
                 expected = snap.condition if tuple_for_test is None else tuple_for_test.val
                 if type(expected) is bool:
-                    raw_rows.append(TraceRow(test.id, m, cells(snap), expected))
+                    raw_rows.append((test.id, m, cells(snap), expected))
         else:
-            raw_rows.append(TraceRow(test.id, 0, cells(snapshots[0]), tuple_for_test is None))
+            raw_rows.append((test.id, 0, cells(snapshots[0]), tuple_for_test is None))
 
     kept = [i for i in range(len(columns))
-            if all(row.inputs[i] is not None for row in raw_rows)]
-    rows = [replace(row, inputs=tuple(row.inputs[i] for i in kept)) for row in raw_rows]
+            if all(row[2][i] is not None for row in raw_rows)]
+    whole = len(kept) == len(columns)
+    rows = [TraceRow(test_id, m, inputs if whole else tuple(inputs[i] for i in kept), expected)
+            for test_id, m, inputs, expected in raw_rows]
     return TraceMatrix(location=loc, kind=kind, columns=[columns[i] for i in kept], rows=rows)
 
 

@@ -14,8 +14,19 @@ problems, untimed, from fresh copies of the matrices (``dataclasses.replace``):
 the rungs of one matrix share its vector table, so a round that re-solved
 the problems of the round before would start with every vector computed
 and overstate a gain. Per level and in total it prints each side's median
-CPU per round, and the median, min and max over rounds of the ratio
-changed / baseline.
+CPU per solve (a round's CPU over its solves), the median, min and max
+over rounds of the ratio changed / baseline, and the ratio of the two
+sides' CPU summed over all rounds.
+
+Both ratios appear because they answer different questions. The median
+pair ratio compares the two trees within each round, so a round in which
+the host slows down moves both sides alike; it says by how much the same
+work got cheaper. The summed ratio weights each round by its time, as a
+throughput figure does, so it says how much CPU the whole run saved, and a
+few slow rounds can move it. The CPU per solve ties both to the time of one
+benchmark op, which is one solve: a gain in the ratios shows up in the
+benchmark's op times only as far as the solves of a level are what its
+ops spend their time on.
 
 Run it as a script (pytest does not collect it):
 
@@ -112,9 +123,10 @@ def main() -> None:
         order = [(base_api, base_ladders, base_runs), (new_api, new_ladders, new_runs)]
         for api, ladders, runs in (order if round_ % 2 == 0 else order[::-1]):
             runs.append(timed_round(api, encoded(api, ladders)))
-    print(f"{args.rounds} interleaved rounds, CPU seconds per round, changed / baseline:")
+    print(f"{args.rounds} interleaved rounds: median CPU ms per solve; changed / baseline "
+          "per round (median, min, max) and summed over the rounds:")
     print(f"{'level':>6} {'solves':>6} {'baseline':>9} {'changed':>9} "
-          f"{'median':>7} {'min':>7} {'max':>7}")
+          f"{'median':>7} {'min':>7} {'max':>7} {'summed':>7}")
     for level in (*LEVELS, "all"):
         def total(run):
             return sum(run.values()) if level == "all" else run[level]
@@ -125,8 +137,10 @@ def main() -> None:
             continue
         ratios = [b / a for a, b in zip(base, new)]
         solves = sum(1 for _, levels in base_ladders for lv in levels if level in ("all", lv))
-        print(f"{level:>6} {solves:>6} {statistics.median(base):>9.4f} {statistics.median(new):>9.4f} "
-              f"{statistics.median(ratios):>7.3f} {min(ratios):>7.3f} {max(ratios):>7.3f}")
+        per_solve = [1000 * statistics.median(side) / solves for side in (base, new)]
+        print(f"{level:>6} {solves:>6} {per_solve[0]:>9.4f} {per_solve[1]:>9.4f} "
+              f"{statistics.median(ratios):>7.3f} {min(ratios):>7.3f} {max(ratios):>7.3f} "
+              f"{sum(new) / sum(base):>7.3f}")
 
 
 if __name__ == "__main__":

@@ -163,6 +163,9 @@ DIRECTED = [
     (3, "real", [((-0.0,), False), ((3.25,), True), ((1e300,), False), ((1.5,), True)]),
     (3, "real", [((1e300,), True), ((-2.5,), False), ((3.25,), False), ((0.0,), False),
                  ((0.5,), False)]),
+    # c0 - c0 <= c0: (m, y) hits before (m, m), which hits too, as NaN <= NaN
+    # is false; the (x, m) scan must stop short of m's own ref
+    (3, "real", [((2.5,), True), ((float("-inf"),), False), ((-0.0,), True)]),
 ]
 
 

@@ -20,7 +20,7 @@ from condfix.synth import (
     App, Leaf, components_for_level, decode, emit_smtlib, encode, encode_with_components,
     evaluate, parse_solver_output, solve, solve_external, to_minilang, to_source,
 )
-from condfix.synth.components import SMT_SYMBOLS, STEMS
+from condfix.synth.components import _LADDER, SMT_SYMBOLS, STEMS
 from condfix.synth.internal import SAT, TIMEOUT, UNSAT, _SearchState, solve_internal
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 from enumeration_oracle import enumerate_oracle, tree_to_source
@@ -146,6 +146,49 @@ class TestOperatorSemantics:
         assert solve(problem, None, 10.0).status == UNSAT
 
 
+class TestComponentLists:
+    """Each rung's list is built once per process; every call gets its own
+    copy of it, holding the same components."""
+
+    def test_equal_arguments_give_equal_lists_of_the_same_components(self):
+        for level in range(1, MAX_LEVEL + 1):
+            first = components_for_level(level, ["int", "bool", "real"])
+            again = components_for_level(level, ["real", "int", "int", "bool"])
+            assert first == again and first is not again
+            assert all(a is b for a, b in zip(first, again))
+        assert components_for_level(2, ["int"]) != components_for_level(2, ["real"])
+
+    def test_mutating_a_returned_list_changes_no_later_call(self):
+        first = components_for_level(3, ["int", "bool"])
+        kept = list(first)
+        first.reverse()
+        first.append(Component("!", ("bool",), "bool", 7))
+        del first[0]
+        assert components_for_level(3, ["int", "bool"]) == kept
+
+    def test_a_bad_level_raises_on_every_call_and_caches_nothing(self):
+        components_for_level(1, ["int"])
+        cached = dict(_LADDER)
+        for level in (0, 5, -1, 2.5, "2"):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="level must be in"):
+                    components_for_level(level, ["int", "real", "bool"])
+        assert _LADDER == cached
+
+    def test_facts_are_computed_once_and_take_no_part_in_equality(self):
+        comp = Component("<=", ("int", "int"), "bool")
+        assert (comp.arity, comp.uid, comp.wraps, comp.commutes) == (2, "le_int_int_0", False, False)
+        assert comp.entry is OPERATORS["<="]
+        assert Component("+", ("int", "int"), "int", 1).uid == "add_int_int_1"
+        assert Component("+", ("int", "int"), "int").wraps
+        assert not Component("+", ("real", "real"), "real").wraps
+        negation = Component("!", ("bool",), "bool", label="f1")
+        assert (negation.arity, negation.uid, negation.entry) == (1, "f1_bool_0", UNARY_OPERATORS["!"])
+        assert comp == Component("<=", ("int", "int"), "bool")
+        assert hash(comp) == hash(("<=", ("int", "int"), "bool", 0, None))
+        assert repr(comp) == "Component(tag='<=', in_types=('int', 'int'), out_type='bool', instance=0, label=None)"
+
+
 class TestEncoding:
     def test_running_example_domains(self):
         problem = running_example_problem()
@@ -190,6 +233,15 @@ class TestInternalSolve:
         assert result.is_sat
         text = to_source(decode(problem, result.model))
         assert text in ("a < b", "a <= b")
+
+    def test_a_matrix_with_no_rows_is_sat_at_its_first_node(self):
+        # every column's vector is empty, and so is every vector a wiring gives
+        m = matrix([int_col("a"), bool_col("b")], [])
+        for level in range(1, MAX_LEVEL + 1):
+            problem = encode(m, level)
+            result = solve_internal(problem, None, 100)
+            assert (result.status, result.nodes) == (SAT, 1)
+            assert to_source(decode(problem, result.model)) == "a < a"
 
     def test_unsat_when_no_expression_exists(self):
         # same single int column cannot separate equal inputs; conflict is

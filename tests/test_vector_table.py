@@ -17,8 +17,9 @@ import sys
 import threading
 from dataclasses import replace
 
+from condfix.budget import Budget
 from condfix.synth import (
-    MAX_LEVEL, MIN_LEVEL, TIMEOUT, SynthesisProblem, encode, solve_internal,
+    MAX_LEVEL, MIN_LEVEL, TIMEOUT, SynthesisProblem, encode, internal, solve_internal,
 )
 from condfix.trace import deduplicate
 from test_acceptance import _random_matrix
@@ -58,6 +59,34 @@ def test_a_copy_starts_a_fresh_table_and_every_rung_shares_the_matrixs():
     problem = encode(matrix, 2)
     built = SynthesisProblem(problem.columns, problem.rows, problem.components)
     assert built.vector_table is not matrix.vector_table
+
+
+def test_two_matrices_at_one_level_share_no_memo_and_no_vector_id():
+    # both rungs hold the same components, built once per process; every
+    # memo, vector and id a solve reads or writes is its own matrix's
+    pool = [m for m in matrices() if {c.type for c in m.columns} == {"int", "real"}]
+    first, second = replace(pool[0]), replace(pool[1])
+    for level in LEVELS:
+        problems = [encode(matrix, level) for matrix in (first, second)]
+        assert all(a is b for a, b in zip(*(problem.components for problem in problems)))
+        states = []
+        for matrix, problem in zip((first, second), problems):
+            table = matrix.vector_table
+            solve_internal(problem, None, LADDER_CAP)
+            state = internal._SearchState(problem, internal._closers(problem), Budget(LADDER_CAP))
+            assert state.ids is table.ids and state.vectors is table.vectors
+            assert all(memo is table.memos[c.tag, c.in_types]
+                       for (_, _, memo, _, _), c in zip(state.picks, problem.components))
+            states.append(state)
+        a, b = states
+        assert a.vectors is not b.vectors and a.ids is not b.ids
+        assert not {id(pick[2]) for pick in a.picks} & {id(pick[2]) for pick in b.picks}
+    assert first.vector_table.vectors and second.vector_table.vectors
+    # an id names a place in its own table only: solving one matrix adds
+    # nothing to another's
+    third = replace(pool[2])
+    solve_internal(encode(first, MAX_LEVEL), None, LADDER_CAP)
+    assert not third.vector_table.vectors and not third.vector_table.memos
 
 
 def test_a_climb_in_any_order_gives_every_rung_its_lone_outcome():
