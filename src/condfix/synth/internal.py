@@ -56,8 +56,6 @@ earlier member unconsumed, each pending type needs a taker outside the
 cone other than ``m``, and two pending members need a binary component
 left. Then:
 
-- an empty cone closes with any root wiring of the columns
-  (``close_empty``);
 - when only ``m`` is unconsumed, a unary root closes as ``(m,)`` and a
   binary one as ``(x, m)``, ``x`` before ``m``, then ``(m, y)``;
 - with an earlier member ``a`` unconsumed too, only a binary root closes,
@@ -106,30 +104,31 @@ which the component shapes and the column types alone decide, once per
 process for each (``_closers``); on the standard ladder every bool root
 can. The wirings of a root that cannot still count as nodes.
 
-When no component takes a type that a component outputs (level 1), no
-cone has two members, so the search ends after the one-member pass. When
-no component outputs an int or a real (levels 1 and 2), a failed
-one-member pass can prove the problem unsat with no further search. Every
+The search starts with the one-member pass (``close_empty``): any root
+wiring of the columns closes an empty cone. When no component takes a type
+that a component outputs (level 1), no cone has two members, so the search
+ends there. When no component outputs an int or a real (levels 1 and 2), a
+failed pass can prove the problem unsat with no further search. Every
 numeric port then takes a column, so every comparison in any cone is a
 one-member root over a column wiring, and every other bool node is a bool
 column or a component over bool nodes. On each row an expression's value
-is therefore a function of the values of the bool columns and of those
-roots, all of which the pass has memoized. Rows are keyed by these
-vectors, read from the pass's memo entries and not from the whole table,
-which may hold the bool vectors of deeper rungs; if two rows with the same
-key expect different outcomes, no expression separates them and the
-answer is unsat. The expected vector joins the key only as a column's own
-vector: a deeper cone may still reach that column, as ``b == (b == b)``
-does with two bool ``==`` components. The check reuses the pass's vectors
-and costs no node, so an unsat it proves reports the nodes of the
-one-member pass: every root wiring of the columns.
+is thus a function of the bool columns and those roots, whose vector ids
+the pass hands over as its atoms (not the table, which may hold the bool
+vectors of deeper rungs). ``confounded`` keys the rows by the atoms: two
+rows with one key that expect different outcomes make the problem unsat,
+at no node beyond the pass's. The expected vector is an atom only as a
+column's own: a deeper cone may still reach that column, as
+``b == (b == b)`` does with two bool ``==`` components. No atom proves
+nothing: then no column is bool and no comparison closes a cone (``!``
+over ``==`` of two int columns), so a deeper cone may hold one untried.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from math import prod
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import budget
 from ..budget import Budget, Exhausted
@@ -203,14 +202,15 @@ def _search_cones(problem: SynthesisProblem, budget: Budget):
     if not closers:
         return None
     state = _SearchState(problem, closers, budget)
-    numeric_free = all(c.out_type == BOOL for c in problem.components)
-    chains = any(state.takers[c.out_type] for c in problem.components)
-    for k in range(1, len(problem.components) + 1):
+    hit, atoms = state.close_empty()
+    if hit is not None or not any(state.takers[c.out_type] for c in problem.components):
+        return hit
+    if all(c.out_type == BOOL for c in problem.components) and state.confounded(atoms):
+        return None
+    for k in range(2, len(problem.components) + 1):
         hit = state.extend(k)
         if hit is not None:
             return hit
-        if k == 1 and (not chains or numeric_free and state.confounded()):
-            return None
     return None
 
 
@@ -437,17 +437,9 @@ class _SearchState:
             remaining -= take
         return pending <= capacity
 
-    def candidates(self, in_types: Tuple[str, ...]) -> List[Tuple[Tuple[Ref, ...], Tuple[int, ...]]]:
-        """Every wiring of ports typed ``in_types``, in product order, with
-        the ids of the vectors it feeds the ports."""
-        refs = product(*[self.refs[t] for t in in_types])
-        keys = product(*[self.ref_ids[t] for t in in_types])
-        return list(zip(refs, keys))
-
     def extend(self, k: int):
-        if k == 1:
-            return self.close_empty()
         budget, seen, in_cone = self.budget, self.seen, self.in_cone
+        refs, ids = self.refs, self.ref_ids
         last = len(self.cone) == k - 2  # each candidate here takes the next-to-last position
         if last:
             unconsumed = self.unconsumed_members()
@@ -464,8 +456,9 @@ class _SearchState:
                 continue
             start = budget.count
             candidates = by_types.get(in_types)
-            if candidates is None:
-                candidates = by_types[in_types] = self.candidates(in_types)
+            if candidates is None:  # every wiring, in product order, with its input ids
+                candidates = by_types[in_types] = list(zip(product(*[refs[t] for t in in_types]),
+                                                           product(*[ids[t] for t in in_types])))
             plan = None  # built for the first candidate that is no duplicate
             if mirrored:
                 n = len(self.refs[in_types[0]])
@@ -509,15 +502,14 @@ class _SearchState:
             spent[ci] = budget.count - start
         return None
 
-    def unconsumed_members(self) -> List[Tuple[Ref, str, int, int]]:
-        """The cone members no wiring uses, each as its ref, its type, its
-        index among the refs of that type and its vector id."""
+    def unconsumed_members(self) -> List[Tuple[Ref, str, int]]:
+        """The cone members no wiring uses, each as its ref, its type and
+        its index among the refs of that type."""
         members = []
         for pos, consumers in enumerate(self.consumers):
             if not consumers:
                 t = self.shapes[self.cone[pos]][0]
-                index = self.refs[t].index(("comp", pos))
-                members.append((("comp", pos), t, index, self.ref_ids[t][index]))
+                members.append((("comp", pos), t, self.refs[t].index(("comp", pos))))
         return members
 
     def root_counts(self, tm: str):
@@ -540,7 +532,7 @@ class _SearchState:
             total += size
         return total, sizes, closers
 
-    def plan(self, ci: int, unconsumed: List[Tuple[Ref, str, int, int]],
+    def plan(self, ci: int, unconsumed: List[Tuple[Ref, str, int]],
              counts: Dict[str, tuple]):
         """How component ``ci`` on the next-to-last position closes the
         cone, or ``()`` when no wiring of it can: its output type would have
@@ -571,7 +563,7 @@ class _SearchState:
         return total - own, closers, partners
 
     def close(self, plan, ci: int, wiring: Tuple[Ref, ...], vid: int,
-              a: Optional[Tuple[Ref, str, int, int]]):
+              a: Optional[Tuple[Ref, str, int]]):
         """Close the cone with component ``ci`` wired ``wiring`` (vector
         ``vid``) as ``m`` on the next-to-last position and a root on the
         last, ``a`` being the earlier member left unconsumed, or None (see
@@ -639,37 +631,36 @@ class _SearchState:
         return self.cone + [ci, rci], self.wirings + [wiring, root_wiring]
 
     def close_empty(self):
-        """A one-member cone: every root wiring of the columns closes it."""
-        tried, expected = 0, self.expected
+        """The one-member pass over every root wiring of the columns:
+        ``(hit, None)``, or ``(None, atoms)``, the ids of the bool columns
+        and of every vector computed, all that ``confounded`` reads. The
+        wirings of a twin or of a root that cannot close are counted only."""
+        refs, ids, expected = self.refs, self.ref_ids, self.expected
+        atoms, tried = set(ids[BOOL]), 0
         for ci, in_types, memo, closes, twin, _ in self.roots:
-            candidates = self.candidates(in_types)
-            if closes and twin is None:  # a twin follows one that missed here
-                for index, (wiring, key) in enumerate(candidates):
+            if closes and twin is None:
+                for index, (wiring, key) in enumerate(zip(product(*[refs[t] for t in in_types]),
+                                                          product(*[ids[t] for t in in_types]))):
                     vid = memo.get(key)
                     if vid is None:
                         vid = self.apply(ci, key)
                     if vid == expected:
                         self.budget.advance(tried + index + 1)
-                        return [ci], [wiring]
-            tried += len(candidates)
+                        return ([ci], [wiring]), None
+                    atoms.add(vid)
+            tried += prod([len(ids[t]) for t in in_types])
         self.budget.advance(tried)
-        return None
+        return None, atoms
 
-    def confounded(self) -> bool:
-        """Two rows that agree on every bool column and every one-member
-        root over the columns expect different outcomes. Call it only after
-        ``close_empty`` has tried every root wiring, so that each is in its
-        memo and none gave the expected vector, which therefore takes part
-        only as a column's (see the module docstring). The table may hold
-        other bool vectors, from other solves; they take no part."""
-        vids = set(self.ref_ids[BOOL])
-        for _, in_types, memo, closes, twin, _ in self.roots:
-            if closes and twin is None:  # a twin's wirings give its twin's vectors
-                vids.update(map(memo.__getitem__, product(*[self.ref_ids[t] for t in in_types])))
+    def confounded(self, atoms: Set[int]) -> bool:
+        """Two rows that agree on every atom of a one-member pass that
+        missed expect different outcomes (see the module docstring). No
+        atom proves nothing."""
+        if not atoms:
+            return False
         vectors = self.vectors
-        atoms = [vectors[vid] for vid in vids]
         outcomes: Dict[Tuple, bool] = {}
-        for key, outcome in zip(zip(*atoms), vectors[self.expected]):
+        for key, outcome in zip(zip(*[vectors[vid] for vid in atoms]), vectors[self.expected]):
             if outcomes.setdefault(key, outcome) != outcome:
                 return True
         return False

@@ -9,24 +9,27 @@ levels 1 to 4 until the first sat, as in the benchmark.
 It first checks that both trees give every solve of the climbs the same
 status, node count and model, and stops if one differs. It then times
 interleaved rounds, the tree that runs first alternating between rounds,
-of every solve of the climbs, in CPU time. Each round encodes its
-problems, untimed, from fresh copies of the matrices (``dataclasses.replace``):
-the rungs of one matrix share its vector table, so a round that re-solved
-the problems of the round before would start with every vector computed
-and overstate a gain. Per level and in total it prints each side's median
-CPU per solve (a round's CPU over its solves), the median, min and max
-over rounds of the ratio changed / baseline, and the ratio of the two
-sides' CPU summed over all rounds.
+in CPU time. A round times two passes over the climbs per tree, each from
+fresh copies of the matrices (``dataclasses.replace``): the rungs of one
+matrix share its vector table, so a pass that re-solved the problems of
+the pass before would start with every vector computed and overstate a
+gain. The solve pass encodes its problems untimed and times each
+``solve_internal`` call alone. The op pass times, per rung, what one
+benchmark op times: ``SynthLadder._solve``, an encode, a ``synth.solve``
+and a decode on sat. For each pass, per level and in total, it prints each
+side's median CPU per solve or op (a round's CPU over its rungs), the
+median, min and max over rounds of the ratio changed / baseline, and the
+ratio of the two sides' CPU summed over all rounds.
 
 Both ratios appear because they answer different questions. The median
 pair ratio compares the two trees within each round, so a round in which
 the host slows down moves both sides alike; it says by how much the same
 work got cheaper. The summed ratio weights each round by its time, as a
 throughput figure does, so it says how much CPU the whole run saved, and a
-few slow rounds can move it. The CPU per solve ties both to the time of one
-benchmark op, which is one solve: a gain in the ratios shows up in the
-benchmark's op times only as far as the solves of a level are what its
-ops spend their time on.
+few slow rounds can move it. Both tables appear because a change may move
+a rung's fixed work, its encode, its set-up and its decode, apart from the
+search: a claim on the benchmark's ``op_ms_*`` cites the op table, and a
+claim on the cost per node cites the solve table.
 
 Run it as a script (pytest does not collect it):
 
@@ -88,15 +91,47 @@ def encoded(api, ladders):
     return problems
 
 
-def timed_round(api, problems):
-    """CPU seconds per level for one pass over ``problems``."""
+def timed_round(api, ladders):
+    """CPU seconds per level of one solve pass and of one op pass over the
+    climbs, each from fresh copies of the matrices."""
     solve, clock = api.synth.solve_internal, time.process_time
-    spent = dict.fromkeys(LEVELS, 0.0)
-    for level, problem in problems:
+    solves, ops = dict.fromkeys(LEVELS, 0.0), dict.fromkeys(LEVELS, 0.0)
+    for level, problem in encoded(api, ladders):
         start = clock()
         solve(problem, None, CAP)
-        spent[level] += clock() - start
-    return spent
+        solves[level] += clock() - start
+    op = workloads.SynthLadder(api, 0, ROOT)._solve
+    for matrix, levels in ladders:
+        fresh = dataclasses.replace(matrix)
+        for level in levels:
+            start = clock()
+            op(fresh, level)
+            ops[level] += clock() - start
+    return solves, ops
+
+
+def table(what: str, ladders, base_runs, new_runs) -> None:
+    """Per level and in total: each side's median CPU ms per ``what``, and
+    the ratios changed / baseline per round (median, min, max) and summed
+    over the rounds."""
+    print(f"{len(base_runs)} interleaved rounds: median CPU ms per {what}; changed / baseline "
+          "per round (median, min, max) and summed over the rounds:")
+    print(f"{'level':>6} {what + 's':>6} {'baseline':>9} {'changed':>9} "
+          f"{'median':>7} {'min':>7} {'max':>7} {'summed':>7}")
+    for level in (*LEVELS, "all"):
+        def total(run):
+            return sum(run.values()) if level == "all" else run[level]
+
+        base = [total(run) for run in base_runs]
+        new = [total(run) for run in new_runs]
+        if not min(base):
+            continue
+        ratios = [b / a for a, b in zip(base, new)]
+        count = sum(1 for _, levels in ladders for lv in levels if level in ("all", lv))
+        per_rung = [1000 * statistics.median(side) / count for side in (base, new)]
+        print(f"{level:>6} {count:>6} {per_rung[0]:>9.4f} {per_rung[1]:>9.4f} "
+              f"{statistics.median(ratios):>7.3f} {min(ratios):>7.3f} {max(ratios):>7.3f} "
+              f"{sum(new) / sum(base):>7.3f}")
 
 
 def main() -> None:
@@ -122,25 +157,9 @@ def main() -> None:
     for round_ in range(args.rounds):
         order = [(base_api, base_ladders, base_runs), (new_api, new_ladders, new_runs)]
         for api, ladders, runs in (order if round_ % 2 == 0 else order[::-1]):
-            runs.append(timed_round(api, encoded(api, ladders)))
-    print(f"{args.rounds} interleaved rounds: median CPU ms per solve; changed / baseline "
-          "per round (median, min, max) and summed over the rounds:")
-    print(f"{'level':>6} {'solves':>6} {'baseline':>9} {'changed':>9} "
-          f"{'median':>7} {'min':>7} {'max':>7} {'summed':>7}")
-    for level in (*LEVELS, "all"):
-        def total(run):
-            return sum(run.values()) if level == "all" else run[level]
-
-        base = [total(run) for run in base_runs]
-        new = [total(run) for run in new_runs]
-        if not min(base):
-            continue
-        ratios = [b / a for a, b in zip(base, new)]
-        solves = sum(1 for _, levels in base_ladders for lv in levels if level in ("all", lv))
-        per_solve = [1000 * statistics.median(side) / solves for side in (base, new)]
-        print(f"{level:>6} {solves:>6} {per_solve[0]:>9.4f} {per_solve[1]:>9.4f} "
-              f"{statistics.median(ratios):>7.3f} {min(ratios):>7.3f} {max(ratios):>7.3f} "
-              f"{sum(new) / sum(base):>7.3f}")
+            runs.append(timed_round(api, ladders))
+    table("solve", base_ladders, [run[0] for run in base_runs], [run[0] for run in new_runs])
+    table("op", base_ladders, [run[1] for run in base_runs], [run[1] for run in new_runs])
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -171,6 +172,19 @@ class TestRepairCommand:
             code = main(["repair", "--program", str(program), "--suite", str(suite), flag, "nan"])
             assert code == EXIT_USAGE
         assert "timeouts must be positive" in capsys.readouterr().err
+
+    def test_run_as_a_script_it_exits_with_the_code_of_main(self, tmp_path, monkeypatch, capsys):
+        # in process, unlike ``python -m condfix.cli``, so that a statement
+        # coverage run traces the ``__main__`` line; runpy warns of a module
+        # it is asked to run that is already imported
+        argv = ["condfix", "repair", "--program", str(tmp_path / "missing.ml"),
+                "--suite", str(tmp_path / "suite.txt")]
+        monkeypatch.setattr(sys, "argv", argv)
+        monkeypatch.delitem(sys.modules, "condfix.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("condfix.cli", run_name="__main__")
+        assert exc.value.code == EXIT_USAGE
+        assert "missing.ml" in capsys.readouterr().err
 
     def test_usage_error_on_unknown_metric(self, tmp_path, capsys):
         program, suite = write_gcd_inputs(tmp_path)

@@ -250,6 +250,13 @@ class TestRealFormat:
         assert suite[0].expected_value == value and render_suite(suite) == f"t: f() -> {text}\n"
         assert _smt_literal(value, REAL) == (f"(- {text[1:]})" if value < 0 else text)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=repr)
+    def test_a_value_no_source_can_hold_is_written_by_repr(self, value):
+        assert format_real(value) == repr(value)
+
+    def test_null_reads_null(self):
+        assert repr(NULL) == "null"
+
 
 # Binary operators loosest to tightest, written out independently of
 # printer.PRECEDENCE so that the round-trip tests pin the order itself.

@@ -11,11 +11,13 @@ wirings. Each of its calls is checked against the rule its search stated
 plainly: push the candidate, test consumability, ``reference_close``, pop.
 The candidate must be consumable with the same number of unconsumed
 members, and the call must give the reference's hit (cone and wiring) or
-``None`` with it, and the same node delta. ``close_empty``, which closes a
-one-member cone over the columns, is checked against ``reference_close``
-too. Over the solve-digest matrices (levels 1 to 4, climbing until the
-first sat), 20 criterion-4 matrices (levels 1 and 2) and every function
-of two bool columns (level 2) the calls find zero, one and two
+``None`` with it, and the same node delta. ``close_empty``, the
+one-member pass over the columns, is checked against ``reference_close``
+too; when it misses, the atoms it hands to ``confounded`` must be those of
+``reference_atoms``, the rule by which ``confounded`` once read the pass
+from the memos. Over the solve-digest matrices (levels 1 to 4, climbing
+until the first sat), 20 criterion-4 matrices (levels 1 and 2) and every
+function of two bool columns (level 2) the calls find zero, one and two
 unconsumed members. A few small matrices make each kind of closing wiring
 the hit, and one makes it a root whose twin (the earlier instance of its
 operator) is the candidate.
@@ -36,6 +38,13 @@ from test_acceptance import _random_matrix
 from test_solve_digest import LADDER_CAP, bool_functions, matrices
 
 
+def wirings(state, in_types):
+    """Every (wiring, input ids) of ports typed ``in_types``, in product
+    order."""
+    return list(zip(product(*[state.refs[t] for t in in_types]),
+                    product(*[state.ref_ids[t] for t in in_types])))
+
+
 def reference_close(state):
     """(hit, nodes) of the product-and-filter rule; the budget is left alone."""
     unconsumed = {("comp", pos) for pos, n in enumerate(state.consumers) if not n}
@@ -43,7 +52,7 @@ def reference_close(state):
     for ci, in_types, memo, closes, _twin, _mirrored in state.roots:
         if state.in_cone[ci]:
             continue
-        candidates = state.candidates(in_types)
+        candidates = wirings(state, in_types)
         for index, (wiring, key) in enumerate(candidates):
             if closes and unconsumed.issubset(wiring):
                 vid = memo.get(key)
@@ -53,6 +62,18 @@ def reference_close(state):
                     return (state.cone + [ci], state.wirings + [wiring]), tried + index + 1
         tried += len(candidates)
     return None, tried
+
+
+def reference_atoms(state):
+    """What a one-member pass that missed hands to ``confounded``, by the
+    rule it replaced: the ids of the bool columns and the memo entry of
+    every column wiring of each root that can close a cone and has no
+    earlier twin."""
+    atoms = set(state.ref_ids["bool"])
+    for _ci, in_types, memo, closes, twin, _mirrored in state.roots:
+        if closes and twin is None:
+            atoms.update(memo[key] for _, key in wirings(state, in_types))
+    return atoms
 
 
 def hit_kind(cone_size: int, a, wiring) -> str:
@@ -94,11 +115,22 @@ def checked_close(monkeypatch):
     def checked_empty(state):
         assert not state.cone
         want, nodes = reference_close(state)
-        got = compare(state, lambda: close_empty(state), want, nodes)
+        atoms = None
+
+        def closing():
+            nonlocal atoms
+            hit, atoms = close_empty(state)
+            return hit
+
+        hit = compare(state, closing, want, nodes)
         calls[0] += 1
-        if got is not None:
+        if hit is not None:
             calls["columns"] += 1
-        return got
+            assert atoms is None
+        else:
+            assert atoms == reference_atoms(state)
+            calls["atoms"] += 1
+        return hit, atoms
 
     def checked(state, plan, ci, wiring, vid, a):
         size = len(state.cone)
@@ -124,7 +156,7 @@ def test_close_matches_the_reference_on_the_digest_matrices(checked_close):
         for level in range(MIN_LEVEL, MAX_LEVEL + 1):
             if solve_internal(encode(matrix, level), None, LADDER_CAP).status == SAT:
                 break
-    assert all(checked_close[key] for key in (0, 1, 2, "hit"))
+    assert all(checked_close[key] for key in (0, 1, 2, "hit", "atoms"))
 
 
 def test_close_matches_the_reference_on_criterion_4_matrices(checked_close):
@@ -137,7 +169,7 @@ def test_close_matches_the_reference_on_criterion_4_matrices(checked_close):
         solved += 1
         for level in (1, 2):
             solve_internal(encode(matrix, level), None, 100_000)
-    assert all(checked_close[key] for key in (0, 1, 2, "hit"))
+    assert all(checked_close[key] for key in (0, 1, 2, "hit", "atoms"))
 
 
 def test_close_matches_the_reference_on_every_function_of_two_bools(checked_close):

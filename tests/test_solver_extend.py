@@ -3,10 +3,9 @@
 ``reference_extend`` is the search stated plainly: every candidate of
 every component outside the cone, each component wiring in product order,
 counts one node and is walked, and the last position closes by
-``test_solver_close.reference_close``. On the empty cone that memoizes
-every wiring of every closing root, as ``close_empty`` does, so
-``confounded``, which reads the one-member pass from those memos, sees the
-same vectors after either. ``_SearchState.extend`` closes the
+``test_solver_close.reference_close``. Both searches follow the same
+one-member pass, ``close_empty``, whose atoms are all that ``confounded``
+reads, and start at two members. ``_SearchState.extend`` closes the
 cone over each candidate of the next-to-last position without walking
 into it, and counts the subtrees that a twin component (the later
 instance of an operator semantics whose earlier instance is outside the
@@ -33,7 +32,7 @@ from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 from test_acceptance import _random_matrix
 from test_deadline_sweep import FakeClock
 from test_solve_digest import DEEP_CAP, LADDER_CAP, matrices
-from test_solver_close import reference_close
+from test_solver_close import reference_close, wirings
 
 
 def reference_extend(state, k: int):
@@ -50,7 +49,7 @@ def reference_extend(state, k: int):
             continue
         candidates = by_types.get(in_types)
         if candidates is None:
-            candidates = by_types[in_types] = state.candidates(in_types)
+            candidates = by_types[in_types] = wirings(state, in_types)
         for wiring, key in candidates:
             state.budget.advance()
             vid = memo.get(key)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from condfix.budget import Budget
 from condfix.errors import (
     InternalConsistencyError, SolverBackendError, UnsatisfiableMatrixError,
 )
@@ -21,7 +22,7 @@ from condfix.synth import (
     evaluate, parse_solver_output, solve, solve_external, to_minilang, to_source,
 )
 from condfix.synth.components import _LADDER, SMT_SYMBOLS, STEMS
-from condfix.synth.internal import SAT, TIMEOUT, UNSAT, _SearchState, solve_internal
+from condfix.synth.internal import SAT, TIMEOUT, UNSAT, _closers, _SearchState, solve_internal
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 from enumeration_oracle import enumerate_oracle, tree_to_source
 
@@ -306,6 +307,15 @@ class TestInternalSolve:
         assert problem.check_model(result.model) == []
         assert to_source(decode(problem, result.model)) == "!(a == b)"
 
+    def test_a_one_member_pass_with_no_atom_proves_nothing(self):
+        # no column is bool and ``==`` cannot close, so the pass computes no
+        # vector: the rows share the empty key, yet ``!(a == b)`` tells them
+        # apart (the test above solves them)
+        problem = self.not_over_equality([(1, 1, False), (1, 2, True)])
+        state = _SearchState(problem, _closers(problem), Budget(100))
+        assert state.close_empty() == (None, set())
+        assert state.confounded(set()) is False
+
     def test_structural_validity_of_models(self):
         m = matrix(
             [int_col("a"), int_col("b"), bool_col("p")],
@@ -341,8 +351,8 @@ class TestIndistinctRows:
         calls = []
         check = _SearchState.confounded
 
-        def counted(state):
-            calls.append(check(state))
+        def counted(state, atoms):
+            calls.append(check(state, atoms))
             return calls[-1]
 
         monkeypatch.setattr(_SearchState, "confounded", counted)
@@ -378,7 +388,7 @@ class TestIndistinctRows:
         problems = [(level, encode(m, level)) for m in (small_matrix(rng) for _ in range(80))
                     if not m.conflicting for level in (1, 2)]
         with_check = [solve_internal(p, None, 20_000) for _, p in problems]
-        monkeypatch.setattr(_SearchState, "confounded", lambda state: False)
+        monkeypatch.setattr(_SearchState, "confounded", lambda state, atoms: False)
         by_search = [solve_internal(p, None, 20_000) for _, p in problems]
         decided = [(level, a, b) for (level, _), a, b in zip(problems, with_check, by_search)
                    if b.status != TIMEOUT]

@@ -6,9 +6,9 @@ vectors and operator memos. An id names a vector's contents only, so a
 rung must give the same status, node count and model whatever the table
 already holds: here each matrix climbs levels 4 to 1 and then 1 to 4
 twice on one table, and every solve must match the same rung solved on a
-fresh copy of the matrix. ``confounded`` must read only the vectors of its
-own solve's one-member pass; one that read every bool vector of the table
-would see the deeper rungs' vectors after a descent. Four threads climbing
+fresh copy of the matrix. ``confounded`` must read only the atoms that
+its own solve's one-member pass hands over; one that read every bool
+vector of the table would see the deeper rungs' vectors after a descent. Four threads climbing
 one matrix at once must get the lone results too: a solve holds the
 table's lock.
 """
