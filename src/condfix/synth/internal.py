@@ -42,7 +42,11 @@ ids its columns and cone members hold in its own ``seen`` list, and holds
 the table's lock: two threads solving rungs of one matrix take turns, and
 independent matrices never contend. A vector holding NaN gets a fresh id
 each time and is never memoized (see ``apply``), so it is the one
-application a climb repeats.
+application a climb repeats. A wiring is the tuple of its input ids. A
+member's id is no column's or other member's (``seen``); columns that hold
+one vector share an id, which stands for the first of them: product order
+reaches that column first, and a wiring through a later one only repeats a
+subtree that has already missed.
 
 The last two cone positions are taken in one step (``close``): a
 candidate on the next-to-last position is not pushed. Every wiring of
@@ -68,8 +72,7 @@ with one more ref of the component's type, and lists the roots that can
 close over that type, each with the count before it. It reads both from a
 table of the roots outside the cone (``root_counts``), built once per
 output type in each ``extend`` call there, less the component's own
-wirings when it is a root. ``m``'s ref joins the refs only while its roots
-are tried.
+wirings when it is a root.
 
 Two rules skip work whose outcome is already known, on every cone
 position. Neither skips a hit, so neither moves a status or a model. Each
@@ -153,10 +156,6 @@ class SolveResult:
         return self.status == SAT
 
 
-# A wiring reference: ("col", column_index) or ("comp", cone_position).
-Ref = Tuple[str, int]
-
-
 def solve_internal(
     problem: SynthesisProblem,
     timeout_s: Optional[float] = None,
@@ -191,9 +190,7 @@ def solve_internal(
         except (Exhausted, DeadlineExceeded):
             return SolveResult(TIMEOUT, nodes=nodes.count)
     if found is not None:
-        order, wirings = found
-        model = _complete_model(problem, order, wirings)
-        return SolveResult(SAT, model, nodes.count)
+        return SolveResult(SAT, _complete_model(problem, *found), nodes.count)
     return SolveResult(UNSAT, nodes=nodes.count)
 
 
@@ -256,7 +253,9 @@ class _SearchState:
     across all rows. A candidate member whose vector duplicates a
     same-typed column or an earlier member is pruned: any solution through
     the duplicate also exists through the original with a strictly smaller
-    cone, which an earlier iteration already enumerated.
+    cone, which an earlier iteration already enumerated. So a wiring, the
+    tuple of its input ids, uses a member exactly when it holds its id; a
+    column's id stands for the first column of its vector.
 
     Ids, vectors and memos are the problem's ``vector_table``, shared with
     every other solve over the same matrix, and the caller holds its lock.
@@ -265,15 +264,15 @@ class _SearchState:
     read each ``Component``'s precomputed facts; no per-process cache holds
     a memo, a vector or an id.
 
-    The refs a port may take (columns first, then cone members in cone
-    order), the count of consumers of each member, and the counts behind
-    the consumability test are updated on push and pop, not rebuilt. Only
-    positions before the next-to-last push: there ``extend`` tests each
-    candidate against the members left unconsumed for the one pick left,
-    without pushing it, and ``close`` tries the roots over it by the
-    component's ``plan`` (see the module docstring), checking each root
-    wiring in line. The cone does not change there, so each ``plan`` reads
-    the ``root_counts`` of its type, built once per ``extend`` call.
+    The ids a port may take (``refs``: columns first, then cone members in
+    cone order) and the counts behind the consumability test are updated
+    on push and pop, not rebuilt. Only positions before the next-to-last
+    push: there ``extend`` tests each candidate against the members left
+    unconsumed for the one pick left, without pushing it, and ``close``
+    tries the roots over it by the component's ``plan`` (see the module
+    docstring), checking each root wiring in line. The cone does not
+    change there, so each ``plan`` reads the ``root_counts`` of its type,
+    built once per ``extend`` call.
 
     On every cone position a later twin and a mirrored wiring repeat
     subtrees that just missed (see the module docstring). ``extend`` keeps
@@ -321,21 +320,18 @@ class _SearchState:
                 self.roots.append((ci, c.in_types, memo, ci in closers, twin, mirrored))
             self.semantics.append((c.entry.fn, c.wraps, c.out_type == REAL,
                                    self.ids[c.out_type], memo))
-        self.refs: Dict[str, List[Ref]] = {t: [] for t in types}
-        self.ref_ids: Dict[str, List[int]] = {t: [] for t in types}
+        self.refs: Dict[str, List[int]] = {t: [] for t in types}
         values = list(zip(*[inputs for inputs, _ in problem.rows])) or [()] * len(problem.columns)
-        for i, col in enumerate(problem.columns):
-            vid = self.intern(col.type, values[i])
+        self.columns = [self.intern(c.type, v) for c, v in zip(problem.columns, values)]
+        for col, vid in zip(problem.columns, self.columns):
             self.seen[vid] = True
-            self.refs[col.type].append(("col", i))
-            self.ref_ids[col.type].append(vid)
+            self.refs[col.type].append(vid)
         self.expected = self.intern(BOOL, tuple(exp for _, exp in problem.rows))
 
         self.cone: List[int] = []
-        self.wirings: List[Tuple[Ref, ...]] = []
+        self.members: List[int] = []  # the id of each cone member
+        self.wirings: List[Tuple[int, ...]] = []
         self.in_cone = [False] * len(components)
-        self.consumers: List[int] = []  # by cone position
-        self.unconsumed = dict.fromkeys(types, 0)  # cone members no wiring uses, by type
         # Components outside the cone: how many take each type, how many
         # have each arity (largest first).
         self.takers = dict.fromkeys(types, 0)
@@ -379,54 +375,37 @@ class _SearchState:
         memo[key] = vid
         return vid
 
-    def push(self, ci: int, wiring: Tuple[Ref, ...], vid: int) -> None:
+    def push(self, ci: int, wiring: Tuple[int, ...], vid: int) -> None:
         out, in_types, arity = self.shapes[ci]
-        cone, consumers, unconsumed = self.cone, self.consumers, self.unconsumed
-        for kind, index in wiring:
-            if kind == "comp":
-                if not consumers[index]:
-                    unconsumed[self.shapes[cone[index]][0]] -= 1
-                consumers[index] += 1
-        self.refs[out].append(("comp", len(cone)))
-        self.ref_ids[out].append(vid)
-        cone.append(ci)
+        self.refs[out].append(vid)
+        self.cone.append(ci)
+        self.members.append(vid)
         self.wirings.append(wiring)
-        consumers.append(0)
-        unconsumed[out] += 1
         self.in_cone[ci] = True
         for t in in_types:
             self.takers[t] -= 1
         self.by_arity[arity] -= 1
 
     def pop(self) -> None:
-        cone, consumers, unconsumed = self.cone, self.consumers, self.unconsumed
-        ci = cone.pop()
+        ci = self.cone.pop()
         out, in_types, arity = self.shapes[ci]
         self.refs[out].pop()
-        self.ref_ids[out].pop()
-        consumers.pop()
-        unconsumed[out] -= 1
+        self.members.pop()
+        self.wirings.pop()
         self.in_cone[ci] = False
         for t in in_types:
             self.takers[t] += 1
         self.by_arity[arity] += 1
-        for kind, index in self.wirings.pop():
-            if kind == "comp":
-                consumers[index] -= 1
-                if not consumers[index]:
-                    unconsumed[self.shapes[cone[index]][0]] += 1
 
     def consumable(self, k: int) -> bool:
         """Every unconsumed cone member still needs a future consumer:
         prune when some member's type has no remaining component able to
         take it, or when unconsumed members outnumber the argument slots
         the remaining picks can offer."""
-        pending = 0
-        for t, count in self.unconsumed.items():
-            if count:
-                if not self.takers[t]:
-                    return False
-                pending += count
+        unconsumed = self.unconsumed_members()
+        if not all(self.takers[t] for _, t, _ in unconsumed):
+            return False
+        pending = len(unconsumed)
         remaining = k - len(self.cone)
         capacity = 0
         for arity, count in self.by_arity.items():
@@ -439,7 +418,7 @@ class _SearchState:
 
     def extend(self, k: int):
         budget, seen, in_cone = self.budget, self.seen, self.in_cone
-        refs, ids = self.refs, self.ref_ids
+        refs = self.refs
         last = len(self.cone) == k - 2  # each candidate here takes the next-to-last position
         if last:
             unconsumed = self.unconsumed_members()
@@ -456,14 +435,13 @@ class _SearchState:
                 continue
             start = budget.count
             candidates = by_types.get(in_types)
-            if candidates is None:  # every wiring, in product order, with its input ids
-                candidates = by_types[in_types] = list(zip(product(*[refs[t] for t in in_types]),
-                                                           product(*[ids[t] for t in in_types])))
+            if candidates is None:  # every wiring, in product order
+                candidates = by_types[in_types] = list(product(*[refs[t] for t in in_types]))
             plan = None  # built for the first candidate that is no duplicate
             if mirrored:
-                n = len(self.refs[in_types[0]])
+                n = len(refs[in_types[0]])
                 starts: List[int] = []  # the count before each wiring
-            for wiring, key in candidates:
+            for wiring in candidates:
                 if mirrored:
                     i, j = divmod(len(starts), n)
                     starts.append(budget.count)
@@ -472,9 +450,9 @@ class _SearchState:
                         budget.advance(starts[mirror + 1] - starts[mirror])
                         continue
                 budget.advance()
-                vid = memo.get(key)
+                vid = memo.get(wiring)
                 if vid is None:
-                    vid = self.apply(ci, key)
+                    vid = self.apply(ci, wiring)
                 if seen[vid]:
                     continue
                 if last:
@@ -502,15 +480,13 @@ class _SearchState:
             spent[ci] = budget.count - start
         return None
 
-    def unconsumed_members(self) -> List[Tuple[Ref, str, int]]:
-        """The cone members no wiring uses, each as its ref, its type and
-        its index among the refs of that type."""
-        members = []
-        for pos, consumers in enumerate(self.consumers):
-            if not consumers:
-                t = self.shapes[self.cone[pos]][0]
-                members.append((("comp", pos), t, self.refs[t].index(("comp", pos))))
-        return members
+    def unconsumed_members(self) -> List[Tuple[int, str, int]]:
+        """The cone members no wiring holds the id of, each as its id, its
+        type and its index among the refs of that type."""
+        used = set().union(*self.wirings)
+        outs = [self.shapes[ci][0] for ci in self.cone]
+        return [(vid, t, self.refs[t].index(vid))
+                for vid, t in zip(self.members, outs) if vid not in used]
 
     def root_counts(self, tm: str):
         """The root wirings of the roots outside the cone, with one more ref
@@ -532,7 +508,7 @@ class _SearchState:
             total += size
         return total, sizes, closers
 
-    def plan(self, ci: int, unconsumed: List[Tuple[Ref, str, int]],
+    def plan(self, ci: int, unconsumed: List[Tuple[int, str, int]],
              counts: Dict[str, tuple]):
         """How component ``ci`` on the next-to-last position closes the
         cone, or ``()`` when no wiring of it can: its output type would have
@@ -562,8 +538,8 @@ class _SearchState:
                    if rci != ci and (waits is None or waits == ci)]
         return total - own, closers, partners
 
-    def close(self, plan, ci: int, wiring: Tuple[Ref, ...], vid: int,
-              a: Optional[Tuple[Ref, str, int]]):
+    def close(self, plan, ci: int, wiring: Tuple[int, ...], vid: int,
+              a: Optional[Tuple[int, str, int]]):
         """Close the cone with component ``ci`` wired ``wiring`` (vector
         ``vid``) as ``m`` on the next-to-last position and a root on the
         last, ``a`` being the earlier member left unconsumed, or None (see
@@ -573,11 +549,9 @@ class _SearchState:
         ``plan`` count as nodes up to the first hit."""
         total, closers, _ = plan
         tm = self.shapes[ci][0]
-        refs, ids, expected = self.refs, self.ref_ids, self.expected
-        refs[tm].append(("comp", len(self.cone)))
-        ids[tm].append(vid)
+        refs, expected = self.refs, self.expected
+        refs[tm].append(vid)
         im = len(refs[tm]) - 1
-        m = refs[tm][im]
         if a is not None:
             ia, ta = a[2], a[1]
         hit = None
@@ -588,7 +562,7 @@ class _SearchState:
                     if got is None:
                         got = self.apply(rci, (vid,))
                     if got == expected:
-                        hit = rci, (m,), tried + im + 1
+                        hit = rci, (vid,), tried + im + 1
                         break
                 continue
             t0, t1 = in_types
@@ -599,56 +573,55 @@ class _SearchState:
             else:  # (a, m), then (m, a) unless it mirrors (a, m)
                 xs = (ia,) if t0 == ta and t1 == tm else ()
                 ys = (ia,) if not mirrored and t0 == tm and t1 == ta else ()
-            port_ids = ids[t0]
+            port_ids = refs[t0]
             for x in xs:
                 key = (port_ids[x], vid)
                 got = memo.get(key)
                 if got is None:
                     got = self.apply(rci, key)
                 if got == expected:
-                    hit = rci, (refs[t0][x], m), tried + x * n1 + im + 1
+                    hit = rci, key, tried + x * n1 + im + 1
                     break
             if hit is not None:
                 break
-            port_ids = ids[t1]
+            port_ids = refs[t1]
             for y in ys:
                 key = (vid, port_ids[y])
                 got = memo.get(key)
                 if got is None:
                     got = self.apply(rci, key)
                 if got == expected:
-                    hit = rci, (m, refs[t1][y]), tried + im * n1 + y + 1
+                    hit = rci, key, tried + im * n1 + y + 1
                     break
             if hit is not None:
                 break
         refs[tm].pop()
-        ids[tm].pop()
         if hit is None:
             self.budget.advance(total)
             return None
-        rci, root_wiring, nodes = hit
+        rci, key, nodes = hit
         self.budget.advance(nodes)
-        return self.cone + [ci, rci], self.wirings + [wiring, root_wiring]
+        return (self.cone + [ci, rci], self.wirings + [wiring, key], self.columns,
+                self.members + [vid, expected])
 
     def close_empty(self):
         """The one-member pass over every root wiring of the columns:
         ``(hit, None)``, or ``(None, atoms)``, the ids of the bool columns
         and of every vector computed, all that ``confounded`` reads. The
         wirings of a twin or of a root that cannot close are counted only."""
-        refs, ids, expected = self.refs, self.ref_ids, self.expected
-        atoms, tried = set(ids[BOOL]), 0
+        refs, expected = self.refs, self.expected
+        atoms, tried = set(refs[BOOL]), 0
         for ci, in_types, memo, closes, twin, _ in self.roots:
             if closes and twin is None:
-                for index, (wiring, key) in enumerate(zip(product(*[refs[t] for t in in_types]),
-                                                          product(*[ids[t] for t in in_types]))):
+                for index, key in enumerate(product(*[refs[t] for t in in_types])):
                     vid = memo.get(key)
                     if vid is None:
                         vid = self.apply(ci, key)
                     if vid == expected:
                         self.budget.advance(tried + index + 1)
-                        return ([ci], [wiring]), None
+                        return ([ci], [key], self.columns, [expected]), None
                     atoms.add(vid)
-            tried += prod([len(ids[t]) for t in in_types])
+            tried += prod([len(refs[t]) for t in in_types])
         self.budget.advance(tried)
         return None, atoms
 
@@ -667,7 +640,8 @@ class _SearchState:
 
 
 def _complete_model(
-    problem: SynthesisProblem, cone: List[int], wirings: List[Tuple[Ref, ...]]
+    problem: SynthesisProblem, cone: List[int], wirings: List[Tuple[int, ...]],
+    columns: List[int], members: List[int],
 ) -> Dict[str, int]:
     """Give every component a slot above the columns and wire its ports.
 
@@ -676,18 +650,24 @@ def _complete_model(
     Unused components park in repeated passes over ``dead``, each as soon
     as ``first`` holds its input types, and each port of one takes the
     first producer of its type, which is therefore below it. Cone members
-    follow in discovery order, wired by their refs, each followed by the
-    unused components it lets park. Every unused component parks before the
-    root, the last member (see ``_closers``), so the root takes the final
-    slot."""
+    follow in discovery order, each followed by the unused components it
+    lets park. A member's port takes the slot of its input id in ``slots``,
+    which maps the id of each column (``columns``) and cone member
+    (``members``) to the first slot that holds it. A member's id is no
+    other column's or member's; two columns that hold one vector share an
+    id, and the search wired the first of them: product order reaches it
+    before the later one, whose wirings only repeat subtrees that missed.
+    Every unused component parks before the root, the last member (see
+    ``_closers``), so the root takes the final slot."""
     components = problem.components
     base = problem.num_inputs + 1
     first: Dict[str, int] = {}
-    for slot, col in enumerate(problem.columns, 1):
+    slots: Dict[int, int] = {}  # by id
+    for slot, (col, vid) in enumerate(zip(problem.columns, columns), 1):
         first.setdefault(col.type, slot)
+        slots.setdefault(vid, slot)
     dead = [ci for ci in range(len(components)) if ci not in cone]
     placement: List[Tuple[int, List[int]]] = []  # (component, port slots) in slot order
-    cone_slots: List[int] = []  # by cone position
     for pos in range(len(cone) + 1):
         parked = True
         while parked:
@@ -701,9 +681,9 @@ def _complete_model(
                     parked = True
         if pos < len(cone):
             ci = cone[pos]
-            ports = [i + 1 if kind == "col" else cone_slots[i] for kind, i in wirings[pos]]
-            cone_slots.append(base + len(placement))
-            first.setdefault(components[ci].out_type, cone_slots[-1])
+            ports = [slots[vid] for vid in wirings[pos]]
+            slots.setdefault(members[pos], base + len(placement))
+            first.setdefault(components[ci].out_type, base + len(placement))
             placement.append((ci, ports))
     if dead:
         raise RuntimeError("could not place unused components below the result")

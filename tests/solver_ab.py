@@ -31,6 +31,13 @@ a rung's fixed work, its encode, its set-up and its decode, apart from the
 search: a claim on the benchmark's ``op_ms_*`` cites the op table, and a
 claim on the cost per node cites the solve table.
 
+The ratios are noisy. On a shared 2-vCPU Xeon VM (Python 3.11), one
+tree's ``src/`` against a copy of itself read an overall median op ratio
+of 0.967 on seed 7 (10 rounds; rounds ranged 0.743-1.092) and 0.982 on
+seed 1 (12 rounds; 0.861-1.074). So a ratio within about 4% of 1 is no
+evidence, and a claim runs this A/A control, the changed tree against a
+copy of itself, beside its A/B.
+
 Run it as a script (pytest does not collect it):
 
     git archive <commit> src | tar -x -C /tmp/base

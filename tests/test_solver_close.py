@@ -10,7 +10,8 @@ next-to-last position without pushing it, and enumerates only the closing
 wirings. Each of its calls is checked against the rule its search stated
 plainly: push the candidate, test consumability, ``reference_close``, pop.
 The candidate must be consumable with the same number of unconsumed
-members, and the call must give the reference's hit (cone and wiring) or
+members, and the call must give the reference's hit (the cone, its
+wirings as tuples of input ids, and the ids of the columns and members) or
 ``None`` with it, and the same node delta. ``close_empty``, the
 one-member pass over the columns, is checked against ``reference_close``
 too; when it misses, the atoms it hands to ``confounded`` must be those of
@@ -39,27 +40,33 @@ from test_solve_digest import LADDER_CAP, bool_functions, matrices
 
 
 def wirings(state, in_types):
-    """Every (wiring, input ids) of ports typed ``in_types``, in product
-    order."""
-    return list(zip(product(*[state.refs[t] for t in in_types]),
-                    product(*[state.ref_ids[t] for t in in_types])))
+    """Every wiring of ports typed ``in_types``, the tuple of its input
+    ids, in product order."""
+    return list(product(*[state.refs[t] for t in in_types]))
+
+
+def unconsumed_ids(state):
+    """The ids of the cone members that no wiring holds."""
+    return set(state.members).difference(*state.wirings)
 
 
 def reference_close(state):
     """(hit, nodes) of the product-and-filter rule; the budget is left alone."""
-    unconsumed = {("comp", pos) for pos, n in enumerate(state.consumers) if not n}
+    unconsumed = unconsumed_ids(state)
     tried = 0
     for ci, in_types, memo, closes, _twin, _mirrored in state.roots:
         if state.in_cone[ci]:
             continue
         candidates = wirings(state, in_types)
-        for index, (wiring, key) in enumerate(candidates):
+        for index, wiring in enumerate(candidates):
             if closes and unconsumed.issubset(wiring):
-                vid = memo.get(key)
+                vid = memo.get(wiring)
                 if vid is None:
-                    vid = state.apply(ci, key)
+                    vid = state.apply(ci, wiring)
                 if vid == state.expected:
-                    return (state.cone + [ci], state.wirings + [wiring]), tried + index + 1
+                    hit = (state.cone + [ci], state.wirings + [wiring], state.columns,
+                           state.members + [vid])
+                    return hit, tried + index + 1
         tried += len(candidates)
     return None, tried
 
@@ -69,26 +76,29 @@ def reference_atoms(state):
     rule it replaced: the ids of the bool columns and the memo entry of
     every column wiring of each root that can close a cone and has no
     earlier twin."""
-    atoms = set(state.ref_ids["bool"])
+    atoms = set(state.refs["bool"])
     for _ci, in_types, memo, closes, twin, _mirrored in state.roots:
         if closes and twin is None:
-            atoms.update(memo[key] for _, key in wirings(state, in_types))
+            atoms.update(memo[key] for key in wirings(state, in_types))
     return atoms
 
 
-def hit_kind(cone_size: int, a, wiring) -> str:
+def hit_kind(columns, m: int, a, wiring) -> str:
     """Which closing wiring hit: ``(m,)``, ``(x, m)`` or ``(m, y)`` with a
-    column or member partner when only the candidate ``m`` is unconsumed,
-    ``(a, m)`` or ``(m, a)`` when the earlier member ``a`` is unconsumed
-    too."""
-    m = ("comp", cone_size)
+    column or member partner when only the candidate ``m`` (its id) is
+    unconsumed, ``(a, m)`` or ``(m, a)`` when the earlier member ``a`` is
+    unconsumed too. A partner whose id is among the ids of the columns
+    ``columns`` is a column."""
+    def kind(vid):
+        return "col" if vid in columns else "comp"
+
     if len(wiring) == 1:
         return "(m,)"
     if a is not None:
         return "(a, m)" if wiring[1] == m else "(m, a)"
     if wiring[1] == m and wiring[0] != m:
-        return f"(x, m) x {wiring[0][0]}"
-    return f"(m, y) y {wiring[1][0]}"
+        return f"(x, m) x {kind(wiring[0])}"
+    return f"(m, y) y {kind(wiring[1])}"
 
 
 @pytest.fixture
@@ -136,14 +146,14 @@ def checked_close(monkeypatch):
         size = len(state.cone)
         state.push(ci, wiring, vid)
         consumable = state.consumable(size + 2)
-        unconsumed = sum(1 for n in state.consumers if not n)
+        unconsumed = len(unconsumed_ids(state))
         want, nodes = reference_close(state)
         state.pop()
         assert consumable and unconsumed == 1 + (a is not None)
         got = compare(state, lambda: close(state, plan, ci, wiring, vid, a), want, nodes)
         calls[unconsumed] += 1
         if got is not None:
-            calls[hit_kind(size, a, got[1][-1])] += 1
+            calls[hit_kind(state.columns, vid, a, got[1][-1])] += 1
         return got
 
     monkeypatch.setattr(internal._SearchState, "close_empty", checked_empty)

@@ -50,11 +50,11 @@ def reference_extend(state, k: int):
         candidates = by_types.get(in_types)
         if candidates is None:
             candidates = by_types[in_types] = wirings(state, in_types)
-        for wiring, key in candidates:
+        for wiring in candidates:
             state.budget.advance()
-            vid = memo.get(key)
+            vid = memo.get(wiring)
             if vid is None:
-                vid = state.apply(ci, key)
+                vid = state.apply(ci, wiring)
             if seen[vid]:
                 continue
             state.push(ci, wiring, vid)

@@ -316,6 +316,23 @@ class TestInternalSolve:
         assert state.close_empty() == (None, set())
         assert state.confounded(set()) is False
 
+    @pytest.mark.parametrize("columns, rows, level, source", [
+        # a one-member cone: ``<`` wired to the shared vector and to c
+        ([int_col("a"), int_col("b"), int_col("c")], [(1, 1, 2, True), (3, 3, 2, False)],
+         1, "a < c"),
+        # a two-member cone: ``&&`` wired to the shared vector and to ``!r``
+        ([bool_col("p"), bool_col("q"), bool_col("r")],
+         [(x, x, z, x and not z) for x in (False, True) for z in (False, True)], 2, "p && !r"),
+    ], ids=["one-member", "two-member"])
+    def test_a_vector_two_columns_hold_is_wired_to_the_first(self, columns, rows, level, source):
+        # the columns share one vector id; the search reaches the first
+        # column before the second, so the model must wire the first
+        problem = encode(matrix(columns, rows), level)
+        result = solve_internal(problem, None, 10_000)
+        assert result.status == SAT
+        assert problem.check_model(result.model) == []
+        assert to_source(decode(problem, result.model)) == source
+
     def test_structural_validity_of_models(self):
         m = matrix(
             [int_col("a"), int_col("b"), bool_col("p")],
