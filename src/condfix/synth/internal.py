@@ -25,7 +25,14 @@ fixed order (components in problem order; wirings in ``itertools.product``
 order over columns first, then earlier members), so under the node
 budget alone the node count, the status and the model of a solve are
 deterministic. Every candidate costs one node however cheaply it is
-dismissed.
+dismissed. A candidate's subtree is pruned, at no node, when a member the
+cone leaves unconsumed cannot be: its type has no taker outside the cone,
+or such members outnumber the ports of the components the picks left can
+add, binary ones first. The cone is the search's only state, and each
+component has one record of what the search reads of it (types, memo,
+twin, whether it is mirrored and whether it can close a cone): ``extend``
+reads both counts off the cone and the records once, on entry, against
+totals taken once per solve.
 
 Each distinct ``(type, value vector)`` gets a small int id, and each
 operator semantics, a tag with its input types, memoizes its applications
@@ -260,19 +267,20 @@ class _SearchState:
     Ids, vectors and memos are the problem's ``vector_table``, shared with
     every other solve over the same matrix, and the caller holds its lock.
     Only ``seen`` (by id, sized to the table at the start and grown with
-    it), the cone and its counts belong to this solve. The tables below
-    read each ``Component``'s precomputed facts; no per-process cache holds
-    a memo, a vector or an id.
+    it) and the cone belong to this solve. Each component has one record,
+    read off its ``Component``'s precomputed facts (see ``__init__``); no
+    per-process cache holds a memo, a vector or an id.
 
-    The ids a port may take (``refs``: columns first, then cone members in
-    cone order) and the counts behind the consumability test are updated
-    on push and pop, not rebuilt. Only positions before the next-to-last
-    push: there ``extend`` tests each candidate against the members left
-    unconsumed for the one pick left, without pushing it, and ``close``
-    tries the roots over it by the component's ``plan`` (see the module
-    docstring), checking each root wiring in line. The cone does not
-    change there, so each ``plan`` reads the ``root_counts`` of its type,
-    built once per ``extend`` call.
+    The cone is the search's only state. ``push`` and ``pop`` add and drop
+    a member's component, id and wiring, and its id among the ids a port
+    may take (``refs``: columns first, then cone members in cone order);
+    they keep no count. Only positions before the next-to-last push: there
+    ``extend`` tests each candidate against the members left unconsumed
+    for the one pick left, without pushing it, and ``close`` tries the
+    roots over it by the component's ``plan`` (see the module docstring),
+    checking each root wiring in line. The cone does not change there, so
+    each ``plan`` reads the ``root_counts`` of its type, built once per
+    ``extend`` call.
 
     On every cone position a later twin and a mirrored wiring repeat
     subtrees that just missed (see the module docstring). ``extend`` keeps
@@ -292,58 +300,51 @@ class _SearchState:
         self.ids = table.ids
         self.vectors = table.vectors  # by id
         self.seen = [False] * len(self.vectors)  # by id: a column or a cone member has it
-        # Per component, in component order: its ``shapes`` (output type,
-        # distinct input types, arity), its ``semantics``, resolved once per
-        # solve so the per-node path stays in C, and its entry in ``picks``,
-        # the candidates of a cone position before the last: input types,
-        # memo, nearest earlier twin (the instance before it of its operator
-        # semantics) or None, and whether it is ``mirrored`` (it commutes
-        # and both its ports take one type). A bool component also has an
-        # entry in ``roots``, the candidates of the last position, whose
-        # wirings all count as nodes: the same, with whether it can close a
-        # cone (see ``_closers``). One memo serves each operator semantics,
-        # a tag with its input types: the two instances of an operator at
-        # level 4 share theirs, while ``<`` over ints and over reals do not.
+        # One record per component, in component order: its index, output
+        # type, input types, memo, nearest earlier twin (the instance before
+        # it of its operator semantics) or None, whether it is ``mirrored``
+        # (it commutes and both its ports take one type), and whether it can
+        # close a cone (see ``_closers``). The bool ones are the ``roots``,
+        # the candidates of the last position, whose wirings all count as
+        # nodes. ``semantics`` is ``apply``'s table, resolved once per solve
+        # so the per-node path stays in C. One memo serves each operator
+        # semantics, a tag with its input types: the two instances of an
+        # operator at level 4 share theirs, while ``<`` over ints and over
+        # reals do not.
         latest: Dict[Tuple, int] = {}
-        self.shapes = []
-        self.picks = []
-        self.roots = []
+        self.records = []
         self.semantics = []
         for ci, c in enumerate(components):
             op = (c.tag, c.in_types)
             memo = table.memos.setdefault(op, {})
             twin, latest[op] = latest.get(op), ci
             mirrored = c.arity == 2 and c.commutes and c.in_types[0] == c.in_types[1]
-            self.shapes.append((c.out_type, tuple(set(c.in_types)), c.arity))
-            self.picks.append((ci, c.in_types, memo, twin, mirrored))
-            if c.out_type == BOOL:
-                self.roots.append((ci, c.in_types, memo, ci in closers, twin, mirrored))
+            self.records.append((ci, c.out_type, c.in_types, memo, twin, mirrored, ci in closers))
             self.semantics.append((c.entry.fn, c.wraps, c.out_type == REAL,
                                    self.ids[c.out_type], memo))
+        self.roots = [record for record in self.records if record[1] == BOOL]
         self.refs: Dict[str, List[int]] = {t: [] for t in types}
         values = list(zip(*[inputs for inputs, _ in problem.rows])) or [()] * len(problem.columns)
-        self.columns = [self.intern(c.type, v) for c, v in zip(problem.columns, values)]
+        self.columns = [self.intern(self.ids[c.type], v) for c, v in zip(problem.columns, values)]
         for col, vid in zip(problem.columns, self.columns):
             self.seen[vid] = True
             self.refs[col.type].append(vid)
-        self.expected = self.intern(BOOL, tuple(exp for _, exp in problem.rows))
+        self.expected = self.intern(self.ids[BOOL], tuple(exp for _, exp in problem.rows))
 
         self.cone: List[int] = []
         self.members: List[int] = []  # the id of each cone member
         self.wirings: List[Tuple[int, ...]] = []
         self.in_cone = [False] * len(components)
-        # Components outside the cone: how many take each type, how many
-        # have each arity (largest first).
+        # Over every component: how many take each type, how many are
+        # binary. ``extend`` takes the cone's members off both.
         self.takers = dict.fromkeys(types, 0)
-        by_arity: Dict[int, int] = {}
-        for _, in_types, arity in self.shapes:
-            for t in in_types:
+        for c in components:
+            for t in set(c.in_types):
                 self.takers[t] += 1
-            by_arity[arity] = by_arity.get(arity, 0) + 1
-        self.by_arity = dict(sorted(by_arity.items(), reverse=True))
+        self.binary = sum(c.arity == 2 for c in components)
 
-    def intern(self, type_: str, vector: Tuple) -> int:
-        ids = self.ids[type_]
+    def intern(self, ids: Dict[Tuple, int], vector: Tuple) -> int:
+        """The id of ``vector`` among ``ids``, those of its type."""
         vid = ids.get(vector)
         if vid is None:
             vid = ids[vector] = self.fresh(vector)
@@ -369,63 +370,47 @@ class _SearchState:
             # A NaN equals no other value, so each application yields a
             # vector no other one matches: a fresh id, never memoized.
             return self.fresh(vector)
-        vid = ids.get(vector)
-        if vid is None:
-            vid = ids[vector] = self.fresh(vector)
-        memo[key] = vid
+        vid = memo[key] = self.intern(ids, vector)
         return vid
 
     def push(self, ci: int, wiring: Tuple[int, ...], vid: int) -> None:
-        out, in_types, arity = self.shapes[ci]
-        self.refs[out].append(vid)
+        self.refs[self.records[ci][1]].append(vid)
         self.cone.append(ci)
         self.members.append(vid)
         self.wirings.append(wiring)
         self.in_cone[ci] = True
-        for t in in_types:
-            self.takers[t] -= 1
-        self.by_arity[arity] -= 1
 
     def pop(self) -> None:
         ci = self.cone.pop()
-        out, in_types, arity = self.shapes[ci]
-        self.refs[out].pop()
+        self.refs[self.records[ci][1]].pop()
         self.members.pop()
         self.wirings.pop()
         self.in_cone[ci] = False
-        for t in in_types:
-            self.takers[t] += 1
-        self.by_arity[arity] += 1
-
-    def consumable(self, k: int) -> bool:
-        """Every unconsumed cone member still needs a future consumer:
-        prune when some member's type has no remaining component able to
-        take it, or when unconsumed members outnumber the argument slots
-        the remaining picks can offer."""
-        unconsumed = self.unconsumed_members()
-        if not all(self.takers[t] for _, t, _ in unconsumed):
-            return False
-        pending = len(unconsumed)
-        remaining = k - len(self.cone)
-        capacity = 0
-        for arity, count in self.by_arity.items():
-            if capacity >= pending or not remaining:
-                break
-            take = min(remaining, count)
-            capacity += take * arity
-            remaining -= take
-        return pending <= capacity
 
     def extend(self, k: int):
+        """The first hit that grows the cone to at most ``k`` members, or
+        None; a cone that leaves a member unconsumable is pruned here, on
+        entry (see the module docstring)."""
         budget, seen, in_cone = self.budget, self.seen, self.in_cone
-        refs = self.refs
-        last = len(self.cone) == k - 2  # each candidate here takes the next-to-last position
+        refs, records, cone = self.refs, self.records, self.cone
+        takers, binary = dict(self.takers), self.binary  # outside the cone
+        for ci in cone:
+            in_types = records[ci][2]
+            for t in set(in_types):
+                takers[t] -= 1
+            binary -= len(in_types) == 2
+        unconsumed = self.unconsumed_members()
+        remaining = k - len(cone)
+        pairs = min(remaining, binary)
+        capacity = 2 * pairs + min(remaining - pairs, len(records) - len(cone) - binary)
+        if len(unconsumed) > capacity or not all(takers[t] for _, t, _ in unconsumed):
+            return None
+        last = len(cone) == k - 2  # each candidate here takes the next-to-last position
         if last:
-            unconsumed = self.unconsumed_members()
             counts: Dict[str, tuple] = {}  # by output type: ``root_counts``
         by_types: Dict[Tuple[str, ...], list] = {}
         spent: Dict[int, int] = {}  # the nodes of each component's wirings here
-        for ci, in_types, memo, twin, mirrored in self.picks:
+        for ci, _, in_types, memo, twin, mirrored, _ in records:
             if in_cone[ci]:
                 continue
             if twin is not None and not in_cone[twin]:
@@ -457,7 +442,7 @@ class _SearchState:
                     continue
                 if last:
                     if plan is None:
-                        plan = self.plan(ci, unconsumed, counts)
+                        plan = self.plan(ci, unconsumed, takers, binary, counts)
                     if not plan:
                         continue
                     left = unconsumed and [m for m in unconsumed if m[0] not in wiring]
@@ -468,9 +453,6 @@ class _SearchState:
                         return hit
                     continue
                 self.push(ci, wiring, vid)
-                if not self.consumable(k):
-                    self.pop()
-                    continue
                 seen[vid] = True
                 hit = self.extend(k)
                 if hit is not None:
@@ -484,7 +466,7 @@ class _SearchState:
         """The cone members no wiring holds the id of, each as its id, its
         type and its index among the refs of that type."""
         used = set().union(*self.wirings)
-        outs = [self.shapes[ci][0] for ci in self.cone]
+        outs = [self.records[ci][1] for ci in self.cone]
         return [(vid, t, self.refs[t].index(vid))
                 for vid, t in zip(self.members, outs) if vid not in used]
 
@@ -495,7 +477,7 @@ class _SearchState:
         twin while that is outside the cone (see ``plan``)."""
         refs, in_cone = self.refs, self.in_cone
         total, sizes, closers = 0, {}, []
-        for rci, in_types, memo, closes, twin, mirrored in self.roots:
+        for rci, _, in_types, memo, twin, mirrored, closes in self.roots:
             if in_cone[rci]:
                 continue
             if closes and tm in in_types:
@@ -509,7 +491,7 @@ class _SearchState:
         return total, sizes, closers
 
     def plan(self, ci: int, unconsumed: List[Tuple[int, str, int]],
-             counts: Dict[str, tuple]):
+             takers: Dict[str, int], binary: int, counts: Dict[str, tuple]):
         """How component ``ci`` on the next-to-last position closes the
         cone, or ``()`` when no wiring of it can: its output type would have
         no taker left. Otherwise ``(total, closers, partners)``: the root
@@ -517,15 +499,15 @@ class _SearchState:
         ``ci`` counted among its type's; each root that can close over that
         type, with the count of the root wirings before its own; and the
         members that may stay unconsumed beside ``ci``, those whose type
-        keeps a taker when a binary component is left for both. The counts
+        keeps a taker when a binary component is left for both; ``takers``
+        and ``binary`` count the components outside the cone. The counts
         come from ``root_counts`` of ``ci``'s type, built once per call of
         ``extend`` in ``counts``, less ``ci``'s own wirings when it is a
         root."""
-        tm, ins, arity = self.shapes[ci]
-        takers = self.takers
+        _, tm, ins = self.records[ci][:3]
         if takers[tm] <= (tm in ins):
             return ()
-        pair = self.by_arity.get(2, 0) > (arity == 2)
+        pair = binary > (len(ins) == 2)
         partners = [m for m in unconsumed if pair and takers[m[1]] > (m[1] in ins)]
         table = counts.get(tm)
         if table is None:
@@ -548,7 +530,7 @@ class _SearchState:
         ``(m, y)`` over the refs ``ys`` of its second's. The root wirings of
         ``plan`` count as nodes up to the first hit."""
         total, closers, _ = plan
-        tm = self.shapes[ci][0]
+        tm = self.records[ci][1]
         refs, expected = self.refs, self.expected
         refs[tm].append(vid)
         im = len(refs[tm]) - 1
@@ -611,7 +593,7 @@ class _SearchState:
         wirings of a twin or of a root that cannot close are counted only."""
         refs, expected = self.refs, self.expected
         atoms, tried = set(refs[BOOL]), 0
-        for ci, in_types, memo, closes, twin, _ in self.roots:
+        for ci, _, in_types, memo, twin, _, closes in self.roots:
             if closes and twin is None:
                 for index, key in enumerate(product(*[refs[t] for t in in_types])):
                     vid = memo.get(key)
@@ -689,7 +671,6 @@ def _complete_model(
         raise RuntimeError("could not place unused components below the result")
     model = problem.fixed_assignment()
     for slot, (ci, ports) in enumerate(placement, base):
-        uid = components[ci].uid
-        model[f"l_out_{uid}"] = slot
-        model.update((f"l_arg_{uid}_{k}", port) for k, port in enumerate(ports))
+        model[problem.output_elements[ci].name] = slot
+        model.update(zip(problem.port_names[ci], ports))
     return model

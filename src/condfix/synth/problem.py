@@ -71,6 +71,14 @@ class SynthesisProblem:
             for k in range(c.arity)
         ]
 
+    @cached_property
+    def port_names(self) -> List[List[str]]:
+        """Per component, the location variable of each of its ports."""
+        names: List[List[str]] = [[] for _ in self.components]
+        for e in self.port_elements:
+            names[e.component_index].append(e.name)
+        return names
+
     # -- domains -------------------------------------------------------------
 
     def fixed_assignment(self) -> Dict[str, int]:
@@ -187,12 +195,9 @@ def _traverse(problem: SynthesisProblem, model: Dict[str, int],
     role, index = producer_at[slot]
     if role == "col":
         return Leaf(problem.columns[index])
-    comp = problem.components[index]
-    args = tuple(
-        _traverse(problem, model, producer_at, model[f"l_arg_{comp.uid}_{k}"])
-        for k in range(comp.arity)
-    )
-    return App(comp, args)
+    args = tuple(_traverse(problem, model, producer_at, model[name])
+                 for name in problem.port_names[index])
+    return App(problem.components[index], args)
 
 
 def encode(matrix: TraceMatrix, level: int) -> SynthesisProblem:

@@ -110,7 +110,7 @@ def _row_constraints(problem, r: int, inputs, expected) -> List[str]:
     # Component semantics bind each output value to its argument values.
     for i, comp in enumerate(problem.components):
         out_v = f"v_{problem.output_elements[i].name}_{r}"
-        args = [f"v_l_arg_{comp.uid}_{k}_{r}" for k in range(comp.arity)]
+        args = [f"v_{name}_{r}" for name in problem.port_names[i]]
         lines.append(f"(assert (= {out_v} {_apply_smt(comp, args)}))")
 
     # Same slot, same type: same value.

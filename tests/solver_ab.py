@@ -17,19 +17,15 @@ gain. The solve pass encodes its problems untimed and times each
 ``solve_internal`` call alone. The op pass times, per rung, what one
 benchmark op times: ``SynthLadder._solve``, an encode, a ``synth.solve``
 and a decode on sat. For each pass, per level and in total, it prints each
-side's median CPU per solve or op (a round's CPU over its rungs), the
-median, min and max over rounds of the ratio changed / baseline, and the
-ratio of the two sides' CPU summed over all rounds.
+side's median CPU per solve or op (a round's CPU over its rungs) and the
+median, min and max over rounds of the ratio changed / baseline.
 
-Both ratios appear because they answer different questions. The median
-pair ratio compares the two trees within each round, so a round in which
-the host slows down moves both sides alike; it says by how much the same
-work got cheaper. The summed ratio weights each round by its time, as a
-throughput figure does, so it says how much CPU the whole run saved, and a
-few slow rounds can move it. Both tables appear because a change may move
-a rung's fixed work, its encode, its set-up and its decode, apart from the
-search: a claim on the benchmark's ``op_ms_*`` cites the op table, and a
-claim on the cost per node cites the solve table.
+The ratio is taken within each round, so a round in which the host slows
+down moves both sides alike; its median says by how much the same work got
+cheaper. Both tables appear because a change may move a rung's fixed
+work, its encode, its set-up and its decode, apart from the search: a
+claim on the benchmark's ``op_ms_*`` cites the op table, and a claim on
+the cost per node cites the solve table.
 
 The ratios are noisy. On a shared 2-vCPU Xeon VM (Python 3.11), one
 tree's ``src/`` against a copy of itself read an overall median op ratio
@@ -119,12 +115,11 @@ def timed_round(api, ladders):
 
 def table(what: str, ladders, base_runs, new_runs) -> None:
     """Per level and in total: each side's median CPU ms per ``what``, and
-    the ratios changed / baseline per round (median, min, max) and summed
-    over the rounds."""
+    the ratios changed / baseline per round (median, min, max)."""
     print(f"{len(base_runs)} interleaved rounds: median CPU ms per {what}; changed / baseline "
-          "per round (median, min, max) and summed over the rounds:")
+          "per round (median, min, max):")
     print(f"{'level':>6} {what + 's':>6} {'baseline':>9} {'changed':>9} "
-          f"{'median':>7} {'min':>7} {'max':>7} {'summed':>7}")
+          f"{'median':>7} {'min':>7} {'max':>7}")
     for level in (*LEVELS, "all"):
         def total(run):
             return sum(run.values()) if level == "all" else run[level]
@@ -137,8 +132,7 @@ def table(what: str, ladders, base_runs, new_runs) -> None:
         count = sum(1 for _, levels in ladders for lv in levels if level in ("all", lv))
         per_rung = [1000 * statistics.median(side) / count for side in (base, new)]
         print(f"{level:>6} {count:>6} {per_rung[0]:>9.4f} {per_rung[1]:>9.4f} "
-              f"{statistics.median(ratios):>7.3f} {min(ratios):>7.3f} {max(ratios):>7.3f} "
-              f"{sum(new) / sum(base):>7.3f}")
+              f"{statistics.median(ratios):>7.3f} {min(ratios):>7.3f} {max(ratios):>7.3f}")
 
 
 def main() -> None:

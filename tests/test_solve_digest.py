@@ -209,7 +209,7 @@ def test_each_operator_semantics_has_one_memo():
     for i, a in enumerate(components):
         for j, b in enumerate(components):
             same = (a.tag, a.in_types) == (b.tag, b.in_types)
-            assert (state.picks[i][2] is state.picks[j][2]) == same, (a, b)
+            assert (state.records[i][3] is state.records[j][3]) == same, (a, b)
 
 
 def test_solves_match_the_golden_digest():

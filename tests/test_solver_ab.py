@@ -24,7 +24,7 @@ def test_the_tool_compares_a_tree_with_itself():
                         "every status, node count and model agrees")
     for what in ("solve", "op"):
         header = lines.index(f"{'level':>6} {what + 's':>6} {'baseline':>9} {'changed':>9} "
-                             f"{'median':>7} {'min':>7} {'max':>7} {'summed':>7}")
+                             f"{'median':>7} {'min':>7} {'max':>7}")
         assert lines[header - 1].startswith(f"2 interleaved rounds: median CPU ms per {what};")
         rows = [line.split() for line in lines[header + 1:header + 6]]
         assert [row[:2] for row in rows] == [["1", "3"], ["2", "3"], ["3", "3"], ["4", "3"],

@@ -8,7 +8,9 @@ walked over is one node.
 ``_SearchState.close`` closes the cone over one candidate on the
 next-to-last position without pushing it, and enumerates only the closing
 wirings. Each of its calls is checked against the rule its search stated
-plainly: push the candidate, test consumability, ``reference_close``, pop.
+plainly: push the candidate, test consumability (``reference_consumable``,
+the rule by which every unconsumed member keeps a consumer),
+``reference_close``, pop.
 The candidate must be consumable with the same number of unconsumed
 members, and the call must give the reference's hit (the cone, its
 wirings as tuples of input ids, and the ids of the columns and members) or
@@ -50,11 +52,25 @@ def unconsumed_ids(state):
     return set(state.members).difference(*state.wirings)
 
 
+def reference_consumable(state, k: int) -> bool:
+    """Whether the cone's unconsumed members can all be consumed by the
+    ``k - len(cone)`` picks left: a component outside the cone takes each
+    one's type, and they number at most the ports of as many components
+    outside the cone, those with the most ports."""
+    outside = [record for record in state.records if not state.in_cone[record[0]]]
+    pending = [state.records[ci][1] for ci, vid in zip(state.cone, state.members)
+               if not any(vid in wiring for wiring in state.wirings)]
+    if not all(any(t in record[2] for record in outside) for t in pending):
+        return False
+    ports = sorted((len(record[2]) for record in outside), reverse=True)
+    return len(pending) <= sum(ports[:k - len(state.cone)])
+
+
 def reference_close(state):
     """(hit, nodes) of the product-and-filter rule; the budget is left alone."""
     unconsumed = unconsumed_ids(state)
     tried = 0
-    for ci, in_types, memo, closes, _twin, _mirrored in state.roots:
+    for ci, _out, in_types, memo, _twin, _mirrored, closes in state.roots:
         if state.in_cone[ci]:
             continue
         candidates = wirings(state, in_types)
@@ -77,7 +93,7 @@ def reference_atoms(state):
     every column wiring of each root that can close a cone and has no
     earlier twin."""
     atoms = set(state.refs["bool"])
-    for _ci, in_types, memo, closes, twin, _mirrored in state.roots:
+    for _ci, _out, in_types, memo, twin, _mirrored, closes in state.roots:
         if closes and twin is None:
             atoms.update(memo[key] for key in wirings(state, in_types))
     return atoms
@@ -145,7 +161,7 @@ def checked_close(monkeypatch):
     def checked(state, plan, ci, wiring, vid, a):
         size = len(state.cone)
         state.push(ci, wiring, vid)
-        consumable = state.consumable(size + 2)
+        consumable = reference_consumable(state, size + 2)
         unconsumed = len(unconsumed_ids(state))
         want, nodes = reference_close(state)
         state.pop()

@@ -19,20 +19,25 @@ passes after the ladder's node cap, the criterion-4 solves under one that
 passes before it. At level 4 every function of two bool columns, xor
 among them, is solved both ways too: each level-4 solve above runs out or
 closes a cone of at most two members, so only these count twin subtrees
-before a hit.
+before a hit. None of those solves prunes a cone as unconsumable, so a few
+problems over custom component sets (``custom_problem``) are solved both
+ways too, each one on which that prune moves the node count.
 """
 import random
+from collections import Counter
 from itertools import product
 
 from condfix import budget
 from condfix.synth import (
-    MAX_LEVEL, MIN_LEVEL, SAT, TIMEOUT, decode, encode, internal, solve_internal, to_source,
+    MAX_LEVEL, MIN_LEVEL, SAT, TIMEOUT, Component, decode, encode, encode_with_components, internal,
+    solve_internal, to_source,
 )
+from condfix.synth.components import ARITHMETIC_TAGS, COMPARISON_TAGS
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 from test_acceptance import _random_matrix
 from test_deadline_sweep import FakeClock
 from test_solve_digest import DEEP_CAP, LADDER_CAP, matrices
-from test_solver_close import reference_close, wirings
+from test_solver_close import reference_close, reference_consumable, wirings
 
 
 def reference_extend(state, k: int):
@@ -44,7 +49,7 @@ def reference_extend(state, k: int):
         return hit
     seen = state.seen
     by_types = {}
-    for ci, in_types, memo, _twin, _mirrored in state.picks:
+    for ci, _out, in_types, memo, _twin, _mirrored, _closes in state.records:
         if state.in_cone[ci]:
             continue
         candidates = by_types.get(in_types)
@@ -58,7 +63,7 @@ def reference_extend(state, k: int):
             if seen[vid]:
                 continue
             state.push(ci, wiring, vid)
-            if not state.consumable(k):
+            if not reference_consumable(state, k):
                 state.pop()
                 continue
             seen[vid] = True
@@ -137,3 +142,57 @@ def test_extend_matches_the_reference_on_criterion_4_matrices(monkeypatch):
             assert got == want, (solved, level)
             timeouts += got[0] == TIMEOUT
     assert timeouts
+
+
+def custom_problem(seed: int):
+    """A small problem over a custom component set, drawn from ``seed``:
+    two or three columns of any type, five to seven components (a
+    comparison, ``!``, ``&&`` or ``||``, or arithmetic, at 40, 25, 20 and 15
+    in 100), and two to four rows of small values."""
+    rng = random.Random(seed)
+    types = [rng.choice(("int", "bool", "real")) for _ in range(rng.randint(2, 3))]
+    numeric = [t for t in types if t != "bool"] or ["int"]
+    instances = Counter()
+    components = []
+    for _ in range(rng.randint(5, 7)):
+        draw = rng.random()
+        if draw < 0.4:
+            t = rng.choice(numeric)
+            tag, in_types, out = rng.choice(COMPARISON_TAGS), (t, t), "bool"
+        elif draw < 0.65:
+            tag, in_types, out = "!", ("bool",), "bool"
+        elif draw < 0.85:
+            tag, in_types, out = rng.choice(("&&", "||")), ("bool", "bool"), "bool"
+        else:
+            t = rng.choice(numeric)
+            tag, in_types, out = rng.choice(ARITHMETIC_TAGS), (t, t), t
+        components.append(Component(tag, in_types, out, instances[tag, in_types]))
+        instances[tag, in_types] += 1
+    draws = {"bool": lambda: rng.random() < 0.5, "int": lambda: rng.randint(-3, 3),
+             "real": lambda: rng.choice((-1.5, 0.0, 0.5, 2.0))}
+    rows = {}
+    for _ in range(rng.randint(2, 4)):
+        rows.setdefault(tuple(draws[t]() for t in types), rng.random() < 0.5)
+    columns = [ColumnSpec(f"c{i}", t, "var", var=f"c{i}") for i, t in enumerate(types)]
+    matrix = TraceMatrix(1, "condition", columns,
+                         [TraceRow(f"t{r}", 0, inputs, exp)
+                          for r, (inputs, exp) in enumerate(rows.items())])
+    return encode_with_components(matrix, components)
+
+
+# Seeds of ``custom_problem`` on which the consumability prune moves the
+# node count: its type half fires on all three, its capacity half on 1610,
+# and counting unary ports before binary ones would fire it on 692 too.
+PRUNED = (692, 1420, 1610)
+
+
+def test_extend_matches_the_reference_where_the_prune_fires(monkeypatch):
+    for seed in PRUNED:
+        problem = custom_problem(seed)
+        got, want = solve_both(monkeypatch, problem, None, LADDER_CAP)
+        assert got == want, seed
+        with monkeypatch.context() as patched:
+            patched.setitem(globals(), "reference_consumable", lambda state, k: True)
+            patched.setattr(internal._SearchState, "extend", reference_extend)
+            unpruned = solve_internal(problem, None, LADDER_CAP)
+        assert (unpruned.status, unpruned.model) == (got[0], got[2]) and unpruned.nodes > got[1], seed

@@ -76,11 +76,11 @@ def test_two_matrices_at_one_level_share_no_memo_and_no_vector_id():
             state = internal._SearchState(problem, internal._closers(problem), Budget(LADDER_CAP))
             assert state.ids is table.ids and state.vectors is table.vectors
             assert all(memo is table.memos[c.tag, c.in_types]
-                       for (_, _, memo, _, _), c in zip(state.picks, problem.components))
+                       for (_, _, _, memo, _, _, _), c in zip(state.records, problem.components))
             states.append(state)
         a, b = states
         assert a.vectors is not b.vectors and a.ids is not b.ids
-        assert not {id(pick[2]) for pick in a.picks} & {id(pick[2]) for pick in b.picks}
+        assert not {id(record[3]) for record in a.records} & {id(record[3]) for record in b.records}
     assert first.vector_table.vectors and second.vector_table.vectors
     # an id names a place in its own table only: solving one matrix adds
     # nothing to another's
