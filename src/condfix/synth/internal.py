@@ -41,10 +41,10 @@ a duplicate check is one list index. Ids and memos live in the problem's
 ``trace.VectorTable``, one per trace matrix (hash-consing, Filliâtre and
 Conchon 2006): every rung encoded from a matrix reads its rows, so each
 rung finds the vectors and applications of the rungs before it, and a
-ladder climb applies each operator to each input once. An id names a
-vector's contents only, so which solve or which instance computed it
-first changes no pruning, no node and no model; the two instances of an
-operator at level 4 share one memo for the same reason. A solve marks the
+ladder climb applies each operator to each input at most once. An id
+names a vector's contents only, so which solve or which instance computed
+it first changes no pruning, no node and no model; the two instances of
+an operator at level 4 share one memo for the same reason. A solve marks the
 ids its columns and cone members hold in its own ``seen`` list, and holds
 the table's lock: two threads solving rungs of one matrix take turns, and
 independent matrices never contend. A vector holding NaN gets a fresh id
@@ -72,14 +72,34 @@ left. Then:
 - with an earlier member ``a`` unconsumed too, only a binary root closes,
   as ``(a, m)`` or ``(m, a)``.
 
-``close`` checks each such wiring in line: a memo lookup, an ``apply`` on
-a miss, a compare with the expected id. Once per component there, ``plan``
-counts the root wirings of every root outside the cone and the component,
-with one more ref of the component's type, and lists the roots that can
-close over that type, each with the count before it. It reads both from a
-table of the roots outside the cone (``root_counts``), built once per
-output type in each ``extend`` call there, less the component's own
-wirings when it is a root.
+Once per component there, ``plan`` counts the root wirings of every root
+outside the cone and the component, with one more ref of the component's
+type, and lists the roots that can close over that type, each with the
+count before it. It reads both from a table of the roots outside the cone
+(``root_counts``), built once per output type in each ``extend`` call
+there, less the component's own wirings when it is a root; the plan of a
+component that is no root depends on its types alone, so components of
+one shape share it. Each plan holds one flat list of its closing wirings
+per pending member (``check_list``), built on first use: each entry holds
+the root's memo, the root, which port ``m`` takes, the id on the other
+port and the count of root wirings up to and including it. The refs do
+not change on this position, so ``close`` only builds each key and looks
+it up, and an empty list counts the plan's total with no ``close`` call.
+
+A wiring with no memo entry is settled by comparing the root's results
+with the expected vector row by row, up to the first row that differs
+(``matches``); only a hit is applied and interned. A miss is memoized as
+a marker, ``~e`` for the expected id ``e``: no id, as ids are never
+negative, and it names the vector the wiring missed, so a repeated check
+stays one dict lookup and an entry still depends on vector contents only.
+A root's vector on the last position is never a ref, so skipping its id
+changes no prune, no node and no model. Every other memo reader takes a
+negative entry for no entry, applies, and the id overwrites the marker:
+``extend``'s candidate lookup, where the wiring may now make a member, and
+``close_empty``, whose keys hold column ids only and so meet no marker of
+a problem over the same rows (``m``'s id is no column's, by ``seen``).
+``close`` reads another expected vector's marker, from a problem over
+other rows on the same table, as no entry too.
 
 Two rules skip work whose outcome is already known, on every cone
 position. Neither skips a hit, so neither moves a status or a model. Each
@@ -138,6 +158,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
+from operator import eq
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import budget
@@ -277,10 +298,11 @@ class _SearchState:
     they keep no count. Only positions before the next-to-last push: there
     ``extend`` tests each candidate against the members left unconsumed
     for the one pick left, without pushing it, and ``close`` tries the
-    roots over it by the component's ``plan`` (see the module docstring),
-    checking each root wiring in line. The cone does not change there, so
-    each ``plan`` reads the ``root_counts`` of its type, built once per
-    ``extend`` call.
+    roots over it off the flat check list of the component's ``plan`` and
+    the member left pending, None or the one earlier unconsumed member
+    (see the module docstring). The cone does not change there, so each
+    ``plan`` reads the ``root_counts`` of its type, and each check list
+    holds, for the whole ``extend`` call.
 
     On every cone position a later twin and a mirrored wiring repeat
     subtrees that just missed (see the module docstring). ``extend`` keeps
@@ -330,6 +352,10 @@ class _SearchState:
             self.seen[vid] = True
             self.refs[col.type].append(vid)
         self.expected = self.intern(self.ids[BOOL], tuple(exp for _, exp in problem.rows))
+        self.outcomes = self.vectors[self.expected]
+        # A root wiring whose vector is not the expected one is memoized as
+        # this marker, no id, which names the vector it missed (see ``close``).
+        self.miss = ~self.expected
 
         self.cone: List[int] = []
         self.members: List[int] = []  # the id of each cone member
@@ -408,9 +434,12 @@ class _SearchState:
         last = len(cone) == k - 2  # each candidate here takes the next-to-last position
         if last:
             counts: Dict[str, tuple] = {}  # by output type: ``root_counts``
+            # A root's plan leaves its own wirings out; any other component's
+            # depends on its types alone, so components of one shape share it.
+            plans: Dict[object, tuple] = {}  # by root, or by (output, input types)
         by_types: Dict[Tuple[str, ...], list] = {}
         spent: Dict[int, int] = {}  # the nodes of each component's wirings here
-        for ci, _, in_types, memo, twin, mirrored, _ in records:
+        for ci, out, in_types, memo, twin, mirrored, _ in records:
             if in_cone[ci]:
                 continue
             if twin is not None and not in_cone[twin]:
@@ -436,19 +465,29 @@ class _SearchState:
                         continue
                 budget.advance()
                 vid = memo.get(wiring)
-                if vid is None:
+                if vid is None or vid < 0:  # not computed, or only a root's miss
                     vid = self.apply(ci, wiring)
                 if seen[vid]:
                     continue
                 if last:
                     if plan is None:
-                        plan = self.plan(ci, unconsumed, takers, binary, counts)
+                        shape = ci if out == BOOL else (out, in_types)
+                        plan = plans.get(shape)
+                        if plan is None:
+                            plan = plans[shape] = self.plan(ci, unconsumed, takers, binary, counts)
                     if not plan:
                         continue
                     left = unconsumed and [m for m in unconsumed if m[0] not in wiring]
-                    if left and (len(left) > 1 or left[0] not in plan[2]):
+                    if left and (len(left) > 1 or left[0] not in plan[1]):
                         continue
-                    hit = self.close(plan, ci, wiring, vid, left[0] if left else None)
+                    a = left[0] if left else None
+                    checks = plan[3].get(a)
+                    if checks is None:
+                        checks = plan[3][a] = self.check_list(out, plan[2], a)
+                    if not checks:
+                        budget.advance(plan[0])
+                        continue
+                    hit = self.close(plan[0], checks, ci, wiring, vid)
                     if hit is not None:
                         return hit
                     continue
@@ -494,16 +533,17 @@ class _SearchState:
              takers: Dict[str, int], binary: int, counts: Dict[str, tuple]):
         """How component ``ci`` on the next-to-last position closes the
         cone, or ``()`` when no wiring of it can: its output type would have
-        no taker left. Otherwise ``(total, closers, partners)``: the root
-        wirings of every root outside the cone and ``ci``, with the ref of
-        ``ci`` counted among its type's; each root that can close over that
-        type, with the count of the root wirings before its own; and the
-        members that may stay unconsumed beside ``ci``, those whose type
-        keeps a taker when a binary component is left for both; ``takers``
-        and ``binary`` count the components outside the cone. The counts
-        come from ``root_counts`` of ``ci``'s type, built once per call of
-        ``extend`` in ``counts``, less ``ci``'s own wirings when it is a
-        root."""
+        no taker left. Otherwise ``(total, partners, closers, lists)``: the
+        root wirings of every root outside the cone and ``ci``, with the ref
+        of ``ci`` counted among its type's; the members that may stay
+        unconsumed beside ``ci``, those whose type keeps a taker when a
+        binary component is left for both (``takers`` and ``binary`` count
+        the components outside the cone); each root that can close over
+        ``ci``'s type, with the count of the root wirings before its own;
+        and, filled by ``extend``, the flat check list (``check_list``) of
+        each pending member. The counts come from ``root_counts`` of
+        ``ci``'s type, built once per call of ``extend`` in ``counts``, less
+        ``ci``'s own wirings when it is a root."""
         _, tm, ins = self.records[ci][:3]
         if takers[tm] <= (tm in ins):
             return ()
@@ -518,73 +558,87 @@ class _SearchState:
         closers = [(rci, in_types, memo, mirrored, tried - own if ci < rci else tried)
                    for rci, in_types, memo, mirrored, tried, waits in roots
                    if rci != ci and (waits is None or waits == ci)]
-        return total - own, closers, partners
+        return total - own, partners, closers, {}
 
-    def close(self, plan, ci: int, wiring: Tuple[int, ...], vid: int,
-              a: Optional[Tuple[int, str, int]]):
-        """Close the cone with component ``ci`` wired ``wiring`` (vector
-        ``vid``) as ``m`` on the next-to-last position and a root on the
-        last, ``a`` being the earlier member left unconsumed, or None (see
-        the module docstring). Each root's closing wirings are checked in
-        line: ``(x, m)`` over the refs ``xs`` of its first port's type, then
-        ``(m, y)`` over the refs ``ys`` of its second's. The root wirings of
-        ``plan`` count as nodes up to the first hit."""
-        total, closers, _ = plan
-        tm = self.records[ci][1]
-        refs, expected = self.refs, self.expected
-        refs[tm].append(vid)
-        im = len(refs[tm]) - 1
-        if a is not None:
-            ia, ta = a[2], a[1]
-        hit = None
+    def check_list(self, tm: str, closers, a: Optional[Tuple[int, str, int]]):
+        """The closing wirings of ``closers`` (see ``plan``) over a
+        component of type ``tm`` as ``m``, in product order, with ``a`` the
+        earlier member left unconsumed, or None (see the module docstring).
+        Each is ``(memo, root, port, other, nodes)``: the root's memo, which
+        port ``m`` takes (0 or 1, 2 for both of a binary root's, None for a
+        unary root's), the id on the other port, and the root wirings up to
+        and including this one. ``m``'s ref would follow the refs of its
+        type, which do not change on this position."""
+        refs = self.refs
+        im = len(refs[tm])
+        checks = []
         for rci, in_types, memo, mirrored, tried in closers:
             if len(in_types) == 1:
                 if a is None:
-                    got = memo.get((vid,))
-                    if got is None:
-                        got = self.apply(rci, (vid,))
-                    if got == expected:
-                        hit = rci, (vid,), tried + im + 1
-                        break
+                    checks.append((memo, rci, None, None, tried + im + 1))
                 continue
             t0, t1 = in_types
-            n1 = len(refs[t1])
-            if a is None:  # (x, m) with x before m, then (m, y), mirrors of a miss skipped
-                xs = range(len(refs[t0]) - (t0 == tm)) if t1 == tm else ()
-                ys = range(im if mirrored else 0, n1) if t0 == tm else ()
-            else:  # (a, m), then (m, a) unless it mirrors (a, m)
-                xs = (ia,) if t0 == ta and t1 == tm else ()
-                ys = (ia,) if not mirrored and t0 == tm and t1 == ta else ()
-            port_ids = refs[t0]
-            for x in xs:
-                key = (port_ids[x], vid)
-                got = memo.get(key)
-                if got is None:
-                    got = self.apply(rci, key)
-                if got == expected:
-                    hit = rci, key, tried + x * n1 + im + 1
-                    break
-            if hit is not None:
-                break
-            port_ids = refs[t1]
-            for y in ys:
-                key = (vid, port_ids[y])
-                got = memo.get(key)
-                if got is None:
-                    got = self.apply(rci, key)
-                if got == expected:
-                    hit = rci, key, tried + im * n1 + y + 1
-                    break
-            if hit is not None:
-                break
-        refs[tm].pop()
-        if hit is None:
-            self.budget.advance(total)
-            return None
-        rci, key, nodes = hit
-        self.budget.advance(nodes)
-        return (self.cone + [ci, rci], self.wirings + [wiring, key], self.columns,
-                self.members + [vid, expected])
+            n1 = len(refs[t1]) + (t1 == tm)
+            if a is not None:  # (a, m), then (m, a) unless it mirrors (a, m)
+                if t0 == a[1] and t1 == tm:
+                    checks.append((memo, rci, 1, a[0], tried + a[2] * n1 + im + 1))
+                if not mirrored and t0 == tm and t1 == a[1]:
+                    checks.append((memo, rci, 0, a[0], tried + im * n1 + a[2] + 1))
+                continue
+            # (x, m) with x before m, then (m, y), mirrors of a miss skipped
+            if t1 == tm:
+                checks += [(memo, rci, 1, x, tried + i * n1 + im + 1)
+                           for i, x in enumerate(refs[t0])]
+            if t0 == tm:
+                if not mirrored:
+                    checks += [(memo, rci, 0, y, tried + im * n1 + j + 1)
+                               for j, y in enumerate(refs[t1])]
+                if t1 == tm:
+                    checks.append((memo, rci, 2, None, tried + im * n1 + im + 1))
+        return checks
+
+    def close(self, total: int, checks, ci: int, wiring: Tuple[int, ...], vid: int):
+        """Close the cone with component ``ci`` wired ``wiring`` (vector
+        ``vid``) as ``m`` on the next-to-last position and a root on the
+        last, trying the wirings of ``checks`` in order; ``total`` root
+        wirings count as nodes on a miss, a hit's own count on a hit. A
+        wiring whose memo has no entry is compared with the expected
+        vector row by row (``matches``): a miss is memoized as ``miss``, no
+        id, and only a hit is applied. The marker of another expected
+        vector is no entry here."""
+        miss, expected = self.miss, self.expected
+        for memo, rci, port, other, nodes in checks:
+            if port is None:
+                key = (vid,)
+            elif port == 1:
+                key = (other, vid)
+            elif port == 0:
+                key = (vid, other)
+            else:
+                key = (vid, vid)
+            got = memo.get(key)
+            if got is None or (got < 0 and got != miss):
+                if not self.matches(rci, key):
+                    memo[key] = miss
+                    continue
+                got = self.apply(rci, key)
+            if got == expected:
+                self.budget.advance(nodes)
+                return (self.cone + [ci, rci], self.wirings + [wiring, key], self.columns,
+                        self.members + [vid, expected])
+        self.budget.advance(total)
+        return None
+
+    def matches(self, ci: int, key: Tuple[int, ...]) -> bool:
+        """Whether bool component ``ci``'s vector over the input ids ``key``
+        is the expected one, compared row by row up to the first row that
+        differs; nothing is computed whole, interned or memoized."""
+        fn, vectors = self.semantics[ci][0], self.vectors
+        if len(key) == 2:
+            results = map(fn, vectors[key[0]], vectors[key[1]])
+        else:
+            results = map(fn, vectors[key[0]])
+        return all(map(eq, results, self.outcomes))
 
     def close_empty(self):
         """The one-member pass over every root wiring of the columns:
@@ -597,7 +651,7 @@ class _SearchState:
             if closes and twin is None:
                 for index, key in enumerate(product(*[refs[t] for t in in_types])):
                     vid = memo.get(key)
-                    if vid is None:
+                    if vid is None or vid < 0:
                         vid = self.apply(ci, key)
                     if vid == expected:
                         self.budget.advance(tried + index + 1)

@@ -63,8 +63,11 @@ class VectorTable:
     """Interned value vectors and operator memos for the built-in solver
     (see ``synth.internal``): each distinct ``(type, vector)`` has one id,
     and each operator semantics maps the ids of its inputs to the id of its
-    output. Both depend on vector contents alone, so every solve may share
-    one table; a solve holds ``lock`` while it reads or writes the rest."""
+    output, or to a miss marker: ``~e``, no id, for a bool output that the
+    solver found to differ from the vector of id ``e`` without computing
+    it. A reader that wants the output takes a marker for no entry. Both
+    depend on vector contents alone, so every solve may share one table; a
+    solve holds ``lock`` while it reads or writes the rest."""
 
     __slots__ = ("lock", "ids", "vectors", "memos")
 

@@ -10,10 +10,12 @@ out at the 10k cap and is sat after 10,027, while every level-4 solve of
 the random matrices runs out or closes a cone of at most two members.
 Each solve records its status, its node count and a sha256 of its sorted
 model. Any change to the search order, its pruning or the
-node accounting shows up here as a changed entry. Over the same climbs three
+node accounting shows up here as a changed entry. Over the same climbs four
 more tests pin the search's work per node: how many value vectors it
-computes, how many candidates it walks into the cone and how many
-candidates of the next-to-last position reach a root check.
+computes, how many candidates it walks into the cone, how many
+candidates of the next-to-last position reach a root check and how many
+root wirings of the last position it compares with the expected vector
+row by row.
 
 Regenerate ``tests/data/solve_digest.json`` (only when a change of search
 behaviour is intended) with:
@@ -150,20 +152,26 @@ def _comparison(old: list, new: list):
 # climbs of ``matrices()``. The nodes of a solve are pinned above; this pins
 # the work done per node. It was 63,878 before the two instances of an
 # operator shared one memo and the checks of twin and mirrored root
-# wirings were skipped, and 38,390 before the cone positions before the
-# last counted, without walking, the subtrees of a twin and of a mirrored
-# wiring, and 37,663 before the rungs of a climb shared one matrix's
-# vector table.
-APPLY_CALLS = 22_014
+# wirings were skipped, 38,390 before the cone positions before the last
+# counted, without walking, the subtrees of a twin and of a mirrored
+# wiring, 37,663 before the rungs of a climb shared one matrix's vector
+# table, and 22,014 before a last-position root wiring with no memo entry
+# was settled by comparing rows, with only a hit computed.
+APPLY_CALLS = 3_752
 # ``_SearchState.push`` calls, one per candidate walked into the cone, over
 # the same climbs. It was 20,629 before those subtrees were counted without
 # walking them, and 15,171 before a candidate of the next-to-last position
 # closed the cone without being walked into it.
 PUSH_CALLS = 744
 # ``_SearchState.close`` calls, one per candidate of the next-to-last
-# position that passes the consumability test and so reaches a root check,
-# over the same climbs.
-CLOSE_CALLS = 13_514
+# position that passes the consumability test and has a closing wiring to
+# check, over the same climbs. It was 13,514 before a candidate with none
+# counted its plan's root wirings without a call.
+CLOSE_CALLS = 9_607
+# ``_SearchState.matches`` calls, one per last-position root wiring with no
+# memo entry, compared with the expected vector row by row, over the same
+# climbs.
+MATCH_CALLS = 19_469
 
 
 def _calls_over_climbs(monkeypatch, name: str) -> int:
@@ -194,6 +202,10 @@ def test_walked_candidates_match_the_pinned_count(monkeypatch):
 
 def test_closed_candidates_match_the_pinned_count(monkeypatch):
     assert _calls_over_climbs(monkeypatch, "close") == CLOSE_CALLS
+
+
+def test_row_comparisons_match_the_pinned_count(monkeypatch):
+    assert _calls_over_climbs(monkeypatch, "matches") == MATCH_CALLS
 
 
 def test_each_operator_semantics_has_one_memo():

@@ -23,7 +23,11 @@ until the first sat), 20 criterion-4 matrices (levels 1 and 2) and every
 function of two bool columns (level 2) the calls find zero, one and two
 unconsumed members. A few small matrices make each kind of closing wiring
 the hit, and one makes it a root whose twin (the earlier instance of its
-operator) is the candidate.
+operator) is the candidate. The references read a negative memo entry,
+a root's miss marker, as no entry, and compute the vector. ``matches``,
+the row comparison by which ``close`` settles a root wiring with no memo
+entry, must agree with ``apply`` against the expected id for every
+component form with a bool output.
 """
 import random
 from collections import Counter
@@ -31,7 +35,7 @@ from itertools import product
 
 import pytest
 
-from condfix.budget import Exhausted
+from condfix.budget import Budget, Exhausted
 from condfix.synth import (
     MAX_LEVEL, MIN_LEVEL, SAT, UNSAT, Component, decode, encode, encode_with_components, internal,
     solve_internal, to_source,
@@ -39,6 +43,7 @@ from condfix.synth import (
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 from test_acceptance import _random_matrix
 from test_solve_digest import LADDER_CAP, bool_functions, matrices
+from test_synth import BOOL_OPERANDS, INT_OPERANDS, REAL_OPERANDS, operator_cases
 
 
 def wirings(state, in_types):
@@ -77,7 +82,7 @@ def reference_close(state):
         for index, wiring in enumerate(candidates):
             if closes and unconsumed.issubset(wiring):
                 vid = memo.get(wiring)
-                if vid is None:
+                if vid is None or vid < 0:  # a root's miss is no id
                     vid = state.apply(ci, wiring)
                 if vid == state.expected:
                     hit = (state.cone + [ci], state.wirings + [wiring], state.columns,
@@ -158,17 +163,18 @@ def checked_close(monkeypatch):
             calls["atoms"] += 1
         return hit, atoms
 
-    def checked(state, plan, ci, wiring, vid, a):
+    def checked(state, total, checks, ci, wiring, vid):
         size = len(state.cone)
         state.push(ci, wiring, vid)
         consumable = reference_consumable(state, size + 2)
-        unconsumed = len(unconsumed_ids(state))
+        unconsumed = unconsumed_ids(state)
         want, nodes = reference_close(state)
         state.pop()
-        assert consumable and unconsumed == 1 + (a is not None)
-        got = compare(state, lambda: close(state, plan, ci, wiring, vid, a), want, nodes)
-        calls[unconsumed] += 1
+        assert consumable and vid in unconsumed and len(unconsumed) <= 2
+        got = compare(state, lambda: close(state, total, checks, ci, wiring, vid), want, nodes)
+        calls[len(unconsumed)] += 1
         if got is not None:
+            a = next(iter(unconsumed - {vid}), None)
             calls[hit_kind(state.columns, vid, a, got[1][-1])] += 1
         return got
 
@@ -265,3 +271,42 @@ def test_a_twin_whose_earlier_instance_is_in_the_cone_is_tried(checked_close):
     assert (result.status, result.nodes) == (SAT, 32)
     assert to_source(decode(problem, result.model)) == "c && (a && b)"
     assert checked_close["hit"] == 1
+
+
+def test_the_row_comparison_agrees_with_applying():
+    # ``close`` settles a root wiring with no memo entry by ``matches``,
+    # which compares rows only up to the first that differs; its verdict
+    # must be ``apply(...) == expected`` for every component form with a
+    # bool output, over int, real (NaN and the infinities among them) and
+    # bool columns, and on zero rows, where every vector is the expected
+    # one. Each expected vector is one form's vector over two columns with
+    # at most one row flipped, so that both verdicts occur at every height
+    # and a miss may differ on any row, the last one included.
+    forms = [(tag, t) for tag, t, out in operator_cases() if out == "bool"]
+    operands = {"int": INT_OPERANDS, "bool": BOOL_OPERANDS,
+                "real": REAL_OPERANDS + (float("inf"), float("-inf"))}
+    types = ("int", "int", "real", "real", "bool", "bool")
+    columns = [ColumnSpec(f"c{i}", t, "var", var=f"c{i}") for i, t in enumerate(types)]
+    components = [Component(tag, (t,) if tag == "!" else (t, t), "bool") for tag, t in forms]
+    rng = random.Random(47)
+    verdicts = Counter()
+    for height in (0, 1, 2, 3, 5, 8):
+        for _ in range(12):
+            inputs = [tuple(rng.choice(operands[t]) for t in types) for _ in range(height)]
+            tag, t = rng.choice(forms)
+            ports = [i for i, ct in enumerate(types) if ct == t][:1 if tag == "!" else 2]
+            fn = Component(tag, (t,) * len(ports), "bool").entry.fn
+            outcomes = [bool(fn(*[values[i] for i in ports])) for values in inputs]
+            if height and rng.random() < 0.5:
+                flip = rng.randrange(height)
+                outcomes[flip] = not outcomes[flip]
+            rows = [TraceRow(f"t{r}", 0, values, exp)
+                    for r, (values, exp) in enumerate(zip(inputs, outcomes))]
+            problem = encode_with_components(TraceMatrix(1, "condition", columns, rows), components)
+            state = internal._SearchState(problem, internal._closers(problem), Budget(1))
+            for ci, form in enumerate(forms):
+                for key in wirings(state, state.records[ci][2]):
+                    verdict = state.matches(ci, key)
+                    assert verdict == (state.apply(ci, key) == state.expected), (form, key, rows)
+                    verdicts[height > 0, verdict] += 1
+    assert verdicts.keys() == {(False, True), (True, True), (True, False)}

@@ -3,7 +3,8 @@
 ``reference_extend`` is the search stated plainly: every candidate of
 every component outside the cone, each component wiring in product order,
 counts one node and is walked, and the last position closes by
-``test_solver_close.reference_close``. Both searches follow the same
+``test_solver_close.reference_close``. It computes the vector of a
+wiring whose memo entry is a root's miss marker, which is no id. Both searches follow the same
 one-member pass, ``close_empty``, whose atoms are all that ``confounded``
 reads, and start at two members. ``_SearchState.extend`` closes the
 cone over each candidate of the next-to-last position without walking
@@ -58,7 +59,7 @@ def reference_extend(state, k: int):
         for wiring in candidates:
             state.budget.advance()
             vid = memo.get(wiring)
-            if vid is None:
+            if vid is None or vid < 0:  # a root's miss is no id
                 vid = state.apply(ci, wiring)
             if seen[vid]:
                 continue

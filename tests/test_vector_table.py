@@ -11,6 +11,14 @@ its own solve's one-member pass hands over; one that read every bool
 vector of the table would see the deeper rungs' vectors after a descent. Four threads climbing
 one matrix at once must get the lone results too: a solve holds the
 table's lock.
+
+A root wiring that misses on the last cone position is memoized as a
+marker, ``~e`` for the expected id ``e``, not as an id. Every marker of a
+climb must name its matrix's expected vector and hold a member's id; a
+later rung that walks a marked wiring as a candidate member must compute
+it; and a problem over other rows on the same table, whose expected
+vector differs, must read another's markers as no entry, in the
+last-position check and in the one-member pass alike.
 """
 import random
 import sys
@@ -19,11 +27,12 @@ from dataclasses import replace
 
 from condfix.budget import Budget
 from condfix.synth import (
-    MAX_LEVEL, MIN_LEVEL, TIMEOUT, SynthesisProblem, encode, internal, solve_internal,
+    MAX_LEVEL, MIN_LEVEL, SAT, TIMEOUT, UNSAT, Component, SynthesisProblem, decode, encode,
+    encode_with_components, internal, solve_internal, to_source,
 )
-from condfix.trace import deduplicate
+from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, VectorTable, deduplicate
 from test_acceptance import _random_matrix
-from test_solve_digest import LADDER_CAP, matrices
+from test_solve_digest import DEEP_CAP, LADDER_CAP, matrices
 
 LEVELS = range(MIN_LEVEL, MAX_LEVEL + 1)
 # Levels 4 to 1, then 1 to 4 twice.
@@ -125,3 +134,79 @@ def test_threads_climbing_one_matrix_get_the_lone_outcomes():
             assert got == dict.fromkeys(range(4), expected)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_every_marker_names_the_expected_vector_and_holds_a_member():
+    # a marker's key holds the id of the cone's next-to-last member, which
+    # is no column's, so the one-member pass, whose keys hold column ids
+    # alone, meets none
+    markers = 0
+    for index, matrix in enumerate(matrices()):
+        shared = replace(matrix)
+        for level in LEVELS:
+            solve_internal(encode(shared, level), None, LADDER_CAP)
+        table = shared.vector_table
+        columns = {table.ids[c.type][tuple(row.inputs[i] for row in shared.rows)]
+                   for i, c in enumerate(shared.columns)}
+        expected = table.ids["bool"][tuple(row.expected for row in shared.rows)]
+        for memo in table.memos.values():
+            for key, vid in memo.items():
+                if vid < 0:
+                    markers += 1
+                    assert vid == ~expected and not columns.issuperset(key), (index, key)
+    assert markers
+
+
+def test_a_marked_wiring_walked_as_a_candidate_member_is_computed(monkeypatch):
+    # level 3 times out, marking root wirings that missed on its last
+    # position; level 4 on the same table walks one of them as a candidate
+    # of an earlier position, where a marker is no id, before its hit
+    columns = [ColumnSpec("b", "bool", "var", var="b"), ColumnSpec("n", "int", "var", var="n")]
+    matrix = TraceMatrix(1, "condition", columns, [
+        TraceRow("t0", 0, (True, 3), True), TraceRow("t1", 0, (False, -2), True),
+        TraceRow("t2", 0, (False, -1), False)])
+    apply = internal._SearchState.apply
+    walked = []
+
+    def recording(state, ci, key):
+        if state.records[ci][3].get(key, 0) < 0:
+            walked.append(key)
+        return apply(state, ci, key)
+
+    want = [lone(matrix, 3),
+            outcome(solve_internal(encode(replace(matrix), MAX_LEVEL), None, DEEP_CAP))]
+    got = [outcome(solve_internal(encode(matrix, 3), None, LADDER_CAP))]
+    with monkeypatch.context() as patched:
+        patched.setattr(internal._SearchState, "apply", recording)
+        got.append(outcome(solve_internal(encode(matrix, MAX_LEVEL), None, DEEP_CAP)))
+    assert got == want
+    assert [status for status, _, _ in got] == [TIMEOUT, SAT] and len(walked) == 1
+
+
+def test_a_problem_over_other_rows_reads_the_markers_as_no_entry():
+    # ``c0 < c0 + c0`` misses (t, f, t) on c0 = 1, 2, 3, so that solve marks
+    # the wiring; on its table, it is the last-position hit of the same
+    # inputs expecting (t, t, t), and with a column holding c0 + c0 the
+    # one-member pass's hit
+    components = [Component("<", ("int", "int"), "bool"), Component("+", ("int", "int"), "int")]
+    columns = [ColumnSpec(c, "int", "var", var=c) for c in ("c0", "c1")]
+    matrix = TraceMatrix(1, "condition", columns[:1],
+                         [TraceRow(f"t{v}", 0, (v,), v != 2) for v in (1, 2, 3)])
+    for case in ("same inputs", "wider"):
+        first = encode_with_components(replace(matrix), components)
+        assert solve_internal(first, None, LADDER_CAP).status == UNSAT
+        table = first.vector_table
+        x, v = table.ids["int"][1, 2, 3], table.ids["int"][2, 4, 6]
+        assert table.memos["<", ("int", "int")][x, v] < 0
+        if case == "same inputs":
+            problem = replace(first, rows=[(values, True) for values, _ in first.rows])
+            source = "c0 < c0 + c0"
+        else:
+            problem = SynthesisProblem(columns, [((c0, c0 + c0), True) for c0 in (1, 2, 3)],
+                                       components, vector_table=table)
+            source = "c0 < c1"
+        assert problem.vector_table is table
+        result = solve_internal(problem, None, LADDER_CAP)
+        assert outcome(result) == outcome(solve_internal(
+            replace(problem, vector_table=VectorTable()), None, LADDER_CAP)), case
+        assert result.status == SAT and to_source(decode(problem, result.model)) == source
