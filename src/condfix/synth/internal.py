@@ -72,19 +72,22 @@ left. Then:
 - with an earlier member ``a`` unconsumed too, only a binary root closes,
   as ``(a, m)`` or ``(m, a)``.
 
-Once per component there, ``plan`` counts the root wirings of every root
-outside the cone and the component, with one more ref of the component's
-type, and lists the roots that can close over that type, each with the
-count before it. It reads both from a table of the roots outside the cone
-(``root_counts``), built once per output type in each ``extend`` call
-there, less the component's own wirings when it is a root; the plan of a
-component that is no root depends on its types alone, so components of
-one shape share it. Each plan holds one flat list of its closing wirings
-per pending member (``check_list``), built on first use: each entry holds
-the root's memo, the root, which port ``m`` takes, the id on the other
-port and the count of root wirings up to and including it. The refs do
-not change on this position, so ``close`` only builds each key and looks
-it up, and an empty list counts the plan's total with no ``close`` call.
+One table there answers how a candidate closes the cone (``closing``),
+built on first use in each ``extend`` call. It is keyed by the member
+left pending, None or ``a``, and by the candidate's component when that
+is a root, whose entry leaves the root's own wirings out, or else by its
+output and input types, which components of one shape share. An entry
+is empty when a pending type has no taker left, or when two pending
+members have no binary component other than the candidate; otherwise it
+holds the count of every root wiring outside the cone and the candidate,
+with one more ref of the candidate's type, and one flat list of the
+closing wirings, each with the root's memo, the root, which port ``m``
+takes, the id on the other port and the count of root wirings up to and
+including it. The counts come from a table of the roots outside the cone
+(``root_counts``), built once per output type in each such call. The
+refs do not change on this position, so ``close`` only builds each key
+and looks it up, and an empty list counts the total with no ``close``
+call.
 
 A wiring with no memo entry is settled by comparing the root's results
 with the expected vector row by row, up to the first row that differs
@@ -298,17 +301,17 @@ class _SearchState:
     they keep no count. Only positions before the next-to-last push: there
     ``extend`` tests each candidate against the members left unconsumed
     for the one pick left, without pushing it, and ``close`` tries the
-    roots over it off the flat check list of the component's ``plan`` and
-    the member left pending, None or the one earlier unconsumed member
-    (see the module docstring). The cone does not change there, so each
-    ``plan`` reads the ``root_counts`` of its type, and each check list
-    holds, for the whole ``extend`` call.
+    roots over it off the check list of its entry in one closing table,
+    keyed by the candidate's shape and the member left pending (see the
+    module docstring). The cone does not change there, so each entry, and
+    the ``root_counts`` of each type it reads, holds for the whole
+    ``extend`` call.
 
     On every cone position a later twin and a mirrored wiring repeat
     subtrees that just missed (see the module docstring). ``extend`` keeps
     the nodes of each component's loop and, for a mirrored component, the
     count before each wiring, and advances the budget by the recorded count
-    in place of the walk; ``plan`` counts such root wirings without
+    in place of the walk; ``closing`` counts such root wirings without
     listing them for ``close`` to check.
     """
 
@@ -434,9 +437,9 @@ class _SearchState:
         last = len(cone) == k - 2  # each candidate here takes the next-to-last position
         if last:
             counts: Dict[str, tuple] = {}  # by output type: ``root_counts``
-            # A root's plan leaves its own wirings out; any other component's
-            # depends on its types alone, so components of one shape share it.
-            plans: Dict[object, tuple] = {}  # by root, or by (output, input types)
+            # by a root's index, or any other component's output and input
+            # types, and the member left pending: ``closing``
+            closings: Dict[Tuple, tuple] = {}
         by_types: Dict[Tuple[str, ...], list] = {}
         spent: Dict[int, int] = {}  # the nodes of each component's wirings here
         for ci, out, in_types, memo, twin, mirrored, _ in records:
@@ -451,7 +454,7 @@ class _SearchState:
             candidates = by_types.get(in_types)
             if candidates is None:  # every wiring, in product order
                 candidates = by_types[in_types] = list(product(*[refs[t] for t in in_types]))
-            plan = None  # built for the first candidate that is no duplicate
+            shape = ci if out == BOOL else (out, in_types)
             if mirrored:
                 n = len(refs[in_types[0]])
                 starts: List[int] = []  # the count before each wiring
@@ -470,24 +473,20 @@ class _SearchState:
                 if seen[vid]:
                     continue
                 if last:
-                    if plan is None:
-                        shape = ci if out == BOOL else (out, in_types)
-                        plan = plans.get(shape)
-                        if plan is None:
-                            plan = plans[shape] = self.plan(ci, unconsumed, takers, binary, counts)
-                    if not plan:
-                        continue
                     left = unconsumed and [m for m in unconsumed if m[0] not in wiring]
-                    if left and (len(left) > 1 or left[0] not in plan[1]):
+                    if len(left) > 1:
                         continue
                     a = left[0] if left else None
-                    checks = plan[3].get(a)
-                    if checks is None:
-                        checks = plan[3][a] = self.check_list(out, plan[2], a)
-                    if not checks:
-                        budget.advance(plan[0])
+                    closing = closings.get((shape, a))
+                    if closing is None:
+                        closing = closings[shape, a] = self.closing(ci, a, takers, binary, counts)
+                    if not closing:
                         continue
-                    hit = self.close(plan[0], checks, ci, wiring, vid)
+                    total, checks = closing
+                    if not checks:
+                        budget.advance(total)
+                        continue
+                    hit = self.close(total, checks, ci, wiring, vid)
                     if hit is not None:
                         return hit
                     continue
@@ -511,11 +510,11 @@ class _SearchState:
 
     def root_counts(self, tm: str):
         """The root wirings of the roots outside the cone, with one more ref
-        of type ``tm``: their total, each root's count, and the roots that
-        can close over ``tm``, each with the count before it and its earlier
-        twin while that is outside the cone (see ``plan``)."""
+        of type ``tm``: their total, and the roots that can close over
+        ``tm``, each with the count before it and its earlier twin while
+        that is outside the cone (see ``closing``)."""
         refs, in_cone = self.refs, self.in_cone
-        total, sizes, closers = 0, {}, []
+        total, closers = 0, []
         for rci, _, in_types, memo, twin, mirrored, closes in self.roots:
             if in_cone[rci]:
                 continue
@@ -525,54 +524,48 @@ class _SearchState:
             size = 1
             for t in in_types:
                 size *= len(refs[t]) + (t == tm)
-            sizes[rci] = size
             total += size
-        return total, sizes, closers
+        return total, closers
 
-    def plan(self, ci: int, unconsumed: List[Tuple[int, str, int]],
-             takers: Dict[str, int], binary: int, counts: Dict[str, tuple]):
+    def closing(self, ci: int, a: Optional[Tuple[int, str, int]],
+                takers: Dict[str, int], binary: int, counts: Dict[str, tuple]):
         """How component ``ci`` on the next-to-last position closes the
-        cone, or ``()`` when no wiring of it can: its output type would have
-        no taker left. Otherwise ``(total, partners, closers, lists)``: the
-        root wirings of every root outside the cone and ``ci``, with the ref
-        of ``ci`` counted among its type's; the members that may stay
-        unconsumed beside ``ci``, those whose type keeps a taker when a
-        binary component is left for both (``takers`` and ``binary`` count
-        the components outside the cone); each root that can close over
-        ``ci``'s type, with the count of the root wirings before its own;
-        and, filled by ``extend``, the flat check list (``check_list``) of
-        each pending member. The counts come from ``root_counts`` of
-        ``ci``'s type, built once per call of ``extend`` in ``counts``, less
-        ``ci``'s own wirings when it is a root."""
+        cone, with ``a`` the earlier member left unconsumed, or None. It is
+        ``()`` when no root wiring can: ``ci``'s output type, or ``a``'s,
+        would have no taker left, or no binary component other than ``ci``
+        is left to take both (``takers`` and ``binary`` count the components
+        outside the cone). Otherwise it is ``(total, checks)``: the root
+        wirings of every root outside the cone and ``ci``, with the ref of
+        ``ci`` counted among its type's, and the closing wirings, in product
+        order (see the module docstring). Each check is ``(memo, root, port,
+        other, nodes)``: the root's memo, which port ``ci``'s ref takes (0
+        or 1, 2 for both of a binary root's, None for a unary root's), the
+        id on the other port, and the root wirings up to and including this
+        one. The counts come from ``root_counts`` of ``ci``'s type, built
+        once per call of ``extend`` in ``counts``, less ``ci``'s own wirings
+        when it is a root; the refs do not change on this position."""
         _, tm, ins = self.records[ci][:3]
-        if takers[tm] <= (tm in ins):
+        if takers[tm] <= (tm in ins) or a is not None and (
+                binary <= (len(ins) == 2) or takers[a[1]] <= (a[1] in ins)):
             return ()
-        pair = binary > (len(ins) == 2)
-        partners = [m for m in unconsumed if pair and takers[m[1]] > (m[1] in ins)]
         table = counts.get(tm)
         if table is None:
             table = counts[tm] = self.root_counts(tm)
-        total, sizes, roots = table
-        own = sizes.get(ci, 0)
-        # a twin follows one that missed here, unless that one is ``ci``
-        closers = [(rci, in_types, memo, mirrored, tried - own if ci < rci else tried)
-                   for rci, in_types, memo, mirrored, tried, waits in roots
-                   if rci != ci and (waits is None or waits == ci)]
-        return total - own, partners, closers, {}
-
-    def check_list(self, tm: str, closers, a: Optional[Tuple[int, str, int]]):
-        """The closing wirings of ``closers`` (see ``plan``) over a
-        component of type ``tm`` as ``m``, in product order, with ``a`` the
-        earlier member left unconsumed, or None (see the module docstring).
-        Each is ``(memo, root, port, other, nodes)``: the root's memo, which
-        port ``m`` takes (0 or 1, 2 for both of a binary root's, None for a
-        unary root's), the id on the other port, and the root wirings up to
-        and including this one. ``m``'s ref would follow the refs of its
-        type, which do not change on this position."""
+        total, roots = table
         refs = self.refs
         im = len(refs[tm])
+        own = 0  # ``ci``'s own root wirings
+        if tm == BOOL:
+            own = 1
+            for t in ins:
+                own *= len(refs[t]) + (t == tm)
         checks = []
-        for rci, in_types, memo, mirrored, tried in closers:
+        for rci, in_types, memo, mirrored, tried, waits in roots:
+            # a twin follows one that missed here, unless that one is ``ci``
+            if rci == ci or waits is not None and waits != ci:
+                continue
+            if ci < rci:
+                tried -= own
             if len(in_types) == 1:
                 if a is None:
                     checks.append((memo, rci, None, None, tried + im + 1))
@@ -595,7 +588,7 @@ class _SearchState:
                                for j, y in enumerate(refs[t1])]
                 if t1 == tm:
                     checks.append((memo, rci, 2, None, tried + im * n1 + im + 1))
-        return checks
+        return total - own, checks
 
     def close(self, total: int, checks, ci: int, wiring: Tuple[int, ...], vid: int):
         """Close the cone with component ``ci`` wired ``wiring`` (vector

@@ -148,25 +148,32 @@ def parse_solver_output(output: str, lvars: Sequence[str]) -> SolveResult:
     return SolveResult(SAT, model)
 
 
+def _read_term(tokens: List[str]):
+    """The first term of ``tokens``: an atom, or the list of the terms
+    inside a pair of parentheses. Output that ends inside a list, or a
+    stray ``)``, is a backend error."""
+    open_lists: List[list] = []
+    for token in tokens:
+        if token == "(":
+            open_lists.append([])
+            continue
+        if token == ")":
+            if not open_lists:
+                raise SolverBackendError("unbalanced ')' in get-value response")
+            token = open_lists.pop()
+        if not open_lists:
+            return token
+        open_lists[-1].append(token)
+    raise SolverBackendError("truncated get-value response")
+
+
 def _parse_get_value(text: str) -> Dict[str, int]:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-
-    def read(pos):
-        if tokens[pos] == "(":
-            items = []
-            pos += 1
-            while tokens[pos] != ")":
-                item, pos = read(pos)
-                items.append(item)
-            return items, pos + 1
-        return tokens[pos], pos + 1
-
     if not tokens:
         raise SolverBackendError("missing get-value response")
-    tree, _ = read(0)
     model: Dict[str, int] = {}
-    for pair in tree:
-        if not isinstance(pair, list) or len(pair) != 2:
+    for pair in _read_term(tokens):
+        if not isinstance(pair, list) or len(pair) != 2 or isinstance(pair[0], list):
             raise SolverBackendError(f"malformed get-value pair: {pair!r}")
         name, value = pair
         if isinstance(value, list):
@@ -175,7 +182,10 @@ def _parse_get_value(text: str) -> Dict[str, int]:
                 value = f"-{value[1]}"
             else:
                 raise SolverBackendError(f"unsupported value term {value!r}")
-        model[name] = int(value)
+        try:
+            model[name] = int(value)
+        except ValueError:
+            raise SolverBackendError(f"non-integer value {value!r} for {name}") from None
     return model
 
 

@@ -9,10 +9,11 @@ climbs levels 1 to 4 until the first sat, as in the benchmark.
 
 It first checks that all three give every solve of the climbs the same
 status, node count and model, and stops if one differs. It prints each
-side's ``_SearchState.apply``, ``push`` and ``close`` calls over the
-climbs: the vectors computed, the candidates walked into the cone and the
-next-to-last candidates that reach a root check, deterministic counts of
-the search's work. It then times interleaved rounds in CPU time. A round
+side's ``_SearchState.apply``, ``push``, ``close`` and ``matches`` calls
+over the climbs: the vectors computed, the candidates walked into the
+cone, the next-to-last candidates that reach a root check and the
+last-position root wirings compared with the expected vector row by row,
+deterministic counts of the search's work. It then times interleaved rounds in CPU time. A round
 times a solve pass and an op pass over the climbs per side, each from
 fresh copies of the matrices (``dataclasses.replace``): the rungs of one
 matrix share its vector table, so a pass that re-solved the problems of
@@ -67,7 +68,7 @@ import workloads  # noqa: E402  (perfbench/ is not a package)
 
 LEVELS = (1, 2, 3, 4)
 CAP = workloads.SynthLadder.NODE_CAP
-COUNTED = ("apply", "push", "close")
+COUNTED = ("apply", "push", "close", "matches")
 SIDES = ("baseline", "changed", "changed'")
 
 

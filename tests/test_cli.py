@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import runpy
+import shlex
 import shutil
 import subprocess
 import sys
@@ -185,6 +186,18 @@ class TestRepairCommand:
             runpy.run_module("condfix.cli", run_name="__main__")
         assert exc.value.code == EXIT_USAGE
         assert "missing.ml" in capsys.readouterr().err
+
+    def test_truncated_solver_output_is_an_error_line(self, tmp_path, capsys):
+        program, suite = write_gcd_inputs(tmp_path)
+        solver = tmp_path / "solver.py"
+        solver.write_text('print("sat")\nprint("((l_in1 1)")\n')
+        code = main([
+            "repair", "--program", str(program), "--suite", str(suite),
+            "--solver-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(solver))}",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == "error: truncated get-value response\n"
 
     def test_usage_error_on_unknown_metric(self, tmp_path, capsys):
         program, suite = write_gcd_inputs(tmp_path)

@@ -10,12 +10,12 @@ out at the 10k cap and is sat after 10,027, while every level-4 solve of
 the random matrices runs out or closes a cone of at most two members.
 Each solve records its status, its node count and a sha256 of its sorted
 model. Any change to the search order, its pruning or the
-node accounting shows up here as a changed entry. Over the same climbs four
+node accounting shows up here as a changed entry. Over the same climbs five
 more tests pin the search's work per node: how many value vectors it
 computes, how many candidates it walks into the cone, how many
-candidates of the next-to-last position reach a root check and how many
+candidates of the next-to-last position reach a root check, how many
 root wirings of the last position it compares with the expected vector
-row by row.
+row by row and how many closing-table entries it builds.
 
 Regenerate ``tests/data/solve_digest.json`` (only when a change of search
 behaviour is intended) with:
@@ -166,12 +166,17 @@ PUSH_CALLS = 744
 # ``_SearchState.close`` calls, one per candidate of the next-to-last
 # position that passes the consumability test and has a closing wiring to
 # check, over the same climbs. It was 13,514 before a candidate with none
-# counted its plan's root wirings without a call.
+# counted its root wirings without a call.
 CLOSE_CALLS = 9_607
 # ``_SearchState.matches`` calls, one per last-position root wiring with no
 # memo entry, compared with the expected vector row by row, over the same
 # climbs.
 MATCH_CALLS = 19_469
+# ``_SearchState.closing`` calls, one per entry of the next-to-last
+# position's closing table (per ``extend`` call, candidate shape and member
+# left pending), over the same climbs. Components of one shape that is no
+# root share an entry, which only this count sees.
+CLOSING_CALLS = 4_693
 
 
 def _calls_over_climbs(monkeypatch, name: str) -> int:
@@ -206,6 +211,10 @@ def test_closed_candidates_match_the_pinned_count(monkeypatch):
 
 def test_row_comparisons_match_the_pinned_count(monkeypatch):
     assert _calls_over_climbs(monkeypatch, "matches") == MATCH_CALLS
+
+
+def test_closing_table_entries_match_the_pinned_count(monkeypatch):
+    assert _calls_over_climbs(monkeypatch, "closing") == CLOSING_CALLS
 
 
 def test_each_operator_semantics_has_one_memo():

@@ -24,11 +24,11 @@ def test_the_tool_compares_a_tree_with_itself():
     lines = child.stdout.splitlines()
     assert lines[0] == ("12 solves over 3 matrices, seed 1: "
                         "every status, node count and model agrees")
-    prefix = "apply, push, close calls over the climbs: "
+    prefix = "apply, push, close, matches calls over the climbs: "
     assert lines[1].startswith(prefix)
     sides = [side.split(" ", 1) for side in lines[1][len(prefix):].split("; ")]
     assert [name for name, _ in sides] == ["baseline", "changed", "changed'"]
-    assert len({counts for _, counts in sides}) == 1 and len(sides[0][1].split()) == 3
+    assert len({counts for _, counts in sides}) == 1 and len(sides[0][1].split()) == 4
     for what in ("solve", "op"):
         header = lines.index(f"{'level':>6} {what + 's':>6} {'baseline':>9} {'changed':>9} "
                              f"{'median':>7} {'min':>7} {'max':>7} {'control':>8}")

@@ -22,7 +22,9 @@ among them, is solved both ways too: each level-4 solve above runs out or
 closes a cone of at most two members, so only these count twin subtrees
 before a hit. None of those solves prunes a cone as unconsumable, so a few
 problems over custom component sets (``custom_problem``) are solved both
-ways too, each one on which that prune moves the node count.
+ways too, each one on which that prune moves the node count, and two on
+which the next-to-last position's rule that two pending members need a
+binary component other than the candidate does.
 """
 import random
 from collections import Counter
@@ -185,6 +187,13 @@ def custom_problem(seed: int):
 # node count: its type half fires on all three, its capacity half on 1610,
 # and counting unary ports before binary ones would fire it on 692 too.
 PRUNED = (692, 1420, 1610)
+# Seeds on which the next-to-last position refuses a candidate that leaves
+# an earlier member pending when no binary component but the candidate is
+# left to take both: on 18 (unsat) a pending ``!=`` beside a ``!=``
+# candidate with only ``!`` roots outside the cone, on 43 (sat) a pending
+# bool beside the ``&&`` candidate before the hit. Admitting such a
+# candidate counts its root wirings, which moves both node counts.
+PARTNERLESS = (18, 43)
 
 
 def test_extend_matches_the_reference_where_the_prune_fires(monkeypatch):
@@ -197,3 +206,9 @@ def test_extend_matches_the_reference_where_the_prune_fires(monkeypatch):
             patched.setattr(internal._SearchState, "extend", reference_extend)
             unpruned = solve_internal(problem, None, LADDER_CAP)
         assert (unpruned.status, unpruned.model) == (got[0], got[2]) and unpruned.nodes > got[1], seed
+
+
+def test_extend_matches_the_reference_where_no_partner_is_left(monkeypatch):
+    for seed in PARTNERLESS:
+        got, want = solve_both(monkeypatch, custom_problem(seed), None, LADDER_CAP)
+        assert got == want, seed

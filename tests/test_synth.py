@@ -676,8 +676,14 @@ class TestSolverOutput:
         ("sat\n((l_in1 1 2) (l_result 2))", "malformed get-value pair: \\['l_in1', '1', '2'\\]"),
         ("sat\n(l_in1 (l_result 2))", "malformed get-value pair: 'l_in1'"),
         ("sat\n((l_in1 (+ 1 2)) (l_result 2))", "unsupported value term \\['\\+', '1', '2'\\]"),
+        ("sat\n((l_in1 1)", "truncated get-value response"),
+        ("sat\n(", "truncated get-value response"),
+        ("sat\n((l_in1 1.5) (l_result 2))", "non-integer value '1.5' for l_in1"),
+        ("sat\n) ((l_in1 1) (l_result 2))", "unbalanced '\\)'"),
+        ("sat\n(((l_in1) 1) (l_result 2))", "malformed get-value pair: \\[\\['l_in1'\\], '1'\\]"),
     ], ids=["empty", "blank", "no-model", "missing-variable", "three-item-pair", "bare-name",
-            "sum-term"])
+            "sum-term", "truncated-pair", "truncated-list", "real-value", "stray-close",
+            "list-name"])
     def test_unusable_output_is_a_backend_error(self, output, message):
         with pytest.raises(SolverBackendError, match=message):
             parse_solver_output(output, self.LVARS)
