@@ -44,12 +44,13 @@ rung finds the vectors and applications of the rungs before it, and a
 ladder climb applies each operator to each input at most once. An id
 names a vector's contents only, so which solve or which instance computed
 it first changes no pruning, no node and no model; the two instances of
-an operator at level 4 share one memo for the same reason. A solve marks the
-ids its columns and cone members hold in its own ``seen`` list, and holds
-the table's lock: two threads solving rungs of one matrix take turns, and
-independent matrices never contend. A vector holding NaN gets a fresh id
-each time and is never memoized (see ``apply``), so it is the one
-application a climb repeats. A wiring is the tuple of its input ids. A
+an operator at level 4 share one memo for the same reason. A solve keeps
+the ids its columns and cone members hold in its own ``seen`` set, so
+nothing it holds grows with the table, and holds the table's lock: two
+threads solving rungs of one matrix take turns, and independent matrices
+never contend. A vector holding NaN gets a fresh id each time and is
+never memoized (see ``apply``), so it is the one application a climb
+repeats. A wiring is the tuple of its input ids. A
 member's id is no column's or other member's (``seen``); columns that hold
 one vector share an id, which stands for the first of them: product order
 reaches that column first, and a wiring through a later one only repeats a
@@ -290,22 +291,24 @@ class _SearchState:
 
     Ids, vectors and memos are the problem's ``vector_table``, shared with
     every other solve over the same matrix, and the caller holds its lock.
-    Only ``seen`` (by id, sized to the table at the start and grown with
-    it) and the cone belong to this solve. Each component has one record,
-    read off its ``Component``'s precomputed facts (see ``__init__``); no
-    per-process cache holds a memo, a vector or an id.
+    Only ``seen``, the set of the ids the columns and the cone members
+    hold, and the cone belong to this solve; neither is sized to the
+    table. Each component has one record, read off its ``Component``'s
+    precomputed facts (see ``__init__``); no per-process cache holds a
+    memo, a vector or an id.
 
-    The cone is the search's only state. ``push`` and ``pop`` add and drop
-    a member's component, id and wiring, and its id among the ids a port
-    may take (``refs``: columns first, then cone members in cone order);
-    they keep no count. Only positions before the next-to-last push: there
-    ``extend`` tests each candidate against the members left unconsumed
-    for the one pick left, without pushing it, and ``close`` tries the
-    roots over it off the check list of its entry in one closing table,
-    keyed by the candidate's shape and the member left pending (see the
-    module docstring). The cone does not change there, so each entry, and
-    the ``root_counts`` of each type it reads, holds for the whole
-    ``extend`` call.
+    The cone is the search's only state: one record per member, its
+    component, wiring and id. ``push`` and ``pop`` add and drop the record,
+    the component's ``in_cone`` flag, the id in ``seen``, and the id among
+    the ids a port may take (``refs``: columns first, then cone members in
+    cone order); they keep no count. Only positions before the
+    next-to-last push: there ``extend`` tests each candidate against the
+    members left unconsumed for the one pick left, without pushing it, and
+    ``close`` tries the roots over it off the check list of its entry in
+    one closing table, keyed by the candidate's shape and the member left
+    pending (see the module docstring). The cone does not change there, so
+    each entry, and the ``root_counts`` of each type it reads, holds for
+    the whole ``extend`` call.
 
     On every cone position a later twin and a mirrored wiring repeat
     subtrees that just missed (see the module docstring). ``extend`` keeps
@@ -324,7 +327,6 @@ class _SearchState:
             table.ids.setdefault(t, {})
         self.ids = table.ids
         self.vectors = table.vectors  # by id
-        self.seen = [False] * len(self.vectors)  # by id: a column or a cone member has it
         # One record per component, in component order: its index, output
         # type, input types, memo, nearest earlier twin (the instance before
         # it of its operator semantics) or None, whether it is ``mirrored``
@@ -351,8 +353,8 @@ class _SearchState:
         self.refs: Dict[str, List[int]] = {t: [] for t in types}
         values = list(zip(*[inputs for inputs, _ in problem.rows])) or [()] * len(problem.columns)
         self.columns = [self.intern(self.ids[c.type], v) for c, v in zip(problem.columns, values)]
+        self.seen = set(self.columns)  # and the cone members' ids
         for col, vid in zip(problem.columns, self.columns):
-            self.seen[vid] = True
             self.refs[col.type].append(vid)
         self.expected = self.intern(self.ids[BOOL], tuple(exp for _, exp in problem.rows))
         self.outcomes = self.vectors[self.expected]
@@ -360,9 +362,7 @@ class _SearchState:
         # this marker, no id, which names the vector it missed (see ``close``).
         self.miss = ~self.expected
 
-        self.cone: List[int] = []
-        self.members: List[int] = []  # the id of each cone member
-        self.wirings: List[Tuple[int, ...]] = []
+        self.cone: List[Tuple[int, Tuple[int, ...], int]] = []  # (component, wiring, id)
         self.in_cone = [False] * len(components)
         # Over every component: how many take each type, how many are
         # binary. ``extend`` takes the cone's members off both.
@@ -381,7 +381,6 @@ class _SearchState:
 
     def fresh(self, vector: Tuple) -> int:
         self.vectors.append(vector)
-        self.seen.append(False)
         return len(self.vectors) - 1
 
     def apply(self, ci: int, key: Tuple[int, ...]) -> int:
@@ -404,17 +403,15 @@ class _SearchState:
 
     def push(self, ci: int, wiring: Tuple[int, ...], vid: int) -> None:
         self.refs[self.records[ci][1]].append(vid)
-        self.cone.append(ci)
-        self.members.append(vid)
-        self.wirings.append(wiring)
+        self.cone.append((ci, wiring, vid))
         self.in_cone[ci] = True
+        self.seen.add(vid)
 
     def pop(self) -> None:
-        ci = self.cone.pop()
+        ci, _, vid = self.cone.pop()
         self.refs[self.records[ci][1]].pop()
-        self.members.pop()
-        self.wirings.pop()
         self.in_cone[ci] = False
+        self.seen.remove(vid)
 
     def extend(self, k: int):
         """The first hit that grows the cone to at most ``k`` members, or
@@ -423,12 +420,16 @@ class _SearchState:
         budget, seen, in_cone = self.budget, self.seen, self.in_cone
         refs, records, cone = self.refs, self.records, self.cone
         takers, binary = dict(self.takers), self.binary  # outside the cone
-        for ci in cone:
+        used: Set[int] = set()  # the ids the cone's wirings hold
+        for ci, wiring, _ in cone:
             in_types = records[ci][2]
             for t in set(in_types):
                 takers[t] -= 1
             binary -= len(in_types) == 2
-        unconsumed = self.unconsumed_members()
+            used.update(wiring)
+        # the members no wiring holds: id, type, index among that type's refs
+        unconsumed = [(vid, records[ci][1], refs[records[ci][1]].index(vid))
+                      for ci, _, vid in cone if vid not in used]
         remaining = k - len(cone)
         pairs = min(remaining, binary)
         capacity = 2 * pairs + min(remaining - pairs, len(records) - len(cone) - binary)
@@ -470,7 +471,7 @@ class _SearchState:
                 vid = memo.get(wiring)
                 if vid is None or vid < 0:  # not computed, or only a root's miss
                     vid = self.apply(ci, wiring)
-                if seen[vid]:
+                if vid in seen:
                     continue
                 if last:
                     left = unconsumed and [m for m in unconsumed if m[0] not in wiring]
@@ -491,22 +492,12 @@ class _SearchState:
                         return hit
                     continue
                 self.push(ci, wiring, vid)
-                seen[vid] = True
                 hit = self.extend(k)
                 if hit is not None:
                     return hit
-                seen[vid] = False
                 self.pop()
             spent[ci] = budget.count - start
         return None
-
-    def unconsumed_members(self) -> List[Tuple[int, str, int]]:
-        """The cone members no wiring holds the id of, each as its id, its
-        type and its index among the refs of that type."""
-        used = set().union(*self.wirings)
-        outs = [self.records[ci][1] for ci in self.cone]
-        return [(vid, t, self.refs[t].index(vid))
-                for vid, t in zip(self.members, outs) if vid not in used]
 
     def root_counts(self, tm: str):
         """The root wirings of the roots outside the cone, with one more ref
@@ -598,7 +589,9 @@ class _SearchState:
         wiring whose memo has no entry is compared with the expected
         vector row by row (``matches``): a miss is memoized as ``miss``, no
         id, and only a hit is applied. The marker of another expected
-        vector is no entry here."""
+        vector is no entry here. A hit is ``(cone, columns)``: the cone's
+        member records with ``ci``'s and the root's, and the column ids,
+        what ``_complete_model`` takes."""
         miss, expected = self.miss, self.expected
         for memo, rci, port, other, nodes in checks:
             if port is None:
@@ -617,8 +610,7 @@ class _SearchState:
                 got = self.apply(rci, key)
             if got == expected:
                 self.budget.advance(nodes)
-                return (self.cone + [ci, rci], self.wirings + [wiring, key], self.columns,
-                        self.members + [vid, expected])
+                return self.cone + [(ci, wiring, vid), (rci, key, expected)], self.columns
         self.budget.advance(total)
         return None
 
@@ -635,9 +627,10 @@ class _SearchState:
 
     def close_empty(self):
         """The one-member pass over every root wiring of the columns:
-        ``(hit, None)``, or ``(None, atoms)``, the ids of the bool columns
-        and of every vector computed, all that ``confounded`` reads. The
-        wirings of a twin or of a root that cannot close are counted only."""
+        ``(hit, None)``, a hit as ``close`` gives it, or ``(None, atoms)``,
+        the ids of the bool columns and of every vector computed, all that
+        ``confounded`` reads. The wirings of a twin or of a root that cannot
+        close are counted only."""
         refs, expected = self.refs, self.expected
         atoms, tried = set(refs[BOOL]), 0
         for ci, _, in_types, memo, twin, _, closes in self.roots:
@@ -648,7 +641,7 @@ class _SearchState:
                         vid = self.apply(ci, key)
                     if vid == expected:
                         self.budget.advance(tried + index + 1)
-                        return ([ci], [key], self.columns, [expected]), None
+                        return ([(ci, key, expected)], self.columns), None
                     atoms.add(vid)
             tried += prod([len(refs[t]) for t in in_types])
         self.budget.advance(tried)
@@ -669,8 +662,7 @@ class _SearchState:
 
 
 def _complete_model(
-    problem: SynthesisProblem, cone: List[int], wirings: List[Tuple[int, ...]],
-    columns: List[int], members: List[int],
+    problem: SynthesisProblem, cone: List[Tuple[int, Tuple[int, ...], int]], columns: List[int],
 ) -> Dict[str, int]:
     """Give every component a slot above the columns and wire its ports.
 
@@ -680,9 +672,10 @@ def _complete_model(
     as ``first`` holds its input types, and each port of one takes the
     first producer of its type, which is therefore below it. Cone members
     follow in discovery order, each followed by the unused components it
-    lets park. A member's port takes the slot of its input id in ``slots``,
-    which maps the id of each column (``columns``) and cone member
-    (``members``) to the first slot that holds it. A member's id is no
+    lets park; ``cone`` holds one record per member, its component, wiring
+    and id. A member's port takes the slot of its input id in ``slots``,
+    which maps the id of each column (``columns``, by column) and cone
+    member to the first slot that holds it. A member's id is no
     other column's or member's; two columns that hold one vector share an
     id, and the search wired the first of them: product order reaches it
     before the later one, whose wirings only repeat subtrees that missed.
@@ -695,7 +688,8 @@ def _complete_model(
     for slot, (col, vid) in enumerate(zip(problem.columns, columns), 1):
         first.setdefault(col.type, slot)
         slots.setdefault(vid, slot)
-    dead = [ci for ci in range(len(components)) if ci not in cone]
+    in_cone = {ci for ci, _, _ in cone}
+    dead = [ci for ci in range(len(components)) if ci not in in_cone]
     placement: List[Tuple[int, List[int]]] = []  # (component, port slots) in slot order
     for pos in range(len(cone) + 1):
         parked = True
@@ -709,9 +703,9 @@ def _complete_model(
                     first.setdefault(comp.out_type, base + len(placement) - 1)
                     parked = True
         if pos < len(cone):
-            ci = cone[pos]
-            ports = [slots[vid] for vid in wirings[pos]]
-            slots.setdefault(members[pos], base + len(placement))
+            ci, wiring, vid = cone[pos]
+            ports = [slots[v] for v in wiring]
+            slots.setdefault(vid, base + len(placement))
             first.setdefault(components[ci].out_type, base + len(placement))
             placement.append((ci, ports))
     if dead:

@@ -10,6 +10,7 @@ the same here as in the built-in backend and the interpreter.
 """
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 import tempfile
@@ -36,13 +37,16 @@ def _smt_literal(value, type_: str) -> str:
         return str(value) if value >= 0 else f"(- {-value})"
     # Reals use the shortest round-trip decimal form; pathological floats
     # whose decimal reading differs from the binary value are tolerated.
+    # A non-finite real has no term, and ``_row_constraints`` refuses it.
     text = format_real(abs(value))
     return f"(- {text})" if value < 0 else text
 
 
 def emit_smtlib(problem: SynthesisProblem) -> str:
     """Serialize the full constraint system, ending with check-sat and a
-    get-value over every location variable."""
+    get-value over every location variable. A real cell that is infinite
+    or NaN has no SMT-LIB term: SolverBackendError names its row and
+    column."""
     lines: List[str] = ["(set-logic ALL)"]
     lvars = problem.location_variables()
     for name in lvars:
@@ -94,6 +98,9 @@ def _row_constraints(problem, r: int, inputs, expected) -> List[str]:
     lines = [f"; row {r}"]
     elements = []  # (location var, value var, type)
     for i, e in enumerate(problem.column_elements):
+        if e.type == REAL and not math.isfinite(inputs[i]):
+            raise SolverBackendError(f"row {r}, column {problem.columns[i].name}: the real "
+                                     f"{format_real(inputs[i])} has no SMT-LIB term")
         vname = f"v_{e.name}_{r}"
         lines.append(f"(declare-const {vname} {_SORTS[e.type]})")
         lines.append(f"(assert (= {vname} {_smt_literal(inputs[i], e.type)}))")
@@ -176,14 +183,18 @@ def _parse_get_value(text: str) -> Dict[str, int]:
         if not isinstance(pair, list) or len(pair) != 2 or isinstance(pair[0], list):
             raise SolverBackendError(f"malformed get-value pair: {pair!r}")
         name, value = pair
+        sign, numeral = 1, value
         if isinstance(value, list):
             # negative integers print as (- n)
-            if len(value) == 2 and value[0] == "-":
-                value = f"-{value[1]}"
-            else:
+            if len(value) != 2 or value[0] != "-":
                 raise SolverBackendError(f"unsupported value term {value!r}")
+            sign, numeral = -1, value[1]
         try:
-            model[name] = int(value)
+            # a numeral is ASCII digits only: no sign, separator or other
+            # script; ``int`` refuses one longer than its digit limit
+            if isinstance(numeral, list) or not (numeral.isascii() and numeral.isdigit()):
+                raise ValueError
+            model[name] = sign * int(numeral)
         except ValueError:
             raise SolverBackendError(f"non-integer value {value!r} for {name}") from None
     return model

@@ -67,7 +67,9 @@ class VectorTable:
     solver found to differ from the vector of id ``e`` without computing
     it. A reader that wants the output takes a marker for no entry. Both
     depend on vector contents alone, so every solve may share one table; a
-    solve holds ``lock`` while it reads or writes the rest."""
+    solve holds ``lock`` while it reads or writes the rest. No solve holds
+    anything sized to the table: its own state, the cone and the set of
+    the ids its columns and cone members hold, grows with the cone alone."""
 
     __slots__ = ("lock", "ids", "vectors", "memos")
 

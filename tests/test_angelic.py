@@ -218,6 +218,15 @@ class TestSearchSpace:
         with pytest.raises(ValueError, match="unknown repair kind"):
             collect(gcd_program, [], 1, "loop", {})
 
+    @pytest.mark.parametrize("failing, error, message", [
+        ({"nope"}, KeyError, "unknown failing test ids: \\['nope'\\]"),
+        (set(), ValueError, "at least one failing test is required"),
+    ], ids=["unknown-id", "no-failing-test"])
+    def test_failing_ids_the_search_cannot_run_are_rejected(self, gcd_program, gcd_suite,
+                                                            failing, error, message):
+        with pytest.raises(error, match=message):
+            angelic_condition(gcd_program, gcd_suite, failing, 1)
+
     def test_wrong_statement_kind_rejected(self, gcd_program, gcd_suite):
         failing = run_suite(gcd_program, gcd_suite).failing
         with pytest.raises(ValueError, match="not a precondition candidate"):

@@ -199,6 +199,25 @@ class TestRepairCommand:
         assert code == EXIT_USAGE
         assert err == "error: truncated get-value response\n"
 
+    def test_an_infinite_real_cell_is_an_error_line_before_the_solver_runs(self, tmp_path, capsys):
+        # ``y`` is inf on test ``a``, a value no SMT-LIB term writes
+        program = tmp_path / "prog.ml"
+        program.write_text("fn f(x: real) -> bool { let y: real = x * 1e308; "
+                           "if (y < 0.0) { return true; } return false; }\n")
+        suite = tmp_path / "suite.txt"
+        suite.write_text("a: f(10.0) -> true\nb: f(-1.0) -> false\nc: f(0.0) -> false\n")
+        ran = tmp_path / "ran"
+        solver = tmp_path / "solver.py"
+        solver.write_text(f"open({str(ran)!r}, 'w').close()\nprint('unknown')\n")
+        code = main([
+            "repair", "--program", str(program), "--suite", str(suite), "--max-level", "1",
+            "--solver-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(solver))}",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == "error: row 0, column y: the real inf has no SMT-LIB term\n"
+        assert not ran.exists()
+
     def test_usage_error_on_unknown_metric(self, tmp_path, capsys):
         program, suite = write_gcd_inputs(tmp_path)
         with pytest.raises(SystemExit) as exc:

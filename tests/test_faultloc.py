@@ -97,6 +97,11 @@ class TestRanking:
         s = make_spectrum({3: 1, 1: 1}, {3: 2, 1: 2}, 1, 2)
         assert [loc for loc, _ in rank(s, "ochiai")] == [1, 3]
 
+    def test_an_unknown_metric_is_rejected(self):
+        s = make_spectrum({1: 1}, {1: 0}, 1, 0)
+        with pytest.raises(ValueError, match="unknown metric 'nope'"):
+            suspiciousness("nope", s, 1)
+
     def test_zero_scores_excluded(self):
         s = make_spectrum({1: 0, 2: 0}, {1: 1, 2: 1}, 1, 1)
         assert rank(s, "ochiai") == []
@@ -122,6 +127,11 @@ class TestWastedEffort:
     def test_unique_maximum_is_one(self):
         s = make_spectrum({1: 1, 2: 0}, {1: 0, 2: 3}, 1, 3)
         assert wasted_effort(s, "ochiai", 1) == 1
+
+    def test_a_location_not_in_the_spectrum_is_rejected(self):
+        s = make_spectrum({1: 1}, {1: 0}, 1, 0)
+        with pytest.raises(KeyError, match="buggy location 2 not in spectrum"):
+            wasted_effort(s, "ochiai", 2)
 
     def test_three_strictly_above_gives_four(self):
         scores = {1: 0.9, 2: 0.8, 3: 0.7, 4: 0.5, 5: 0.5}

@@ -415,6 +415,14 @@ class TestControls:
         with pytest.raises(KeyError):
             probe(gcd_program, 99)
 
+    def test_a_program_rejects_a_duplicate_location_and_an_unknown_one(self, gcd_program):
+        with pytest.raises(KeyError, match="unknown location 99"):
+            gcd_program.scope_at(99)
+        gcd = gcd_program.functions["gcd"]
+        twice = {**gcd_program.functions, "copy": dataclasses.replace(gcd, name="copy")}
+        with pytest.raises(ValueError, match="duplicate location 1"):
+            Program(gcd_program.consts, twice)
+
 
 STEPS_FIXTURE = """\
 const K: int = 5;
@@ -504,6 +512,12 @@ class TestStepAccounting:
         program = parse_program(STEPS_FIXTURE.replace("BODY", "return x;"))
         with pytest.raises(ValueError, match=message):
             execute(program, function, args)
+
+    def test_rows_of_an_undefined_function_are_a_value_error(self):
+        rows = interp.execute_rows(parse_program(STEPS_FIXTURE.replace("BODY", "return x;")),
+                                   "h", [[3]])
+        with pytest.raises(ValueError, match="undefined function 'h'"):
+            next(rows)
 
 
 FUSED_FIXTURE = """\

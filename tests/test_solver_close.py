@@ -12,9 +12,10 @@ plainly: push the candidate, test consumability (``reference_consumable``,
 the rule by which every unconsumed member keeps a consumer),
 ``reference_close``, pop.
 The candidate must be consumable with the same number of unconsumed
-members, and the call must give the reference's hit (the cone, its
-wirings as tuples of input ids, and the ids of the columns and members) or
-``None`` with it, and the same node delta. ``close_empty``, the
+members, and the call must give the reference's hit (the cone's member
+records, each its component, its wiring as a tuple of input ids and its
+id, and the ids of the columns) or ``None`` with it, and the same node
+delta. ``close_empty``, the
 one-member pass over the columns, is checked against ``reference_close``
 too; when it misses, the atoms it hands to ``confounded`` must be those of
 ``reference_atoms``, the rule by which ``confounded`` once read the pass
@@ -54,7 +55,7 @@ def wirings(state, in_types):
 
 def unconsumed_ids(state):
     """The ids of the cone members that no wiring holds."""
-    return set(state.members).difference(*state.wirings)
+    return {vid for _, _, vid in state.cone}.difference(*[w for _, w, _ in state.cone])
 
 
 def reference_consumable(state, k: int) -> bool:
@@ -63,8 +64,8 @@ def reference_consumable(state, k: int) -> bool:
     one's type, and they number at most the ports of as many components
     outside the cone, those with the most ports."""
     outside = [record for record in state.records if not state.in_cone[record[0]]]
-    pending = [state.records[ci][1] for ci, vid in zip(state.cone, state.members)
-               if not any(vid in wiring for wiring in state.wirings)]
+    pending = [state.records[ci][1] for ci, _, vid in state.cone
+               if not any(vid in wiring for _, wiring, _ in state.cone)]
     if not all(any(t in record[2] for record in outside) for t in pending):
         return False
     ports = sorted((len(record[2]) for record in outside), reverse=True)
@@ -85,9 +86,7 @@ def reference_close(state):
                 if vid is None or vid < 0:  # a root's miss is no id
                     vid = state.apply(ci, wiring)
                 if vid == state.expected:
-                    hit = (state.cone + [ci], state.wirings + [wiring], state.columns,
-                           state.members + [vid])
-                    return hit, tried + index + 1
+                    return (state.cone + [(ci, wiring, vid)], state.columns), tried + index + 1
         tried += len(candidates)
     return None, tried
 
@@ -175,7 +174,7 @@ def checked_close(monkeypatch):
         calls[len(unconsumed)] += 1
         if got is not None:
             a = next(iter(unconsumed - {vid}), None)
-            calls[hit_kind(state.columns, vid, a, got[1][-1])] += 1
+            calls[hit_kind(state.columns, vid, a, got[0][-1][1])] += 1
         return got
 
     monkeypatch.setattr(internal._SearchState, "close_empty", checked_empty)

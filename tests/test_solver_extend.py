@@ -63,17 +63,15 @@ def reference_extend(state, k: int):
             vid = memo.get(wiring)
             if vid is None or vid < 0:  # a root's miss is no id
                 vid = state.apply(ci, wiring)
-            if seen[vid]:
+            if vid in seen:
                 continue
             state.push(ci, wiring, vid)
             if not reference_consumable(state, k):
                 state.pop()
                 continue
-            seen[vid] = True
             hit = reference_extend(state, k)
             if hit is not None:
                 return hit
-            seen[vid] = False
             state.pop()
     return None
 

@@ -488,6 +488,10 @@ class TestDecode:
         assert to_source(leaf) == text
         assert to_minilang(leaf) == parse_expression(text)
 
+    def test_a_column_with_no_recipe_has_no_minilang_form(self):
+        with pytest.raises(ValueError, match="column 'c' has no expression recipe"):
+            to_minilang(Leaf(ColumnSpec("c", "int", "other")))
+
     def test_a_patch_with_a_negative_constant_round_trips(self):
         program = parse_program("fn f(x: int) -> int { if (x > 0) { return 1; } return 0; }")
         minus_one = Leaf(ColumnSpec("-1", "int", "const", const=-1))
@@ -537,6 +541,16 @@ class TestEmission:
         assert "(check-sat)" in script
         assert "(get-value" in script
         assert "0.5" in script and "(- 1.5)" in script
+
+    @pytest.mark.parametrize("cell, text", [
+        (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
+    ])
+    def test_a_real_cell_with_no_term_is_a_backend_error(self, cell, text):
+        # ``format_real`` writes these as ``inf``, ``(- inf)`` and ``nan``,
+        # which are no SMT-LIB terms
+        m = matrix([ColumnSpec("r", "real", "var", var="r")], [(0.5, True), (cell, False)])
+        with pytest.raises(SolverBackendError, match=f"^row 1, column r: the real {text} has"):
+            emit_smtlib(encode(m, 1))
 
     @pytest.mark.parametrize("components, falsities", [
         ([Component("<", ("real", "real"), "bool")], 2),  # one per port no producer feeds
@@ -681,9 +695,15 @@ class TestSolverOutput:
         ("sat\n((l_in1 1.5) (l_result 2))", "non-integer value '1.5' for l_in1"),
         ("sat\n) ((l_in1 1) (l_result 2))", "unbalanced '\\)'"),
         ("sat\n(((l_in1) 1) (l_result 2))", "malformed get-value pair: \\[\\['l_in1'\\], '1'\\]"),
+        ("sat\n((l_in1 1_0) (l_result 2))", "non-integer value '1_0' for l_in1"),
+        ("sat\n((l_in1 1) (l_result \u0661))", "non-integer value '\u0661' for l_result"),
+        ("sat\n((l_in1 +5) (l_result 2))", "non-integer value '\\+5' for l_in1"),
+        ("sat\n((l_in1 (- 1_0)) (l_result 2))", "non-integer value \\['-', '1_0'\\] for l_in1"),
+        (f"sat\n((l_in1 {'9' * 5000}) (l_result 2))", "non-integer value '9+' for l_in1"),
     ], ids=["empty", "blank", "no-model", "missing-variable", "three-item-pair", "bare-name",
             "sum-term", "truncated-pair", "truncated-list", "real-value", "stray-close",
-            "list-name"])
+            "list-name", "digit-separator", "arabic-indic-digit", "plus-sign",
+            "negated-separator", "past-the-digit-limit"])
     def test_unusable_output_is_a_backend_error(self, output, message):
         with pytest.raises(SolverBackendError, match=message):
             parse_solver_output(output, self.LVARS)

@@ -139,6 +139,14 @@ class TestConditionCollection:
         with pytest.raises(ValueError, match="angelic"):
             collect(gcd_program, gcd_suite, 1, CONDITION, {})
 
+    def test_an_angelic_tuple_of_a_test_that_never_hits_the_location_is_an_error(self):
+        # f(-1) returns before the inner if, at 2
+        program = parse_program("fn f(x: int) -> int {\n  if (x > 0) {\n    if (x > 5) {\n"
+                                "      return 1;\n    }\n  }\n  return 0;\n}\n")
+        suite = parse_suite("a: f(-1) -> 1\nb: f(7) -> 1\n")
+        with pytest.raises(ValueError, match="'a' has an angelic tuple but never hits 2"):
+            collect(program, suite, 2, CONDITION, {"a": AngelicTuple(2, True, "a")})
+
 
 class TestObjectColumns:
     def test_nullness_and_queries_collected(self):

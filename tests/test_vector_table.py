@@ -19,6 +19,10 @@ later rung that walks a marked wiring as a candidate member must compute
 it; and a problem over other rows on the same table, whose expected
 vector differs, must read another's markers as no entry, in the
 last-position check and in the one-member pass alike.
+
+A solve holds nothing sized to the table: its ``seen`` set starts as its
+column ids on every rung of a climb, and after an unsat rung, with the
+cone empty, it is those ids again.
 """
 import random
 import sys
@@ -134,6 +138,37 @@ def test_threads_climbing_one_matrix_get_the_lone_outcomes():
             assert got == dict.fromkeys(range(4), expected)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_seen_is_the_column_ids_at_the_start_and_after_every_unsat_solve(monkeypatch):
+    # a solve's own state is its cone and ``seen``, the ids of its columns
+    # and cone members, whatever the shared table holds: on each digest
+    # climb a rung starts with ``seen`` the column ids (level 4 on a table
+    # that already holds the earlier rungs' vectors too), and an unsat
+    # rung ends with the cone empty and ``seen`` the column ids again
+    init = internal._SearchState.__init__
+    states = []
+
+    def recording(state, problem, closers, budget):
+        init(state, problem, closers, budget)
+        assert state.seen == set(state.columns) and not state.cone
+        states.append((state, len(state.vectors)))
+
+    monkeypatch.setattr(internal._SearchState, "__init__", recording)
+    unsat = warm = 0
+    for index, matrix in enumerate(matrices()):
+        shared = replace(matrix)
+        for level in LEVELS:
+            states.clear()
+            status = solve_internal(encode(shared, level), None, LADDER_CAP).status
+            for state, size in states:
+                warm += level == MAX_LEVEL and size > len(state.seen)
+                if status == UNSAT:
+                    assert not state.cone and state.seen == set(state.columns), (index, level)
+                    unsat += 1
+            if status == SAT:
+                break
+    assert unsat and warm
 
 
 def test_every_marker_names_the_expected_vector_and_holds_a_member():
