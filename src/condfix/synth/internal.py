@@ -161,7 +161,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import isnan, prod
 from operator import eq
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -197,7 +197,10 @@ def solve_internal(
 ) -> SolveResult:
     """Decide ``problem`` within ``max_nodes`` nodes and by a deadline
     ``timeout_s`` after ``budget.now()``, capped at ``deadline`` (a time on
-    ``budget.now``) when one is given."""
+    ``budget.now``) when one is given. A NaN timeout or deadline, which no
+    clock read would ever pass, raises ValueError."""
+    if timeout_s is not None and isnan(timeout_s) or deadline is not None and isnan(deadline):
+        raise ValueError(f"timeout_s and deadline must not be NaN, got {timeout_s} and {deadline}")
     columns = problem.columns
     components = problem.components
 

@@ -208,8 +208,11 @@ def solve_external(
     The configured command receives the script path as its final argument.
     A failed process or unparseable output raises SolverBackendError,
     which is distinct from an unsat answer. ``timeout_s`` is real time, the
-    ``subprocess`` timeout, not seconds on ``budget.now``.
+    ``subprocess`` timeout, not seconds on ``budget.now``; a NaN one, which
+    ``subprocess`` reads as no limit, raises ValueError.
     """
+    if timeout_s is not None and math.isnan(timeout_s):
+        raise ValueError(f"timeout_s must not be NaN, got {timeout_s}")
     script = emit_smtlib(problem)
     argv = shlex.split(command)
     with tempfile.TemporaryDirectory(prefix="condfix-smt-") as tmp:

@@ -35,7 +35,6 @@ from pathlib import Path
 
 import pytest
 
-from condfix.budget import Budget
 from condfix.minilang.values import INT_MAX, INT_MIN
 from condfix.synth import MAX_LEVEL, MIN_LEVEL, SAT, encode, internal, solve_internal
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
@@ -219,18 +218,25 @@ def test_closing_table_entries_match_the_pinned_count(monkeypatch):
 
 def test_each_operator_semantics_has_one_memo():
     # at level 4 the two instances of an operator share a memo; a tag over
-    # other input types (``<`` over ints and over reals) does not
+    # other input types (``<`` over ints and over reals) does not. Every
+    # entry of a memo is its semantics applied to the vectors its key names.
     columns = [ColumnSpec(f"c{i}", t, "var", var=f"c{i}") for i, t in enumerate(("int", "real", "bool"))]
     problem = encode(TraceMatrix(1, "condition", columns,
-                                 [TraceRow("t0", 0, (1, 0.5, True), True)]), MAX_LEVEL)
-    state = internal._SearchState(problem, internal._closers(problem), Budget(LADDER_CAP))
-    components = problem.components
-    semantics = {(c.tag, c.in_types) for c in components}
-    assert len(components) == 2 * len(semantics)
-    for i, a in enumerate(components):
-        for j, b in enumerate(components):
-            same = (a.tag, a.in_types) == (b.tag, b.in_types)
-            assert (state.records[i][3] is state.records[j][3]) == same, (a, b)
+                                 [TraceRow("t0", 0, (1, 0.5, True), True),
+                                  TraceRow("t1", 0, (-2, 1.5, False), True),
+                                  TraceRow("t2", 0, (3, -0.5, False), False)]), MAX_LEVEL)
+    semantics = {(c.tag, c.in_types): c for c in problem.components}
+    assert len(problem.components) == 2 * len(semantics)
+    assert solve_internal(problem, None, LADDER_CAP).status == SAT
+    table = problem.vector_table
+    assert table.memos.keys() == semantics.keys()
+    for op, memo in table.memos.items():
+        for key, vid in memo.items():
+            vector = tuple(map(semantics[op].evaluate, zip(*[table.vectors[k] for k in key])))
+            if vid >= 0:
+                assert table.ids[semantics[op].out_type][vector] == vid
+            else:  # a miss marker names the expected vector, which this is not
+                assert table.vectors[~vid] != vector
 
 
 def test_solves_match_the_golden_digest():

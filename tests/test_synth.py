@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from condfix.budget import Budget
 from condfix.errors import (
     InternalConsistencyError, SolverBackendError, UnsatisfiableMatrixError,
 )
@@ -22,11 +21,13 @@ from condfix.synth import (
     evaluate, parse_solver_output, solve, solve_external, to_minilang, to_source,
 )
 from condfix.synth.components import _LADDER, SMT_SYMBOLS, STEMS
-from condfix.synth.internal import SAT, TIMEOUT, UNSAT, _closers, _SearchState, solve_internal
+from condfix.synth.internal import SAT, TIMEOUT, UNSAT, solve_internal
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, deduplicate
 from enumeration_oracle import enumerate_oracle, tree_to_source
+from reference_solver import reference_solve
 
 DATA = Path(__file__).parent / "data"
+NAN = float("nan")
 
 
 def int_col(name):
@@ -310,11 +311,19 @@ class TestInternalSolve:
     def test_a_one_member_pass_with_no_atom_proves_nothing(self):
         # no column is bool and ``==`` cannot close, so the pass computes no
         # vector: the rows share the empty key, yet ``!(a == b)`` tells them
-        # apart (the test above solves them)
+        # apart, so the solve is the search's without the indistinct-rows check
         problem = self.not_over_equality([(1, 1, False), (1, 2, True)])
-        state = _SearchState(problem, _closers(problem), Budget(100))
-        assert state.close_empty() == (None, set())
-        assert state.confounded(set()) is False
+        result = solve_internal(problem, None, 100)
+        assert result == reference_solve(problem, None, 100, indistinct_rows=False)
+        assert result.status == SAT
+
+    @pytest.mark.parametrize("timeout_s, deadline", [(NAN, None), (None, NAN), (1.0, NAN)])
+    def test_a_nan_timeout_or_deadline_is_refused(self, timeout_s, deadline):
+        # no clock read is past a NaN deadline: even(x) at level 3 would run
+        # on to node 300,001
+        problem = encode(matrix([int_col("x")], [(-4, True), (-5, False)]), 3)
+        with pytest.raises(ValueError, match="must not be NaN"):
+            solve_internal(problem, timeout_s, 300_000, deadline=deadline)
 
     @pytest.mark.parametrize("columns, rows, level, source", [
         # a one-member cone: ``<`` wired to the shared vector and to c
@@ -363,31 +372,20 @@ class TestIndistinctRows:
     comparison over the columns, yet expect different outcomes, make a rung
     unsat once the one-member cones miss."""
 
-    @staticmethod
-    def spy(monkeypatch):
-        calls = []
-        check = _SearchState.confounded
+    def test_parity_rows_are_unsat_at_level_2_without_search(self):
+        # even(x): -4 and -5 agree on every comparison of x with itself, so
+        # the rung is unsat after the one-member pass (x <, <=, ==, != x),
+        # where the search alone takes 872 nodes
+        problem = encode(matrix([int_col("x")], [(-4, True), (-5, False)]), 2)
+        result = solve_internal(problem, None, 1000)
+        searched = reference_solve(problem, None, 1000, indistinct_rows=False)
+        assert [(r.status, r.nodes) for r in (result, searched)] == [(UNSAT, 4), (UNSAT, 872)]
 
-        def counted(state, atoms):
-            calls.append(check(state, atoms))
-            return calls[-1]
-
-        monkeypatch.setattr(_SearchState, "confounded", counted)
-        return calls
-
-    def test_parity_rows_are_unsat_at_level_2_without_search(self, monkeypatch):
-        # even(x): -4 and -5 agree on every comparison of x with itself.
-        rows = matrix([int_col("x")], [(-4, True), (-5, False)])
-        calls = self.spy(monkeypatch)
-        result = solve_internal(encode(rows, 2), None, 1000)
-        assert (result.status, result.nodes, calls) == (UNSAT, 4, [True])  # x <, <=, ==, != x
-
-    def test_the_same_rows_at_level_3_are_left_to_the_search(self, monkeypatch):
+    def test_the_same_rows_at_level_3_are_left_to_the_search(self):
         # Arithmetic makes new numbers, which a comparison may tell apart.
         rows = matrix([int_col("x")], [(-4, True), (-5, False)])
-        calls = self.spy(monkeypatch)
         result = solve_internal(encode(rows, 3), None, 1000)
-        assert (result.status, result.nodes, calls) == (TIMEOUT, 1001, [])
+        assert (result.status, result.nodes) == (TIMEOUT, 1001)
 
     def test_a_column_equal_to_the_expected_vector_keeps_its_rows_apart(self):
         # Only b separates the rows, and it is their expected outcome. No
@@ -400,13 +398,14 @@ class TestIndistinctRows:
         assert result.status == SAT
         assert to_source(decode(problem, result.model)) == "b == (b == b)"
 
-    def test_every_unsat_it_proves_is_unsat_by_search(self, monkeypatch):
+    def test_every_unsat_it_proves_is_unsat_by_search(self):
+        # the search is the reference's with the check skipped, which must
+        # never be sat where the check proves unsat
         rng = random.Random(21)
         problems = [(level, encode(m, level)) for m in (small_matrix(rng) for _ in range(80))
                     if not m.conflicting for level in (1, 2)]
         with_check = [solve_internal(p, None, 20_000) for _, p in problems]
-        monkeypatch.setattr(_SearchState, "confounded", lambda state, atoms: False)
-        by_search = [solve_internal(p, None, 20_000) for _, p in problems]
+        by_search = [reference_solve(p, None, 20_000, indistinct_rows=False) for _, p in problems]
         decided = [(level, a, b) for (level, _), a, b in zip(problems, with_check, by_search)
                    if b.status != TIMEOUT]
         assert len(decided) >= 100
@@ -630,6 +629,14 @@ class TestExternalBackend:
         stub = write_stub_solver(tmp_path / "solver.py", 'print("maybe")\n')
         with pytest.raises(SolverBackendError):
             solve_external(problem, f"python3 {stub}", 10.0)
+
+    def test_a_nan_timeout_is_refused_before_the_solver_starts(self, tmp_path):
+        # ``subprocess`` reads a NaN timeout as none, and would wait forever
+        started = tmp_path / "started"
+        stub = write_stub_solver(tmp_path / "solver.py", f"open({str(started)!r}, 'w')\n")
+        with pytest.raises(ValueError, match="must not be NaN"):
+            solve_external(self.make_problem(), f"python3 {stub}", NAN)
+        assert not started.exists()
 
     def test_wall_clock_timeout(self, tmp_path):
         problem = self.make_problem()

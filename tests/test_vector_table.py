@@ -20,22 +20,24 @@ it; and a problem over other rows on the same table, whose expected
 vector differs, must read another's markers as no entry, in the
 last-position check and in the one-member pass alike.
 
-A solve holds nothing sized to the table: its ``seen`` set starts as its
-column ids on every rung of a climb, and after an unsat rung, with the
-cone empty, it is those ids again.
+A solve's own state is its cone and ``seen``, the ids of its columns and
+cone members: ``seen`` is the column ids when a solve starts and again
+after an unsat one, whatever the shared table holds. So a solve on a table
+that an earlier solve filled must match the plain reference walk
+(``test_reference_solver.agreed``), which keeps its own vectors.
 """
 import random
 import sys
 import threading
 from dataclasses import replace
 
-from condfix.budget import Budget
 from condfix.synth import (
     MAX_LEVEL, MIN_LEVEL, SAT, TIMEOUT, UNSAT, Component, SynthesisProblem, decode, encode,
-    encode_with_components, internal, solve_internal, to_source,
+    encode_with_components, solve_internal, to_source,
 )
 from condfix.trace import ColumnSpec, TraceMatrix, TraceRow, VectorTable, deduplicate
 from test_acceptance import _random_matrix
+from test_reference_solver import agreed
 from test_solve_digest import DEEP_CAP, LADDER_CAP, matrices
 
 LEVELS = range(MIN_LEVEL, MAX_LEVEL + 1)
@@ -76,24 +78,25 @@ def test_a_copy_starts_a_fresh_table_and_every_rung_shares_the_matrixs():
 
 def test_two_matrices_at_one_level_share_no_memo_and_no_vector_id():
     # both rungs hold the same components, built once per process; every
-    # memo, vector and id a solve reads or writes is its own matrix's
+    # memo, vector and id a solve reads or writes is its own matrix's: one
+    # memo per operator semantics, keyed and valued (``~e`` names ``e``) by
+    # places in that table's vectors
     pool = [m for m in matrices() if {c.type for c in m.columns} == {"int", "real"}]
     first, second = replace(pool[0]), replace(pool[1])
     for level in LEVELS:
         problems = [encode(matrix, level) for matrix in (first, second)]
         assert all(a is b for a, b in zip(*(problem.components for problem in problems)))
-        states = []
         for matrix, problem in zip((first, second), problems):
-            table = matrix.vector_table
             solve_internal(problem, None, LADDER_CAP)
-            state = internal._SearchState(problem, internal._closers(problem), Budget(LADDER_CAP))
-            assert state.ids is table.ids and state.vectors is table.vectors
-            assert all(memo is table.memos[c.tag, c.in_types]
-                       for (_, _, _, memo, _, _, _), c in zip(state.records, problem.components))
-            states.append(state)
-        a, b = states
+            table = matrix.vector_table
+            assert problem.vector_table is table
+            assert set(table.memos) == {(c.tag, c.in_types) for c in problem.components}
+            for memo in table.memos.values():
+                for key, vid in memo.items():
+                    assert max(*key, ~vid if vid < 0 else vid) < len(table.vectors)
+        a, b = first.vector_table, second.vector_table
         assert a.vectors is not b.vectors and a.ids is not b.ids
-        assert not {id(record[3]) for record in a.records} & {id(record[3]) for record in b.records}
+        assert not {id(memo) for memo in a.memos.values()} & {id(memo) for memo in b.memos.values()}
     assert first.vector_table.vectors and second.vector_table.vectors
     # an id names a place in its own table only: solving one matrix adds
     # nothing to another's
@@ -140,37 +143,6 @@ def test_threads_climbing_one_matrix_get_the_lone_outcomes():
         sys.setswitchinterval(interval)
 
 
-def test_seen_is_the_column_ids_at_the_start_and_after_every_unsat_solve(monkeypatch):
-    # a solve's own state is its cone and ``seen``, the ids of its columns
-    # and cone members, whatever the shared table holds: on each digest
-    # climb a rung starts with ``seen`` the column ids (level 4 on a table
-    # that already holds the earlier rungs' vectors too), and an unsat
-    # rung ends with the cone empty and ``seen`` the column ids again
-    init = internal._SearchState.__init__
-    states = []
-
-    def recording(state, problem, closers, budget):
-        init(state, problem, closers, budget)
-        assert state.seen == set(state.columns) and not state.cone
-        states.append((state, len(state.vectors)))
-
-    monkeypatch.setattr(internal._SearchState, "__init__", recording)
-    unsat = warm = 0
-    for index, matrix in enumerate(matrices()):
-        shared = replace(matrix)
-        for level in LEVELS:
-            states.clear()
-            status = solve_internal(encode(shared, level), None, LADDER_CAP).status
-            for state, size in states:
-                warm += level == MAX_LEVEL and size > len(state.seen)
-                if status == UNSAT:
-                    assert not state.cone and state.seen == set(state.columns), (index, level)
-                    unsat += 1
-            if status == SAT:
-                break
-    assert unsat and warm
-
-
 def test_every_marker_names_the_expected_vector_and_holds_a_member():
     # a marker's key holds the id of the cone's next-to-last member, which
     # is no column's, so the one-member pass, whose keys hold column ids
@@ -192,56 +164,62 @@ def test_every_marker_names_the_expected_vector_and_holds_a_member():
     assert markers
 
 
-def test_a_marked_wiring_walked_as_a_candidate_member_is_computed(monkeypatch):
-    # level 3 times out, marking root wirings that missed on its last
-    # position; level 4 on the same table walks one of them as a candidate
-    # of an earlier position, where a marker is no id, before its hit
+def marking_matrix():
+    """A matrix whose level 3 times out, marking root wirings that missed on
+    its last position; level 4 on the same table walks one of them as a
+    candidate of an earlier position, where a marker is no id, before its
+    hit."""
     columns = [ColumnSpec("b", "bool", "var", var="b"), ColumnSpec("n", "int", "var", var="n")]
-    matrix = TraceMatrix(1, "condition", columns, [
+    return TraceMatrix(1, "condition", columns, [
         TraceRow("t0", 0, (True, 3), True), TraceRow("t1", 0, (False, -2), True),
         TraceRow("t2", 0, (False, -1), False)])
-    apply = internal._SearchState.apply
-    walked = []
 
-    def recording(state, ci, key):
-        if state.records[ci][3].get(key, 0) < 0:
-            walked.append(key)
-        return apply(state, ci, key)
 
+def test_a_marked_wiring_walked_as_a_candidate_member_is_computed():
+    matrix = marking_matrix()
     want = [lone(matrix, 3),
             outcome(solve_internal(encode(replace(matrix), MAX_LEVEL), None, DEEP_CAP))]
-    got = [outcome(solve_internal(encode(matrix, 3), None, LADDER_CAP))]
-    with monkeypatch.context() as patched:
-        patched.setattr(internal._SearchState, "apply", recording)
-        got.append(outcome(solve_internal(encode(matrix, MAX_LEVEL), None, DEEP_CAP)))
-    assert got == want
-    assert [status for status, _, _ in got] == [TIMEOUT, SAT] and len(walked) == 1
+    got = [outcome(solve_internal(encode(matrix, level), None, cap))
+           for level, cap in ((3, LADDER_CAP), (MAX_LEVEL, DEEP_CAP))]
+    assert got == want and [status for status, _, _ in got] == [TIMEOUT, SAT]
 
 
-def test_a_problem_over_other_rows_reads_the_markers_as_no_entry():
-    # ``c0 < c0 + c0`` misses (t, f, t) on c0 = 1, 2, 3, so that solve marks
-    # the wiring; on its table, it is the last-position hit of the same
-    # inputs expecting (t, t, t), and with a column holding c0 + c0 the
-    # one-member pass's hit
+def other_rows_cases():
+    """(case, first, problem, source), each ``first`` on a table of its own:
+    ``c0 < c0 + c0`` misses (t, f, t) on c0 = 1, 2, 3, so solving ``first``
+    marks the wiring; on that table it is the last-position hit of
+    ``problem`` over the same inputs expecting (t, t, t), or, with a column
+    holding c0 + c0, the one-member pass's hit."""
     components = [Component("<", ("int", "int"), "bool"), Component("+", ("int", "int"), "int")]
     columns = [ColumnSpec(c, "int", "var", var=c) for c in ("c0", "c1")]
     matrix = TraceMatrix(1, "condition", columns[:1],
                          [TraceRow(f"t{v}", 0, (v,), v != 2) for v in (1, 2, 3)])
-    for case in ("same inputs", "wider"):
+    for case, source in (("same inputs", "c0 < c0 + c0"), ("wider", "c0 < c1")):
         first = encode_with_components(replace(matrix), components)
+        problem = replace(first, rows=[(values, True) for values, _ in first.rows])
+        if case == "wider":
+            problem = SynthesisProblem(columns, [((c0, c0 + c0), True) for c0 in (1, 2, 3)],
+                                       components, vector_table=first.vector_table)
+        yield case, first, problem, source
+
+
+def test_a_problem_over_other_rows_reads_the_markers_as_no_entry():
+    for case, first, problem, source in other_rows_cases():
         assert solve_internal(first, None, LADDER_CAP).status == UNSAT
         table = first.vector_table
         x, v = table.ids["int"][1, 2, 3], table.ids["int"][2, 4, 6]
-        assert table.memos["<", ("int", "int")][x, v] < 0
-        if case == "same inputs":
-            problem = replace(first, rows=[(values, True) for values, _ in first.rows])
-            source = "c0 < c0 + c0"
-        else:
-            problem = SynthesisProblem(columns, [((c0, c0 + c0), True) for c0 in (1, 2, 3)],
-                                       components, vector_table=table)
-            source = "c0 < c1"
-        assert problem.vector_table is table
+        assert table.memos["<", ("int", "int")][x, v] < 0 and problem.vector_table is table
         result = solve_internal(problem, None, LADDER_CAP)
         assert outcome(result) == outcome(solve_internal(
             replace(problem, vector_table=VectorTable()), None, LADDER_CAP)), case
         assert result.status == SAT and to_source(decode(problem, result.model)) == source
+
+
+def test_seen_is_the_column_ids_at_the_start_and_after_every_unsat_solve(monkeypatch):
+    # level 4 after level 3 times out, and each other-rows problem after
+    # the unsat solve that marked its table
+    matrix = marking_matrix()
+    assert [agreed(monkeypatch, encode(matrix, level), 4, cap)[0]
+            for level, cap in ((3, LADDER_CAP), (MAX_LEVEL, DEEP_CAP))] == [TIMEOUT, SAT]
+    for case, first, problem, _ in other_rows_cases():
+        assert [agreed(monkeypatch, p, case=case)[0] for p in (first, problem)] == [UNSAT, SAT]
